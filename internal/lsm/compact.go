@@ -208,24 +208,31 @@ func (d *DB) runSubcompaction(plan *compaction.Plan, sr compaction.SubRange, can
 	start := time.Now()
 	defer d.metrics.subcompactNanos.ObserveSince(start)
 
-	inputs := plan.Files()
-	iters := make([]internalIterator, 0, len(inputs))
-	for _, f := range inputs {
-		r, err := d.tc.get(f.FileNum)
-		if err != nil {
-			return nil, err
+	// One iterator per sorted run of the plan: the output level's overlaps,
+	// and the input level's files together (one sorted run below L0) or one
+	// by one (L0 files overlap each other). Run iterators open a file only
+	// when the merge reaches it, and each shard reads only the blocks its
+	// range covers: the lower bound is the initial Seek in
+	// writeCompactionOutputs, the upper bound stops the table iterators.
+	// Compaction reads bypass the cache — RocksDB does not pollute the block
+	// cache with compaction I/O, and neither do we — and come in sequential
+	// windows, not block by block; the vfs layer still counts them.
+	runs := [][]*manifest.FileMeta{plan.Overlaps, plan.Inputs}
+	if plan.InputLevel == 0 {
+		runs = runs[:1]
+		for i := range plan.Inputs {
+			runs = append(runs, plan.Inputs[i:i+1])
 		}
-		// Compaction reads bypass cache fill: RocksDB does not pollute the
-		// block cache with compaction I/O, and neither do we. Reads are
-		// still counted as file I/O by the vfs layer.
-		it, err := r.NewIterNoCache()
-		if err != nil {
-			return nil, err
+	}
+	iters := make([]internalIterator, 0, len(runs))
+	for _, files := range runs {
+		if len(files) == 0 {
+			continue
 		}
-		// Each shard reads only the blocks its range covers; the lower
-		// bound is applied by the initial Seek in writeCompactionOutputs.
-		it.SetUpperBound(sr.End)
-		iters = append(iters, it)
+		l := new(levelIter)
+		l.init(d.tc, files, nil, sr.End)
+		l.noCache = true
+		iters = append(iters, l)
 	}
 
 	merged := newMergingIter(iters...)

@@ -445,6 +445,9 @@ func TestRecoveryWithQueuedImmutables(t *testing.T) {
 	opts.MemTableSize = 1 << 20    // never seals on its own
 	opts.MaxImmutableMemTables = 4 // room for both hand-sealed memtables
 	db := mustOpen(t, opts)
+	// Keep the background worker from flushing the sealed memtables before
+	// the queue is inspected: flushes run under compactMu.
+	db.compactMu.Lock()
 	seal := func() {
 		db.commitMu.Lock()
 		db.mu.Lock()
@@ -473,7 +476,9 @@ func TestRecoveryWithQueuedImmutables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db.Metrics().ImmMemTables; got != 2 {
+	got := db.Metrics().ImmMemTables
+	db.compactMu.Unlock()
+	if got != 2 {
 		t.Fatalf("ImmMemTables = %d before close, want 2", got)
 	}
 	if err := db.Close(); err != nil {

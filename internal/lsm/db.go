@@ -155,6 +155,9 @@ type DB struct {
 	// I/O — the paper's "SST reads" metric.
 	queryBlockReads atomic.Int64
 	queryBlockHits  atomic.Int64
+	// lazySkippedRuns counts sorted runs a scan or iterator positioned
+	// without ever opening: the merge never reached them.
+	lazySkippedRuns atomic.Int64
 
 	// obsoleteEntries is bumped by compactions dropping shadowed versions
 	// and tombstones; atomic because compaction merges run outside mu.
@@ -618,45 +621,28 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 		stats.LimitScanFill = true
 		stats.ScanFillBudget = quota
 	}
-	iters := append(rs.iters, mem.NewIter())
-	for i := len(imm) - 1; i >= 0; i-- {
-		iters = append(iters, imm[i].mem.NewIter())
-	}
-	for _, f := range version.Levels[0] {
-		if string(f.Largest.UserKey()) < string(start) {
-			continue
-		}
-		r, err := d.tc.get(f.FileNum)
-		if err != nil {
-			rs.iters = iters
-			return nil, err
-		}
-		iters = append(iters, rs.sstIter(r))
-	}
-	for level := 1; level < len(version.Levels); level++ {
-		files := version.Overlapping(level, start, nil)
-		if len(files) == 0 {
-			continue
-		}
-		iters = append(iters, rs.levelIterFor(d.tc, files))
-	}
-	rs.iters = iters
-
-	rs.merge.setIters(iters)
-	vi := &rs.vi
-	vi.init(&rs.merge, seq)
-	var out []KV
+	stats.ScanRemaining = int64(n)
+	vi := d.buildIter(rs, mem, imm, version, start, end, seq)
 	// Results are copied into one contiguous arena per scan instead of two
 	// fresh allocations per returned pair; the arena is handed out with the
-	// results (never pooled), so retaining them is safe.
+	// results (never pooled), so retaining them is safe. It is sized from
+	// the first pair, for up to presize pairs and 1 MiB: regrowing it would
+	// leave the earlier results pinning every outgrown copy.
+	const presize = 64
 	var arena []byte
+	out := make([]KV, 0, min(n, presize))
 	entries := make([]ScanEntry, 0, min(n, 1024))
-	for ok := vi.SeekGE(start); ok && len(out) < n; ok = vi.Next() {
+	// The limit is tested before stepping, not after: a Next past the last
+	// wanted entry could load a block, or open a run, for nothing.
+	for ok := vi.SeekGE(start); ok; ok = vi.Next() {
 		if vi.Deleted() {
 			continue
 		}
 		if end != nil && bytes.Compare(vi.UserKey(), end) >= 0 {
 			break
+		}
+		if arena == nil {
+			arena = make([]byte, 0, min(min(n, presize)*(len(vi.UserKey())+len(vi.Value())), 1<<20))
 		}
 		kOff := len(arena)
 		arena = append(arena, vi.UserKey()...)
@@ -665,6 +651,10 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 		k, v := arena[kOff:vOff:vOff], arena[vOff:len(arena):len(arena)]
 		out = append(out, KV{Key: k, Value: v})
 		entries = append(entries, ScanEntry{Key: k, Value: v})
+		if len(out) == n {
+			break
+		}
+		stats.ScanRemaining = int64(n - len(out))
 	}
 	if err := vi.Err(); err != nil {
 		return nil, err
@@ -813,8 +803,9 @@ func (d *DB) Close() error {
 	return d.saveManifestLocked()
 }
 
-// IOStats returns cumulative file I/O counters; ReadOps equals the paper's
-// "SST reads" (one ReadAt per block).
+// IOStats returns cumulative file I/O counters. ReadOps counts device read
+// calls, each of which may carry several coalesced blocks; the paper's "SST
+// reads" — blocks — is QueryBlockReads.
 func (d *DB) IOStats() vfs.StatsSnapshot { return d.fs.Stats.Snapshot() }
 
 // Metrics summarises engine state for stats collection and tools.
@@ -870,6 +861,13 @@ type Metrics struct {
 	// BgIOStallNanos is cumulative time background flush/compaction writers
 	// spent throttled by the Options.BgIOBytesPerSec token bucket.
 	BgIOStallNanos int64
+	// SSTReadCalls and SSTReadBytes count the device reads issued by table
+	// readers (queries, compaction, table opens, integrity checks): one
+	// call may carry several coalesced blocks. ScanLazySkippedRuns counts
+	// sorted runs that scans positioned but never had to open.
+	SSTReadCalls        int64
+	SSTReadBytes        int64
+	ScanLazySkippedRuns int64
 	// bgStateNum is the numeric form of BgState for the lsm_bg_state gauge
 	// (0 healthy, 1 retrying, 2 read-only).
 	bgStateNum int
@@ -921,6 +919,9 @@ func (d *DB) Metrics() Metrics {
 		Resumes:                 d.resumes,
 		WALRemoveErrors:         d.walRemoveErrors,
 		BgIOStallNanos:          d.ioLimit.StallNanos(),
+		SSTReadCalls:            d.tc.fs.Stats.ReadOps.Load(),
+		SSTReadBytes:            d.tc.fs.Stats.ReadBytes.Load(),
+		ScanLazySkippedRuns:     d.lazySkippedRuns.Load(),
 	}
 	if d.bgCause != nil {
 		m.BgLastError = d.bgCause.Error()

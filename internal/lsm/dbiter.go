@@ -1,8 +1,6 @@
 package lsm
 
-import (
-	"adcache/internal/sstable"
-)
+import "time"
 
 // Iterator is a forward iterator over the live keys of a consistent
 // snapshot of the database. It pins the version it was created against, so
@@ -15,13 +13,15 @@ import (
 type Iterator struct {
 	db     *DB
 	handle *versionHandle
+	rs     *readState // the iterator stack; returned to the pool by Close
 	vi     *visibleIter
-	stats  sstable.ReadStats
+	start  time.Time
 	closed bool
 }
 
 // NewIter returns an iterator over a snapshot of the database taken now.
 func (d *DB) NewIter() (*Iterator, error) {
+	start := time.Now()
 	d.mu.RLock()
 	if d.closed {
 		d.mu.RUnlock()
@@ -33,32 +33,11 @@ func (d *DB) NewIter() (*Iterator, error) {
 	seq := d.lastSeq
 	d.mu.RUnlock()
 
-	it := &Iterator{db: d, handle: h}
-	iters := []internalIterator{mem.NewIter()}
-	for i := len(imm) - 1; i >= 0; i-- {
-		iters = append(iters, imm[i].mem.NewIter())
-	}
-	for _, f := range h.v.Levels[0] {
-		r, err := d.tc.get(f.FileNum)
-		if err != nil {
-			d.releaseVersion(h)
-			return nil, err
-		}
-		fileIter, err := r.NewIter(&it.stats)
-		if err != nil {
-			d.releaseVersion(h)
-			return nil, err
-		}
-		iters = append(iters, fileIter)
-	}
-	for level := 1; level < len(h.v.Levels); level++ {
-		if len(h.v.Levels[level]) == 0 {
-			continue
-		}
-		iters = append(iters, newLevelIter(d.tc, h.v.Levels[level], &it.stats))
-	}
-	it.vi = newVisibleIter(newMergingIter(iters...), seq)
-	return it, nil
+	rs := d.getReadState()
+	return &Iterator{
+		db: d, handle: h, rs: rs, start: start,
+		vi: d.buildIter(rs, mem, imm, h.v, nil, nil, seq),
+	}, nil
 }
 
 // First positions at the smallest live key.
@@ -105,14 +84,15 @@ func (it *Iterator) Value() []byte { return it.vi.Value() }
 // Err returns the first error the iterator encountered.
 func (it *Iterator) Err() error { return it.vi.Err() }
 
-// BlockReads reports how many SST blocks this iterator fetched from disk.
-func (it *Iterator) BlockReads() int64 { return it.stats.BlockMisses }
-
-// Close releases the snapshot pin. It is safe to call twice.
+// Close releases the snapshot pin and records the iterator's lifetime as
+// one scan in lsm_scan_nanos. It is safe to call twice; no other method may
+// be called after it.
 func (it *Iterator) Close() {
 	if it.closed {
 		return
 	}
 	it.closed = true
+	it.db.putReadState(it.rs)
 	it.db.releaseVersion(it.handle)
+	it.db.metrics.scanNanos.ObserveSince(it.start)
 }

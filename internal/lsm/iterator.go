@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 
 	"adcache/internal/keys"
 	"adcache/internal/manifest"
@@ -20,63 +21,96 @@ type internalIterator interface {
 	Err() error
 }
 
-// levelIter iterates one non-overlapping level (L1+), opening file iterators
-// lazily as the scan crosses file boundaries. It embeds one sstable.Iter by
-// value and re-initialises it per file, so crossing a file boundary performs
-// no allocation.
+// levelIter iterates one sorted run: a non-overlapping level (L1+) or a
+// single L0 file. It embeds one sstable.Iter by value and re-initialises it
+// per file, so crossing a file boundary performs no allocation.
+//
+// Positioning is lazy. Whenever the iterator lands on the start of a file —
+// a Seek whose target is at or below the file's smallest key, First, or Next
+// off the end of the previous file — it parks there: it reports the file's
+// FileMeta.Smallest as its key and reads nothing. FileMeta.Smallest is the
+// table's first entry, so the parked key is exactly the key First would
+// produce and the merge heap orders the run correctly without any I/O. The
+// file is opened only when the run's value or successor is asked for, that
+// is, when the merge has actually reached the run.
 type levelIter struct {
-	tc    *tableCache
-	files []*manifest.FileMeta
-	stats *sstable.ReadStats
+	tc      *tableCache
+	files   []*manifest.FileMeta
+	stats   *sstable.ReadStats
+	upper   []byte  // exclusive user-key bound; nil = unbounded
+	share   float64 // see sstable.Iter.SetShare
+	noCache bool    // open files with cache-bypassing iterators (compaction)
 
 	idx    int // current file index
 	iter   sstable.Iter
 	iterOK bool // iter is initialised on files[idx]
+	parked bool // positioned on files[idx].Smallest; the file is unopened
+	opened bool // a file was opened since init: the run cost reader I/O
 	err    error
 }
 
-func newLevelIter(tc *tableCache, files []*manifest.FileMeta, stats *sstable.ReadStats) *levelIter {
-	l := new(levelIter)
-	l.init(tc, files, stats)
-	return l
-}
-
-// init points the levelIter at a level, replacing any previous state while
+// init points the levelIter at a run, replacing any previous state while
 // retaining the embedded iterator's buffers (the engine pools levelIters).
-func (l *levelIter) init(tc *tableCache, files []*manifest.FileMeta, stats *sstable.ReadStats) {
+func (l *levelIter) init(tc *tableCache, files []*manifest.FileMeta, stats *sstable.ReadStats, upper []byte) {
 	l.tc = tc
 	l.files = files
 	l.stats = stats
+	l.upper = upper
+	l.share = 1
+	l.noCache = false
 	l.idx = -1
-	l.iterOK = false
+	l.iter.Close()
+	l.iterOK, l.parked, l.opened = false, false, false
 	l.err = nil
 }
 
-func (l *levelIter) openFile(idx int) bool {
-	l.idx = idx
-	l.iterOK = false
-	if idx >= len(l.files) {
-		return false
-	}
-	r, err := l.tc.get(l.files[idx].FileNum)
+// park positions the iterator on the first entry of files[idx] without
+// opening the file.
+func (l *levelIter) park(idx int) bool {
+	l.idx, l.iterOK = idx, false
+	l.parked = idx < len(l.files) &&
+		(l.upper == nil || bytes.Compare(l.files[idx].Smallest.UserKey(), l.upper) < 0)
+	return l.parked
+}
+
+// open initialises the table iterator on files[l.idx].
+func (l *levelIter) open() bool {
+	l.parked, l.iterOK = false, false
+	r, err := l.tc.get(l.files[l.idx].FileNum)
 	if err != nil {
 		l.err = err
 		return false
 	}
-	l.iter.Init(r, l.stats)
-	l.iterOK = true
+	if l.noCache {
+		l.iter.InitNoCache(r)
+	} else {
+		l.iter.Init(r, l.stats)
+		l.iter.SetShare(l.share)
+	}
+	l.iter.SetUpperBound(l.upper)
+	l.iterOK, l.opened = true, true
 	return true
 }
 
-func (l *levelIter) First() bool {
-	if !l.openFile(0) {
+// unpark opens the file the iterator is parked on and positions the table
+// iterator on its first entry, which must be the key the run has been
+// reporting.
+func (l *levelIter) unpark() bool {
+	if !l.open() {
 		return false
 	}
-	if l.iter.First() {
-		return true
+	f := l.files[l.idx]
+	if !l.iter.First() || !bytes.Equal(l.iter.Key(), f.Smallest) {
+		if l.iter.Err() == nil {
+			l.err = fmt.Errorf("%w: table %06d does not start at its manifest smallest key",
+				sstable.ErrCorrupt, f.FileNum)
+		}
+		return false
 	}
-	return l.Next()
+	return true
 }
+
+func (l *levelIter) First() bool { return l.park(0) }
 
 func (l *levelIter) Seek(target keys.InternalKey) bool {
 	// Binary search for the first file whose largest key >= target.
@@ -89,45 +123,48 @@ func (l *levelIter) Seek(target keys.InternalKey) bool {
 			hi = mid
 		}
 	}
-	if !l.openFile(lo) {
+	if lo == len(l.files) || keys.Compare(target, l.files[lo].Smallest) <= 0 {
+		return l.park(lo)
+	}
+	// target falls inside the file: finding its successor needs the blocks.
+	l.idx = lo
+	if !l.open() {
 		return false
 	}
-	if l.iter.Seek(target) {
-		return true
-	}
-	return l.Next()
+	return l.iter.Seek(target) || l.Next()
 }
 
 func (l *levelIter) Next() bool {
-	if l.err != nil {
+	if l.err != nil || (l.parked && !l.unpark()) || !l.iterOK {
 		return false
 	}
-	if l.iterOK && l.iter.Next() {
+	if l.iter.Next() {
 		return true
 	}
-	if l.iterOK && l.iter.Err() != nil {
+	if l.err = l.iter.Err(); l.err != nil {
 		// Latch corruption from the exhausted file before Init clears it.
-		l.err = l.iter.Err()
 		return false
 	}
-	for {
-		if !l.openFile(l.idx + 1) {
-			return false
-		}
-		if l.iter.First() {
-			return true
-		}
-		if l.err != nil || l.iter.Err() != nil {
-			return false
-		}
-	}
+	return l.park(l.idx + 1)
 }
 
-func (l *levelIter) Valid() bool { return l.iterOK && l.iter.Valid() }
+func (l *levelIter) Valid() bool { return l.parked || (l.iterOK && l.iter.Valid()) }
 
-func (l *levelIter) Key() keys.InternalKey { return l.iter.Key() }
+func (l *levelIter) Key() keys.InternalKey {
+	if l.parked {
+		return l.files[l.idx].Smallest
+	}
+	return l.iter.Key()
+}
 
-func (l *levelIter) Value() []byte { return l.iter.Value() }
+// Value returns the current value, opening the file if the iterator is
+// parked. A failed open surfaces through Err; the value is then nil.
+func (l *levelIter) Value() []byte {
+	if l.parked && !l.unpark() {
+		return nil
+	}
+	return l.iter.Value()
+}
 
 func (l *levelIter) Err() error {
 	if l.err != nil {
@@ -268,12 +305,6 @@ type visibleIter struct {
 	seekBuf []byte // scratch for SeekGE search keys, reused across seeks
 	deleted bool
 	valid   bool
-}
-
-func newVisibleIter(it internalIterator, seq uint64) *visibleIter {
-	v := new(visibleIter)
-	v.init(it, seq)
-	return v
 }
 
 // init re-targets a pooled visibleIter, retaining its scratch buffers.

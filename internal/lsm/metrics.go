@@ -58,6 +58,9 @@ func (d *DB) registerMetrics(reg *metrics.Registry) {
 		{"lsm_resumes_total", "recoveries from read-only degraded mode", func(m Metrics) int64 { return m.Resumes }},
 		{"lsm_wal_remove_errors_total", "non-fatal failures deleting retired WAL files", func(m Metrics) int64 { return m.WALRemoveErrors }},
 		{"lsm_bg_io_stall_nanos_total", "time background writers spent throttled by the I/O rate limit", func(m Metrics) int64 { return m.BgIOStallNanos }},
+		{"lsm_sst_read_calls_total", "device read calls issued by table readers (a call may carry several blocks)", func(m Metrics) int64 { return m.SSTReadCalls }},
+		{"lsm_sst_read_bytes_total", "bytes read from the device by table readers", func(m Metrics) int64 { return m.SSTReadBytes }},
+		{"lsm_scan_lazy_skipped_runs_total", "sorted runs scans positioned but never had to open", func(m Metrics) int64 { return m.ScanLazySkippedRuns }},
 	}
 	for _, c := range counters {
 		fn := c.fn

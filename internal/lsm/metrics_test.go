@@ -61,6 +61,15 @@ func TestMetricsEnginePopulated(t *testing.T) {
 	if got := snap["lsm_user_bytes_total"].(int64); got != m.UserBytes || got == 0 {
 		t.Errorf("lsm_user_bytes_total = %d, engine says %d", got, m.UserBytes)
 	}
+	if got := snap["lsm_sst_read_calls_total"].(int64); got != m.SSTReadCalls || got == 0 {
+		t.Errorf("lsm_sst_read_calls_total = %d, engine says %d", got, m.SSTReadCalls)
+	}
+	if got := snap["lsm_sst_read_bytes_total"].(int64); got != m.SSTReadBytes || got < 4096 {
+		t.Errorf("lsm_sst_read_bytes_total = %d, engine says %d", got, m.SSTReadBytes)
+	}
+	if got := snap["lsm_scan_lazy_skipped_runs_total"].(int64); got != m.ScanLazySkippedRuns {
+		t.Errorf("lsm_scan_lazy_skipped_runs_total = %d, engine says %d", got, m.ScanLazySkippedRuns)
+	}
 	if got := snap[`lsm_level_files{level="0"}`]; got == nil {
 		t.Error("per-level gauge lsm_level_files{level=\"0\"} missing")
 	}

@@ -1,7 +1,11 @@
 package lsm
 
 import (
+	"bytes"
+	"sort"
+
 	"adcache/internal/manifest"
+	"adcache/internal/memtable"
 	"adcache/internal/sstable"
 )
 
@@ -21,9 +25,8 @@ type readState struct {
 	merge   mergingIter
 	vi      visibleIter
 
-	// Reusable table and level iterators, handed out per scan in order.
-	sstIters []*sstable.Iter
-	sstUsed  int
+	// Reusable run iterators, handed out per scan in order. Each embeds its
+	// table iterator, whose coalesced-read buffer is therefore pooled too.
 	lvlIters []*levelIter
 	lvlUsed  int
 }
@@ -33,13 +36,14 @@ func (d *DB) getReadState() *readState {
 	rs := d.readPool.Get().(*readState)
 	rs.stats.Reset()
 	rs.iters = rs.iters[:0]
-	rs.sstUsed, rs.lvlUsed = 0, 0
+	rs.lvlUsed = 0
 	return rs
 }
 
 // putReadState drops references to engine objects (memtables, readers,
 // version-pinned files) so the pool never keeps them alive, then returns
-// the scratch to the pool.
+// the scratch to the pool. Runs the operation positioned but never had to
+// open are counted on the way out.
 func (d *DB) putReadState(rs *readState) {
 	for i := range rs.iters {
 		rs.iters[i] = nil
@@ -47,33 +51,96 @@ func (d *DB) putReadState(rs *readState) {
 	rs.iters = rs.iters[:0]
 	rs.merge.setIters(nil)
 	rs.vi.init(nil, 0)
-	for _, it := range rs.sstIters[:rs.sstUsed] {
-		it.Close()
-	}
+	var skipped int64
 	for _, l := range rs.lvlIters[:rs.lvlUsed] {
-		l.init(nil, nil, nil)
+		if l.parked && !l.opened {
+			skipped++
+		}
+		l.init(nil, nil, nil, nil)
+	}
+	if skipped > 0 {
+		d.lazySkippedRuns.Add(skipped)
 	}
 	d.readPool.Put(rs)
 }
 
-// sstIter returns a pooled table iterator initialised over r.
-func (rs *readState) sstIter(r *sstable.Reader) *sstable.Iter {
-	if rs.sstUsed == len(rs.sstIters) {
-		rs.sstIters = append(rs.sstIters, new(sstable.Iter))
-	}
-	it := rs.sstIters[rs.sstUsed]
-	rs.sstUsed++
-	it.Init(r, &rs.stats)
-	return it
-}
-
-// levelIterFor returns a pooled level iterator initialised over files.
-func (rs *readState) levelIterFor(tc *tableCache, files []*manifest.FileMeta) *levelIter {
+// runIter returns a pooled run iterator over files: a sorted level or one L0
+// file.
+func (rs *readState) runIter(tc *tableCache, files []*manifest.FileMeta, upper []byte) *levelIter {
 	if rs.lvlUsed == len(rs.lvlIters) {
 		rs.lvlIters = append(rs.lvlIters, new(levelIter))
 	}
 	l := rs.lvlIters[rs.lvlUsed]
 	rs.lvlUsed++
-	l.init(tc, files, &rs.stats)
+	l.init(tc, files, &rs.stats, upper)
 	return l
+}
+
+// buildIter assembles in rs the operation's iterator stack — the active and
+// sealed memtables, one run iterator per L0 file and per deeper level that
+// can hold a key in [start, end) (nil = unbounded) — and returns the merged
+// stream filtered to the versions visible at seq. Nothing is read: run
+// iterators open their files when the merge reaches them.
+//
+// Each run's share of the entries the scan will return is estimated as its
+// share of the entries of the runs the scan starts inside; a run that begins
+// above start is parked by the seek and takes no part unless the scan gets
+// that far, so it is counted only in its own denominator.
+func (d *DB) buildIter(rs *readState, mem *memtable.MemTable, imm []*immTable, v *manifest.Version, start, end []byte, seq uint64) *visibleIter {
+	iters := append(rs.iters, mem.NewIter())
+	for i := len(imm) - 1; i >= 0; i-- {
+		iters = append(iters, imm[i].mem.NewIter())
+	}
+	var inside float64 // entries of the runs that contain start
+	addRun := func(files []*manifest.FileMeta) {
+		if len(files) == 0 {
+			return
+		}
+		l := rs.runIter(d.tc, files, end)
+		l.share = 0 // the run's entry count until normalised below
+		for _, f := range files {
+			l.share += float64(f.NumEntries)
+		}
+		if bytes.Compare(files[0].Smallest.UserKey(), start) <= 0 {
+			inside += l.share
+		}
+		iters = append(iters, l)
+	}
+	l0 := v.Levels[0]
+	for i := range l0 {
+		addRun(overlappingRun(l0[i:i+1], start, end))
+	}
+	for _, level := range v.Levels[1:] {
+		addRun(overlappingRun(level, start, end))
+	}
+	for _, l := range rs.lvlIters[:rs.lvlUsed] {
+		among := inside
+		if bytes.Compare(l.files[0].Smallest.UserKey(), start) > 0 {
+			among += l.share
+		}
+		if among > 0 {
+			l.share /= among
+		} else {
+			l.share = 1
+		}
+	}
+	rs.iters = iters
+	rs.merge.setIters(iters)
+	rs.vi.init(&rs.merge, seq)
+	return &rs.vi
+}
+
+// overlappingRun returns the files of a sorted, non-overlapping run that can
+// hold a user key in [start, end) (nil end = unbounded), as a sub-slice.
+func overlappingRun(files []*manifest.FileMeta, start, end []byte) []*manifest.FileMeta {
+	lo := sort.Search(len(files), func(i int) bool {
+		return bytes.Compare(files[i].Largest.UserKey(), start) >= 0
+	})
+	files = files[lo:]
+	if end == nil {
+		return files
+	}
+	return files[:sort.Search(len(files), func(i int) bool {
+		return bytes.Compare(files[i].Smallest.UserKey(), end) >= 0
+	})]
 }

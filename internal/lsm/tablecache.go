@@ -16,7 +16,10 @@ import (
 // reads, so one cold table open cannot stall concurrent readers of
 // already-open tables. Concurrent openers of the same file share one open.
 type tableCache struct {
-	fs    vfs.FS
+	// fs counts the device reads table readers issue — calls and bytes,
+	// whichever of ReadAt or a no-copy view serves them — apart from the
+	// engine's other file I/O.
+	fs    *vfs.CountingFS
 	dir   string
 	cache sstable.BlockCache // shared by all readers; may be nil
 
@@ -33,7 +36,7 @@ type tableEntry struct {
 }
 
 func newTableCache(fs vfs.FS, dir string, cache sstable.BlockCache) *tableCache {
-	return &tableCache{fs: fs, dir: dir, cache: cache, tables: make(map[uint64]*tableEntry)}
+	return &tableCache{fs: vfs.NewCounting(fs), dir: dir, cache: cache, tables: make(map[uint64]*tableEntry)}
 }
 
 // get returns the reader for fileNum, opening it on first use.

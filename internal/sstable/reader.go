@@ -49,6 +49,10 @@ type ReadStats struct {
 	// ReadStats is per-operation and accessed from one goroutine, so no
 	// synchronisation is needed.
 	ScanFillBudget int64
+	// ScanRemaining is the number of entries the operation still wants, kept
+	// current by the scan loop; table iterators size their coalesced reads
+	// from it. Zero means unknown.
+	ScanRemaining int64
 
 	// Scratch state reused across operations when the same ReadStats is
 	// passed to successive reads (the engine pools them): the seek-key
@@ -66,6 +70,7 @@ func (s *ReadStats) Reset() {
 	s.FilterNegatives = 0
 	s.LimitScanFill = false
 	s.ScanFillBudget = 0
+	s.ScanRemaining = 0
 	s.blockIter.Reset()
 }
 
@@ -180,6 +185,13 @@ func (r *Reader) readBlockPhysical(h Handle) ([]byte, error) {
 			return nil, err
 		}
 	}
+	return checkBlock(buf, h)
+}
+
+// checkBlock verifies the checksum of a block read from the file — payload,
+// type byte, crc32c — and returns its physical image with the checksum
+// stripped.
+func checkBlock(buf []byte, h Handle) ([]byte, error) {
 	img := buf[: h.Length+1 : h.Length+1]
 	want := binary.LittleEndian.Uint32(buf[h.Length+1:])
 	if crc32.Checksum(img, crcTable) != want {
@@ -226,19 +238,27 @@ func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte,
 	if stats != nil {
 		stats.BlockMisses++
 	}
-	if c := r.opts.Cache; c != nil && fill {
-		if scan && stats != nil && stats.LimitScanFill {
-			// Block-level partial admission: the fill budget is consumed
-			// only by actual inserts, never by cache hits.
-			if stats.ScanFillBudget > 0 {
-				stats.ScanFillBudget--
-				c.Insert(r.opts.FileNum, h.Offset, img, len(data), scan)
-			}
-		} else {
-			c.Insert(r.opts.FileNum, h.Offset, img, len(data), scan)
-		}
+	if fill && r.admits(scan, stats) {
+		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, img, len(data), scan)
 	}
 	return data, nil
+}
+
+// admits reports whether a block that missed the cache may be inserted under
+// the operation's fill rules, consuming one unit of a scan's fill budget if
+// so: the budget counts actual inserts, never cache hits (block-level partial
+// admission).
+func (r *Reader) admits(scan bool, stats *ReadStats) bool {
+	if r.opts.Cache == nil {
+		return false
+	}
+	if scan && stats != nil && stats.LimitScanFill {
+		if stats.ScanFillBudget <= 0 {
+			return false
+		}
+		stats.ScanFillBudget--
+	}
+	return true
 }
 
 // parseIndex decodes a serialized index block into a flat sorted entry

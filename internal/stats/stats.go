@@ -181,7 +181,9 @@ func (s Shape) SortedRuns() float64 {
 }
 
 // IOScan returns the estimated I/Os per scan of length l: l/B + r, the
-// per-run seek cost plus the block traversal cost (§3.5).
+// per-run seek cost plus the block traversal cost (§3.5). The r term is an
+// upper bound: the engine positions a run lazily, so a run whose keys all lie
+// above the scan start costs no block.
 func (s Shape) IOScan(l float64) float64 {
 	b := s.EntriesPerBlock
 	if b <= 0 {

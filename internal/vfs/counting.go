@@ -5,9 +5,10 @@ import "sync/atomic"
 // Stats accumulates I/O counts. All fields are manipulated atomically; a
 // single Stats value may be shared by many files and goroutines.
 //
-// ReadOps is the number of ReadAt calls issued against data files, which for
-// the LSM engine corresponds one-to-one with block reads ("SST reads" in the
-// paper), because the sstable reader fetches exactly one block per ReadAt.
+// ReadOps is the number of read calls issued against data files. A table
+// iterator may fetch several adjacent blocks with one call, so this counts
+// device calls; blocks ("SST reads" in the paper) are counted by the engine
+// (lsm.DB.QueryBlockReads).
 type Stats struct {
 	ReadOps    atomic.Int64
 	ReadBytes  atomic.Int64
