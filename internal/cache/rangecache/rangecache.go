@@ -18,6 +18,7 @@ package rangecache
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"adcache/internal/cache/policy"
 )
@@ -63,6 +64,9 @@ type Stats struct {
 type Cache struct {
 	shards []*shard
 	splits []string
+	// capacity is the sum of the shard budgets, kept here so the admission
+	// path can read it without visiting every shard lock.
+	capacity atomic.Int64
 }
 
 type shard struct {
@@ -89,6 +93,8 @@ func New(opts Options) *Cache {
 		}
 	}
 	c := &Cache{splits: opts.SplitKeys}
+	per := opts.Capacity / int64(numShards)
+	c.capacity.Store(per * int64(numShards))
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
@@ -97,7 +103,7 @@ func New(opts Options) *Cache {
 		c.shards = append(c.shards, &shard{
 			list:     newSkiplist(seed + int64(i)),
 			pol:      policy.New(opts.Policy, hint/numShards+1),
-			capacity: opts.Capacity / int64(numShards),
+			capacity: per,
 		})
 	}
 	return c
@@ -318,22 +324,20 @@ func (c *Cache) Put(key, value []byte) {
 		return
 	}
 
+	// A new DB key inside a covered gap is admitted so the claims around it
+	// stay truthful. The gap can be covered from below — p's contiguity
+	// claim over (p.key, q.key) — and from above — q's lower bound over
+	// [lb, q.key) — and both must learn of the key: it joins p's chain, and
+	// takes over the part of q's bound that still holds, [lb, key).
 	p := s.list.findLT(keyStr)
 	q := s.list.findGE(keyStr, nil)
-
-	switch {
-	case p != nil && p.entry.contigNext && q != nil:
-		// New DB key inside a covered gap (p.key, q.key): admit it so the
-		// chain stays truthful.
+	chained := p != nil && p.entry.contigNext && q != nil
+	bounded := q != nil && q.entry.lowerBound != "" && q.entry.lowerBound <= keyStr
+	if chained || bounded {
 		e := &entry{key: keyStr, value: append([]byte(nil), value...), contigNext: true}
-		s.list.insert(e)
-		s.used += e.size()
-		s.pol.OnInsert(keyStr)
-	case q != nil && q.entry.lowerBound != "" && q.entry.lowerBound <= keyStr:
-		// New DB key inside q's lower-bound gap [lb, q.key): split the gap.
-		e := &entry{key: keyStr, value: append([]byte(nil), value...), contigNext: true,
-			lowerBound: q.entry.lowerBound}
-		q.entry.lowerBound = ""
+		if bounded {
+			e.lowerBound, q.entry.lowerBound = q.entry.lowerBound, ""
+		}
 		s.list.insert(e)
 		s.used += e.size()
 		s.pol.OnInsert(keyStr)
@@ -402,6 +406,7 @@ func (s *shard) enforceCapacityLocked() {
 // Resize changes the byte budget, evicting as needed.
 func (c *Cache) Resize(capacity int64) {
 	per := capacity / int64(len(c.shards))
+	c.capacity.Store(per * int64(len(c.shards)))
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.capacity = per
@@ -475,12 +480,4 @@ func (c *Cache) Used() int64 {
 }
 
 // Capacity reports the configured byte budget.
-func (c *Cache) Capacity() int64 {
-	var capacity int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		capacity += s.capacity
-		s.mu.Unlock()
-	}
-	return capacity
-}
+func (c *Cache) Capacity() int64 { return c.capacity.Load() }

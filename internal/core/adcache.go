@@ -375,34 +375,24 @@ func (a *AdCache) OnScanResult(start []byte, entries []lsm.ScanEntry, blockReads
 	if len(entries) == 0 || a.rangeCapacityTiny() {
 		return
 	}
-	covered := a.rng.CoveredLen(start, len(entries))
-	admit := a.scanAdmitCount(len(entries), covered)
-	a.collector.RecordScanAdmission(admit, len(entries))
-	if admit <= 0 {
-		return
+	// Only partial admission asks how much of the result is cached already;
+	// a scan admitted whole takes the shard lock once, in InsertScan.
+	admit := len(entries)
+	if p := a.CurrentParams(); !a.cfg.DisableAdmission && admit > p.ScanA {
+		admit = partialAdmitCount(p, admit, a.rng.CoveredLen(start, admit))
 	}
+	a.collector.RecordScanAdmission(admit, len(entries))
 	a.rng.InsertScan(start, toRangeKVs(entries[:admit]))
 }
 
-// scanAdmitCount decides how many result entries to admit for a scan of
-// length l whose first covered entries are already cached.
-func (a *AdCache) scanAdmitCount(l, covered int) int {
-	if a.cfg.DisableAdmission {
-		return l
-	}
-	p := a.CurrentParams()
-	if l <= p.ScanA {
-		return l
-	}
+// partialAdmitCount decides how many result entries to admit for a scan of
+// length l > p.ScanA whose first covered entries are already cached.
+func partialAdmitCount(p Params, l, covered int) int {
 	grow := int(p.ScanB * float64(l-p.ScanA))
 	if grow < 1 {
 		grow = 1
 	}
-	admit := covered + grow
-	if admit > l {
-		admit = l
-	}
-	return admit
+	return min(covered+grow, l)
 }
 
 // rangeCapacityTiny reports whether the range cache is too small to hold
@@ -437,7 +427,7 @@ func (a *AdCache) ScanBlockFillQuota(scanLen int) (int64, bool) {
 	}
 	// Block-level admission has no per-range coverage notion; budget the
 	// first-pass admission count (covered = 0).
-	admitKeys := a.scanAdmitCount(scanLen, 0)
+	admitKeys := partialAdmitCount(p, scanLen, 0)
 	b := a.shape().EntriesPerBlock
 	if b < 1 {
 		b = 1

@@ -84,30 +84,44 @@ func TestFrequencyAdmissionFiltersColdKeys(t *testing.T) {
 }
 
 func TestScanPartialAdmission(t *testing.T) {
-	a := newTestAdCache(t, Config{})
-	a.params.Store(Params{RangeRatio: 0.5, PointThreshold: 0, ScanA: 16, ScanB: 0.5})
-	if got := a.scanAdmitCount(10, 0); got != 10 {
-		t.Fatalf("short scan admit = %d, want full", got)
-	}
-	if got := a.scanAdmitCount(16, 0); got != 16 {
-		t.Fatalf("boundary scan admit = %d, want full", got)
-	}
+	p := Params{RangeRatio: 0.5, PointThreshold: 0, ScanA: 16, ScanB: 0.5}
 	// l=64 > a=16, nothing covered yet: admit b(l-a) = 24.
-	if got := a.scanAdmitCount(64, 0); got != 24 {
+	if got := partialAdmitCount(p, 64, 0); got != 24 {
 		t.Fatalf("first long-scan admit = %d, want 24", got)
 	}
 	// A repetition extends coverage by another b(l-a).
-	if got := a.scanAdmitCount(64, 24); got != 48 {
+	if got := partialAdmitCount(p, 64, 24); got != 48 {
 		t.Fatalf("second long-scan admit = %d, want 48", got)
 	}
 	// A third repetition caps at the scan length — fully cached after
 	// ≈1/b repetitions, as §3.4 describes.
-	if got := a.scanAdmitCount(64, 48); got != 64 {
+	if got := partialAdmitCount(p, 64, 48); got != 64 {
 		t.Fatalf("third long-scan admit = %d, want 64", got)
 	}
-	a2 := newTestAdCache(t, Config{DisableAdmission: true})
-	if got := a2.scanAdmitCount(64, 0); got != 64 {
-		t.Fatalf("ablation admit = %d, want all", got)
+
+	// admitted reports how much of one l-entry scan result a caches.
+	admitted := func(a *AdCache, l int) int {
+		entries := make([]lsm.ScanEntry, l)
+		for i := range entries {
+			entries[i] = lsm.ScanEntry{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")}
+		}
+		a.OnScanResult([]byte("k00"), entries, 1)
+		return a.rng.CoveredLen([]byte("k00"), l)
+	}
+	for _, l := range []int{10, 16} { // up to a: admitted whole
+		a := newTestAdCache(t, Config{})
+		a.params.Store(p)
+		if got := admitted(a, l); got != l {
+			t.Fatalf("scan of %d admitted %d, want all", l, got)
+		}
+	}
+	a := newTestAdCache(t, Config{})
+	a.params.Store(p)
+	if got := admitted(a, 64); got != 24 {
+		t.Fatalf("long scan admitted %d, want 24", got)
+	}
+	if got := admitted(newTestAdCache(t, Config{DisableAdmission: true}), 64); got != 64 {
+		t.Fatalf("ablation admitted %d, want all", got)
 	}
 }
 

@@ -169,36 +169,57 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 	return nil
 }
 
+// writePressureLocked reports what stands between a write group and the
+// memtable: an error that fails the group, a stop condition it has to wait
+// out (immutable queue full, or L0 at its stop trigger), or the slowdown
+// band (L0 between the compact and stop triggers). Caller holds d.mu,
+// shared or exclusive.
+func (d *DB) writePressureLocked() (stop, slowdown bool, err error) {
+	if d.closing.Load() || d.closed {
+		return false, false, ErrClosed
+	}
+	if d.bgState == bgReadOnly {
+		// Degraded mode: fail fast instead of stalling on backpressure
+		// that background work will never relieve. Transient background
+		// failures (bgRetrying) do NOT fail writes — the worker is
+		// retrying, and if it cannot keep up the ordinary imm-queue/L0
+		// backpressure applies.
+		return false, false, d.readOnlyErrLocked()
+	}
+	// With auto-compaction off nothing shrinks L0, so its triggers would
+	// deadlock writers; the flush worker still drains the immutable queue,
+	// so that bound continues to apply.
+	l0 := len(d.version.Levels[0])
+	auto := !d.opts.DisableAutoCompaction
+	stop = len(d.imm) >= d.opts.MaxImmutableMemTables || (auto && l0 >= d.opts.L0StopTrigger)
+	slowdown = auto && l0 >= d.opts.L0CompactTrigger
+	return stop, slowdown, nil
+}
+
 // waitForWriteRoom applies write backpressure in background mode. It blocks
 // while the immutable-memtable queue is full or L0 has hit its stop trigger,
 // and applies the paper's slowdown delay while L0 sits between the compact
 // and stop triggers. Caller holds commitMu.
 func (d *DB) waitForWriteRoom() error {
+	// Nearly every group finds room, and finding that out needs only the
+	// shared lock; the exclusive lock (bgCond's) is for groups that stall.
+	d.mu.RLock()
+	stop, slowdown, err := d.writePressureLocked()
+	d.mu.RUnlock()
+	if err != nil || (!stop && !slowdown) {
+		return err
+	}
+
 	start := time.Now()
 	d.mu.Lock()
 	stalled := false
 	for {
-		if d.closing.Load() || d.closed {
-			d.mu.Unlock()
-			return ErrClosed
-		}
-		if d.bgState == bgReadOnly {
-			// Degraded mode: fail fast instead of stalling on backpressure
-			// that background work will never relieve. Transient background
-			// failures (bgRetrying) do NOT fail writes — the worker is
-			// retrying, and if it cannot keep up the ordinary imm-queue/L0
-			// backpressure below applies.
-			err := d.readOnlyErrLocked()
+		stop, slowdown, err = d.writePressureLocked()
+		if err != nil {
 			d.mu.Unlock()
 			return err
 		}
-		immFull := len(d.imm) >= d.opts.MaxImmutableMemTables
-		// With auto-compaction off nothing shrinks L0, so the stop trigger
-		// would deadlock writers; the flush worker still drains the
-		// immutable queue, so that bound continues to apply.
-		l0Stop := !d.opts.DisableAutoCompaction &&
-			len(d.version.Levels[0]) >= d.opts.L0StopTrigger
-		if !immFull && !l0Stop {
+		if !stop {
 			break
 		}
 		if !stalled {
@@ -210,8 +231,6 @@ func (d *DB) waitForWriteRoom() error {
 		d.notifyWorker()
 		d.bgCond.Wait()
 	}
-	slowdown := !d.opts.DisableAutoCompaction &&
-		len(d.version.Levels[0]) >= d.opts.L0CompactTrigger
 	if slowdown {
 		d.stallSlowdowns++
 	}

@@ -88,6 +88,9 @@ type DB struct {
 	compactMu  sync.Mutex
 	roundRobin map[int][]byte
 
+	// mu guards the fields below: which tables and version are current, not
+	// their contents. Reads copy what they need under it (pinSnapshot) and
+	// let go; it is never held across a table read or an iterator step.
 	mu      sync.RWMutex
 	mem     *memtable.MemTable
 	imm     []*immTable       // sealed memtables awaiting flush, oldest first
@@ -158,6 +161,12 @@ type DB struct {
 	// lazySkippedRuns counts sorted runs a scan or iterator positioned
 	// without ever opening: the merge never reached them.
 	lazySkippedRuns atomic.Int64
+
+	// staleSkippedPoints/Scans count disk-served results that were returned
+	// to their caller but withheld from the result cache, because a write
+	// touched their key span between the read's snapshot and its admission.
+	staleSkippedPoints atomic.Int64
+	staleSkippedScans  atomic.Int64
 
 	// obsoleteEntries is bumped by compactions dropping shadowed versions
 	// and tombstones; atomic because compaction merges run outside mu.
@@ -445,21 +454,13 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 		return v, found, nil
 	}
 
-	// The read lock is held across table reads AND the admission callback:
-	// writers update result caches under the write lock (OnWrite), so
-	// admitting inside the read critical section guarantees a stale result
-	// can never overwrite a newer write in the cache.
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return nil, false, ErrClosed
+	// The read runs on a pinned snapshot with no engine lock held: a Get
+	// asleep in the device delays no writer.
+	snap, err := d.pinSnapshot()
+	if err != nil {
+		return nil, false, err
 	}
-	mem := d.mem
-	imm := d.imm
-	h := d.acquireVersion()
-	seq := d.lastSeq
-	defer d.releaseVersion(h)
-	version := h.v
+	defer d.releaseVersion(snap.h)
 
 	// The pooled readState supplies every piece of per-operation scratch —
 	// the memtable search key, the SSTable seek key and the block iterator —
@@ -469,9 +470,9 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 
 	// 2. MemTable, then sealed memtables newest-first. One search key is
 	// built once and reused across the whole memtable queue.
-	rs.seekBuf = keys.AppendSearch(rs.seekBuf[:0], key, seq)
+	rs.seekBuf = keys.AppendSearch(rs.seekBuf[:0], key, snap.seq)
 	search := keys.InternalKey(rs.seekBuf)
-	if v, deleted, ok := mem.GetSeek(search, key); ok {
+	if v, deleted, ok := snap.mem.GetSeek(search, key); ok {
 		if deleted {
 			return nil, false, nil
 		}
@@ -479,8 +480,8 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 		// cache-fill path only captures disk-served results, Figure 5).
 		return v, true, nil
 	}
-	for i := len(imm) - 1; i >= 0; i-- {
-		if v, deleted, ok := imm[i].mem.GetSeek(search, key); ok {
+	for i := len(snap.imm) - 1; i >= 0; i-- {
+		if v, deleted, ok := snap.imm[i].mem.GetSeek(search, key); ok {
 			if deleted {
 				return nil, false, nil
 			}
@@ -489,13 +490,25 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	}
 
 	// 3. SSTables through the block cache.
-	value, found, err := d.getFromTables(version, key, seq, &rs.stats)
+	value, found, err := d.getFromTables(snap.h.v, key, snap.seq, &rs.stats)
 	if err != nil {
 		return nil, false, err
 	}
 	d.queryBlockReads.Add(rs.stats.BlockMisses)
 	d.queryBlockHits.Add(rs.stats.BlockHits)
-	d.strategy.OnPointResult(key, value, int(rs.stats.BlockMisses))
+
+	// 4. Cache fill. OnWrite runs under the exclusive lock, so holding the
+	// read lock around the callback keeps admission and write-through
+	// mutually exclusive; a value some write has overtaken since the
+	// snapshot is reported as nil, which no strategy admits.
+	admit := value
+	d.mu.RLock()
+	if found && !d.currentLocked(&snap, key, key) {
+		admit = nil
+		d.staleSkippedPoints.Add(1)
+	}
+	d.strategy.OnPointResult(key, admit, int(rs.stats.BlockMisses))
+	d.mu.RUnlock()
 	return value, found, nil
 }
 
@@ -600,19 +613,11 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 		// through to the tree.
 	}
 
-	// As in Get, the read lock covers the scan and its admission so cache
-	// contents can never regress behind a concurrent write.
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return nil, ErrClosed
+	snap, err := d.pinSnapshot()
+	if err != nil {
+		return nil, err
 	}
-	mem := d.mem
-	imm := d.imm
-	h := d.acquireVersion()
-	seq := d.lastSeq
-	defer d.releaseVersion(h)
-	version := h.v
+	defer d.releaseVersion(snap.h)
 
 	rs := d.getReadState()
 	defer d.putReadState(rs)
@@ -622,7 +627,7 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 		stats.ScanFillBudget = quota
 	}
 	stats.ScanRemaining = int64(n)
-	vi := d.buildIter(rs, mem, imm, version, start, end, seq)
+	vi := d.buildIter(rs, &snap, start, end)
 	// Results are copied into one contiguous arena per scan instead of two
 	// fresh allocations per returned pair; the arena is handed out with the
 	// results (never pooled), so retaining them is safe. It is sized from
@@ -661,7 +666,22 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 	}
 	d.queryBlockReads.Add(stats.BlockMisses)
 	d.queryBlockHits.Add(stats.BlockHits)
+	// Cache fill, as in Get — but validated over the whole span the result
+	// describes, not per key: a range cache takes the entries as every live
+	// key of [start, last entry], so a key inserted or deleted in between
+	// falsifies the result as surely as an overwritten value. A scan that
+	// came back short describes everything up to its bound.
+	hi := end
+	if len(out) == n {
+		hi = out[n-1].Key
+	}
+	d.mu.RLock()
+	if len(entries) > 0 && !d.currentLocked(&snap, start, hi) {
+		entries = nil
+		d.staleSkippedScans.Add(1)
+	}
 	d.strategy.OnScanResult(start, entries, int(stats.BlockMisses))
+	d.mu.RUnlock()
 	return out, nil
 }
 
@@ -868,6 +888,13 @@ type Metrics struct {
 	SSTReadCalls        int64
 	SSTReadBytes        int64
 	ScanLazySkippedRuns int64
+	// AdmissionsSkippedStalePoint/Scan count disk-served Get and scan
+	// results returned to their caller but not offered to the result cache:
+	// a write landed on their key span while they were being read, so they
+	// describe their snapshot, not the present. Always 0 on read-only
+	// traffic.
+	AdmissionsSkippedStalePoint int64
+	AdmissionsSkippedStaleScan  int64
 	// bgStateNum is the numeric form of BgState for the lsm_bg_state gauge
 	// (0 healthy, 1 retrying, 2 read-only).
 	bgStateNum int
@@ -922,6 +949,9 @@ func (d *DB) Metrics() Metrics {
 		SSTReadCalls:            d.tc.fs.Stats.ReadOps.Load(),
 		SSTReadBytes:            d.tc.fs.Stats.ReadBytes.Load(),
 		ScanLazySkippedRuns:     d.lazySkippedRuns.Load(),
+
+		AdmissionsSkippedStalePoint: d.staleSkippedPoints.Load(),
+		AdmissionsSkippedStaleScan:  d.staleSkippedScans.Load(),
 	}
 	if d.bgCause != nil {
 		m.BgLastError = d.bgCause.Error()

@@ -585,6 +585,11 @@ func TestBatchSurvivesRecovery(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOptions(fs)
 	db := mustOpen(t, opts)
+	// A crashed process flushes nothing more. The batch fills the memtable,
+	// so freeze the worker (flushes run under compactMu, never released
+	// here): left running it races the reopen below on the shared MemFS and
+	// can retire the sealed memtable's WAL behind the manifest db2 loaded.
+	db.compactMu.Lock()
 	b := NewBatch()
 	for i := 0; i < 500; i++ {
 		b.Put(key(i), val(i))

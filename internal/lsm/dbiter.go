@@ -22,21 +22,14 @@ type Iterator struct {
 // NewIter returns an iterator over a snapshot of the database taken now.
 func (d *DB) NewIter() (*Iterator, error) {
 	start := time.Now()
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return nil, ErrClosed
+	snap, err := d.pinSnapshot()
+	if err != nil {
+		return nil, err
 	}
-	mem := d.mem
-	imm := d.imm
-	h := d.acquireVersion()
-	seq := d.lastSeq
-	d.mu.RUnlock()
-
 	rs := d.getReadState()
 	return &Iterator{
-		db: d, handle: h, rs: rs, start: start,
-		vi: d.buildIter(rs, mem, imm, h.v, nil, nil, seq),
+		db: d, handle: snap.h, rs: rs, start: start,
+		vi: d.buildIter(rs, &snap, nil, nil),
 	}, nil
 }
 

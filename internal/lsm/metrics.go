@@ -40,6 +40,7 @@ func (d *DB) registerMetrics(reg *metrics.Registry) {
 		writeGroupOps:   reg.Histogram("lsm_write_group_ops", "operations coalesced per write group"),
 	}
 
+	const staleHelp = "disk-served results withheld from the result cache: a write reached their key span during the read"
 	counters := []struct {
 		name, help string
 		fn         func(m Metrics) int64
@@ -61,6 +62,8 @@ func (d *DB) registerMetrics(reg *metrics.Registry) {
 		{"lsm_sst_read_calls_total", "device read calls issued by table readers (a call may carry several blocks)", func(m Metrics) int64 { return m.SSTReadCalls }},
 		{"lsm_sst_read_bytes_total", "bytes read from the device by table readers", func(m Metrics) int64 { return m.SSTReadBytes }},
 		{"lsm_scan_lazy_skipped_runs_total", "sorted runs scans positioned but never had to open", func(m Metrics) int64 { return m.ScanLazySkippedRuns }},
+		{`lsm_admissions_skipped_stale_total{op="point"}`, staleHelp, func(m Metrics) int64 { return m.AdmissionsSkippedStalePoint }},
+		{`lsm_admissions_skipped_stale_total{op="scan"}`, staleHelp, func(m Metrics) int64 { return m.AdmissionsSkippedStaleScan }},
 	}
 	for _, c := range counters {
 		fn := c.fn

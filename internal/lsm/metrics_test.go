@@ -70,6 +70,13 @@ func TestMetricsEnginePopulated(t *testing.T) {
 	if got := snap["lsm_scan_lazy_skipped_runs_total"].(int64); got != m.ScanLazySkippedRuns {
 		t.Errorf("lsm_scan_lazy_skipped_runs_total = %d, engine says %d", got, m.ScanLazySkippedRuns)
 	}
+	// No write overlapped a read above: nothing was withheld from the cache.
+	for op, engine := range map[string]int64{"point": m.AdmissionsSkippedStalePoint, "scan": m.AdmissionsSkippedStaleScan} {
+		name := `lsm_admissions_skipped_stale_total{op="` + op + `"}`
+		if got, ok := snap[name].(int64); !ok || got != engine || got != 0 {
+			t.Errorf("%s = %v, engine says %d, want both 0", name, snap[name], engine)
+		}
+	}
 	if got := snap[`lsm_level_files{level="0"}`]; got == nil {
 		t.Error("per-level gauge lsm_level_files{level=\"0\"} missing")
 	}

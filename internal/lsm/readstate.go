@@ -9,6 +9,42 @@ import (
 	"adcache/internal/sstable"
 )
 
+// readSnapshot is what one read operates on: the memtables, the pinned
+// version and the last sequence number visible when it was taken. Nothing in
+// it changes under the reader — memtables only grow (at higher sequence
+// numbers), the version handle keeps its files alive — so d.mu is held only
+// while the snapshot is taken, never while it is read.
+type readSnapshot struct {
+	mem *memtable.MemTable
+	imm []*immTable
+	h   *versionHandle
+	seq uint64
+}
+
+// pinSnapshot takes the read snapshot every Get, scan and Iterator runs on.
+// The caller owes a releaseVersion(snap.h).
+func (d *DB) pinSnapshot() (readSnapshot, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.closed {
+		return readSnapshot{}, ErrClosed
+	}
+	return readSnapshot{mem: d.mem, imm: d.imm, h: d.acquireVersion(), seq: d.lastSeq}, nil
+}
+
+// currentLocked reports whether a result read from snap still describes the
+// user keys in [lo, hi] (nil hi = unbounded): no write at all since the
+// snapshot, or none of the writes since touches the span. Only the active
+// memtable is probed — every write after the snapshot went into it — so if
+// it has been sealed in the meantime the answer is simply no. Caller holds
+// d.mu, which is what keeps the answer true while the result is admitted.
+func (d *DB) currentLocked(snap *readSnapshot, lo, hi []byte) bool {
+	if d.lastSeq == snap.seq {
+		return true
+	}
+	return d.mem == snap.mem && !snap.mem.NewerThan(lo, hi, snap.seq)
+}
+
 // readState is the pooled per-operation scratch for the read hot paths
 // (Get and scan). Pooling it keeps steady-state point lookups and warm
 // scans free of per-operation allocations: the seek-key buffers, the
@@ -79,17 +115,18 @@ func (rs *readState) runIter(tc *tableCache, files []*manifest.FileMeta, upper [
 // buildIter assembles in rs the operation's iterator stack — the active and
 // sealed memtables, one run iterator per L0 file and per deeper level that
 // can hold a key in [start, end) (nil = unbounded) — and returns the merged
-// stream filtered to the versions visible at seq. Nothing is read: run
+// stream filtered to the versions visible in snap. Nothing is read: run
 // iterators open their files when the merge reaches them.
 //
 // Each run's share of the entries the scan will return is estimated as its
 // share of the entries of the runs the scan starts inside; a run that begins
 // above start is parked by the seek and takes no part unless the scan gets
 // that far, so it is counted only in its own denominator.
-func (d *DB) buildIter(rs *readState, mem *memtable.MemTable, imm []*immTable, v *manifest.Version, start, end []byte, seq uint64) *visibleIter {
-	iters := append(rs.iters, mem.NewIter())
-	for i := len(imm) - 1; i >= 0; i-- {
-		iters = append(iters, imm[i].mem.NewIter())
+func (d *DB) buildIter(rs *readState, snap *readSnapshot, start, end []byte) *visibleIter {
+	v := snap.h.v
+	iters := append(rs.iters, snap.mem.NewIter())
+	for i := len(snap.imm) - 1; i >= 0; i-- {
+		iters = append(iters, snap.imm[i].mem.NewIter())
 	}
 	var inside float64 // entries of the runs that contain start
 	addRun := func(files []*manifest.FileMeta) {
@@ -126,7 +163,7 @@ func (d *DB) buildIter(rs *readState, mem *memtable.MemTable, imm []*immTable, v
 	}
 	rs.iters = iters
 	rs.merge.setIters(iters)
-	rs.vi.init(&rs.merge, seq)
+	rs.vi.init(&rs.merge, snap.seq)
 	return &rs.vi
 }
 

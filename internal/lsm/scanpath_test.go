@@ -61,14 +61,16 @@ func (m *scanModel) scan(start, end []byte, limit int, seq uint64) []KV {
 // scanAt runs the engine's scan stack at an explicit snapshot: the same
 // builder and stop rule as DB.scan, with seq chosen by the caller.
 func scanAt(db *DB, start, end []byte, limit int, seq uint64) ([]KV, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	h := db.acquireVersion()
-	defer db.releaseVersion(h)
+	snap, err := db.pinSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	defer db.releaseVersion(snap.h)
+	snap.seq = seq
 	rs := db.getReadState()
 	defer db.putReadState(rs)
 	rs.stats.ScanRemaining = int64(limit)
-	vi := db.buildIter(rs, db.mem, db.imm, h.v, start, end, seq)
+	vi := db.buildIter(rs, &snap, start, end)
 	var out []KV
 	for ok := vi.SeekGE(start); ok; ok = vi.Next() {
 		if vi.Deleted() {

@@ -57,16 +57,30 @@ type CacheCounters struct {
 // OnScanResult so the strategy can admit it. Writes are reported via OnWrite
 // so result caches stay coherent.
 //
-// Concurrency contract under the background write path:
-//   - GetCached/ScanCached/OnPointResult/OnScanResult run under the DB's
-//     read lock, so any number may execute simultaneously on different
-//     goroutines.
+// Concurrency contract. A read takes a snapshot — memtables, a pinned
+// version, the last visible sequence number — under the DB's read lock and
+// drops the lock before it probes or reads anything, so no callback below
+// ever runs with a device read inside its lock:
+//   - GetCached/ScanCached/ScanBlockFillQuota run with no DB lock held, any
+//     number at once.
+//   - OnPointResult/OnScanResult run under the DB's read lock, taken after
+//     the read completed and only for the call; any number may execute
+//     simultaneously on different goroutines.
 //   - OnWrite runs under the DB's exclusive lock (inside a write group's
-//     apply), mutually excluding the read-side callbacks above — the
-//     coherence guarantee result caches rely on.
+//     apply), mutually excluding the two admission callbacks above.
 //   - OnCompaction and block-cache fills driven by compaction prefetch run
 //     on the background flush/compaction goroutine with no DB lock held,
 //     concurrently with all of the above.
+//
+// Coherence rests on the order OnWrite and the admission callbacks see, not
+// on how long a lock is held. A result handed to OnPointResult/OnScanResult
+// with a non-nil value / non-empty entries is current at the time of the
+// call: no write has touched the key, or any key of [start, last entry] —
+// to the scan's bound when it came back short — since the read's snapshot,
+// and none can until the callback returns. Entries are therefore every live
+// key of that span, which is what lets a range cache record them as
+// contiguous. A result that a write has overtaken is still reported, for its
+// blockReads, but with a nil value / nil entries: there is nothing to admit.
 type CacheStrategy interface {
 	// GetCached returns a cached value for key. found distinguishes a
 	// cached "key absent" answer (ok=true, found=false) from a cache miss
@@ -78,11 +92,13 @@ type CacheStrategy interface {
 	ScanCached(start []byte, n int) ([]KV, bool)
 
 	// OnPointResult reports a completed point lookup that the cache did not
-	// serve. value is nil when the key does not exist; blockReads is the
+	// serve. value is nil when the key does not exist, or when the value
+	// read is no longer current (see the contract above); blockReads is the
 	// number of SST blocks fetched from disk for this lookup.
 	OnPointResult(key, value []byte, blockReads int)
 
-	// OnScanResult reports a completed scan of the given result entries.
+	// OnScanResult reports a completed scan of the given result entries —
+	// none when the scan found nothing or its result is no longer current.
 	// blockReads is the number of SST blocks fetched from disk.
 	OnScanResult(start []byte, entries []ScanEntry, blockReads int)
 

@@ -6,6 +6,7 @@
 package memtable
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 
@@ -140,6 +141,25 @@ func (m *MemTable) GetSeek(search keys.InternalKey, userKey []byte) (value []byt
 		return nil, true, true
 	}
 	return n.value, false, true
+}
+
+// NewerThan reports whether the memtable holds any entry — value or
+// tombstone — with a user key in [lo, hi] and a sequence number above seq.
+// A nil hi means no upper bound. The engine uses it to decide whether a
+// result read at snapshot seq still describes its key span.
+func (m *MemTable) NewerThan(lo, hi []byte, seq uint64) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	// The search key at MaxSeq sorts before every version of lo.
+	for n := m.findGE(keys.MakeSearch(lo, keys.MaxSeq), nil); n != nil; n = n.next[0] {
+		if hi != nil && bytes.Compare(n.ikey.UserKey(), hi) > 0 {
+			return false
+		}
+		if n.ikey.Seq() > seq {
+			return true
+		}
+	}
+	return false
 }
 
 // ApproximateSize reports the approximate physical memory footprint in

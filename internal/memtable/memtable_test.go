@@ -177,3 +177,65 @@ func TestModelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNewerThan(t *testing.T) {
+	m := New(1)
+	m.Set(keys.Make([]byte("b"), 3, keys.KindSet), []byte("v"))
+	m.Set(keys.Make([]byte("d"), 5, keys.KindDelete), nil)
+	m.Set(keys.Make([]byte("d"), 2, keys.KindSet), []byte("v"))
+	m.Set(keys.Make([]byte("f"), 9, keys.KindSet), []byte("v"))
+	for _, tc := range []struct {
+		lo, hi string // hi "" = unbounded
+		seq    uint64
+		want   bool
+	}{
+		{"a", "z", 9, false},
+		{"a", "z", 8, true},
+		{"a", "e", 5, false},
+		{"a", "e", 4, true},  // the tombstone counts
+		{"b", "b", 2, true},  // bounds are inclusive
+		{"c", "c", 0, false}, // no entry on the key
+		{"c", "d", 4, true},
+		{"e", "", 8, true}, // unbounded above
+		{"g", "", 0, false},
+		{"d", "d", 3, true}, // the newest version decides, not the oldest
+	} {
+		var hi []byte
+		if tc.hi != "" {
+			hi = []byte(tc.hi)
+		}
+		if got := m.NewerThan([]byte(tc.lo), hi, tc.seq); got != tc.want {
+			t.Errorf("NewerThan(%q, %q, %d) = %v, want %v", tc.lo, tc.hi, tc.seq, got, tc.want)
+		}
+	}
+	if New(1).NewerThan([]byte("a"), nil, 0) {
+		t.Error("empty memtable reports a newer entry")
+	}
+}
+
+// TestNewerThanMatchesScan property-checks NewerThan against a linear walk.
+func TestNewerThanMatchesScan(t *testing.T) {
+	f := func(ks []byte, lo, hi byte, seq uint8, open bool) bool {
+		m := New(3)
+		for i, k := range ks {
+			m.Set(keys.Make([]byte{k % 16}, uint64(i+1), keys.KindSet), nil)
+		}
+		lo, hi = lo%16, hi%16
+		hiKey := []byte{hi}
+		if open {
+			hiKey = nil
+		}
+		want := false
+		it := m.NewIter()
+		for ok := it.First(); ok; ok = it.Next() {
+			k := it.Key().UserKey()[0]
+			if k >= lo && (open || k <= hi) && it.Key().Seq() > uint64(seq) {
+				want = true
+			}
+		}
+		return m.NewerThan([]byte{lo}, hiKey, uint64(seq)) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
