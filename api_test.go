@@ -164,3 +164,28 @@ func TestAPISSTReadsGrowOnMisses(t *testing.T) {
 		t.Fatal("uncached reads did not count SST reads")
 	}
 }
+
+// TestAPIUnboundedScanRangeRepeats is the regression test for a crash found
+// while rebuilding the range cache's Scan: ScanRange with no count bound asks
+// the result cache for "as many as there are", and once the first call had
+// admitted the range, the second made the cache size its result for that
+// count (makeslice: cap out of range) before checking how far its coverage
+// reached. Coverage is now proven before the result is allocated.
+func TestAPIUnboundedScanRangeRepeats(t *testing.T) {
+	for _, s := range []adcache.Strategy{adcache.StrategyAdCache, adcache.StrategyRange} {
+		db, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20, Strategy: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		}
+		for pass := 0; pass < 3; pass++ {
+			kvs, err := db.ScanRange([]byte("k3"), []byte("k6"), 0)
+			if err != nil || len(kvs) != 3 {
+				t.Fatalf("%v pass %d: ScanRange = %d pairs, err %v; want 3", s, pass, len(kvs), err)
+			}
+		}
+		db.Close()
+	}
+}

@@ -1,7 +1,5 @@
 package policy
 
-import "container/list"
-
 // ARC implements the Adaptive Replacement Cache of Megiddo & Modha
 // (FAST'03): two live lists — T1 (seen once, recency) and T2 (seen at least
 // twice, frequency) — and two ghost lists (B1, B2) whose hits steer the
@@ -12,25 +10,16 @@ type ARC struct {
 	capacity int
 	p        int // target size of T1
 
-	t1, t2 *list.List // front = MRU
-	b1, b2 *list.List
-	where  map[string]*arcEntry
+	t1, t2 hlist // front = MRU
+	// b1 and b2 are bounded jointly, by truncateGhosts; each list's own
+	// bound is set just out of reach.
+	b1, b2 *ghostList
 }
-
-type arcList int
 
 const (
-	inT1 arcList = iota
+	inT1 listID = iota
 	inT2
-	inB1
-	inB2
 )
-
-type arcEntry struct {
-	key  string
-	list arcList
-	elem *list.Element
-}
 
 // NewARC returns an ARC policy sized for capacity entries. ARC needs the
 // entry capacity up front (its lists balance against it); the owning cache
@@ -41,134 +30,93 @@ func NewARC(capacity int) *ARC {
 	}
 	return &ARC{
 		capacity: capacity,
-		t1:       list.New(), t2: list.New(),
-		b1: list.New(), b2: list.New(),
-		where: make(map[string]*arcEntry),
+		t1:       hlist{kind: recency}, t2: hlist{kind: recency},
+		b1: newGhostList(capacity + 1), b2: newGhostList(capacity + 1),
 	}
 }
 
-func (p *ARC) listOf(l arcList) *list.List {
-	switch l {
-	case inT1:
-		return p.t1
-	case inT2:
-		return p.t2
-	case inB1:
-		return p.b1
+func (p *ARC) listOf(h *Handle) *hlist {
+	if h.list == inT1 {
+		return &p.t1
+	}
+	return &p.t2
+}
+
+func (p *ARC) pushT2(h *Handle) {
+	h.list = inT2
+	p.t2.pushFront(h)
+}
+
+// OnInsert implements Policy. A key found in a ghost list adapts the target
+// and re-enters on the frequency side; ARC's original formulation puts the
+// adaptation here, on reinsertion, not on the miss.
+func (p *ARC) OnInsert(h *Handle) {
+	key := h.owner.PolicyKey()
+	switch {
+	case p.b1.contains(key):
+		// Ghost hit on the recency side: grow T1's target.
+		p.p = min(p.p+max(1, p.b2.len()/max(1, p.b1.len())), p.capacity)
+		p.b1.remove(key)
+		p.pushT2(h)
+	case p.b2.contains(key):
+		// Ghost hit on the frequency side: shrink T1's target.
+		p.p = max(p.p-max(1, p.b1.len()/max(1, p.b2.len())), 0)
+		p.b2.remove(key)
+		p.pushT2(h)
 	default:
-		return p.b2
+		h.list = inT1
+		p.t1.pushFront(h)
+		p.truncateGhosts()
 	}
-}
-
-func (p *ARC) moveTo(e *arcEntry, dst arcList) {
-	p.listOf(e.list).Remove(e.elem)
-	e.list = dst
-	e.elem = p.listOf(dst).PushFront(e)
-}
-
-func (p *ARC) dropFrom(e *arcEntry) {
-	p.listOf(e.list).Remove(e.elem)
-	delete(p.where, e.key)
-}
-
-// OnInsert implements Policy.
-func (p *ARC) OnInsert(key string) {
-	if e, ok := p.where[key]; ok {
-		switch e.list {
-		case inT1, inT2:
-			p.OnAccess(key)
-		case inB1:
-			// Ghost hit on the recency side: grow T1's target.
-			p.p = minInt(p.p+maxInt(1, p.b2.Len()/maxInt(1, p.b1.Len())), p.capacity)
-			p.moveTo(e, inT2)
-		case inB2:
-			// Ghost hit on the frequency side: shrink T1's target.
-			p.p = maxInt(p.p-maxInt(1, p.b1.Len()/maxInt(1, p.b2.Len())), 0)
-			p.moveTo(e, inT2)
-		}
-		return
-	}
-	e := &arcEntry{key: key, list: inT1}
-	e.elem = p.t1.PushFront(e)
-	p.where[key] = e
-	p.truncateGhosts()
 }
 
 // OnAccess implements Policy: a second touch promotes T1 → T2.
-func (p *ARC) OnAccess(key string) {
-	e, ok := p.where[key]
-	if !ok {
-		return
-	}
-	switch e.list {
-	case inT1, inT2:
-		p.moveTo(e, inT2)
-	}
+func (p *ARC) OnAccess(h *Handle) {
+	p.listOf(h).remove(h)
+	p.pushT2(h)
 }
 
-// OnMiss implements Policy. Ghost-hit adaptation happens on reinsertion
-// (OnInsert), where ARC's original formulation puts it.
-func (p *ARC) OnMiss(string) {}
+// OnMiss implements Policy.
+func (p *ARC) OnMiss([]byte) {}
 
 // OnRemove implements Policy.
-func (p *ARC) OnRemove(key string) {
-	if e, ok := p.where[key]; ok {
-		p.dropFrom(e)
-	}
-}
+func (p *ARC) OnRemove(h *Handle) { p.listOf(h).remove(h) }
 
 // Evict implements Policy: replace per ARC — evict T1's LRU into B1 when T1
 // exceeds its target, else T2's LRU into B2.
-func (p *ARC) Evict() (string, bool) {
-	var victim *arcEntry
-	if p.t1.Len() > 0 && (p.t1.Len() > p.p || p.t2.Len() == 0) {
-		victim = p.t1.Back().Value.(*arcEntry)
-		p.moveTo(victim, inB1)
-	} else if p.t2.Len() > 0 {
-		victim = p.t2.Back().Value.(*arcEntry)
-		p.moveTo(victim, inB2)
+func (p *ARC) Evict() *Handle {
+	var victim *Handle
+	if p.t1.n > 0 && (p.t1.n > p.p || p.t2.n == 0) {
+		victim = p.t1.back
+		p.t1.remove(victim)
+		p.b1.add(victim.owner.PolicyKey(), 0)
+	} else if p.t2.n > 0 {
+		victim = p.t2.back
+		p.t2.remove(victim)
+		p.b2.add(victim.owner.PolicyKey(), 0)
 	} else {
-		return "", false
+		return nil
 	}
 	p.truncateGhosts()
-	return victim.key, true
+	return victim
 }
 
 // truncateGhosts bounds B1+B2 to the cache capacity.
 func (p *ARC) truncateGhosts() {
-	for p.b1.Len()+p.b2.Len() > p.capacity {
-		var back *list.Element
-		if p.b1.Len() > p.b2.Len() {
-			back = p.b1.Back()
+	for p.b1.len()+p.b2.len() > p.capacity {
+		if p.b1.len() > p.b2.len() {
+			p.b1.dropOldest()
 		} else {
-			back = p.b2.Back()
+			p.b2.dropOldest()
 		}
-		if back == nil {
-			return
-		}
-		p.dropFrom(back.Value.(*arcEntry))
 	}
 }
 
 // Len implements Policy: only live entries count.
-func (p *ARC) Len() int { return p.t1.Len() + p.t2.Len() }
+func (p *ARC) Len() int { return p.t1.n + p.t2.n }
 
 // Name implements Policy.
 func (p *ARC) Name() string { return "arc" }
 
 // Target reports the adaptive T1 target (tests).
 func (p *ARC) Target() int { return p.p }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

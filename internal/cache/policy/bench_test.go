@@ -10,8 +10,7 @@ import (
 // bounded cache, the dominant cost profile inside the range cache.
 func benchWorkload(b *testing.B, name string) {
 	const capacity = 1024
-	p := New(name, capacity)
-	cached := make(map[string]bool, capacity)
+	p := newByKey(New(name, capacity))
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]string, 16_384)
 	for i := range keys {
@@ -22,18 +21,15 @@ func benchWorkload(b *testing.B, name string) {
 		// Roughly zipf: low indices far more often.
 		idx := int(float64(len(keys)-1) * rng.Float64() * rng.Float64() * rng.Float64())
 		key := keys[idx]
-		if cached[key] {
+		if _, ok := p.resident[key]; ok {
 			p.OnAccess(key)
 			continue
 		}
 		p.OnMiss(key)
-		if len(cached) >= capacity {
-			if v, ok := p.Evict(); ok {
-				delete(cached, v)
-			}
+		if len(p.resident) >= capacity {
+			p.Evict()
 		}
 		p.OnInsert(key)
-		cached[key] = true
 	}
 }
 

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"container/list"
 	"math"
 	"math/rand"
 )
@@ -48,23 +47,23 @@ func NewCacheus(capacityHint int) *Cacheus {
 }
 
 // OnInsert implements Policy.
-func (p *Cacheus) OnInsert(key string) {
+func (p *Cacheus) OnInsert(h *Handle) {
 	p.clock++
-	p.srlru.insert(key)
-	p.crlfu.OnInsert(key)
+	p.srlru.insert(h)
+	p.crlfu.insert(h)
 }
 
 // OnAccess implements Policy.
-func (p *Cacheus) OnAccess(key string) {
+func (p *Cacheus) OnAccess(h *Handle) {
 	p.clock++
 	p.windowHits++
 	p.tickWindow()
-	p.srlru.access(key)
-	p.crlfu.OnAccess(key)
+	p.srlru.touch(h)
+	p.crlfu.lfu.OnAccess(h)
 }
 
 // OnMiss implements Policy.
-func (p *Cacheus) OnMiss(key string) {
+func (p *Cacheus) OnMiss(key []byte) {
 	p.clock++
 	p.tickWindow()
 	// Regret updates against each expert's ghost history.
@@ -119,30 +118,25 @@ func (p *Cacheus) normalize() {
 }
 
 // OnRemove implements Policy.
-func (p *Cacheus) OnRemove(key string) {
-	p.srlru.remove(key)
-	p.crlfu.OnRemove(key)
+func (p *Cacheus) OnRemove(h *Handle) {
+	p.srlru.remove(h)
+	p.crlfu.lfu.OnRemove(h)
 }
 
 // Evict implements Policy.
-func (p *Cacheus) Evict() (string, bool) {
+func (p *Cacheus) Evict() *Handle {
 	if p.Len() == 0 {
-		return "", false
+		return nil
 	}
-	var victim string
-	var ok bool
+	var victim *Handle
 	if p.rng.Float64() < p.wSR {
-		victim, ok = p.srlru.evict()
-		if ok {
-			p.crlfu.OnRemove(victim)
-		}
+		victim = p.srlru.evict()
+		p.crlfu.lfu.OnRemove(victim)
 	} else {
-		victim, ok = p.crlfu.evictToHistory()
-		if ok {
-			p.srlru.remove(victim)
-		}
+		victim = p.crlfu.evictToHistory()
+		p.srlru.remove(victim)
 	}
-	return victim, ok
+	return victim
 }
 
 // Len implements Policy.
@@ -161,70 +155,60 @@ func (p *Cacheus) Weights() (float64, float64) { return p.wSR, p.wCR }
 // S/R split.
 type srLRU struct {
 	cap     int
-	s       *list.List // front = MRU
-	r       *list.List
-	where   map[string]*srEntry
+	s, r    hlist // front = MRU
 	hist    *ghostList
 	targetS int
 }
 
-type srEntry struct {
-	key  string
-	inS  bool
-	elem *list.Element
-}
+const (
+	inS listID = iota
+	inR
+)
 
 func newSRLRU(capacity int) *srLRU {
 	return &srLRU{
 		cap:     capacity,
-		s:       list.New(),
-		r:       list.New(),
-		where:   make(map[string]*srEntry),
+		s:       hlist{kind: recency},
+		r:       hlist{kind: recency},
 		hist:    newGhostList(capacity),
 		targetS: capacity / 2,
 	}
 }
 
-func (p *srLRU) insert(key string) {
-	if e, ok := p.where[key]; ok {
-		p.touch(e)
-		return
+func (p *srLRU) pushFront(h *Handle, to listID) {
+	h.list = to
+	if to == inS {
+		p.s.pushFront(h)
+	} else {
+		p.r.pushFront(h)
 	}
-	e := &srEntry{key: key}
-	if p.hist.contains(key) {
+}
+
+func (p *srLRU) insert(h *Handle) {
+	if key := h.owner.PolicyKey(); p.hist.contains(key) {
 		// Returning key: it has proven reuse, admit straight to R.
 		p.hist.remove(key)
-		e.inS = false
-		e.elem = p.r.PushFront(e)
+		p.pushFront(h, inR)
 	} else {
-		e.inS = true
-		e.elem = p.s.PushFront(e)
+		p.pushFront(h, inS)
 	}
-	p.where[key] = e
 	p.rebalance()
 }
 
-func (p *srLRU) access(key string) {
-	if e, ok := p.where[key]; ok {
-		p.touch(e)
-	}
-}
-
 // touch promotes a hit: S hits graduate to R, R hits refresh recency.
-func (p *srLRU) touch(e *srEntry) {
-	if e.inS {
-		p.s.Remove(e.elem)
-		e.inS = false
-		e.elem = p.r.PushFront(e)
+func (p *srLRU) touch(h *Handle) {
+	if h.list == inS {
+		p.s.remove(h)
+		p.pushFront(h, inR)
 		p.rebalance()
 	} else {
-		p.r.MoveToFront(e.elem)
+		p.r.moveToFront(h)
 	}
 }
 
 // onMiss adapts the split: a ghost hit means eviction from S was premature,
 // so give S more room.
-func (p *srLRU) onMiss(key string) {
+func (p *srLRU) onMiss(key []byte) {
 	if p.hist.contains(key) && p.targetS < p.cap-1 {
 		p.targetS++
 	}
@@ -232,50 +216,40 @@ func (p *srLRU) onMiss(key string) {
 
 // rebalance demotes R's LRU tail into S when R outgrows its share.
 func (p *srLRU) rebalance() {
-	for p.r.Len() > p.cap-p.targetS && p.r.Len() > 1 {
-		back := p.r.Back()
-		e := back.Value.(*srEntry)
-		p.r.Remove(back)
-		e.inS = true
-		e.elem = p.s.PushFront(e)
+	for p.r.n > p.cap-p.targetS && p.r.n > 1 {
+		back := p.r.back
+		p.r.remove(back)
+		p.pushFront(back, inS)
 	}
 }
 
-func (p *srLRU) remove(key string) {
-	e, ok := p.where[key]
-	if !ok {
-		return
-	}
-	if e.inS {
-		p.s.Remove(e.elem)
+func (p *srLRU) remove(h *Handle) {
+	if h.list == inS {
+		p.s.remove(h)
 	} else {
-		p.r.Remove(e.elem)
+		p.r.remove(h)
 	}
-	delete(p.where, key)
 }
 
-func (p *srLRU) evict() (string, bool) {
-	var back *list.Element
-	if p.s.Len() > 0 {
-		back = p.s.Back()
-		p.s.Remove(back)
-	} else if p.r.Len() > 0 {
-		back = p.r.Back()
-		p.r.Remove(back)
+func (p *srLRU) evict() *Handle {
+	var victim *Handle
+	if p.s.n > 0 {
+		victim = p.s.back
+	} else if p.r.n > 0 {
+		victim = p.r.back
 		// Evicting from R means S starved; shrink the S target.
 		if p.targetS > 1 {
 			p.targetS--
 		}
 	} else {
-		return "", false
+		return nil
 	}
-	e := back.Value.(*srEntry)
-	delete(p.where, e.key)
-	p.hist.add(e.key, 0)
-	return e.key, true
+	p.remove(victim)
+	p.hist.add(victim.owner.PolicyKey(), 0)
+	return victim
 }
 
-func (p *srLRU) len() int { return len(p.where) }
+func (p *srLRU) len() int { return p.s.n + p.r.n }
 
 // crLFU is the churn-resistant LFU expert: LFU with LRU tie-breaking (the
 // base LFU provides it), plus frequency inheritance under churn — when
@@ -297,28 +271,21 @@ func newCRLFU(capacity int) *crLFU {
 	return &crLFU{lfu: NewLFU(), hist: newGhostList(capacity), churnLimit: limit}
 }
 
-func (p *crLFU) OnInsert(key string) {
-	p.lfu.OnInsert(key)
+func (p *crLFU) insert(h *Handle) {
+	p.lfu.OnInsert(h)
 	if p.churnMode {
 		// Inherit the churn cohort's effective frequency so the newcomer is
 		// not the automatic next victim.
-		p.lfu.SetFreq(key, 2)
+		p.lfu.SetFreq(h, 2)
 	}
-	p.hist.remove(key)
+	p.hist.remove(h.owner.PolicyKey())
 }
 
-func (p *crLFU) OnAccess(key string) { p.lfu.OnAccess(key) }
-
-func (p *crLFU) OnRemove(key string) { p.lfu.OnRemove(key) }
-
-func (p *crLFU) evictToHistory() (string, bool) {
-	victimFreq := int64(0)
-	if front := p.lfu.buckets.Front(); front != nil {
-		victimFreq = front.Value.(*freqBucket).freq
-	}
-	victim, ok := p.lfu.Evict()
-	if !ok {
-		return "", false
+func (p *crLFU) evictToHistory() *Handle {
+	victimFreq := p.lfu.minFreq()
+	victim := p.lfu.Evict()
+	if victim == nil {
+		return nil
 	}
 	if victimFreq <= 1 {
 		p.churnRun++
@@ -326,6 +293,6 @@ func (p *crLFU) evictToHistory() (string, bool) {
 		p.churnRun = 0
 	}
 	p.churnMode = p.churnRun >= p.churnLimit
-	p.hist.add(victim, 0)
-	return victim, true
+	p.hist.add(victim.owner.PolicyKey(), 0)
+	return victim
 }

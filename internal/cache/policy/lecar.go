@@ -48,24 +48,24 @@ func NewLeCaR(capacityHint int) *LeCaR {
 }
 
 // OnInsert implements Policy.
-func (p *LeCaR) OnInsert(key string) {
+func (p *LeCaR) OnInsert(h *Handle) {
 	p.clock++
-	p.lru.OnInsert(key)
-	p.lfu.OnInsert(key)
+	p.lru.OnInsert(h)
+	p.lfu.OnInsert(h)
 	// A key re-entering the cache leaves the histories.
-	p.histLRU.remove(key)
-	p.histLFU.remove(key)
+	p.histLRU.remove(h.owner.PolicyKey())
+	p.histLFU.remove(h.owner.PolicyKey())
 }
 
 // OnAccess implements Policy.
-func (p *LeCaR) OnAccess(key string) {
+func (p *LeCaR) OnAccess(h *Handle) {
 	p.clock++
-	p.lru.OnAccess(key)
-	p.lfu.OnAccess(key)
+	p.lru.OnAccess(h)
+	p.lfu.OnAccess(h)
 }
 
 // OnMiss implements Policy: regret update against ghost histories.
-func (p *LeCaR) OnMiss(key string) {
+func (p *LeCaR) OnMiss(key []byte) {
 	p.clock++
 	if t, ok := p.histLRU.get(key); ok {
 		// LRU evicted a key that came back: penalise LRU.
@@ -88,32 +88,27 @@ func (p *LeCaR) normalize() {
 }
 
 // OnRemove implements Policy.
-func (p *LeCaR) OnRemove(key string) {
-	p.lru.OnRemove(key)
-	p.lfu.OnRemove(key)
+func (p *LeCaR) OnRemove(h *Handle) {
+	p.lru.OnRemove(h)
+	p.lfu.OnRemove(h)
 }
 
 // Evict implements Policy: sample an expert by weight and evict its victim.
-func (p *LeCaR) Evict() (string, bool) {
+func (p *LeCaR) Evict() *Handle {
 	if p.lru.Len() == 0 {
-		return "", false
+		return nil
 	}
-	var victim string
-	var ok bool
+	var victim *Handle
 	if p.rng.Float64() < p.wLRU {
-		victim, ok = p.lru.Evict()
-		if ok {
-			p.lfu.OnRemove(victim)
-			p.histLRU.add(victim, p.clock)
-		}
+		victim = p.lru.Evict()
+		p.lfu.OnRemove(victim)
+		p.histLRU.add(victim.owner.PolicyKey(), p.clock)
 	} else {
-		victim, ok = p.lfu.Evict()
-		if ok {
-			p.lru.OnRemove(victim)
-			p.histLFU.add(victim, p.clock)
-		}
+		victim = p.lfu.Evict()
+		p.lru.OnRemove(victim)
+		p.histLFU.add(victim.owner.PolicyKey(), p.clock)
 	}
-	return victim, ok
+	return victim
 }
 
 // Len implements Policy.
@@ -126,7 +121,9 @@ func (p *LeCaR) Name() string { return "lecar" }
 // experiment traces.
 func (p *LeCaR) Weights() (float64, float64) { return p.wLRU, p.wLFU }
 
-// ghostList is a bounded FIFO of evicted keys with their eviction times.
+// ghostList is a bounded FIFO of evicted keys with their eviction times —
+// the one place a policy still knows an entry by its key, because the entry
+// itself is gone. Lookups take the key as bytes and do not allocate.
 type ghostList struct {
 	cap   int
 	ll    *list.List // front = newest
@@ -142,36 +139,41 @@ func newGhostList(capacity int) *ghostList {
 	return &ghostList{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (g *ghostList) add(key string, t int64) {
-	if e, ok := g.items[key]; ok {
+func (g *ghostList) add(key []byte, t int64) {
+	if e, ok := g.items[string(key)]; ok {
 		e.Value.(*ghostEntry).time = t
 		g.ll.MoveToFront(e)
 		return
 	}
-	g.items[key] = g.ll.PushFront(&ghostEntry{key: key, time: t})
+	ge := &ghostEntry{key: string(key), time: t}
+	g.items[ge.key] = g.ll.PushFront(ge)
 	for g.ll.Len() > g.cap {
-		back := g.ll.Back()
-		delete(g.items, back.Value.(*ghostEntry).key)
-		g.ll.Remove(back)
+		g.dropOldest()
 	}
 }
 
-func (g *ghostList) get(key string) (int64, bool) {
-	if e, ok := g.items[key]; ok {
+func (g *ghostList) dropOldest() {
+	back := g.ll.Back()
+	delete(g.items, back.Value.(*ghostEntry).key)
+	g.ll.Remove(back)
+}
+
+func (g *ghostList) get(key []byte) (int64, bool) {
+	if e, ok := g.items[string(key)]; ok {
 		return e.Value.(*ghostEntry).time, true
 	}
 	return 0, false
 }
 
-func (g *ghostList) remove(key string) {
-	if e, ok := g.items[key]; ok {
+func (g *ghostList) remove(key []byte) {
+	if e, ok := g.items[string(key)]; ok {
 		g.ll.Remove(e)
-		delete(g.items, key)
+		delete(g.items, e.Value.(*ghostEntry).key)
 	}
 }
 
-func (g *ghostList) contains(key string) bool {
-	_, ok := g.items[key]
+func (g *ghostList) contains(key []byte) bool {
+	_, ok := g.items[string(key)]
 	return ok
 }
 

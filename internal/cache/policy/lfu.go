@@ -1,151 +1,138 @@
 package policy
 
-import "container/list"
-
 // LFU is an O(1) least-frequently-used policy using frequency buckets, with
-// LRU tie-breaking inside a bucket (the oldest of the least-used keys goes
-// first).
+// LRU tie-breaking inside a bucket (the oldest of the least-used entries
+// goes first).
 type LFU struct {
-	buckets *list.List // ascending frequency; each element is *freqBucket
-	items   map[string]*lfuEntry
+	first, last *freqBucket // ascending frequency
+	n           int
 }
 
+// freqBucket holds the entries of one frequency; an entry's Handle points
+// at its bucket.
 type freqBucket struct {
-	freq    int64
-	entries *list.List // front = most recent; evict from back
-}
-
-type lfuEntry struct {
-	key    string
-	bucket *list.Element // into LFU.buckets
-	elem   *list.Element // into freqBucket.entries
+	freq       int64
+	entries    hlist // front = most recent; evict from back
+	prev, next *freqBucket
 }
 
 // NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{buckets: list.New(), items: make(map[string]*lfuEntry)}
+func NewLFU() *LFU { return &LFU{} }
+
+// insertBucket links a new bucket for freq after prev (nil = at the front).
+func (p *LFU) insertBucket(freq int64, prev *freqBucket) *freqBucket {
+	b := &freqBucket{freq: freq, entries: hlist{kind: frequency}, prev: prev}
+	if prev != nil {
+		b.next, prev.next = prev.next, b
+	} else {
+		b.next, p.first = p.first, b
+	}
+	if b.next != nil {
+		b.next.prev = b
+	} else {
+		p.last = b
+	}
+	return b
+}
+
+// leave takes h out of its bucket, dropping the bucket once it is empty.
+func (p *LFU) leave(h *Handle) {
+	b := h.bucket
+	b.entries.remove(h)
+	h.bucket = nil
+	if b.entries.n > 0 {
+		return
+	}
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		p.first = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		p.last = b.prev
+	}
+}
+
+func (b *freqBucket) add(h *Handle) {
+	h.bucket = b
+	b.entries.pushFront(h)
 }
 
 // OnInsert implements Policy.
-func (p *LFU) OnInsert(key string) {
-	if e, ok := p.items[key]; ok {
-		p.promote(e)
-		return
+func (p *LFU) OnInsert(h *Handle) {
+	b := p.first
+	if b == nil || b.freq != 1 {
+		b = p.insertBucket(1, nil)
 	}
-	front := p.buckets.Front()
-	var b *freqBucket
-	if front == nil || front.Value.(*freqBucket).freq != 1 {
-		b = &freqBucket{freq: 1, entries: list.New()}
-		front = p.buckets.PushFront(b)
-	} else {
-		b = front.Value.(*freqBucket)
-	}
-	ent := &lfuEntry{key: key, bucket: front}
-	ent.elem = b.entries.PushFront(ent)
-	p.items[key] = ent
+	b.add(h)
+	p.n++
 }
 
-// OnAccess implements Policy.
-func (p *LFU) OnAccess(key string) {
-	if e, ok := p.items[key]; ok {
-		p.promote(e)
+// OnAccess implements Policy: the entry moves to the next-higher frequency
+// bucket.
+func (p *LFU) OnAccess(h *Handle) {
+	cur := h.bucket
+	next := cur.next
+	if next == nil || next.freq != cur.freq+1 {
+		next = p.insertBucket(cur.freq+1, cur)
 	}
-}
-
-// promote moves e to the next-higher frequency bucket.
-func (p *LFU) promote(e *lfuEntry) {
-	cur := e.bucket
-	b := cur.Value.(*freqBucket)
-	next := cur.Next()
-	var nb *freqBucket
-	if next == nil || next.Value.(*freqBucket).freq != b.freq+1 {
-		nb = &freqBucket{freq: b.freq + 1, entries: list.New()}
-		next = p.buckets.InsertAfter(nb, cur)
-	} else {
-		nb = next.Value.(*freqBucket)
-	}
-	b.entries.Remove(e.elem)
-	if b.entries.Len() == 0 {
-		p.buckets.Remove(cur)
-	}
-	e.bucket = next
-	e.elem = nb.entries.PushFront(e)
+	p.leave(h)
+	next.add(h)
 }
 
 // OnMiss implements Policy.
-func (p *LFU) OnMiss(string) {}
+func (p *LFU) OnMiss([]byte) {}
 
 // OnRemove implements Policy.
-func (p *LFU) OnRemove(key string) {
-	e, ok := p.items[key]
-	if !ok {
-		return
-	}
-	p.removeEntry(e)
+func (p *LFU) OnRemove(h *Handle) {
+	p.leave(h)
+	p.n--
 }
 
-func (p *LFU) removeEntry(e *lfuEntry) {
-	b := e.bucket.Value.(*freqBucket)
-	b.entries.Remove(e.elem)
-	if b.entries.Len() == 0 {
-		p.buckets.Remove(e.bucket)
-	}
-	delete(p.items, e.key)
-}
-
-// Evict implements Policy: removes the least-recently-used key of the
+// Evict implements Policy: removes the least-recently-used entry of the
 // lowest-frequency bucket.
-func (p *LFU) Evict() (string, bool) {
-	front := p.buckets.Front()
-	if front == nil {
-		return "", false
+func (p *LFU) Evict() *Handle {
+	if p.first == nil {
+		return nil
 	}
-	b := front.Value.(*freqBucket)
-	victim := b.entries.Back().Value.(*lfuEntry)
-	p.removeEntry(victim)
-	return victim.key, true
+	victim := p.first.entries.back
+	p.OnRemove(victim)
+	return victim
 }
 
 // Len implements Policy.
-func (p *LFU) Len() int { return len(p.items) }
+func (p *LFU) Len() int { return p.n }
 
 // Name implements Policy.
 func (p *LFU) Name() string { return "lfu" }
 
-// Freq reports key's frequency counter (tests and Cacheus's CR-LFU).
-func (p *LFU) Freq(key string) int64 {
-	if e, ok := p.items[key]; ok {
-		return e.bucket.Value.(*freqBucket).freq
+// Freq reports a resident entry's frequency counter (tests).
+func (p *LFU) Freq(h *Handle) int64 { return h.bucket.freq }
+
+// minFreq reports the lowest frequency any entry has, 0 when empty.
+func (p *LFU) minFreq() int64 {
+	if p.first == nil {
+		return 0
 	}
-	return 0
+	return p.first.freq
 }
 
-// SetFreq reinserts key at an explicit frequency (CR-LFU churn handling).
-func (p *LFU) SetFreq(key string, freq int64) {
-	if e, ok := p.items[key]; ok {
-		p.removeEntry(e)
-	}
+// SetFreq moves a resident entry to an explicit frequency, as its bucket's
+// most recent entry (CR-LFU churn handling).
+func (p *LFU) SetFreq(h *Handle, freq int64) {
+	p.leave(h)
 	if freq < 1 {
 		freq = 1
 	}
-	// Find or create the bucket with the requested frequency.
-	var at *list.Element
-	for el := p.buckets.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*freqBucket).freq
-		if f == freq {
-			at = el
-			break
-		}
-		if f > freq {
-			at = p.buckets.InsertBefore(&freqBucket{freq: freq, entries: list.New()}, el)
-			break
-		}
+	var prev *freqBucket
+	b := p.first
+	for b != nil && b.freq < freq {
+		prev, b = b, b.next
 	}
-	if at == nil {
-		at = p.buckets.PushBack(&freqBucket{freq: freq, entries: list.New()})
+	if b == nil || b.freq != freq {
+		b = p.insertBucket(freq, prev)
 	}
-	b := at.Value.(*freqBucket)
-	ent := &lfuEntry{key: key, bucket: at}
-	ent.elem = b.entries.PushFront(ent)
-	p.items[key] = ent
+	b.add(h)
 }

@@ -1,68 +1,36 @@
 package policy
 
-import "container/list"
-
 // LRU is the classic least-recently-used policy.
 type LRU struct {
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
+	ll hlist // front = most recent
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{ll: list.New(), items: make(map[string]*list.Element)}
-}
+func NewLRU() *LRU { return &LRU{ll: hlist{kind: recency}} }
 
 // OnInsert implements Policy.
-func (p *LRU) OnInsert(key string) {
-	if e, ok := p.items[key]; ok {
-		p.ll.MoveToFront(e)
-		return
-	}
-	p.items[key] = p.ll.PushFront(key)
-}
+func (p *LRU) OnInsert(h *Handle) { p.ll.pushFront(h) }
 
 // OnAccess implements Policy.
-func (p *LRU) OnAccess(key string) {
-	if e, ok := p.items[key]; ok {
-		p.ll.MoveToFront(e)
-	}
-}
+func (p *LRU) OnAccess(h *Handle) { p.ll.moveToFront(h) }
 
 // OnMiss implements Policy.
-func (p *LRU) OnMiss(string) {}
+func (p *LRU) OnMiss([]byte) {}
 
 // OnRemove implements Policy.
-func (p *LRU) OnRemove(key string) {
-	if e, ok := p.items[key]; ok {
-		p.ll.Remove(e)
-		delete(p.items, key)
-	}
-}
+func (p *LRU) OnRemove(h *Handle) { p.ll.remove(h) }
 
 // Evict implements Policy.
-func (p *LRU) Evict() (string, bool) {
-	e := p.ll.Back()
-	if e == nil {
-		return "", false
+func (p *LRU) Evict() *Handle {
+	h := p.ll.back
+	if h != nil {
+		p.ll.remove(h)
 	}
-	key := e.Value.(string)
-	p.ll.Remove(e)
-	delete(p.items, key)
-	return key, true
+	return h
 }
 
 // Len implements Policy.
-func (p *LRU) Len() int { return len(p.items) }
+func (p *LRU) Len() int { return p.ll.n }
 
 // Name implements Policy.
 func (p *LRU) Name() string { return "lru" }
-
-// Oldest returns the current victim candidate without removing it.
-func (p *LRU) Oldest() (string, bool) {
-	e := p.ll.Back()
-	if e == nil {
-		return "", false
-	}
-	return e.Value.(string), true
-}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLRUOrder(t *testing.T) {
-	p := NewLRU()
+	p := newByKey(NewLRU())
 	p.OnInsert("a")
 	p.OnInsert("b")
 	p.OnInsert("c")
@@ -28,7 +28,7 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestLRUReinsertRefreshes(t *testing.T) {
-	p := NewLRU()
+	p := newByKey(NewLRU())
 	p.OnInsert("a")
 	p.OnInsert("b")
 	p.OnInsert("a") // refresh
@@ -38,7 +38,7 @@ func TestLRUReinsertRefreshes(t *testing.T) {
 }
 
 func TestLRURemove(t *testing.T) {
-	p := NewLRU()
+	p := newByKey(NewLRU())
 	p.OnInsert("a")
 	p.OnInsert("b")
 	p.OnRemove("b")
@@ -51,7 +51,7 @@ func TestLRURemove(t *testing.T) {
 }
 
 func TestLFUEvictsLeastFrequent(t *testing.T) {
-	p := NewLFU()
+	p := newByKey(NewLFU())
 	p.OnInsert("hot")
 	p.OnInsert("cold")
 	for i := 0; i < 5; i++ {
@@ -66,7 +66,7 @@ func TestLFUEvictsLeastFrequent(t *testing.T) {
 }
 
 func TestLFUTieBreaksLRU(t *testing.T) {
-	p := NewLFU()
+	p := newByKey(NewLFU())
 	p.OnInsert("a")
 	p.OnInsert("b")
 	p.OnInsert("c")
@@ -77,19 +77,17 @@ func TestLFUTieBreaksLRU(t *testing.T) {
 }
 
 func TestLFUFreqTracking(t *testing.T) {
-	p := NewLFU()
+	p := newByKey(NewLFU())
 	p.OnInsert("k")
 	p.OnAccess("k")
 	p.OnAccess("k")
-	if f := p.Freq("k"); f != 3 {
+	lfu, h := p.Policy.(*LFU), &p.resident["k"].Handle
+	if f := lfu.Freq(h); f != 3 {
 		t.Fatalf("Freq = %d, want 3", f)
 	}
-	p.SetFreq("k", 7)
-	if f := p.Freq("k"); f != 7 {
+	lfu.SetFreq(h, 7)
+	if f := lfu.Freq(h); f != 7 {
 		t.Fatalf("Freq after SetFreq = %d, want 7", f)
-	}
-	if f := p.Freq("absent"); f != 0 {
-		t.Fatalf("Freq(absent) = %d, want 0", f)
 	}
 }
 
@@ -98,7 +96,8 @@ func TestLeCaRLearnsAgainstLRUOnScanWorkload(t *testing.T) {
 	// should shift weight toward LFU after seeing hot keys in LRU's ghost
 	// history.
 	const capacity = 32
-	p := NewLeCaR(capacity)
+	lecar := NewLeCaR(capacity)
+	p := newByKey(lecar)
 	cached := map[string]bool{}
 	access := func(key string) {
 		if cached[key] {
@@ -125,14 +124,15 @@ func TestLeCaRLearnsAgainstLRUOnScanWorkload(t *testing.T) {
 			access(fmt.Sprintf("cold%06d", round*16+i))
 		}
 	}
-	wLRU, wLFU := p.Weights()
+	wLRU, wLFU := lecar.Weights()
 	if wLFU <= wLRU {
 		t.Fatalf("LeCaR weights (lru=%.3f, lfu=%.3f): expected LFU to dominate under scan pollution", wLRU, wLFU)
 	}
 }
 
 func TestLeCaRWeightsNormalized(t *testing.T) {
-	p := NewLeCaR(8)
+	lecar := NewLeCaR(8)
+	p := newByKey(lecar)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i%12)
 		p.OnMiss(k)
@@ -141,7 +141,7 @@ func TestLeCaRWeightsNormalized(t *testing.T) {
 			p.Evict()
 		}
 	}
-	wLRU, wLFU := p.Weights()
+	wLRU, wLFU := lecar.Weights()
 	if sum := wLRU + wLFU; sum < 0.999 || sum > 1.001 {
 		t.Fatalf("weights sum to %f, want 1", sum)
 	}
@@ -151,7 +151,7 @@ func TestCacheusScanResistance(t *testing.T) {
 	// SR-LRU should keep reused keys through a long one-shot scan better
 	// than plain LRU would.
 	const capacity = 32
-	p := NewCacheus(capacity)
+	p := newByKey(NewCacheus(capacity))
 	cached := map[string]bool{}
 	hits := 0
 	access := func(key string) {
@@ -192,11 +192,8 @@ func TestCacheusScanResistance(t *testing.T) {
 }
 
 func TestPolicyFactory(t *testing.T) {
-	for _, name := range []string{"lru", "lfu", "lecar", "cacheus", "bogus"} {
-		p := New(name, 16)
-		if p == nil {
-			t.Fatalf("New(%q) returned nil", name)
-		}
+	for _, name := range []string{"lru", "lfu", "arc", "lecar", "cacheus", "bogus"} {
+		p := newByKey(New(name, 16))
 		p.OnInsert("x")
 		if p.Len() != 1 {
 			t.Fatalf("%s: Len = %d, want 1", name, p.Len())
@@ -211,11 +208,11 @@ func TestPolicyFactory(t *testing.T) {
 // sequence, Len matches the live-key set and eviction drains exactly the
 // inserted keys.
 func TestPolicyInvariants(t *testing.T) {
-	for _, name := range []string{"lru", "lfu", "lecar", "cacheus"} {
+	for _, name := range []string{"lru", "lfu", "arc", "lecar", "cacheus"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			f := func(ops []uint8) bool {
-				p := New(name, 8)
+				p := newByKey(New(name, 8))
 				live := map[string]bool{}
 				for _, op := range ops {
 					key := fmt.Sprintf("k%d", op%16)
@@ -263,7 +260,8 @@ func TestPolicyInvariants(t *testing.T) {
 }
 
 func TestARCPromotesRepeatedKeys(t *testing.T) {
-	p := NewARC(4)
+	arc := NewARC(4)
+	p := newByKey(arc)
 	p.OnInsert("a")
 	p.OnInsert("b")
 	p.OnAccess("a") // a graduates to T2
@@ -281,7 +279,8 @@ func TestARCPromotesRepeatedKeys(t *testing.T) {
 }
 
 func TestARCGhostHitAdaptsTarget(t *testing.T) {
-	p := NewARC(4)
+	arc := NewARC(4)
+	p := newByKey(arc)
 	for _, k := range []string{"a", "b", "c", "d"} {
 		p.OnInsert(k)
 	}
@@ -289,10 +288,10 @@ func TestARCGhostHitAdaptsTarget(t *testing.T) {
 	if !ok || v != "a" {
 		t.Fatalf("victim = %q, want a", v)
 	}
-	before := p.Target()
+	before := arc.Target()
 	p.OnInsert("a") // ghost hit in B1 grows the T1 target
-	if p.Target() <= before {
-		t.Fatalf("target did not grow on B1 ghost hit: %d -> %d", before, p.Target())
+	if arc.Target() <= before {
+		t.Fatalf("target did not grow on B1 ghost hit: %d -> %d", before, arc.Target())
 	}
 	// The returning key is live again, in T2.
 	if p.Len() != 4 {
@@ -301,7 +300,8 @@ func TestARCGhostHitAdaptsTarget(t *testing.T) {
 }
 
 func TestARCRemoveAndDrain(t *testing.T) {
-	p := NewARC(8)
+	arc := NewARC(8)
+	p := newByKey(arc)
 	for i := 0; i < 8; i++ {
 		p.OnInsert(fmt.Sprintf("k%d", i))
 	}
@@ -322,46 +322,5 @@ func TestARCRemoveAndDrain(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("drained %d keys", len(seen))
-	}
-}
-
-func TestARCInPolicyInvariantSuite(t *testing.T) {
-	// Reuse the generic invariant check for ARC.
-	f := func(ops []uint8) bool {
-		p := New("arc", 8)
-		live := map[string]bool{}
-		for _, op := range ops {
-			key := fmt.Sprintf("k%d", op%16)
-			switch op % 4 {
-			case 0:
-				p.OnInsert(key)
-				live[key] = true
-			case 1:
-				if live[key] {
-					p.OnAccess(key)
-				} else {
-					p.OnMiss(key)
-				}
-			case 2:
-				p.OnRemove(key)
-				delete(live, key)
-			case 3:
-				if v, ok := p.Evict(); ok {
-					if !live[v] {
-						return false
-					}
-					delete(live, v)
-				} else if len(live) != 0 {
-					return false
-				}
-			}
-			if p.Len() != len(live) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package rangecache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -67,5 +68,56 @@ func BenchmarkEvictionPressure(b *testing.B) {
 				c.InsertPoint(k(i%50_000), v(i))
 			}
 		})
+	}
+}
+
+// benchTable is a database of 24-byte keys and 256-byte values (the repo
+// benchmark's shapes), built once so the benches below time the cache alone.
+var benchTable = func() []KV {
+	out := make([]KV, 1<<17)
+	for i := range out {
+		out[i] = KV{Key: []byte(fmt.Sprintf("user%020d", i)), Value: bytes.Repeat([]byte{byte(i)}, 256)}
+	}
+	return out
+}()
+
+// benchFull returns a cache holding about 4096 table entries, filled to
+// capacity so that every admission evicts as much as it admits.
+func benchFull(policy string) *Cache {
+	c := New(Options{Capacity: 4096 * (24 + 256 + entryOverhead), Policy: policy})
+	for at := 0; at+64 <= 8192; at += 64 {
+		c.InsertScan(benchTable[at].Key, benchTable[at:at+64])
+	}
+	return c
+}
+
+// BenchmarkInsertScan64AtCapacity admits 64-entry scan results, each at a
+// fresh place in the key space, into a full cache: 64 splices and 64
+// evictions per op.
+func BenchmarkInsertScan64AtCapacity(b *testing.B) {
+	c := benchFull("lru")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := (8192 + i*64) % (len(benchTable) - 64)
+		c.InsertScan(benchTable[at].Key, benchTable[at:at+64])
+	}
+}
+
+// BenchmarkScanMissThenAdmit is what a missed long scan costs the cache
+// under AdCache's partial admission (a=16, b=0.5): the failed lookup, then
+// admitting 24 entries past whatever prefix is already covered. Every start
+// is visited three times in a row, so the covered prefix is 0, 24 and 48.
+func BenchmarkScanMissThenAdmit(b *testing.B) {
+	c := benchFull("lru")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := (8192 + i/3*64) % (len(benchTable) - 64)
+		res := benchTable[at : at+64]
+		if _, ok := c.Scan(res[0].Key, 64); ok {
+			b.Fatal("scan of an uncovered range hit")
+		}
+		c.ExtendScan(res[0].Key, res, 24)
 	}
 }

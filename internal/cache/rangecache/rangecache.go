@@ -9,6 +9,12 @@
 // truthful across updates (in-place), inserts into covered gaps (admitted
 // with the known value) and deletes (neighbouring claims merge).
 //
+// Cost: every public operation performs exactly one descent of its shard's
+// ordered index, and a scan admission or a run of evictions performs one for
+// the whole batch (see skiplist). Entries are found by key bytes, tracked by
+// the eviction policy through a handle embedded in the entry, and admitted
+// with one allocation each.
+//
 // Concurrency (§4.4 of the paper): the key space is range-partitioned into
 // shards, each with its own lock. A scan is served entirely by the shard
 // owning its start key; chains that would cross a shard boundary count as
@@ -16,25 +22,24 @@
 package rangecache
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"adcache/internal/cache/policy"
+	"adcache/internal/keys"
 )
 
-// KV mirrors lsm.KV without importing it (the strategy layer converts).
-type KV struct {
-	Key   []byte
-	Value []byte
-}
+// KV is one key-value pair of a scan result.
+type KV = keys.KV
 
 // Options configures a Cache.
 type Options struct {
 	// Capacity is the byte budget across all shards.
 	Capacity int64
-	// Policy names the eviction policy: "lru" (default), "lfu", "lecar",
-	// "cacheus".
+	// Policy names the eviction policy: "lru" (default), "lfu", "arc",
+	// "lecar", "cacheus".
 	Policy string
 	// PolicyCapacityHint estimates the entry count for policies that size
 	// ghost lists (defaults to Capacity/128).
@@ -63,7 +68,8 @@ type Stats struct {
 // Cache is a sharded result cache. It is safe for concurrent use.
 type Cache struct {
 	shards []*shard
-	splits []string
+	// splits[i] is the first key of shard i+1.
+	splits [][]byte
 	// capacity is the sum of the shard budgets, kept here so the admission
 	// path can read it without visiting every shard lock.
 	capacity atomic.Int64
@@ -92,7 +98,10 @@ func New(opts Options) *Cache {
 			hint = 16
 		}
 	}
-	c := &Cache{splits: opts.SplitKeys}
+	c := &Cache{}
+	for _, split := range opts.SplitKeys {
+		c.splits = append(c.splits, []byte(split))
+	}
 	per := opts.Capacity / int64(numShards)
 	c.capacity.Store(per * int64(numShards))
 	seed := opts.Seed
@@ -109,137 +118,85 @@ func New(opts Options) *Cache {
 	return c
 }
 
-// shardFor returns the shard owning key.
-func (c *Cache) shardFor(key string) *shard {
-	i := sort.SearchStrings(c.splits, key)
-	// splits[i-1] <= key < splits[i] → shard i... SearchStrings returns the
-	// first split >= key; keys below splits[0] belong to shard 0.
-	if i < len(c.splits) && c.splits[i] == key {
-		i++
+// shardIndex returns the index of the shard owning key: the number of
+// split keys at or below it.
+func (c *Cache) shardIndex(key []byte) int {
+	if len(c.splits) == 0 {
+		return 0
 	}
-	return c.shards[i]
+	return sort.Search(len(c.splits), func(i int) bool { return bytes.Compare(c.splits[i], key) > 0 })
 }
 
-// shardUpper returns the exclusive upper boundary of the shard owning key,
-// or "" when unbounded.
-func (c *Cache) shardUpper(key string) string {
-	i := sort.SearchStrings(c.splits, key)
-	if i < len(c.splits) && c.splits[i] == key {
-		i++
-	}
-	if i < len(c.splits) {
-		return c.splits[i]
-	}
-	return ""
+// anchored reports whether first, the first cached key at or after start
+// (pred being the last one before it), is provably also the first database
+// key at or after start.
+func anchored(pred, first *node, start []byte) bool {
+	return pred.contigNext || bytes.Equal(first.key, start) ||
+		(len(first.lowerBound) > 0 && bytes.Compare(first.lowerBound, start) <= 0)
 }
 
 // Get returns the cached value for key.
 func (c *Cache) Get(key []byte) ([]byte, bool) {
-	s := c.shardFor(string(key))
+	s := c.shards[c.shardIndex(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := s.list.get(string(key)); n != nil {
-		s.pol.OnAccess(n.entry.key)
+	if n := s.list.seek(key).next0; n != nil && bytes.Equal(n.key, key) {
+		s.pol.OnAccess(&n.Handle)
 		s.getHits++
-		return n.entry.value, true
+		return n.value, true
 	}
-	s.pol.OnMiss(string(key))
+	s.pol.OnMiss(key)
 	s.getMisses++
 	return nil, false
 }
 
 // Scan returns the first n pairs at or after start if the cache can prove
-// it holds the full contiguous prefix; ok=false otherwise.
+// it holds the full contiguous prefix; ok=false otherwise. The pairs alias
+// the cached bytes, which are never written in place.
 func (c *Cache) Scan(start []byte, n int) ([]KV, bool) {
-	startKey := string(start)
-	s := c.shardFor(startKey)
+	s := c.shards[c.shardIndex(start)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	node := s.list.findGE(startKey, nil)
-	if node == nil {
+	pred := s.list.seek(start)
+	first := pred.next0
+	if n <= 0 || first == nil || !anchored(pred, first, start) {
 		s.scanMisses++
-		s.pol.OnMiss(startKey)
+		s.pol.OnMiss(start)
 		return nil, false
 	}
-	e := node.entry
-	// Anchor check: is e provably the first database key >= start?
-	covered := e.key == startKey ||
-		(e.lowerBound != "" && e.lowerBound <= startKey)
-	if !covered {
-		if p := s.list.findLT(startKey); p != nil && p.entry.contigNext {
-			covered = true
-		}
-	}
-	if !covered {
-		s.scanMisses++
-		s.pol.OnMiss(startKey)
-		return nil, false
-	}
-
-	out := make([]KV, 0, n)
-	for {
-		out = append(out, KV{Key: []byte(node.entry.key), Value: node.entry.value})
-		if len(out) == n {
-			break
-		}
-		if !node.entry.contigNext || node.next[0] == nil {
+	// Prove the chain reaches n entries before building (and allocating)
+	// the result.
+	last := first
+	for i := 1; i < n; i++ {
+		if !last.contigNext || last.next0 == nil {
 			s.scanPartials++
-			s.pol.OnMiss(startKey)
+			s.pol.OnMiss(start)
 			return nil, false
 		}
-		node = node.next[0]
+		last = last.next0
 	}
-	for _, kv := range out {
-		s.pol.OnAccess(string(kv.Key))
+	out := make([]KV, n)
+	at := first
+	for i := range out {
+		out[i] = KV{Key: at.key, Value: at.value}
+		s.pol.OnAccess(&at.Handle)
+		at = at.next0
 	}
 	s.scanHits++
 	return out, true
 }
 
-// CoveredLen reports how many consecutive result entries starting at start
-// the cache could already serve — the length of the anchored contiguous
-// chain, capped at max. AdCache's partial admission uses it to extend
-// coverage incrementally: each repetition of a long scan admits b·(l−a)
-// entries past what is already covered (§3.4, "overlapping scans naturally
-// accelerate this process").
-func (c *Cache) CoveredLen(start []byte, max int) int {
-	startKey := string(start)
-	s := c.shardFor(startKey)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	node := s.list.findGE(startKey, nil)
-	if node == nil {
-		return 0
-	}
-	e := node.entry
-	covered := e.key == startKey || (e.lowerBound != "" && e.lowerBound <= startKey)
-	if !covered {
-		if p := s.list.findLT(startKey); p != nil && p.entry.contigNext {
-			covered = true
-		}
-	}
-	if !covered {
-		return 0
-	}
-	n := 0
-	for node != nil && n < max {
-		n++
-		if !node.entry.contigNext {
-			break
-		}
-		node = node.next[0]
-	}
-	return n
-}
-
 // InsertPoint admits a point-lookup result (no contiguity claims).
 func (c *Cache) InsertPoint(key, value []byte) {
-	s := c.shardFor(string(key))
+	s := c.shards[c.shardIndex(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.upsertLocked(string(key), value, false, "")
+	if n := s.list.seek(key).next0; n != nil && bytes.Equal(n.key, key) {
+		s.refreshLocked(n, value)
+	} else {
+		s.insertLocked(nil, key, value)
+	}
 	s.enforceCapacityLocked()
 }
 
@@ -247,79 +204,180 @@ func (c *Cache) InsertPoint(key, value []byte) {
 // starting at the first key >= start. Callers may pass a truncated prefix
 // (partial admission); the contiguity claims remain truthful for any prefix.
 func (c *Cache) InsertScan(start []byte, entries []KV) {
-	if len(entries) == 0 {
-		return
-	}
-	startKey := string(start)
-	i := 0
-	for i < len(entries) {
-		key0 := string(entries[i].Key)
-		s := c.shardFor(key0)
-		upper := c.shardUpper(key0)
-		s.mu.Lock()
-		// Collect this shard's slice of the result.
-		j := i
-		for j < len(entries) && (upper == "" || string(entries[j].Key) < upper) {
-			j++
-		}
-		// Insert in reverse so that when an entry's contiguity claim is
-		// recorded, its successor is already present as its cache neighbour.
-		for k := j - 1; k >= i; k-- {
-			key := string(entries[k].Key)
-			contig := k < j-1 // contiguity only within the shard slice
-			lb := ""
-			if k == 0 && startKey < key {
-				lb = startKey
-			}
-			s.upsertLocked(key, entries[k].Value, contig, lb)
-		}
-		s.enforceCapacityLocked()
-		s.mu.Unlock()
-		i = j
-	}
+	c.ExtendScan(start, entries, len(entries))
 }
 
-// upsertLocked inserts or updates an entry. contig only ever strengthens
-// when the caller proves adjacency; updates preserve an existing stronger
-// claim. lb likewise only widens coverage.
-func (s *shard) upsertLocked(key string, value []byte, contig bool, lb string) {
-	if n := s.list.get(key); n != nil {
-		e := n.entry
-		s.used += int64(len(value)) - int64(len(e.value))
-		e.value = value
-		if contig {
-			// The caller proved the DB successor is cached (reverse-order
-			// insertion guarantees it is already this entry's neighbour).
-			e.contigNext = true
+// ExtendScan admits the part of a scan result the cache already covers —
+// the anchored contiguous chain from start — plus up to grow entries beyond
+// it, and reports how many entries that was. AdCache's partial admission
+// extends coverage this way: each repetition of a long scan admits b·(l−a)
+// entries past what is already cached (§3.4, "overlapping scans naturally
+// accelerate this process"). Measuring the covered prefix and admitting past
+// it share one lock visit and one descent per shard the result touches.
+func (c *Cache) ExtendScan(start []byte, entries []KV, grow int) int {
+	limit := min(grow, len(entries)) // grows by one per covered entry
+	i := 0
+	for i < limit {
+		si := c.shardIndex(entries[i].Key)
+		var lower, upper []byte
+		if si > 0 {
+			lower = c.splits[si-1]
 		}
-		if lb != "" && (e.lowerBound == "" || lb < e.lowerBound) {
-			e.lowerBound = lb
+		if si < len(c.splits) {
+			upper = c.splits[si]
 		}
-		s.pol.OnAccess(key)
-		return
+		s := c.shards[si]
+		s.mu.Lock()
+		i, limit = s.admitLocked(start, entries, i, limit, lower, upper)
+		s.enforceCapacityLocked()
+		s.mu.Unlock()
 	}
-	// contigNext is truthful because the cache is a subset of the database:
-	// the scan saw every DB key between this entry and its successor, so no
-	// cached key can sit between them.
-	e := &entry{key: key, value: value, lowerBound: lb, contigNext: contig}
-	s.list.insert(e)
-	s.used += e.size()
-	s.pol.OnInsert(key)
+	return i
+}
+
+// admitLocked admits entries[i:limit] as far as they belong to this shard,
+// which holds keys in [lower, upper), and returns where it stopped and the
+// limit, raised by the covered entries it walked over.
+//
+// It descends once, to entries[i], and then moves the finger along: the
+// cache is a subset of the database and the entries are consecutive
+// database keys, so no cached key can sit between two of them — the node
+// after the finger is either the next entry itself, already resident, or
+// lies beyond it, and the entry is spliced in right there. One key compare
+// per entry (skiplist.step) tells which. contigNext is likewise truthful:
+// the scan saw every database key between an entry and its successor.
+func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, lower, upper []byte) (int, int) {
+	pred := s.list.seek(entries[i].Key)
+	// Coverage is measured only by an admission that starts here and is
+	// partial; it ends at the first entry that is not chained to the last.
+	chain := i == 0 && limit < len(entries)
+	// Nothing lives in [start, first entry); the part of that gap inside
+	// this shard is the claim the shard can keep true.
+	var lb []byte
+	if i == 0 && bytes.Compare(start, entries[0].Key) < 0 {
+		lb = start
+		if bytes.Compare(lb, lower) < 0 {
+			lb = lower
+		}
+	}
+	var buf []byte // one buffer for what the new entries keep outside their nodes
+	var prev *node // entries[i-1], when it is in this shard
+	for ; i < limit; i++ {
+		e := entries[i]
+		if upper != nil && bytes.Compare(e.Key, upper) >= 0 {
+			break
+		}
+		n := s.list.step(e.Key)
+		fresh := n == nil
+		if fresh {
+			chain = false
+			if buf == nil {
+				buf = make([]byte, 0, len(lb)+admitBytes(entries[i:limit], upper))
+			}
+			n = s.insertLocked(&buf, e.Key, e.Value)
+		} else {
+			if chain {
+				if (prev == nil && anchored(pred, n, start)) || (prev != nil && prev.contigNext) {
+					limit = min(limit+1, len(entries))
+				} else {
+					chain = false
+				}
+			}
+			s.refreshLocked(n, e.Value)
+			s.list.advance(n)
+		}
+		if prev != nil {
+			prev.contigNext = true
+		} else if len(lb) > 0 && (len(n.lowerBound) == 0 || bytes.Compare(lb, n.lowerBound) < 0) {
+			if fresh {
+				n.lowerBound = carve(&buf, lb)
+			} else {
+				n.lowerBound = bytes.Clone(lb)
+			}
+		}
+		prev = n
+	}
+	return i, limit
+}
+
+// admitBytes sizes the buffer for admitting entries as far as they sort
+// below upper: what each keeps outside its node.
+func admitBytes(entries []KV, upper []byte) int {
+	need := 0
+	for _, e := range entries {
+		if upper != nil && bytes.Compare(e.Key, upper) >= 0 {
+			break
+		}
+		need += entryBytes(e.Key, e.Value)
+	}
+	return need
+}
+
+// entryBytes is how many buffer bytes a new entry takes: its value, and its
+// key when that does not fit inside the node.
+func entryBytes(key, value []byte) int {
+	if len(key) <= inlineKeyLen {
+		return len(value)
+	}
+	return len(key) + len(value)
+}
+
+// carve copies b into buf's spare capacity and returns the copy, capped so
+// that appending to it cannot reach a neighbour.
+func carve(buf *[]byte, b []byte) []byte {
+	o := len(*buf)
+	*buf = append(*buf, b...)
+	return (*buf)[o:len(*buf):len(*buf)]
+}
+
+// insertLocked links a new entry right after the finger, copying the key
+// into the node (or, too long for that, into buf) and the value into buf —
+// the batch's shared buffer, or with nil one of the entry's own.
+func (s *shard) insertLocked(buf *[]byte, key, value []byte) *node {
+	if buf == nil {
+		own := make([]byte, 0, entryBytes(key, value))
+		buf = &own
+	}
+	n := &node{}
+	if len(key) <= inlineKeyLen {
+		n.key = n.keyBuf[:copy(n.keyBuf[:], key):len(key)]
+	} else {
+		n.key = carve(buf, key)
+	}
+	n.value = carve(buf, value)
+	n.Init(n)
+	s.list.insert(n)
+	s.used += n.size()
+	s.pol.OnInsert(&n.Handle)
+	return n
+}
+
+// refreshLocked records a hit on a resident entry whose value was read or
+// written again. Reads are admitted only while current, so their value
+// matches and nothing is copied; a new value replaces the old slice, never
+// its bytes, which scan hits alias.
+func (s *shard) refreshLocked(n *node, value []byte) {
+	if !bytes.Equal(n.value, value) {
+		s.used += int64(len(value) - len(n.value))
+		n.value = bytes.Clone(value)
+	}
+	s.pol.OnAccess(&n.Handle)
 }
 
 // Put applies a write: update in place, or admit into a covered gap to keep
 // coverage claims truthful. Writes outside covered regions are not admitted
 // (result caches store query results, not write traffic).
 func (c *Cache) Put(key, value []byte) {
-	keyStr := string(key)
-	s := c.shardFor(keyStr)
+	s := c.shards[c.shardIndex(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if n := s.list.get(keyStr); n != nil {
-		s.used += int64(len(value)) - int64(len(n.entry.value))
-		n.entry.value = append([]byte(nil), value...)
-		s.pol.OnAccess(keyStr)
+	// p and q are the cached neighbours of key: the last entry before it
+	// and the first at or after it.
+	p := s.list.seek(key)
+	q := p.next0
+	if q != nil && bytes.Equal(q.key, key) {
+		s.refreshLocked(q, value)
 		s.enforceCapacityLocked()
 		return
 	}
@@ -329,77 +387,67 @@ func (c *Cache) Put(key, value []byte) {
 	// claim over (p.key, q.key) — and from above — q's lower bound over
 	// [lb, q.key) — and both must learn of the key: it joins p's chain, and
 	// takes over the part of q's bound that still holds, [lb, key).
-	p := s.list.findLT(keyStr)
-	q := s.list.findGE(keyStr, nil)
-	chained := p != nil && p.entry.contigNext && q != nil
-	bounded := q != nil && q.entry.lowerBound != "" && q.entry.lowerBound <= keyStr
+	chained := p.contigNext && q != nil
+	bounded := q != nil && len(q.lowerBound) > 0 && bytes.Compare(q.lowerBound, key) <= 0
 	if chained || bounded {
-		e := &entry{key: keyStr, value: append([]byte(nil), value...), contigNext: true}
+		n := s.insertLocked(nil, key, value)
+		n.contigNext = true
 		if bounded {
-			e.lowerBound, q.entry.lowerBound = q.entry.lowerBound, ""
+			n.lowerBound, q.lowerBound = q.lowerBound, nil
 		}
-		s.list.insert(e)
-		s.used += e.size()
-		s.pol.OnInsert(keyStr)
+		s.enforceCapacityLocked()
 	}
-	s.enforceCapacityLocked()
 }
 
 // Delete applies a database delete: the key leaves the cache, and because it
 // also left the database, neighbouring coverage claims merge.
 func (c *Cache) Delete(key []byte) {
-	keyStr := string(key)
-	s := c.shardFor(keyStr)
+	s := c.shards[c.shardIndex(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	n := s.list.get(keyStr)
-	if n == nil {
+	p := s.list.seek(key)
+	n := p.next0
+	if n == nil || !bytes.Equal(n.key, key) {
 		return // covered-gap keys cannot exist in the DB; nothing to fix
 	}
-	p := s.list.findLT(keyStr)
-	next := n.next[0]
-	e := s.list.remove(keyStr)
-	s.used -= e.size()
-	s.pol.OnRemove(keyStr)
+	next := n.next0
+	s.list.unlink(n)
+	s.used -= n.size()
+	s.pol.OnRemove(&n.Handle)
 
 	// Merge coverage across the removed key. The deleted key no longer
 	// exists in the DB, so emptiness claims on both sides compose.
-	if p != nil {
-		p.entry.contigNext = p.entry.contigNext && e.contigNext && next != nil
-	}
-	if next != nil && e.contigNext && e.lowerBound != "" {
-		if next.entry.lowerBound == "" || e.lowerBound < next.entry.lowerBound {
-			next.entry.lowerBound = e.lowerBound
+	p.contigNext = p.contigNext && n.contigNext && next != nil
+	if next != nil && n.contigNext && len(n.lowerBound) > 0 {
+		if len(next.lowerBound) == 0 || bytes.Compare(n.lowerBound, next.lowerBound) < 0 {
+			next.lowerBound = n.lowerBound
 		}
 	}
 }
 
-// evictLocked removes a policy-chosen victim. Unlike Delete, the key still
-// exists in the database, so claims through it must break.
-func (s *shard) evictLocked() bool {
-	victim, ok := s.pol.Evict()
-	if !ok {
-		return false
-	}
-	p := s.list.findLT(victim)
-	e := s.list.remove(victim)
-	if e == nil {
-		return true // policy tracked a key the list lost; counters move on
-	}
-	s.used -= e.size()
-	s.evictions++
-	if p != nil {
-		p.entry.contigNext = false
-	}
-	return true
-}
-
+// enforceCapacityLocked evicts policy-chosen victims until the shard fits
+// its budget. Unlike Delete, a victim's key still exists in the database, so
+// the claim through it breaks. Victims are unlinked in runs: a batch admitted
+// in key order ages out in key order, and after one victim is unlinked the
+// finger stands right before its successor, so only the first victim of a
+// run costs a descent.
 func (s *shard) enforceCapacityLocked() {
+	fingered := false
 	for s.used > s.capacity {
-		if !s.evictLocked() {
+		h := s.pol.Evict()
+		if h == nil {
 			return
 		}
+		victim := h.Owner().(*node)
+		if !fingered || s.list.finger[0].next0 != victim {
+			s.list.seek(victim.key)
+			fingered = true
+		}
+		s.list.finger[0].contigNext = false
+		s.list.unlink(victim)
+		s.used -= victim.size()
+		s.evictions++
 	}
 }
 

@@ -1,25 +1,45 @@
 package rangecache
 
-import "math/rand"
+import (
+	"bytes"
+	"math/rand"
 
-// skiplist is an ordered map of user keys to cache entries supporting
-// predecessor queries and deletion — the "sorted structure" of the Range
-// Cache design. Not safe for concurrent use; the shard locks around it.
+	"adcache/internal/cache/policy"
+)
+
+// skiplist is the ordered index of one shard — the "sorted structure" of the
+// Range Cache design. Every operation on it starts from one descent, seek,
+// which leaves a finger: the predecessor of the sought key at every level.
+// Insertion and removal happen at the finger and move it along, so a batch
+// of consecutive keys, or a run of consecutive victims, is spliced with one
+// descent for the lot. Not safe for concurrent use; the shard locks around
+// it.
 type skiplist struct {
-	head   *slNode
+	head   *node
 	height int
 	rnd    *rand.Rand
 	count  int
+	// finger[l] is the last node at level l whose key sorts before the key
+	// of the latest seek, advanced past every node inserted or visited
+	// since. Valid only until the next seek.
+	finger [slMaxHeight]*node
+	// towers is the slab the next tall nodes' towers are cut from, so that
+	// towers cost an allocation per slab, not per tall node.
+	towers []*node
+	// descents counts seeks; tests pin the one-descent rule with it.
+	descents int
 }
 
-const slMaxHeight = 12
+const (
+	slMaxHeight = 12
+	towerSlab   = 32 // pointers per slab: the towers of about 96 nodes
+)
 
-type slNode struct {
-	entry *entry
-	next  []*slNode
-}
-
-// entry is one cached key-value pair with coverage metadata.
+// node is one cached key-value pair: the cache entry with its coverage
+// metadata, its key, the policy's handle and the skiplist links in a single
+// object, so admitting an entry is one allocation, evicting one frees one,
+// and a descent that visits a node finds the key it compares right beside
+// the link it follows.
 //
 // contigNext claims that the next cache entry (in key order, same shard) is
 // this key's immediate successor in the database: a scan passing through
@@ -27,22 +47,48 @@ type slNode struct {
 // when non-empty, claims the database holds no keys in [lowerBound, key) —
 // it extends coverage below the entry so scans starting in that gap can
 // anchor here.
-type entry struct {
-	key        string
+type node struct {
+	next0  *node   // level-0 successor
+	tower  []*node // successors at levels 1..; nil for the 3 in 4 nodes of height 1
+	key    []byte  // keyBuf[:len] unless the key is longer than that
+	keyBuf [inlineKeyLen]byte
+
 	value      []byte
+	lowerBound []byte // empty means none
 	contigNext bool
-	lowerBound string // "" means none
+	policy.Handle
 }
 
-func (e *entry) size() int64 { return int64(len(e.key)+len(e.value)) + entryOverhead }
+// inlineKeyLen is the longest key stored inside its node.
+const inlineKeyLen = 32
 
-// entryOverhead approximates per-entry bookkeeping bytes (skiplist node,
-// policy node, flags), charged against the cache budget.
+// PolicyKey implements policy.Keyed.
+func (n *node) PolicyKey() []byte { return n.key }
+
+func (n *node) size() int64 { return int64(len(n.key)+len(n.value)) + entryOverhead }
+
+// entryOverhead approximates per-entry bookkeeping bytes (node, links,
+// policy handle, flags), charged against the cache budget.
 const entryOverhead = 64
+
+func (n *node) next(level int) *node {
+	if level == 0 {
+		return n.next0
+	}
+	return n.tower[level-1]
+}
+
+func (n *node) setNext(level int, to *node) {
+	if level == 0 {
+		n.next0 = to
+	} else {
+		n.tower[level-1] = to
+	}
+}
 
 func newSkiplist(seed int64) *skiplist {
 	return &skiplist{
-		head:   &slNode{next: make([]*slNode, slMaxHeight)},
+		head:   &node{tower: make([]*node, slMaxHeight-1)},
 		height: 1,
 		rnd:    rand.New(rand.NewSource(seed)),
 	}
@@ -56,82 +102,89 @@ func (s *skiplist) randomHeight() int {
 	return h
 }
 
-// findGE returns the first node with key >= target and fills prev with the
-// search path when non-nil.
-func (s *skiplist) findGE(target string, prev []*slNode) *slNode {
+// seek descends to target, leaving the finger on its predecessors, and
+// returns the level-0 one: the last node whose key sorts before target, or
+// the head (which carries no claims) when there is none. The first node at
+// or after target is the result's next0.
+func (s *skiplist) seek(target []byte) *node {
+	s.descents++
 	n := s.head
-	for level := s.height - 1; level >= 0; level-- {
-		for n.next[level] != nil && n.next[level].entry.key < target {
-			n = n.next[level]
+	for level := s.height - 1; level >= 1; level-- {
+		for nx := n.tower[level-1]; nx != nil && bytes.Compare(nx.key, target) < 0; nx = n.tower[level-1] {
+			n = nx
 		}
-		if prev != nil {
-			prev[level] = n
-		}
+		s.finger[level] = n
 	}
-	return n.next[0]
-}
-
-// findLT returns the last node with key < target, or nil.
-func (s *skiplist) findLT(target string) *slNode {
-	n := s.head
-	for level := s.height - 1; level >= 0; level-- {
-		for n.next[level] != nil && n.next[level].entry.key < target {
-			n = n.next[level]
-		}
+	for nx := n.next0; nx != nil && bytes.Compare(nx.key, target) < 0; nx = n.next0 {
+		n = nx
 	}
-	if n == s.head {
-		return nil
-	}
+	s.finger[0] = n
 	return n
 }
 
-// get returns the node with exactly key, or nil.
-func (s *skiplist) get(key string) *slNode {
-	n := s.findGE(key, nil)
-	if n != nil && n.entry.key == key {
-		return n
+// step returns the node right after the finger if it holds key, and nil if
+// key belongs there instead: the step of a walk over keys that are
+// consecutive in the database the cache is a subset of. Should the finger
+// have fallen behind — a cached key sorts before key, so the caller's keys
+// were not consecutive — it descends again to keep the index sorted.
+func (s *skiplist) step(key []byte) *node {
+	for n := s.finger[0].next0; n != nil; n = s.seek(key).next0 {
+		if cmp := bytes.Compare(n.key, key); cmp >= 0 {
+			if cmp == 0 {
+				return n
+			}
+			break
+		}
 	}
 	return nil
 }
 
-// insert adds a new entry (key must not be present) and returns its node.
-func (s *skiplist) insert(e *entry) *slNode {
-	prev := make([]*slNode, slMaxHeight)
-	s.findGE(e.key, prev)
-	h := s.randomHeight()
-	if h > s.height {
-		for level := s.height; level < h; level++ {
-			prev[level] = s.head
-		}
-		s.height = h
+// advance moves the finger past n, the node right after it.
+func (s *skiplist) advance(n *node) {
+	s.finger[0] = n
+	for level := range n.tower {
+		s.finger[level+1] = n
 	}
-	n := &slNode{entry: e, next: make([]*slNode, h)}
-	for level := 0; level < h; level++ {
-		n.next[level] = prev[level].next[level]
-		prev[level].next[level] = n
-	}
-	s.count++
-	return n
 }
 
-// remove unlinks the node with key, returning its entry (nil if absent).
-func (s *skiplist) remove(key string) *entry {
-	prev := make([]*slNode, slMaxHeight)
-	n := s.findGE(key, prev)
-	if n == nil || n.entry.key != key {
-		return nil
-	}
-	for level := 0; level < len(n.next); level++ {
-		if prev[level].next[level] == n {
-			prev[level].next[level] = n.next[level]
+// insert links n right after the finger and advances the finger past it.
+// n's key must sort after the finger and before the finger's successor.
+func (s *skiplist) insert(n *node) {
+	h := s.randomHeight()
+	if h > 1 {
+		if len(s.towers)+h-1 > cap(s.towers) {
+			s.towers = make([]*node, 0, towerSlab)
 		}
+		o := len(s.towers)
+		s.towers = s.towers[:o+h-1]
+		n.tower = s.towers[o : o+h-1 : o+h-1]
 	}
+	for ; s.height < h; s.height++ {
+		s.finger[s.height] = s.head
+	}
+	for level := 0; level < h; level++ {
+		prev := s.finger[level]
+		n.setNext(level, prev.next(level))
+		prev.setNext(level, n)
+	}
+	s.advance(n)
+	s.count++
+}
+
+// unlink removes n, the node right after the finger. The finger stays valid
+// for n's successor: whatever preceded n at a level precedes that one too.
+func (s *skiplist) unlink(n *node) {
+	s.finger[0].next0 = n.next0
+	for level, nx := range n.tower {
+		s.finger[level+1].tower[level] = nx
+	}
+	clear(n.tower) // its slab outlives it; leave no reference behind
+	n.next0, n.tower = nil, nil
 	s.count--
-	return n.entry
 }
 
 // first returns the lowest-keyed node, or nil.
-func (s *skiplist) first() *slNode { return s.head.next[0] }
+func (s *skiplist) first() *node { return s.head.next0 }
 
 // len reports the entry count.
 func (s *skiplist) len() int { return s.count }

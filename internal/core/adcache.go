@@ -329,14 +329,7 @@ func (a *AdCache) ScanCached(start []byte, n int) ([]lsm.KV, bool) {
 	a.countOp()
 	kvs, ok := a.rng.Scan(start, n)
 	a.collector.RecordScan(n, ok)
-	if !ok {
-		return nil, false
-	}
-	out := make([]lsm.KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = lsm.KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, true
+	return kvs, ok
 }
 
 // OnPointResult implements lsm.CacheStrategy: frequency-based admission.
@@ -370,29 +363,29 @@ func (a *AdCache) OnPointResult(key, value []byte, blockReads int) {
 // entries *beyond the already-covered prefix*, so repeated or overlapping
 // scans extend coverage step by step — after roughly 1/b repetitions the
 // full range is cached — while one-off long scans stay bounded.
-func (a *AdCache) OnScanResult(start []byte, entries []lsm.ScanEntry, blockReads int) {
+func (a *AdCache) OnScanResult(start []byte, entries []lsm.KV, blockReads int) {
 	a.collector.RecordBlockReads(blockReads)
 	if len(entries) == 0 || a.rangeCapacityTiny() {
 		return
 	}
-	// Only partial admission asks how much of the result is cached already;
-	// a scan admitted whole takes the shard lock once, in InsertScan.
-	admit := len(entries)
-	if p := a.CurrentParams(); !a.cfg.DisableAdmission && admit > p.ScanA {
-		admit = partialAdmitCount(p, admit, a.rng.CoveredLen(start, admit))
+	// How much of the result is cached already is measured by the same
+	// lock visit that admits past it.
+	grow := len(entries)
+	if p := a.CurrentParams(); !a.cfg.DisableAdmission {
+		grow = partialAdmitGrowth(p, grow)
 	}
-	a.collector.RecordScanAdmission(admit, len(entries))
-	a.rng.InsertScan(start, toRangeKVs(entries[:admit]))
+	admitted := a.rng.ExtendScan(start, entries, grow)
+	a.collector.RecordScanAdmission(admitted, len(entries))
 }
 
-// partialAdmitCount decides how many result entries to admit for a scan of
-// length l > p.ScanA whose first covered entries are already cached.
-func partialAdmitCount(p Params, l, covered int) int {
-	grow := int(p.ScanB * float64(l-p.ScanA))
-	if grow < 1 {
-		grow = 1
+// partialAdmitGrowth decides how many entries of a scan result of length l
+// to admit beyond those already cached: all of a scan up to p.ScanA long, a
+// p.ScanB share of what a longer one has beyond p.ScanA.
+func partialAdmitGrowth(p Params, l int) int {
+	if l <= p.ScanA {
+		return l
 	}
-	return min(covered+grow, l)
+	return max(int(p.ScanB*float64(l-p.ScanA)), 1)
 }
 
 // rangeCapacityTiny reports whether the range cache is too small to hold
@@ -426,8 +419,8 @@ func (a *AdCache) ScanBlockFillQuota(scanLen int) (int64, bool) {
 		return 0, false // full admission
 	}
 	// Block-level admission has no per-range coverage notion; budget the
-	// first-pass admission count (covered = 0).
-	admitKeys := partialAdmitCount(p, scanLen, 0)
+	// first-pass admission count (nothing covered yet).
+	admitKeys := partialAdmitGrowth(p, scanLen)
 	b := a.shape().EntriesPerBlock
 	if b < 1 {
 		b = 1

@@ -39,7 +39,7 @@ func (*BlockOnly) ScanCached([]byte, int) ([]lsm.KV, bool) { return nil, false }
 func (*BlockOnly) OnPointResult([]byte, []byte, int) {}
 
 // OnScanResult implements lsm.CacheStrategy.
-func (*BlockOnly) OnScanResult([]byte, []lsm.ScanEntry, int) {}
+func (*BlockOnly) OnScanResult([]byte, []lsm.KV, int) {}
 
 // OnWrite implements lsm.CacheStrategy.
 func (*BlockOnly) OnWrite([]byte, []byte, bool) {}
@@ -86,7 +86,7 @@ func (k *KVOnly) OnPointResult(key, value []byte, _ int) {
 }
 
 // OnScanResult implements lsm.CacheStrategy.
-func (*KVOnly) OnScanResult([]byte, []lsm.ScanEntry, int) {}
+func (*KVOnly) OnScanResult([]byte, []lsm.KV, int) {}
 
 // OnWrite implements lsm.CacheStrategy: writes invalidate, matching
 // RocksDB's row cache — the cache stores lookup results, not write traffic,
@@ -135,15 +135,7 @@ func (r *RangeOnly) GetCached(key []byte) ([]byte, bool, bool) {
 
 // ScanCached implements lsm.CacheStrategy.
 func (r *RangeOnly) ScanCached(start []byte, n int) ([]lsm.KV, bool) {
-	kvs, ok := r.cache.Scan(start, n)
-	if !ok {
-		return nil, false
-	}
-	out := make([]lsm.KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = lsm.KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, true
+	return r.cache.Scan(start, n)
 }
 
 // OnPointResult implements lsm.CacheStrategy: all found results are
@@ -156,8 +148,8 @@ func (r *RangeOnly) OnPointResult(key, value []byte, _ int) {
 
 // OnScanResult implements lsm.CacheStrategy: the whole result is admitted
 // (all-or-nothing caching, the behaviour AdCache's partial admission fixes).
-func (r *RangeOnly) OnScanResult(start []byte, entries []lsm.ScanEntry, _ int) {
-	r.cache.InsertScan(start, toRangeKVs(entries))
+func (r *RangeOnly) OnScanResult(start []byte, entries []lsm.KV, _ int) {
+	r.cache.InsertScan(start, entries)
 }
 
 // OnWrite implements lsm.CacheStrategy.
@@ -180,11 +172,3 @@ func (*RangeOnly) OnCompaction([]uint64, []uint64) {}
 
 // Range exposes the underlying cache for metrics.
 func (r *RangeOnly) Range() *rangecache.Cache { return r.cache }
-
-func toRangeKVs(entries []lsm.ScanEntry) []rangecache.KV {
-	out := make([]rangecache.KV, len(entries))
-	for i, e := range entries {
-		out[i] = rangecache.KV{Key: e.Key, Value: e.Value}
-	}
-	return out
-}

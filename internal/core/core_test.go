@@ -85,28 +85,24 @@ func TestFrequencyAdmissionFiltersColdKeys(t *testing.T) {
 
 func TestScanPartialAdmission(t *testing.T) {
 	p := Params{RangeRatio: 0.5, PointThreshold: 0, ScanA: 16, ScanB: 0.5}
-	// l=64 > a=16, nothing covered yet: admit b(l-a) = 24.
-	if got := partialAdmitCount(p, 64, 0); got != 24 {
-		t.Fatalf("first long-scan admit = %d, want 24", got)
+	// l=64 > a=16: each pass admits b(l-a) = 24 entries beyond what is
+	// already covered; up to a, the whole scan.
+	if got := partialAdmitGrowth(p, 64); got != 24 {
+		t.Fatalf("long-scan growth = %d, want 24", got)
 	}
-	// A repetition extends coverage by another b(l-a).
-	if got := partialAdmitCount(p, 64, 24); got != 48 {
-		t.Fatalf("second long-scan admit = %d, want 48", got)
-	}
-	// A third repetition caps at the scan length — fully cached after
-	// ≈1/b repetitions, as §3.4 describes.
-	if got := partialAdmitCount(p, 64, 48); got != 64 {
-		t.Fatalf("third long-scan admit = %d, want 64", got)
+	if got := partialAdmitGrowth(p, 16); got != 16 {
+		t.Fatalf("short-scan growth = %d, want the whole scan", got)
 	}
 
-	// admitted reports how much of one l-entry scan result a caches.
+	// admitted feeds a one l-entry scan result and reports how many entries
+	// the range cache holds afterwards.
 	admitted := func(a *AdCache, l int) int {
-		entries := make([]lsm.ScanEntry, l)
+		entries := make([]lsm.KV, l)
 		for i := range entries {
-			entries[i] = lsm.ScanEntry{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")}
+			entries[i] = lsm.KV{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")}
 		}
 		a.OnScanResult([]byte("k00"), entries, 1)
-		return a.rng.CoveredLen([]byte("k00"), l)
+		return a.rng.Len()
 	}
 	for _, l := range []int{10, 16} { // up to a: admitted whole
 		a := newTestAdCache(t, Config{})
@@ -115,10 +111,14 @@ func TestScanPartialAdmission(t *testing.T) {
 			t.Fatalf("scan of %d admitted %d, want all", l, got)
 		}
 	}
+	// Repetitions extend coverage by another b(l-a) each and cap at the scan
+	// length — fully cached after ≈1/b repetitions, as §3.4 describes.
 	a := newTestAdCache(t, Config{})
 	a.params.Store(p)
-	if got := admitted(a, 64); got != 24 {
-		t.Fatalf("long scan admitted %d, want 24", got)
+	for pass, want := range []int{24, 48, 64, 64} {
+		if got := admitted(a, 64); got != want {
+			t.Fatalf("pass %d of a long scan leaves %d entries cached, want %d", pass+1, got, want)
+		}
 	}
 	if got := admitted(newTestAdCache(t, Config{DisableAdmission: true}), 64); got != 64 {
 		t.Fatalf("ablation admitted %d, want all", got)
@@ -128,9 +128,9 @@ func TestScanPartialAdmission(t *testing.T) {
 func TestScanResultIncrementalAdmission(t *testing.T) {
 	a := newTestAdCache(t, Config{})
 	a.params.Store(Params{RangeRatio: 0.9, PointThreshold: 0, ScanA: 4, ScanB: 0.5})
-	entries := make([]lsm.ScanEntry, 8)
+	entries := make([]lsm.KV, 8)
 	for i := range entries {
-		entries[i] = lsm.ScanEntry{
+		entries[i] = lsm.KV{
 			Key:   []byte(fmt.Sprintf("k%02d", i)),
 			Value: []byte("v"),
 		}

@@ -14,6 +14,13 @@ import (
 	"fmt"
 )
 
+// KV is a user key with its value: one pair of a scan result, as the engine
+// returns it, a cache strategy receives it and the range cache admits it.
+type KV struct {
+	Key   []byte
+	Value []byte
+}
+
 // Kind describes what an internal key represents.
 type Kind uint8
 

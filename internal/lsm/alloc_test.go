@@ -75,8 +75,9 @@ func TestAllocsBloomNegativeGet(t *testing.T) {
 
 // TestAllocsWarmScan16 bounds the steady-state cost of a short scan with
 // all blocks cached: one presized result arena plus the result slices,
-// independent of entry count (4/op; regrowing the arena and the per-level
-// file lists cost 13, the per-entry copies before that ~69).
+// independent of entry count (3/op; a second copy of the result for the
+// strategy made it 4, regrowing the arena and the per-level file lists 13,
+// the per-entry copies before that ~69).
 func TestAllocsWarmScan16(t *testing.T) {
 	db := allocDB(t, &blockOnlyStrategy{cache: blockcache.New(32 << 20)}, 20_000)
 	start := key(5000)
@@ -89,7 +90,7 @@ func TestAllocsWarmScan16(t *testing.T) {
 			t.Fatal("scan failed")
 		}
 	})
-	if !raceEnabled && allocs > 8 {
-		t.Fatalf("warm Scan(16) allocates %.1f objects/op, want <= 8", allocs)
+	if !raceEnabled && allocs > 7 {
+		t.Fatalf("warm Scan(16) allocates %.1f objects/op, want <= 7", allocs)
 	}
 }

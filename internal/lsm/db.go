@@ -636,7 +636,6 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 	const presize = 64
 	var arena []byte
 	out := make([]KV, 0, min(n, presize))
-	entries := make([]ScanEntry, 0, min(n, 1024))
 	// The limit is tested before stepping, not after: a Next past the last
 	// wanted entry could load a block, or open a run, for nothing.
 	for ok := vi.SeekGE(start); ok; ok = vi.Next() {
@@ -655,7 +654,6 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 		arena = append(arena, vi.Value()...)
 		k, v := arena[kOff:vOff:vOff], arena[vOff:len(arena):len(arena)]
 		out = append(out, KV{Key: k, Value: v})
-		entries = append(entries, ScanEntry{Key: k, Value: v})
 		if len(out) == n {
 			break
 		}
@@ -675,12 +673,13 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 	if len(out) == n {
 		hi = out[n-1].Key
 	}
+	admit := out
 	d.mu.RLock()
-	if len(entries) > 0 && !d.currentLocked(&snap, start, hi) {
-		entries = nil
+	if len(admit) > 0 && !d.currentLocked(&snap, start, hi) {
+		admit = nil
 		d.staleSkippedScans.Add(1)
 	}
-	d.strategy.OnScanResult(start, entries, int(stats.BlockMisses))
+	d.strategy.OnScanResult(start, admit, int(stats.BlockMisses))
 	d.mu.RUnlock()
 	return out, nil
 }

@@ -1,20 +1,13 @@
 package lsm
 
-import "adcache/internal/sstable"
+import (
+	"adcache/internal/keys"
+	"adcache/internal/sstable"
+)
 
 // KV is a key-value pair returned by scans and exchanged with cache
 // strategies.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
-// ScanEntry is one element of a scan result as reported to the strategy,
-// carrying contiguity context the range cache needs.
-type ScanEntry struct {
-	Key   []byte
-	Value []byte
-}
+type KV = keys.KV
 
 // CacheCounters aggregates the counters of whichever caches a strategy
 // runs. Fields for absent caches stay zero, so one shape serves every
@@ -88,7 +81,9 @@ type CacheStrategy interface {
 	GetCached(key []byte) (value []byte, found, ok bool)
 
 	// ScanCached returns the first n pairs starting at start if the cache
-	// can prove it has the full contiguous prefix; ok=false otherwise.
+	// can prove it has the full contiguous prefix; ok=false otherwise. The
+	// pairs may alias the cache's memory, as GetCached's value may: results
+	// are read, never written through.
 	ScanCached(start []byte, n int) ([]KV, bool)
 
 	// OnPointResult reports a completed point lookup that the cache did not
@@ -99,8 +94,10 @@ type CacheStrategy interface {
 
 	// OnScanResult reports a completed scan of the given result entries —
 	// none when the scan found nothing or its result is no longer current.
-	// blockReads is the number of SST blocks fetched from disk.
-	OnScanResult(start []byte, entries []ScanEntry, blockReads int)
+	// entries is the slice the scan's caller receives: a strategy copies
+	// what it keeps and leaves the slice alone. blockReads is the number of
+	// SST blocks fetched from disk.
+	OnScanResult(start []byte, entries []KV, blockReads int)
 
 	// OnWrite reports a Put (deleted=false) or Delete (deleted=true) so
 	// result caches can update or invalidate.
@@ -137,7 +134,7 @@ func (NoCache) ScanCached([]byte, int) ([]KV, bool) { return nil, false }
 func (NoCache) OnPointResult([]byte, []byte, int) {}
 
 // OnScanResult implements CacheStrategy.
-func (NoCache) OnScanResult([]byte, []ScanEntry, int) {}
+func (NoCache) OnScanResult([]byte, []KV, int) {}
 
 // OnWrite implements CacheStrategy.
 func (NoCache) OnWrite([]byte, []byte, bool) {}
