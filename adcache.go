@@ -288,8 +288,20 @@ func (d *DB) NewIter() (*lsm.Iterator, error) { return d.inner.NewIter() }
 // NewBatch returns an empty write batch; commit it with Apply.
 func (d *DB) NewBatch() *lsm.Batch { return lsm.NewBatch() }
 
-// Apply atomically commits a batch of writes.
-func (d *DB) Apply(b *lsm.Batch) error { return d.inner.Apply(b) }
+// Apply atomically commits a batch of writes. In the trace log a batch is
+// one put or delete per entry.
+func (d *DB) Apply(b *lsm.Batch) error {
+	if d.trace != nil {
+		b.Each(func(del bool, key []byte) {
+			kind := workload.OpPut
+			if del {
+				kind = workload.OpDelete
+			}
+			d.recordTrace(workload.Op{Kind: kind, Key: key})
+		})
+	}
+	return d.inner.Apply(b)
+}
 
 // Flush forces the memtable to disk.
 func (d *DB) Flush() error { return d.inner.Flush() }

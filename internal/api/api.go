@@ -81,9 +81,10 @@ func (e *Envelope) Error() string {
 	return e.Code + ": " + e.Message
 }
 
-// ScanEntry is one /v1/scan result. Keys and values are JSON strings —
-// the scan surface assumes UTF-8-clean data; binary-safe bulk transfer
-// goes through MigrateEntry.
+// ScanEntry is one /v1/scan result in the default JSON format. Keys and
+// values are JSON strings — the JSON surface assumes UTF-8-clean data; the
+// binary codec (internal/api/wire), which /v1/migrate always speaks, is
+// raw-byte clean.
 type ScanEntry struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
@@ -94,13 +95,6 @@ type BatchOp struct {
 	Op    string `json:"op"` // "put" or "delete"
 	Key   string `json:"key"`
 	Value string `json:"value,omitempty"`
-}
-
-// MigrateEntry is one key-value pair in shard-migration transfer. []byte
-// fields marshal as base64, making the migration path binary-safe.
-type MigrateEntry struct {
-	Key   []byte `json:"k"`
-	Value []byte `json:"v"`
 }
 
 // ShardStat is one slot's cumulative read/write latency histograms as

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adcache/internal/api"
+	"adcache/internal/api/wire"
 	"adcache/internal/metrics"
 )
 
@@ -40,13 +41,14 @@ type ManagerOptions struct {
 	// ProbeTimeout bounds a node health probe (default 2s — probes must
 	// answer fast or the node counts as dead for this cycle).
 	ProbeTimeout time.Duration
-	// CopyDeadline bounds a move's whole copy phase (fetch + chunk loads
-	// + destination publish; default 60s). A copy stalled past it — a
+	// CopyDeadline bounds a move's whole copy phase (export stream, chunk
+	// loads, destination publish; default 60s). A copy stalled past it — a
 	// browning-out source trickling data, a destination hanging — aborts
 	// the move and reverts, instead of fencing the slot indefinitely.
 	CopyDeadline time.Duration
 	// MigrateChunk is the number of entries per bulk-load request during a
-	// shard copy (default 1024).
+	// shard copy (default 1024) — and the most the manager ever holds: the
+	// export is forwarded chunk by chunk as it streams in.
 	MigrateChunk int
 	// InternalToken is the shared secret sent in api.HeaderInternal on
 	// migration requests; it must match the token every node was started
@@ -329,20 +331,7 @@ func (mg *Manager) RebalanceOnce(ctx context.Context) (bool, error) {
 func (mg *Manager) probeReady(ctx context.Context, addr string) error {
 	pctx, cancel := context.WithTimeout(ctx, mg.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, "http://"+addr+"/v1/health", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := mg.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("health: %s", resp.Status)
-	}
-	return nil
+	return mg.call(pctx, http.MethodGet, addr, "/v1/health", "", nil)
 }
 
 // MoveShard migrates one slot to node to and publishes the new epoch
@@ -350,8 +339,11 @@ func (mg *Manager) probeReady(ctx context.Context, addr string) error {
 //
 //  1. fence — the old owner accepts the new map first, so it starts
 //     rejecting the slot's keys with WRONG_SHARD before any data moves;
-//  2. copy — the slot's entries stream from the old owner into the new
-//     owner over the binary-safe migration endpoints;
+//  2. copy — the new owner's copy of the slot is purged (a node loads a
+//     slot it does not own starting from empty, so leftovers of an earlier
+//     reverted move cannot resurrect keys deleted since), then the slot's
+//     entries stream from the old owner into the new owner over the
+//     binary migration endpoints, one MigrateChunk at a time;
 //  3. publish — every other node (the new owner first) accepts the map;
 //  4. purge — the old owner deletes its now-foreign copy of the slot.
 //
@@ -409,27 +401,22 @@ func (mg *Manager) MoveShard(ctx context.Context, shard int, to string) error {
 	// The fence consumed next.Epoch — any failure below must advance past
 	// it via a revert map, never reuse it.
 	fail := func(cause error) error {
-		mg.revertMove(ctx, next, shard, from.ID)
+		mg.revertMove(ctx, next, shard, from.ID, dest)
 		return cause
 	}
-	// 2. Copy the slot, the whole phase (fetch, chunk loads, destination
-	// publish) bounded by CopyDeadline: a copy that stalls past it — the
-	// source browning out mid-stream, the destination hanging on a load —
-	// aborts and reverts instead of holding the slot fenced indefinitely.
+	// 2. Copy the slot, the whole phase (purge of the destination, export
+	// stream, chunk loads, destination publish) bounded by CopyDeadline: a
+	// copy that stalls past it — the source browning out mid-stream, the
+	// destination hanging on a load — aborts and reverts instead of
+	// holding the slot fenced indefinitely.
 	cctx, cancelCopy := context.WithTimeout(ctx, mg.opts.CopyDeadline)
 	defer cancelCopy()
-	entries, err := mg.fetchShard(cctx, from.Addr, shard)
-	if err != nil {
-		return fail(fmt.Errorf("fetch shard %d from %s: %w", shard, from.ID, err))
+	if err := mg.purgeShard(cctx, dest.Addr, shard); err != nil {
+		return fail(fmt.Errorf("clear shard %d on %s: %w", shard, dest.ID, err))
 	}
-	for off := 0; off < len(entries); off += mg.opts.MigrateChunk {
-		end := off + mg.opts.MigrateChunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		if err := mg.postChunk(cctx, dest.Addr, shard, entries[off:end]); err != nil {
-			return fail(fmt.Errorf("load shard %d into %s: %w", shard, dest.ID, err))
-		}
+	entries, err := mg.copyShard(cctx, from, dest, shard)
+	if err != nil {
+		return fail(err)
 	}
 	// 3. Publish fleet-wide, destination first so retried client requests
 	// land on a node that already owns the slot.
@@ -456,7 +443,7 @@ func (mg *Manager) MoveShard(ctx context.Context, shard int, to string) error {
 	mg.moves++
 	mg.mu.Unlock()
 	mg.logf("cluster-manager: shard %d moved %s → %s (%d entries, epoch %d)",
-		shard, from.ID, dest.ID, len(entries), next.Epoch)
+		shard, from.ID, dest.ID, entries, next.Epoch)
 	return nil
 }
 
@@ -466,14 +453,16 @@ func (mg *Manager) MoveShard(ctx context.Context, shard int, to string) error {
 // to owner fromID — who still holds every entry, because the purge runs
 // strictly last. Publishing is best-effort per node; stragglers converge
 // on the next publish or via response headers. The manager's own map
-// always advances, so its next move uses a fresh epoch.
+// always advances, so its next move uses a fresh epoch. Once dest is back
+// to not owning the slot, its partial copy is purged, best-effort (the
+// next move into it purges again before loading).
 //
 // A reverted move ticks the cooldown clock exactly once, here — the
 // success path ticks it in MoveShard, never both. Without this, a
 // persistently failing move would retry every poll interval, burning an
 // epoch (fence + revert) each time; with it, failed moves pace
 // themselves exactly like successful ones.
-func (mg *Manager) revertMove(ctx context.Context, failed *ShardMap, shard int, fromID string) {
+func (mg *Manager) revertMove(ctx context.Context, failed *ShardMap, shard int, fromID string, dest Node) {
 	revert, err := failed.WithMove(shard, fromID)
 	if err != nil {
 		mg.logf("cluster-manager: building revert map: %v", err)
@@ -484,6 +473,9 @@ func (mg *Manager) revertMove(ctx context.Context, failed *ShardMap, shard int, 
 			mg.logf("cluster-manager: revert publish to %s: %v", n.ID, err)
 		}
 	}
+	if err := mg.purgeShard(ctx, dest.Addr, shard); err != nil {
+		mg.logf("cluster-manager: purge partial copy of shard %d on %s: %v", shard, dest.ID, err)
+	}
 	mg.mu.Lock()
 	mg.cur = revert
 	mg.lastMove = time.Now()
@@ -493,20 +485,65 @@ func (mg *Manager) revertMove(ctx context.Context, failed *ShardMap, shard int, 
 		shard, fromID, revert.Epoch)
 }
 
-func (mg *Manager) getJSON(ctx context.Context, addr, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+path, nil)
+// copyShard streams shard from its old owner into dest: the export is
+// decoded as it arrives and forwarded as one binary batch per MigrateChunk
+// entries, so the manager holds one chunk however large the slot is. The
+// export request is bounded by ctx (the copy deadline) rather than
+// HTTPTimeout, which it can outlive while chunks are loading. An export
+// that ends before its end frame — the source hit an engine error or the
+// connection dropped mid-stream — is an error like any other: the caller
+// reverts, and nothing loaded so far is ever published. It returns the
+// number of entries copied.
+func (mg *Manager) copyShard(ctx context.Context, from, dest Node, shard int) (int, error) {
+	path := fmt.Sprintf("/v1/migrate?shard=%d", shard)
+	stream := http.Client{Transport: mg.httpc.Transport}
+	resp, err := mg.do(ctx, &stream, http.MethodGet, from.Addr, path, "", nil)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("fetch shard %d from %s: %w", shard, from.ID, err)
 	}
-	resp, err := mg.httpc.Do(req)
+	defer resp.Body.Close()
+	var dec wire.StreamDecoder
+	dec.Reset(resp.Body)
+	var ops []byte // the chunk being filled: n puts in batch framing
+	n, total := 0, 0
+	load := func() error {
+		// The framing puts the op count first, known only now.
+		body := io.MultiReader(bytes.NewReader(wire.AppendBatchHeader(nil, n)), bytes.NewReader(ops))
+		if err := mg.call(ctx, http.MethodPost, dest.Addr, path, wire.ContentType, body); err != nil {
+			return fmt.Errorf("load shard %d into %s: %w", shard, dest.ID, err)
+		}
+		total, ops, n = total+n, ops[:0], 0
+		return nil
+	}
+	for {
+		key, value, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return total, fmt.Errorf("fetch shard %d from %s: %w", shard, from.ID, err)
+		}
+		ops = wire.AppendPut(ops, key, value)
+		if n++; n == mg.opts.MigrateChunk {
+			if err := load(); err != nil {
+				return total, err
+			}
+		}
+	}
+	if n > 0 {
+		if err := load(); err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+func (mg *Manager) getJSON(ctx context.Context, addr, path string, out any) error {
+	resp, err := mg.do(ctx, mg.httpc, http.MethodGet, addr, path, "", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(b))
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
@@ -515,76 +552,43 @@ func (mg *Manager) postMap(ctx context.Context, addr string, m *ShardMap) error 
 	if err != nil {
 		return err
 	}
-	return mg.post(ctx, addr, "/v1/shardmap", body, false)
-}
-
-func (mg *Manager) fetchShard(ctx context.Context, addr string, shard int) ([]api.MigrateEntry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("http://%s/v1/migrate?shard=%d", addr, shard), nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(api.HeaderInternal, mg.opts.InternalToken)
-	resp, err := mg.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("GET /v1/migrate: %s: %s", resp.Status, bytes.TrimSpace(b))
-	}
-	var entries []api.MigrateEntry
-	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
-		return nil, err
-	}
-	return entries, nil
-}
-
-func (mg *Manager) postChunk(ctx context.Context, addr string, shard int, entries []api.MigrateEntry) error {
-	body, err := json.Marshal(entries)
-	if err != nil {
-		return err
-	}
-	return mg.post(ctx, addr, fmt.Sprintf("/v1/migrate?shard=%d", shard), body, true)
+	return mg.call(ctx, http.MethodPost, addr, "/v1/shardmap", "application/json", bytes.NewReader(body))
 }
 
 func (mg *Manager) purgeShard(ctx context.Context, addr string, shard int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		fmt.Sprintf("http://%s/v1/migrate?shard=%d", addr, shard), nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(api.HeaderInternal, mg.opts.InternalToken)
-	resp, err := mg.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("DELETE /v1/migrate: %s: %s", resp.Status, bytes.TrimSpace(b))
-	}
-	return nil
+	return mg.call(ctx, http.MethodDelete, addr, fmt.Sprintf("/v1/migrate?shard=%d", shard), "", nil)
 }
 
-func (mg *Manager) post(ctx context.Context, addr, path string, body []byte, internal bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
+// call is do for an answer whose body is not read.
+func (mg *Manager) call(ctx context.Context, method, addr, path, contentType string, body io.Reader) error {
+	resp, err := mg.do(ctx, mg.httpc, method, addr, path, contentType, body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if internal {
-		req.Header.Set(api.HeaderInternal, mg.opts.InternalToken)
-	}
-	resp, err := mg.httpc.Do(req)
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
+	return resp.Body.Close()
+}
+
+// do issues one control RPC carrying the internal token and returns the
+// response of a 2xx answer, its body still open; any other status is an
+// error naming the call and the node's answer.
+func (mg *Manager) do(ctx context.Context, c *http.Client, method, addr, path, contentType string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	req.Header.Set(api.HeaderInternal, mg.opts.InternalToken)
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, err
+	}
 	if resp.StatusCode/100 != 2 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(b))
+		resp.Body.Close()
+		return nil, fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(b))
 	}
-	return nil
+	return resp, nil
 }

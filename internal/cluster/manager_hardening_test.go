@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"adcache/internal/api"
 )
 
 // TestMoveShardAbortsOnDeadDestination: a move toward a node failing its
@@ -64,7 +62,7 @@ func TestMoveShardCopyDeadlineReverts(t *testing.T) {
 	log := &callLog{}
 	a := newFakeNode(t, "a", log)
 	b := newFakeNode(t, "b", log)
-	a.data = []api.MigrateEntry{{Key: []byte("k1"), Value: []byte("v1")}}
+	a.data = []kv{{"k1", "v1"}}
 	a.exportDelay = 5 * time.Second
 
 	m := &ShardMap{
@@ -93,9 +91,10 @@ func TestMoveShardCopyDeadlineReverts(t *testing.T) {
 	if cur.Epoch != 3 || cur.Owner[0] != "a" {
 		t.Fatalf("map after deadline revert = epoch %d owner[0]=%q, want epoch 3 owned by a", cur.Epoch, cur.Owner[0])
 	}
-	// Fence at e2, then the revert publishes e3 to both nodes — no load,
-	// no purge, and the consumed epoch is never re-minted.
-	want := []string{"map:a:e2", "map:a:e3", "map:b:e3"}
+	// Fence at e2 and the destination cleared, then the revert publishes e3
+	// to both nodes and clears the destination again — no load, the old
+	// owner never purged, and the consumed epoch is never re-minted.
+	want := []string{"map:a:e2", "purge:b", "map:a:e3", "map:b:e3", "purge:b"}
 	got := log.all()
 	if len(got) != len(want) {
 		t.Fatalf("calls = %v, want %v", got, want)
@@ -115,7 +114,7 @@ func TestRevertTicksCooldownOnce(t *testing.T) {
 	a := newFakeNode(t, "a", log)
 	b := newFakeNode(t, "b", log)
 	a.failExport = true
-	a.data = []api.MigrateEntry{{Key: []byte("k1"), Value: []byte("v1")}}
+	a.data = []kv{{"k1", "v1"}}
 
 	m := &ShardMap{
 		Epoch:  1,
@@ -171,7 +170,7 @@ func TestRebalanceSkipsDeadNode(t *testing.T) {
 	a := newFakeNode(t, "a", log)
 	b := newFakeNode(t, "b", log)
 	c := newFakeNode(t, "c", log)
-	a.data = []api.MigrateEntry{{Key: []byte("k1"), Value: []byte("v1")}}
+	a.data = []kv{{"k1", "v1"}}
 
 	m := &ShardMap{
 		Epoch:  1,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"adcache/internal/api"
+	"adcache/internal/api/wire"
+	"adcache/internal/cluster/chaos"
 	"adcache/internal/metrics"
 )
 
@@ -25,11 +28,18 @@ type fakeNode struct {
 	stats       api.ShardStats
 	view        *ShardMap
 	log         *callLog
-	data        []api.MigrateEntry
+	data        []kv
 	failExport  bool
 	notReady    bool          // answer /v1/health with 503, like a draining node
 	exportDelay time.Duration // stall /v1/migrate exports, like a browning-out source
+	// export, when set, answers /v1/migrate exports in place of the canned
+	// stream of data (called without mu: it may block on another node).
+	export func(w http.ResponseWriter, r *http.Request)
+	ln     *chaos.Listener // Kill severs the node's live connections
 }
+
+// kv is one entry of a fake node's slot.
+type kv struct{ k, v string }
 
 type callLog struct {
 	mu    sync.Mutex
@@ -50,10 +60,10 @@ func (l *callLog) all() []string {
 
 func newFakeNode(t *testing.T, id string, log *callLog) *fakeNode {
 	f := &fakeNode{id: id, log: log}
-	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	f.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/migrate" && r.Method == http.MethodGet {
 			f.mu.Lock()
-			d := f.exportDelay
+			d, export := f.exportDelay, f.export
 			f.mu.Unlock()
 			if d > 0 {
 				select {
@@ -61,6 +71,11 @@ func newFakeNode(t *testing.T, id string, log *callLog) *fakeNode {
 				case <-r.Context().Done():
 					return // caller gave up (copy deadline)
 				}
+			}
+			if export != nil {
+				f.log.add("export:" + f.id)
+				export(w, r)
+				return
 			}
 		}
 		f.mu.Lock()
@@ -93,12 +108,18 @@ func newFakeNode(t *testing.T, id string, log *callLog) *fakeNode {
 				return
 			}
 			f.log.add("export:" + f.id)
-			json.NewEncoder(w).Encode(f.data)
+			out := wire.AppendStreamHeader(nil)
+			for _, e := range f.data {
+				out = wire.AppendEntry(out, []byte(e.k), []byte(e.v))
+			}
+			w.Write(wire.AppendStreamEnd(out))
 		case r.URL.Path == "/v1/migrate" && r.Method == http.MethodPost:
-			var entries []api.MigrateEntry
-			json.NewDecoder(r.Body).Decode(&entries)
-			f.data = append(f.data, entries...)
-			f.log.add(fmt.Sprintf("load:%s:%d", f.id, len(entries)))
+			n, err := f.load(r.Body)
+			if err != nil {
+				http.Error(w, `{"code":"BAD_BODY","message":"`+err.Error()+`"}`, 400)
+				return
+			}
+			f.log.add(fmt.Sprintf("load:%s:%d", f.id, n))
 			w.WriteHeader(204)
 		case r.URL.Path == "/v1/migrate" && r.Method == http.MethodDelete:
 			f.data = nil
@@ -108,8 +129,33 @@ func newFakeNode(t *testing.T, id string, log *callLog) *fakeNode {
 			http.NotFound(w, r)
 		}
 	}))
+	f.ln = chaos.NewListener(f.srv.Listener)
+	f.srv.Listener = f.ln
+	f.srv.Start()
 	t.Cleanup(f.srv.Close)
 	return f
+}
+
+// load appends a binary batch body's puts to the node's data (f.mu held).
+func (f *fakeNode) load(r io.Reader) (int, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
+	var dec wire.BatchDecoder
+	if err := dec.Init(body); err != nil {
+		return 0, err
+	}
+	for n := 0; ; n++ {
+		_, k, v, err := dec.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		f.data = append(f.data, kv{string(k), string(v)})
+	}
 }
 
 func (f *fakeNode) addr() string { return strings.TrimPrefix(f.srv.URL, "http://") }
@@ -140,7 +186,7 @@ func TestManagerMovesHottestShard(t *testing.T) {
 	log := &callLog{}
 	a := newFakeNode(t, "a", log)
 	b := newFakeNode(t, "b", log)
-	a.data = []api.MigrateEntry{{Key: []byte("k1"), Value: []byte("v1")}, {Key: []byte("k2"), Value: []byte("v2")}}
+	a.data = []kv{{"k1", "v1"}, {"k2", "v2"}}
 
 	m := &ShardMap{
 		Epoch:  1,
@@ -189,7 +235,7 @@ func TestManagerMovesHottestShard(t *testing.T) {
 
 	// The protocol order is the consistency contract: fence old owner,
 	// export from it, load into the new owner, publish, purge.
-	want := []string{"map:a:e2", "export:a", "load:b:2", "map:b:e2", "purge:a"}
+	want := []string{"map:a:e2", "purge:b", "export:a", "load:b:2", "map:b:e2", "purge:a"}
 	got := log.all()
 	if len(got) != len(want) {
 		t.Fatalf("calls = %v, want %v", got, want)
@@ -200,7 +246,7 @@ func TestManagerMovesHottestShard(t *testing.T) {
 		}
 	}
 	// The moved data landed on b.
-	if len(b.data) != 2 || string(b.data[0].Key) != "k1" {
+	if len(b.data) != 2 || b.data[0] != (kv{"k1", "v1"}) {
 		t.Fatalf("b.data = %+v", b.data)
 	}
 
@@ -222,7 +268,7 @@ func TestManagerRevertsFailedMove(t *testing.T) {
 	a := newFakeNode(t, "a", log)
 	b := newFakeNode(t, "b", log)
 	a.failExport = true
-	a.data = []api.MigrateEntry{{Key: []byte("k1"), Value: []byte("v1")}}
+	a.data = []kv{{"k1", "v1"}}
 
 	m := &ShardMap{
 		Epoch:  1,
@@ -251,8 +297,10 @@ func TestManagerRevertsFailedMove(t *testing.T) {
 			t.Fatalf("node %s map = epoch %d owner[0]=%q, want revert epoch 3 owned by a", f.id, v.Epoch, v.Owner[0])
 		}
 	}
-	// Fence, failed export, then revert publishes — no purge, no load.
-	want := []string{"map:a:e2", "export-fail:a", "map:a:e3", "map:b:e3"}
+	// Fence, destination cleared, failed export, then the revert publishes
+	// and clears the destination again — no load, and the old owner is
+	// never purged.
+	want := []string{"map:a:e2", "purge:b", "export-fail:a", "map:a:e3", "map:b:e3", "purge:b"}
 	got := log.all()
 	if len(got) != len(want) {
 		t.Fatalf("calls = %v, want %v", got, want)

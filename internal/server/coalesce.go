@@ -1,107 +1,35 @@
 package server
 
-import (
-	"fmt"
-	"net/http"
-	"sync"
-	"time"
-
-	"adcache/internal/api"
-	"adcache/internal/api/wire"
-	"adcache/internal/cluster"
-)
+import "time"
 
 // Cross-request write coalescing (WithWriteCoalescing).
 //
-// A write request — a single-op PUT/DELETE or a whole /v1/batch body —
-// normally pays one flight-RLock acquisition and one engine Apply — and
-// therefore one WAL group commit — per request. Under high connection
-// counts those requests arrive concurrently, so a dedicated coalescer
-// goroutine groups them: the first request opens a group, the group
-// collects queued requests for up to the configured window (or until the
-// op budget fills), and the whole group becomes ONE engine Apply under
-// ONE flight-RLock hold. The engine's write-group commit then folds the
-// group into a single WAL append + fsync, amortizing both lock traffic
-// and fsync latency across connections — the cross-request analogue of
-// the engine-level group commit. Batch bodies stay atomic: all of a
-// request's ops enter the same engine batch, so the group apply commits
-// each batch all-or-nothing exactly as the direct path does.
+// A write request — a single-op PUT/DELETE or a whole /v1/batch body — is
+// by default its own group of one: one flight-RLock hold and one engine
+// Apply, and so one WAL group commit, per request. With the option on, a
+// collector goroutine forms larger groups: the first queued request opens
+// a group, the group collects requests for up to the configured window
+// (or until the op budget fills), and apply commits it as ONE engine
+// batch under ONE lock hold — the cross-request analogue of the engine's
+// write-group commit, amortizing lock traffic and fsync latency across
+// connections.
 //
-// Fence/migration semantics are preserved exactly:
-//
-//   - Each request's ownership is re-checked by the coalescer *inside*
-//     the flight-RLock critical section, against the map current at
-//     apply time. A request queued before a fence but applied after it
-//     sees the new map and is answered WRONG_SHARD instead of being
-//     written into a slot this node no longer owns. A batch is rejected
-//     whole if any of its ops' slots moved, mirroring the direct path.
-//   - A request is acked (204) only after its group's Apply has returned
-//     while the RLock was held. The fence takes the write lock, so by the
-//     time the fence's 204 releases the shard manager to copy, every
-//     coalesced write acked under the old map is durably committed and
-//     included in the copy. TestFenceWriteRaceCoalesced pins this.
-//
-// Durability is unchanged: Apply returns only after the WAL commit, and
-// every request in the group is acked strictly after that return.
-
-// coalOp is one queued write request — a single-op write carries one
-// entry, a batch body one entry per op — plus its result slots. The
-// parallel slices keep their capacity across pool round-trips; the done
-// channel is 1-buffered and reused.
-type coalOp struct {
-	kinds    []byte // wire.OpPut or wire.OpDelete, per entry
-	keys     [][]byte
-	values   [][]byte
-	shards   []int
-	internal bool // authenticated shard-manager traffic bypasses ownership
-
-	wrongShard bool
-	shard      int // offending slot when wrongShard
-	owner      string
-	err        error
-	done       chan struct{}
-}
-
-// reset clears op for a new request, keeping slice capacity.
-func (op *coalOp) reset(internal bool) {
-	op.kinds = op.kinds[:0]
-	op.keys = op.keys[:0]
-	op.values = op.values[:0]
-	op.shards = op.shards[:0]
-	op.internal = internal
-	op.wrongShard, op.shard, op.owner, op.err = false, 0, "", nil
-}
-
-// add stages one entry on the request.
-func (op *coalOp) add(kind byte, key, value []byte, shard int) {
-	op.kinds = append(op.kinds, kind)
-	op.keys = append(op.keys, key)
-	op.values = append(op.values, value)
-	op.shards = append(op.shards, shard)
-}
-
-// release drops the body aliases (keys and values point into pooled
-// request buffers) so the pooled op cannot pin them.
-func (op *coalOp) release() {
-	for i := range op.keys {
-		op.keys[i], op.values[i] = nil, nil
-	}
-	op.owner, op.err = "", nil
-}
-
-var coalOpPool = sync.Pool{New: func() any { return &coalOp{done: make(chan struct{}, 1)} }}
+// The option decides only when groups form. What a group means — ownership
+// decided per request inside the lock, whole-request rejection, acks
+// strictly after the engine commit, the fence guarantee — is apply's and
+// commit's contract (data.go), the same for one request or sixty.
 
 // coalescer carries the queue and the bounds of one server's write
 // coalescing. maxOps bounds the total entries staged per group, not the
 // request count, so batch bodies fill a group proportionally faster.
 type coalescer struct {
-	ch     chan *coalOp
+	ch     chan *writeReq
 	window time.Duration
 	maxOps int
 }
 
 // startCoalescer resolves the configured bounds and launches the
-// coalescing goroutine. The goroutine lives as long as the server (the
+// collector goroutine. The goroutine lives as long as the server (the
 // server has no Close; one parked goroutine per coalescing server is the
 // accepted cost).
 func (s *server) startCoalescer() {
@@ -113,7 +41,9 @@ func (s *server) startCoalescer() {
 	if window < 0 {
 		window = 0
 	}
-	s.coal = &coalescer{ch: make(chan *coalOp, 4*maxOps), window: window, maxOps: maxOps}
+	// The queue holds four groups' worth of requests, so handlers rarely
+	// block on the send while a group is being applied.
+	s.coal = &coalescer{ch: make(chan *writeReq, 4*maxOps), window: window, maxOps: maxOps}
 	s.coalGroups = s.reg.Counter("http_coalesce_groups_total",
 		"Coalesced write groups applied.")
 	s.coalOps = s.reg.Counter("http_coalesced_ops_total",
@@ -123,69 +53,28 @@ func (s *server) startCoalescer() {
 	go s.runCoalescer()
 }
 
-// coalesceWrite queues one single-op write on the coalescer and blocks
-// until its group commits, then writes the op's individual outcome.
-func (s *server) coalesceWrite(w http.ResponseWriter, key, value []byte, shard int, start time.Time, kind byte, internal bool) {
-	op := coalOpPool.Get().(*coalOp)
-	op.reset(internal)
-	op.add(kind, key, value, shard)
-	s.coalesceApply(w, op, start)
-}
-
-// coalesceApply queues a staged request, blocks until its group commits,
-// writes the request's individual outcome, and recycles op. Keys and
-// values may alias the request's pooled body buffer: the handler blocks
-// here until the group is done, so the buffer cannot be recycled out
-// from under the coalescer.
-func (s *server) coalesceApply(w http.ResponseWriter, op *coalOp, start time.Time) {
-	s.coal.ch <- op
-	<-op.done
-	switch {
-	case op.wrongShard:
-		s.writeErr(w, http.StatusMisdirectedRequest, api.CodeWrongShard,
-			fmt.Sprintf("shard %d owned by node %q", op.shard, op.owner))
-	case op.err != nil:
-		s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, op.err.Error())
-	default:
-		for i, sh := range op.shards {
-			seen := false
-			for _, prev := range op.shards[:i] {
-				if prev == sh {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				s.observeShard(sh, true, start)
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}
-	op.release()
-	coalOpPool.Put(op)
-}
-
 // runCoalescer is the group-forming loop: take one request, wait up to
 // window for more (reusing one timer), top the group up with whatever is
-// already queued, and apply. n tracks staged entries against maxOps.
+// already queued, apply, and release the group's handlers. n tracks
+// staged entries against maxOps.
 func (s *server) runCoalescer() {
 	c := s.coal
-	group := make([]*coalOp, 0, c.maxOps)
+	group := make([]*writeReq, 0, c.maxOps)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
-	for op := range c.ch {
-		group = append(group[:0], op)
-		n := len(op.kinds)
+	for q := range c.ch {
+		group = append(group[:0], q)
+		n := len(q.kinds)
 		if c.window > 0 {
 			timer.Reset(c.window)
 			fired := false
 			for !fired && n < c.maxOps {
 				select {
-				case op2 := <-c.ch:
-					group = append(group, op2)
-					n += len(op2.kinds)
+				case q2 := <-c.ch:
+					group = append(group, q2)
+					n += len(q2.kinds)
 				case <-timer.C:
 					fired = true
 				}
@@ -197,64 +86,19 @@ func (s *server) runCoalescer() {
 	drain:
 		for n < c.maxOps {
 			select {
-			case op2 := <-c.ch:
-				group = append(group, op2)
-				n += len(op2.kinds)
+			case q2 := <-c.ch:
+				group = append(group, q2)
+				n += len(q2.kinds)
 			default:
 				break drain
 			}
 		}
-		s.applyGroup(group)
-	}
-}
-
-// applyGroup commits one group: re-check each request's ownership and
-// apply the survivors as one engine batch, all inside one flight-RLock
-// hold. A request with any moved slot is rejected whole — none of its
-// entries reach the engine batch — so batch atomicity matches the
-// direct path.
-func (s *server) applyGroup(group []*coalOp) {
-	s.flight.RLock()
-	var m *cluster.ShardMap
-	if s.cfg.src != nil {
-		m = s.cfg.src.Current()
-	}
-	b := getBatch()
-	staged := 0
-	for _, op := range group {
-		if m != nil && !op.internal {
-			for _, sh := range op.shards {
-				if owner := m.Owner[sh]; owner != s.cfg.nodeID {
-					op.wrongShard, op.shard, op.owner = true, sh, owner
-					break
-				}
-			}
-			if op.wrongShard {
-				continue
-			}
+		staged := int64(s.apply(group))
+		s.coalGroups.Inc()
+		s.coalOps.Add(staged)
+		s.coalSize.Observe(staged)
+		for _, q := range group {
+			q.done <- struct{}{}
 		}
-		for i, kind := range op.kinds {
-			if kind == wire.OpPut {
-				b.Put(op.keys[i], op.values[i])
-			} else {
-				b.Delete(op.keys[i])
-			}
-		}
-		staged += len(op.kinds)
-	}
-	var err error
-	if b.Len() > 0 {
-		err = s.db.Apply(b)
-	}
-	s.flight.RUnlock()
-	batchPool.Put(b)
-	s.coalGroups.Inc()
-	s.coalOps.Add(int64(staged))
-	s.coalSize.Observe(int64(staged))
-	for _, op := range group {
-		if !op.wrongShard {
-			op.err = err
-		}
-		op.done <- struct{}{}
 	}
 }

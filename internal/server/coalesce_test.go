@@ -33,21 +33,6 @@ func send(method, url, body string) (int, string, error) {
 	return resp.StatusCode, buf.String(), nil
 }
 
-// coalServer builds a plain coalescing server.
-func coalServer(t *testing.T) (*httptest.Server, *adcache.DB) {
-	t.Helper()
-	db, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(db, WithWriteCoalescing(200*time.Microsecond, 64)))
-	t.Cleanup(func() {
-		srv.Close()
-		db.Close()
-	})
-	return srv, db
-}
-
 // coalClusterServerDB is clusterServerDB with write coalescing on.
 func coalClusterServerDB(t *testing.T, view *cluster.NodeView) (*httptest.Server, *adcache.DB) {
 	t.Helper()
@@ -63,192 +48,6 @@ func coalClusterServerDB(t *testing.T, view *cluster.NodeView) (*httptest.Server
 		db.Close()
 	})
 	return srv, db
-}
-
-// TestCoalescedWrites: concurrent single-op puts and deletes through the
-// coalescer all land (and are individually acked), and the coalescer
-// actually grouped them — fewer groups than ops.
-func TestCoalescedWrites(t *testing.T) {
-	srv, db := coalServer(t)
-	const n = 64
-
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			status, body, err := send("PUT", fmt.Sprintf("%s/v1/kv/coal%03d", srv.URL, i), fmt.Sprintf("v%03d", i))
-			if err != nil {
-				errs <- err
-			} else if status != 204 {
-				errs <- fmt.Errorf("put %d = %d %q", i, status, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		v, ok, err := db.Get([]byte(fmt.Sprintf("coal%03d", i)))
-		if err != nil || !ok || string(v) != fmt.Sprintf("v%03d", i) {
-			t.Fatalf("key %d: %q ok=%v err=%v", i, v, ok, err)
-		}
-	}
-
-	// Deletes ride the same path.
-	var wg2 sync.WaitGroup
-	for i := 0; i < n; i += 2 {
-		wg2.Add(1)
-		go func(i int) {
-			defer wg2.Done()
-			send("DELETE", fmt.Sprintf("%s/v1/kv/coal%03d", srv.URL, i), "")
-		}(i)
-	}
-	wg2.Wait()
-	for i := 0; i < n; i++ {
-		_, ok, _ := db.Get([]byte(fmt.Sprintf("coal%03d", i)))
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("after delete: key %d present=%v want %v", i, ok, want)
-		}
-	}
-
-	reg := db.Registry()
-	groups := reg.Counter("http_coalesce_groups_total", "").Value()
-	ops := reg.Counter("http_coalesced_ops_total", "").Value()
-	if ops != n+n/2 {
-		t.Fatalf("coalesced ops = %d, want %d", ops, n+n/2)
-	}
-	if groups <= 0 || groups > ops {
-		t.Fatalf("groups = %d (ops %d)", groups, ops)
-	}
-	t.Logf("coalesced %d ops into %d groups", ops, groups)
-}
-
-// TestCoalescedBatch: batch bodies ride the coalescer too — concurrent
-// /v1/batch posts all land atomically and are grouped with one another
-// (and with singles) into shared applies.
-func TestCoalescedBatch(t *testing.T) {
-	srv, db := coalServer(t)
-	const batches, perBatch = 16, 4
-
-	var wg sync.WaitGroup
-	errs := make(chan error, batches+1)
-	for i := 0; i < batches; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var ops []api.BatchOp
-			for j := 0; j < perBatch; j++ {
-				ops = append(ops, api.BatchOp{Op: "put",
-					Key:   fmt.Sprintf("cb%02d-%d", i, j),
-					Value: fmt.Sprintf("v%02d-%d", i, j)})
-			}
-			body, _ := json.Marshal(ops)
-			status, rbody, err := send("POST", srv.URL+"/v1/batch", string(body))
-			if err != nil {
-				errs <- err
-			} else if status != 204 {
-				errs <- fmt.Errorf("batch %d = %d %q", i, status, rbody)
-			}
-		}(i)
-	}
-	// One single-op write races the batches through the same coalescer.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		status, rbody, err := send("PUT", srv.URL+"/v1/kv/cb-single", "sv")
-		if err != nil {
-			errs <- err
-		} else if status != 204 {
-			errs <- fmt.Errorf("single = %d %q", status, rbody)
-		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < batches; i++ {
-		for j := 0; j < perBatch; j++ {
-			k := fmt.Sprintf("cb%02d-%d", i, j)
-			v, ok, err := db.Get([]byte(k))
-			if err != nil || !ok || string(v) != fmt.Sprintf("v%02d-%d", i, j) {
-				t.Fatalf("key %q: %q ok=%v err=%v", k, v, ok, err)
-			}
-		}
-	}
-	if v, ok, _ := db.Get([]byte("cb-single")); !ok || string(v) != "sv" {
-		t.Fatalf("single key: %q ok=%v", v, ok)
-	}
-
-	reg := db.Registry()
-	groups := reg.Counter("http_coalesce_groups_total", "").Value()
-	ops := reg.Counter("http_coalesced_ops_total", "").Value()
-	if want := int64(batches*perBatch + 1); ops != want {
-		t.Fatalf("coalesced ops = %d, want %d", ops, want)
-	}
-	if groups <= 0 || groups > int64(batches+1) {
-		t.Fatalf("groups = %d for %d requests", groups, batches+1)
-	}
-	t.Logf("coalesced %d ops (%d requests) into %d groups", ops, batches+1, groups)
-}
-
-// TestCoalescedBatchWrongShard: a coalesced batch containing one foreign
-// op is rejected whole at apply time — its owned-slot ops must not leak
-// into the shared group apply.
-func TestCoalescedBatchWrongShard(t *testing.T) {
-	view, mine, theirs := twoNodeView(t)
-	srv, db := coalClusterServerDB(t, view)
-
-	ops := []api.BatchOp{
-		{Op: "put", Key: mine, Value: "ok"},
-		{Op: "put", Key: theirs, Value: "foreign"},
-	}
-	body, _ := json.Marshal(ops)
-	resp, rbody := do(t, "POST", srv.URL+"/v1/batch", string(body))
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("mixed batch = %d %q", resp.StatusCode, rbody)
-	}
-	if env := envelope(t, rbody); env.Code != api.CodeWrongShard {
-		t.Fatalf("code = %q", env.Code)
-	}
-	for _, k := range []string{mine, theirs} {
-		if _, ok, _ := db.Get([]byte(k)); ok {
-			t.Fatalf("rejected batch leaked key %q into the engine", k)
-		}
-	}
-
-	// A clean batch for owned slots still lands.
-	ops = ops[:1]
-	body, _ = json.Marshal(ops)
-	if resp, rbody := do(t, "POST", srv.URL+"/v1/batch", string(body)); resp.StatusCode != 204 {
-		t.Fatalf("owned batch = %d %q", resp.StatusCode, rbody)
-	}
-	if v, ok, _ := db.Get([]byte(mine)); !ok || string(v) != "ok" {
-		t.Fatalf("owned batch write missing: %q ok=%v", v, ok)
-	}
-}
-
-// TestCoalescedWrongShard: the coalescer re-checks ownership, so a write
-// for a foreign slot is answered 421 and never committed.
-func TestCoalescedWrongShard(t *testing.T) {
-	view, _, theirs := twoNodeView(t)
-	srv, db := coalClusterServerDB(t, view)
-
-	resp, body := do(t, "PUT", srv.URL+"/v1/kv/"+theirs, "v")
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("foreign PUT = %d %q", resp.StatusCode, body)
-	}
-	if env := envelope(t, body); env.Code != api.CodeWrongShard {
-		t.Fatalf("code = %q", env.Code)
-	}
-	if _, ok, _ := db.Get([]byte(theirs)); ok {
-		t.Fatal("rejected write reached the engine")
-	}
 }
 
 // TestFenceWriteRaceCoalesced is TestFenceWriteRace with coalescing on:

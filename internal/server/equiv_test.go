@@ -81,74 +81,6 @@ func scanBinary(t *testing.T, base, start string, n int) []api.ScanEntry {
 	}
 }
 
-// TestBatchBinaryEquivalence: the same op sequence posted as JSON and as
-// the binary framing produces identical engine state and identical scan
-// results in both response formats.
-func TestBatchBinaryEquivalence(t *testing.T) {
-	srvJSON, dbJSON := testServer(t)
-	srvBin, dbBin := testServer(t)
-
-	type op struct {
-		op, key, value string
-	}
-	ops := []op{
-		{"put", "eq/a", "1"},
-		{"put", "eq/b", "two"},
-		{"put", "eq/esc", "quote\" back\\slash \n tab\t unicode→"},
-		{"put", "eq/gone", "x"},
-		{"delete", "eq/gone", ""},
-		{"put", "eq/b", "two-rewritten"},
-	}
-
-	var jsonOps []api.BatchOp
-	bin := wire.AppendBatchHeader(nil, len(ops))
-	for _, o := range ops {
-		jsonOps = append(jsonOps, api.BatchOp{Op: o.op, Key: o.key, Value: o.value})
-		if o.op == "put" {
-			bin = wire.AppendPut(bin, []byte(o.key), []byte(o.value))
-		} else {
-			bin = wire.AppendDelete(bin, []byte(o.key))
-		}
-	}
-	jb, _ := json.Marshal(jsonOps)
-
-	if st, body := postBatch(t, srvJSON.URL, "application/json", jb); st != 204 {
-		t.Fatalf("JSON batch = %d %q", st, body)
-	}
-	if st, body := postBatch(t, srvBin.URL, wire.ContentType, bin); st != 204 {
-		t.Fatalf("binary batch = %d %q", st, body)
-	}
-
-	for name, db := range map[string]*adcache.DB{"json": dbJSON, "bin": dbBin} {
-		if _, ok, _ := db.Get([]byte("eq/gone")); ok {
-			t.Fatalf("%s: deleted key still present", name)
-		}
-		if v, _, _ := db.Get([]byte("eq/b")); string(v) != "two-rewritten" {
-			t.Fatalf("%s: eq/b = %q", name, v)
-		}
-	}
-
-	// All four scan views (2 servers × 2 formats) must agree.
-	want := scanJSON(t, srvJSON.URL, "eq/", 100)
-	if len(want) != 3 {
-		t.Fatalf("scan len = %d, want 3: %v", len(want), want)
-	}
-	for i, got := range [][]api.ScanEntry{
-		scanBinary(t, srvJSON.URL, "eq/", 100),
-		scanJSON(t, srvBin.URL, "eq/", 100),
-		scanBinary(t, srvBin.URL, "eq/", 100),
-	} {
-		if len(got) != len(want) {
-			t.Fatalf("view %d: len %d != %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("view %d entry %d: %+v != %+v", i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 // TestBinaryScanRawBytes: the binary stream carries value bytes JSON
 // cannot (invalid UTF-8 survives verbatim; the JSON view degrades it to
 // U+FFFD exactly like encoding/json would).
@@ -170,49 +102,6 @@ func TestBinaryScanRawBytes(t *testing.T) {
 	json.Unmarshal(enc, &wantJSON)
 	if len(js) != 1 || js[0].Value != wantJSON {
 		t.Fatalf("JSON scan = %+v, want %q", js, wantJSON)
-	}
-}
-
-// TestBinaryBatchErrors: malformed binary bodies and per-op violations
-// map onto the same typed envelope codes as JSON bodies.
-func TestBinaryBatchErrors(t *testing.T) {
-	srv, _ := testServer(t)
-
-	cases := []struct {
-		name string
-		body []byte
-		code string
-	}{
-		{"corrupt", []byte{0x09, 0x01}, api.CodeBadBody},
-		{"truncated", wire.AppendBatchHeader(nil, 3), api.CodeBadBody},
-		{"empty key", wire.AppendPut(wire.AppendBatchHeader(nil, 1), nil, []byte("v")), api.CodeBadKey},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st, body := postBatch(t, srv.URL, wire.ContentType, tc.body)
-			if st != 400 {
-				t.Fatalf("status = %d %q", st, body)
-			}
-			if env := envelope(t, body); env.Code != tc.code {
-				t.Fatalf("code = %q, want %q", env.Code, tc.code)
-			}
-		})
-	}
-}
-
-// TestBinaryBatchWrongShard: ownership is enforced identically for
-// binary batches.
-func TestBinaryBatchWrongShard(t *testing.T) {
-	view, _, theirs := twoNodeView(t)
-	srv := clusterServer(t, view)
-
-	bin := wire.AppendPut(wire.AppendBatchHeader(nil, 1), []byte(theirs), []byte("v"))
-	st, body := postBatch(t, srv.URL, wire.ContentType, bin)
-	if st != http.StatusMisdirectedRequest {
-		t.Fatalf("status = %d %q", st, body)
-	}
-	if env := envelope(t, body); env.Code != api.CodeWrongShard {
-		t.Fatalf("code = %q", env.Code)
 	}
 }
 

@@ -41,7 +41,7 @@ func WithDrainState(ds *DrainState) Option { return func(c *config) { c.drain = 
 // the engine works the problem. The body is the api.Health document in
 // both modes, so a 503's cause is always one GET away.
 //
-// The route bypasses the data-plane concurrency limit (see dataRoute):
+// The route bypasses the data-plane concurrency limit (see route):
 // an overloaded node must still answer probes, or overload would read as
 // death and invite a restart stampede.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -10,7 +10,7 @@ import (
 // The service hot path avoids per-request allocation: every request is
 // wrapped in a pooled timedWriter carrying its arrival time plus two
 // reusable scratch buffers (request-body bytes and response encoding),
-// per-route metrics are precomputed arrays indexed by a route enum, and
+// per-route metrics are resolved once when the route is mounted, and
 // JSON envelopes/scan entries are appended by hand instead of through
 // encoding/json. Regression tests in alloc_test.go pin the resulting
 // budgets.
@@ -47,23 +47,9 @@ func (t *timedWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 
 var twPool = sync.Pool{New: func() any { return new(timedWriter) }}
 
-// reqStart returns the request's arrival time when instrument wrapped the
-// writer, else now.
-func reqStart(w http.ResponseWriter) time.Time {
-	if tw, ok := w.(*timedWriter); ok {
-		return tw.start
-	}
-	return time.Now()
-}
-
-// scratch returns the request's response-encoding buffer (length zero),
-// or nil capacity when w is not instrument-wrapped.
-func scratch(w http.ResponseWriter) (*timedWriter, []byte) {
-	if tw, ok := w.(*timedWriter); ok {
-		return tw, tw.out[:0]
-	}
-	return nil, nil
-}
+// writerOf returns the request's timedWriter: route wraps every mounted
+// handler, so a handler's ResponseWriter always is one.
+func writerOf(w http.ResponseWriter) *timedWriter { return w.(*timedWriter) }
 
 const hexDigits = "0123456789abcdef"
 
@@ -78,41 +64,13 @@ func appendJSONBytes(dst []byte, s []byte) []byte {
 		if c < utf8.RuneSelf {
 			if c >= 0x20 && c != '"' && c != '\\' {
 				dst = append(dst, c)
-				i++
-				continue
+			} else {
+				dst = appendEscaped(dst, c)
 			}
-			dst = appendEscaped(dst, c)
 			i++
 			continue
 		}
 		r, size := utf8.DecodeRune(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			continue
-		}
-		dst = append(dst, s[i:i+size]...)
-		i += size
-	}
-	return append(dst, '"')
-}
-
-// appendJSONString is appendJSONBytes for a string without converting it.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
-				dst = append(dst, c)
-				i++
-				continue
-			}
-			dst = appendEscaped(dst, c)
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
 		if r == utf8.RuneError && size == 1 {
 			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
 			i++

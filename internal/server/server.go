@@ -5,7 +5,7 @@
 // it; client is the supported Go consumer; API.md documents the wire
 // format).
 //
-// Data plane:
+// Data plane (data.go):
 //
 //	GET    /v1/kv/{key}               → 200 value | 404
 //	PUT    /v1/kv/{key}  body=value   → 204
@@ -22,29 +22,33 @@
 // advances, and a response that ends without its terminator — "]" or the
 // binary end frame — was truncated mid-stream).
 //
-// Control plane and observability:
+// Cluster plane (cluster.go) and observability:
 //
 //	GET    /v1/stats                  → 200 JSON adcache.MetricsSnapshot
 //	GET    /v1/shardmap               → 200 JSON cluster.ShardMap
 //	POST   /v1/shardmap               → 204 (accept newer epoch)
 //	GET    /v1/shardstats             → 200 JSON api.ShardStats
-//	GET    /v1/migrate?shard=S        → 200 JSON [api.MigrateEntry] (internal)
-//	POST   /v1/migrate?shard=S        → 204 bulk load (internal)
+//	GET    /v1/migrate?shard=S        → 200 binary entry stream (internal)
+//	POST   /v1/migrate?shard=S        → 204 bulk load, binary batch (internal)
 //	DELETE /v1/migrate?shard=S        → 204 purge unowned shard (internal)
+//	GET    /v1/health                 → 200 | 503 JSON api.Health
 //	GET    /metrics                   → 200 Prometheus text exposition
 //	GET    /debug/vars                → 200 expvar JSON + registry snapshot
 //	GET    /debug/pprof/*             → profiling (opt-in via WithPprof)
 //
-// The pre-/v1 routes (/kv/, /scan, /batch, /stats) remain as deprecated
-// aliases for one release: they delegate to their /v1 equivalents and
-// mark themselves with a Deprecation header.
+// Every request runs one pipeline: route → limiter → codec → stage →
+// apply → respond. The codec (codec.go) is chosen once per request from
+// Content-Type/Accept; every write — single PUT/DELETE, batch in either
+// codec, migration load and purge — is staged on a pooled writeReq and
+// committed by the one apply; every entry stream — scan and migration
+// export — is the one stream loop with a filter.
 //
-// Every non-2xx response carries the typed JSON error envelope
-// {"code","message","epoch"} (api.Envelope). On a cluster-configured node
-// every keyed response also carries X-Adcache-Node/-Epoch/-Shard routing
-// headers, and keys outside the node's owned shards are rejected with 421
-// WRONG_SHARD — the retryable signal that tells a client its shard map is
-// stale.
+// Every non-2xx response, unknown paths included, carries the typed JSON
+// error envelope {"code","message","epoch"} (api.Envelope). On a
+// cluster-configured node every keyed response also carries
+// X-Adcache-Node/-Epoch/-Shard routing headers, and keys outside the
+// node's owned shards are rejected with 421 WRONG_SHARD — the retryable
+// signal that tells a client its shard map is stale.
 //
 // Keys and values are raw bytes in paths/bodies (keys URL-escaped); scan
 // and stats return JSON. Every request is measured into the DB's metrics
@@ -52,16 +56,12 @@
 // keyed operations additionally feed per-shard read/write histograms
 // (http_shard_read_nanos{shard="3"}, …) — the series the shard manager
 // polls through /v1/shardstats.
-//
-// With WithWriteCoalescing, concurrent write requests — single-op
-// puts/deletes and whole batch bodies — are grouped into one engine
-// Apply (one WAL commit, one flight-lock hold) — see coalesce.go for
-// the fence-interaction argument.
 package server
 
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -75,9 +75,7 @@ import (
 
 	"adcache"
 	"adcache/internal/api"
-	"adcache/internal/api/wire"
 	"adcache/internal/cluster"
-	"adcache/internal/lsm"
 	"adcache/internal/metrics"
 )
 
@@ -170,11 +168,10 @@ func WithPprof() Option { return func(c *config) { c.pprof = true } }
 // commit). A group closes after window has passed since its first
 // request or once maxOps total ops are staged, whichever comes first;
 // window 0 groups only what is already queued (no added latency),
-// maxOps <= 0 defaults to 128. Off by default: writes apply directly. A
-// request coalesced into a group is acked only after the group's commit
-// returns, and a batch's ops all enter the same group apply (atomicity
-// preserved), so durability and fence semantics are unchanged — see
-// coalesce.go.
+// maxOps <= 0 defaults to 128. Off by default: every request is its own
+// group of one. The option selects only when groups form — both modes
+// commit through the same apply, so durability, atomicity and fence
+// semantics are identical (see coalesce.go).
 func WithWriteCoalescing(window time.Duration, maxOps int) Option {
 	return func(c *config) {
 		c.coalesce = true
@@ -183,8 +180,8 @@ func WithWriteCoalescing(window time.Duration, maxOps int) Option {
 	}
 }
 
-// New returns an http.Handler serving db with the given options. It is
-// the single constructor; Handler and NewHandler are deprecated wrappers.
+// New returns an http.Handler serving db with the given options — the
+// package's only constructor.
 func New(db *adcache.DB, opts ...Option) http.Handler {
 	cfg := config{maxBodyBytes: 64 << 20}
 	for _, o := range opts {
@@ -210,15 +207,6 @@ func New(db *adcache.DB, opts ...Option) http.Handler {
 		s.writeHist[i] = s.reg.Histogram(fmt.Sprintf("http_shard_write_nanos{shard=%q}", s.shardStrs[i]),
 			"Keyed write latency by hash slot.")
 	}
-	// Per-route series are precomputed into enum-indexed arrays so the
-	// per-request cost is two array loads instead of two fmt.Sprintf
-	// registry lookups.
-	for rt := routeID(0); rt < nRoutes; rt++ {
-		s.reqHist[rt] = s.reg.Histogram(fmt.Sprintf("http_request_nanos{route=%q}", routeNames[rt]),
-			"HTTP request latency by route.")
-		s.reqCount[rt] = s.reg.Counter(fmt.Sprintf("http_requests_total{route=%q}", routeNames[rt]),
-			"HTTP requests served by route.")
-	}
 	if cfg.maxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.maxInFlight)
 	}
@@ -227,59 +215,27 @@ func New(db *adcache.DB, opts ...Option) http.Handler {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/kv/", s.handleKV)
-	mux.HandleFunc("/v1/scan", s.handleScan)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/shardmap", s.handleShardMap)
-	mux.HandleFunc("/v1/shardstats", s.handleShardStats)
-	mux.HandleFunc("/v1/migrate", s.handleMigrate)
-	mux.HandleFunc("/v1/health", s.handleHealth)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/vars", s.handleDebugVars)
+	s.route(mux, "/v1/kv/", "kv", true, s.handleKV)
+	s.route(mux, "/v1/scan", "scan", true, s.handleScan)
+	s.route(mux, "/v1/batch", "batch", true, s.handleBatch)
+	s.route(mux, "/v1/stats", "stats", false, s.handleStats)
+	s.route(mux, "/v1/shardmap", "shardmap", false, s.handleShardMap)
+	s.route(mux, "/v1/shardstats", "shardstats", false, s.handleShardStats)
+	s.route(mux, "/v1/migrate", "migrate", false, s.handleMigrate)
+	s.route(mux, "/v1/health", "health", false, s.handleHealth)
+	s.route(mux, "/metrics", "metrics", false, s.handleMetrics)
+	s.route(mux, "/debug/vars", "debug", false, s.handleDebugVars)
 	if cfg.pprof {
-		mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+		s.route(mux, "/debug/pprof/", "debug", false, httppprof.Index)
+		s.route(mux, "/debug/pprof/cmdline", "debug", false, httppprof.Cmdline)
+		s.route(mux, "/debug/pprof/profile", "debug", false, httppprof.Profile)
+		s.route(mux, "/debug/pprof/symbol", "debug", false, httppprof.Symbol)
+		s.route(mux, "/debug/pprof/trace", "debug", false, httppprof.Trace)
 	}
-	// Deprecated pre-/v1 aliases: delegate to the /v1 handler under the
-	// rewritten path so behavior (and instrumentation) is identical.
-	mux.HandleFunc("/kv/", s.legacy("/kv/", "/v1/kv/", s.handleKV))
-	mux.HandleFunc("/scan", s.legacy("/scan", "/v1/scan", s.handleScan))
-	mux.HandleFunc("/batch", s.legacy("/batch", "/v1/batch", s.handleBatch))
-	mux.HandleFunc("/stats", s.legacy("/stats", "/v1/stats", s.handleStats))
-	return s.instrument(mux)
-}
-
-// Options configures a Handler.
-//
-// Deprecated: use New with functional options.
-type Options struct {
-	// ReadOnly rejects every mutating request.
-	ReadOnly bool
-	// MaxBodyBytes caps request bodies (default 64 MiB).
-	MaxBodyBytes int64
-}
-
-// Handler returns an http.Handler serving db with defaults.
-//
-// Deprecated: use New(db).
-func Handler(db *adcache.DB) http.Handler { return New(db) }
-
-// NewHandler returns an http.Handler serving db under opts.
-//
-// Deprecated: use New(db, WithReadOnly(), WithMaxBodyBytes(n)).
-func NewHandler(db *adcache.DB, opts Options) http.Handler {
-	var o []Option
-	if opts.ReadOnly {
-		o = append(o, WithReadOnly())
-	}
-	if opts.MaxBodyBytes > 0 {
-		o = append(o, WithMaxBodyBytes(opts.MaxBodyBytes))
-	}
-	return New(db, o...)
+	// Everything else — the retired pre-/v1 paths included — is no route:
+	// it is counted as "other" and never waits on the data-plane limiter.
+	s.route(mux, "/", "other", false, s.handleNotFound)
+	return mux
 }
 
 // epochStr caches the decimal form of the current map epoch so routing
@@ -299,107 +255,43 @@ type server struct {
 	writeHist []*metrics.Histogram
 	// shardStrs precomputes slot labels for routing headers.
 	shardStrs []string
-	// Enum-indexed per-route request metrics (see routeID).
-	reqHist  [nRoutes]*metrics.Histogram
-	reqCount [nRoutes]*metrics.Counter
 	// epochCache holds the last-formatted epoch header value.
 	epochCache atomic.Pointer[epochStr]
 	// sem bounds in-flight data-plane requests when non-nil.
 	sem chan struct{}
-	// flight orders mutations against shard-map changes: every data-plane
-	// mutation holds the read side from its ownership check through its
-	// engine write, and installing a new map (the shard manager's fence)
-	// takes the write side. A write therefore either commits entirely
-	// before the fence is acknowledged — and is included in the
-	// migration's copy — or starts after it and sees the new map's
-	// ownership, answering WRONG_SHARD instead of acking a doomed write.
+	// flight orders mutations against shard-map changes: apply holds the
+	// read side from its ownership decision through the engine write, and
+	// installing a new map (the shard manager's fence) takes the write
+	// side. A write therefore either commits entirely before the fence is
+	// acknowledged — and is included in the migration's copy — or starts
+	// after it and sees the new map's ownership, answering WRONG_SHARD
+	// instead of acking a doomed write.
 	flight sync.RWMutex
-	// coal groups concurrent single-op writes when WithWriteCoalescing is
-	// on (nil otherwise); see coalesce.go.
+	// coal forms multi-request groups for apply when WithWriteCoalescing
+	// is on (nil otherwise); see coalesce.go.
 	coal       *coalescer
 	coalGroups *metrics.Counter
 	coalOps    *metrics.Counter
 	coalSize   *metrics.Histogram
 }
 
-// legacy rewrites a deprecated route onto its /v1 handler.
-func (s *server) legacy(old, v1 string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = v1 + strings.TrimPrefix(r.URL.Path, old)
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", r2.URL.Path))
-		h(w, r2)
-	}
-}
-
-// routeID classifies a request path into a bounded label set, so the
-// metric cardinality cannot grow with the key space. The enum indexes the
-// server's precomputed per-route metric arrays.
-type routeID int
-
-const (
-	routeKV routeID = iota
-	routeScan
-	routeBatch
-	routeStats
-	routeShardMap
-	routeShardStats
-	routeMigrate
-	routeHealth
-	routeMetrics
-	routeDebug
-	routeOther
-	nRoutes
-)
-
-var routeNames = [nRoutes]string{
-	"kv", "scan", "batch", "stats", "shardmap", "shardstats", "migrate", "health", "metrics", "debug", "other",
-}
-
-func routeOf(path string) routeID {
-	path = strings.TrimPrefix(path, "/v1")
-	switch {
-	case strings.HasPrefix(path, "/kv/"):
-		return routeKV
-	case path == "/scan":
-		return routeScan
-	case path == "/batch":
-		return routeBatch
-	case path == "/stats":
-		return routeStats
-	case path == "/shardmap":
-		return routeShardMap
-	case path == "/shardstats":
-		return routeShardStats
-	case path == "/migrate":
-		return routeMigrate
-	case path == "/health":
-		return routeHealth
-	case path == "/metrics":
-		return routeMetrics
-	case strings.HasPrefix(path, "/debug/"):
-		return routeDebug
-	default:
-		return routeOther
-	}
-}
-
-// dataRoute reports whether rt is subject to the concurrency limit.
-func dataRoute(rt routeID) bool { return rt == routeKV || rt == routeScan || rt == routeBatch }
-
-// instrument wraps next with per-route request counting, latency
-// histograms, the data-plane concurrency limit, and the pooled
+// route mounts h at pattern behind the per-request instrumentation:
+// request counting and a latency histogram under the route's label (a
+// bounded label set, so metric cardinality cannot grow with the key
+// space), for data routes the concurrency limit, and the pooled
 // timedWriter carrying the request's arrival time (taken before the
 // concurrency-limit wait, so per-shard histograms include queueing delay
 // — an overloaded node's slots then read hot to the shard manager even
-// when pure handler time is tiny) and scratch buffers.
-func (s *server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt := routeOf(r.URL.Path)
-		s.reqCount[rt].Inc()
+// when pure handler time is tiny) and scratch buffers. Control-plane and
+// observability routes bypass the limit so management never queues behind
+// data.
+func (s *server) route(mux *http.ServeMux, pattern, label string, data bool, h http.HandlerFunc) {
+	hist := s.reg.Histogram(fmt.Sprintf("http_request_nanos{route=%q}", label), "HTTP request latency by route.")
+	count := s.reg.Counter(fmt.Sprintf("http_requests_total{route=%q}", label), "HTTP requests served by route.")
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		count.Inc()
 		start := time.Now()
-		if dataRoute(rt) {
+		if data {
 			if s.sem != nil {
 				s.sem <- struct{}{}
 				defer func() { <-s.sem }()
@@ -410,7 +302,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		}
 		tw := twPool.Get().(*timedWriter)
 		tw.ResponseWriter, tw.start = w, start
-		next.ServeHTTP(tw, r)
+		h(tw, r)
 		tw.ResponseWriter = nil
 		if cap(tw.body) > keepScratchBytes {
 			tw.body = nil
@@ -419,37 +311,76 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			tw.out = nil
 		}
 		twPool.Put(tw)
-		s.reqHist[rt].ObserveSince(start)
+		hist.ObserveSince(start)
 	})
+}
+
+// handleNotFound answers unknown paths with the typed envelope like every
+// other error; the four retired pre-/v1 paths name their successor.
+func (s *server) handleNotFound(w http.ResponseWriter, r *http.Request) {
+	p := r.URL.Path
+	msg := "no route " + p
+	if strings.HasPrefix(p, "/kv/") || p == "/scan" || p == "/batch" || p == "/stats" {
+		msg = p + " was retired; use /v1" + p
+	}
+	s.writeErr(w, http.StatusNotFound, api.CodeNotFound, msg)
+}
+
+// currentMap returns the shard map in force (nil without a cluster).
+func (s *server) currentMap() *cluster.ShardMap {
+	if s.cfg.src == nil {
+		return nil
+	}
+	return s.cfg.src.Current()
 }
 
 // epoch returns the node's current map epoch (0 without a cluster).
 func (s *server) epoch() uint64 {
-	if s.cfg.src == nil {
-		return 0
-	}
-	if m := s.cfg.src.Current(); m != nil {
+	if m := s.currentMap(); m != nil {
 		return m.Epoch
 	}
 	return 0
 }
 
-// epochString formats e once per epoch change and serves it from cache.
-func (s *server) epochString(e uint64) string {
-	if c := s.epochCache.Load(); c != nil && c.e == e {
-		return c.s
+// slot returns key's hash slot under m (without a map: under the slot
+// count the server was built with).
+func (s *server) slot(m *cluster.ShardMap, key []byte) int {
+	if m != nil {
+		return m.Shard(key)
 	}
-	str := strconv.FormatUint(e, 10)
-	s.epochCache.Store(&epochStr{e: e, s: str})
-	return str
+	if s.nShards > 1 {
+		return cluster.ShardOf(key, s.nShards)
+	}
+	return 0
 }
 
-// shardStr returns the cached slot label.
-func (s *server) shardStr(shard int) string {
-	if shard >= 0 && shard < len(s.shardStrs) {
-		return s.shardStrs[shard]
+// owns is the shard-ownership rule: this node serves slot under m iff the
+// map names it owner (a node without a map serves everything).
+func (s *server) owns(m *cluster.ShardMap, slot int) bool {
+	return m == nil || m.Owner[slot] == s.cfg.nodeID
+}
+
+// routeHeaders stamps the routing headers under m: epoch and node, plus
+// the slot for keyed requests (slot < 0 omits it).
+func (s *server) routeHeaders(w http.ResponseWriter, m *cluster.ShardMap, slot int) {
+	if m == nil {
+		return
 	}
-	return strconv.Itoa(shard)
+	h := w.Header()
+	c := s.epochCache.Load()
+	if c == nil || c.e != m.Epoch {
+		c = &epochStr{e: m.Epoch, s: strconv.FormatUint(m.Epoch, 10)}
+		s.epochCache.Store(c)
+	}
+	h.Set(api.HeaderEpoch, c.s)
+	if s.cfg.nodeID != "" {
+		h.Set(api.HeaderNode, s.cfg.nodeID)
+	}
+	if slot >= 0 && slot < len(s.shardStrs) {
+		h.Set(api.HeaderShard, s.shardStrs[slot])
+	} else if slot >= 0 {
+		h.Set(api.HeaderShard, strconv.Itoa(slot))
+	}
 }
 
 // writeErr emits the typed error envelope (hand-encoded into the
@@ -458,20 +389,30 @@ func (s *server) shardStr(shard int) string {
 func (s *server) writeErr(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	tw, buf := scratch(w)
-	buf = append(buf, `{"code":"`...)
+	tw := writerOf(w)
+	buf := append(tw.out[:0], `{"code":"`...)
 	buf = append(buf, code...)
 	buf = append(buf, `","message":`...)
-	buf = appendJSONString(buf, msg)
+	buf = appendJSONBytes(buf, []byte(msg))
 	if e := s.epoch(); e != 0 {
 		buf = append(buf, `,"epoch":`...)
 		buf = strconv.AppendUint(buf, e, 10)
 	}
 	buf = append(buf, '}', '\n')
 	w.Write(buf)
-	if tw != nil {
-		tw.out = buf
-	}
+	tw.out = buf
+}
+
+// writeWrongShard answers 421 for a slot this node does not own under m.
+func (s *server) writeWrongShard(w http.ResponseWriter, slot int, owner string) {
+	s.writeErr(w, http.StatusMisdirectedRequest, api.CodeWrongShard,
+		fmt.Sprintf("shard %d owned by node %q", slot, owner))
+}
+
+// methodNotAllowed answers 405 for r's method on its route.
+func (s *server) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
+	s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
+		"method "+r.Method+" not allowed on "+r.URL.Path)
 }
 
 // deny reports (and handles) a mutating request arriving in read-only mode.
@@ -494,46 +435,6 @@ func (s *server) internalOK(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(r.Header.Get(api.HeaderInternal)), []byte(tok)) == 1
 }
 
-// shardHeaders stamps the routing headers for key on w and returns the
-// key's slot under the current map (slot 0 without a cluster).
-func (s *server) shardHeaders(w http.ResponseWriter, key []byte) int {
-	if s.cfg.src == nil {
-		return 0
-	}
-	m := s.cfg.src.Current()
-	if m == nil {
-		return 0
-	}
-	shard := m.Shard(key)
-	h := w.Header()
-	h.Set(api.HeaderEpoch, s.epochString(m.Epoch))
-	h.Set(api.HeaderShard, s.shardStr(shard))
-	if s.cfg.nodeID != "" {
-		h.Set(api.HeaderNode, s.cfg.nodeID)
-	}
-	return shard
-}
-
-// checkOwned enforces shard ownership of key: when this node is cluster-
-// configured and does not own the key's slot (and the request is not
-// internal migration traffic), it answers 421 WRONG_SHARD carrying the
-// node's current epoch and reports false.
-func (s *server) checkOwned(w http.ResponseWriter, r *http.Request, key []byte, shard int) bool {
-	if s.cfg.src == nil || s.internalOK(r) {
-		return true
-	}
-	m := s.cfg.src.Current()
-	if m == nil {
-		return true
-	}
-	if owner := m.Owner[shard]; owner != s.cfg.nodeID {
-		s.writeErr(w, http.StatusMisdirectedRequest, api.CodeWrongShard,
-			fmt.Sprintf("shard %d owned by node %q", shard, owner))
-		return false
-	}
-	return true
-}
-
 // observeShard records a keyed op's latency into the slot's read or
 // write histogram (guarding against maps with more slots than this
 // server was built with — the slot count is fixed per cluster).
@@ -548,34 +449,39 @@ func (s *server) observeShard(shard int, write bool, start time.Time) {
 	}
 }
 
+// errTooLarge marks a request body over the node's cap.
+var errTooLarge = errors.New("body exceeds cap")
+
 // readBody drains a size-capped request body into the request's pooled
 // scratch buffer, classifying over-cap as 413 TOO_LARGE and transport
 // errors as 400 BAD_BODY. The returned slice is valid until the handler
 // returns (it is recycled with the request).
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	limit := s.cfg.maxBodyBytes
-	if r.ContentLength > limit {
+	tw := writerOf(w)
+	var err error = errTooLarge
+	if r.ContentLength <= limit {
+		tw.body, err = readCapped(r.Body, tw.body[:0], r.ContentLength, limit)
+	}
+	switch {
+	case err == errTooLarge:
 		s.writeErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge,
 			fmt.Sprintf("body exceeds %d bytes", limit))
 		return nil, false
+	case err != nil:
+		s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
+		return nil, false
 	}
-	tw, _ := w.(*timedWriter)
-	var buf []byte
-	if tw != nil {
-		buf = tw.body[:0]
-	}
-	if hint := r.ContentLength; hint > int64(cap(buf)) && hint <= limit {
+	return tw.body, true
+}
+
+// readCapped appends r to buf until EOF (hint, when positive, presizes
+// it), failing with errTooLarge once more than limit bytes have arrived.
+func readCapped(r io.Reader, buf []byte, hint, limit int64) ([]byte, error) {
+	if hint > int64(cap(buf)) && hint <= limit {
 		buf = make([]byte, 0, hint)
 	}
 	for {
-		if int64(len(buf)) > limit {
-			if tw != nil {
-				tw.body = buf
-			}
-			s.writeErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", limit))
-			return nil, false
-		}
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
@@ -585,468 +491,17 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		if over := int64(len(buf)+len(space)) - (limit + 1); over > 0 {
 			space = space[:int64(len(space))-over]
 		}
-		n, err := r.Body.Read(space)
+		n, err := r.Read(space)
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			if tw != nil {
-				tw.body = buf
-			}
-			if int64(len(buf)) > limit {
-				s.writeErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge,
-					fmt.Sprintf("body exceeds %d bytes", limit))
-				return nil, false
-			}
-			return buf, true
-		}
-		if err != nil {
-			if tw != nil {
-				tw.body = buf
-			}
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
-			return nil, false
+		switch {
+		case int64(len(buf)) > limit:
+			return buf, errTooLarge
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return buf, err
 		}
 	}
-}
-
-func (s *server) handleKV(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimPrefix(r.URL.Path, "/v1/kv/")
-	if key == "" {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadKey, "empty key")
-		return
-	}
-	kb := []byte(key)
-	shard := s.shardHeaders(w, kb)
-	start := reqStart(w)
-	switch r.Method {
-	case http.MethodGet:
-		if !s.checkOwned(w, r, kb, shard) {
-			return
-		}
-		v, ok, err := s.db.Get(kb)
-		s.observeShard(shard, false, start)
-		if err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		if !ok {
-			s.writeErr(w, http.StatusNotFound, api.CodeNotFound, "key not found")
-			return
-		}
-		w.Write(v)
-	case http.MethodPut, http.MethodPost:
-		if s.deny(w) {
-			return
-		}
-		// Body first, lock second: a slow request body must not hold the
-		// flight lock open (it would let one slow client widen the fence
-		// window arbitrarily). The ownership check and the engine write
-		// share one critical section so a concurrent fence cannot slip
-		// between them and purge an acked write.
-		value, ok := s.readBody(w, r)
-		if !ok {
-			return
-		}
-		if s.coal != nil {
-			s.coalesceWrite(w, kb, value, shard, start, wire.OpPut, s.internalOK(r))
-			return
-		}
-		s.flight.RLock()
-		defer s.flight.RUnlock()
-		if !s.checkOwned(w, r, kb, shard) {
-			return
-		}
-		if err := s.db.Put(kb, value); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		s.observeShard(shard, true, start)
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if s.deny(w) {
-			return
-		}
-		if s.coal != nil {
-			s.coalesceWrite(w, kb, nil, shard, start, wire.OpDelete, s.internalOK(r))
-			return
-		}
-		s.flight.RLock()
-		defer s.flight.RUnlock()
-		if !s.checkOwned(w, r, kb, shard) {
-			return
-		}
-		if err := s.db.Delete(kb); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		s.observeShard(shard, true, start)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed on /v1/kv/")
-	}
-}
-
-// owned reports whether this node owns key (true without a cluster).
-func (s *server) owned(key []byte) bool {
-	if s.cfg.src == nil {
-		return true
-	}
-	m := s.cfg.src.Current()
-	if m == nil {
-		return true
-	}
-	return m.OwnerOf(key) == s.cfg.nodeID
-}
-
-// handleScan streams matching entries: results are encoded into the
-// request's scratch buffer and flushed every scanFlushBytes, so a large
-// scan reaches the client incrementally. JSON responses are a streamed
-// array; with Accept: application/x-adcache-bin the response is a binary
-// entry stream (wire.StreamDecoder consumes it). In both formats a
-// response missing its terminator ("]" / the end frame) was cut off by a
-// mid-stream engine error and must not be trusted as complete.
-func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed on /v1/scan")
-		return
-	}
-	q := r.URL.Query()
-	startKey := q.Get("start")
-	n := 16
-	if raw := q.Get("n"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 || parsed > 10_000 {
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadLimit,
-				fmt.Sprintf("n must be an integer in [1,10000], got %q", raw))
-			return
-		}
-		n = parsed
-	}
-	end := q.Get("end")
-	if end != "" && end <= startKey {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadLimit,
-			fmt.Sprintf("end %q not after start %q", end, startKey))
-		return
-	}
-	t0 := reqStart(w)
-	binary := r.Header.Get("Accept") == wire.ContentType
-
-	var m *cluster.ShardMap
-	if s.cfg.src != nil {
-		m = s.cfg.src.Current()
-		if m != nil {
-			w.Header().Set(api.HeaderEpoch, s.epochString(m.Epoch))
-		}
-		if s.cfg.nodeID != "" {
-			w.Header().Set(api.HeaderNode, s.cfg.nodeID)
-		}
-	}
-
-	it, err := s.db.NewIter()
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-		return
-	}
-	defer it.Close()
-
-	if binary {
-		w.Header().Set("Content-Type", wire.ContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	tw, buf := scratch(w)
-	if binary {
-		buf = wire.AppendStreamHeader(buf)
-	} else {
-		buf = append(buf, '[')
-	}
-
-	// A scan touches many slots; charge it to the slot of its first
-	// result (or the start key) — good enough for load attribution.
-	slot := -1
-	count := 0
-	wrote := false
-	ok := it.SeekGE([]byte(startKey))
-	for ; ok && count < n; ok = it.Next() {
-		k := it.Key()
-		if end != "" && string(k) >= end {
-			break
-		}
-		sh := 0
-		if m != nil {
-			sh = m.Shard(k)
-			// Skip keys this node does not own under the current map (a
-			// moved-away slot's leftover data must be invisible).
-			if m.Owner[sh] != s.cfg.nodeID {
-				continue
-			}
-		} else if s.nShards > 1 {
-			sh = cluster.ShardOf(k, s.nShards)
-		}
-		if slot < 0 {
-			slot = sh
-		}
-		if binary {
-			buf = wire.AppendEntry(buf, k, it.Value())
-		} else {
-			if count > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, `{"key":`...)
-			buf = appendJSONBytes(buf, k)
-			buf = append(buf, `,"value":`...)
-			buf = appendJSONBytes(buf, it.Value())
-			buf = append(buf, '}')
-		}
-		count++
-		if len(buf) >= scanFlushBytes {
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			wrote = true
-			buf = buf[:0]
-			if f, ok := w.(http.Flusher); ok {
-				f.Flush()
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		if !wrote {
-			// Nothing sent yet: the error envelope can still go out whole.
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		// Mid-stream failure: stop without the terminator so the client
-		// sees a truncated (invalid) response instead of a silent prefix.
-		if tw != nil {
-			tw.out = buf
-		}
-		return
-	}
-	if binary {
-		buf = wire.AppendStreamEnd(buf)
-	} else {
-		buf = append(buf, ']', '\n')
-	}
-	w.Write(buf)
-	if slot < 0 {
-		slot = 0
-		if s.nShards > 1 {
-			slot = cluster.ShardOf([]byte(startKey), s.nShards)
-		}
-	}
-	s.observeShard(slot, false, t0)
-	if tw != nil {
-		tw.out = buf
-	}
-}
-
-// batchPool recycles write batches across requests and coalesced groups.
-var batchPool = sync.Pool{New: func() any { return lsm.NewBatch() }}
-
-func getBatch() *lsm.Batch {
-	b := batchPool.Get().(*lsm.Batch)
-	b.Reset()
-	return b
-}
-
-// handleBatch applies a multi-op body atomically. The body is JSON
-// ([]api.BatchOp) by default or the binary batch framing when
-// Content-Type is application/x-adcache-bin. Per-request work — map
-// fetch, epoch header, internal-token check — is hoisted out of the op
-// loop, and the touched-slot set is a fixed array (cluster.DefaultShards
-// wide) rather than a map allocation.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed on /v1/batch")
-		return
-	}
-	if s.deny(w) {
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	isBin := r.Header.Get("Content-Type") == wire.ContentType
-	var ops []api.BatchOp
-	var dec wire.BatchDecoder
-	if isBin {
-		if err := dec.Init(body); err != nil {
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
-			return
-		}
-	} else if err := json.Unmarshal(body, &ops); err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
-		return
-	}
-	start := reqStart(w)
-	internal := s.internalOK(r)
-	if s.coal != nil {
-		s.coalesceBatch(w, isBin, ops, &dec, start, internal)
-		return
-	}
-	// Ownership checks and the batch apply share one flight critical
-	// section (body already read above): a concurrent fence either waits
-	// for this whole batch to commit or forces it onto the new map.
-	s.flight.RLock()
-	defer s.flight.RUnlock()
-	var m *cluster.ShardMap
-	if s.cfg.src != nil {
-		if m = s.cfg.src.Current(); m != nil {
-			w.Header().Set(api.HeaderEpoch, s.epochString(m.Epoch))
-		}
-	}
-	var touchedArr [cluster.DefaultShards]bool
-	touched := touchedArr[:]
-	if s.nShards > len(touched) {
-		touched = make([]bool, s.nShards)
-	}
-	b := getBatch()
-	defer batchPool.Put(b)
-	// stage validates one op's key and ownership and marks its slot
-	// touched; key may alias the request body (the batch copies it).
-	stage := func(i int, kb []byte) bool {
-		if len(kb) == 0 {
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadKey, fmt.Sprintf("op %d: empty key", i))
-			return false
-		}
-		if m != nil {
-			shard := m.Shard(kb)
-			if !internal {
-				if owner := m.Owner[shard]; owner != s.cfg.nodeID {
-					s.writeErr(w, http.StatusMisdirectedRequest, api.CodeWrongShard,
-						fmt.Sprintf("shard %d owned by node %q", shard, owner))
-					return false
-				}
-			}
-			if shard < len(touched) {
-				touched[shard] = true
-			}
-		} else {
-			touched[0] = true
-		}
-		return true
-	}
-	if isBin {
-		for i := 0; ; i++ {
-			kind, kb, vb, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
-				return
-			}
-			if !stage(i, kb) {
-				return
-			}
-			if kind == wire.OpPut {
-				b.Put(kb, vb)
-			} else {
-				b.Delete(kb)
-			}
-		}
-	} else {
-		for i, op := range ops {
-			kb := []byte(op.Key)
-			if !stage(i, kb) {
-				return
-			}
-			switch op.Op {
-			case "put":
-				b.Put(kb, []byte(op.Value))
-			case "delete":
-				b.Delete(kb)
-			default:
-				s.writeErr(w, http.StatusBadRequest, api.CodeBadOp,
-					fmt.Sprintf("op %d: unknown %q (want put|delete)", i, op.Op))
-				return
-			}
-		}
-	}
-	if err := s.db.Apply(b); err != nil {
-		s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-		return
-	}
-	for sh := 0; sh < s.nShards && sh < len(touched); sh++ {
-		if touched[sh] {
-			s.observeShard(sh, true, start)
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// coalesceBatch routes a decoded /v1/batch body through the write
-// coalescer: the whole body is staged as one coalOp (outside any lock —
-// body-shape validation does not depend on the shard map, and slot
-// indices are fixed for the cluster's lifetime), and ownership of every
-// staged slot is re-checked by the coalescer at apply time, rejecting
-// the batch whole if any slot moved. Keys and values alias the pooled
-// request body; coalesceApply blocks until the group commits, so the
-// buffer cannot be recycled out from under the coalescer.
-func (s *server) coalesceBatch(w http.ResponseWriter, isBin bool, ops []api.BatchOp, dec *wire.BatchDecoder, start time.Time, internal bool) {
-	var m *cluster.ShardMap
-	if s.cfg.src != nil {
-		if m = s.cfg.src.Current(); m != nil {
-			w.Header().Set(api.HeaderEpoch, s.epochString(m.Epoch))
-		}
-	}
-	op := coalOpPool.Get().(*coalOp)
-	op.reset(internal)
-	bad := func(status int, code, msg string) {
-		s.writeErr(w, status, code, msg)
-		op.release()
-		coalOpPool.Put(op)
-	}
-	stage := func(i int, kind byte, kb, vb []byte) bool {
-		if len(kb) == 0 {
-			bad(http.StatusBadRequest, api.CodeBadKey, fmt.Sprintf("op %d: empty key", i))
-			return false
-		}
-		shard := 0
-		if m != nil {
-			shard = m.Shard(kb)
-		}
-		op.add(kind, kb, vb, shard)
-		return true
-	}
-	if isBin {
-		for i := 0; ; i++ {
-			kind, kb, vb, err := dec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				bad(http.StatusBadRequest, api.CodeBadBody, err.Error())
-				return
-			}
-			if !stage(i, kind, kb, vb) {
-				return
-			}
-		}
-	} else {
-		for i, o := range ops {
-			var kind byte
-			var vb []byte
-			switch o.Op {
-			case "put":
-				kind, vb = wire.OpPut, []byte(o.Value)
-			case "delete":
-				kind = wire.OpDelete
-			default:
-				bad(http.StatusBadRequest, api.CodeBadOp,
-					fmt.Sprintf("op %d: unknown %q (want put|delete)", i, o.Op))
-				return
-			}
-			if !stage(i, kind, []byte(o.Key), vb) {
-				return
-			}
-		}
-	}
-	s.coalesceApply(w, op, start)
 }
 
 // handleStats serves the DB's unified snapshot verbatim — one struct, one
@@ -1054,198 +509,6 @@ func (s *server) coalesceBatch(w http.ResponseWriter, isBin bool, ops []api.Batc
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.db.Metrics())
-}
-
-// handleShardMap serves the node's current map and accepts newer epochs
-// from the shard manager.
-func (s *server) handleShardMap(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.src == nil {
-		s.writeErr(w, http.StatusNotFound, api.CodeNotFound, "node is not cluster-configured")
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.cfg.src.Current())
-	case http.MethodPost:
-		applier, ok := s.cfg.src.(MapApplier)
-		if !ok {
-			s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-				"node's map source is read-only")
-			return
-		}
-		body, ok := s.readBody(w, r)
-		if !ok {
-			return
-		}
-		var m cluster.ShardMap
-		if err := json.Unmarshal(body, &m); err != nil {
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadMap, err.Error())
-			return
-		}
-		// Installing a map is the migration fence: take the flight write
-		// lock so every in-flight mutation that passed its ownership
-		// check under the old map commits before the new map (and the
-		// 204 that releases the shard manager to start copying) lands.
-		s.flight.Lock()
-		err := applier.Apply(&m)
-		s.flight.Unlock()
-		if err != nil {
-			if m.Epoch < s.epoch() {
-				s.writeErr(w, http.StatusConflict, api.CodeStaleEpoch, err.Error())
-			} else {
-				s.writeErr(w, http.StatusBadRequest, api.CodeBadMap, err.Error())
-			}
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed on /v1/shardmap")
-	}
-}
-
-// handleShardStats serves the per-slot cumulative latency histograms the
-// shard manager polls.
-func (s *server) handleShardStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed on /v1/shardstats")
-		return
-	}
-	st := api.ShardStats{Node: s.cfg.nodeID, Epoch: s.epoch(), Shards: make([]api.ShardStat, s.nShards)}
-	for i := 0; i < s.nShards; i++ {
-		st.Shards[i] = api.ShardStat{
-			Shard:  i,
-			Reads:  s.readHist[i].Snapshot(),
-			Writes: s.writeHist[i].Snapshot(),
-		}
-	}
-	// Unified memory ledger (adaptive strategy only): lets the manager and
-	// operators watch memory shift between memtables and the caches.
-	if snap := s.db.Metrics(); snap.AdCache != nil {
-		st.Budgets = make([]api.BudgetStat, 0, len(snap.AdCache.Budgets))
-		for _, b := range snap.AdCache.Budgets {
-			st.Budgets = append(st.Budgets, api.BudgetStat{
-				Component:   b.Component,
-				TargetBytes: b.TargetBytes,
-				ActualBytes: b.ActualBytes,
-			})
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
-}
-
-// parseShard extracts and bounds the ?shard= parameter.
-func (s *server) parseShard(w http.ResponseWriter, r *http.Request) (int, bool) {
-	raw := r.URL.Query().Get("shard")
-	shard, err := strconv.Atoi(raw)
-	if err != nil || shard < 0 || shard >= s.nShards {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadShard,
-			fmt.Sprintf("shard must be an integer in [0,%d), got %q", s.nShards, raw))
-		return 0, false
-	}
-	return shard, true
-}
-
-// handleMigrate is the shard manager's bulk-transfer surface: export,
-// bulk-load, and purge one hash slot. All verbs require the internal
-// header — this is control-plane, not client API.
-func (s *server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	if !s.internalOK(r) {
-		s.writeErr(w, http.StatusForbidden, api.CodeForbidden,
-			"migration requires a valid "+api.HeaderInternal+" token")
-		return
-	}
-	shard, ok := s.parseShard(w, r)
-	if !ok {
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		entries, err := s.collectShard(shard)
-		if err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(entries)
-	case http.MethodPost:
-		if s.deny(w) {
-			return
-		}
-		body, ok := s.readBody(w, r)
-		if !ok {
-			return
-		}
-		var entries []api.MigrateEntry
-		if err := json.Unmarshal(body, &entries); err != nil {
-			s.writeErr(w, http.StatusBadRequest, api.CodeBadBody, err.Error())
-			return
-		}
-		b := s.db.NewBatch()
-		for _, e := range entries {
-			b.Put(e.Key, e.Value)
-		}
-		if err := s.db.Apply(b); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if s.deny(w) {
-			return
-		}
-		if s.cfg.src != nil {
-			if m := s.cfg.src.Current(); m != nil && m.Owner[shard] == s.cfg.nodeID {
-				s.writeErr(w, http.StatusConflict, api.CodeOwnedShard,
-					fmt.Sprintf("refusing to purge shard %d: still owned by this node", shard))
-				return
-			}
-		}
-		entries, err := s.collectShard(shard)
-		if err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		b := s.db.NewBatch()
-		for _, e := range entries {
-			b.Delete(e.Key)
-		}
-		if err := s.db.Apply(b); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-			"method "+r.Method+" not allowed on /v1/migrate")
-	}
-}
-
-// collectShard iterates the whole local keyspace collecting entries in
-// slot shard. Hash partitioning scatters a slot across the key space, so
-// this is a full scan — fine at reproduction scale; a range-partitioned
-// map would make it a bounded scan.
-func (s *server) collectShard(shard int) ([]api.MigrateEntry, error) {
-	it, err := s.db.NewIter()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []api.MigrateEntry
-	for ok := it.First(); ok; ok = it.Next() {
-		k := it.Key()
-		if cluster.ShardOf(k, s.nShards) != shard {
-			continue
-		}
-		out = append(out, api.MigrateEntry{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	return out, it.Err()
 }
 
 // handleMetrics serves the registry in the Prometheus text exposition

@@ -13,6 +13,7 @@ import (
 
 	"adcache"
 	"adcache/internal/api"
+	"adcache/internal/api/wire"
 	"adcache/internal/cluster"
 )
 
@@ -73,39 +74,6 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases: the pre-/v1 routes delegate to /v1 for one release,
-// self-identifying as deprecated.
-func TestLegacyAliases(t *testing.T) {
-	srv, _ := testServer(t)
-	if resp, _ := do(t, "PUT", srv.URL+"/kv/hello", "world"); resp.StatusCode != 204 {
-		t.Fatalf("legacy PUT status %d", resp.StatusCode)
-	}
-	resp, body := do(t, "GET", srv.URL+"/kv/hello", "")
-	if resp.StatusCode != 200 || body != "world" {
-		t.Fatalf("legacy GET = %d %q", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/kv/") {
-		t.Fatalf("legacy Link header %q", link)
-	}
-	// New route reads what legacy wrote and carries no Deprecation.
-	resp, body = do(t, "GET", srv.URL+"/v1/kv/hello", "")
-	if body != "world" || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("v1 GET = %q deprecation=%q", body, resp.Header.Get("Deprecation"))
-	}
-	if resp, _ := do(t, "POST", srv.URL+"/batch", `[{"op":"put","key":"b","value":"2"}]`); resp.StatusCode != 204 {
-		t.Fatalf("legacy batch status %d", resp.StatusCode)
-	}
-	if resp, _ := do(t, "GET", srv.URL+"/scan?start=a&n=5", ""); resp.StatusCode != 200 {
-		t.Fatalf("legacy scan status %d", resp.StatusCode)
-	}
-	if resp, _ := do(t, "GET", srv.URL+"/stats", ""); resp.StatusCode != 200 {
-		t.Fatalf("legacy stats status %d", resp.StatusCode)
-	}
-}
-
 // TestErrorEnvelope drives every client-error path and asserts the typed
 // envelope: HTTP status plus distinct machine-readable code.
 func TestErrorEnvelope(t *testing.T) {
@@ -156,7 +124,13 @@ func TestErrorEnvelope(t *testing.T) {
 		{"oversized body", smallSrv, "PUT", "/v1/kv/big", strings.Repeat("x", 64), 413, api.CodeTooLarge},
 		{"shardmap unclustered", srv, "GET", "/v1/shardmap", "", 404, api.CodeNotFound},
 		{"migrate without header", srv, "GET", "/v1/migrate?shard=0", "", 403, api.CodeForbidden},
-		{"legacy alias envelope", srv, "GET", "/scan?start=a&n=zap", "", 400, api.CodeBadLimit},
+		{"unknown path", srv, "GET", "/nope", "", 404, api.CodeNotFound},
+		{"unknown v1 path", srv, "GET", "/v1/nope", "", 404, api.CodeNotFound},
+		{"root", srv, "GET", "/", "", 404, api.CodeNotFound},
+		{"retired kv", srv, "PUT", "/kv/x", "y", 404, api.CodeNotFound},
+		{"retired scan", srv, "GET", "/scan?start=a&n=zap", "", 404, api.CodeNotFound},
+		{"retired batch", srv, "POST", "/batch", "[]", 404, api.CodeNotFound},
+		{"retired stats", srv, "GET", "/stats", "", 404, api.CodeNotFound},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,6 +145,28 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Fatalf("error content type %q", ct)
 			}
 		})
+	}
+}
+
+// TestRetiredPathsAreNotRoutes: the pre-/v1 paths answer NOT_FOUND naming
+// their /v1 successor, and count as route "other" — they are not data
+// routes, so they never wait on the concurrency limiter.
+func TestRetiredPathsAreNotRoutes(t *testing.T) {
+	srv, db := testServer(t)
+	for _, p := range []string{"/kv/x", "/scan", "/batch", "/stats"} {
+		resp, body := do(t, "GET", srv.URL+p, "")
+		if env := envelope(t, body); resp.StatusCode != 404 || !strings.Contains(env.Message, "/v1"+p) {
+			t.Fatalf("GET %s = %d %q, want 404 naming /v1%s", p, resp.StatusCode, env.Message, p)
+		}
+	}
+	snap := db.Registry().Snapshot()
+	if got := snap[`http_requests_total{route="other"}`]; got != int64(4) {
+		t.Fatalf(`route="other" count = %v, want 4`, got)
+	}
+	for _, rt := range []string{"kv", "scan", "batch", "stats"} {
+		if got := snap[`http_requests_total{route="`+rt+`"}`]; got != int64(0) {
+			t.Fatalf("retired path counted as route %q (%v requests)", rt, got)
+		}
 	}
 }
 
@@ -318,32 +314,6 @@ func TestMetricsRequestLatency(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructors: Handler and NewHandler remain as thin
-// wrappers over New.
-func TestDeprecatedConstructors(t *testing.T) {
-	db, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv := httptest.NewServer(Handler(db))
-	defer srv.Close()
-	if resp, _ := do(t, "PUT", srv.URL+"/v1/kv/x", "y"); resp.StatusCode != 204 {
-		t.Fatalf("Handler wrapper PUT status %d", resp.StatusCode)
-	}
-	db2, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	srv2 := httptest.NewServer(NewHandler(db2, Options{ReadOnly: true}))
-	defer srv2.Close()
-	resp, body := do(t, "PUT", srv2.URL+"/v1/kv/x", "y")
-	if resp.StatusCode != 403 || envelope(t, body).Code != api.CodeReadOnly {
-		t.Fatalf("NewHandler wrapper read-only = %d %q", resp.StatusCode, body)
-	}
-}
-
 // twoNodeView builds a 4-slot map split between "self" and "other" and a
 // view for self. Returns the view and a key owned by each side.
 func twoNodeView(t *testing.T) (*cluster.NodeView, string, string) {
@@ -373,6 +343,35 @@ func twoNodeView(t *testing.T) (*cluster.NodeView, string, string) {
 		}
 	}
 	return view, mine, theirs
+}
+
+// migrateBody encodes key/value pairs as a /v1/migrate load: the binary
+// batch framing, puts only.
+func migrateBody(kv ...string) []byte {
+	b := wire.AppendBatchHeader(nil, len(kv)/2)
+	for i := 0; i < len(kv); i += 2 {
+		b = wire.AppendPut(b, []byte(kv[i]), []byte(kv[i+1]))
+	}
+	return b
+}
+
+// decodeStream decodes a complete binary entry stream (a /v1/migrate
+// export or a binary scan), failing the test if it is cut short.
+func decodeStream(t *testing.T, body string) []api.ScanEntry {
+	t.Helper()
+	var d wire.StreamDecoder
+	d.Reset(strings.NewReader(body))
+	var out []api.ScanEntry
+	for {
+		k, v, err := d.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("stream decode after %d entries: %v", len(out), err)
+		}
+		out = append(out, api.ScanEntry{Key: string(k), Value: string(v)})
+	}
 }
 
 // testToken is the migration secret cluster test servers run with.
@@ -581,16 +580,15 @@ func TestMigrateEndpoints(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("export status %d: %s", resp.StatusCode, body)
 	}
-	var entries []api.MigrateEntry
-	if err := json.Unmarshal([]byte(body), &entries); err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
+		t.Fatalf("export Content-Type = %q, want %q", ct, wire.ContentType)
 	}
-	if len(entries) != 1 || string(entries[0].Key) != mine || string(entries[0].Value) != "owned-value" {
+	if entries := decodeStream(t, body); len(entries) != 1 || entries[0] != (api.ScanEntry{Key: mine, Value: "owned-value"}) {
 		t.Fatalf("export = %+v", entries)
 	}
 
 	// Bulk-load a foreign slot (this is what the new owner receives).
-	load, _ := json.Marshal([]api.MigrateEntry{{Key: []byte(theirs), Value: []byte("migrated")}})
+	load := migrateBody(theirs, "migrated")
 	if resp, body := internal("POST", fmt.Sprintf("/v1/migrate?shard=%d", theirSlot), string(load)); resp.StatusCode != 204 {
 		t.Fatalf("bulk-load = %d %q", resp.StatusCode, body)
 	}
@@ -612,9 +610,9 @@ func TestMigrateEndpoints(t *testing.T) {
 	if resp, body := internal("DELETE", fmt.Sprintf("/v1/migrate?shard=%d", theirSlot), ""); resp.StatusCode != 204 {
 		t.Fatalf("purge foreign = %d %q", resp.StatusCode, body)
 	}
-	resp, body = internal("GET", fmt.Sprintf("/v1/migrate?shard=%d", theirSlot), "")
-	if body = strings.TrimSpace(body); body != "[]" && body != "null" {
-		t.Fatalf("purged slot still has entries: %s", body)
+	_, body = internal("GET", fmt.Sprintf("/v1/migrate?shard=%d", theirSlot), "")
+	if entries := decodeStream(t, body); len(entries) != 0 {
+		t.Fatalf("purged slot still has entries: %+v", entries)
 	}
 
 	// Bad shard parameter.
@@ -630,13 +628,11 @@ func TestScanOwnedPagination(t *testing.T) {
 	view, _, _ := twoNodeView(t)
 	srv := clusterServer(t, view)
 	// Load every key (owned or not) through the migration bypass.
-	var all []api.MigrateEntry
+	var all []string
 	for i := 0; i < 40; i++ {
-		k := fmt.Sprintf("key%04d", i)
-		all = append(all, api.MigrateEntry{Key: []byte(k), Value: []byte("v")})
+		all = append(all, fmt.Sprintf("key%04d", i), "v")
 	}
-	load, _ := json.Marshal(all)
-	req, _ := http.NewRequest("POST", srv.URL+"/v1/migrate?shard=0", strings.NewReader(string(load)))
+	req, _ := http.NewRequest("POST", srv.URL+"/v1/migrate?shard=0", bytes.NewReader(migrateBody(all...)))
 	req.Header.Set(api.HeaderInternal, testToken)
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != 204 {
 		t.Fatalf("bulk load: %v %v", err, resp)
