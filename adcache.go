@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"adcache/internal/core"
 	"adcache/internal/lsm"
@@ -77,17 +76,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Compression aliases the engine's per-block SSTable codec.
-type Compression = lsm.Compression
-
-// The supported SSTable block codecs.
-const (
-	// CompressionNone stores blocks raw (the default).
-	CompressionNone = lsm.CompressionNone
-	// CompressionFlate deflate-compresses blocks that shrink.
-	CompressionFlate = lsm.CompressionFlate
-)
-
 // Strategies lists every scheme in evaluation order.
 func Strategies() []Strategy {
 	return []Strategy{
@@ -119,15 +107,8 @@ type Options struct {
 	UnifiedMemory bool
 	// RangeShards optionally shards result caches by key range (§4.4).
 	RangeShards []string
-	// Compression selects per-block SSTable compression (CompressionNone or
-	// CompressionFlate, default none). With flate the block cache holds
-	// compressed images and its budget charges physical bytes.
-	Compression Compression
-	// BgIOBytesPerSec rate-limits background flush and compaction writes
-	// (token bucket; 0 = unlimited), keeping background I/O from starving
-	// foreground reads on a real disk.
-	BgIOBytesPerSec int64
-	// LSM optionally overrides engine options; FS/Dir/Strategy fields are
+	// LSM optionally overrides engine options — block compression,
+	// background I/O rate limit, tree shape; FS/Dir/Strategy fields are
 	// managed by Open.
 	LSM *lsm.Options
 	// Trace, when non-nil, records every operation (§3.1: "workload logs
@@ -146,7 +127,7 @@ type DB struct {
 
 	traceMu   sync.Mutex
 	trace     *trace.Writer
-	traceErrs atomic.Int64
+	traceErrs *metrics.Counter
 }
 
 // recordTrace appends op to the trace log, if tracing is enabled. Trace
@@ -160,7 +141,7 @@ func (d *DB) recordTrace(op workload.Op) {
 	err := d.trace.Record(op)
 	d.traceMu.Unlock()
 	if err != nil {
-		d.traceErrs.Add(1)
+		d.traceErrs.Inc()
 	}
 }
 
@@ -214,12 +195,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	lsmOpts.FS = opts.FS
 	lsmOpts.Strategy = strategy
-	if opts.Compression != lsm.CompressionNone {
-		lsmOpts.Compression = opts.Compression
-	}
-	if opts.BgIOBytesPerSec > 0 {
-		lsmOpts.BgIOBytesPerSec = opts.BgIOBytesPerSec
-	}
 
 	// One registry per DB: the engine, the cache strategy, and the public
 	// layer all export onto it (per-DB rather than global because one

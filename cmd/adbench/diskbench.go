@@ -54,6 +54,8 @@ type diskBenchReport struct {
 // diskValue is a semi-compressible 256-byte value: structured fields plus an
 // incompressible random payload, the shape real records have. Fully random
 // values would defeat any codec; fully repetitive ones would flatter it.
+func diskKey(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
+
 func diskValue(i int, rng *rand.Rand) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "user%08d;status=active;region=us-east-1;counter=%012d;payload=", i, i*7)
@@ -113,7 +115,7 @@ func runDiskCase(n int, compression lsm.Compression) (diskBenchRow, error) {
 
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
-		if err := db.Put(rpKey(i), diskValue(i, rng)); err != nil {
+		if err := db.Put(diskKey(i), diskValue(i, rng)); err != nil {
 			return row, err
 		}
 	}
@@ -139,7 +141,7 @@ func runDiskCase(n int, compression lsm.Compression) (diskBenchRow, error) {
 	ops := n
 	start := time.Now()
 	for i := 0; i < ops; i++ {
-		if _, ok, err := db.Get(rpKey(readRng.Intn(n))); err != nil || !ok {
+		if _, ok, err := db.Get(diskKey(readRng.Intn(n))); err != nil || !ok {
 			return row, fmt.Errorf("get failed: ok=%v err=%v", ok, err)
 		}
 	}

@@ -16,13 +16,6 @@
 //
 //	adbench -strategy adcache -scale quick
 //
-// With -readpath, adbench runs the read-path micro-benchmarks (uncached,
-// cached and bloom-negative Get, short cached scans, full iteration) and,
-// with -json, writes ns/op, B/op and allocs/op to -out (default
-// BENCH_READPATH.json) — the committed allocation-trajectory artifact:
-//
-//	adbench -readpath -json
-//
 // With -compaction, adbench runs the compaction benchmark — the same
 // random-order write-heavy load with serial and parallel subcompactions —
 // and, with -json, writes throughput and stall figures to -out (default
@@ -95,15 +88,14 @@ func main() {
 		seed     = flag.Int64("seed", 0, "override workload seed")
 		csvDir   = flag.String("csv", "", "also write raw results as CSV into this directory")
 		strategy = flag.String("strategy", "", "run a latency benchmark with this strategy (adcache|block|kv|range|lecar|cacheus|none) and print the histogram table")
-		readpath = flag.Bool("readpath", false, "run the read-path micro-benchmarks (ns/op, B/op, allocs/op)")
 		compact  = flag.Bool("compaction", false, "run the compaction benchmark (serial vs parallel subcompactions)")
 		disk     = flag.Bool("disk", false, "run the on-disk persistence benchmark (none vs flate block compression on OSFS)")
 		clusterB = flag.Bool("cluster", false, "run the 3-node cluster benchmark (fleet p99 before/after a latency-driven rebalance)")
 		wireB    = flag.Bool("wire", false, "run the data-plane benchmark (JSON vs binary codec vs codec+write-coalescing over real HTTP)")
 		memB     = flag.Bool("memory", false, "run the unified-memory benchmark (RL-arbitrated budget vs static memtable/cache splits over a three-phase schedule)")
 		chaosB   = flag.Bool("chaos", false, "run the chaos benchmark (3-node fleet + manager under a seeded fault timeline, held to hard resilience gates)")
-		asJSON   = flag.Bool("json", false, "with -readpath, -compaction, -disk, -cluster, -wire, -memory or -chaos, write results as JSON")
-		out      = flag.String("out", "", "with -json, output file (default BENCH_READPATH.json / BENCH_COMPACTION.json / BENCH_DISK.json / BENCH_CLUSTER.json / BENCH_WIRE.json / BENCH_MEMORY.json / BENCH_CHAOS.json)")
+		asJSON   = flag.Bool("json", false, "with -compaction, -disk, -cluster, -wire, -memory or -chaos, write results as JSON")
+		out      = flag.String("out", "", "with -json, output file (default BENCH_COMPACTION.json / BENCH_DISK.json / BENCH_CLUSTER.json / BENCH_WIRE.json / BENCH_MEMORY.json / BENCH_CHAOS.json)")
 	)
 	flag.Parse()
 
@@ -181,22 +173,6 @@ func main() {
 			path = "BENCH_DISK.json"
 		}
 		if err := runDiskBench(n, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *readpath {
-		n := 50_000
-		if *keys > 0 {
-			n = *keys
-		}
-		path := *out
-		if path == "" {
-			path = "BENCH_READPATH.json"
-		}
-		if err := runReadPath(n, *asJSON, path); err != nil {
 			fmt.Fprintln(os.Stderr, "adbench:", err)
 			os.Exit(1)
 		}

@@ -109,23 +109,6 @@ func TestZeroCapacityAdmitsNothing(t *testing.T) {
 	}
 }
 
-func TestEvictFile(t *testing.T) {
-	c := New(1 << 20)
-	for i := 0; i < 10; i++ {
-		c.Insert(1, uint64(i*4096), block(100, 'a'), 0, false)
-		c.Insert(2, uint64(i*4096), block(100, 'b'), 0, false)
-	}
-	c.EvictFile(1)
-	for i := 0; i < 10; i++ {
-		if _, ok := c.Get(1, uint64(i*4096)); ok {
-			t.Fatal("file-1 block survived EvictFile")
-		}
-		if _, ok := c.Get(2, uint64(i*4096)); !ok {
-			t.Fatal("file-2 block wrongly evicted")
-		}
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	c := New(1 << 20)
 	c.Insert(1, 0, block(10, 'a'), 0, false)
@@ -134,10 +117,6 @@ func TestStatsCounters(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	c.ResetCounters()
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("counters not reset: %+v", st)
 	}
 }
 

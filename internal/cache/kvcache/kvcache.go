@@ -172,10 +172,13 @@ type Stats struct {
 	Entries                 int
 }
 
-// Stats returns a snapshot of counters, aggregated over shards.
-func (c *Cache) Stats() Stats {
+// Stats returns the cache counters aggregated over shards.
+func (c *Cache) Stats() Stats { return Sum(c.ShardStats()) }
+
+// Sum aggregates per-shard snapshots, as returned by ShardStats.
+func Sum(shards []Stats) Stats {
 	var st Stats
-	for _, s := range c.ShardStats() {
+	for _, s := range shards {
 		st.Hits += s.Hits
 		st.Misses += s.Misses
 		st.Evictions += s.Evictions

@@ -73,6 +73,9 @@ type Cache struct {
 	// capacity is the sum of the shard budgets, kept here so the admission
 	// path can read it without visiting every shard lock.
 	capacity atomic.Int64
+	// statLocks counts shard locks taken by ShardStats; tests pin the
+	// one-visit-per-scrape rule with it.
+	statLocks atomic.Int64
 }
 
 type shard struct {
@@ -463,21 +466,22 @@ func (c *Cache) Resize(capacity int64) {
 	}
 }
 
-// Stats returns aggregated counters.
-func (c *Cache) Stats() Stats {
+// Stats returns the cache counters aggregated over shards.
+func (c *Cache) Stats() Stats { return Sum(c.ShardStats()) }
+
+// Sum aggregates per-shard snapshots, as returned by ShardStats.
+func Sum(shards []Stats) Stats {
 	var st Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.GetHits += s.getHits
-		st.GetMisses += s.getMisses
-		st.ScanHits += s.scanHits
-		st.ScanMisses += s.scanMisses
-		st.ScanPartials += s.scanPartials
-		st.Evictions += s.evictions
-		st.Used += s.used
-		st.Capacity += s.capacity
-		st.Entries += s.list.len()
-		s.mu.Unlock()
+	for _, s := range shards {
+		st.GetHits += s.GetHits
+		st.GetMisses += s.GetMisses
+		st.ScanHits += s.ScanHits
+		st.ScanMisses += s.ScanMisses
+		st.ScanPartials += s.ScanPartials
+		st.Evictions += s.Evictions
+		st.Used += s.Used
+		st.Capacity += s.Capacity
+		st.Entries += s.Entries
 	}
 	return st
 }
@@ -487,6 +491,7 @@ func (c *Cache) Stats() Stats {
 // hit and eviction counters running away from its siblings'.
 func (c *Cache) ShardStats() []Stats {
 	out := make([]Stats, len(c.shards))
+	c.statLocks.Add(int64(len(c.shards)))
 	for i, s := range c.shards {
 		s.mu.Lock()
 		out[i] = Stats{
@@ -504,6 +509,10 @@ func (c *Cache) ShardStats() []Stats {
 	}
 	return out
 }
+
+// StatLockVisits reports how many shard locks ShardStats (and so Stats) has
+// taken — a test hook for the scrape-cost pin.
+func (c *Cache) StatLockVisits() int64 { return c.statLocks.Load() }
 
 // Len reports the total entry count.
 func (c *Cache) Len() int {

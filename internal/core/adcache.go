@@ -282,9 +282,8 @@ func (a *AdCache) Trace() []WindowTrace {
 func (a *AdCache) Windows() int64 { return a.windowsClosed.Load() }
 
 // Block and Range expose the component caches for metrics.
-func (a *AdCache) Block() *blockcache.Cache    { return a.block }
-func (a *AdCache) Range() *rangecache.Cache    { return a.rng }
-func (a *AdCache) Collector() *stats.Collector { return a.collector }
+func (a *AdCache) Block() *blockcache.Cache { return a.block }
+func (a *AdCache) Range() *rangecache.Cache { return a.rng }
 
 // countOp advances the window clock and pokes the tuner at boundaries.
 //

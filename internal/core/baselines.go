@@ -104,9 +104,6 @@ func (*KVOnly) ScanBlockFillQuota(int) (int64, bool) { return 0, false }
 // OnCompaction implements lsm.CacheStrategy.
 func (*KVOnly) OnCompaction([]uint64, []uint64) {}
 
-// KV exposes the underlying cache for metrics.
-func (k *KVOnly) KV() *kvcache.Cache { return k.cache }
-
 // RangeOnly is the Range Cache baseline (ICDE'24): all memory to a
 // result cache; the eviction policy is pluggable, yielding the paper's
 // "Range Cache", "Range Cache with LeCaR" and "Range Cache with Cacheus"

@@ -1,9 +1,9 @@
-// Observability for the cache strategies: every strategy answers the
-// engine's unified Counters() query (so nothing above this package ever
-// type-switches on concrete strategies), and registers its Prometheus
-// series — aggregate and per-shard — on a metrics.Registry. AdCache
-// additionally exposes its controller state: the RL reward, losses, and
-// the tuned parameters of the latest window.
+// Observability for the cache strategies. One table per cache kind maps
+// its Stats onto both surfaces: the engine's unified Counters() query (so
+// nothing above this package ever type-switches on concrete strategies) and
+// the Prometheus series — aggregate and per-shard — that the strategy's one
+// collector emits. AdCache additionally exposes its controller state: the
+// RL reward, losses, and the tuned parameters of the latest window.
 package core
 
 import (
@@ -16,165 +16,152 @@ import (
 	"adcache/internal/metrics"
 )
 
-// blockCounters fills the block-cache fields of an lsm.CacheCounters.
-func blockCounters(c *lsm.CacheCounters, st blockcache.Stats) {
-	c.BlockHits, c.BlockMisses, c.BlockEvictions = st.Hits, st.Misses, st.Evictions
-	c.BlockUsed, c.BlockLogicalUsed, c.BlockCapacity = st.Used, st.LogicalUsed, st.Capacity
+// cacheSeries is one row of a cache's struct→series table: a field of its
+// Stats, the aggregate series (and, when shardName is set, the per-shard
+// series) it is exposed as, and the CacheCounters field it fills.
+type cacheSeries[S any] struct {
+	name, help           string
+	shardName, shardHelp string
+	counter              bool
+	get                  func(S) int64
+	set                  func(*lsm.CacheCounters, int64) // nil: not part of CacheCounters
 }
 
-// rangeCounters fills the range-cache fields of an lsm.CacheCounters.
-func rangeCounters(c *lsm.CacheCounters, st rangecache.Stats) {
-	c.RangeGetHits, c.RangeGetMisses = st.GetHits, st.GetMisses
-	c.RangeScanHits, c.RangeScanMisses = st.ScanHits, st.ScanMisses
-	c.RangePartials, c.RangeEvictions = st.ScanPartials, st.Evictions
-	c.RangeUsed, c.RangeCapacity, c.RangeEntries = st.Used, st.Capacity, st.Entries
+var blockSeries = []cacheSeries[blockcache.Stats]{
+	{"cache_block_hits_total", "Block cache hits.", "cache_block_shard_hits_total", "Block cache hits by shard.", true,
+		func(s blockcache.Stats) int64 { return s.Hits }, func(c *lsm.CacheCounters, v int64) { c.BlockHits = v }},
+	{"cache_block_misses_total", "Block cache misses.", "cache_block_shard_misses_total", "Block cache misses by shard.", true,
+		func(s blockcache.Stats) int64 { return s.Misses }, func(c *lsm.CacheCounters, v int64) { c.BlockMisses = v }},
+	{"cache_block_inserts_total", "Blocks admitted into the block cache.", "", "", true,
+		func(s blockcache.Stats) int64 { return s.Inserts }, nil},
+	{"cache_block_evictions_total", "Blocks evicted from the block cache.", "cache_block_shard_evictions_total", "Block cache evictions by shard.", true,
+		func(s blockcache.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.BlockEvictions = v }},
+	{"cache_block_used_bytes", "Physical (resident) bytes held by the block cache.", "cache_block_shard_used_bytes", "Bytes held, by shard.", false,
+		func(s blockcache.Stats) int64 { return s.Used }, func(c *lsm.CacheCounters, v int64) { c.BlockUsed = v }},
+	{"cache_block_logical_bytes", "Decoded size of the blocks held by the block cache.", "", "", false,
+		func(s blockcache.Stats) int64 { return s.LogicalUsed }, func(c *lsm.CacheCounters, v int64) { c.BlockLogicalUsed = v }},
+	{"cache_block_capacity_bytes", "Block cache byte budget (charges physical bytes).", "", "", false,
+		func(s blockcache.Stats) int64 { return s.Capacity }, func(c *lsm.CacheCounters, v int64) { c.BlockCapacity = v }},
+	{"cache_block_entries", "Blocks held by the block cache.", "", "", false,
+		func(s blockcache.Stats) int64 { return int64(s.Blocks) }, nil},
 }
 
-// Counters implements lsm.CacheStrategy.
-func (b *BlockOnly) Counters() lsm.CacheCounters {
-	var c lsm.CacheCounters
-	blockCounters(&c, b.cache.Stats())
-	return c
+// With split keys configured, range-cache shard i covers the i-th key range
+// in split order.
+var rangeSeries = []cacheSeries[rangecache.Stats]{
+	{"cache_range_get_hits_total", "Range cache point-lookup hits.", "cache_range_shard_get_hits_total", "Range cache point hits by key-range shard.", true,
+		func(s rangecache.Stats) int64 { return s.GetHits }, func(c *lsm.CacheCounters, v int64) { c.RangeGetHits = v }},
+	{"cache_range_get_misses_total", "Range cache point-lookup misses.", "", "", true,
+		func(s rangecache.Stats) int64 { return s.GetMisses }, func(c *lsm.CacheCounters, v int64) { c.RangeGetMisses = v }},
+	{"cache_range_scan_hits_total", "Range cache full scan hits.", "cache_range_shard_scan_hits_total", "Range cache scan hits by key-range shard.", true,
+		func(s rangecache.Stats) int64 { return s.ScanHits }, func(c *lsm.CacheCounters, v int64) { c.RangeScanHits = v }},
+	{"cache_range_scan_misses_total", "Range cache scan misses.", "", "", true,
+		func(s rangecache.Stats) int64 { return s.ScanMisses }, func(c *lsm.CacheCounters, v int64) { c.RangeScanMisses = v }},
+	{"cache_range_scan_partials_total", "Scans with a covered prefix but incomplete coverage.", "", "", true,
+		func(s rangecache.Stats) int64 { return s.ScanPartials }, func(c *lsm.CacheCounters, v int64) { c.RangePartials = v }},
+	{"cache_range_evictions_total", "Entries evicted from the range cache.", "cache_range_shard_evictions_total", "Range cache evictions by key-range shard.", true,
+		func(s rangecache.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.RangeEvictions = v }},
+	{"cache_range_used_bytes", "Bytes held by the range cache.", "cache_range_shard_used_bytes", "Bytes held, by key-range shard.", false,
+		func(s rangecache.Stats) int64 { return s.Used }, func(c *lsm.CacheCounters, v int64) { c.RangeUsed = v }},
+	{"cache_range_capacity_bytes", "Range cache byte budget.", "", "", false,
+		func(s rangecache.Stats) int64 { return s.Capacity }, func(c *lsm.CacheCounters, v int64) { c.RangeCapacity = v }},
+	{"cache_range_entries", "Entries held by the range cache.", "", "", false,
+		func(s rangecache.Stats) int64 { return int64(s.Entries) }, func(c *lsm.CacheCounters, v int64) { c.RangeEntries = int(v) }},
 }
 
-// Counters implements lsm.CacheStrategy.
-func (k *KVOnly) Counters() lsm.CacheCounters {
-	st := k.cache.Stats()
-	return lsm.CacheCounters{KVHits: st.Hits, KVMisses: st.Misses, KVEvictions: st.Evictions}
+var kvSeries = []cacheSeries[kvcache.Stats]{
+	{"cache_kv_hits_total", "KV cache hits.", "cache_kv_shard_hits_total", "KV cache hits by shard.", true,
+		func(s kvcache.Stats) int64 { return s.Hits }, func(c *lsm.CacheCounters, v int64) { c.KVHits = v }},
+	{"cache_kv_misses_total", "KV cache misses.", "cache_kv_shard_misses_total", "KV cache misses by shard.", true,
+		func(s kvcache.Stats) int64 { return s.Misses }, func(c *lsm.CacheCounters, v int64) { c.KVMisses = v }},
+	{"cache_kv_evictions_total", "Entries evicted from the KV cache.", "cache_kv_shard_evictions_total", "KV cache evictions by shard.", true,
+		func(s kvcache.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.KVEvictions = v }},
+	{"cache_kv_used_bytes", "Bytes held by the KV cache.", "", "", false,
+		func(s kvcache.Stats) int64 { return s.Used }, nil},
+	{"cache_kv_capacity_bytes", "KV cache byte budget.", "", "", false,
+		func(s kvcache.Stats) int64 { return s.Capacity }, nil},
+	{"cache_kv_entries", "Entries held by the KV cache.", "", "", false,
+		func(s kvcache.Stats) int64 { return int64(s.Entries) }, nil},
 }
 
-// Counters implements lsm.CacheStrategy.
-func (r *RangeOnly) Counters() lsm.CacheCounters {
-	var c lsm.CacheCounters
-	rangeCounters(&c, r.cache.Stats())
-	return c
-}
-
-// Counters implements lsm.CacheStrategy.
-func (a *AdCache) Counters() lsm.CacheCounters {
-	var c lsm.CacheCounters
-	blockCounters(&c, a.block.Stats())
-	rangeCounters(&c, a.rng.Stats())
-	return c
-}
-
-// shardSeries registers one labeled per-shard series: value(i) reads shard
-// i's scalar at exposition time.
-func shardSeries(reg *metrics.Registry, name, help string, shards int, counter bool, value func(i int) int64) {
-	for i := 0; i < shards; i++ {
-		i := i
-		series := fmt.Sprintf("%s{shard=%q}", name, fmt.Sprint(i))
-		if counter {
-			reg.CounterFunc(series, help, func() int64 { return value(i) })
-		} else {
-			reg.GaugeFunc(series, help, func() float64 { return float64(value(i)) })
+// fillCounters copies a cache's aggregate stats into the CacheCounters
+// fields its table names.
+func fillCounters[S any](c *lsm.CacheCounters, rows []cacheSeries[S], total S) {
+	for _, r := range rows {
+		if r.set != nil {
+			r.set(c, r.get(total))
 		}
 	}
 }
 
-// registerBlockCacheMetrics exports a block cache's aggregate and per-shard
-// counters under the cache_block_* prefix.
-func registerBlockCacheMetrics(reg *metrics.Registry, c *blockcache.Cache) {
-	reg.CounterFunc("cache_block_hits_total", "Block cache hits.",
-		func() int64 { return c.Stats().Hits })
-	reg.CounterFunc("cache_block_misses_total", "Block cache misses.",
-		func() int64 { return c.Stats().Misses })
-	reg.CounterFunc("cache_block_inserts_total", "Blocks admitted into the block cache.",
-		func() int64 { return c.Stats().Inserts })
-	reg.CounterFunc("cache_block_evictions_total", "Blocks evicted from the block cache.",
-		func() int64 { return c.Stats().Evictions })
-	reg.GaugeFunc("cache_block_used_bytes", "Physical (resident) bytes held by the block cache.",
-		func() float64 { return float64(c.Stats().Used) })
-	reg.GaugeFunc("cache_block_logical_bytes", "Decoded size of the blocks held by the block cache.",
-		func() float64 { return float64(c.Stats().LogicalUsed) })
-	reg.GaugeFunc("cache_block_capacity_bytes", "Block cache byte budget (charges physical bytes).",
-		func() float64 { return float64(c.Stats().Capacity) })
-	reg.GaugeFunc("cache_block_entries", "Blocks held by the block cache.",
-		func() float64 { return float64(c.Stats().Blocks) })
-
-	shards := len(c.ShardStats())
-	shardSeries(reg, "cache_block_shard_hits_total", "Block cache hits by shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Hits })
-	shardSeries(reg, "cache_block_shard_misses_total", "Block cache misses by shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Misses })
-	shardSeries(reg, "cache_block_shard_evictions_total", "Block cache evictions by shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Evictions })
-	shardSeries(reg, "cache_block_shard_used_bytes", "Bytes held, by shard.",
-		shards, false, func(i int) int64 { return c.ShardStats()[i].Used })
+// emitCache emits every series of one cache — aggregate and per-shard —
+// from one ShardStats snapshot and its sum.
+func emitCache[S any](s *metrics.Sink, rows []cacheSeries[S], total S, shards []S) {
+	for _, r := range rows {
+		emit := func(name, help string, v int64) {
+			if r.counter {
+				s.Counter(name, help, v)
+			} else {
+				s.Gauge(name, help, float64(v))
+			}
+		}
+		emit(r.name, r.help, r.get(total))
+		if r.shardName == "" {
+			continue
+		}
+		for i, st := range shards {
+			emit(fmt.Sprintf("%s{shard=\"%d\"}", r.shardName, i), r.shardHelp, r.get(st))
+		}
+	}
 }
 
-// registerRangeCacheMetrics exports a range cache's aggregate and per-shard
-// counters under the cache_range_* prefix. With split keys configured,
-// shard i covers the i-th key range in split order.
-func registerRangeCacheMetrics(reg *metrics.Registry, c *rangecache.Cache) {
-	reg.CounterFunc("cache_range_get_hits_total", "Range cache point-lookup hits.",
-		func() int64 { return c.Stats().GetHits })
-	reg.CounterFunc("cache_range_get_misses_total", "Range cache point-lookup misses.",
-		func() int64 { return c.Stats().GetMisses })
-	reg.CounterFunc("cache_range_scan_hits_total", "Range cache full scan hits.",
-		func() int64 { return c.Stats().ScanHits })
-	reg.CounterFunc("cache_range_scan_misses_total", "Range cache scan misses.",
-		func() int64 { return c.Stats().ScanMisses })
-	reg.CounterFunc("cache_range_scan_partials_total", "Scans with a covered prefix but incomplete coverage.",
-		func() int64 { return c.Stats().ScanPartials })
-	reg.CounterFunc("cache_range_evictions_total", "Entries evicted from the range cache.",
-		func() int64 { return c.Stats().Evictions })
-	reg.GaugeFunc("cache_range_used_bytes", "Bytes held by the range cache.",
-		func() float64 { return float64(c.Stats().Used) })
-	reg.GaugeFunc("cache_range_capacity_bytes", "Range cache byte budget.",
-		func() float64 { return float64(c.Stats().Capacity) })
-	reg.GaugeFunc("cache_range_entries", "Entries held by the range cache.",
-		func() float64 { return float64(c.Stats().Entries) })
-
-	shards := len(c.ShardStats())
-	shardSeries(reg, "cache_range_shard_get_hits_total", "Range cache point hits by key-range shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].GetHits })
-	shardSeries(reg, "cache_range_shard_scan_hits_total", "Range cache scan hits by key-range shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].ScanHits })
-	shardSeries(reg, "cache_range_shard_evictions_total", "Range cache evictions by key-range shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Evictions })
-	shardSeries(reg, "cache_range_shard_used_bytes", "Bytes held, by key-range shard.",
-		shards, false, func(i int) int64 { return c.ShardStats()[i].Used })
+// Counters implements lsm.CacheStrategy.
+func (b *BlockOnly) Counters() (c lsm.CacheCounters) {
+	fillCounters(&c, blockSeries, b.cache.Stats())
+	return c
 }
 
-// registerKVCacheMetrics exports a KV cache's aggregate and per-shard
-// counters under the cache_kv_* prefix.
-func registerKVCacheMetrics(reg *metrics.Registry, c *kvcache.Cache) {
-	reg.CounterFunc("cache_kv_hits_total", "KV cache hits.",
-		func() int64 { return c.Stats().Hits })
-	reg.CounterFunc("cache_kv_misses_total", "KV cache misses.",
-		func() int64 { return c.Stats().Misses })
-	reg.CounterFunc("cache_kv_evictions_total", "Entries evicted from the KV cache.",
-		func() int64 { return c.Stats().Evictions })
-	reg.GaugeFunc("cache_kv_used_bytes", "Bytes held by the KV cache.",
-		func() float64 { return float64(c.Stats().Used) })
-	reg.GaugeFunc("cache_kv_capacity_bytes", "KV cache byte budget.",
-		func() float64 { return float64(c.Stats().Capacity) })
-	reg.GaugeFunc("cache_kv_entries", "Entries held by the KV cache.",
-		func() float64 { return float64(c.Stats().Entries) })
-
-	shards := len(c.ShardStats())
-	shardSeries(reg, "cache_kv_shard_hits_total", "KV cache hits by shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Hits })
-	shardSeries(reg, "cache_kv_shard_misses_total", "KV cache misses by shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Misses })
-	shardSeries(reg, "cache_kv_shard_evictions_total", "KV cache evictions by shard.",
-		shards, true, func(i int) int64 { return c.ShardStats()[i].Evictions })
+// Counters implements lsm.CacheStrategy.
+func (k *KVOnly) Counters() (c lsm.CacheCounters) {
+	fillCounters(&c, kvSeries, k.cache.Stats())
+	return c
 }
 
-// RegisterMetrics exports the strategy's series on reg.
+// Counters implements lsm.CacheStrategy.
+func (r *RangeOnly) Counters() (c lsm.CacheCounters) {
+	fillCounters(&c, rangeSeries, r.cache.Stats())
+	return c
+}
+
+// Counters implements lsm.CacheStrategy.
+func (a *AdCache) Counters() (c lsm.CacheCounters) {
+	fillCounters(&c, blockSeries, a.block.Stats())
+	fillCounters(&c, rangeSeries, a.rng.Stats())
+	return c
+}
+
+// RegisterMetrics registers the strategy's one collector on reg.
 func (b *BlockOnly) RegisterMetrics(reg *metrics.Registry) {
-	registerBlockCacheMetrics(reg, b.cache)
+	reg.Collect(func(s *metrics.Sink) {
+		shards := b.cache.ShardStats()
+		emitCache(s, blockSeries, blockcache.Sum(shards), shards)
+	})
 }
 
-// RegisterMetrics exports the strategy's series on reg.
+// RegisterMetrics registers the strategy's one collector on reg.
 func (k *KVOnly) RegisterMetrics(reg *metrics.Registry) {
-	registerKVCacheMetrics(reg, k.cache)
+	reg.Collect(func(s *metrics.Sink) {
+		shards := k.cache.ShardStats()
+		emitCache(s, kvSeries, kvcache.Sum(shards), shards)
+	})
 }
 
-// RegisterMetrics exports the strategy's series on reg.
+// RegisterMetrics registers the strategy's one collector on reg.
 func (r *RangeOnly) RegisterMetrics(reg *metrics.Registry) {
-	registerRangeCacheMetrics(reg, r.cache)
+	reg.Collect(func(s *metrics.Sink) {
+		shards := r.cache.ShardStats()
+		emitCache(s, rangeSeries, rangecache.Sum(shards), shards)
+	})
 }
 
 // TuningState is the controller's view of the most recently closed window:
@@ -209,30 +196,21 @@ type Budget struct {
 
 // Budgets reports the unified ledger's per-component targets and actuals.
 // The memtable row is all-zero when no DB is bound or arbitration is off.
-// Safe for concurrent use (scrape-time).
+// Safe for concurrent use.
 func (a *AdCache) Budgets() []Budget {
-	p := a.CurrentParams()
+	return a.budgets(a.block.Stats(), a.rng.Stats())
+}
+
+// budgets builds the ledger from cache stats the caller already holds.
+func (a *AdCache) budgets(bs blockcache.Stats, rs rangecache.Stats) []Budget {
 	info := a.dbWriteInfo()
-	bs := a.block.Stats()
-	rs := a.rng.Stats()
 	return []Budget{
 		{Component: "memtable",
-			TargetBytes: int64(float64(a.cfg.Capacity) * p.MemRatio),
+			TargetBytes: int64(float64(a.cfg.Capacity) * a.CurrentParams().MemRatio),
 			ActualBytes: info.MemBytes + info.ImmBytes},
 		{Component: "blockcache", TargetBytes: bs.Capacity, ActualBytes: bs.Used},
 		{Component: "rangecache", TargetBytes: rs.Capacity, ActualBytes: rs.Used},
 	}
-}
-
-// budgetFor returns the named component's Budget row (zero value when
-// unknown).
-func (a *AdCache) budgetFor(component string) Budget {
-	for _, b := range a.Budgets() {
-		if b.Component == component {
-			return b
-		}
-	}
-	return Budget{}
 }
 
 // TuningState returns the controller state of the last closed window. Before
@@ -243,50 +221,40 @@ func (a *AdCache) TuningState() TuningState {
 	return a.tuning
 }
 
-// RegisterMetrics exports the component caches' series plus the controller
-// gauges. Scrapes never touch the tuner-owned agent: every adcache_* value
-// reads either the atomic params or the mu-guarded TuningState copy that
-// tuneOnce writes at each window boundary.
+// RegisterMetrics registers AdCache's one collector: per scrape it visits
+// each component cache's shards once and emits their series, the budget
+// ledger built from the same stats, and the controller gauges. A scrape
+// never touches the tuner-owned agent: every adcache_* value reads either
+// the atomic params or the mu-guarded TuningState copy that tuneOnce writes
+// at each window boundary.
 func (a *AdCache) RegisterMetrics(reg *metrics.Registry) {
-	registerBlockCacheMetrics(reg, a.block)
-	registerRangeCacheMetrics(reg, a.rng)
+	reg.Collect(func(s *metrics.Sink) {
+		blockShards, rangeShards := a.block.ShardStats(), a.rng.ShardStats()
+		bs, rs := blockcache.Sum(blockShards), rangecache.Sum(rangeShards)
+		emitCache(s, blockSeries, bs, blockShards)
+		emitCache(s, rangeSeries, rs, rangeShards)
 
-	reg.GaugeFunc("adcache_range_ratio", "Fraction of the cache budget held by the range cache.",
-		func() float64 { return a.CurrentParams().RangeRatio })
-	reg.GaugeFunc("adcache_mem_ratio", "Fraction of the unified budget allotted to memtables (0 without arbitration).",
-		func() float64 { return a.CurrentParams().MemRatio })
-	for _, comp := range []string{"memtable", "blockcache", "rangecache"} {
-		comp := comp
-		reg.GaugeFunc(fmt.Sprintf("adcache_budget_target_bytes{component=%q}", comp),
-			"Unified-ledger byte target for the component.",
-			func() float64 { return float64(a.budgetFor(comp).TargetBytes) })
-		reg.GaugeFunc(fmt.Sprintf("adcache_budget_actual_bytes{component=%q}", comp),
-			"Bytes the component actually holds.",
-			func() float64 { return float64(a.budgetFor(comp).ActualBytes) })
-	}
-	reg.GaugeFunc("adcache_write_eff", "Last window's write efficiency (1/write-amplification; unified arbitration only).",
-		func() float64 { return a.TuningState().WriteEff })
-	reg.GaugeFunc("adcache_point_threshold", "Frequency-score threshold for point admission.",
-		func() float64 { return a.CurrentParams().PointThreshold })
-	reg.GaugeFunc("adcache_scan_a", "Full-admission scan length threshold a, in keys.",
-		func() float64 { return float64(a.CurrentParams().ScanA) })
-	reg.GaugeFunc("adcache_scan_b", "Partial-admission aggressiveness b.",
-		func() float64 { return a.CurrentParams().ScanB })
+		p, t := a.CurrentParams(), a.TuningState()
+		s.Gauge("adcache_range_ratio", "Fraction of the cache budget held by the range cache.", p.RangeRatio)
+		s.Gauge("adcache_mem_ratio", "Fraction of the unified budget allotted to memtables (0 without arbitration).", p.MemRatio)
+		for _, b := range a.budgets(bs, rs) {
+			s.Gauge(fmt.Sprintf("adcache_budget_target_bytes{component=%q}", b.Component),
+				"Unified-ledger byte target for the component.", float64(b.TargetBytes))
+			s.Gauge(fmt.Sprintf("adcache_budget_actual_bytes{component=%q}", b.Component),
+				"Bytes the component actually holds.", float64(b.ActualBytes))
+		}
+		s.Gauge("adcache_write_eff", "Last window's write efficiency (1/write-amplification; unified arbitration only).", t.WriteEff)
+		s.Gauge("adcache_point_threshold", "Frequency-score threshold for point admission.", p.PointThreshold)
+		s.Gauge("adcache_scan_a", "Full-admission scan length threshold a, in keys.", float64(p.ScanA))
+		s.Gauge("adcache_scan_b", "Partial-admission aggressiveness b.", p.ScanB)
 
-	reg.CounterFunc("adcache_windows_total", "Control windows processed by the tuner.",
-		func() int64 { return a.Windows() })
-	reg.CounterFunc("adcache_agent_steps_total", "Actor-critic updates performed.",
-		func() int64 { return a.TuningState().AgentSteps })
-	reg.GaugeFunc("adcache_reward", "Last window's learning-rate signal Δh/h.",
-		func() float64 { return a.TuningState().Reward })
-	reg.GaugeFunc("adcache_h_estimate", "Last window's I/O-model hit-rate estimate.",
-		func() float64 { return a.TuningState().HEstimate })
-	reg.GaugeFunc("adcache_h_smoothed", "Smoothed hit-rate estimate (the critic target).",
-		func() float64 { return a.TuningState().HSmoothed })
-	reg.GaugeFunc("adcache_actor_lr", "Adaptive actor learning rate.",
-		func() float64 { return a.TuningState().ActorLR })
-	reg.GaugeFunc("adcache_actor_loss", "Actor policy-gradient surrogate loss, last update.",
-		func() float64 { return a.TuningState().ActorLoss })
-	reg.GaugeFunc("adcache_critic_loss", "Critic TD squared error, last update.",
-		func() float64 { return a.TuningState().CriticLoss })
+		s.Counter("adcache_windows_total", "Control windows processed by the tuner.", a.Windows())
+		s.Counter("adcache_agent_steps_total", "Actor-critic updates performed.", t.AgentSteps)
+		s.Gauge("adcache_reward", "Last window's learning-rate signal Δh/h.", t.Reward)
+		s.Gauge("adcache_h_estimate", "Last window's I/O-model hit-rate estimate.", t.HEstimate)
+		s.Gauge("adcache_h_smoothed", "Smoothed hit-rate estimate (the critic target).", t.HSmoothed)
+		s.Gauge("adcache_actor_lr", "Adaptive actor learning rate.", t.ActorLR)
+		s.Gauge("adcache_actor_loss", "Actor policy-gradient surrogate loss, last update.", t.ActorLoss)
+		s.Gauge("adcache_critic_loss", "Critic TD squared error, last update.", t.CriticLoss)
+	})
 }

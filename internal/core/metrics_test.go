@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"adcache/internal/lsm"
 	"adcache/internal/metrics"
+	"adcache/internal/vfs"
 )
 
 // driveWindows pushes enough point traffic through the strategy callbacks
@@ -130,5 +132,123 @@ func TestMetricsCountersUnified(t *testing.T) {
 	a.GetCached(key)
 	if c := a.Counters(); c.RangeGetHits != 1 || c.BlockCapacity == 0 {
 		t.Errorf("AdCache counters = %+v", c)
+	}
+}
+
+// seriesCounters rebuilds the CacheCounters fields of one cache from its
+// series, walking the cache's struct→series table, and checks on the way
+// that every per-shard series sums to its aggregate.
+func seriesCounters[S any](t *testing.T, snap map[string]any, rows []cacheSeries[S], shards int, c *lsm.CacheCounters) {
+	t.Helper()
+	value := func(name string) int64 {
+		switch v := snap[name].(type) {
+		case int64:
+			return v
+		case float64:
+			return int64(v)
+		}
+		t.Errorf("series %s missing", name)
+		return 0
+	}
+	for _, r := range rows {
+		total := value(r.name)
+		if r.set != nil {
+			r.set(c, total)
+		}
+		if r.shardName == "" {
+			continue
+		}
+		var sum int64
+		for i := 0; i < shards; i++ {
+			sum += value(fmt.Sprintf("%s{shard=\"%d\"}", r.shardName, i))
+		}
+		if sum != total {
+			t.Errorf("%s shards sum to %d, %s says %d", r.shardName, sum, r.name, total)
+		}
+	}
+}
+
+// TestStatsMetricsAgreement runs the same traffic through a real engine
+// under each of the seven strategies and checks that, once quiesced, the
+// strategy's Counters() — what /v1/stats serves — is exactly what its
+// series say, field by field from the one table both are built from.
+func TestStatsMetricsAgreement(t *testing.T) {
+	ad := newTestAdCache(t, Config{Capacity: 2 << 20, WindowSize: 200})
+	for name, strategy := range map[string]lsm.CacheStrategy{
+		"NoCache":            lsm.NoCache{},
+		"BlockCache":         NewBlockOnly(2 << 20),
+		"KVCache":            NewKVOnly(2 << 20),
+		"RangeCache":         NewRangeOnly(2<<20, "lru", nil),
+		"RangeCache+LeCaR":   NewRangeOnly(2<<20, "lecar", []string{"k000500"}),
+		"RangeCache+Cacheus": NewRangeOnly(2<<20, "cacheus", nil),
+		"AdCache":            ad,
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			opts := lsm.DefaultOptions("db")
+			opts.FS = vfs.NewMem()
+			opts.Strategy = strategy
+			opts.MetricsRegistry = reg
+			opts.InlineCompaction = true
+			db, err := lsm.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if rm, ok := strategy.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
+				rm.RegisterMetrics(reg)
+			}
+			if strategy == ad {
+				ad.Bind(db)
+			}
+			k := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
+			for i := 0; i < 1000; i++ {
+				if err := db.Put(k(i), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2000; i++ {
+				if _, _, err := db.Get(k(i * 7 % 1100)); err != nil {
+					t.Fatal(err)
+				}
+				if i%10 == 0 {
+					if _, err := db.Scan(k(i%900), 16); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			snap := reg.Snapshot()
+			want := strategy.Counters()
+			var got lsm.CacheCounters
+			switch s := strategy.(type) {
+			case *BlockOnly:
+				seriesCounters(t, snap, blockSeries, len(s.cache.ShardStats()), &got)
+			case *KVOnly:
+				seriesCounters(t, snap, kvSeries, len(s.cache.ShardStats()), &got)
+			case *RangeOnly:
+				seriesCounters(t, snap, rangeSeries, len(s.cache.ShardStats()), &got)
+			case *AdCache:
+				seriesCounters(t, snap, blockSeries, len(s.block.ShardStats()), &got)
+				seriesCounters(t, snap, rangeSeries, len(s.rng.ShardStats()), &got)
+				if w := snap["adcache_windows_total"]; w != s.Windows() || s.Windows() == 0 {
+					t.Errorf("adcache_windows_total = %v, controller says %d", w, s.Windows())
+				}
+				for _, b := range s.Budgets() {
+					if v := snap[fmt.Sprintf("adcache_budget_actual_bytes{component=%q}", b.Component)]; v != float64(b.ActualBytes) {
+						t.Errorf("budget actual %s = %v, ledger says %d", b.Component, v, b.ActualBytes)
+					}
+				}
+			}
+			if got != want {
+				t.Errorf("series say %+v\nCounters() says %+v", got, want)
+			}
+			if name != "NoCache" && got == (lsm.CacheCounters{}) {
+				t.Error("traffic moved no cache counter")
+			}
+		})
 	}
 }

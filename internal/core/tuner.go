@@ -97,7 +97,7 @@ func (a *AdCache) tuneOnce() {
 
 	// Publish the controller view for metrics scrapes. The agent is owned by
 	// this goroutine, so its accessors are read here and copied under the
-	// lock — GaugeFuncs read the copy, never the agent.
+	// lock — the collector reads the copy, never the agent.
 	actorLoss, criticLoss := a.agent.Losses()
 	a.mu.Lock()
 	a.tuning = TuningState{

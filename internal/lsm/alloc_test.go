@@ -94,3 +94,30 @@ func TestAllocsWarmScan16(t *testing.T) {
 		t.Fatalf("warm Scan(16) allocates %.1f objects/op, want <= 7", allocs)
 	}
 }
+
+// TestAllocsCommit bounds what a write group of one Put allocates: ten
+// objects — the caller's key and value copies, the group's bookkeeping, the
+// WAL record and the memtable entry. Publishing the write-side counters
+// allocates nothing: they are registry cells, where a WriteSideInfo copy
+// boxed into an atomic.Value per group used to be the eleventh.
+func TestAllocsCommit(t *testing.T) {
+	opts := DefaultOptions("allocdb")
+	opts.FS = vfs.NewMem()
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	k, v := key(1), val(1)
+	if err := db.Put(k, v); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := db.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !raceEnabled && allocs > 10 {
+		t.Fatalf("Put allocates %.1f objects/op, want <= 10", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"adcache/internal/keys"
 	"adcache/internal/memtable"
+	"adcache/internal/metrics"
 	"adcache/internal/wal"
 )
 
@@ -121,20 +122,24 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
+	// The group's counters advance once, after the apply loop: OnWrite may
+	// close a tuning window, and a window prices whole groups.
+	var stall *metrics.Counter
 	if d.opts.InlineCompaction {
 		// Count-only stall accounting, mirroring the pre-concurrency
 		// engine: the stall manifests as inline compaction latency below.
 		if n := len(d.version.Levels[0]); n >= d.opts.L0StopTrigger {
-			d.stallStops++
+			stall = d.metrics.stallStops
 		} else if n >= d.opts.L0CompactTrigger {
-			d.stallSlowdowns++
+			stall = d.metrics.stallSlowdowns
 		}
 	}
+	var userBytes int64
 	seq = startSeq
 	for _, g := range group {
 		for _, op := range g.ops {
 			d.mem.Set(keys.Make(op.key, seq, op.kind), op.value)
-			d.userBytes += int64(len(op.key) + len(op.value))
+			userBytes += int64(len(op.key) + len(op.value))
 			// Write-through cache coherence happens inside the exclusive
 			// section, as in the single-threaded engine: no reader can
 			// observe the cache behind the tree.
@@ -143,7 +148,11 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 		}
 	}
 	d.lastSeq = startSeq + uint64(total) - 1
-	d.writeGroups++
+	if stall != nil {
+		stall.Inc()
+	}
+	d.metrics.userBytes.Add(userBytes)
+	d.metrics.writeGroups.Inc()
 
 	var sealErr error
 	// The flush threshold is dynamic when a unified-memory arbiter has set
@@ -154,7 +163,7 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 	if full {
 		sealErr = d.sealMemTableLocked()
 	}
-	d.refreshWriteInfoLocked()
+	d.storeMemGaugesLocked()
 	d.mu.Unlock()
 	if sealErr != nil {
 		return sealErr
@@ -223,7 +232,7 @@ func (d *DB) waitForWriteRoom() error {
 			break
 		}
 		if !stalled {
-			d.stallStops++
+			d.metrics.stallStops.Inc()
 			stalled = true
 		}
 		// Make sure the worker knows there is pressure to relieve: a tall
@@ -232,7 +241,7 @@ func (d *DB) waitForWriteRoom() error {
 		d.bgCond.Wait()
 	}
 	if slowdown {
-		d.stallSlowdowns++
+		d.metrics.stallSlowdowns.Inc()
 	}
 	d.mu.Unlock()
 	if slowdown {

@@ -76,24 +76,23 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 	oldNums := make([]uint64, 0, len(inputs))
 	for _, f := range inputs {
 		oldNums = append(oldNums, f.FileNum)
-		d.compactedBytes += int64(f.Size)
+		d.metrics.compactedBytes.Add(int64(f.Size))
 	}
 	for _, f := range plan.Inputs {
-		d.levelCompactIn[plan.InputLevel] += int64(f.Size)
+		d.metrics.levelCompactIn[plan.InputLevel].Add(int64(f.Size))
 	}
 	for _, f := range plan.Overlaps {
-		d.levelCompactIn[plan.OutputLevel] += int64(f.Size)
+		d.metrics.levelCompactIn[plan.OutputLevel].Add(int64(f.Size))
 	}
 	d.installVersion(nv, oldNums)
-	d.compactions++
-	d.subcompactions += int64(len(ranges))
+	d.metrics.compactions.Inc()
+	d.metrics.subcompactions.Add(int64(len(ranges)))
 	newNums := make([]uint64, 0, len(outputs))
 	for _, f := range outputs {
 		newNums = append(newNums, f.FileNum)
-		d.compactionOut += int64(f.Size)
-		d.levelCompactOut[plan.OutputLevel] += int64(f.Size)
+		d.metrics.compactionOut.Add(int64(f.Size))
+		d.metrics.levelCompactOut[plan.OutputLevel].Add(int64(f.Size))
 	}
-	d.refreshWriteInfoLocked()
 	saveErr := d.saveManifestLocked()
 	// L0 may have shrunk below the stop trigger: wake stalled writers.
 	d.bgCond.Broadcast()
@@ -362,13 +361,11 @@ func (d *DB) writeCompactionOutputs(merged *mergingIter, sr compaction.SubRange,
 		}
 		if lastUser != nil && bytes.Equal(uk, lastUser) {
 			// Shadowed older version.
-			d.obsoleteEntries.Add(1)
 			continue
 		}
 		lastUser = append(lastUser[:0], uk...)
 		if lastLevel && ik.Kind() == keys.KindDelete {
 			// Tombstone reaching the deepest data level: drop it.
-			d.obsoleteEntries.Add(1)
 			continue
 		}
 		if w == nil {

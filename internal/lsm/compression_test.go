@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adcache/internal/cache/blockcache"
+	"adcache/internal/metrics"
 	"adcache/internal/vfs"
 )
 
@@ -141,16 +142,14 @@ func TestDBCompressionWithBlockCache(t *testing.T) {
 func TestIOLimiterAccumulatesStall(t *testing.T) {
 	var nilLimiter *ioLimiter
 	nilLimiter.wait(1 << 30) // must be a no-op, not a panic
-	if nilLimiter.StallNanos() != 0 {
-		t.Fatal("nil limiter reported stall")
-	}
 
-	l := newIOLimiter(1 << 20) // 1 MiB/s
+	var stallNanos metrics.Counter
+	l := newIOLimiter(1<<20, &stallNanos) // 1 MiB/s
 	start := time.Now()
 	l.wait(1 << 20) // drains the initial second of budget
 	l.wait(512 << 10)
 	elapsed := time.Since(start)
-	if stall := l.StallNanos(); stall == 0 {
+	if stall := stallNanos.Value(); stall == 0 {
 		t.Fatal("overdraft did not accumulate stall time")
 	} else if elapsed < time.Duration(stall)/2 {
 		t.Fatalf("reported %v stall but only %v elapsed", time.Duration(stall), elapsed)

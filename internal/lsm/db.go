@@ -66,10 +66,11 @@ type DB struct {
 	// (Options.BgIOBytesPerSec); nil when unlimited.
 	ioLimit *ioLimiter
 
-	// reg/metrics are the observability layer: hot-path histograms plus
-	// scrape-time bridges over the counters below (see metrics.go).
-	reg     *metrics.Registry
-	metrics dbMetrics
+	// metrics are the engine's registry cells — histograms and every
+	// cumulative counter (see metrics.go). snapshots counts Metrics() calls;
+	// tests pin the one-snapshot-per-scrape rule with it.
+	metrics   dbMetrics
+	snapshots atomic.Int64
 
 	// commitMu serialises write groups: its holder is the group leader and
 	// the only goroutine touching the WAL writer and seqAlloc.
@@ -104,9 +105,7 @@ type DB struct {
 	bgState   bgState
 	bgKind    BgErrorKind
 	bgCause   error
-	bgAttempt int   // consecutive failures, drives the backoff
-	bgRetries int64 // cumulative retry attempts (lsm_bg_retries_total)
-	resumes   int64 // Resume calls that exited read-only mode
+	bgAttempt int // consecutive failures, drives the backoff
 
 	// bgCond (on mu) wakes stalled writers when the background worker
 	// retires an immutable memtable or shrinks L0.
@@ -147,51 +146,17 @@ type DB struct {
 	// under d.mu).
 	memBudget atomic.Int64
 
-	// writeInfo is a lock-free snapshot of write-side state (memtable fill,
-	// imm queue, flush/stall/amplification counters), refreshed whenever the
-	// underlying counters change under d.mu. Like shapeInfo it exists so
-	// cache strategies can observe the write side from inside callbacks.
-	writeInfo atomic.Value // WriteSideInfo
-
-	// Query-path I/O counters (atomic): block reads and block-cache hits
-	// attributable to Get/Scan only, excluding flush/compaction/recovery
-	// I/O — the paper's "SST reads" metric.
-	queryBlockReads atomic.Int64
-	queryBlockHits  atomic.Int64
-	// lazySkippedRuns counts sorted runs a scan or iterator positioned
-	// without ever opening: the merge never reached them.
-	lazySkippedRuns atomic.Int64
-
-	// staleSkippedPoints/Scans count disk-served results that were returned
-	// to their caller but withheld from the result cache, because a write
-	// touched their key span between the read's snapshot and its admission.
-	staleSkippedPoints atomic.Int64
-	staleSkippedScans  atomic.Int64
-
-	// obsoleteEntries is bumped by compactions dropping shadowed versions
-	// and tombstones; atomic because compaction merges run outside mu.
-	obsoleteEntries atomic.Int64
+	// Write-side gauges, stored (under d.mu) wherever the memtable or the
+	// immutable queue changes and read lock-free by WriteSideInfo: cache
+	// strategies observe the write side from inside engine callbacks.
+	memBytes, memTarget, immCount, immBytes atomic.Int64
 
 	// readPool recycles per-operation read scratch (seek-key buffers, block
 	// and merge iterators, the scan iterator stack) so warm Get/Scan calls
 	// allocate nothing beyond their results.
 	readPool sync.Pool
 
-	// Counters (guarded by mu).
-	walRemoveErrors int64 // failed WAL deletions after successful flushes
-	flushes         int64
-	compactions     int64
-	subcompactions  int64 // shard merges executed (== compactions when serial)
-	stallSlowdowns  int64
-	stallStops      int64
-	writeGroups     int64
-	memSeed         int64
-	compactedBytes  int64   // bytes read as compaction inputs
-	compactionOut   int64   // bytes written as compaction outputs
-	levelCompactIn  []int64 // compaction input bytes drawn from each level
-	levelCompactOut []int64 // compaction output bytes written into each level
-	flushedBytes    int64
-	userBytes       int64
+	memSeed int64 // guarded by mu
 }
 
 // Open opens (creating if necessary) the database described by opts.
@@ -210,18 +175,15 @@ func Open(opts Options) (*DB, error) {
 		reg = metrics.NewRegistry()
 	}
 	db := &DB{
-		opts:            opts,
-		fs:              fs,
-		strategy:        strategy,
-		store:           manifest.NewStore(fs, opts.Dir),
-		roundRobin:      make(map[int][]byte),
-		memSeed:         opts.Seed,
-		reg:             reg,
-		ioLimit:         newIOLimiter(opts.BgIOBytesPerSec),
-		levelCompactIn:  make([]int64, opts.NumLevels),
-		levelCompactOut: make([]int64, opts.NumLevels),
+		opts:       opts,
+		fs:         fs,
+		strategy:   strategy,
+		store:      manifest.NewStore(fs, opts.Dir),
+		roundRobin: make(map[int][]byte),
+		memSeed:    opts.Seed,
 	}
 	db.registerMetrics(reg)
+	db.ioLimit = newIOLimiter(opts.BgIOBytesPerSec, db.metrics.bgIOStallNanos)
 	db.readPool.New = func() any { return new(readState) }
 	db.bgCond = sync.NewCond(&db.mu)
 	db.tc = newTableCache(fs, opts.Dir, strategy.BlockCache())
@@ -254,7 +216,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.removeOrphans()
 	db.seqAlloc = db.lastSeq
-	db.refreshWriteInfoLocked() // single-threaded: no other goroutine yet
+	db.storeMemGaugesLocked() // single-threaded: no other goroutine yet
 	if !opts.InlineCompaction {
 		db.bgWork = make(chan struct{}, 1)
 		db.quit = make(chan struct{})
@@ -324,8 +286,8 @@ func (d *DB) flushRecovered() error {
 	nv := d.version.Clone()
 	nv.Levels[0] = append([]*manifest.FileMeta{meta}, nv.Levels[0]...)
 	d.installVersion(nv, nil)
-	d.flushes++
-	d.flushedBytes += int64(meta.Size)
+	d.metrics.flushes.Inc()
+	d.metrics.flushedBytes.Add(int64(meta.Size))
 	d.mem = memtable.New(d.nextMemSeedLocked())
 	return nil
 }
@@ -352,7 +314,7 @@ func (d *DB) startWAL(oldNums []uint64) error {
 		// let the next Open's orphan sweep retry.
 		if err := d.fs.Remove(walPath(d.opts.Dir, old)); err != nil {
 			d.logf("lsm: removing replayed wal %06d failed (will retry on reopen): %v", old, err)
-			d.walRemoveErrors++
+			d.metrics.walRemoveErrors.Inc()
 		}
 	}
 	return nil
@@ -494,8 +456,8 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	d.queryBlockReads.Add(rs.stats.BlockMisses)
-	d.queryBlockHits.Add(rs.stats.BlockHits)
+	d.metrics.queryBlockReads.Add(rs.stats.BlockMisses)
+	d.metrics.queryBlockHits.Add(rs.stats.BlockHits)
 
 	// 4. Cache fill. OnWrite runs under the exclusive lock, so holding the
 	// read lock around the callback keeps admission and write-through
@@ -505,7 +467,7 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	d.mu.RLock()
 	if found && !d.currentLocked(&snap, key, key) {
 		admit = nil
-		d.staleSkippedPoints.Add(1)
+		d.metrics.staleSkippedPoints.Inc()
 	}
 	d.strategy.OnPointResult(key, admit, int(rs.stats.BlockMisses))
 	d.mu.RUnlock()
@@ -662,8 +624,8 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 	if err := vi.Err(); err != nil {
 		return nil, err
 	}
-	d.queryBlockReads.Add(stats.BlockMisses)
-	d.queryBlockHits.Add(stats.BlockHits)
+	d.metrics.queryBlockReads.Add(stats.BlockMisses)
+	d.metrics.queryBlockHits.Add(stats.BlockHits)
 	// Cache fill, as in Get — but validated over the whole span the result
 	// describes, not per key: a range cache takes the entries as every live
 	// key of [start, last entry], so a key inserted or deleted in between
@@ -677,7 +639,7 @@ func (d *DB) scan(start, end []byte, n int) ([]KV, error) {
 	d.mu.RLock()
 	if len(admit) > 0 && !d.currentLocked(&snap, start, hi) {
 		admit = nil
-		d.staleSkippedScans.Add(1)
+		d.metrics.staleSkippedScans.Inc()
 	}
 	d.strategy.OnScanResult(start, admit, int(stats.BlockMisses))
 	d.mu.RUnlock()
@@ -703,10 +665,10 @@ func (d *DB) ShapeInfo() ShapeInfo {
 // QueryBlockReads reports cumulative SST block reads issued by Get/Scan —
 // the paper's "SST reads" metric (flush, compaction and recovery I/O are
 // excluded).
-func (d *DB) QueryBlockReads() int64 { return d.queryBlockReads.Load() }
+func (d *DB) QueryBlockReads() int64 { return d.metrics.queryBlockReads.Value() }
 
 // QueryBlockHits reports cumulative block-cache hits on the query path.
-func (d *DB) QueryBlockHits() int64 { return d.queryBlockHits.Load() }
+func (d *DB) QueryBlockHits() int64 { return d.metrics.queryBlockHits.Value() }
 
 // Flush persists every write accepted so far: it seals the active memtable
 // and synchronously drains the immutable queue (plus any triggered
@@ -733,6 +695,7 @@ func (d *DB) Flush() error {
 	var err error
 	if hadWork {
 		err = d.sealMemTableLocked()
+		d.storeMemGaugesLocked()
 	}
 	d.mu.Unlock()
 	d.commitMu.Unlock()
@@ -909,48 +872,41 @@ func (m Metrics) WriteAmplification() float64 {
 	return float64(m.FlushedBytes+m.CompactionOutBytes) / float64(m.UserBytes)
 }
 
-// Metrics returns a point-in-time engine summary.
+// Metrics returns a point-in-time engine summary: tree shape and memtable
+// state under d.mu, every cumulative counter from its registry cell. It is
+// the one snapshot /v1/stats, the engine's /metrics collector and the tools
+// all read.
 func (d *DB) Metrics() Metrics {
+	d.snapshots.Add(1)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	m := Metrics{
-		LevelFiles:              make([]int, len(d.version.Levels)),
-		LevelBytes:              make([]uint64, len(d.version.Levels)),
-		L0Files:                 len(d.version.Levels[0]),
-		NonEmptyLevels:          d.version.NumNonEmptyLevels(),
-		SortedRuns:              d.version.NumSortedRuns(),
-		MemTableEntries:         d.mem.Count(),
-		MemTableBytes:           d.mem.ApproximateSize(),
-		ImmMemTables:            len(d.imm),
-		ImmMemTableBytes:        d.immBytesLocked(),
-		MemTableBudget:          d.memBudget.Load(),
-		MemTableTarget:          d.activeMemTargetLocked(),
-		Flushes:                 d.flushes,
-		Compactions:             d.compactions,
-		Subcompactions:          d.subcompactions,
-		StallSlowdowns:          d.stallSlowdowns,
-		StallStops:              d.stallStops,
-		WriteGroups:             d.writeGroups,
-		CompactedBytes:          d.compactedBytes,
-		CompactionOutBytes:      d.compactionOut,
-		LevelCompactionInBytes:  append([]int64(nil), d.levelCompactIn...),
-		LevelCompactionOutBytes: append([]int64(nil), d.levelCompactOut...),
-		FlushedBytes:            d.flushedBytes,
-		UserBytes:               d.userBytes,
-		LastSeq:                 d.lastSeq,
-		BgState:                 d.bgState.String(),
-		bgStateNum:              int(d.bgState),
-		BgErrorKind:             d.bgKind.String(),
-		BgRetries:               d.bgRetries,
-		Resumes:                 d.resumes,
-		WALRemoveErrors:         d.walRemoveErrors,
-		BgIOStallNanos:          d.ioLimit.StallNanos(),
-		SSTReadCalls:            d.tc.fs.Stats.ReadOps.Load(),
-		SSTReadBytes:            d.tc.fs.Stats.ReadBytes.Load(),
-		ScanLazySkippedRuns:     d.lazySkippedRuns.Load(),
-
-		AdmissionsSkippedStalePoint: d.staleSkippedPoints.Load(),
-		AdmissionsSkippedStaleScan:  d.staleSkippedScans.Load(),
+		LevelFiles:       make([]int, len(d.version.Levels)),
+		LevelBytes:       make([]uint64, len(d.version.Levels)),
+		L0Files:          len(d.version.Levels[0]),
+		NonEmptyLevels:   d.version.NumNonEmptyLevels(),
+		SortedRuns:       d.version.NumSortedRuns(),
+		MemTableEntries:  d.mem.Count(),
+		MemTableBytes:    d.mem.ApproximateSize(),
+		ImmMemTables:     len(d.imm),
+		ImmMemTableBytes: d.immBytesLocked(),
+		MemTableBudget:   d.memBudget.Load(),
+		MemTableTarget:   d.activeMemTargetLocked(),
+		LastSeq:          d.lastSeq,
+		BgState:          d.bgState.String(),
+		bgStateNum:       int(d.bgState),
+		BgErrorKind:      d.bgKind.String(),
+		SSTReadCalls:     d.tc.fs.Stats.ReadOps.Load(),
+		SSTReadBytes:     d.tc.fs.Stats.ReadBytes.Load(),
+	}
+	for _, s := range counterSeries {
+		if s.field != nil {
+			*s.field(&m) = (*s.cell(&d.metrics)).Value()
+		}
+	}
+	for l := range d.metrics.levelCompactIn {
+		m.LevelCompactionInBytes = append(m.LevelCompactionInBytes, d.metrics.levelCompactIn[l].Value())
+		m.LevelCompactionOutBytes = append(m.LevelCompactionOutBytes, d.metrics.levelCompactOut[l].Value())
 	}
 	if d.bgCause != nil {
 		m.BgLastError = d.bgCause.Error()
@@ -964,6 +920,19 @@ func (d *DB) Metrics() Metrics {
 		}
 	}
 	return m
+}
+
+// MetricsSnapshots reports how many times Metrics has run — a test hook for
+// the rule that one /metrics render takes the engine snapshot once.
+func (d *DB) MetricsSnapshots() int64 { return d.snapshots.Load() }
+
+// BgState names the background error handler's mode — "healthy",
+// "retrying" or "read-only" — for callers that need only that (the health
+// probe) and not a whole Metrics snapshot.
+func (d *DB) BgState() string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.bgState.String()
 }
 
 // Options returns the effective options the DB runs with.

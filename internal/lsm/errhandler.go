@@ -150,7 +150,7 @@ func (d *DB) noteBgError(err error) (retry bool, delay time.Duration) {
 		return false, 0
 	}
 	d.bgAttempt++
-	d.bgRetries++
+	d.metrics.bgRetries.Inc()
 	if d.opts.BgMaxRetries > 0 && d.bgAttempt >= d.opts.BgMaxRetries {
 		d.bgState = bgReadOnly
 		d.bgCond.Broadcast()
@@ -204,7 +204,7 @@ func (d *DB) Resume() error {
 		return ErrClosed
 	}
 	if d.bgState == bgReadOnly {
-		d.resumes++
+		d.metrics.resumes.Inc()
 		d.logf("lsm: resuming from read-only mode (was: %v)", d.bgCause)
 	}
 	d.bgState = bgHealthy

@@ -134,10 +134,10 @@ func (d *DB) flushImm() error {
 	// L0 is ordered newest-first.
 	nv.Levels[0] = append([]*manifest.FileMeta{meta}, nv.Levels[0]...)
 	d.installVersion(nv, nil)
-	d.flushes++
-	d.flushedBytes += int64(meta.Size)
+	d.metrics.flushes.Inc()
+	d.metrics.flushedBytes.Add(int64(meta.Size))
 	d.imm = d.imm[1:]
-	d.refreshWriteInfoLocked()
+	d.storeMemGaugesLocked()
 	saveErr := d.saveManifestLocked()
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
@@ -155,9 +155,7 @@ func (d *DB) flushImm() error {
 	if im.walNum != 0 && d.fs.Exists(walPath(d.opts.Dir, im.walNum)) {
 		if err := d.fs.Remove(walPath(d.opts.Dir, im.walNum)); err != nil {
 			d.logf("lsm: removing flushed wal %06d failed (will retry on reopen): %v", im.walNum, err)
-			d.mu.Lock()
-			d.walRemoveErrors++
-			d.mu.Unlock()
+			d.metrics.walRemoveErrors.Inc()
 		}
 	}
 	return nil

@@ -11,10 +11,10 @@ package lsm
 // and L0 triggers in waitForWriteRoom keep operating on counts and files,
 // so a moving budget can delay or hasten seals but never bypass stalls.
 
-// WriteSideInfo is a lock-free snapshot of the engine's write-side state,
-// refreshed whenever the underlying counters change under d.mu. Cache
-// strategies read it from inside engine callbacks (where taking d.mu would
-// deadlock) to build RL state features and write-efficiency rewards.
+// WriteSideInfo is the engine's write-side state as cache strategies see it
+// from inside engine callbacks (where taking d.mu would deadlock), to build
+// RL state features and write-efficiency rewards: the memtable gauges and
+// the registry's cumulative counters, both read without a lock.
 type WriteSideInfo struct {
 	// MemBytes is the active memtable's approximate physical size.
 	MemBytes int64
@@ -39,10 +39,27 @@ type WriteSideInfo struct {
 	UserBytes          int64
 }
 
-// WriteSideInfo returns the latest write-side snapshot without locking.
+// WriteSideInfo reads the write-side gauges and counter cells without
+// locking. The counters advance under d.mu at the end of a commit's
+// exclusive section and at flush and compaction installs, so a strategy
+// callback running inside a write group sees the totals as of the previous
+// group.
 func (d *DB) WriteSideInfo() WriteSideInfo {
-	v, _ := d.writeInfo.Load().(WriteSideInfo)
-	return v
+	c := &d.metrics
+	return WriteSideInfo{
+		MemBytes:           d.memBytes.Load(),
+		MemTarget:          d.memTarget.Load(),
+		ImmCount:           int(d.immCount.Load()),
+		ImmBytes:           d.immBytes.Load(),
+		MaxImm:             d.opts.MaxImmutableMemTables,
+		Flushes:            c.flushes.Value(),
+		StallSlowdowns:     c.stallSlowdowns.Value(),
+		StallStops:         c.stallStops.Value(),
+		FlushedBytes:       c.flushedBytes.Value(),
+		CompactedBytes:     c.compactedBytes.Value(),
+		CompactionOutBytes: c.compactionOut.Value(),
+		UserBytes:          c.userBytes.Value(),
+	}
 }
 
 // SetMemTableBudget sets the byte budget shared by the active and
@@ -87,22 +104,12 @@ func (d *DB) immBytesLocked() int64 {
 	return total
 }
 
-// refreshWriteInfoLocked republishes the lock-free write-side snapshot.
-// Caller holds d.mu exclusively (every call site mutates a counter the
-// snapshot carries).
-func (d *DB) refreshWriteInfoLocked() {
-	d.writeInfo.Store(WriteSideInfo{
-		MemBytes:           d.mem.ApproximateSize(),
-		MemTarget:          d.activeMemTargetLocked(),
-		ImmCount:           len(d.imm),
-		ImmBytes:           d.immBytesLocked(),
-		MaxImm:             d.opts.MaxImmutableMemTables,
-		Flushes:            d.flushes,
-		StallSlowdowns:     d.stallSlowdowns,
-		StallStops:         d.stallStops,
-		FlushedBytes:       d.flushedBytes,
-		CompactedBytes:     d.compactedBytes,
-		CompactionOutBytes: d.compactionOut,
-		UserBytes:          d.userBytes,
-	})
+// storeMemGaugesLocked stores the write-side gauges. Caller holds d.mu
+// exclusively and has just changed the active memtable or the immutable
+// queue: a commit's apply (and seal), a flush install.
+func (d *DB) storeMemGaugesLocked() {
+	d.memBytes.Store(d.mem.ApproximateSize())
+	d.memTarget.Store(d.activeMemTargetLocked())
+	d.immCount.Store(int64(len(d.imm)))
+	d.immBytes.Store(d.immBytesLocked())
 }

@@ -6,9 +6,12 @@ import (
 	"adcache/internal/metrics"
 )
 
-// dbMetrics holds the engine's hot-path histograms. Latencies are recorded
-// in nanoseconds (the `_nanos` suffix drives duration formatting in summary
-// tables); write-group size is a plain magnitude.
+// dbMetrics holds the engine's registry cells: the hot-path histograms and
+// every cumulative counter. A cell is the count's only home — the owner
+// increments it where the event happens, Metrics() and WriteSideInfo() read
+// it, /metrics renders it. Latencies are recorded in nanoseconds (the
+// `_nanos` suffix drives duration formatting in summary tables);
+// write-group size is a plain magnitude.
 type dbMetrics struct {
 	getNanos        *metrics.Histogram
 	scanNanos       *metrics.Histogram
@@ -19,14 +22,87 @@ type dbMetrics struct {
 	compactNanos    *metrics.Histogram
 	subcompactNanos *metrics.Histogram
 	writeGroupOps   *metrics.Histogram
+
+	flushes, compactions, subcompactions *metrics.Counter
+	stallSlowdowns, stallStops           *metrics.Counter
+	writeGroups                          *metrics.Counter
+	flushedBytes, userBytes              *metrics.Counter
+	compactedBytes, compactionOut        *metrics.Counter // compaction input / output bytes
+	bgRetries, resumes, walRemoveErrors  *metrics.Counter
+	bgIOStallNanos                       *metrics.Counter
+	// queryBlockReads/Hits count block reads and block-cache hits
+	// attributable to Get/Scan only, excluding flush/compaction/recovery
+	// I/O — the paper's "SST reads" metric.
+	queryBlockReads, queryBlockHits *metrics.Counter
+	// lazySkippedRuns counts sorted runs a scan or iterator positioned
+	// without ever opening: the merge never reached them.
+	lazySkippedRuns *metrics.Counter
+	// staleSkippedPoints/Scans count disk-served results that were returned
+	// to their caller but withheld from the result cache, because a write
+	// touched their key span between the read's snapshot and its admission.
+	staleSkippedPoints, staleSkippedScans *metrics.Counter
+	// levelCompactIn[l] / levelCompactOut[l] are the compaction input bytes
+	// drawn from level l and the output bytes written into it.
+	levelCompactIn, levelCompactOut []*metrics.Counter
 }
 
-// registerMetrics publishes the engine's observability surface into reg:
-// latency histograms for the hot paths, counter bridges over the engine's
-// cumulative counters, and gauges over live tree shape. Called once from
-// Open; scrape-time funcs take d.mu themselves, so they must only run
-// outside engine callbacks (HTTP scrape or tool dumps), which is the only
-// way the registry is exposed.
+const staleHelp = "disk-served results withheld from the result cache: a write reached their key span during the read"
+
+// counterSeries is the engine's struct→series table for counted values:
+// the cell, the series it is registered as, and the Metrics field that
+// reads it (nil where the count has its own accessor instead).
+var counterSeries = []struct {
+	name, help string
+	cell       func(*dbMetrics) **metrics.Counter
+	field      func(*Metrics) *int64
+}{
+	{"lsm_flushes_total", "memtable flushes", func(c *dbMetrics) **metrics.Counter { return &c.flushes }, func(m *Metrics) *int64 { return &m.Flushes }},
+	{"lsm_compactions_total", "compactions run", func(c *dbMetrics) **metrics.Counter { return &c.compactions }, func(m *Metrics) *int64 { return &m.Compactions }},
+	{"lsm_subcompactions_total", "subcompaction shard merges executed", func(c *dbMetrics) **metrics.Counter { return &c.subcompactions }, func(m *Metrics) *int64 { return &m.Subcompactions }},
+	{"lsm_stall_slowdowns_total", "write slowdown stalls", func(c *dbMetrics) **metrics.Counter { return &c.stallSlowdowns }, func(m *Metrics) *int64 { return &m.StallSlowdowns }},
+	{"lsm_stall_stops_total", "write stop stalls", func(c *dbMetrics) **metrics.Counter { return &c.stallStops }, func(m *Metrics) *int64 { return &m.StallStops }},
+	{"lsm_write_groups_total", "write groups committed", func(c *dbMetrics) **metrics.Counter { return &c.writeGroups }, func(m *Metrics) *int64 { return &m.WriteGroups }},
+	{"lsm_flushed_bytes_total", "bytes written by flushes", func(c *dbMetrics) **metrics.Counter { return &c.flushedBytes }, func(m *Metrics) *int64 { return &m.FlushedBytes }},
+	{"lsm_compacted_bytes_total", "bytes read as compaction inputs", func(c *dbMetrics) **metrics.Counter { return &c.compactedBytes }, func(m *Metrics) *int64 { return &m.CompactedBytes }},
+	{"lsm_compaction_out_bytes_total", "bytes written as compaction outputs", func(c *dbMetrics) **metrics.Counter { return &c.compactionOut }, func(m *Metrics) *int64 { return &m.CompactionOutBytes }},
+	{"lsm_user_bytes_total", "user key+value bytes accepted", func(c *dbMetrics) **metrics.Counter { return &c.userBytes }, func(m *Metrics) *int64 { return &m.UserBytes }},
+	{"lsm_bg_retries_total", "background flush/compaction retry attempts", func(c *dbMetrics) **metrics.Counter { return &c.bgRetries }, func(m *Metrics) *int64 { return &m.BgRetries }},
+	{"lsm_resumes_total", "recoveries from read-only degraded mode", func(c *dbMetrics) **metrics.Counter { return &c.resumes }, func(m *Metrics) *int64 { return &m.Resumes }},
+	{"lsm_wal_remove_errors_total", "non-fatal failures deleting retired WAL files", func(c *dbMetrics) **metrics.Counter { return &c.walRemoveErrors }, func(m *Metrics) *int64 { return &m.WALRemoveErrors }},
+	{"lsm_bg_io_stall_nanos_total", "time background writers spent throttled by the I/O rate limit", func(c *dbMetrics) **metrics.Counter { return &c.bgIOStallNanos }, func(m *Metrics) *int64 { return &m.BgIOStallNanos }},
+	{"lsm_scan_lazy_skipped_runs_total", "sorted runs scans positioned but never had to open", func(c *dbMetrics) **metrics.Counter { return &c.lazySkippedRuns }, func(m *Metrics) *int64 { return &m.ScanLazySkippedRuns }},
+	{`lsm_admissions_skipped_stale_total{op="point"}`, staleHelp, func(c *dbMetrics) **metrics.Counter { return &c.staleSkippedPoints }, func(m *Metrics) *int64 { return &m.AdmissionsSkippedStalePoint }},
+	{`lsm_admissions_skipped_stale_total{op="scan"}`, staleHelp, func(c *dbMetrics) **metrics.Counter { return &c.staleSkippedScans }, func(m *Metrics) *int64 { return &m.AdmissionsSkippedStaleScan }},
+	{"lsm_query_block_reads_total", "SST blocks read from disk by queries (the paper's SST-reads metric)", func(c *dbMetrics) **metrics.Counter { return &c.queryBlockReads }, nil},
+	{"lsm_query_block_hits_total", "block-cache hits on the query path", func(c *dbMetrics) **metrics.Counter { return &c.queryBlockHits }, nil},
+}
+
+// sampledSeries is the other half of the table: what the engine's one
+// collector emits from one Metrics snapshot per scrape — the gauges, and
+// the two counters whose home is the file system's own I/O accounting.
+var sampledSeries = []struct {
+	name, help string
+	counter    bool
+	get        func(*Metrics) float64
+}{
+	{"lsm_sst_read_calls_total", "device read calls issued by table readers (a call may carry several blocks)", true, func(m *Metrics) float64 { return float64(m.SSTReadCalls) }},
+	{"lsm_sst_read_bytes_total", "bytes read from the device by table readers", true, func(m *Metrics) float64 { return float64(m.SSTReadBytes) }},
+	{"lsm_memtable_bytes", "active memtable size", false, func(m *Metrics) float64 { return float64(m.MemTableBytes) }},
+	{"lsm_imm_memtables", "sealed memtables awaiting flush", false, func(m *Metrics) float64 { return float64(m.ImmMemTables) }},
+	{"lsm_imm_memtable_bytes", "bytes pinned by sealed memtables awaiting flush", false, func(m *Metrics) float64 { return float64(m.ImmMemTableBytes) }},
+	{"lsm_memtable_budget_bytes", "dynamic unified-memory memtable budget (0 = static sizing)", false, func(m *Metrics) float64 { return float64(m.MemTableBudget) }},
+	{"lsm_memtable_target_bytes", "flush threshold currently in force for the active memtable", false, func(m *Metrics) float64 { return float64(m.MemTableTarget) }},
+	{"lsm_sorted_runs", "sorted runs in the tree", false, func(m *Metrics) float64 { return float64(m.SortedRuns) }},
+	{"lsm_total_entries", "entries across all SSTables", false, func(m *Metrics) float64 { return float64(m.TotalEntries) }},
+	{"lsm_total_bytes", "bytes across all SSTables", false, func(m *Metrics) float64 { return float64(m.TotalBytes) }},
+	{"lsm_write_amplification", "SSTable bytes written per user byte", false, func(m *Metrics) float64 { return m.WriteAmplification() }},
+	{"lsm_bg_state", "error-handler mode (0 healthy, 1 retrying, 2 read-only)", false, func(m *Metrics) float64 { return float64(m.bgStateNum) }},
+}
+
+// registerMetrics creates the engine's cells on reg and registers its one
+// collector. Called once from Open. The collector takes d.mu (through
+// Metrics), so a gather must only run outside engine callbacks — an HTTP
+// scrape or a tool dump, which is the only way the registry is exposed.
 func (d *DB) registerMetrics(reg *metrics.Registry) {
 	d.metrics = dbMetrics{
 		getNanos:        reg.Histogram("lsm_get_nanos", "point-lookup latency"),
@@ -39,91 +115,33 @@ func (d *DB) registerMetrics(reg *metrics.Registry) {
 		subcompactNanos: reg.Histogram("lsm_subcompact_nanos", "per-subcompaction shard merge duration"),
 		writeGroupOps:   reg.Histogram("lsm_write_group_ops", "operations coalesced per write group"),
 	}
-
-	const staleHelp = "disk-served results withheld from the result cache: a write reached their key span during the read"
-	counters := []struct {
-		name, help string
-		fn         func(m Metrics) int64
-	}{
-		{"lsm_flushes_total", "memtable flushes", func(m Metrics) int64 { return m.Flushes }},
-		{"lsm_compactions_total", "compactions run", func(m Metrics) int64 { return m.Compactions }},
-		{"lsm_subcompactions_total", "subcompaction shard merges executed", func(m Metrics) int64 { return m.Subcompactions }},
-		{"lsm_stall_slowdowns_total", "write slowdown stalls", func(m Metrics) int64 { return m.StallSlowdowns }},
-		{"lsm_stall_stops_total", "write stop stalls", func(m Metrics) int64 { return m.StallStops }},
-		{"lsm_write_groups_total", "write groups committed", func(m Metrics) int64 { return m.WriteGroups }},
-		{"lsm_flushed_bytes_total", "bytes written by flushes", func(m Metrics) int64 { return m.FlushedBytes }},
-		{"lsm_compacted_bytes_total", "bytes read as compaction inputs", func(m Metrics) int64 { return m.CompactedBytes }},
-		{"lsm_compaction_out_bytes_total", "bytes written as compaction outputs", func(m Metrics) int64 { return m.CompactionOutBytes }},
-		{"lsm_user_bytes_total", "user key+value bytes accepted", func(m Metrics) int64 { return m.UserBytes }},
-		{"lsm_bg_retries_total", "background flush/compaction retry attempts", func(m Metrics) int64 { return m.BgRetries }},
-		{"lsm_resumes_total", "recoveries from read-only degraded mode", func(m Metrics) int64 { return m.Resumes }},
-		{"lsm_wal_remove_errors_total", "non-fatal failures deleting retired WAL files", func(m Metrics) int64 { return m.WALRemoveErrors }},
-		{"lsm_bg_io_stall_nanos_total", "time background writers spent throttled by the I/O rate limit", func(m Metrics) int64 { return m.BgIOStallNanos }},
-		{"lsm_sst_read_calls_total", "device read calls issued by table readers (a call may carry several blocks)", func(m Metrics) int64 { return m.SSTReadCalls }},
-		{"lsm_sst_read_bytes_total", "bytes read from the device by table readers", func(m Metrics) int64 { return m.SSTReadBytes }},
-		{"lsm_scan_lazy_skipped_runs_total", "sorted runs scans positioned but never had to open", func(m Metrics) int64 { return m.ScanLazySkippedRuns }},
-		{`lsm_admissions_skipped_stale_total{op="point"}`, staleHelp, func(m Metrics) int64 { return m.AdmissionsSkippedStalePoint }},
-		{`lsm_admissions_skipped_stale_total{op="scan"}`, staleHelp, func(m Metrics) int64 { return m.AdmissionsSkippedStaleScan }},
+	for _, s := range counterSeries {
+		*s.cell(&d.metrics) = reg.Counter(s.name, s.help)
 	}
-	for _, c := range counters {
-		fn := c.fn
-		reg.CounterFunc(c.name, c.help, func() int64 { return fn(d.Metrics()) })
-	}
-	reg.CounterFunc("lsm_query_block_reads_total",
-		"SST blocks read from disk by queries (the paper's SST-reads metric)",
-		d.QueryBlockReads)
-	reg.CounterFunc("lsm_query_block_hits_total",
-		"block-cache hits on the query path", d.QueryBlockHits)
-
-	gauges := []struct {
-		name, help string
-		fn         func(m Metrics) float64
-	}{
-		{"lsm_memtable_bytes", "active memtable size", func(m Metrics) float64 { return float64(m.MemTableBytes) }},
-		{"lsm_imm_memtables", "sealed memtables awaiting flush", func(m Metrics) float64 { return float64(m.ImmMemTables) }},
-		{"lsm_imm_memtable_bytes", "bytes pinned by sealed memtables awaiting flush", func(m Metrics) float64 { return float64(m.ImmMemTableBytes) }},
-		{"lsm_memtable_budget_bytes", "dynamic unified-memory memtable budget (0 = static sizing)", func(m Metrics) float64 { return float64(m.MemTableBudget) }},
-		{"lsm_memtable_target_bytes", "flush threshold currently in force for the active memtable", func(m Metrics) float64 { return float64(m.MemTableTarget) }},
-		{"lsm_sorted_runs", "sorted runs in the tree", func(m Metrics) float64 { return float64(m.SortedRuns) }},
-		{"lsm_total_entries", "entries across all SSTables", func(m Metrics) float64 { return float64(m.TotalEntries) }},
-		{"lsm_total_bytes", "bytes across all SSTables", func(m Metrics) float64 { return float64(m.TotalBytes) }},
-		{"lsm_write_amplification", "SSTable bytes written per user byte", Metrics.WriteAmplification},
-		{"lsm_bg_state", "error-handler mode (0 healthy, 1 retrying, 2 read-only)", func(m Metrics) float64 { return float64(m.bgStateNum) }},
-	}
-	for _, g := range gauges {
-		fn := g.fn
-		reg.GaugeFunc(g.name, g.help, func() float64 { return fn(d.Metrics()) })
-	}
-	for level := 0; level < d.opts.NumLevels; level++ {
-		l := level
+	for l := 0; l < d.opts.NumLevels; l++ {
 		// Per-level write-amplification counters: input bytes drawn from the
 		// level vs output bytes written into it by compactions.
-		reg.CounterFunc(fmt.Sprintf("lsm_compaction_input_bytes_total{level=%q}", fmt.Sprint(l)),
-			"compaction input bytes read from this level", func() int64 {
-				d.mu.RLock()
-				defer d.mu.RUnlock()
-				return d.levelCompactIn[l]
-			})
-		reg.CounterFunc(fmt.Sprintf("lsm_compaction_output_bytes_total{level=%q}", fmt.Sprint(l)),
-			"compaction output bytes written into this level", func() int64 {
-				d.mu.RLock()
-				defer d.mu.RUnlock()
-				return d.levelCompactOut[l]
-			})
-		reg.GaugeFunc(fmt.Sprintf("lsm_level_files{level=%q}", fmt.Sprint(l)),
-			"SSTable files per level", func() float64 {
-				d.mu.RLock()
-				defer d.mu.RUnlock()
-				return float64(len(d.version.Levels[l]))
-			})
-		reg.GaugeFunc(fmt.Sprintf("lsm_level_bytes{level=%q}", fmt.Sprint(l)),
-			"SSTable bytes per level", func() float64 {
-				d.mu.RLock()
-				defer d.mu.RUnlock()
-				return float64(d.version.SizeOfLevel(l))
-			})
+		d.metrics.levelCompactIn = append(d.metrics.levelCompactIn,
+			reg.Counter(levelSeries("lsm_compaction_input_bytes_total", l), "compaction input bytes read from this level"))
+		d.metrics.levelCompactOut = append(d.metrics.levelCompactOut,
+			reg.Counter(levelSeries("lsm_compaction_output_bytes_total", l), "compaction output bytes written into this level"))
 	}
+	reg.Collect(func(s *metrics.Sink) {
+		m := d.Metrics()
+		for _, r := range sampledSeries {
+			if r.counter {
+				s.Counter(r.name, r.help, int64(r.get(&m)))
+			} else {
+				s.Gauge(r.name, r.help, r.get(&m))
+			}
+		}
+		for l := range m.LevelFiles {
+			s.Gauge(levelSeries("lsm_level_files", l), "SSTable files per level", float64(m.LevelFiles[l]))
+			s.Gauge(levelSeries("lsm_level_bytes", l), "SSTable bytes per level", float64(m.LevelBytes[l]))
+		}
+	})
 }
 
-// MetricsRegistry returns the registry this DB publishes into.
-func (d *DB) MetricsRegistry() *metrics.Registry { return d.reg }
+func levelSeries(name string, level int) string {
+	return fmt.Sprintf("%s{level=\"%d\"}", name, level)
+}

@@ -53,30 +53,17 @@ func TestMetricsEnginePopulated(t *testing.T) {
 		t.Errorf("lsm_write_group_ops = %+v, want count=sum=%d", s, n)
 	}
 
-	snap := reg.Snapshot()
-	m := db.Metrics()
-	if got := snap["lsm_flushes_total"].(int64); got != m.Flushes {
-		t.Errorf("lsm_flushes_total = %d, engine says %d", got, m.Flushes)
-	}
-	if got := snap["lsm_user_bytes_total"].(int64); got != m.UserBytes || got == 0 {
-		t.Errorf("lsm_user_bytes_total = %d, engine says %d", got, m.UserBytes)
-	}
-	if got := snap["lsm_sst_read_calls_total"].(int64); got != m.SSTReadCalls || got == 0 {
-		t.Errorf("lsm_sst_read_calls_total = %d, engine says %d", got, m.SSTReadCalls)
-	}
-	if got := snap["lsm_sst_read_bytes_total"].(int64); got != m.SSTReadBytes || got < 4096 {
-		t.Errorf("lsm_sst_read_bytes_total = %d, engine says %d", got, m.SSTReadBytes)
-	}
-	if got := snap["lsm_scan_lazy_skipped_runs_total"].(int64); got != m.ScanLazySkippedRuns {
-		t.Errorf("lsm_scan_lazy_skipped_runs_total = %d, engine says %d", got, m.ScanLazySkippedRuns)
+	// Every series equals the Metrics field the table pairs it with; these
+	// are the ones this traffic must also have moved.
+	m := checkAgreement(t, reg, db)
+	if m.Flushes == 0 || m.UserBytes == 0 || m.SSTReadCalls == 0 || m.SSTReadBytes < 4096 {
+		t.Errorf("flush, user-byte or device-read counters did not move: %+v", m)
 	}
 	// No write overlapped a read above: nothing was withheld from the cache.
-	for op, engine := range map[string]int64{"point": m.AdmissionsSkippedStalePoint, "scan": m.AdmissionsSkippedStaleScan} {
-		name := `lsm_admissions_skipped_stale_total{op="` + op + `"}`
-		if got, ok := snap[name].(int64); !ok || got != engine || got != 0 {
-			t.Errorf("%s = %v, engine says %d, want both 0", name, snap[name], engine)
-		}
+	if m.AdmissionsSkippedStalePoint != 0 || m.AdmissionsSkippedStaleScan != 0 {
+		t.Errorf("stale admissions skipped on serial traffic: %+v", m)
 	}
+	snap := reg.Snapshot()
 	if got := snap[`lsm_level_files{level="0"}`]; got == nil {
 		t.Error("per-level gauge lsm_level_files{level=\"0\"} missing")
 	}
@@ -98,6 +85,49 @@ func TestMetricsEnginePopulated(t *testing.T) {
 	}
 }
 
+// checkAgreement walks the engine's struct→series tables and fails unless
+// every series carries exactly the value its Metrics field does (the store
+// must be quiescent). It returns the Metrics it compared.
+func checkAgreement(t *testing.T, reg *metrics.Registry, db *DB) Metrics {
+	t.Helper()
+	snap := reg.Snapshot()
+	m := db.Metrics()
+	for _, s := range counterSeries {
+		want := (*s.cell(&db.metrics)).Value()
+		if s.field != nil {
+			want = *s.field(&m)
+		}
+		if got, ok := snap[s.name].(int64); !ok || got != want {
+			t.Errorf("%s = %v, Metrics says %d", s.name, snap[s.name], want)
+		}
+	}
+	for _, s := range sampledSeries {
+		got, want := snap[s.name], any(s.get(&m))
+		if s.counter {
+			want = int64(s.get(&m))
+		}
+		if got != want {
+			t.Errorf("%s = %v, Metrics says %v", s.name, got, want)
+		}
+	}
+	for l := range m.LevelFiles {
+		for name, want := range map[string]any{
+			"lsm_compaction_input_bytes_total":  m.LevelCompactionInBytes[l],
+			"lsm_compaction_output_bytes_total": m.LevelCompactionOutBytes[l],
+			"lsm_level_files":                   float64(m.LevelFiles[l]),
+			"lsm_level_bytes":                   float64(m.LevelBytes[l]),
+		} {
+			if got := snap[levelSeries(name, l)]; got != want {
+				t.Errorf("%s = %v, Metrics says %v", levelSeries(name, l), got, want)
+			}
+		}
+	}
+	if sst, hits := snap["lsm_query_block_reads_total"], snap["lsm_query_block_hits_total"]; sst != db.QueryBlockReads() || hits != db.QueryBlockHits() {
+		t.Errorf("query block reads/hits = %v/%v, accessors say %d/%d", sst, hits, db.QueryBlockReads(), db.QueryBlockHits())
+	}
+	return m
+}
+
 // TestMetricsSubcompactionSeries checks the parallel-compaction series: the
 // shard counter and duration histogram, and the per-level write-amplification
 // counters, which must reconcile with the engine's aggregate byte counters.
@@ -114,7 +144,7 @@ func TestMetricsSubcompactionSeries(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	m := db.Metrics()
+	m := checkAgreement(t, reg, db)
 	compactions := snap["lsm_compactions_total"].(int64)
 	shards := snap["lsm_subcompactions_total"].(int64)
 	if compactions == 0 {
@@ -159,28 +189,22 @@ func int64sum(xs []int64) int64 {
 }
 
 // TestMetricsPrivateRegistry checks that a DB opened without a registry gets
-// its own, and that two such DBs never share series (no global state).
+// its own: two such DBs never share cells (no global state).
 func TestMetricsPrivateRegistry(t *testing.T) {
 	db1 := mustOpen(t, testOptions(vfs.NewMem()))
 	defer db1.Close()
 	db2 := mustOpen(t, testOptions(vfs.NewMem()))
 	defer db2.Close()
-	if db1.MetricsRegistry() == db2.MetricsRegistry() {
-		t.Fatal("independent DBs share a metrics registry")
-	}
 	if err := db1.Put(key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := db1.Get(key(1)); err != nil {
 		t.Fatal(err)
 	}
-	var found bool
-	db2.MetricsRegistry().EachHistogram(func(name string, s metrics.HistogramSnapshot) {
-		if s.Count > 0 {
-			found = true
-		}
-	})
-	if found {
-		t.Fatal("db1 traffic observed in db2's registry")
+	if db1.metrics.getNanos.Snapshot().Count != 1 || db1.metrics.writeGroups.Value() != 1 {
+		t.Fatal("db1 traffic missing from its own cells")
+	}
+	if db2.metrics.getNanos.Snapshot().Count != 0 || db2.metrics.writeGroups.Value() != 0 {
+		t.Fatal("db1 traffic observed in db2's cells")
 	}
 }

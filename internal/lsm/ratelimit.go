@@ -2,9 +2,9 @@ package lsm
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"adcache/internal/metrics"
 	"adcache/internal/vfs"
 )
 
@@ -15,7 +15,8 @@ import (
 //
 // The bucket holds up to one second of budget so short bursts (a block plus
 // its trailer) pass without sleeping, while sustained output converges on
-// bytesPerSec. Stall time accumulates in stallNanos for /metrics.
+// bytesPerSec. Stall time accumulates in the engine's
+// lsm_bg_io_stall_nanos_total cell.
 type ioLimiter struct {
 	bytesPerSec int64
 
@@ -23,16 +24,16 @@ type ioLimiter struct {
 	tokens float64   // may go negative: the overdraft is slept off
 	last   time.Time // last refill
 
-	stallNanos atomic.Int64
+	stallNanos *metrics.Counter
 }
 
-// newIOLimiter returns a limiter paced at bytesPerSec, or nil when
-// bytesPerSec <= 0 (unlimited).
-func newIOLimiter(bytesPerSec int64) *ioLimiter {
+// newIOLimiter returns a limiter paced at bytesPerSec that books its stall
+// time in stallNanos, or nil when bytesPerSec <= 0 (unlimited).
+func newIOLimiter(bytesPerSec int64, stallNanos *metrics.Counter) *ioLimiter {
 	if bytesPerSec <= 0 {
 		return nil
 	}
-	return &ioLimiter{bytesPerSec: bytesPerSec, tokens: float64(bytesPerSec), last: time.Now()}
+	return &ioLimiter{bytesPerSec: bytesPerSec, tokens: float64(bytesPerSec), last: time.Now(), stallNanos: stallNanos}
 }
 
 // wait charges n bytes against the bucket and sleeps off any overdraft.
@@ -58,15 +59,6 @@ func (l *ioLimiter) wait(n int) {
 		l.stallNanos.Add(int64(stall))
 		time.Sleep(stall)
 	}
-}
-
-// StallNanos reports cumulative nanoseconds background writers spent
-// throttled.
-func (l *ioLimiter) StallNanos() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.stallNanos.Load()
 }
 
 // limitFile wraps a background output file so every write pays the token

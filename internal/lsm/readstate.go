@@ -95,7 +95,7 @@ func (d *DB) putReadState(rs *readState) {
 		l.init(nil, nil, nil, nil)
 	}
 	if skipped > 0 {
-		d.lazySkippedRuns.Add(skipped)
+		d.metrics.lazySkippedRuns.Add(skipped)
 	}
 	d.readPool.Put(rs)
 }

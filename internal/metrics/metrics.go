@@ -1,7 +1,7 @@
 // Package metrics is the reproduction's dependency-free observability
-// layer: atomic counters, gauges, and log-bucketed latency histograms
-// collected in a named Registry and exposed in Prometheus text format and
-// expvar-style JSON.
+// layer: atomic counters and log-bucketed latency histograms, plus
+// per-component collectors for sampled values, in a named Registry exposed
+// in Prometheus text format and expvar-style JSON.
 //
 // The paper's evaluation is measurement-driven — per-window hit-rate
 // estimates (§3.5), I/O counts, and the agent's tuning trajectory — so the
@@ -38,31 +38,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an integer value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is a float64 gauge (atomic via bit-casting).
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // NumBuckets is the number of power-of-two histogram buckets: bucket i
 // holds observations v with 2^i <= v < 2^(i+1) (bucket 0 additionally

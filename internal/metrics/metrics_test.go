@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -151,15 +153,44 @@ func TestMetricsRegistryCollisions(t *testing.T) {
 	if c2.Value() != 1 {
 		t.Fatal("shared counter not shared")
 	}
-	mustPanic(t, "kind mismatch", func() { reg.Gauge("ops_total", "oops") })
 	mustPanic(t, "histogram over counter", func() { reg.Histogram("ops_total", "oops") })
-	reg.GaugeFunc("live_gauge", "g", func() float64 { return 1 })
-	mustPanic(t, "func duplicate", func() {
-		reg.GaugeFunc("live_gauge", "g", func() float64 { return 2 })
+	reg.Histogram("lat_nanos", "")
+	mustPanic(t, "counter over histogram", func() { reg.Counter("lat_nanos", "oops") })
+
+	reg.Collect(func(s *Sink) { s.Gauge("live_gauge", "g", 1) })
+	reg.Snapshot() // distinct names: fine
+	reg.Collect(func(s *Sink) { s.Gauge("live_gauge", "g", 2) })
+	mustPanic(t, "sampled duplicate", func() { reg.Snapshot() })
+	reg = NewRegistry()
+	reg.Counter("ops_total", "ops")
+	reg.Collect(func(s *Sink) { s.Counter("ops_total", "oops", 0) })
+	mustPanic(t, "sampled over cell", func() { reg.Snapshot() })
+}
+
+// TestMetricsOneGatherPerReader pins the registry's half of the scrape-cost
+// rule: every reader renders one gather, and a gather runs each collector
+// exactly once however many series it emits.
+func TestMetricsOneGatherPerReader(t *testing.T) {
+	reg := NewRegistry()
+	reg.Histogram("lat_nanos", "").Observe(5)
+	runs := 0
+	reg.Collect(func(s *Sink) {
+		runs++
+		for i := 0; i < 8; i++ {
+			s.Gauge(fmt.Sprintf(`level_files{level="%d"}`, i), "files", float64(i))
+		}
 	})
-	mustPanic(t, "func over counter", func() {
-		reg.CounterFunc("ops_total", "oops", func() int64 { return 0 })
-	})
+	for name, read := range map[string]func(){
+		"WritePrometheus":     func() { reg.WritePrometheus(io.Discard) },
+		"Snapshot":            func() { reg.Snapshot() },
+		"WriteHistogramTable": func() { reg.WriteHistogramTable(io.Discard) },
+	} {
+		runs = 0
+		read()
+		if runs != 1 {
+			t.Errorf("%s ran the collector %d times, want 1", name, runs)
+		}
+	}
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -175,9 +206,11 @@ func mustPanic(t *testing.T, what string, fn func()) {
 func TestMetricsPrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("adcache_ops_total", "operations served").Add(42)
-	reg.FloatGauge("adcache_range_ratio", "range cache share").Set(0.375)
-	reg.GaugeFunc(`lsm_level_files{level="0"}`, "files per level", func() float64 { return 3 })
-	reg.GaugeFunc(`lsm_level_files{level="1"}`, "files per level", func() float64 { return 7 })
+	reg.Collect(func(s *Sink) {
+		s.Gauge("adcache_range_ratio", "range cache share", 0.375)
+		s.Gauge(`lsm_level_files{level="1"}`, "files per level", 7)
+		s.Gauge(`lsm_level_files{level="0"}`, "files per level", 3)
+	})
 	h := reg.Histogram("lsm_get_nanos", "get latency")
 	for i := 0; i < 100; i++ {
 		h.Observe(1000) // single bucket [512,1023]
@@ -216,14 +249,20 @@ func TestMetricsPrometheusGolden(t *testing.T) {
 func TestMetricsSnapshotMap(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "").Add(5)
-	reg.Gauge("b", "").Set(-3)
+	reg.Collect(func(s *Sink) {
+		s.Gauge("b", "", -3)
+		s.Counter("d_total", "", 7)
+	})
 	reg.Histogram("c_nanos", "").Observe(100)
 	snap := reg.Snapshot()
 	if snap["a_total"].(int64) != 5 {
 		t.Errorf("a_total = %v", snap["a_total"])
 	}
-	if snap["b"].(int64) != -3 {
+	if snap["b"].(float64) != -3 {
 		t.Errorf("b = %v", snap["b"])
+	}
+	if snap["d_total"].(int64) != 7 {
+		t.Errorf("d_total = %v", snap["d_total"])
 	}
 	hs, ok := snap["c_nanos"].(HistogramSummary)
 	if !ok || hs.Count != 1 || hs.Max != 100 {

@@ -12,7 +12,7 @@ import (
 // plus _sum, _count and _max samples.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var lastBase string
-	for _, e := range r.sortedEntries() {
+	for _, e := range r.gather() {
 		base := baseName(e.name)
 		if base != lastBase {
 			if e.help != "" {
@@ -20,26 +20,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, e.kind); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, e.typ); err != nil {
 				return err
 			}
 			lastBase = base
 		}
-		if e.kind == KindHistogram {
+		if e.hist != nil {
 			if err := writePromHistogram(w, e); err != nil {
 				return err
 			}
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", e.name, formatFloat(e.value())); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", e.name, formatFloat(e.value)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writePromHistogram(w io.Writer, e *entry) error {
-	s := e.hist.Snapshot()
+func writePromHistogram(w io.Writer, e sample) error {
+	s := e.hist
 	for _, q := range [...]struct {
 		label string
 		q     float64

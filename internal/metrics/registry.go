@@ -7,180 +7,118 @@ import (
 	"sync"
 )
 
-// Kind classifies a registered metric for exposition.
-type Kind int
-
-// The metric kinds. Func-backed variants share the exposition type of
-// their direct counterparts.
-const (
-	KindCounter Kind = iota
-	KindGauge
-	KindFloatGauge
-	KindHistogram
-	KindCounterFunc
-	KindGaugeFunc
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindCounter, KindCounterFunc:
-		return "counter"
-	case KindGauge, KindFloatGauge, KindGaugeFunc:
-		return "gauge"
-	case KindHistogram:
-		return "summary"
-	}
-	return "untyped"
-}
-
-// entry is one registered metric.
-type entry struct {
-	name string
-	help string
-	kind Kind
-
-	counter *Counter
-	gauge   *Gauge
-	fgauge  *FloatGauge
-	hist    *Histogram
-	cfunc   func() int64
-	gfunc   func() float64
-}
-
-// value returns the entry's current scalar value (histograms return their
-// observation count; use hist for detail).
-func (e *entry) value() float64 {
-	switch e.kind {
-	case KindCounter:
-		return float64(e.counter.Value())
-	case KindGauge:
-		return float64(e.gauge.Value())
-	case KindFloatGauge:
-		return e.fgauge.Value()
-	case KindCounterFunc:
-		return float64(e.cfunc())
-	case KindGaugeFunc:
-		return e.gfunc()
-	case KindHistogram:
-		return float64(e.hist.Snapshot().Count)
-	}
-	return 0
-}
-
 // Registry is a named collection of metrics. Metric names follow the
 // Prometheus convention and may carry a fixed label set inline, e.g.
 // `cache_shard_hits_total{cache="block",shard="3"}`.
 //
-// Constructors are get-or-create: asking twice for the same name and kind
-// returns the same metric, so independent components can share a series
-// without coordinating. Asking for an existing name with a different kind
-// panics — that is always a programming error. Func-backed metrics cannot
-// be deduplicated (the closure is the metric) and panic on any collision.
+// There are three ways in. Counter and Histogram return a cell the owner
+// increments where the event happens; they are get-or-create, so asking
+// twice for the same name returns the same cell (asking for it as the other
+// type panics — that is always a programming error). Collect registers a
+// callback for everything that is sampled rather than counted: it runs once
+// per gather, takes one snapshot of its component and emits every series
+// derived from it. Every reader — WritePrometheus, Snapshot, the histogram
+// table — renders one gather.
 type Registry struct {
-	mu      sync.RWMutex
-	entries map[string]*entry
+	mu         sync.RWMutex
+	cells      map[string]*cell
+	collectors []func(*Sink)
+}
+
+// cell is one registered counter or histogram (exactly one is set).
+type cell struct {
+	name, help string
+	counter    *Counter
+	hist       *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: make(map[string]*entry)}
+	return &Registry{cells: make(map[string]*cell)}
 }
 
-// lookup returns the existing entry for name after checking the kind, or
-// nil when the name is free. Caller holds r.mu.
-func (r *Registry) lookup(name string, kind Kind) *entry {
-	e, ok := r.entries[name]
-	if !ok {
-		return nil
-	}
-	if e.kind != kind {
-		panic(fmt.Sprintf("metrics: %q re-registered as %v (was %v)", name, kind, e.kind))
-	}
-	return e
-}
-
-// Counter returns the counter registered under name, creating it if new.
-func (r *Registry) Counter(name, help string) *Counter {
+// cell returns the entry registered under name, creating it if the name is
+// free.
+func (r *Registry) cell(name, help string, hist bool) *cell {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.lookup(name, KindCounter); e != nil {
-		return e.counter
+	c, ok := r.cells[name]
+	switch {
+	case !ok && hist:
+		c = &cell{name: name, help: help, hist: &Histogram{}}
+		r.cells[name] = c
+	case !ok:
+		c = &cell{name: name, help: help, counter: &Counter{}}
+		r.cells[name] = c
+	case (c.hist != nil) != hist:
+		panic(fmt.Sprintf("metrics: %q registered as both a counter and a histogram", name))
 	}
-	c := &Counter{}
-	r.entries[name] = &entry{name: name, help: help, kind: KindCounter, counter: c}
 	return c
 }
 
-// Gauge returns the integer gauge registered under name, creating it if new.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.lookup(name, KindGauge); e != nil {
-		return e.gauge
-	}
-	g := &Gauge{}
-	r.entries[name] = &entry{name: name, help: help, kind: KindGauge, gauge: g}
-	return g
-}
-
-// FloatGauge returns the float gauge registered under name, creating it if
-// new.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.lookup(name, KindFloatGauge); e != nil {
-		return e.fgauge
-	}
-	g := &FloatGauge{}
-	r.entries[name] = &entry{name: name, help: help, kind: KindFloatGauge, fgauge: g}
-	return g
-}
+// Counter returns the counter registered under name, creating it if new.
+func (r *Registry) Counter(name, help string) *Counter { return r.cell(name, help, false).counter }
 
 // Histogram returns the histogram registered under name, creating it if new.
-func (r *Registry) Histogram(name, help string) *Histogram {
+func (r *Registry) Histogram(name, help string) *Histogram { return r.cell(name, help, true).hist }
+
+// Collect registers fn to run once per gather. A component calls it once
+// and emits, from one snapshot of itself, every series it does not keep in
+// a cell: gauges, and counters whose home is a field under the component's
+// own lock. fn runs on the gathering goroutine with no registry lock held
+// and may take the component's locks, so a gather must not be started from
+// inside the component's own critical sections.
+func (r *Registry) Collect(fn func(*Sink)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.lookup(name, KindHistogram); e != nil {
-		return e.hist
-	}
-	h := &Histogram{}
-	r.entries[name] = &entry{name: name, help: help, kind: KindHistogram, hist: h}
-	return h
+	r.collectors = append(r.collectors, fn)
 }
 
-// CounterFunc registers a counter whose value is computed by fn at
-// exposition time — the bridge for pre-existing engine counters. Panics if
-// name is taken.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; ok {
-		panic(fmt.Sprintf("metrics: duplicate registration of func metric %q", name))
-	}
-	r.entries[name] = &entry{name: name, help: help, kind: KindCounterFunc, cfunc: fn}
+// Sink receives the series a Collect callback samples.
+type Sink struct {
+	samples []sample
 }
 
-// GaugeFunc registers a gauge computed by fn at exposition time. Panics if
-// name is taken.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; ok {
-		panic(fmt.Sprintf("metrics: duplicate registration of func metric %q", name))
-	}
-	r.entries[name] = &entry{name: name, help: help, kind: KindGaugeFunc, gfunc: fn}
+// Counter emits the current value of a cumulative count.
+func (s *Sink) Counter(name, help string, v int64) {
+	s.samples = append(s.samples, sample{name: name, help: help, typ: "counter", value: float64(v)})
 }
 
-// sortedEntries returns the entries ordered by name (label-stripped base
-// name first, so all series of one metric are adjacent as Prometheus
-// requires).
-func (r *Registry) sortedEntries() []*entry {
+// Gauge emits the current value of something that can go up and down.
+func (s *Sink) Gauge(name, help string, v float64) {
+	s.samples = append(s.samples, sample{name: name, help: help, typ: "gauge", value: v})
+}
+
+// sample is one series at gather time. hist is set for summaries, value
+// for everything else.
+type sample struct {
+	name, help string
+	typ        string // Prometheus exposition type
+	value      float64
+	hist       *HistogramSnapshot
+}
+
+// gather reads every cell and runs every collector once, returning the
+// samples ordered by name (label-stripped base name first, so all series
+// of one metric are adjacent as Prometheus requires). A name emitted twice
+// is a programming error and panics.
+func (r *Registry) gather() []sample {
 	r.mu.RLock()
-	out := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e)
+	sink := Sink{samples: make([]sample, 0, len(r.cells))}
+	for _, c := range r.cells {
+		if c.hist != nil {
+			h := c.hist.Snapshot()
+			sink.samples = append(sink.samples, sample{name: c.name, help: c.help, typ: "summary", hist: &h})
+		} else {
+			sink.Counter(c.name, c.help, c.counter.Value())
+		}
 	}
+	collectors := r.collectors[:len(r.collectors):len(r.collectors)]
 	r.mu.RUnlock()
+	for _, fn := range collectors {
+		fn(&sink)
+	}
+	out := sink.samples
 	sort.Slice(out, func(i, j int) bool {
 		bi, bj := baseName(out[i].name), baseName(out[j].name)
 		if bi != bj {
@@ -188,6 +126,11 @@ func (r *Registry) sortedEntries() []*entry {
 		}
 		return out[i].name < out[j].name
 	})
+	for i := 1; i < len(out); i++ {
+		if out[i].name == out[i-1].name {
+			panic(fmt.Sprintf("metrics: series %q emitted twice", out[i].name))
+		}
+	}
 	return out
 }
 
@@ -232,19 +175,19 @@ func Summarize(s HistogramSnapshot) HistogramSummary {
 	}
 }
 
-// Snapshot returns every metric's current value keyed by name: scalars as
-// numbers, histograms as HistogramSummary. This is the payload served under
-// /debug/vars and embedded in unified stats snapshots.
+// Snapshot returns every metric's current value keyed by name: counters as
+// int64, gauges as float64, histograms as HistogramSummary. This is the
+// payload served under /debug/vars.
 func (r *Registry) Snapshot() map[string]interface{} {
 	out := make(map[string]interface{})
-	for _, e := range r.sortedEntries() {
-		switch e.kind {
-		case KindHistogram:
-			out[e.name] = Summarize(e.hist.Snapshot())
-		case KindCounter, KindCounterFunc, KindGauge:
-			out[e.name] = int64(e.value())
+	for _, s := range r.gather() {
+		switch {
+		case s.hist != nil:
+			out[s.name] = Summarize(*s.hist)
+		case s.typ == "counter":
+			out[s.name] = int64(s.value)
 		default:
-			out[e.name] = e.value()
+			out[s.name] = s.value
 		}
 	}
 	return out
@@ -252,9 +195,9 @@ func (r *Registry) Snapshot() map[string]interface{} {
 
 // EachHistogram calls fn for every registered histogram in name order.
 func (r *Registry) EachHistogram(fn func(name string, s HistogramSnapshot)) {
-	for _, e := range r.sortedEntries() {
-		if e.kind == KindHistogram {
-			fn(e.name, e.hist.Snapshot())
+	for _, s := range r.gather() {
+		if s.hist != nil {
+			fn(s.name, *s.hist)
 		}
 	}
 }

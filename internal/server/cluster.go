@@ -81,9 +81,10 @@ func (s *server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// Unified memory ledger (adaptive strategy only): lets the manager and
 	// operators watch memory shift between memtables and the caches.
-	if snap := s.db.Metrics(); snap.AdCache != nil {
-		st.Budgets = make([]api.BudgetStat, 0, len(snap.AdCache.Budgets))
-		for _, b := range snap.AdCache.Budgets {
+	if ad := s.db.AdCache(); ad != nil {
+		budgets := ad.Budgets()
+		st.Budgets = make([]api.BudgetStat, 0, len(budgets))
+		for _, b := range budgets {
 			st.Budgets = append(st.Budgets, api.BudgetStat{
 				Component:   b.Component,
 				TargetBytes: b.TargetBytes,

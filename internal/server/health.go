@@ -51,7 +51,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	h := api.Health{
 		Status:   "ok",
-		BgState:  s.db.Metrics().Engine.BgState,
+		BgState:  s.db.LSM().BgState(),
 		Draining: s.cfg.drain.Draining(),
 		Node:     s.cfg.nodeID,
 		Epoch:    s.epoch(),

@@ -25,7 +25,6 @@ type Collector struct {
 
 	rangeGetHits   atomic.Int64
 	rangeScanHits  atomic.Int64
-	blockHits      atomic.Int64
 	pointAdmits    atomic.Int64
 	pointRejects   atomic.Int64
 	scanFullAdmits atomic.Int64
@@ -45,7 +44,6 @@ type Window struct {
 
 	RangeGetHits   int64
 	RangeScanHits  int64
-	BlockHits      int64
 	PointAdmits    int64
 	PointRejects   int64
 	ScanFullAdmits int64
@@ -91,13 +89,6 @@ func (c *Collector) RecordBlockReads(n int) {
 	}
 }
 
-// RecordBlockHits counts block-cache hits.
-func (c *Collector) RecordBlockHits(n int) {
-	if n > 0 {
-		c.blockHits.Add(int64(n))
-	}
-}
-
 // RecordPointAdmission counts an admission-control decision for a point
 // result.
 func (c *Collector) RecordPointAdmission(admitted bool) {
@@ -130,7 +121,6 @@ func (c *Collector) EndWindow() Window {
 		BlockReads:     c.blockReads.Swap(0),
 		RangeGetHits:   c.rangeGetHits.Swap(0),
 		RangeScanHits:  c.rangeScanHits.Swap(0),
-		BlockHits:      c.blockHits.Swap(0),
 		PointAdmits:    c.pointAdmits.Swap(0),
 		PointRejects:   c.pointRejects.Swap(0),
 		ScanFullAdmits: c.scanFullAdmits.Swap(0),

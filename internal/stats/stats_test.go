@@ -15,7 +15,6 @@ func TestWindowAccumulationAndReset(t *testing.T) {
 	c.RecordScan(64, false)
 	c.RecordWrite()
 	c.RecordBlockReads(7)
-	c.RecordBlockHits(3)
 	c.RecordPointAdmission(true)
 	c.RecordPointAdmission(false)
 	c.RecordScanAdmission(16, 16)
@@ -29,7 +28,7 @@ func TestWindowAccumulationAndReset(t *testing.T) {
 	if w.ScanLenSum != 80 || w.AvgScanLen() != 40 {
 		t.Fatalf("scan lengths = %d avg %f", w.ScanLenSum, w.AvgScanLen())
 	}
-	if w.BlockReads != 7 || w.BlockHits != 3 {
+	if w.BlockReads != 7 {
 		t.Fatalf("io = %+v", w)
 	}
 	if w.RangeGetHits != 1 || w.RangeScanHits != 1 {

@@ -41,7 +41,7 @@ func (d *DB) Metrics() MetricsSnapshot {
 		SSTReads:         d.inner.QueryBlockReads(),
 		BlockCacheHits:   d.inner.QueryBlockHits(),
 		Cache:            d.strategy.Counters(),
-		TraceWriteErrors: d.traceErrs.Load(),
+		TraceWriteErrors: d.traceErrs.Value(),
 	}
 	if d.ad != nil {
 		m.AdCache = &AdCacheSnapshot{
@@ -59,17 +59,17 @@ func (d *DB) Metrics() MetricsSnapshot {
 // and /debug/vars; callers may register their own series alongside.
 func (d *DB) Registry() *metrics.Registry { return d.reg }
 
-// registerMetrics exports the public layer's series: strategy identity,
-// the strategy's cache series (via the optional RegisterMetrics interface —
-// the same mechanism external CacheStrategy implementations can adopt), and
-// the trace-error counter.
+// registerMetrics creates the public layer's cell (the trace-error
+// counter), registers its collector (strategy identity) and lets the
+// strategy register its own through the optional RegisterMetrics interface —
+// the same mechanism external CacheStrategy implementations can adopt.
 func (d *DB) registerMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc(`adcache_strategy_info{strategy="`+d.kind.String()+`"}`,
-		"Configured cache strategy (value is always 1).",
-		func() float64 { return 1 })
-	reg.CounterFunc("trace_write_errors_total",
-		"Trace-log writes that failed (tracing is advisory; errors are counted, not surfaced).",
-		func() int64 { return d.traceErrs.Load() })
+	d.traceErrs = reg.Counter("trace_write_errors_total",
+		"Trace-log writes that failed (tracing is advisory; errors are counted, not surfaced).")
+	info := `adcache_strategy_info{strategy="` + d.kind.String() + `"}`
+	reg.Collect(func(s *metrics.Sink) {
+		s.Gauge(info, "Configured cache strategy (value is always 1).", 1)
+	})
 	if rm, ok := d.strategy.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
 		rm.RegisterMetrics(reg)
 	}
