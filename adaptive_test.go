@@ -15,9 +15,13 @@ import (
 // control bounds scan pollution.
 
 func adaptRunner(t *testing.T, strategy adcache.Strategy) *harness.Runner {
+	return adaptRunnerAt(t, strategy, 0.10)
+}
+
+func adaptRunnerAt(t *testing.T, strategy adcache.Strategy, cacheFrac float64) *harness.Runner {
 	t.Helper()
 	r, err := harness.NewRunner(harness.Config{
-		NumKeys: 8000, ValueSize: 100, CacheFrac: 0.10,
+		NumKeys: 8000, ValueSize: 100, CacheFrac: cacheFrac,
 		Strategy: strategy, Seed: 5,
 	})
 	if err != nil {
@@ -27,25 +31,67 @@ func adaptRunner(t *testing.T, strategy adcache.Strategy) *harness.Runner {
 	return r
 }
 
+// TestControllerMovesBoundaryPerWorkload runs Figure 10's shift — point
+// lookups, then scans. The point phase must leave the boundary on the range
+// side. After the shift the paper converts the entire range cache into a
+// block cache; this engine's controlled experiments
+// (internal/core/calibration.go) agree for pure short scans at a 25 % budget
+// and for short + long scans at 10 %, and there the boundary must cross to
+// the block side. For pure short scans at 10 % they measure the range
+// cache, admitting one entry per access, reading fewer blocks, so the
+// boundary may stay; the phase must then be served at least as well as the
+// paper's answer, the whole budget as a block cache with the same history.
 func TestControllerMovesBoundaryPerWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptation runs are slow")
 	}
-	// Point-lookup phase: boundary should sit mostly on the range side.
-	r := adaptRunner(t, adcache.StrategyAdCache)
-	if err := r.Warm(workload.MixPointLookup, 20_000); err != nil {
-		t.Fatal(err)
-	}
-	if ratio := r.DB.AdCache().CurrentParams().RangeRatio; ratio < 0.5 {
-		t.Fatalf("point workload learned range ratio %.2f, want > 0.5", ratio)
-	}
-	// Shift to short scans: the boundary must migrate to the block side
-	// (the paper's "converts the entire range cache into a block cache").
-	if err := r.Warm(workload.MixShortScan, 30_000); err != nil {
-		t.Fatal(err)
-	}
-	if ratio := r.DB.AdCache().CurrentParams().RangeRatio; ratio > 0.5 {
-		t.Fatalf("scan workload kept range ratio %.2f, want < 0.5", ratio)
+	for _, tc := range []struct {
+		name      string
+		cacheFrac float64
+		scans     workload.Mix
+		blockSide bool
+	}{
+		{"short_scans_at_10pct", 0.10, workload.MixShortScan, false},
+		{"short_scans_at_25pct", 0.25, workload.MixShortScan, true},
+		{"short_and_long_scans_at_10pct", 0.10, workload.Mix{ShortScanPct: 50, LongScanPct: 50}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shift := func(strategy adcache.Strategy) *harness.Runner {
+				r := adaptRunnerAt(t, strategy, tc.cacheFrac)
+				if err := r.Warm(workload.MixPointLookup, 20_000); err != nil {
+					t.Fatal(err)
+				}
+				if ad := r.DB.AdCache(); ad != nil {
+					if ratio := ad.CurrentParams().RangeRatio; ratio < 0.5 {
+						t.Fatalf("point workload learned range ratio %.2f, want > 0.5", ratio)
+					}
+				}
+				if err := r.Warm(tc.scans, 30_000); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			r := shift(adcache.StrategyAdCache)
+			ratio := r.DB.AdCache().CurrentParams().RangeRatio
+			if tc.blockSide {
+				if ratio > 0.5 {
+					t.Fatalf("scan workload kept range ratio %.2f, want < 0.5", ratio)
+				}
+				return
+			}
+			got, err := r.Run(tc.scans, 10_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			block, err := shift(adcache.StrategyBlock).Run(tc.scans, 10_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.HitRate < block.HitRate {
+				t.Fatalf("after the shift AdCache (range ratio %.2f) hit %.4f, below the all-block cache's %.4f",
+					ratio, got.HitRate, block.HitRate)
+			}
+		})
 	}
 }
 

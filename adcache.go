@@ -112,8 +112,7 @@ type Options struct {
 	// managed by Open.
 	LSM *lsm.Options
 	// Trace, when non-nil, records every operation (§3.1: "workload logs
-	// can be collected for pretraining"). Feed the file to
-	// cmd/adcache-pretrain -trace.
+	// can be collected"); trace.ReadAll replays one.
 	Trace *trace.Writer
 }
 

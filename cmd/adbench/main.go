@@ -8,7 +8,10 @@
 //	adbench -exp fig8 -keys 100000 -ops 200000
 //
 // Experiments: fig1 fig6 fig7 fig8 (includes Table 4) fig9 fig10 fig11a
-// fig11b table2 all.
+// fig11b table2 all, plus calibrate — the controlled-experiment sweep whose
+// output rows are internal/core's prior table (not part of all):
+//
+//	adbench -exp calibrate > calibration.txt
 //
 // With -strategy, adbench instead runs a single latency benchmark against
 // that cache strategy and prints the engine's latency histogram summary
@@ -80,7 +83,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|fig11a|fig11b|table2|ablations|scaling|all")
+		exp      = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|fig11a|fig11b|table2|ablations|scaling|calibrate|all")
 		scale    = flag.String("scale", "default", "scale preset: quick|default")
 		keys     = flag.Int("keys", 0, "override key-space size")
 		values   = flag.Int("values", 0, "override value size in bytes")
@@ -289,6 +292,15 @@ func main() {
 			}
 			if rows, err = harness.RunScaling(nil, progress); err == nil {
 				fmt.Print(harness.FormatScaling(rows))
+			}
+		case "calibrate":
+			var cells []harness.CalibrationCell
+			progress := func(c harness.CalibrationCell) {
+				fmt.Fprintf(os.Stderr, "  %-12s cache=%4.0f%% %+v reads/op=%.3f (%d runs)\n",
+					c.Mix.Name, c.CacheFrac*100, c.Action, c.ReadsPerOp, c.Runs)
+			}
+			if cells, err = harness.RunCalibration(sc, progress); err == nil {
+				fmt.Print(harness.FormatCalibration(cells))
 			}
 		case "ablations":
 			var rows []harness.AblationRow

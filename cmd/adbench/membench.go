@@ -98,7 +98,7 @@ func runMemCase(name string, unified bool, memFrac float64, keys, valueSize, ops
 	lsmOpts := lsm.DefaultOptions("")
 	lsmOpts.InlineCompaction = true
 	lsmOpts.TargetFileSize = 1 << 20
-	cfg := core.Config{SyncTuning: true, PretrainSynthetic: true}
+	cfg := core.Config{SyncTuning: true}
 	cacheBytes := budget
 	if unified {
 		// The arbiter owns the whole budget; the static threshold is

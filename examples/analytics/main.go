@@ -42,7 +42,7 @@ func run(strategy adcache.Strategy, mix workload.Mix) (reads, hits int64) {
 	db, err := adcache.Open(adcache.Options{
 		CacheBytes: 1 << 20,
 		Strategy:   strategy,
-		AdCache:    core.Config{SyncTuning: true, PretrainSynthetic: true},
+		AdCache:    core.Config{SyncTuning: true},
 		LSM:        &lsmOpts,
 	})
 	if err != nil {

@@ -23,9 +23,8 @@ func main() {
 		CacheBytes: 2 << 20,
 		Strategy:   adcache.StrategyAdCache,
 		AdCache: core.Config{
-			SyncTuning:        true, // deterministic demo output
-			PretrainSynthetic: true, // §3.6: skip the cold-start warm-up
-			RecordTrace:       true,
+			SyncTuning:  true, // deterministic demo output
+			RecordTrace: true,
 		},
 		LSM: &lsmOpts,
 	})

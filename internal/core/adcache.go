@@ -35,6 +35,17 @@ type Params struct {
 	MemRatio float64
 }
 
+// sub returns p − q per parameter (the residual of p around a prior q).
+func (p Params) sub(q Params) Params {
+	return Params{
+		RangeRatio:     p.RangeRatio - q.RangeRatio,
+		PointThreshold: p.PointThreshold - q.PointThreshold,
+		ScanA:          p.ScanA - q.ScanA,
+		ScanB:          p.ScanB - q.ScanB,
+		MemRatio:       p.MemRatio - q.MemRatio,
+	}
+}
+
 // Config configures an AdCache instance.
 type Config struct {
 	// Capacity is the total byte budget shared by block and range caches —
@@ -87,13 +98,10 @@ type Config struct {
 
 	// RL configures the agent; zero value uses the paper's defaults.
 	RL rl.Config
-	// ModelFS/ModelPath optionally load pretrained weights (§3.6).
+	// ModelFS/ModelPath optionally load an agent saved with rl.Agent.Save —
+	// one that has already learned its residual online elsewhere.
 	ModelFS   vfs.FS
 	ModelPath string
-	// PretrainSynthetic, when no model is loaded, runs the synthetic
-	// supervised pretraining at construction (§3.6's "manually crafted"
-	// representative workloads).
-	PretrainSynthetic bool
 
 	// RecordTrace keeps a per-window trace of rewards and parameters
 	// (used to regenerate Figure 10).
@@ -154,13 +162,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WindowTrace records one control window for experiment plots.
+// WindowTrace records one control window for experiment plots: the applied
+// (post-hysteresis) Params, the Prior decoded for the window, and the
+// agent's Residual around it (its chosen parameters minus the prior, before
+// hysteresis).
 type WindowTrace struct {
 	Window    stats.Window
 	HEstimate float64
 	HSmoothed float64
 	Reward    float64
 	Params    Params
+	Prior     Params
+	Residual  Params
 	ActorLR   float64
 }
 
@@ -183,7 +196,8 @@ type AdCache struct {
 	tuneCh  chan struct{}
 	done    chan struct{}
 	stopped sync.Once
-	tuneMu  sync.Mutex // serialises tuneOnce in SyncTuning mode
+	tuneMu  sync.Mutex // serialises tuneOnce and Pin
+	pinned  bool       // guarded by tuneMu; see Pin
 
 	// Bound DB (optional): provides live LSM shape for the I/O model.
 	mu       sync.Mutex
@@ -215,8 +229,6 @@ func New(cfg Config) (*AdCache, error) {
 		if err := a.agent.Load(cfg.ModelFS, cfg.ModelPath); err != nil {
 			return nil, err
 		}
-	} else if cfg.PretrainSynthetic {
-		PretrainAgent(a.agent, cfg.MaxScanLen, 7)
 	}
 	initialMemRatio := 0.0
 	if cfg.MemtableArbitration {
@@ -268,8 +280,19 @@ func (a *AdCache) Close() {
 // CurrentParams returns the parameters in force for the current window.
 func (a *AdCache) CurrentParams() Params { return a.params.Load().(Params) }
 
-// Agent exposes the RL agent (pretraining tools).
+// Agent exposes the RL agent (to save what it has learned).
 func (a *AdCache) Agent() *rl.Agent { return a.agent }
+
+// Pin applies the decoded action act verbatim (no hysteresis) and holds it:
+// windows keep closing and statistics keep flowing, but the agent neither
+// acts nor learns again. It is how the controlled experiments behind the
+// prior's calibration table (adbench -exp calibrate) hold a static setting.
+func (a *AdCache) Pin(act rl.Action) {
+	a.tuneMu.Lock()
+	defer a.tuneMu.Unlock()
+	a.pinned = true
+	a.setParams(a.decodeAction(act))
+}
 
 // Trace returns the recorded per-window trace (RecordTrace must be set).
 func (a *AdCache) Trace() []WindowTrace {
@@ -420,7 +443,8 @@ func (a *AdCache) ScanBlockFillQuota(scanLen int) (int64, bool) {
 	// Block-level admission has no per-range coverage notion; budget the
 	// first-pass admission count (nothing covered yet).
 	admitKeys := partialAdmitGrowth(p, scanLen)
-	b := a.shape().EntriesPerBlock
+	shape, _ := a.shape()
+	b := shape.EntriesPerBlock
 	if b < 1 {
 		b = 1
 	}
@@ -446,17 +470,19 @@ func (a *AdCache) dbWriteInfo() lsm.WriteSideInfo {
 }
 
 // shape returns the live LSM shape when a DB is bound, else the configured
-// static shape. It reads only lock-free snapshots so it is safe from inside
-// engine callbacks (synchronous tuning).
-func (a *AdCache) shape() stats.Shape {
+// static shape, and the cache budget's share of the live data (the prior's
+// second key): until a bound DB reports its size, the paper's default
+// cache size, 10 % of the database. It reads only lock-free snapshots so it
+// is safe from inside engine callbacks (synchronous tuning).
+func (a *AdCache) shape() (shape stats.Shape, cacheShare float64) {
 	a.mu.Lock()
 	db := a.db
 	a.mu.Unlock()
+	shape, cacheShare = a.cfg.Shape, 0.1
 	if db == nil {
-		return a.cfg.Shape
+		return shape, cacheShare
 	}
 	info := db.ShapeInfo()
-	shape := a.cfg.Shape
 	if info.NonEmptyLevels > 0 {
 		shape.Levels = info.NonEmptyLevels
 	}
@@ -468,5 +494,8 @@ func (a *AdCache) shape() stats.Shape {
 			shape.EntriesPerBlock = float64(info.TotalEntries) / blocks
 		}
 	}
-	return shape
+	if info.TotalBytes > 0 {
+		cacheShare = float64(a.cfg.Capacity) / float64(info.TotalBytes)
+	}
+	return shape, cacheShare
 }

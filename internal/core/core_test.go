@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"adcache/internal/lsm"
-	"adcache/internal/rl"
 )
 
 func newTestAdCache(t *testing.T, cfg Config) *AdCache {
@@ -234,51 +233,6 @@ func TestTinyRangeCapacitySkipsInserts(t *testing.T) {
 	a.OnPointResult([]byte("k"), []byte("v"), 1)
 	if a.Range().Len() != 0 {
 		t.Fatal("inserted into a boundary-starved range cache")
-	}
-}
-
-func TestPretrainDataSanity(t *testing.T) {
-	states, targets := SyntheticPretrainData(128, 1)
-	if len(states) != len(targets) || len(states) == 0 {
-		t.Fatalf("data sizes: %d states, %d targets", len(states), len(targets))
-	}
-	for i, s := range states {
-		if len(s) != rl.StateDim {
-			t.Fatalf("state %d has dim %d", i, len(s))
-		}
-		tg := targets[i]
-		for _, v := range []float64{tg.RangeRatio, tg.PointThreshold, tg.ScanA, tg.ScanB} {
-			if v < 0 || v > 1 {
-				t.Fatalf("target %d out of range: %+v", i, tg)
-			}
-		}
-		// Encoded domain knowledge: pure-point states want the range
-		// cache, pure-scan low-write states want the block cache.
-		point, scan, write := float64(s[0]), float64(s[1]), float64(s[2])
-		if point > 0.99 && tg.RangeRatio < 0.9 {
-			t.Fatalf("pure-point target ratio = %f", tg.RangeRatio)
-		}
-		if scan > 0.99 && write < 0.01 && tg.RangeRatio > 0.2 {
-			t.Fatalf("pure-scan target ratio = %f", tg.RangeRatio)
-		}
-	}
-}
-
-func TestPretrainedModelLoads(t *testing.T) {
-	agent := rl.New(rl.DefaultConfig())
-	loss := PretrainAgent(agent, 128, 1)
-	if loss > 0.02 {
-		t.Fatalf("pretraining loss = %f", loss)
-	}
-	// Pretrained policy: a pure-point state asks for more range cache than
-	// a pure-scan state.
-	pointState := make([]float32, rl.StateDim)
-	pointState[0] = 1
-	scanState := make([]float32, rl.StateDim)
-	scanState[1] = 1
-	scanState[3] = 0.125
-	if agent.Mean(pointState).RangeRatio <= agent.Mean(scanState).RangeRatio {
-		t.Fatal("pretrained policy not workload-aware")
 	}
 }
 

@@ -166,7 +166,10 @@ func (r *RangeOnly) RegisterMetrics(reg *metrics.Registry) {
 
 // TuningState is the controller's view of the most recently closed window:
 // the learning signal (reward, losses, adaptive learning rate) next to the
-// parameters it produced. Served under /stats and as adcache_* gauges.
+// parameters it produced and where they came from — the calibrated Prior
+// for the window's mix and cache share, and the agent's Residual around it
+// (chosen minus prior, before hysteresis; zero for a fresh or frozen agent).
+// Served under /stats and as adcache_* gauges.
 type TuningState struct {
 	Windows    int64   `json:"windows"`
 	AgentSteps int64   `json:"agent_steps"`
@@ -181,6 +184,21 @@ type TuningState struct {
 	ActorLoss  float64 `json:"actor_loss"`
 	CriticLoss float64 `json:"critic_loss"`
 	Params     Params  `json:"params"`
+	Prior      Params  `json:"prior"`
+	Residual   Params  `json:"residual"`
+}
+
+// paramSeries names each controller parameter for the labelled
+// adcache_prior / adcache_residual series.
+var paramSeries = []struct {
+	name string
+	get  func(Params) float64
+}{
+	{"range_ratio", func(p Params) float64 { return p.RangeRatio }},
+	{"point_threshold", func(p Params) float64 { return p.PointThreshold }},
+	{"scan_a", func(p Params) float64 { return float64(p.ScanA) }},
+	{"scan_b", func(p Params) float64 { return p.ScanB }},
+	{"mem_ratio", func(p Params) float64 { return p.MemRatio }},
 }
 
 // Budget is one component of the unified memory ledger: the arbiter's
@@ -247,6 +265,12 @@ func (a *AdCache) RegisterMetrics(reg *metrics.Registry) {
 		s.Gauge("adcache_point_threshold", "Frequency-score threshold for point admission.", p.PointThreshold)
 		s.Gauge("adcache_scan_a", "Full-admission scan length threshold a, in keys.", float64(p.ScanA))
 		s.Gauge("adcache_scan_b", "Partial-admission aggressiveness b.", p.ScanB)
+		for _, ps := range paramSeries {
+			s.Gauge(fmt.Sprintf("adcache_prior{param=%q}", ps.name),
+				"Last window's calibrated prior for the parameter.", ps.get(t.Prior))
+			s.Gauge(fmt.Sprintf("adcache_residual{param=%q}", ps.name),
+				"Last window's learned residual around the prior (chosen minus prior, before hysteresis).", ps.get(t.Residual))
+		}
 
 		s.Counter("adcache_windows_total", "Control windows processed by the tuner.", a.Windows())
 		s.Counter("adcache_agent_steps_total", "Actor-critic updates performed.", t.AgentSteps)

@@ -85,6 +85,21 @@ func TestMetricsRLGauges(t *testing.T) {
 			t.Errorf("%s = %v (ok=%v), want %v", name, got, ok, want)
 		}
 	}
+	// Why the controller picked its parameters: the prior and the residual,
+	// per parameter, agree with TuningState.
+	if ts.Prior == (Params{}) {
+		t.Error("tuning state carries no prior")
+	}
+	for _, ps := range paramSeries {
+		for series, want := range map[string]float64{
+			fmt.Sprintf("adcache_prior{param=%q}", ps.name):    ps.get(ts.Prior),
+			fmt.Sprintf("adcache_residual{param=%q}", ps.name): ps.get(ts.Residual),
+		} {
+			if got, ok := snap[series].(float64); !ok || got != want {
+				t.Errorf("%s = %v (ok=%v), want %v", series, got, ok, want)
+			}
+		}
+	}
 	// Cache traffic shows up in the aggregate and per-shard series.
 	if hits := snap["cache_range_get_hits_total"].(int64); hits == 0 {
 		t.Error("cache_range_get_hits_total = 0 after repeated lookups")

@@ -17,7 +17,9 @@ func (a *AdCache) tuneLoop() {
 		case <-a.done:
 			return
 		case <-a.tuneCh:
+			a.tuneMu.Lock()
 			a.tuneOnce()
+			a.tuneMu.Unlock()
 		}
 	}
 }
@@ -32,12 +34,13 @@ type writeDeltas struct {
 	outBytes  int64 // flush + compaction output bytes
 }
 
+// tuneOnce closes one window. Callers hold tuneMu.
 func (a *AdCache) tuneOnce() {
 	w := a.collector.EndWindow()
 	if w.Ops() == 0 {
 		return
 	}
-	shape := a.shape()
+	shape, cacheShare := a.shape()
 	hEst := shape.HitRateEstimate(w)
 
 	// Write-side deltas for this window (zero when no DB is bound).
@@ -89,9 +92,15 @@ func (a *AdCache) tuneOnce() {
 	a.mu.Unlock()
 
 	state := a.buildState(w, shape, hEst, info, wd)
-	a.agent.Update(smoothed, lrDelta, state)
-	action := a.agent.Act(state)
-	params := a.applyParams(a.decodeAction(action))
+	point, short, long, write := windowMix(w)
+	priorAct := Prior(point, short, long, write, cacheShare)
+	prior, params := a.decodeAction(priorAct), a.CurrentParams()
+	chosen := params // a pinned controller holds its parameters
+	if !a.pinned {
+		a.agent.Update(smoothed, lrDelta, state)
+		chosen = a.decodeAction(a.agent.Act(state, priorAct))
+		params = a.applyParams(chosen)
+	}
 
 	windows := a.windowsClosed.Add(1)
 
@@ -111,6 +120,8 @@ func (a *AdCache) tuneOnce() {
 		ActorLoss:  actorLoss,
 		CriticLoss: criticLoss,
 		Params:     params,
+		Prior:      prior,
+		Residual:   chosen.sub(prior),
 	}
 	if a.cfg.RecordTrace {
 		a.trace = append(a.trace, WindowTrace{
@@ -119,6 +130,8 @@ func (a *AdCache) tuneOnce() {
 			HSmoothed: smoothed,
 			Reward:    lrDelta,
 			Params:    params,
+			Prior:     prior,
+			Residual:  chosen.sub(prior),
 			ActorLR:   a.agent.ActorLR(),
 		})
 	}
@@ -170,6 +183,12 @@ func (a *AdCache) applyParams(p Params) Params {
 			p.MemRatio = prev.MemRatio
 		}
 	}
+	a.setParams(p)
+	return p
+}
+
+// setParams publishes p and moves the budget boundaries to it.
+func (a *AdCache) setParams(p Params) {
 	a.params.Store(p)
 	// Unified ledger: memtables take their share off the top, the caches
 	// split the remainder at the range/block boundary. With arbitration off
@@ -190,7 +209,6 @@ func (a *AdCache) applyParams(p Params) Params {
 			db.SetMemTableBudget(memBytes)
 		}
 	}
-	return p
 }
 
 // buildState assembles the agent's observation: workload composition, scan

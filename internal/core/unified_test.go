@@ -22,10 +22,10 @@ func TestOldDimModelRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	oldActor := nn.NewMLP([]int{13, rl.HiddenDim, rl.HiddenDim, 4}, nn.ReLU, nn.Sigmoid, rng)
 	oldCritic := nn.NewMLP([]int{13, rl.HiddenDim, rl.HiddenDim, 1}, nn.ReLU, nn.Linear, rng)
-	if err := oldActor.Save(fs, "model.actor"); err != nil {
+	if err := oldActor.Save(fs, "model.actor", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := oldCritic.Save(fs, "model.critic"); err != nil {
+	if err := oldCritic.Save(fs, "model.critic", ""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,8 +22,8 @@ type AblationRow struct {
 //
 //   - boundary hysteresis: suppressing exploration jitter at the cache
 //     boundary vs applying every sampled ratio;
-//   - pretraining: §3.6's initialisation vs learning from scratch, under a
-//     window budget comparable to the experiments;
+//   - online residual learning vs acting on the calibrated prior alone
+//     (a Frozen agent), under a window budget comparable to the experiments;
 //   - Leaper-style prefetch: re-populating the block cache after
 //     compactions under a write-heavy mix;
 //   - sharded range cache: §4.4's partitioned locking vs a single shard
@@ -68,13 +68,14 @@ func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 		})
 	}
 
-	// Study 2: pretraining vs from-scratch.
-	for _, noPretrain := range []bool{false, true} {
-		r, err := NewRunner(Config{
+	// Study 2: online residual learning vs the frozen prior.
+	for _, frozen := range []bool{false, true} {
+		cfg := Config{
 			NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
 			CacheFrac: 0.10, Strategy: adcache.StrategyAdCache, Seed: sc.Seed,
-			NoPretrain: noPretrain,
-		})
+		}
+		cfg.AdCache.RL.Frozen = frozen
+		r, err := NewRunner(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -91,12 +92,12 @@ func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		variant := "pretrained"
-		if noPretrain {
-			variant = "from scratch"
+		variant := "online residual"
+		if frozen {
+			variant = "frozen prior"
 		}
 		add(AblationRow{
-			Study: "pretraining", Variant: variant, Result: res,
+			Study: "residual-learning", Variant: variant, Result: res,
 			Note: fmt.Sprintf("final ratio=%.2f", ratio),
 		})
 	}

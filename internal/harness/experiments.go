@@ -35,15 +35,15 @@ func QuickScale() Scale {
 	return Scale{NumKeys: 10_000, ValueSize: 100, WarmOps: 10_000, MeasureOps: 10_000, PhaseOps: 12_000, Seed: 1}
 }
 
-// StaticWorkloads are the §5.2 workloads in paper order.
-func StaticWorkloads() []struct {
+// NamedMix is a workload mix with the name experiments report it under.
+type NamedMix struct {
 	Name string
 	Mix  workload.Mix
-} {
-	return []struct {
-		Name string
-		Mix  workload.Mix
-	}{
+}
+
+// StaticWorkloads are the §5.2 workloads in paper order.
+func StaticWorkloads() []NamedMix {
+	return []NamedMix{
 		{"PointLookup", workload.MixPointLookup},
 		{"ShortScan", workload.MixShortScan},
 		{"Balanced", workload.MixBalanced},
@@ -342,8 +342,8 @@ type Fig10Series struct {
 // RunFig10 regenerates Figure 10: the system is warmed on a read-heavy
 // (point) workload and shifted to a short-scan-heavy workload. Panel (a)
 // varies the window size; panel (b) varies α; panel (c) is the parameter
-// evolution of the default configuration. The "pretrained" variant uses a
-// frozen pretrained model (no online learning).
+// evolution of the default configuration. The "prior(frozen)" variant acts
+// on the calibrated prior alone (no online learning).
 func RunFig10(sc Scale) (windowPanel, alphaPanel []Fig10Series, paramPanel Fig10Series, err error) {
 	run := func(label string, windowSize int, alpha float64, frozen bool) (Fig10Series, error) {
 		cfg := Config{
@@ -376,7 +376,7 @@ func RunFig10(sc Scale) (windowPanel, alphaPanel []Fig10Series, paramPanel Fig10
 		}
 		windowPanel = append(windowPanel, s)
 	}
-	s, err := run("pretrained(frozen)", 1000, 0.9, true)
+	s, err := run("prior(frozen)", 1000, 0.9, true)
 	if err != nil {
 		return nil, nil, Fig10Series{}, err
 	}
@@ -490,11 +490,14 @@ type AblationSeries struct {
 	Segments []float64 // estimated hit rate per time segment
 }
 
+// fig11bMix is Figure 11(b)'s long-scan-heavy workload.
+var fig11bMix = workload.Mix{GetPct: 24, ShortScanPct: 5, LongScanPct: 66, WritePct: 5}
+
 // RunFig11b regenerates Figure 11(b): Range Cache vs AdCache with only
 // admission control, only adaptive partitioning, and both, under a
 // long-scan-heavy workload.
 func RunFig11b(sc Scale, report func(AblationSeries)) ([]AblationSeries, error) {
-	mix := workload.Mix{GetPct: 24, ShortScanPct: 5, LongScanPct: 66, WritePct: 5}
+	mix := fig11bMix
 	const segments = 12
 	variants := []struct {
 		label               string

@@ -124,17 +124,6 @@ func TestRunConcurrentAggregates(t *testing.T) {
 	}
 }
 
-func TestPretrainedModelIsCachedAndLoadable(t *testing.T) {
-	fs1, path1 := PretrainedModel()
-	fs2, path2 := PretrainedModel()
-	if fs1 != fs2 || path1 != path2 {
-		t.Fatal("pretrained model not cached per process")
-	}
-	if !fs1.Exists(path1 + ".actor") {
-		t.Fatal("actor weights missing")
-	}
-}
-
 func TestTable2Accounting(t *testing.T) {
 	rows := RunTable2()
 	if len(rows) != 5 {
@@ -181,5 +170,47 @@ func TestCSVExport(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "w=1000") {
 		t.Fatalf("trace csv = %q", buf.String())
+	}
+}
+
+// TestCalibrationDeterministic: the controlled-experiment sweep behind the
+// prior's table is a pure function of its scale — two tiny runs print the
+// same table — and every winner is a grid point.
+func TestCalibrationDeterministic(t *testing.T) {
+	sc := Scale{NumKeys: 1500, ValueSize: 64, WarmOps: 600, MeasureOps: 600, Seed: 3}
+	mixes := []NamedMix{CalibrationMixes()[0], CalibrationMixes()[4]}
+	fracs := []float64{0.05, 0.25}
+	run := func() ([]CalibrationCell, string) {
+		cells, err := Calibrate(sc, mixes, fracs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells, FormatCalibration(cells)
+	}
+	cells, first := run()
+	if _, second := run(); first != second {
+		t.Fatalf("calibration tables differ:\n%s\nvs\n%s", first, second)
+	}
+	if len(cells) != len(mixes)*len(fracs) {
+		t.Fatalf("%d cells, want %d", len(cells), len(mixes)*len(fracs))
+	}
+	onGrid := func(dim int, v float64) bool {
+		for _, g := range calibrationGrid[dim] {
+			if v == g {
+				return true
+			}
+		}
+		return false
+	}
+	for _, c := range cells {
+		a := c.Action
+		for dim, v := range []float64{a.RangeRatio, a.PointThreshold, a.ScanA, a.ScanB} {
+			if !onGrid(dim, v) {
+				t.Fatalf("%s at %.2f: dim %d = %v is not a grid value", c.Mix.Name, c.CacheFrac, dim, v)
+			}
+		}
+		if c.ReadsPerOp <= 0 || c.Runs < len(calibrationGrid[0]) {
+			t.Fatalf("%s at %.2f: %+v", c.Mix.Name, c.CacheFrac, c)
+		}
 	}
 }

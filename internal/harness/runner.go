@@ -38,16 +38,13 @@ type Config struct {
 	// Strategy selects the cache scheme.
 	Strategy adcache.Strategy
 	// AdCache overrides controller settings (window size, alpha,
-	// ablations, pretrained model...).
+	// ablations, a frozen agent...).
 	AdCache core.Config
 	// ReadCost is the simulated per-block-read latency (default 40µs,
 	// an NVMe-class 4 KiB random read).
 	ReadCost time.Duration
 	// RangeShards optionally shards result caches.
 	RangeShards []string
-	// NoPretrain starts AdCache's agent from scratch instead of from the
-	// process-cached pretrained model (Figure 10 compares both).
-	NoPretrain bool
 	// PrefetchOnCompaction enables Leaper-style cache re-population
 	// (ablation experiments).
 	PrefetchOnCompaction int
@@ -171,9 +168,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	// Experiments tune synchronously: every window is processed and runs
 	// are machine-speed independent (see core.Config.SyncTuning).
 	cfg.AdCache.SyncTuning = !cfg.AsyncTuning
-	if !cfg.NoPretrain && cfg.AdCache.ModelFS == nil {
-		cfg.AdCache.ModelFS, cfg.AdCache.ModelPath = PretrainedModel()
-	}
 
 	db, err := adcache.Open(adcache.Options{
 		FS:          fs,

@@ -18,9 +18,10 @@ import (
 )
 
 // ErrArchitectureMismatch is returned (wrapped) by Load when the saved
-// snapshot's layer sizes differ from the receiver's — e.g. a pretrained
-// agent serialized before the state/action space grew. Callers reject such
-// models cleanly instead of silently misindexing features.
+// snapshot's layer sizes or parametrization tag differ from the receiver's —
+// e.g. an agent serialized before the state/action space grew, or one whose
+// outputs meant something else. Callers reject such models cleanly instead
+// of silently misreading them.
 var ErrArchitectureMismatch = errors.New("nn: architecture mismatch")
 
 // Act selects a layer activation.
@@ -116,6 +117,15 @@ func NewMLP(sizes []int, hidden, out Act, rng *rand.Rand) *MLP {
 	}
 	m.as = make([][]float32, n+1)
 	return m
+}
+
+// ZeroOutputLayer zeroes the last layer's weights and biases, so the
+// network's pre-activation output is exactly 0 for every input until it
+// learns otherwise.
+func (m *MLP) ZeroOutputLayer() {
+	n := len(m.w) - 1
+	clear32(m.w[n])
+	clear32(m.b[n])
 }
 
 // Forward runs the network on x and returns the output activations. The
@@ -260,27 +270,32 @@ func (m *MLP) MemoryBytes() int { return 4 * m.NumParams() }
 // accounting.
 func (m *MLP) TrainingMemoryBytes() int { return 4 * m.MemoryBytes() }
 
-// snapshot is the gob-serialisable form of an MLP.
+// snapshot is the gob-serialisable form of an MLP. Tag names what the
+// outputs mean to the owner; snapshots written before it existed decode with
+// an empty tag.
 type snapshot struct {
 	Sizes []int
 	Acts  []Act
 	W     [][]float32
 	B     [][]float32
+	Tag   string
 }
 
-// Save writes the network weights to path on fs (pretraining artifacts).
-func (m *MLP) Save(fs vfs.FS, path string) error {
+// Save writes the network weights to path on fs, tagged with the owner's
+// parametrization.
+func (m *MLP) Save(fs vfs.FS, path, tag string) error {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	enc := gob.NewEncoder(writerAdapter{f})
-	return enc.Encode(snapshot{Sizes: m.sizes, Acts: m.acts, W: m.w, B: m.b})
+	return enc.Encode(snapshot{Sizes: m.sizes, Acts: m.acts, W: m.w, B: m.b, Tag: tag})
 }
 
-// Load reads network weights from path on fs. The architecture must match.
-func (m *MLP) Load(fs vfs.FS, path string) error {
+// Load reads network weights from path on fs. The layer sizes and the
+// parametrization tag must match.
+func (m *MLP) Load(fs vfs.FS, path, tag string) error {
 	f, err := fs.Open(path)
 	if err != nil {
 		return err
@@ -297,6 +312,9 @@ func (m *MLP) Load(fs vfs.FS, path string) error {
 	var snap snapshot
 	if err := gob.NewDecoder(newByteReader(data)).Decode(&snap); err != nil {
 		return err
+	}
+	if snap.Tag != tag {
+		return fmt.Errorf("%w: parametrization %q, want %q", ErrArchitectureMismatch, snap.Tag, tag)
 	}
 	if len(snap.Sizes) != len(m.sizes) {
 		return fmt.Errorf("%w: %v vs %v", ErrArchitectureMismatch, snap.Sizes, m.sizes)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,11 +145,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewMLP([]int{4, 8, 2}, ReLU, Sigmoid, rng)
 	x := []float32{0.1, 0.2, 0.3, 0.4}
 	want := append([]float32(nil), m.Forward(x)...)
-	if err := m.Save(fs, "model.gob"); err != nil {
+	if err := m.Save(fs, "model.gob", "t1"); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	m2 := NewMLP([]int{4, 8, 2}, ReLU, Sigmoid, rand.New(rand.NewSource(99)))
-	if err := m2.Load(fs, "model.gob"); err != nil {
+	if err := m2.Load(fs, "model.gob", "t1"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	got := m2.Forward(x)
@@ -159,7 +160,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Architecture mismatch must fail.
 	m3 := NewMLP([]int{4, 9, 2}, ReLU, Sigmoid, rng)
-	if err := m3.Load(fs, "model.gob"); err == nil {
-		t.Fatal("Load with mismatched architecture succeeded")
+	if err := m3.Load(fs, "model.gob", "t1"); !errors.Is(err, ErrArchitectureMismatch) {
+		t.Fatalf("Load with mismatched architecture: %v", err)
+	}
+	// So must a parametrization mismatch, with identical layer sizes.
+	if err := m2.Load(fs, "model.gob", "t2"); !errors.Is(err, ErrArchitectureMismatch) {
+		t.Fatalf("Load with mismatched tag: %v", err)
+	}
+}
+
+func TestZeroOutputLayer(t *testing.T) {
+	m := NewMLP([]int{4, 8, 3}, ReLU, Tanh, rand.New(rand.NewSource(3)))
+	m.ZeroOutputLayer()
+	for _, x := range [][]float32{{0, 0, 0, 0}, {1, -2, 3, 0.5}} {
+		for i, y := range m.Forward(x) {
+			if y != 0 {
+				t.Fatalf("output %d = %v for %v, want exactly 0", i, y, x)
+			}
+		}
 	}
 }

@@ -1,11 +1,15 @@
 // Package rl implements AdCache's Policy Decision Controller: a lightweight
 // actor-critic agent over a continuous, low-dimensional action space
-// (§3.5). The actor is a 2×256 MLP emitting sigmoid-bounded action means;
-// exploration adds Gaussian noise; the critic is a value baseline. Rewards
-// arrive pre-computed by the caller (the smoothed relative change of the
-// estimated hit rate), and the actor's learning rate adapts as
-// lr ← lr·(1 − reward), growing after workload shifts and decaying during
-// stable phases.
+// (§3.5). The caller supplies a prior action with every state; the actor, a
+// 2×256 MLP, emits a tanh-bounded residual around it, so every action lies
+// within prior ± ResidualSpan. The actor's output layer starts at zero, so an
+// untrained agent acts exactly on the prior. Exploration adds Gaussian noise
+// to the actor's output — the residual, in units of the span, so in action
+// units it is ResidualSpan× the configured σ; the critic is a value
+// baseline. Rewards arrive pre-computed by the caller
+// (the smoothed relative change of the estimated hit rate), and the actor's
+// learning rate adapts as lr ← lr·(1 − reward), growing after workload
+// shifts and decaying during stable phases.
 package rl
 
 import (
@@ -15,6 +19,26 @@ import (
 	"adcache/internal/nn"
 	"adcache/internal/vfs"
 )
+
+// ResidualSpan bounds the actor's correction: every action, exploration
+// included, lies within prior ± ResidualSpan (intersected with [0, 1]).
+const ResidualSpan = 0.15
+
+// residualPull weighs a unit Gaussian prior on the residual (in span units)
+// in the actor's loss: dL/dtanh(z) gains residualPull·tanh(z). Adam moves
+// every output weight by about the learning rate per update whatever the
+// gradient's size, so without it an update stream carrying no signal walks
+// the residual into tanh's saturation — where the gradient vanishes and the
+// bound becomes absorbing — within tens of windows
+// (TestUnrewardedResidualStaysNearPrior). The pull is weak enough that a
+// reward slope of one per unit action still carries the residual to a peak
+// two thirds of the span out (TestConvergesToRewardPeak).
+const residualPull = 0.2
+
+// parametrization tags saved snapshots with what the actor's outputs mean,
+// so a model saved by a direct-output actor (same layer sizes, untagged) is
+// rejected instead of being read as a residual.
+const parametrization = "residual-tanh/v1"
 
 // Dimensions of the control problem.
 const (
@@ -53,21 +77,12 @@ type Action struct {
 	MemRatio float64
 }
 
-func (a Action) vector() []float32 {
-	return []float32{
-		float32(a.RangeRatio), float32(a.PointThreshold),
-		float32(a.ScanA), float32(a.ScanB), float32(a.MemRatio),
-	}
+func (a Action) vector() []float64 {
+	return []float64{a.RangeRatio, a.PointThreshold, a.ScanA, a.ScanB, a.MemRatio}
 }
 
-func actionFrom(v []float32) Action {
-	return Action{
-		RangeRatio:     float64(v[0]),
-		PointThreshold: float64(v[1]),
-		ScanA:          float64(v[2]),
-		ScanB:          float64(v[3]),
-		MemRatio:       float64(v[4]),
-	}
+func actionFrom(v []float64) Action {
+	return Action{RangeRatio: v[0], PointThreshold: v[1], ScanA: v[2], ScanB: v[3], MemRatio: v[4]}
 }
 
 // Config tunes the agent.
@@ -77,7 +92,10 @@ type Config struct {
 	CriticLR float64
 	// Gamma is the discount factor.
 	Gamma float64
-	// ExploreStd is the Gaussian exploration noise applied to action means.
+	// ExploreStd is the Gaussian exploration noise applied to the actor's
+	// output, the residual in units of ResidualSpan: the default 0.08 is
+	// 0.012 in action units, 0.15× the direct-output actor's exploration
+	// (DESIGN.md, "Controller prior").
 	ExploreStd float64
 	// RatioExploreStd overrides the noise on the budget-moving actions
 	// (range ratio and memtable ratio): boundary moves evict cache entries
@@ -86,7 +104,8 @@ type Config struct {
 	RatioExploreStd float64
 	// Seed drives weight init and exploration noise.
 	Seed int64
-	// Frozen disables learning (pretrained-only deployment).
+	// Frozen disables learning and exploration: the agent acts on the prior
+	// plus whatever residual its (loaded) weights produce.
 	Frozen bool
 }
 
@@ -105,9 +124,13 @@ type Agent struct {
 
 	actorLR float64
 
-	havePrev   bool
-	prevState  []float32
-	prevAction []float32
+	havePrev  bool
+	prevState []float32
+	// prevNoise is the Gaussian draw of the last Act (residual units), before
+	// clamping: the score is taken on it, since clamped samples are
+	// one-sided at a bound and would push the mean inward on every positive
+	// TD error.
+	prevNoise []float64
 
 	steps int64
 
@@ -135,9 +158,11 @@ func New(cfg Config) *Agent {
 		cfg.RatioExploreStd = cfg.ExploreStd / 2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	actor := nn.NewMLP([]int{StateDim, HiddenDim, HiddenDim, ActionDim}, nn.ReLU, nn.Tanh, rng)
+	actor.ZeroOutputLayer()
 	return &Agent{
 		cfg:     cfg,
-		actor:   nn.NewMLP([]int{StateDim, HiddenDim, HiddenDim, ActionDim}, nn.ReLU, nn.Sigmoid, rng),
+		actor:   actor,
 		critic:  nn.NewMLP([]int{StateDim, HiddenDim, HiddenDim, 1}, nn.ReLU, nn.Linear, rng),
 		rng:     rng,
 		actorLR: cfg.ActorLR,
@@ -155,20 +180,38 @@ func (a *Agent) noiseStd(i int) float64 {
 	return a.cfg.ExploreStd
 }
 
-// Act returns the action for state, including exploration noise unless the
-// agent is frozen. It records the (state, action) pair for the next Update.
-func (a *Agent) Act(state []float32) Action {
-	mu := a.actor.Forward(state)
-	act := make([]float32, ActionDim)
+// means returns the action-space means prior + ResidualSpan·tanh(actor(s)),
+// unclamped.
+func (a *Agent) means(state []float32, prior []float64) []float64 {
+	z := a.actor.Forward(state)
+	mu := make([]float64, ActionDim)
+	for i := range mu {
+		mu[i] = prior[i] + ResidualSpan*float64(z[i])
+	}
+	return mu
+}
+
+// bound clamps v into prior ± ResidualSpan, intersected with [0, 1].
+func bound(v, prior float64) float64 {
+	return clampF(v, max(0, prior-ResidualSpan), min(1, prior+ResidualSpan))
+}
+
+// Act returns the action for state around prior, including exploration
+// noise unless the agent is frozen. It records the state and noise for the
+// next Update.
+func (a *Agent) Act(state []float32, prior Action) Action {
+	p := prior.vector()
+	act := a.means(state, p)
+	a.prevNoise = a.prevNoise[:0]
 	for i := range act {
-		v := float64(mu[i])
+		var noise float64
 		if !a.cfg.Frozen {
-			v += a.rng.NormFloat64() * a.noiseStd(i)
+			noise = a.rng.NormFloat64() * a.noiseStd(i)
 		}
-		act[i] = float32(clamp01(v))
+		a.prevNoise = append(a.prevNoise, noise)
+		act[i] = bound(act[i]+ResidualSpan*noise, p[i])
 	}
 	a.prevState = append(a.prevState[:0], state...)
-	a.prevAction = append(a.prevAction[:0], act...)
 	a.havePrev = true
 	return actionFrom(act)
 }
@@ -209,18 +252,21 @@ func (a *Agent) Update(reward, lrDelta float64, newState []float32) {
 	a.critic.Backward([]float32{float32(vPrev - target)})
 	a.critic.StepAdam(a.cfg.CriticLR)
 
-	// Actor: Gaussian policy gradient on the means.
-	// logπ(a|s) = −(a−μ)²/2σ²; ∂logπ/∂μ = (a−μ)/σ².
-	// Ascend advantage·logπ → descend loss with dL/dμ = −A·(a−μ)/σ².
-	mu := a.actor.Forward(a.prevState)
+	// Actor: Gaussian policy gradient in action space. The policy's mean is
+	// μ = prior + span·tanh(z), its sample μ + span·ε (clamped only when
+	// applied), so logπ = −ε²/2σ² and ∂logπ/∂μ = ε/(span·σ²). Ascend
+	// advantage·logπ → descend loss with dL/dμ = −A·ε/(span·σ²), which
+	// dμ/d tanh(z) = span carries to the actor's output as −A·ε/σ² (the
+	// network applies tanh'), plus the residual's pull toward the prior.
+	u := a.actor.Forward(a.prevState)
 	grad := make([]float32, ActionDim)
 	var logPi float64
 	for i := range grad {
 		std := a.noiseStd(i)
-		diff := float64(a.prevAction[i]) - float64(mu[i])
+		diff := a.prevNoise[i]
 		logPi -= diff * diff / (2 * std * std)
 		g := -tdErr * diff / (std * std)
-		grad[i] = float32(clampF(g, -10, 10))
+		grad[i] = float32(clampF(g, -10, 10) + residualPull*float64(u[i]))
 	}
 	a.lastActorLoss = -tdErr * logPi
 	a.actor.Backward(grad)
@@ -240,12 +286,15 @@ func (a *Agent) ActorLR() float64 { return a.actorLR }
 // Steps reports how many updates have run.
 func (a *Agent) Steps() int64 { return a.steps }
 
-// Mean returns the actor's noiseless action for state, without recording it.
-func (a *Agent) Mean(state []float32) Action {
-	out := a.actor.Forward(state)
-	v := make([]float32, ActionDim)
-	copy(v, out)
-	return actionFrom(v)
+// greedy returns the actor's noiseless action for state around prior,
+// without recording it.
+func (a *Agent) greedy(state []float32, prior Action) Action {
+	p := prior.vector()
+	mu := a.means(state, p)
+	for i := range mu {
+		mu[i] = bound(mu[i], p[i])
+	}
+	return actionFrom(mu)
 }
 
 // NumParams reports total parameters across both networks.
@@ -259,77 +308,24 @@ func (a *Agent) TrainingMemoryBytes() int {
 	return a.actor.TrainingMemoryBytes() + a.critic.TrainingMemoryBytes()
 }
 
-// Save persists the actor and critic weights (pretraining artifacts, §3.6).
+// Save persists the actor and critic weights, so an agent that has learned
+// online can be deployed elsewhere.
 func (a *Agent) Save(fs vfs.FS, prefix string) error {
-	if err := a.actor.Save(fs, prefix+".actor"); err != nil {
+	if err := a.actor.Save(fs, prefix+".actor", parametrization); err != nil {
 		return err
 	}
-	return a.critic.Save(fs, prefix+".critic")
+	return a.critic.Save(fs, prefix+".critic", parametrization)
 }
 
-// Load restores previously saved weights.
+// Load restores previously saved weights. A snapshot of another
+// parametrization — including the untagged direct-output actor, whose layer
+// sizes match — fails with nn.ErrArchitectureMismatch.
 func (a *Agent) Load(fs vfs.FS, prefix string) error {
-	if err := a.actor.Load(fs, prefix+".actor"); err != nil {
+	if err := a.actor.Load(fs, prefix+".actor", parametrization); err != nil {
 		return err
 	}
-	return a.critic.Load(fs, prefix+".critic")
+	return a.critic.Load(fs, prefix+".critic", parametrization)
 }
-
-// PretrainUnsupervised runs the same actor-critic process as online
-// deployment against an offline environment (§3.6's unsupervised setting):
-// env receives the sampled action and the current state, and returns the
-// reward plus the next state. Returns the mean reward over the final tenth
-// of the run.
-func (a *Agent) PretrainUnsupervised(env func(Action, []float32) (float64, []float32), state []float32, steps int) float64 {
-	var tail float64
-	tailStart := steps - steps/10
-	if tailStart < 1 {
-		tailStart = 1
-	}
-	for i := 0; i < steps; i++ {
-		act := a.Act(state)
-		reward, next := env(act, state)
-		a.Update(reward, reward, next)
-		state = next
-		if i >= tailStart {
-			tail += reward
-		}
-	}
-	n := steps - tailStart
-	if n <= 0 {
-		return 0
-	}
-	return tail / float64(n)
-}
-
-// PretrainSupervised fits the actor to (state, target action) pairs with
-// squared-error loss (§3.6's supervised setting), returning the final mean
-// loss.
-func (a *Agent) PretrainSupervised(states [][]float32, targets []Action, epochs int, lr float64) float64 {
-	if lr <= 0 {
-		lr = 1e-3
-	}
-	var lastLoss float64
-	for epoch := 0; epoch < epochs; epoch++ {
-		var sum float64
-		for i := range states {
-			out := a.actor.Forward(states[i])
-			tv := targets[i].vector()
-			grad := make([]float32, ActionDim)
-			for j := range grad {
-				d := out[j] - tv[j]
-				grad[j] = d
-				sum += float64(d) * float64(d)
-			}
-			a.actor.Backward(grad)
-			a.actor.StepAdam(lr)
-		}
-		lastLoss = sum / float64(len(states)*ActionDim)
-	}
-	return lastLoss
-}
-
-func clamp01(v float64) float64 { return clampF(v, 0, 1) }
 
 func clampF(v, lo, hi float64) float64 {
 	switch {

@@ -1,7 +1,6 @@
-// Package trace records and replays workload traces. The paper's
-// Background Tuning Module collects workload logs for pretraining (§3.1,
-// §3.6); this package provides the log format plus readers the pretraining
-// pipeline consumes.
+// Package trace records and replays workload traces: the paper's
+// Background Tuning Module collects workload logs (§3.1), and replaying one
+// reproduces a production access pattern offline.
 //
 // Format: length-framed binary records
 //
@@ -149,69 +148,4 @@ func ReadAll(f vfs.File) ([]workload.Op, error) {
 		}
 		ops = append(ops, op)
 	}
-}
-
-// WindowFeatures summarises one window of a trace: the workload-mix
-// features the pretraining pipeline derives states from.
-type WindowFeatures struct {
-	Points     int
-	ShortScans int
-	LongScans  int
-	Writes     int
-	ScanLenSum int
-}
-
-// Ops returns the window's total operation count.
-func (w WindowFeatures) Ops() int { return w.Points + w.ShortScans + w.LongScans + w.Writes }
-
-// AvgScanLen returns the mean scan length.
-func (w WindowFeatures) AvgScanLen() float64 {
-	scans := w.ShortScans + w.LongScans
-	if scans == 0 {
-		return 0
-	}
-	return float64(w.ScanLenSum) / float64(scans)
-}
-
-// Windows splits a trace into consecutive windows of windowSize operations
-// and summarises each (the §3.6 pretraining input). A trailing partial
-// window of at least windowSize/2 ops is kept.
-func Windows(ops []workload.Op, windowSize int) []WindowFeatures {
-	if windowSize <= 0 {
-		windowSize = 1000
-	}
-	var out []WindowFeatures
-	var cur WindowFeatures
-	for _, op := range ops {
-		switch op.Kind {
-		case workload.OpGet:
-			cur.Points++
-		case workload.OpScan:
-			if op.ScanLen > (workload.ShortScanLen+workload.LongScanLen)/2 {
-				cur.LongScans++
-			} else {
-				cur.ShortScans++
-			}
-			cur.ScanLenSum += op.ScanLen
-		case workload.OpScanRange:
-			// A zero ScanLen means the scan was bounded only by its end
-			// key; without a count there is no basis to call it short.
-			if op.ScanLen == 0 || op.ScanLen > (workload.ShortScanLen+workload.LongScanLen)/2 {
-				cur.LongScans++
-			} else {
-				cur.ShortScans++
-			}
-			cur.ScanLenSum += op.ScanLen
-		case workload.OpPut, workload.OpDelete:
-			cur.Writes++
-		}
-		if cur.Ops() == windowSize {
-			out = append(out, cur)
-			cur = WindowFeatures{}
-		}
-	}
-	if cur.Ops() >= windowSize/2 {
-		out = append(out, cur)
-	}
-	return out
 }

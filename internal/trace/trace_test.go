@@ -80,51 +80,3 @@ func TestCorruptTraceRejected(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
-
-func TestWindows(t *testing.T) {
-	var ops []workload.Op
-	// 1000 gets, then 1000 mixed scans/writes.
-	for i := 0; i < 1000; i++ {
-		ops = append(ops, workload.Op{Kind: workload.OpGet, Key: []byte("k")})
-	}
-	for i := 0; i < 500; i++ {
-		ops = append(ops, workload.Op{Kind: workload.OpScan, Key: []byte("k"), ScanLen: 64})
-		ops = append(ops, workload.Op{Kind: workload.OpPut, Key: []byte("k")})
-	}
-	ws := Windows(ops, 1000)
-	if len(ws) != 2 {
-		t.Fatalf("windows = %d", len(ws))
-	}
-	if ws[0].Points != 1000 || ws[0].Ops() != 1000 {
-		t.Fatalf("window 0 = %+v", ws[0])
-	}
-	if ws[1].LongScans != 500 || ws[1].Writes != 500 {
-		t.Fatalf("window 1 = %+v", ws[1])
-	}
-	if avg := ws[1].AvgScanLen(); avg != 64 {
-		t.Fatalf("avg scan len = %f", avg)
-	}
-}
-
-func TestWindowsKeepsLargePartial(t *testing.T) {
-	ops := sampleOps(700)
-	ws := Windows(ops, 1000)
-	if len(ws) != 1 {
-		t.Fatalf("windows = %d (700 ops should form one partial window)", len(ws))
-	}
-	tiny := Windows(sampleOps(100), 1000)
-	if len(tiny) != 0 {
-		t.Fatalf("windows = %d (100 ops should be dropped)", len(tiny))
-	}
-}
-
-func TestShortVsLongScanSplit(t *testing.T) {
-	ops := []workload.Op{
-		{Kind: workload.OpScan, ScanLen: workload.ShortScanLen, Key: []byte("k")},
-		{Kind: workload.OpScan, ScanLen: workload.LongScanLen, Key: []byte("k")},
-	}
-	ws := Windows(ops, 2)
-	if len(ws) != 1 || ws[0].ShortScans != 1 || ws[0].LongScans != 1 {
-		t.Fatalf("window = %+v", ws)
-	}
-}
