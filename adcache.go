@@ -97,14 +97,12 @@ type Options struct {
 	// CacheBytes > 0, else StrategyNone).
 	Strategy Strategy
 	// AdCache optionally overrides the AdCache configuration; Capacity is
-	// filled from CacheBytes.
+	// filled from CacheBytes. AdCache.MemtableArbitration extends the
+	// adaptive arbiter across the memtables: CacheBytes becomes one budget
+	// shared by the active/immutable memtables, the block cache, and the
+	// range cache, and the agent moves bytes across all three as the
+	// read/write mix drifts.
 	AdCache core.Config
-	// UnifiedMemory extends the adaptive arbiter across the memtables
-	// (StrategyAdCache only): CacheBytes becomes one budget shared by the
-	// active/immutable memtables, the block cache, and the range cache,
-	// and the agent moves bytes across all three as the read/write mix
-	// drifts. Shorthand for AdCache.MemtableArbitration = true.
-	UnifiedMemory bool
 	// RangeShards optionally shards result caches by key range (§4.4).
 	RangeShards []string
 	// LSM optionally overrides engine options — block compression,
@@ -171,14 +169,8 @@ func Open(opts Options) (*DB, error) {
 	case StrategyAdCache:
 		cfg := opts.AdCache
 		cfg.Capacity = opts.CacheBytes
-		if opts.UnifiedMemory {
-			cfg.MemtableArbitration = true
-		}
-		if len(opts.RangeShards) > 0 && len(cfg.SplitKeys) == 0 {
-			cfg.SplitKeys = opts.RangeShards
-		}
 		var err error
-		ad, err = core.New(cfg)
+		ad, err = core.New(cfg, opts.RangeShards)
 		if err != nil {
 			return nil, err
 		}

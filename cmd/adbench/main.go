@@ -1,73 +1,58 @@
 // Command adbench regenerates the paper's tables and figures against the
-// from-scratch LSM engine and all six cache strategies.
+// from-scratch LSM engine and all six cache strategies, and runs the repo's
+// self-checking system benchmarks. Every run is one -exp name.
 //
 // Usage:
 //
 //	adbench -exp fig7                 # one experiment at default scale
-//	adbench -exp all -scale quick     # everything, small
+//	adbench -exp all -scale quick     # every paper experiment, small
 //	adbench -exp fig8 -keys 100000 -ops 200000
 //
-// Experiments: fig1 fig6 fig7 fig8 (includes Table 4) fig9 fig10 fig11a
-// fig11b table2 all, plus calibrate — the controlled-experiment sweep whose
-// output rows are internal/core's prior table (not part of all):
+// Paper experiments (internal/harness.Experiments): table2 fig1 fig6 fig7
+// fig8 (includes Table 4) fig9 fig10 fig11a fig11b ablations — the members
+// of all — plus scaling and calibrate, the controlled-experiment sweep
+// whose output rows are internal/core's prior table:
 //
 //	adbench -exp calibrate > calibration.txt
 //
-// With -strategy, adbench instead runs a single latency benchmark against
-// that cache strategy and prints the engine's latency histogram summary
-// (Get/Scan/commit/flush/compaction percentiles from the metrics registry):
+// -exp latency runs a single latency benchmark against the -strategy cache
+// and prints the engine's latency histogram summary (Get/Scan/commit/
+// flush/compaction percentiles from the metrics registry):
 //
-//	adbench -strategy adcache -scale quick
+//	adbench -exp latency -strategy adcache -scale quick
 //
-// With -compaction, adbench runs the compaction benchmark — the same
-// random-order write-heavy load with serial and parallel subcompactions —
-// and, with -json, writes throughput and stall figures to -out (default
-// BENCH_COMPACTION.json):
+// The system benchmarks write their results as JSON to -out (default
+// BENCH_<NAME>.json) with -json, and exit non-zero when their gate fails:
 //
-//	adbench -compaction -json
+//   - compaction: the same random-order write-heavy load with serial and
+//     parallel subcompactions; throughput and stall figures.
 //
-// With -disk, adbench runs the on-disk persistence benchmark on a real
-// temporary directory through OSFS — the same workload once per block codec
-// (none, flate) — and, with -json, writes the compression ratio, cache
-// hit-rate uplift and physical-byte budget check to -out (default
-// BENCH_DISK.json):
+//   - disk: the on-disk persistence benchmark on a real temporary directory
+//     through OSFS, once per block codec (none, flate): compression ratio,
+//     cache hit-rate uplift and the physical-byte budget check.
 //
-//	adbench -disk -json
+//   - cluster: a 3-node sharded cluster in-process with every hot hash slot
+//     on one node; fleet read p50/p99 through the public client before and
+//     after the latency-driven shard manager rebalances under live load.
+//     Fails on any user-visible client error or if fleet read p99 does not
+//     improve.
 //
-// With -cluster, adbench stands up a 3-node sharded cluster in-process —
-// every hot hash slot deliberately placed on one node — measures fleet
-// read p50/p99 through the public client, lets the latency-driven shard
-// manager rebalance under live load, and measures again. With -json it
-// writes the before/after phases, the move count and the p99 improvement
-// to -out (default BENCH_CLUSTER.json); it exits non-zero if any
-// user-visible client error occurs or the rebalance does not improve
-// fleet read p99:
+//   - wire: the data plane on a real on-disk store behind loopback HTTP,
+//     a scan-heavy mix under JSON, the binary codec, and the codec plus
+//     write coalescing. Fails unless codec+coalescing sustains 2x the JSON
+//     throughput at equal-or-better read p99 with zero client errors.
 //
-//	adbench -cluster -json
+//   - memory: the RL-arbitrated single budget (memtables + block cache +
+//     range cache) against static memtable/cache splits of the same budget
+//     over a write-heavy → read-heavy → scan-heavy schedule, in simulated
+//     time. At artifact scale it fails unless unified beats every static
+//     split on aggregate throughput with read-heavy Get p99 no worse than
+//     the best split and zero errors.
 //
-// With -wire, adbench benchmarks the data plane itself: a single node
-// on a real on-disk store behind real loopback HTTP, a scan-heavy mixed
-// workload through the public client, measured under the default JSON
-// framing, the binary wire codec, and the codec plus server-side write
-// coalescing. With -json it writes the three phases and the speedup to
-// -out (default BENCH_WIRE.json); it exits non-zero unless the
-// codec+coalescing configuration sustains at least 2x the JSON
-// throughput at equal-or-better read p99 with zero client errors:
+//   - chaos: a 3-node fleet and manager under a seeded fault timeline, held
+//     to hard resilience gates.
 //
-//	adbench -wire -json
-//
-// With -memory, adbench runs the unified-memory experiment: the
-// RL-arbitrated single budget (memtables + block cache + range cache)
-// against a grid of static memtable/cache splits of the same total budget,
-// over a write-heavy → read-heavy → scan-heavy phase schedule, scored in
-// simulated time (deterministic InlineCompaction + SyncTuning runs). With
-// -json it writes per-phase throughput, budget trajectories and the gate
-// results to -out (default BENCH_MEMORY.json); at artifact scale it exits
-// non-zero unless unified beats every static split on phase-aggregate
-// simulated-time throughput with read-heavy Get p99 no worse than the best
-// static split and zero errors:
-//
-//	adbench -memory -json
+//     adbench -exp disk -json
 package main
 
 import (
@@ -81,258 +66,130 @@ import (
 	"adcache/internal/workload"
 )
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|fig6|fig7|fig8|fig9|fig10|fig11a|fig11b|table2|ablations|scaling|calibrate|all")
-		scale    = flag.String("scale", "default", "scale preset: quick|default")
-		keys     = flag.Int("keys", 0, "override key-space size")
-		values   = flag.Int("values", 0, "override value size in bytes")
-		ops      = flag.Int("ops", 0, "override measured ops (and warm-up ops)")
-		seed     = flag.Int64("seed", 0, "override workload seed")
-		csvDir   = flag.String("csv", "", "also write raw results as CSV into this directory")
-		strategy = flag.String("strategy", "", "run a latency benchmark with this strategy (adcache|block|kv|range|lecar|cacheus|none) and print the histogram table")
-		compact  = flag.Bool("compaction", false, "run the compaction benchmark (serial vs parallel subcompactions)")
-		disk     = flag.Bool("disk", false, "run the on-disk persistence benchmark (none vs flate block compression on OSFS)")
-		clusterB = flag.Bool("cluster", false, "run the 3-node cluster benchmark (fleet p99 before/after a latency-driven rebalance)")
-		wireB    = flag.Bool("wire", false, "run the data-plane benchmark (JSON vs binary codec vs codec+write-coalescing over real HTTP)")
-		memB     = flag.Bool("memory", false, "run the unified-memory benchmark (RL-arbitrated budget vs static memtable/cache splits over a three-phase schedule)")
-		chaosB   = flag.Bool("chaos", false, "run the chaos benchmark (3-node fleet + manager under a seeded fault timeline, held to hard resilience gates)")
-		asJSON   = flag.Bool("json", false, "with -compaction, -disk, -cluster, -wire, -memory or -chaos, write results as JSON")
-		out      = flag.String("out", "", "with -json, output file (default BENCH_COMPACTION.json / BENCH_DISK.json / BENCH_CLUSTER.json / BENCH_WIRE.json / BENCH_MEMORY.json / BENCH_CHAOS.json)")
-	)
-	flag.Parse()
+// options are adbench's flags.
+type options struct {
+	exp, scale, csvDir, strategy, out string
+	keys, values, ops                 int
+	seed                              int64
+	json                              bool
+}
 
-	if *chaosB {
-		path := *out
-		if path == "" {
-			path = "BENCH_CHAOS.json"
-		}
-		if err := runChaosBench(*seed, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
+// register declares adbench's flags on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run (see the command doc); all runs every paper experiment")
+	fs.StringVar(&o.scale, "scale", "default", "scale preset of the paper experiments: quick|default")
+	fs.IntVar(&o.keys, "keys", 0, "override key-space size")
+	fs.IntVar(&o.values, "values", 0, "override value size in bytes")
+	fs.IntVar(&o.ops, "ops", 0, "override measured ops (and warm-up ops)")
+	fs.Int64Var(&o.seed, "seed", 0, "override workload seed")
+	fs.StringVar(&o.csvDir, "csv", "", "also write raw results as CSV into this directory")
+	fs.StringVar(&o.strategy, "strategy", "adcache", "cache strategy of -exp latency: adcache|block|kv|range|lecar|cacheus|none")
+	fs.BoolVar(&o.json, "json", false, "write a system benchmark's results as JSON to -out")
+	fs.StringVar(&o.out, "out", "", "JSON output file of a system benchmark (default BENCH_<NAME>.json)")
+}
 
-	if *memB {
-		path := *out
-		if path == "" {
-			path = "BENCH_MEMORY.json"
-		}
-		if err := runMemBench(*keys, *values, *ops, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *wireB {
-		path := *out
-		if path == "" {
-			path = "BENCH_WIRE.json"
-		}
-		if err := runWireBench(*keys, *ops, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterB {
-		path := *out
-		if path == "" {
-			path = "BENCH_CLUSTER.json"
-		}
-		if err := runClusterBench(*keys, *ops, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compact {
-		n := 200_000
-		if *keys > 0 {
-			n = *keys
-		}
-		path := *out
-		if path == "" {
-			path = "BENCH_COMPACTION.json"
-		}
-		if err := runCompactionBench(n, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *disk {
-		n := 100_000
-		if *keys > 0 {
-			n = *keys
-		}
-		path := *out
-		if path == "" {
-			path = "BENCH_DISK.json"
-		}
-		if err := runDiskBench(n, *asJSON, path); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
+// harnessScale is the paper experiments' scale: the -scale preset with the
+// -keys, -values, -ops and -seed overrides applied.
+func (o options) harnessScale() harness.Scale {
 	sc := harness.DefaultScale()
-	if *scale == "quick" {
+	if o.scale == "quick" {
 		sc = harness.QuickScale()
 	}
-	if *keys > 0 {
-		sc.NumKeys = *keys
+	if o.keys > 0 {
+		sc.NumKeys = o.keys
 	}
-	if *values > 0 {
-		sc.ValueSize = *values
+	if o.values > 0 {
+		sc.ValueSize = o.values
 	}
-	if *ops > 0 {
-		sc.MeasureOps = *ops
-		sc.WarmOps = *ops
-		sc.PhaseOps = *ops
+	if o.ops > 0 {
+		sc.MeasureOps = o.ops
+		sc.WarmOps = o.ops
+		sc.PhaseOps = o.ops
 	}
-	if *seed != 0 {
-		sc.Seed = *seed
+	if o.seed != 0 {
+		sc.Seed = o.seed
 	}
+	return sc
+}
 
-	if *strategy != "" {
-		if err := runLatency(*strategy, sc); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		return
+// orDefault returns n, or def when n is unset.
+func orDefault(n, def int) int {
+	if n > 0 {
+		return n
 	}
+	return def
+}
 
-	run := func(name string) error {
-		start := time.Now()
-		fmt.Printf("== %s (keys=%d values=%dB ops=%d) ==\n", name, sc.NumKeys, sc.ValueSize, sc.MeasureOps)
-		var err error
-		switch name {
-		case "fig1":
-			var cells []harness.Cell
-			if cells, err = harness.RunFig1(sc); err == nil {
-				fmt.Print(harness.FormatFig1(cells))
+// experiment is one -exp name.
+type experiment struct {
+	name string
+	all  bool   // run by -exp all
+	out  string // default -out file of a system benchmark
+	run  func(o options, out string) error
+}
+
+// experiments is every -exp name: the paper's evaluation, then the system
+// benchmarks, then latency.
+func experiments() []experiment {
+	var exps []experiment
+	for _, e := range harness.Experiments {
+		exps = append(exps, experiment{name: e.Name, all: e.All, run: func(o options, _ string) error {
+			sc := o.harnessScale()
+			start := time.Now()
+			fmt.Printf("== %s (keys=%d values=%dB ops=%d) ==\n", e.Name, sc.NumKeys, sc.ValueSize, sc.MeasureOps)
+			if err := e.Run(sc, o.csvDir); err != nil {
+				return err
 			}
-		case "fig6":
-			var rows []harness.Fig6Row
-			if rows, err = harness.RunFig6(sc); err == nil {
-				fmt.Print(harness.FormatFig6(rows))
-			}
-		case "fig7":
-			var cells []harness.Cell
-			progress := func(c harness.Cell) {
-				fmt.Fprintf(os.Stderr, "  %-12s cache=%4.0f%% %-20s hit=%.3f reads/op=%.2f\n",
-					c.Workload, c.CacheFrac*100, c.Strategy, c.Result.HitRate, c.Result.ReadsPerOp())
-			}
-			if cells, err = harness.RunFig7(sc, progress); err == nil {
-				fmt.Print(harness.FormatFig7(cells))
-				err = writeCSV(*csvDir, "fig7.csv", func(w *os.File) error {
-					return harness.WriteCellsCSV(w, cells)
-				})
-			}
-		case "fig8":
-			var prs []harness.PhaseResult
-			progress := func(pr harness.PhaseResult) {
-				fmt.Fprintf(os.Stderr, "  phase %s %-20s qps=%.0f hit=%.3f\n",
-					pr.Phase, pr.Strategy, pr.Result.QPS, pr.Result.HitRate)
-			}
-			if prs, err = harness.RunFig8(sc, progress); err == nil {
-				fmt.Print(harness.FormatFig8(prs))
-				err = writeCSV(*csvDir, "fig8.csv", func(w *os.File) error {
-					return harness.WritePhasesCSV(w, prs)
-				})
-			}
-		case "fig9":
-			var cells []harness.Cell
-			progress := func(c harness.Cell) {
-				fmt.Fprintf(os.Stderr, "  skew=%.1f %-20s hit=%.3f\n", c.Skew, c.Strategy, c.Result.HitRate)
-			}
-			if cells, err = harness.RunFig9(sc, progress); err == nil {
-				fmt.Print(harness.FormatFig9(cells))
-				err = writeCSV(*csvDir, "fig9.csv", func(w *os.File) error {
-					return harness.WriteCellsCSV(w, cells)
-				})
-			}
-		case "fig10":
-			var wp, ap []harness.Fig10Series
-			var pp harness.Fig10Series
-			if wp, ap, pp, err = harness.RunFig10(sc); err == nil {
-				fmt.Print(harness.FormatFig10(wp, ap, pp))
-				err = writeCSV(*csvDir, "fig10.csv", func(w *os.File) error {
-					all := append(append([]harness.Fig10Series{}, wp...), ap...)
-					all = append(all, pp)
-					return harness.WriteTraceCSV(w, all)
-				})
-			}
-		case "fig11a":
-			var pts []harness.Fig11aPoint
-			progress := func(p harness.Fig11aPoint) {
-				fmt.Fprintf(os.Stderr, "  clients=%d per-client=%.0f\n", p.Clients, p.PerClientQPS)
-			}
-			if pts, err = harness.RunFig11a(sc, progress); err == nil {
-				fmt.Print(harness.FormatFig11a(pts))
-			}
-		case "fig11b":
-			var series []harness.AblationSeries
-			if series, err = harness.RunFig11b(sc, nil); err == nil {
-				fmt.Print(harness.FormatFig11b(series))
-			}
-		case "table2":
-			fmt.Print(harness.FormatTable2(harness.RunTable2()))
-		case "scaling":
-			var rows []harness.ScalingRow
-			progress := func(r harness.ScalingRow) {
-				fmt.Fprintf(os.Stderr, "  keys=%d %-12s %.3f→%.3f\n", r.NumKeys, r.Strategy, r.HitBefore, r.HitAfter)
-			}
-			if rows, err = harness.RunScaling(nil, progress); err == nil {
-				fmt.Print(harness.FormatScaling(rows))
-			}
-		case "calibrate":
-			var cells []harness.CalibrationCell
-			progress := func(c harness.CalibrationCell) {
-				fmt.Fprintf(os.Stderr, "  %-12s cache=%4.0f%% %+v reads/op=%.3f (%d runs)\n",
-					c.Mix.Name, c.CacheFrac*100, c.Action, c.ReadsPerOp, c.Runs)
-			}
-			if cells, err = harness.RunCalibration(sc, progress); err == nil {
-				fmt.Print(harness.FormatCalibration(cells))
-			}
-		case "ablations":
-			var rows []harness.AblationRow
-			progress := func(r harness.AblationRow) {
-				fmt.Fprintf(os.Stderr, "  %s/%s hit=%.3f\n", r.Study, r.Variant, r.Result.HitRate)
-			}
-			if rows, err = harness.RunAblations(sc, progress); err == nil {
-				fmt.Print(harness.FormatAblations(rows))
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("(%s took %s)\n\n", name, time.Since(start).Round(time.Millisecond))
-		return nil
+			fmt.Printf("(%s took %s)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+			return nil
+		}})
 	}
+	return append(exps, []experiment{
+		{name: "compaction", out: "BENCH_COMPACTION.json", run: func(o options, out string) error {
+			return runCompactionBench(orDefault(o.keys, 200_000), o.json, out)
+		}},
+		{name: "disk", out: "BENCH_DISK.json", run: func(o options, out string) error {
+			return runDiskBench(orDefault(o.keys, 100_000), o.json, out)
+		}},
+		{name: "cluster", out: "BENCH_CLUSTER.json", run: func(o options, out string) error {
+			return runClusterBench(o.keys, o.ops, o.json, out)
+		}},
+		{name: "wire", out: "BENCH_WIRE.json", run: func(o options, out string) error {
+			return runWireBench(o.keys, o.ops, o.json, out)
+		}},
+		{name: "memory", out: "BENCH_MEMORY.json", run: func(o options, out string) error {
+			return runMemBench(o.keys, o.values, o.ops, o.json, out)
+		}},
+		{name: "chaos", out: "BENCH_CHAOS.json", run: func(o options, out string) error {
+			return runChaosBench(o.seed, o.json, out)
+		}},
+		{name: "latency", run: func(o options, _ string) error {
+			return runLatency(o.strategy, o.harnessScale())
+		}},
+	}...)
+}
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
+func main() {
+	var o options
+	o.register(flag.CommandLine)
+	flag.Parse()
+
+	var run []experiment
+	for _, e := range experiments() {
+		if e.name == o.exp || (o.exp == "all" && e.all) {
+			run = append(run, e)
 		}
 	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"table2", "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "ablations"}
+	if len(run) == 0 {
+		fmt.Fprintf(os.Stderr, "adbench: unknown experiment %q\n", o.exp)
+		os.Exit(1)
 	}
-	for _, name := range names {
-		if err := run(name); err != nil {
+	for _, e := range run {
+		out := o.out
+		if out == "" {
+			out = e.out
+		}
+		if err := e.run(o, out); err != nil {
 			fmt.Fprintln(os.Stderr, "adbench:", err)
 			os.Exit(1)
 		}
@@ -394,17 +251,4 @@ func runLatency(name string, sc harness.Scale) error {
 	}
 	fmt.Printf("(latency run took %s)\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// writeCSV writes one CSV artifact when -csv is set.
-func writeCSV(dir, name string, write func(*os.File) error) error {
-	if dir == "" {
-		return nil
-	}
-	f, err := os.Create(dir + "/" + name)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return write(f)
 }

@@ -98,7 +98,7 @@ func runMemCase(name string, unified bool, memFrac float64, keys, valueSize, ops
 	lsmOpts := lsm.DefaultOptions("")
 	lsmOpts.InlineCompaction = true
 	lsmOpts.TargetFileSize = 1 << 20
-	cfg := core.Config{SyncTuning: true}
+	cfg := core.Config{SyncTuning: true, MemtableArbitration: unified}
 	cacheBytes := budget
 	if unified {
 		// The arbiter owns the whole budget; the static threshold is
@@ -111,11 +111,10 @@ func runMemCase(name string, unified bool, memFrac float64, keys, valueSize, ops
 	}
 
 	db, err := adcache.Open(adcache.Options{
-		CacheBytes:    cacheBytes,
-		Strategy:      adcache.StrategyAdCache,
-		UnifiedMemory: unified,
-		AdCache:       cfg,
-		LSM:           &lsmOpts,
+		CacheBytes: cacheBytes,
+		Strategy:   adcache.StrategyAdCache,
+		AdCache:    cfg,
+		LSM:        &lsmOpts,
 	})
 	if err != nil {
 		return row, err

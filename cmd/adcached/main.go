@@ -81,14 +81,7 @@ func main() {
 		fatal(err)
 	}
 
-	lsmOpts := lsm.DefaultOptions(*dir)
-	db, err := adcache.Open(adcache.Options{
-		Dir:        *dir,
-		FS:         vfs.NewOS(),
-		CacheBytes: *cache,
-		Strategy:   strat,
-		LSM:        &lsmOpts,
-	})
+	db, err := openStore(vfs.NewOS(), *dir, *cache, strat)
 	if err != nil {
 		fatal(err)
 	}
@@ -193,6 +186,21 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println("adcached: clean shutdown")
+}
+
+// openStore opens the node's store: engine defaults, with the engine's
+// error-handler and recovery events (background failures, retries, the
+// read-only transition, orphan cleanup) on the standard logger.
+func openStore(fs vfs.FS, dir string, cacheBytes int64, strat adcache.Strategy) (*adcache.DB, error) {
+	lsmOpts := lsm.DefaultOptions(dir)
+	lsmOpts.Logf = log.Printf
+	return adcache.Open(adcache.Options{
+		Dir:        dir,
+		FS:         fs,
+		CacheBytes: cacheBytes,
+		Strategy:   strat,
+		LSM:        &lsmOpts,
+	})
 }
 
 func fatal(err error) {

@@ -2,15 +2,21 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"adcache"
+	"adcache/internal/vfs"
 )
 
 // TestGracefulShutdown runs the real binary end to end: serve, write,
@@ -100,4 +106,41 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("readback after restart = %d %q, want 200 \"gv\"", resp.StatusCode, body.String())
 	}
 	stop(cmd, out)
+}
+
+// TestStoreLogsEngineEvents checks that a node's store reports engine
+// error-handler events: a background flush that fails once must leave its
+// retry line in the standard logger's output.
+func TestStoreLogsEngineEvents(t *testing.T) {
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	fs := vfs.NewFault(vfs.NewMem())
+	db, err := openStore(fs, "db", 1<<20, adcache.StrategyAdCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	fs.Target(".sst")
+	fs.FailCreates(1)
+	// The fault fails the flush on whichever goroutine writes the table,
+	// the caller's or the background worker's; either reports through the
+	// error handler, and the retry heals it.
+	if err := db.Flush(); err != nil && !errors.Is(err, vfs.ErrInjected) {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("flush after the fault: %v", err)
+	}
+	// Close waits for the background worker, the other writer of logs.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "lsm: background transient error (attempt 1"; !strings.Contains(logs.String(), want) {
+		t.Errorf("log lacks %q; got:\n%s", want, logs.String())
+	}
 }

@@ -64,11 +64,6 @@ type Config struct {
 	// decision (default 0.25; meaningful only with MemtableArbitration,
 	// and pinned there by DisablePartitioning).
 	InitialMemRatio float64
-	// MemRatioMin and MemRatioMax bound the decoded memtable share
-	// (defaults 0.05 and 0.6): the engine always keeps a working write
-	// buffer, and the caches are never starved below 40% of the budget.
-	MemRatioMin float64
-	MemRatioMax float64
 	// WindowSize is the operations-per-window control interval
 	// (paper default: 1000).
 	WindowSize int
@@ -77,17 +72,6 @@ type Config struct {
 	// InitialRangeRatio seeds the boundary before the agent's first
 	// decision (and fixes it when DisablePartitioning is set).
 	InitialRangeRatio float64
-	// MaxScanLen normalises the ScanA action (default 128).
-	MaxScanLen int
-	// PointThresholdScale maps the actor's [0,1] threshold action onto
-	// normalized-frequency scores, which concentrate near zero
-	// (default 0.01).
-	PointThresholdScale float64
-	// EvictionPolicy selects the range cache's eviction policy
-	// (default "lru").
-	EvictionPolicy string
-	// SplitKeys optionally shard the range cache (§4.4).
-	SplitKeys []string
 
 	// DisableAdmission turns off both point and scan admission control
 	// (Figure 11b's "partitioning only" ablation).
@@ -118,10 +102,21 @@ type Config struct {
 	// are skipped); experiments use synchronous tuning so every window is
 	// processed and runs are machine-speed independent.
 	SyncTuning bool
-
-	// Shape provides the I/O model parameters when no DB is bound.
-	Shape stats.Shape
 }
+
+// Fixed scales of the action decoding; no caller tunes them.
+const (
+	// maxScanLen normalises the ScanA action.
+	maxScanLen = 128
+	// pointThresholdScale maps the actor's [0,1] threshold action onto
+	// normalized-frequency scores, which concentrate near zero.
+	pointThresholdScale = 0.01
+	// memRatioMin and memRatioMax bound the decoded memtable share: the
+	// engine always keeps a working write buffer, and the caches are never
+	// starved below 40% of the budget.
+	memRatioMin = 0.05
+	memRatioMax = 0.6
+)
 
 func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
@@ -133,31 +128,13 @@ func (c Config) withDefaults() Config {
 	if c.InitialRangeRatio <= 0 {
 		c.InitialRangeRatio = 0.5
 	}
-	if c.MaxScanLen <= 0 {
-		c.MaxScanLen = 128
-	}
-	if c.PointThresholdScale <= 0 {
-		c.PointThresholdScale = 0.01
-	}
-	if c.EvictionPolicy == "" {
-		c.EvictionPolicy = "lru"
-	}
 	if c.InitialMemRatio <= 0 {
 		c.InitialMemRatio = 0.25
 	}
-	if c.MemRatioMin <= 0 {
-		c.MemRatioMin = 0.05
-	}
-	if c.MemRatioMax <= 0 {
-		c.MemRatioMax = 0.6
-	}
-	if c.RL.ActorLR == 0 && c.RL.CriticLR == 0 && c.RL.Seed == 0 {
+	if c.RL.ActorLR == 0 && c.RL.Seed == 0 {
 		frozen := c.RL.Frozen
 		c.RL = rl.DefaultConfig()
 		c.RL.Frozen = frozen
-	}
-	if c.Shape.Levels == 0 {
-		c.Shape = stats.Shape{Levels: 3, R0Max: 8, EntriesPerBlock: 16, BloomFPR: 0.008}
 	}
 	return c
 }
@@ -214,8 +191,9 @@ type AdCache struct {
 	windowsClosed atomic.Int64
 }
 
-// New returns a started AdCache. Call Close to stop its tuning goroutine.
-func New(cfg Config) (*AdCache, error) {
+// New returns a started AdCache whose range cache is sharded at splitKeys
+// (§4.4; nil for one shard). Call Close to stop its tuning goroutine.
+func New(cfg Config, splitKeys []string) (*AdCache, error) {
 	cfg = cfg.withDefaults()
 	a := &AdCache{
 		cfg:       cfg,
@@ -240,11 +218,7 @@ func New(cfg Config) (*AdCache, error) {
 	// budget to the block side later); the initial split applies via Resize.
 	a.block = blockcache.New(cfg.Capacity)
 	a.block.Resize(cacheBytes - rangeBytes)
-	a.rng = rangecache.New(rangecache.Options{
-		Capacity:  rangeBytes,
-		Policy:    cfg.EvictionPolicy,
-		SplitKeys: cfg.SplitKeys,
-	})
+	a.rng = rangecache.New(rangecache.Options{Capacity: rangeBytes, SplitKeys: splitKeys}) // LRU
 	a.params.Store(Params{
 		RangeRatio:     cfg.InitialRangeRatio,
 		PointThreshold: 0,
@@ -469,33 +443,23 @@ func (a *AdCache) dbWriteInfo() lsm.WriteSideInfo {
 	return db.WriteSideInfo()
 }
 
-// shape returns the live LSM shape when a DB is bound, else the configured
-// static shape, and the cache budget's share of the live data (the prior's
-// second key): until a bound DB reports its size, the paper's default
-// cache size, 10 % of the database. It reads only lock-free snapshots so it
-// is safe from inside engine callbacks (synchronous tuning).
+// shape returns the I/O model of the bound DB's live tree (of an empty tree
+// when none is bound) and the cache budget's share of the live data (the
+// prior's second key): until a bound DB reports its size, the paper's
+// default cache size, 10 % of the database. It reads only lock-free
+// snapshots so it is safe from inside engine callbacks (synchronous tuning).
 func (a *AdCache) shape() (shape stats.Shape, cacheShare float64) {
 	a.mu.Lock()
 	db := a.db
 	a.mu.Unlock()
-	shape, cacheShare = a.cfg.Shape, 0.1
-	if db == nil {
-		return shape, cacheShare
+	var info lsm.ShapeInfo
+	blockSize := 0
+	if db != nil {
+		info, blockSize = db.ShapeInfo(), db.Options().BlockSize
 	}
-	info := db.ShapeInfo()
-	if info.NonEmptyLevels > 0 {
-		shape.Levels = info.NonEmptyLevels
-	}
-	shape.Runs = info.SortedRuns
-	shape.R0Max = db.Options().L0StopTrigger
-	if info.TotalBytes > 0 && info.TotalEntries > 0 {
-		blocks := float64(info.TotalBytes) / float64(db.Options().BlockSize)
-		if blocks >= 1 {
-			shape.EntriesPerBlock = float64(info.TotalEntries) / blocks
-		}
-	}
+	cacheShare = 0.1
 	if info.TotalBytes > 0 {
 		cacheShare = float64(a.cfg.Capacity) / float64(info.TotalBytes)
 	}
-	return shape, cacheShare
+	return info.IOShape(blockSize), cacheShare
 }

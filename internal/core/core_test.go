@@ -15,7 +15,7 @@ func newTestAdCache(t *testing.T, cfg Config) *AdCache {
 		cfg.Capacity = 1 << 20
 	}
 	cfg.SyncTuning = true
-	a, err := New(cfg)
+	a, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestTinyRangeCapacitySkipsInserts(t *testing.T) {
 
 func TestAsyncTuningMode(t *testing.T) {
 	// Production mode: the tuner runs on its own goroutine; Close stops it.
-	a, err := New(Config{Capacity: 1 << 20}) // SyncTuning off
+	a, err := New(Config{Capacity: 1 << 20}, nil) // SyncTuning off
 	if err != nil {
 		t.Fatal(err)
 	}

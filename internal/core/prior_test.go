@@ -99,7 +99,7 @@ func TestFrozenTrajectoryIsThePrior(t *testing.T) {
 	cfg := Config{Capacity: 256 << 10, WindowSize: 200, SyncTuning: true, RecordTrace: true}
 	cfg.RL = rl.DefaultConfig()
 	cfg.RL.Frozen = true
-	a, err := New(cfg)
+	a, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,14 +142,14 @@ func (a *AdCache) tuneOnce() {
 func (a *AdCache) decodeAction(act rl.Action) Params {
 	p := Params{
 		RangeRatio:     act.RangeRatio,
-		PointThreshold: act.PointThreshold * a.cfg.PointThresholdScale,
-		ScanA:          int(act.ScanA*float64(a.cfg.MaxScanLen)) + 1,
+		PointThreshold: act.PointThreshold * pointThresholdScale,
+		ScanA:          int(act.ScanA*maxScanLen) + 1,
 		ScanB:          act.ScanB,
 	}
 	if a.cfg.MemtableArbitration {
-		// The [0,1] action maps onto the configured band: the engine always
+		// The [0,1] action maps onto a fixed band: the engine always
 		// keeps a working write buffer and the caches are never starved.
-		p.MemRatio = a.cfg.MemRatioMin + act.MemRatio*(a.cfg.MemRatioMax-a.cfg.MemRatioMin)
+		p.MemRatio = memRatioMin + act.MemRatio*(memRatioMax-memRatioMin)
 	}
 	if a.cfg.DisablePartitioning {
 		p.RangeRatio = a.cfg.InitialRangeRatio
@@ -159,7 +159,7 @@ func (a *AdCache) decodeAction(act rl.Action) Params {
 	}
 	if a.cfg.DisableAdmission {
 		p.PointThreshold = 0
-		p.ScanA = a.cfg.MaxScanLen
+		p.ScanA = maxScanLen
 		p.ScanB = 1
 	}
 	return p
@@ -223,7 +223,7 @@ func (a *AdCache) buildState(w stats.Window, shape stats.Shape, hEst float64, in
 	state[0] = float32(float64(w.Points) / ops)
 	state[1] = float32(float64(w.Scans) / ops)
 	state[2] = float32(float64(w.Writes) / ops)
-	state[3] = float32(clamp01f(w.AvgScanLen() / float64(a.cfg.MaxScanLen)))
+	state[3] = float32(clamp01f(w.AvgScanLen() / maxScanLen))
 	if w.Points > 0 {
 		state[4] = float32(float64(w.RangeGetHits) / float64(w.Points))
 	}

@@ -29,7 +29,7 @@ func TestOldDimModelRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "model"})
+	_, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "model"}, nil)
 	if err == nil {
 		t.Fatal("loading a 13/4-dim model into an 18/5-dim agent succeeded")
 	}
@@ -46,7 +46,7 @@ func TestCurrentDimModelRoundTrips(t *testing.T) {
 	if err := agent.Save(fs, "model"); err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "model"})
+	a, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "model"}, nil)
 	if err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -64,7 +64,7 @@ func unifiedParamsTrace(t *testing.T) []Params {
 		SyncTuning:          true,
 		MemtableArbitration: true,
 		RecordTrace:         true,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestUnifiedDecodeDeterministic(t *testing.T) {
 	}
 	for i, p := range p1 {
 		if p.MemRatio < 0.05-1e-9 || p.MemRatio > 0.6+1e-9 {
-			t.Fatalf("window %d MemRatio %f outside [MemRatioMin, MemRatioMax]", i, p.MemRatio)
+			t.Fatalf("window %d MemRatio %f outside [memRatioMin, memRatioMax]", i, p.MemRatio)
 		}
 	}
 }

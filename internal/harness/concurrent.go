@@ -75,7 +75,7 @@ func (r *Runner) RunConcurrent(mix workload.Mix, opsPerClient, clients int) (Res
 		activeCores = p
 	}
 	cpuPerOp := wall * time.Duration(activeCores) / time.Duration(ops)
-	ioPerOp := time.Duration(reads) * r.Cfg.ReadCost / time.Duration(ops)
+	ioPerOp := time.Duration(reads) * readCost / time.Duration(ops)
 	perClientSim := time.Duration(opsPerClient) * (cpuPerOp + ioPerOp)
 	res := Result{
 		Strategy:   r.DB.Strategy().String(),

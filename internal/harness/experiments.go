@@ -438,17 +438,10 @@ type Fig11aPoint struct {
 func RunFig11a(sc Scale, report func(Fig11aPoint)) ([]Fig11aPoint, error) {
 	var out []Fig11aPoint
 	for _, clients := range []int{1, 2, 4, 8, 16, 32} {
-		cfg := Config{
-			NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
-			CacheFrac: 0.10, Strategy: adcache.StrategyAdCache, Seed: sc.Seed,
-			RangeShards: defaultShards(sc.NumKeys),
-		}
-		r, err := NewRunner(cfg)
+		r, err := NewRunner(fig11aConfig(sc))
 		if err != nil {
 			return nil, err
 		}
-		// Multi-client runs use the production asynchronous tuner: the
-		// point of the experiment is that training does not interfere.
 		opsPerClient := sc.MeasureOps / 4
 		res, perClient, err := r.RunConcurrent(workload.MixBalanced, opsPerClient, clients)
 		r.Close()
@@ -462,6 +455,18 @@ func RunFig11a(sc Scale, report func(Fig11aPoint)) ([]Fig11aPoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// fig11aConfig is Figure 11a's runner configuration. It runs the production
+// asynchronous tuner and background write path: the point of the experiment
+// is that training does not interfere with serving.
+func fig11aConfig(sc Scale) Config {
+	return Config{
+		NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
+		CacheFrac: 0.10, Strategy: adcache.StrategyAdCache, Seed: sc.Seed,
+		RangeShards: defaultShards(sc.NumKeys),
+		AsyncTuning: true,
+	}
 }
 
 // defaultShards splits the key space into 8 range shards (§4.4).

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"adcache"
 	"adcache/internal/core"
@@ -28,7 +30,7 @@ func TestRunnerBuildsSizedCache(t *testing.T) {
 		t.Fatal("database not loaded")
 	}
 	want := int64(0.10 * float64(dbBytes))
-	if got := r.Cfg.CacheBytes; got < want/2 || got > want*2 {
+	if got := r.CacheBytes; got < want/2 || got > want*2 {
 		t.Fatalf("cache bytes = %d, want ≈%d", got, want)
 	}
 	// Every loaded key must be readable.
@@ -212,5 +214,38 @@ func TestCalibrationDeterministic(t *testing.T) {
 		if c.ReadsPerOp <= 0 || c.Runs < len(calibrationGrid[0]) {
 			t.Fatalf("%s at %.2f: %+v", c.Mix.Name, c.CacheFrac, c)
 		}
+	}
+}
+
+// backgroundTuners counts the goroutines running an AdCache tuning loop.
+func backgroundTuners() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return bytes.Count(buf[:n], []byte("core.(*AdCache).tuneLoop"))
+}
+
+// TestFig11aTunesAsynchronously checks that Figure 11a measures what it
+// reports: training on the background tuner while the engine flushes and
+// compacts in the background, not inline on whichever client closes a
+// window.
+func TestFig11aTunesAsynchronously(t *testing.T) {
+	for deadline := time.Now().Add(5 * time.Second); backgroundTuners() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("a closed runner's tuner is still running")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sc := QuickScale()
+	sc.NumKeys = 3000
+	r, err := NewRunner(fig11aConfig(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := backgroundTuners(); n != 1 {
+		t.Errorf("%d background tuners, want 1", n)
+	}
+	if r.DB.LSM().Options().InlineCompaction {
+		t.Error("engine flushes and compacts inline")
 	}
 }

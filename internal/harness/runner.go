@@ -1,8 +1,8 @@
 // Package harness builds databases, drives workloads against each cache
 // strategy, and regenerates every table and figure of the paper's
 // evaluation (§5). Throughput is reported against simulated time
-// (wall time + blockReads × ReadCost) because the backing store is an
-// in-memory file system: block-read counts are exact, and the ReadCost
+// (wall time + blockReads × readCost) because the backing store is an
+// in-memory file system: block-read counts are exact, and the readCost
 // model restores the I/O-bound behaviour of the paper's NVMe testbed.
 package harness
 
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adcache"
-	"adcache/internal/bloom"
 	"adcache/internal/core"
 	"adcache/internal/lsm"
 	"adcache/internal/stats"
@@ -30,19 +29,15 @@ type Config struct {
 	ScanSkew  float64
 	// Seed drives workload determinism; all strategies see the same ops.
 	Seed int64
-	// CacheBytes is the cache budget. CacheFrac, if set, overrides it as a
-	// fraction of the loaded database size (the paper sizes caches
-	// relative to the 100 GB database).
-	CacheBytes int64
-	CacheFrac  float64
+	// CacheFrac is the cache budget as a fraction of the loaded database
+	// size (the paper sizes caches relative to the 100 GB database);
+	// default 0.25.
+	CacheFrac float64
 	// Strategy selects the cache scheme.
 	Strategy adcache.Strategy
 	// AdCache overrides controller settings (window size, alpha,
 	// ablations, a frozen agent...).
 	AdCache core.Config
-	// ReadCost is the simulated per-block-read latency (default 40µs,
-	// an NVMe-class 4 KiB random read).
-	ReadCost time.Duration
 	// RangeShards optionally shards result caches.
 	RangeShards []string
 	// PrefetchOnCompaction enables Leaper-style cache re-population
@@ -69,11 +64,12 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ReadCost == 0 {
-		c.ReadCost = 40 * time.Microsecond
-	}
 	return c
 }
+
+// readCost is the simulated per-block-read latency: an NVMe-class 4 KiB
+// random read.
+const readCost = 40 * time.Microsecond
 
 // Result summarises a measured run.
 type Result struct {
@@ -102,9 +98,11 @@ func (r Result) ReadsPerOp() float64 {
 // Runner owns a loaded database and a deterministic generator.
 type Runner struct {
 	Cfg Config
-	DB  *adcache.DB
-	Gen *workload.Generator
-	fs  *vfs.MemFS
+	// CacheBytes is the cache budget CacheFrac resolved to.
+	CacheBytes int64
+	DB         *adcache.DB
+	Gen        *workload.Generator
+	fs         *vfs.MemFS
 }
 
 // NewRunner builds and loads a database under cfg, compacting it into a
@@ -157,14 +155,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 
-	cacheBytes := cfg.CacheBytes
-	if cfg.CacheFrac > 0 {
-		cacheBytes = int64(cfg.CacheFrac * float64(dbBytes))
-	}
+	cacheBytes := int64(cfg.CacheFrac * float64(dbBytes))
 	if cacheBytes <= 0 {
 		cacheBytes = dbBytes / 4
 	}
-	cfg.CacheBytes = cacheBytes
 	// Experiments tune synchronously: every window is processed and runs
 	// are machine-speed independent (see core.Config.SyncTuning).
 	cfg.AdCache.SyncTuning = !cfg.AsyncTuning
@@ -180,33 +174,16 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Cfg: cfg, DB: db, Gen: gen, fs: fs}, nil
+	return &Runner{Cfg: cfg, CacheBytes: cacheBytes, DB: db, Gen: gen, fs: fs}, nil
 }
 
 // Close releases the runner's database.
 func (r *Runner) Close() error { return r.DB.Close() }
 
-// Shape derives the I/O-model parameters from the live tree.
+// Shape returns the I/O-model parameters of the live tree.
 func (r *Runner) Shape() stats.Shape {
-	m := r.DB.LSM().Metrics()
-	opts := r.DB.LSM().Options()
-	shape := stats.Shape{
-		Levels:          m.NonEmptyLevels,
-		Runs:            m.SortedRuns,
-		R0Max:           opts.L0StopTrigger,
-		EntriesPerBlock: 16,
-		BloomFPR:        bloom.FalsePositiveRate(opts.BitsPerKey),
-	}
-	if shape.Levels == 0 {
-		shape.Levels = 1
-	}
-	if m.TotalBytes > 0 && m.TotalEntries > 0 {
-		blocks := float64(m.TotalBytes) / float64(opts.BlockSize)
-		if blocks >= 1 {
-			shape.EntriesPerBlock = float64(m.TotalEntries) / blocks
-		}
-	}
-	return shape
+	db := r.DB.LSM()
+	return db.ShapeInfo().IOShape(db.Options().BlockSize)
 }
 
 // Warm drives ops operations without measuring (cache warm-up and, for
@@ -236,7 +213,7 @@ func (r *Runner) Run(mix workload.Mix, ops int) (Result, error) {
 		ScanLenSum: counts.scanLen,
 		BlockReads: reads,
 	}
-	sim := wall + time.Duration(reads)*r.Cfg.ReadCost
+	sim := wall + time.Duration(reads)*readCost
 	res := Result{
 		Strategy:   r.DB.Strategy().String(),
 		Ops:        int64(ops),

@@ -29,7 +29,7 @@ func rangeOnly(policy string) func(*testing.T, int64) lsm.CacheStrategy {
 
 var strategyCases = []strategyCase{
 	{"AdCache", func(t *testing.T, capacity int64) lsm.CacheStrategy {
-		a, err := core.New(core.Config{Capacity: capacity})
+		a, err := core.New(core.Config{Capacity: capacity}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,12 +109,9 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 	// One sync per group — the fsync the whole group-commit design exists
 	// to amortise. Once it returns, every acknowledged write in the group
 	// survives a crash (the durability contract the crash-point sweep
-	// verifies). DisableWALSync trades that for throughput: a crash may
-	// then lose the unsynced WAL tail.
-	if !d.opts.DisableWALSync {
-		if err := d.log.Sync(); err != nil {
-			return err
-		}
+	// verifies).
+	if err := d.log.Sync(); err != nil {
+		return err
 	}
 
 	d.mu.Lock()
@@ -128,9 +125,9 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 	if d.opts.InlineCompaction {
 		// Count-only stall accounting, mirroring the pre-concurrency
 		// engine: the stall manifests as inline compaction latency below.
-		if n := len(d.version.Levels[0]); n >= d.opts.L0StopTrigger {
+		if n := len(d.version.Levels[0]); n >= l0StopTrigger {
 			stall = d.metrics.stallStops
-		} else if n >= d.opts.L0CompactTrigger {
+		} else if n >= l0CompactTrigger {
 			stall = d.metrics.stallSlowdowns
 		}
 	}
@@ -200,8 +197,8 @@ func (d *DB) writePressureLocked() (stop, slowdown bool, err error) {
 	// so that bound continues to apply.
 	l0 := len(d.version.Levels[0])
 	auto := !d.opts.DisableAutoCompaction
-	stop = len(d.imm) >= d.opts.MaxImmutableMemTables || (auto && l0 >= d.opts.L0StopTrigger)
-	slowdown = auto && l0 >= d.opts.L0CompactTrigger
+	stop = len(d.imm) >= d.opts.MaxImmutableMemTables || (auto && l0 >= l0StopTrigger)
+	slowdown = auto && l0 >= l0CompactTrigger
 	return stop, slowdown, nil
 }
 
@@ -245,7 +242,7 @@ func (d *DB) waitForWriteRoom() error {
 	}
 	d.mu.Unlock()
 	if slowdown {
-		time.Sleep(d.opts.L0SlowdownDelay)
+		time.Sleep(l0SlowdownDelay)
 	}
 	if stalled || slowdown {
 		d.metrics.stallNanos.ObserveSince(start)

@@ -379,7 +379,7 @@ func (d *DB) writeCompactionOutputs(merged *mergingIter, sr compaction.SubRange,
 			f = file
 			w = sstable.NewWriter(file, sstable.WriterOptions{
 				BlockSize:   d.opts.BlockSize,
-				BitsPerKey:  d.opts.BitsPerKey,
+				BitsPerKey:  bitsPerKey,
 				Compression: d.opts.Compression,
 			})
 		}

@@ -308,7 +308,7 @@ func TestBackpressureBoundsState(t *testing.T) {
 			if m.ImmMemTables > db.Options().MaxImmutableMemTables {
 				violated.Add(1)
 			}
-			if m.L0Files > db.Options().L0StopTrigger {
+			if m.L0Files > l0StopTrigger {
 				violated.Add(1)
 			}
 			runtime.Gosched()

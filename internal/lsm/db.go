@@ -13,16 +13,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adcache/internal/bloom"
 	"adcache/internal/compaction"
 	"adcache/internal/keys"
 	"adcache/internal/manifest"
 	"adcache/internal/memtable"
 	"adcache/internal/metrics"
 	"adcache/internal/sstable"
+	"adcache/internal/stats"
 	"adcache/internal/vfs"
 	"adcache/internal/wal"
 )
@@ -162,6 +165,13 @@ type DB struct {
 // Open opens (creating if necessary) the database described by opts.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
+	if opts.CompactionParallelism <= 0 {
+		// Deterministic experiments need a machine-independent file layout.
+		opts.CompactionParallelism = 1
+		if !opts.InlineCompaction {
+			opts.CompactionParallelism = min(runtime.GOMAXPROCS(0), 4)
+		}
+	}
 	fs := vfs.NewCounting(opts.FS)
 	if err := fs.MkdirAll(opts.Dir); err != nil {
 		return nil, err
@@ -208,7 +218,7 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	} else {
-		db.installVersion(manifest.NewVersion(opts.NumLevels), nil)
+		db.installVersion(manifest.NewVersion(numLevels), nil)
 		db.nextFileNum.Store(1)
 	}
 	if err := db.startWAL(oldWALs); err != nil {
@@ -662,6 +672,33 @@ func (d *DB) ShapeInfo() ShapeInfo {
 	return v
 }
 
+// bloomFPR is the false-positive rate of every table's filter.
+var bloomFPR = bloom.FalsePositiveRate(bitsPerKey)
+
+// IOShape derives the I/O model's parameters (stats.Shape, the paper's
+// Table 1) from a snapshot of a tree written in blockSize-byte blocks,
+// falling back to 3 levels and 16 entries per block while the tree is
+// empty. It is the one derivation: the AdCache reward and the experiments'
+// hit rate both use it.
+func (s ShapeInfo) IOShape(blockSize int) stats.Shape {
+	shape := stats.Shape{
+		Levels:          3,
+		Runs:            s.SortedRuns,
+		R0Max:           l0StopTrigger,
+		EntriesPerBlock: 16,
+		BloomFPR:        bloomFPR,
+	}
+	if s.NonEmptyLevels > 0 {
+		shape.Levels = s.NonEmptyLevels
+	}
+	if s.TotalBytes > 0 && s.TotalEntries > 0 {
+		if blocks := float64(s.TotalBytes) / float64(blockSize); blocks >= 1 {
+			shape.EntriesPerBlock = float64(s.TotalEntries) / blocks
+		}
+	}
+	return shape
+}
+
 // QueryBlockReads reports cumulative SST block reads issued by Get/Scan —
 // the paper's "SST reads" metric (flush, compaction and recovery I/O are
 // excluded).
@@ -947,9 +984,9 @@ func (d *DB) String() string {
 // pickerConfig adapts Options to the compaction picker.
 func (d *DB) pickerConfig() compaction.Config {
 	return compaction.Config{
-		L0Trigger:    d.opts.L0CompactTrigger,
+		L0Trigger:    l0CompactTrigger,
 		L1TargetSize: d.opts.L1TargetSize,
-		SizeRatio:    d.opts.LevelSizeRatio,
-		NumLevels:    d.opts.NumLevels,
+		SizeRatio:    levelSizeRatio,
+		NumLevels:    numLevels,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adcache/internal/cache/blockcache"
@@ -31,6 +32,16 @@ func mustOpen(t *testing.T, opts Options) *DB {
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value%08d", i)) }
+
+// TestDefaultOptionsAreTheDefaults pins one source of engine defaults: a
+// caller passing a literal Options gets the engine DefaultOptions describes.
+func TestDefaultOptionsAreTheDefaults(t *testing.T) {
+	filled := Options{Dir: "d"}.withDefaults()
+	filled.FS = nil
+	if def := DefaultOptions("d"); !reflect.DeepEqual(def, filled) {
+		t.Fatalf("DefaultOptions = %+v\nOptions{Dir}.withDefaults() = %+v", def, filled)
+	}
+}
 
 func TestPutGet(t *testing.T) {
 	db := mustOpen(t, testOptions(vfs.NewMem()))
@@ -184,7 +195,7 @@ func TestCompactionShapesTree(t *testing.T) {
 	if m.Compactions == 0 {
 		t.Fatal("expected compactions to run")
 	}
-	if m.L0Files >= db.opts.L0StopTrigger {
+	if m.L0Files >= l0StopTrigger {
 		t.Fatalf("L0 has %d files, exceeding stop trigger", m.L0Files)
 	}
 	// Values must reflect the last write of each key.

@@ -46,7 +46,7 @@ func (d *DB) bgDrain() bool {
 		// compact in that state too, or writers stalled on the L0 stop
 		// trigger would wait for a flush that never comes.
 		needCompact := !d.opts.DisableAutoCompaction &&
-			len(d.version.Levels[0]) >= d.opts.L0CompactTrigger
+			len(d.version.Levels[0]) >= l0CompactTrigger
 		parked := d.bgState == bgReadOnly
 		d.mu.RUnlock()
 		if parked || (!hasImm && !needCompact) {
@@ -174,7 +174,7 @@ func (d *DB) writeMemTable(mem *memtable.MemTable) (*manifest.FileMeta, error) {
 	f = limitFile(f, d.ioLimit)
 	w := sstable.NewWriter(f, sstable.WriterOptions{
 		BlockSize:   d.opts.BlockSize,
-		BitsPerKey:  d.opts.BitsPerKey,
+		BitsPerKey:  bitsPerKey,
 		Compression: d.opts.Compression,
 	})
 	it := mem.NewIter()

@@ -118,7 +118,7 @@ func (d *DB) registerMetrics(reg *metrics.Registry) {
 	for _, s := range counterSeries {
 		*s.cell(&d.metrics) = reg.Counter(s.name, s.help)
 	}
-	for l := 0; l < d.opts.NumLevels; l++ {
+	for l := 0; l < numLevels; l++ {
 		// Per-level write-amplification counters: input bytes drawn from the
 		// level vs output bytes written into it by compactions.
 		d.metrics.levelCompactIn = append(d.metrics.levelCompactIn,

@@ -162,7 +162,7 @@ func TestMetricsSubcompactionSeries(t *testing.T) {
 	}
 
 	var inSum, outSum int64
-	for l := 0; l < opts.NumLevels; l++ {
+	for l := 0; l < numLevels; l++ {
 		inSum += snap[`lsm_compaction_input_bytes_total{level="`+string(rune('0'+l))+`"}`].(int64)
 		outSum += snap[`lsm_compaction_output_bytes_total{level="`+string(rune('0'+l))+`"}`].(int64)
 	}

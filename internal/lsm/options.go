@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"runtime"
 	"time"
 
 	"adcache/internal/metrics"
@@ -40,8 +39,6 @@ type Options struct {
 	MinMemTableSize int64
 	// BlockSize is the SSTable data-block size (paper: 4 KiB).
 	BlockSize int
-	// BitsPerKey is the Bloom filter budget (paper: 10); 0 disables.
-	BitsPerKey int
 	// Compression selects per-block SSTable compression
 	// (sstable.CompressionNone or sstable.CompressionFlate). Default none:
 	// the physical and logical layouts coincide, as before this option
@@ -55,28 +52,14 @@ type Options struct {
 	// TargetFileSize is the SSTable size compactions aim for
 	// (paper: 4 MiB; scaled down by default here).
 	TargetFileSize int64
-	// NumLevels bounds the tree depth.
-	NumLevels int
-	// LevelSizeRatio is the size ratio between adjacent levels (paper: 10).
-	LevelSizeRatio int
 	// L1TargetSize is the byte budget of L1; level i target is
-	// L1TargetSize * ratio^(i-1).
+	// L1TargetSize * levelSizeRatio^(i-1).
 	L1TargetSize int64
-	// L0CompactTrigger compacts L0 when it holds this many files
-	// (paper: write slowdown at 4).
-	L0CompactTrigger int
-	// L0StopTrigger is the hard L0 file cap (paper: write stop at 8).
-	L0StopTrigger int
 
 	// MaxImmutableMemTables bounds the queue of sealed memtables awaiting
 	// background flush. Writers stall once the queue is full (RocksDB's
 	// max_write_buffer_number analogue). Ignored with InlineCompaction.
 	MaxImmutableMemTables int
-	// L0SlowdownDelay is the per-write-group delay applied while L0 holds
-	// at least L0CompactTrigger files (the paper's write slowdown),
-	// giving background compaction room to catch up. Ignored with
-	// InlineCompaction (there the stall IS the inline compaction).
-	L0SlowdownDelay time.Duration
 
 	// CompactionParallelism bounds the worker pool that executes one
 	// compaction as range-partitioned subcompactions (RocksDB's
@@ -87,12 +70,6 @@ type Options struct {
 	// min(GOMAXPROCS, 4) — or to 1 under InlineCompaction, where
 	// deterministic experiments need a machine-independent file layout.
 	CompactionParallelism int
-
-	// DisableWALSync skips the per-write-group WAL fsync. Writes are then
-	// durable only up to the last seal/flush boundary: a crash may lose
-	// the unsynced WAL tail. Off by default — one sync per write group is
-	// the fsync group commit exists to amortise.
-	DisableWALSync bool
 
 	// ParanoidChecks re-reads and fully verifies every flush and
 	// compaction output table (checksums, key order, entry count, bounds)
@@ -145,24 +122,41 @@ type Options struct {
 	Seed int64
 }
 
+// The tree shape and write throttle of the paper's RocksDB configuration.
+// They are constants: no caller tunes them, and the I/O model
+// (ShapeInfo.IOShape) reads the same values the engine runs with.
+const (
+	// bitsPerKey is the Bloom filter budget (paper: 10).
+	bitsPerKey = 10
+	// numLevels bounds the tree depth.
+	numLevels = 7
+	// levelSizeRatio is the size ratio between adjacent levels (paper: 10).
+	levelSizeRatio = 10
+	// l0CompactTrigger compacts L0 when it holds this many files (paper:
+	// write slowdown at 4).
+	l0CompactTrigger = 4
+	// l0StopTrigger is the hard L0 file cap (paper: write stop at 8).
+	l0StopTrigger = 8
+	// l0SlowdownDelay is the per-write-group delay applied while L0 holds
+	// at least l0CompactTrigger files (the paper's write slowdown), giving
+	// background compaction room to catch up. Not applied with
+	// InlineCompaction (there the stall IS the inline compaction).
+	l0SlowdownDelay = 100 * time.Microsecond
+)
+
 // DefaultOptions returns the scaled-down analogue of the paper's RocksDB
-// configuration.
+// configuration: Options{Dir: dir} with every default filled in.
 func DefaultOptions(dir string) Options {
-	return Options{
-		Dir:              dir,
-		MemTableSize:     1 << 20, // 1 MiB
-		BlockSize:        4096,
-		BitsPerKey:       10,
-		TargetFileSize:   256 << 10, // 256 KiB (paper: 4 MiB at 100 GB scale)
-		NumLevels:        7,
-		LevelSizeRatio:   10,
-		L1TargetSize:     1 << 20, // 1 MiB
-		L0CompactTrigger: 4,
-		L0StopTrigger:    8,
-		Seed:             1,
-	}
+	o := Options{Dir: dir}.withDefaults()
+	o.FS = nil // Open creates a fresh in-memory FS for a nil one
+	return o
 }
 
+// withDefaults fills every unset field from the one defaults table. It is
+// idempotent, so DefaultOptions and Open agree whatever a caller sets in
+// between. CompactionParallelism stays 0 here: its default depends on
+// InlineCompaction, which callers set after DefaultOptions, so Open
+// resolves it.
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = vfs.NewMem()
@@ -171,7 +165,7 @@ func (o Options) withDefaults() Options {
 		o.Dir = "db"
 	}
 	if o.MemTableSize <= 0 {
-		o.MemTableSize = 1 << 20
+		o.MemTableSize = 1 << 20 // 1 MiB
 	}
 	if o.MinMemTableSize <= 0 {
 		o.MinMemTableSize = 32 << 10
@@ -180,35 +174,13 @@ func (o Options) withDefaults() Options {
 		o.BlockSize = 4096
 	}
 	if o.TargetFileSize <= 0 {
-		o.TargetFileSize = 256 << 10
-	}
-	if o.NumLevels <= 0 {
-		o.NumLevels = 7
-	}
-	if o.LevelSizeRatio <= 0 {
-		o.LevelSizeRatio = 10
+		o.TargetFileSize = 256 << 10 // 256 KiB (paper: 4 MiB at 100 GB scale)
 	}
 	if o.L1TargetSize <= 0 {
-		o.L1TargetSize = 1 << 20
-	}
-	if o.L0CompactTrigger <= 0 {
-		o.L0CompactTrigger = 4
-	}
-	if o.L0StopTrigger <= 0 {
-		o.L0StopTrigger = 2 * o.L0CompactTrigger
+		o.L1TargetSize = 1 << 20 // 1 MiB
 	}
 	if o.MaxImmutableMemTables <= 0 {
 		o.MaxImmutableMemTables = 2
-	}
-	if o.L0SlowdownDelay <= 0 {
-		o.L0SlowdownDelay = 100 * time.Microsecond
-	}
-	if o.CompactionParallelism <= 0 {
-		if o.InlineCompaction {
-			o.CompactionParallelism = 1
-		} else {
-			o.CompactionParallelism = min(runtime.GOMAXPROCS(0), 4)
-		}
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -221,7 +193,7 @@ func (o Options) withDefaults() Options {
 func (o *Options) targetSize(level int) int64 {
 	size := o.L1TargetSize
 	for i := 1; i < level; i++ {
-		size *= int64(o.LevelSizeRatio)
+		size *= levelSizeRatio
 	}
 	return size
 }

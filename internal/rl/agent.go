@@ -87,21 +87,14 @@ func actionFrom(v []float64) Action {
 
 // Config tunes the agent.
 type Config struct {
-	// ActorLR and CriticLR are initial learning rates (paper: 1e-3 both).
-	ActorLR  float64
-	CriticLR float64
-	// Gamma is the discount factor.
-	Gamma float64
+	// ActorLR is the actor's initial learning rate (paper: 1e-3).
+	ActorLR float64
 	// ExploreStd is the Gaussian exploration noise applied to the actor's
 	// output, the residual in units of ResidualSpan: the default 0.08 is
 	// 0.012 in action units, 0.15× the direct-output actor's exploration
-	// (DESIGN.md, "Controller prior").
+	// (DESIGN.md, "Controller prior"). The budget-moving actions get half
+	// of it (noiseStd).
 	ExploreStd float64
-	// RatioExploreStd overrides the noise on the budget-moving actions
-	// (range ratio and memtable ratio): boundary moves evict cache entries
-	// or force flushes, so jitter there is costlier than on admission
-	// thresholds (defaults to ExploreStd/2).
-	RatioExploreStd float64
 	// Seed drives weight init and exploration noise.
 	Seed int64
 	// Frozen disables learning and exploration: the agent acts on the prior
@@ -111,8 +104,16 @@ type Config struct {
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
-	return Config{ActorLR: 1e-3, CriticLR: 1e-3, Gamma: 0.9, ExploreStd: 0.08, Seed: 1}
+	return Config{ActorLR: 1e-3, ExploreStd: 0.08, Seed: 1}
 }
+
+// The paper's critic settings; no caller tunes them.
+const (
+	// criticLR is the critic's learning rate (paper: 1e-3, as the actor's).
+	criticLR = 1e-3
+	// gamma is the discount factor.
+	gamma = 0.9
+)
 
 // Agent is the actor-critic controller. Not safe for concurrent use; the
 // background tuning goroutine owns it.
@@ -145,17 +146,8 @@ func New(cfg Config) *Agent {
 	if cfg.ActorLR <= 0 {
 		cfg.ActorLR = 1e-3
 	}
-	if cfg.CriticLR <= 0 {
-		cfg.CriticLR = 1e-3
-	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = 0.9
-	}
 	if cfg.ExploreStd <= 0 {
 		cfg.ExploreStd = 0.08
-	}
-	if cfg.RatioExploreStd <= 0 {
-		cfg.RatioExploreStd = cfg.ExploreStd / 2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	actor := nn.NewMLP([]int{StateDim, HiddenDim, HiddenDim, ActionDim}, nn.ReLU, nn.Tanh, rng)
@@ -170,12 +162,12 @@ func New(cfg Config) *Agent {
 }
 
 // noiseStd returns the exploration standard deviation for action dim i.
-// Both budget-moving dims (range ratio, memtable ratio) use the damped
-// RatioExploreStd: jitter there evicts cache entries or forces flushes,
-// unlike jitter on admission thresholds.
+// Both budget-moving dims (range ratio, memtable ratio) get half of
+// ExploreStd: jitter there evicts cache entries or forces flushes, unlike
+// jitter on admission thresholds.
 func (a *Agent) noiseStd(i int) float64 {
 	if i == 0 || i == 4 {
-		return a.cfg.RatioExploreStd
+		return a.cfg.ExploreStd / 2
 	}
 	return a.cfg.ExploreStd
 }
@@ -244,13 +236,13 @@ func (a *Agent) Update(reward, lrDelta float64, newState []float32) {
 
 	// Critic: TD(0) toward r + γV(s').
 	vNext := float64(a.critic.Forward(newState)[0])
-	target := reward + a.cfg.Gamma*vNext
+	target := reward + gamma*vNext
 	vPrev := float64(a.critic.Forward(a.prevState)[0])
 	tdErr := target - vPrev // advantage estimate
 	a.lastCriticLoss = tdErr * tdErr
 	// dLoss/dV = V − target  (squared error).
 	a.critic.Backward([]float32{float32(vPrev - target)})
-	a.critic.StepAdam(a.cfg.CriticLR)
+	a.critic.StepAdam(criticLR)
 
 	// Actor: Gaussian policy gradient in action space. The policy's mean is
 	// μ = prior + span·tanh(z), its sample μ + span·ε (clamped only when
