@@ -8,8 +8,8 @@ import (
 // in the batch becomes durable and visible, or (on a crash mid-commit) the
 // WAL's torn-tail handling discards the incomplete suffix and recovery
 // keeps none of the later records beyond the first corruption — operations
-// within a batch are assigned consecutive sequence numbers and appended as
-// one run.
+// within a batch are assigned consecutive sequence numbers and reach the WAL
+// in the same device write.
 type Batch struct {
 	ops []batchOp
 }

@@ -10,24 +10,66 @@ import (
 )
 
 // This file implements the write-group commit pipeline (RocksDB-style group
-// commit) and the write-path backpressure that replaces inline compaction.
+// commit with pipelined writes) and the write-path backpressure that
+// replaces inline compaction.
 //
 // Writers enqueue themselves on d.pending, then contend for commitMu. The
-// winner becomes the group leader: it drains the whole queue, performs one
-// WAL append run and one memtable apply for every queued operation, and
-// wakes the followers with the shared result. A writer that finds its commit
-// already completed by an earlier leader returns without doing any work —
-// that coalescing is what turns N contending writers into one fsync.
+// winner becomes the group leader and drains the whole queue into one group,
+// which passes through three stages:
+//
+//  1. Append, under commitMu: backpressure, WAL rotation when the memtable is
+//     full, sequence allocation, one WAL write for every record of the group,
+//     and a place at the tail of the publish chain.
+//  2. Sync, under no engine lock: the group's own log.Sync covers its records,
+//     which were written before the sync began. Several groups can be here at
+//     once, so one group's fsync overlaps the next one's.
+//  3. Publish, strictly in sequence order: the group waits until its
+//     predecessor has published (or failed), then applies to the memtable
+//     under the exclusive mu and advances lastSeq. A reader therefore never
+//     sees a group without every group before it.
+//
+// A writer that finds itself already taken into an earlier leader's group
+// waits for that group's outcome without doing any work — the coalescing
+// that turns N contending writers into one WAL write and one fsync.
+//
+// Failure rule: a failed sync fails its group and every later group that had
+// already appended when the failure was seen; groups appended afterwards are
+// unaffected. Flush, Close and WAL rotation drain the chain before they touch
+// the log or the memtable. InlineCompaction keeps all three stages under
+// commitMu, so its seal points stay those of the single-threaded engine.
 
-// commitWaiter carries one writer's operations through a group commit.
+// commitWaiter carries one writer's operations into a write group.
 type commitWaiter struct {
-	ops  []batchOp
-	err  error
+	ops []batchOp
+	// group is the write group that took the waiter; set by its leader under
+	// commitMu.
+	group *writeGroup
+}
+
+// writeGroup is one group's passage through the pipeline.
+type writeGroup struct {
+	waiters  []*commitWaiter
+	startSeq uint64
+	total    int
+	log      *wal.Writer // the log its records went to
+	// prev is the group before it in publish order; cleared once waited on
+	// so completed groups do not chain up in memory.
+	prev *writeGroup
+	// done closes once the group has published or failed; err and poison
+	// are final by then.
 	done chan struct{}
+	err  error
+	// poison is set when the group failed its own sync, or inherited the
+	// failure: the last sequence number appended when the sync failure was
+	// seen. A later group starting at or below it fails too.
+	poison uint64
+	// full reports the active memtable at or past its flush threshold after
+	// the group's apply (read by inline mode's seal).
+	full bool
 }
 
 // commit batches ops into the next write group and blocks until the group
-// that includes them commits (or fails as a unit).
+// that includes them publishes (or fails as a unit).
 func (d *DB) commit(ops []batchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -38,85 +80,142 @@ func (d *DB) commit(ops []batchOp) error {
 	start := time.Now()
 	defer d.metrics.commitNanos.ObserveSince(start)
 
-	w := &commitWaiter{ops: ops, done: make(chan struct{})}
+	w := &commitWaiter{ops: ops}
 	d.pendMu.Lock()
 	d.pending = append(d.pending, w)
 	d.pendMu.Unlock()
 
 	d.commitMu.Lock()
 	// Everything up to acquiring commitMu is time spent waiting on other
-	// groups (the group-commit queueing delay).
+	// groups' append stages (the group-commit queueing delay).
 	d.metrics.commitWait.ObserveSince(start)
-	select {
-	case <-w.done:
-		// An earlier leader already committed us as a follower.
+	if g := w.group; g != nil {
+		// An earlier leader took us into its group.
 		d.commitMu.Unlock()
-		return w.err
-	default:
+		<-g.done
+		return g.err
 	}
 	// We are the leader: take everything queued so far as one group.
 	d.pendMu.Lock()
-	group := d.pending
+	g := &writeGroup{waiters: d.pending, done: make(chan struct{})}
 	d.pending = nil
 	d.pendMu.Unlock()
-
-	err := d.commitGroup(group)
-	for _, g := range group {
-		g.err = err
-		close(g.done)
+	for _, x := range g.waiters {
+		x.group = g
 	}
-	d.commitMu.Unlock()
+
+	inline := d.opts.InlineCompaction
+	err := d.appendGroup(g)
+	if !inline {
+		d.commitMu.Unlock()
+	}
+	if err == nil {
+		err = d.syncAndPublish(g)
+	}
+	if inline {
+		if err == nil && g.full {
+			// The single-threaded seal point: right after the apply that
+			// filled the memtable, before any later group appends.
+			err = d.sealMemTable()
+			if err == nil {
+				err = d.drainAndCompact(!d.opts.DisableAutoCompaction)
+			}
+		}
+		d.commitMu.Unlock()
+	}
+	g.finish(err)
 	return err
 }
 
-// commitGroup writes one group: backpressure, one WAL append run, one
-// memtable apply, then a seal if the memtable filled up. The whole group
-// shares a single outcome. Caller holds commitMu.
-func (d *DB) commitGroup(group []*commitWaiter) error {
+// finish records the group's outcome and wakes its followers and its
+// successor in the publish chain.
+func (g *writeGroup) finish(err error) {
+	g.err = err
+	close(g.done)
+}
+
+// appendGroup is stage 1: backpressure, rotation, sequence allocation, one
+// WAL write for the whole group, and a place in the publish chain. Nothing
+// is linked into the chain unless every record reached the log. Caller holds
+// commitMu.
+func (d *DB) appendGroup(g *writeGroup) error {
 	if d.closing.Load() {
 		return ErrClosed
 	}
 	if !d.opts.InlineCompaction {
-		if err := d.waitForWriteRoom(); err != nil {
+		full, err := d.waitForWriteRoom()
+		if err != nil {
 			return err
+		}
+		if full {
+			// Every record in the old log must be applied to the old
+			// memtable: let the groups still in flight publish first.
+			d.drainLocked()
+			if err := d.sealMemTable(); err != nil {
+				return err
+			}
+			d.notifyWorker()
 		}
 	}
 
-	total := 0
-	for _, g := range group {
-		total += len(g.ops)
+	for _, x := range g.waiters {
+		g.total += len(x.ops)
 	}
-	d.metrics.writeGroupOps.Observe(int64(total))
-	// Sequence numbers advance even if the WAL append fails part-way: some
-	// records may have reached the log, and a later successful commit must
-	// not reuse their sequence numbers.
-	startSeq := d.seqAlloc + 1
-	d.seqAlloc += uint64(total)
+	d.metrics.writeGroupOps.Observe(int64(g.total))
+	// Sequence numbers advance even if the WAL write fails: some bytes may
+	// have reached the log, and a later group must not reuse their numbers.
+	g.startSeq = d.seqAlloc.Load() + 1
+	d.seqAlloc.Add(uint64(g.total))
 
-	// One append run for the whole group. All records land in the WAL
-	// before any becomes visible, so a crash mid-group replays a prefix of
-	// intact records and visibility below is all-or-nothing.
-	seq := startSeq
-	for _, g := range group {
-		for _, op := range g.ops {
-			rec := wal.Record{Seq: seq, Kind: op.kind, Key: op.key, Value: op.value}
-			if err := d.log.Append(rec); err != nil {
-				return err
-			}
+	// The group's records reach the log in one write before any becomes
+	// visible: a crash keeps the write or drops it, and a torn tail replays
+	// a prefix of intact records.
+	seq := g.startSeq
+	for _, x := range g.waiters {
+		for _, op := range x.ops {
+			d.log.Add(wal.Record{Seq: seq, Kind: op.kind, Key: op.key, Value: op.value})
 			seq++
 		}
 	}
-	// One sync per group — the fsync the whole group-commit design exists
-	// to amortise. Once it returns, every acknowledged write in the group
-	// survives a crash (the durability contract the crash-point sweep
-	// verifies).
-	if err := d.log.Sync(); err != nil {
+	if err := d.log.Flush(); err != nil {
 		return err
 	}
+	g.log = d.log
+	g.prev = d.tail
+	d.tail = g
+	return nil
+}
 
+// syncAndPublish is stages 2 and 3: the group's own WAL sync, with no engine
+// lock held, then the in-order publish. Once it returns nil every write in
+// the group is durable (the contract the crash sweeps verify) and visible.
+func (d *DB) syncAndPublish(g *writeGroup) error {
+	err := g.log.Sync()
+	if err != nil {
+		g.poison = d.seqAlloc.Load()
+	}
+	if p := g.prev; p != nil {
+		g.prev = nil
+		<-p.done
+		if p.err != nil && g.startSeq <= p.poison {
+			g.poison = max(g.poison, p.poison)
+			if err == nil {
+				err = p.err
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return d.publish(g)
+}
+
+// publish applies the group to the memtable and advances lastSeq, under the
+// exclusive mu. Caller has seen the group's predecessor complete.
+func (d *DB) publish(g *writeGroup) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return ErrClosed
 	}
 	// The group's counters advance once, after the apply loop: OnWrite may
@@ -124,7 +223,7 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 	var stall *metrics.Counter
 	if d.opts.InlineCompaction {
 		// Count-only stall accounting, mirroring the pre-concurrency
-		// engine: the stall manifests as inline compaction latency below.
+		// engine: the stall manifests as inline compaction latency.
 		if n := len(d.version.Levels[0]); n >= l0StopTrigger {
 			stall = d.metrics.stallStops
 		} else if n >= l0CompactTrigger {
@@ -132,9 +231,9 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 		}
 	}
 	var userBytes int64
-	seq = startSeq
-	for _, g := range group {
-		for _, op := range g.ops {
+	seq := g.startSeq
+	for _, x := range g.waiters {
+		for _, op := range x.ops {
 			d.mem.Set(keys.Make(op.key, seq, op.kind), op.value)
 			userBytes += int64(len(op.key) + len(op.value))
 			// Write-through cache coherence happens inside the exclusive
@@ -144,35 +243,28 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 			seq++
 		}
 	}
-	d.lastSeq = startSeq + uint64(total) - 1
+	d.lastSeq = g.startSeq + uint64(g.total) - 1
 	if stall != nil {
 		stall.Inc()
 	}
 	d.metrics.userBytes.Add(userBytes)
 	d.metrics.writeGroups.Inc()
-
-	var sealErr error
 	// The flush threshold is dynamic when a unified-memory arbiter has set
 	// a budget (SetMemTableBudget): active target = budget − immutable
-	// bytes, floored. Checked only here — a budget shrink never truncates
-	// the in-flight memtable, it just seals it at the next write group.
-	full := d.mem.ApproximateSize() >= d.activeMemTargetLocked()
-	if full {
-		sealErr = d.sealMemTableLocked()
-	}
+	// bytes, floored. A budget shrink never truncates the in-flight
+	// memtable, it just seals it at the next rotation point.
+	g.full = d.mem.ApproximateSize() >= d.activeMemTargetLocked()
 	d.storeMemGaugesLocked()
-	d.mu.Unlock()
-	if sealErr != nil {
-		return sealErr
-	}
-	if !full {
-		return nil
-	}
-	if d.opts.InlineCompaction {
-		return d.drainAndCompact(!d.opts.DisableAutoCompaction)
-	}
-	d.notifyWorker()
 	return nil
+}
+
+// drainLocked waits until every group in the publish chain has published or
+// failed. Groups complete in order, so the tail completing means all have.
+// Caller holds commitMu, so no group can join meanwhile.
+func (d *DB) drainLocked() {
+	if d.tail != nil {
+		<-d.tail.done
+	}
 }
 
 // writePressureLocked reports what stands between a write group and the
@@ -205,15 +297,18 @@ func (d *DB) writePressureLocked() (stop, slowdown bool, err error) {
 // waitForWriteRoom applies write backpressure in background mode. It blocks
 // while the immutable-memtable queue is full or L0 has hit its stop trigger,
 // and applies the paper's slowdown delay while L0 sits between the compact
-// and stop triggers. Caller holds commitMu.
-func (d *DB) waitForWriteRoom() error {
+// and stop triggers. It also reports whether the active memtable has reached
+// its flush threshold, as of the groups published so far. Caller holds
+// commitMu.
+func (d *DB) waitForWriteRoom() (full bool, err error) {
 	// Nearly every group finds room, and finding that out needs only the
 	// shared lock; the exclusive lock (bgCond's) is for groups that stall.
 	d.mu.RLock()
 	stop, slowdown, err := d.writePressureLocked()
+	full = d.mem.ApproximateSize() >= d.activeMemTargetLocked()
 	d.mu.RUnlock()
 	if err != nil || (!stop && !slowdown) {
-		return err
+		return full, err
 	}
 
 	start := time.Now()
@@ -223,7 +318,7 @@ func (d *DB) waitForWriteRoom() error {
 		stop, slowdown, err = d.writePressureLocked()
 		if err != nil {
 			d.mu.Unlock()
-			return err
+			return false, err
 		}
 		if !stop {
 			break
@@ -240,6 +335,7 @@ func (d *DB) waitForWriteRoom() error {
 	if slowdown {
 		d.metrics.stallSlowdowns.Inc()
 	}
+	full = d.mem.ApproximateSize() >= d.activeMemTargetLocked()
 	d.mu.Unlock()
 	if slowdown {
 		time.Sleep(l0SlowdownDelay)
@@ -247,15 +343,20 @@ func (d *DB) waitForWriteRoom() error {
 	if stalled || slowdown {
 		d.metrics.stallNanos.ObserveSince(start)
 	}
-	return nil
+	return full, nil
 }
 
-// sealMemTableLocked moves the full memtable onto the immutable queue and
-// starts a fresh memtable + WAL. The new WAL file is created before any
-// state changes, so a creation failure leaves the DB fully intact. Caller
-// holds commitMu and d.mu.
-func (d *DB) sealMemTableLocked() error {
-	if d.mem.Empty() {
+// sealMemTable moves the active memtable onto the immutable queue and starts
+// a fresh memtable + WAL. The new WAL file is created before any state
+// changes, and outside mu, so a creation failure leaves the DB fully intact
+// and no reader waits on the device. Caller holds commitMu and has drained
+// the publish chain: no group still owes a record to the old log or an
+// apply to the old memtable.
+func (d *DB) sealMemTable() error {
+	d.mu.RLock()
+	empty := d.mem.Empty()
+	d.mu.RUnlock()
+	if empty {
 		return nil
 	}
 	num := d.nextFileNum.Add(1) - 1
@@ -263,15 +364,22 @@ func (d *DB) sealMemTableLocked() error {
 	if err != nil {
 		return err
 	}
+	d.mu.Lock()
 	d.imm = append(d.imm, &immTable{mem: d.mem, walNum: d.walNum, bytes: d.mem.ApproximateSize()})
 	oldLog := d.log
 	d.walNum = num
 	d.log = wal.NewWriter(f)
 	d.mem = memtable.New(d.nextMemSeedLocked())
-	if err := oldLog.Close(); err != nil {
-		return err
+	obsolete, err := d.saveManifestLocked()
+	d.storeMemGaugesLocked()
+	d.mu.Unlock()
+	d.removeTables(obsolete)
+	// Every record in the old log was synced by its own group; closing it
+	// only releases the handle.
+	if cerr := oldLog.Close(); err == nil {
+		err = cerr
 	}
-	return d.saveManifestLocked()
+	return err
 }
 
 // notifyWorker nudges the flush worker; the buffered channel coalesces

@@ -93,13 +93,14 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 		d.metrics.compactionOut.Add(int64(f.Size))
 		d.metrics.levelCompactOut[plan.OutputLevel].Add(int64(f.Size))
 	}
-	saveErr := d.saveManifestLocked()
+	obsolete, saveErr := d.saveManifestLocked()
 	// L0 may have shrunk below the stop trigger: wake stalled writers.
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 	if saveErr != nil {
 		return saveErr
 	}
+	d.removeTables(obsolete)
 
 	// Notify the strategy: this is the moment block-cache entries keyed by
 	// the old files become dead weight. Outside d.mu — the callback only

@@ -116,7 +116,7 @@ func TestConcurrentWritersReadersBackground(t *testing.T) {
 }
 
 // TestGroupCommitBatchIsOneGroup pins the deterministic half of the group
-// commit contract: one Apply is exactly one write group (one WAL append run,
+// commit contract: one Apply is exactly one write group (one WAL write,
 // one memtable apply), regardless of batch size.
 func TestGroupCommitBatchIsOneGroup(t *testing.T) {
 	db := mustOpen(t, testOptions(vfs.NewMem()))
@@ -450,14 +450,12 @@ func TestRecoveryWithQueuedImmutables(t *testing.T) {
 	db.compactMu.Lock()
 	seal := func() {
 		db.commitMu.Lock()
-		db.mu.Lock()
-		if err := db.sealMemTableLocked(); err != nil {
-			db.mu.Unlock()
-			db.commitMu.Unlock()
+		db.drainLocked()
+		err := db.sealMemTable()
+		db.commitMu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
-		db.mu.Unlock()
-		db.commitMu.Unlock()
 	}
 	for i := 0; i < 100; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {

@@ -48,8 +48,10 @@ type immTable struct {
 
 // DB is an LSM-tree key-value store. It is safe for concurrent use by
 // multiple goroutines. Concurrent writers coalesce into write groups — one
-// WAL append run and one memtable apply per group (RocksDB-style group
-// commit). Full memtables are sealed onto an immutable queue and flushed,
+// WAL write and one memtable apply per group (RocksDB-style group commit) —
+// and the groups are pipelined: one group's WAL sync overlaps the next
+// group's, and groups publish in sequence order (see commit.go). Full
+// memtables are sealed onto an immutable queue and flushed,
 // then compacted, by a background worker; the paper's L0 slowdown/stop
 // triggers act as real write backpressure (delaying or blocking writers)
 // rather than as inline compaction latency. Options.InlineCompaction
@@ -75,10 +77,15 @@ type DB struct {
 	metrics   dbMetrics
 	snapshots atomic.Int64
 
-	// commitMu serialises write groups: its holder is the group leader and
-	// the only goroutine touching the WAL writer and seqAlloc.
+	// commitMu serialises the append stage of write groups: its holder is
+	// the group leader and the only goroutine appending to the WAL writer,
+	// advancing seqAlloc or extending the publish chain at tail.
 	commitMu sync.Mutex
-	seqAlloc uint64 // last allocated sequence; advances even when a group fails
+	// seqAlloc is the last allocated sequence; it advances even when a group
+	// fails. Written under commitMu; a failed sync reads it without.
+	seqAlloc atomic.Uint64
+	// tail is the latest group to join the publish chain (see commit.go).
+	tail *writeGroup
 
 	// pendMu guards the queue of writers waiting to be committed; the next
 	// leader drains the whole queue into a single group.
@@ -134,8 +141,8 @@ type DB struct {
 	deletable []uint64
 
 	nextFileNum atomic.Uint64
-	walNum      uint64 // active log; written under commitMu+mu, read under either
-	log         *wal.Writer
+	walNum      uint64      // active log; written under commitMu+mu, read under either
+	log         *wal.Writer // appended to under commitMu; synced by groups in flight
 
 	// shapeInfo is a lock-free snapshot of tree-shape figures, refreshed on
 	// every version install. Cache strategies read it from inside engine
@@ -225,7 +232,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.removeOrphans()
-	db.seqAlloc = db.lastSeq
+	db.seqAlloc.Store(db.lastSeq)
 	db.storeMemGaugesLocked() // single-threaded: no other goroutine yet
 	if !opts.InlineCompaction {
 		db.bgWork = make(chan struct{}, 1)
@@ -312,9 +319,11 @@ func (d *DB) startWAL(oldNums []uint64) error {
 	}
 	d.walNum = num
 	d.log = wal.NewWriter(f)
-	if err := d.saveManifestLocked(); err != nil {
+	obsolete, err := d.saveManifestLocked()
+	if err != nil {
 		return err
 	}
+	d.removeTables(obsolete)
 	for _, old := range oldNums {
 		if old == 0 || old == num || !d.fs.Exists(walPath(d.opts.Dir, old)) {
 			continue
@@ -376,8 +385,11 @@ func (d *DB) removeOrphans() {
 
 // saveManifestLocked persists the current state. The manifest lists every
 // live log oldest-first (one per queued immutable memtable, then the active
-// log) so recovery can replay all of them in order. Caller holds d.mu.
-func (d *DB) saveManifestLocked() error {
+// log) so recovery can replay all of them in order. It returns the obsolete
+// table files the saved manifest no longer references; the caller removes
+// them with removeTables after releasing d.mu, so no reader or write group
+// waits on the device's directory updates. Caller holds d.mu.
+func (d *DB) saveManifestLocked() (obsolete []uint64, err error) {
 	walNums := make([]uint64, 0, len(d.imm)+1)
 	for _, im := range d.imm {
 		walNums = append(walNums, im.walNum)
@@ -390,12 +402,12 @@ func (d *DB) saveManifestLocked() error {
 		WALNums:     walNums,
 		Version:     d.version,
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	// The saved manifest references none of the deferred-obsolete files
-	// (they left d.version before this save); now they can really go.
-	d.deleteObsoleteFiles()
-	return nil
+	// (they left d.version before this save, under this same hold of d.mu);
+	// files queued after it wait for the next save.
+	return d.takeDeletable(), nil
 }
 
 // Put stores key=value.
@@ -716,25 +728,19 @@ func (d *DB) Flush() error {
 		return ErrClosed
 	}
 	d.commitMu.Lock()
-	d.mu.Lock()
+	d.drainLocked()
+	d.mu.RLock()
+	var err error
 	if d.closed {
-		d.mu.Unlock()
-		d.commitMu.Unlock()
-		return ErrClosed
-	}
-	if d.bgState == bgReadOnly {
-		err := d.readOnlyErrLocked()
-		d.mu.Unlock()
-		d.commitMu.Unlock()
-		return err
+		err = ErrClosed
+	} else if d.bgState == bgReadOnly {
+		err = d.readOnlyErrLocked()
 	}
 	hadWork := !d.mem.Empty() || len(d.imm) > 0
-	var err error
-	if hadWork {
-		err = d.sealMemTableLocked()
-		d.storeMemGaugesLocked()
+	d.mu.RUnlock()
+	if err == nil && hadWork {
+		err = d.sealMemTable()
 	}
-	d.mu.Unlock()
 	d.commitMu.Unlock()
 	if err != nil || !hadWork {
 		return err
@@ -800,6 +806,8 @@ func (d *DB) Close() error {
 
 	d.commitMu.Lock()
 	defer d.commitMu.Unlock()
+	// Groups already past their append stage publish before the DB closes.
+	d.drainLocked()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -814,12 +822,14 @@ func (d *DB) Close() error {
 		d.wg.Wait()
 	}
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if err := d.log.Close(); err != nil {
 		return err
 	}
-	return d.saveManifestLocked()
+	d.mu.Lock()
+	obsolete, err := d.saveManifestLocked()
+	d.mu.Unlock()
+	d.removeTables(obsolete)
+	return err
 }
 
 // IOStats returns cumulative file I/O counters. ReadOps counts device read

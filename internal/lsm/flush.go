@@ -138,12 +138,13 @@ func (d *DB) flushImm() error {
 	d.metrics.flushedBytes.Add(int64(meta.Size))
 	d.imm = d.imm[1:]
 	d.storeMemGaugesLocked()
-	saveErr := d.saveManifestLocked()
+	obsolete, saveErr := d.saveManifestLocked()
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 	if saveErr != nil {
 		return saveErr
 	}
+	d.removeTables(obsolete)
 
 	// The manifest no longer lists this WAL; its contents live in the
 	// flushed table. A crash before this Remove just replays it redundantly

@@ -89,22 +89,29 @@ func (d *DB) gcFilesLocked() {
 		d.tc.evict(fn)
 		// Deferred, not deleted: the on-disk manifest may still reference
 		// this file. Physical removal happens after the next successful
-		// manifest save (deleteObsoleteFiles) — a crash in between must
+		// manifest save (takeDeletable) — a crash in between must
 		// recover from a manifest whose whole file set is still present.
 		d.deletable = append(d.deletable, fn)
 	}
 }
 
-// deleteObsoleteFiles physically removes files queued by the version GC.
-// Called only after a manifest that no longer references them has been
-// durably saved; anything queued afterwards waits for the next save (or, if
-// the process dies first, for the orphan sweep on reopen).
-func (d *DB) deleteObsoleteFiles() {
+// takeDeletable hands over the files queued by the version GC. Called by
+// saveManifestLocked right after a manifest that no longer references them
+// has been durably saved; anything queued afterwards waits for the next save
+// (or, if the process dies first, for the orphan sweep on reopen).
+func (d *DB) takeDeletable() []uint64 {
 	d.verMu.Lock()
+	defer d.verMu.Unlock()
 	pending := d.deletable
 	d.deletable = nil
-	d.verMu.Unlock()
-	for _, fn := range pending {
+	return pending
+}
+
+// removeTables physically removes table files taken by takeDeletable. It
+// runs with no engine lock held: on a real file system each removal is a
+// directory update the device must persist.
+func (d *DB) removeTables(nums []uint64) {
+	for _, fn := range nums {
 		// Removal failures are harmless (the file may already be gone);
 		// the next reopen's orphan sweep retries.
 		_ = d.fs.Remove(sstPath(d.opts.Dir, fn))

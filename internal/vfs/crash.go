@@ -20,6 +20,11 @@ var ErrCrashed = errors.New("vfs: simulated crash")
 // only become *durable* when the file is synced: each path carries a durable
 // snapshot that Sync refreshes with the file's full current contents.
 //
+// Syncs may overlap each other and writes to the same file. A Sync makes
+// durable the bytes present when it began — not bytes another goroutine
+// appends while it runs — and the durable length only grows, so an earlier
+// sync finishing after a later one cannot shrink it.
+//
 // A crash can be triggered two ways:
 //
 //   - ArmCrash(n): the first n durability-relevant operations (Create,
@@ -344,7 +349,15 @@ func allFiles(fs FS, root string) []string {
 // readAll reads a file's entire contents via Size+ReadAt.
 func readAll(f File) []byte {
 	size, err := f.Size()
-	if err != nil || size == 0 {
+	if err != nil {
+		return nil
+	}
+	return readPrefix(f, size)
+}
+
+// readPrefix reads the first size bytes of f.
+func readPrefix(f File, size int64) []byte {
+	if size == 0 {
 		return nil
 	}
 	buf := make([]byte, size)
@@ -387,12 +400,19 @@ func (f *crashFile) Sync() error {
 	if err := f.fs.op(); err != nil {
 		return err
 	}
+	// What this sync covers is fixed when it begins.
+	size, err := f.File.Size()
+	if err != nil {
+		return err
+	}
 	if err := f.File.Sync(); err != nil {
 		return err
 	}
-	data := readAll(f.File)
+	data := readPrefix(f.File, size)
 	f.fs.mu.Lock()
-	f.st.durable = data
+	if len(data) >= len(f.st.durable) {
+		f.st.durable = data
+	}
 	f.fs.mu.Unlock()
 	return nil
 }

@@ -30,38 +30,57 @@ type Record struct {
 	Value []byte
 }
 
-// Writer appends records to a log file.
+// Writer appends records to a log file. Records are framed into the
+// writer's buffer by Add and reach the file with one Write per Flush, so a
+// write group costs one device write however many records it carries.
+//
+// Add, Flush and Close must not run concurrently with each other; Sync may
+// run concurrently with any of them except Close.
 type Writer struct {
 	f      vfs.File
-	buf    []byte
+	buf    []byte // framed records added since the last Flush
 	closed bool
 }
 
 // NewWriter wraps f, which should be empty or freshly created.
 func NewWriter(f vfs.File) *Writer { return &Writer{f: f} }
 
-// Append writes one record. It does not sync; call Sync for durability.
-func (w *Writer) Append(rec Record) error {
+// Add frames rec onto the writer's buffer. Nothing reaches the file until
+// Flush.
+func (w *Writer) Add(rec Record) {
+	hdr := len(w.buf)
+	w.buf = append(w.buf, make([]byte, 8)...)
+	w.buf = binary.AppendUvarint(w.buf, rec.Seq)
+	w.buf = append(w.buf, byte(rec.Kind))
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(rec.Key)))
+	w.buf = append(w.buf, rec.Key...)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(rec.Value)))
+	w.buf = append(w.buf, rec.Value...)
+	payload := w.buf[hdr+8:]
+	binary.LittleEndian.PutUint32(w.buf[hdr:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(w.buf[hdr+4:], uint32(len(payload)))
+}
+
+// Flush writes every record added since the last Flush with one Write call.
+// It does not sync; call Sync for durability. The buffer is emptied even on
+// failure: the caller fails those records as a unit.
+func (w *Writer) Flush() error {
+	buf := w.buf
+	w.buf = w.buf[:0]
 	if w.closed {
 		return ErrClosed
 	}
-	payload := w.buf[:0]
-	payload = binary.AppendUvarint(payload, rec.Seq)
-	payload = append(payload, byte(rec.Kind))
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Key)))
-	payload = append(payload, rec.Key...)
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Value)))
-	payload = append(payload, rec.Value...)
-	w.buf = payload
-
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], crc32.Checksum(payload, crcTable))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		return err
+	if len(buf) == 0 {
+		return nil
 	}
-	_, err := w.f.Write(payload)
+	_, err := w.f.Write(buf)
 	return err
+}
+
+// Append writes one record: Add, then Flush.
+func (w *Writer) Append(rec Record) error {
+	w.Add(rec)
+	return w.Flush()
 }
 
 // Sync flushes the log to stable storage.

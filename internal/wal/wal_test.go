@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"adcache/internal/keys"
@@ -143,4 +146,45 @@ func TestLargeValues(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestGroupIsOneWriteInTheRecordFormat: Add+Flush writes a group of records
+// with one Write, in exactly the bytes of the record format — each frame
+// crc32c(payload) | len(payload) | payload, little-endian, back to back.
+func TestGroupIsOneWriteInTheRecordFormat(t *testing.T) {
+	for _, n := range []int{1, 64} {
+		cfs := vfs.NewCounting(vfs.NewMem())
+		f, _ := cfs.Create("wal")
+		w := NewWriter(f)
+		var want []byte
+		for i := 0; i < n; i++ {
+			rec := Record{Seq: uint64(1000 + i), Kind: keys.KindSet, Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte(fmt.Sprintf("value-%d", i))}
+			if i%5 == 4 {
+				rec.Kind, rec.Value = keys.KindDelete, nil
+			}
+			w.Add(rec)
+			payload := binary.AppendUvarint(nil, rec.Seq)
+			payload = append(payload, byte(rec.Kind))
+			payload = binary.AppendUvarint(payload, uint64(len(rec.Key)))
+			payload = append(payload, rec.Key...)
+			payload = binary.AppendUvarint(payload, uint64(len(rec.Value)))
+			payload = append(payload, rec.Value...)
+			want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+			want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+			want = append(want, payload...)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := cfs.Stats.WriteOps.Load(); got != 1 {
+			t.Fatalf("group of %d records: %d writes, want 1", n, got)
+		}
+		got := make([]byte, len(want))
+		if _, err := f.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if size, _ := f.Size(); size != int64(len(want)) || !bytes.Equal(got, want) {
+			t.Fatalf("group of %d records: bytes differ from the record format", n)
+		}
+	}
 }
