@@ -17,12 +17,14 @@ import (
 // winner becomes the group leader and drains the whole queue into one group,
 // which passes through three stages:
 //
-//  1. Append, under commitMu: backpressure, WAL rotation when the memtable is
-//     full, sequence allocation, one WAL write for every record of the group,
-//     and a place at the tail of the publish chain.
-//  2. Sync, under no engine lock: the group's own log.Sync covers its records,
-//     which were written before the sync began. Several groups can be here at
-//     once, so one group's fsync overlaps the next one's.
+//  1. Append, under commitMu: backpressure, a sync slot (at most
+//     maxSyncsInFlight groups sync at once), sequence allocation, one WAL
+//     write for every record of the group, and a place at the tail of the
+//     publish chain. The queue is drained only once the slot is held, so
+//     every writer that arrived while the leader waited joins its group.
+//  2. Sync, under no engine lock: the group's own log.Sync covers its
+//     records, which were written before the sync began. commitMu is free,
+//     so the next group appends and syncs while this one is in flight.
 //  3. Publish, strictly in sequence order: the group waits until its
 //     predecessor has published (or failed), then applies to the memtable
 //     under the exclusive mu and advances lastSeq. A reader therefore never
@@ -32,11 +34,25 @@ import (
 // waits for that group's outcome without doing any work — the coalescing
 // that turns N contending writers into one WAL write and one fsync.
 //
+// The leader of the group that filled the memtable rotates the WAL once the
+// group has published: it drains the chain under commitMu, so no record in
+// the old log is applied to the new memtable, then seals.
+//
 // Failure rule: a failed sync fails its group and every later group that had
 // already appended when the failure was seen; groups appended afterwards are
 // unaffected. Flush, Close and WAL rotation drain the chain before they touch
-// the log or the memtable. InlineCompaction keeps all three stages under
-// commitMu, so its seal points stay those of the single-threaded engine.
+// the log or the memtable. InlineCompaction keeps all three stages and the
+// seal under commitMu, so its seal points stay those of the single-threaded
+// engine.
+
+// maxSyncsInFlight bounds the groups in their WAL sync at once. Two let one
+// group's sync overlap the next one's. A leader that finds both slots taken
+// waits for one while holding commitMu, so the writers arriving meanwhile
+// queue up behind it and share its sync. With no bound, each of N contending
+// writers would lead a group of one and pay an fsync of its own. Even two
+// cost throughput on a device that serialises flushes (DESIGN.md, "Device
+// assumption, measured").
+const maxSyncsInFlight = 2
 
 // commitWaiter carries one writer's operations into a write group.
 type commitWaiter struct {
@@ -64,8 +80,11 @@ type writeGroup struct {
 	// seen. A later group starting at or below it fails too.
 	poison uint64
 	// full reports the active memtable at or past its flush threshold after
-	// the group's apply (read by inline mode's seal).
+	// the group's apply: its leader then seals.
 	full bool
+	// wait is the leader's time blocked on other groups: for commitMu, for
+	// a sync slot, for its predecessor to publish.
+	wait time.Duration
 }
 
 // commit batches ops into the next write group and blocks until the group
@@ -86,24 +105,16 @@ func (d *DB) commit(ops []batchOp) error {
 	d.pendMu.Unlock()
 
 	d.commitMu.Lock()
-	// Everything up to acquiring commitMu is time spent waiting on other
-	// groups' append stages (the group-commit queueing delay).
-	d.metrics.commitWait.ObserveSince(start)
 	if g := w.group; g != nil {
-		// An earlier leader took us into its group.
+		// An earlier leader took us into its group: all of our time is
+		// spent waiting on other writers' work.
 		d.commitMu.Unlock()
 		<-g.done
+		d.metrics.commitWait.ObserveSince(start)
 		return g.err
 	}
-	// We are the leader: take everything queued so far as one group.
-	d.pendMu.Lock()
-	g := &writeGroup{waiters: d.pending, done: make(chan struct{})}
-	d.pending = nil
-	d.pendMu.Unlock()
-	for _, x := range g.waiters {
-		x.group = g
-	}
-
+	// We are the leader.
+	g := &writeGroup{done: make(chan struct{}), wait: time.Since(start)}
 	inline := d.opts.InlineCompaction
 	err := d.appendGroup(g)
 	if !inline {
@@ -112,6 +123,7 @@ func (d *DB) commit(ops []batchOp) error {
 	if err == nil {
 		err = d.syncAndPublish(g)
 	}
+	d.metrics.commitWait.Observe(int64(g.wait))
 	if inline {
 		if err == nil && g.full {
 			// The single-threaded seal point: right after the apply that
@@ -122,8 +134,13 @@ func (d *DB) commit(ops []batchOp) error {
 			}
 		}
 		d.commitMu.Unlock()
+		g.finish(err)
+		return err
 	}
 	g.finish(err)
+	if err == nil && g.full {
+		err = d.rotate()
+	}
 	return err
 }
 
@@ -134,28 +151,34 @@ func (g *writeGroup) finish(err error) {
 	close(g.done)
 }
 
-// appendGroup is stage 1: backpressure, rotation, sequence allocation, one
-// WAL write for the whole group, and a place in the publish chain. Nothing
-// is linked into the chain unless every record reached the log. Caller holds
-// commitMu.
+// appendGroup is stage 1: backpressure, a sync slot, the group itself, one
+// WAL write for all of its records, and a place in the publish chain. A
+// failure before the write fails every writer queued so far, as one group;
+// nothing is linked into the chain unless every record reached the log.
+// Caller holds commitMu.
 func (d *DB) appendGroup(g *writeGroup) error {
+	var err error
 	if d.closing.Load() {
-		return ErrClosed
+		err = ErrClosed
+	} else if !d.opts.InlineCompaction {
+		err = d.waitForWriteRoom()
 	}
-	if !d.opts.InlineCompaction {
-		full, err := d.waitForWriteRoom()
-		if err != nil {
-			return err
-		}
-		if full {
-			// Every record in the old log must be applied to the old
-			// memtable: let the groups still in flight publish first.
-			d.drainLocked()
-			if err := d.sealMemTable(); err != nil {
-				return err
-			}
-			d.notifyWorker()
-		}
+	if err == nil {
+		t := time.Now()
+		d.syncSlots <- struct{}{}
+		g.wait += time.Since(t)
+	}
+	// Take the queue only now: writers that arrived while the leader waited
+	// for room or for a slot join its group and share its sync.
+	d.pendMu.Lock()
+	g.waiters = d.pending
+	d.pending = nil
+	d.pendMu.Unlock()
+	for _, x := range g.waiters {
+		x.group = g
+	}
+	if err != nil {
+		return err
 	}
 
 	for _, x := range g.waiters {
@@ -178,6 +201,7 @@ func (d *DB) appendGroup(g *writeGroup) error {
 		}
 	}
 	if err := d.log.Flush(); err != nil {
+		<-d.syncSlots
 		return err
 	}
 	g.log = d.log
@@ -192,11 +216,16 @@ func (d *DB) appendGroup(g *writeGroup) error {
 func (d *DB) syncAndPublish(g *writeGroup) error {
 	err := g.log.Sync()
 	if err != nil {
+		// Read before the slot is freed, so no group appended after the
+		// failure was seen falls under it.
 		g.poison = d.seqAlloc.Load()
 	}
+	<-d.syncSlots
 	if p := g.prev; p != nil {
 		g.prev = nil
+		t := time.Now()
 		<-p.done
+		g.wait += time.Since(t)
 		if p.err != nil && g.startSeq <= p.poison {
 			g.poison = max(g.poison, p.poison)
 			if err == nil {
@@ -249,12 +278,42 @@ func (d *DB) publish(g *writeGroup) error {
 	}
 	d.metrics.userBytes.Add(userBytes)
 	d.metrics.writeGroups.Inc()
-	// The flush threshold is dynamic when a unified-memory arbiter has set
-	// a budget (SetMemTableBudget): active target = budget − immutable
-	// bytes, floored. A budget shrink never truncates the in-flight
-	// memtable, it just seals it at the next rotation point.
-	g.full = d.mem.ApproximateSize() >= d.activeMemTargetLocked()
+	g.full = d.memFullLocked()
 	d.storeMemGaugesLocked()
+	return nil
+}
+
+// memFullLocked reports the active memtable at or past its flush threshold.
+// The threshold is dynamic when a unified-memory arbiter has set a budget
+// (SetMemTableBudget): active target = budget − immutable bytes, floored. A
+// budget shrink never truncates the in-flight memtable, it just seals it
+// after the next group publishes. Caller holds d.mu, shared or exclusive.
+func (d *DB) memFullLocked() bool {
+	return d.mem.ApproximateSize() >= d.activeMemTargetLocked()
+}
+
+// rotate is background mode's seal point, run by the leader of a group that
+// filled the memtable once the group has published. It drains the chain —
+// the groups still in flight have their records in the old log, so they
+// must reach the old memtable — then seals if the memtable is still full (a
+// concurrent leader may have sealed it first) and wakes the flush worker. A
+// closing or read-only engine skips the seal: the group's writes are durable
+// either way, and the next write reports the state.
+func (d *DB) rotate() error {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	d.drainLocked()
+	d.mu.RLock()
+	_, _, stateErr := d.writePressureLocked()
+	full := stateErr == nil && d.memFullLocked()
+	d.mu.RUnlock()
+	if !full {
+		return nil
+	}
+	if err := d.sealMemTable(); err != nil {
+		return err
+	}
+	d.notifyWorker()
 	return nil
 }
 
@@ -297,18 +356,15 @@ func (d *DB) writePressureLocked() (stop, slowdown bool, err error) {
 // waitForWriteRoom applies write backpressure in background mode. It blocks
 // while the immutable-memtable queue is full or L0 has hit its stop trigger,
 // and applies the paper's slowdown delay while L0 sits between the compact
-// and stop triggers. It also reports whether the active memtable has reached
-// its flush threshold, as of the groups published so far. Caller holds
-// commitMu.
-func (d *DB) waitForWriteRoom() (full bool, err error) {
+// and stop triggers. Caller holds commitMu.
+func (d *DB) waitForWriteRoom() error {
 	// Nearly every group finds room, and finding that out needs only the
 	// shared lock; the exclusive lock (bgCond's) is for groups that stall.
 	d.mu.RLock()
 	stop, slowdown, err := d.writePressureLocked()
-	full = d.mem.ApproximateSize() >= d.activeMemTargetLocked()
 	d.mu.RUnlock()
 	if err != nil || (!stop && !slowdown) {
-		return full, err
+		return err
 	}
 
 	start := time.Now()
@@ -318,7 +374,7 @@ func (d *DB) waitForWriteRoom() (full bool, err error) {
 		stop, slowdown, err = d.writePressureLocked()
 		if err != nil {
 			d.mu.Unlock()
-			return false, err
+			return err
 		}
 		if !stop {
 			break
@@ -335,7 +391,6 @@ func (d *DB) waitForWriteRoom() (full bool, err error) {
 	if slowdown {
 		d.metrics.stallSlowdowns.Inc()
 	}
-	full = d.mem.ApproximateSize() >= d.activeMemTargetLocked()
 	d.mu.Unlock()
 	if slowdown {
 		time.Sleep(l0SlowdownDelay)
@@ -343,7 +398,7 @@ func (d *DB) waitForWriteRoom() (full bool, err error) {
 	if stalled || slowdown {
 		d.metrics.stallNanos.ObserveSince(start)
 	}
-	return full, nil
+	return nil
 }
 
 // sealMemTable moves the active memtable onto the immutable queue and starts

@@ -86,6 +86,9 @@ type DB struct {
 	seqAlloc atomic.Uint64
 	// tail is the latest group to join the publish chain (see commit.go).
 	tail *writeGroup
+	// syncSlots holds one token per group in its WAL sync; its capacity is
+	// maxSyncsInFlight.
+	syncSlots chan struct{}
 
 	// pendMu guards the queue of writers waiting to be committed; the next
 	// leader drains the whole queue into a single group.
@@ -233,6 +236,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.removeOrphans()
 	db.seqAlloc.Store(db.lastSeq)
+	db.syncSlots = make(chan struct{}, maxSyncsInFlight)
 	db.storeMemGaugesLocked() // single-threaded: no other goroutine yet
 	if !opts.InlineCompaction {
 		db.bgWork = make(chan struct{}, 1)

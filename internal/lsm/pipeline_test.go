@@ -14,7 +14,8 @@ import (
 )
 
 // This file tests the pipelined commit (commit.go): WAL syncs of successive
-// groups overlap, groups publish in sequence order, a rotation drains the
+// groups overlap, at most maxSyncsInFlight at once, groups publish in
+// sequence order, a rotation drains the
 // groups in flight, a failed sync fails the groups behind it, one WAL write
 // carries a whole group, and table removal runs outside the engine lock.
 
@@ -65,6 +66,22 @@ func (g *walGate) next(t *testing.T, what string) chan error {
 		t.Fatalf("%s: no WAL sync started", what)
 		return nil
 	}
+}
+
+// open disarms the gate and, for a while, releases every sync that parks
+// late, so a failing test can still close its DB.
+func (g *walGate) open() {
+	g.armed.Store(false)
+	go func() {
+		for {
+			select {
+			case r := <-g.parked:
+				r <- nil
+			case <-time.After(time.Second):
+				return
+			}
+		}
+	}()
 }
 
 // putAsync runs db.Put in a goroutine and returns its result channel.
@@ -124,6 +141,63 @@ func TestSyncsOverlap(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSyncsInFlightBounded: with maxSyncsInFlight (two) groups in their
+// syncs, the next leader waits for a slot before it takes the queue, so the writers
+// arriving meanwhile share one group and one sync instead of each leading a
+// group and paying a sync of its own.
+func TestSyncsInFlightBounded(t *testing.T) {
+	gate := newWALGate(vfs.NewMem())
+	db := mustOpen(t, testOptions(gate))
+	defer db.Close()
+
+	r1, r2, first, second := parkTwo(t, db, gate)
+	groups := db.Metrics().WriteGroups
+	gate.armed.Store(true)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		gate.open()
+		r1 <- nil
+		r2 <- nil
+		t.Fatalf(format, args...)
+	}
+	var later []chan error
+	for i := 3; i <= 6; i++ {
+		later = append(later, putAsync(db, key(i), val(i)))
+	}
+	// One of the four holds commitMu waiting for a slot; all four are queued.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		db.pendMu.Lock()
+		n := len(db.pending)
+		db.pendMu.Unlock()
+		if n == len(later) {
+			break
+		}
+		if time.Now().After(deadline) {
+			fail("%d of %d writers queued behind the two syncs in flight", n, len(later))
+		}
+	}
+	select {
+	case r := <-gate.parked:
+		r <- nil
+		fail("a third WAL sync started while two were in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	r1 <- nil // frees a slot: the four queued writers go as one group
+	r3 := gate.next(t, "the queued writers' group")
+	gate.armed.Store(false)
+	r2 <- nil
+	r3 <- nil
+	for i, done := range append([]chan error{first, second}, later...) {
+		if err := <-done; err != nil {
+			t.Fatalf("Put %d: %v", i+1, err)
+		}
+	}
+	if got := db.Metrics().WriteGroups - groups; got != 3 {
+		t.Fatalf("%d write groups for two groups in flight plus four queued writers, want 3", got)
 	}
 }
 
@@ -350,9 +424,28 @@ func TestTableRemovalOffLock(t *testing.T) {
 	}
 }
 
-// TestCrashRotationUnderLoad: a leader that finds the memtable full while
-// another group is in flight must let that group publish into the old
-// memtable before it seals; after a crash every acked write is back.
+// TestFillingPutSeals: in background mode the Put whose group fills the
+// memtable seals it before returning, so a burst of writes that stops right
+// there leaves no over-threshold memtable waiting for a next write.
+func TestFillingPutSeals(t *testing.T) {
+	db := mustOpen(t, testOptions(vfs.NewMem()))
+	defer db.Close()
+	for i := 0; i < 2000; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		if mem, target := db.memBytes.Load(), db.memTarget.Load(); mem >= target {
+			t.Fatalf("after Put %d the active memtable holds %d bytes, threshold %d", i, mem, target)
+		}
+	}
+	if m := db.Metrics(); m.ImmMemTables == 0 && m.Flushes == 0 {
+		t.Fatal("2000 puts never filled a memtable")
+	}
+}
+
+// TestCrashRotationUnderLoad: the group that fills the memtable seals it only
+// after every group still in flight on the old log has published into the
+// old memtable; after a crash every acked write is back.
 func TestCrashRotationUnderLoad(t *testing.T) {
 	cfs := vfs.NewCrash(vfs.NewMem())
 	gate := newWALGate(cfs)
@@ -367,22 +460,17 @@ func TestCrashRotationUnderLoad(t *testing.T) {
 		}
 	}
 
-	gate.armed.Store(true)
-	inFlight := putAsync(db, key(100), val(100))
-	r1 := gate.next(t, "in-flight group")
-	db.SetMemTableBudget(1) // the active memtable is now past its threshold
-	sealer := putAsync(db, key(101), val(101))
-	if !pending(sealer) {
-		t.Fatalf("sealing Put returned (%v) while a group was in flight on the old log", <-sealer)
+	db.SetMemTableBudget(1) // the next group to publish finds the memtable full
+	r1, r2, filler, inFlight := parkTwo(t, db, gate)
+	r1 <- nil // the filling group publishes, then rotates
+	if !pending(filler) {
+		t.Fatalf("filling Put returned (%v) while a group was in flight on the old log", <-filler)
 	}
 	if m := db.Metrics(); m.ImmMemTables != 0 || m.Flushes != 0 {
 		t.Fatalf("sealed before the in-flight group published: %d immutable, %d flushes", m.ImmMemTables, m.Flushes)
 	}
-	r1 <- nil
-	r2 := gate.next(t, "sealing group on the new log")
-	gate.armed.Store(false)
 	r2 <- nil
-	for _, done := range []chan error{inFlight, sealer} {
+	for _, done := range []chan error{filler, inFlight} {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -390,12 +478,15 @@ func TestCrashRotationUnderLoad(t *testing.T) {
 	if m := db.Metrics(); m.ImmMemTables+int(m.Flushes) != 1 {
 		t.Fatalf("after rotation: %d immutable, %d flushes, want one seal", m.ImmMemTables, m.Flushes)
 	}
+	if err := db.Put(key(100), val(100)); err != nil { // on the new log
+		t.Fatal(err)
+	}
 
 	img := cfs.Crash(vfs.CrashOptions{})
 	db.Close()
 	db2 := mustOpen(t, testOptions(img))
 	defer db2.Close()
-	for i := 0; i <= 101; i++ {
+	for i := 0; i <= 100; i++ {
 		if i == 50 {
 			i = 100 // keys 50..99 were never written
 		}

@@ -32,7 +32,7 @@ func TestCrashTornTailReplay(t *testing.T) {
 		}
 		w := NewWriter(f)
 		for i := 0; i < total; i++ {
-			if err := w.Append(crashRec(i)); err != nil {
+			if err := add(w, crashRec(i)); err != nil {
 				t.Fatalf("seed %d: append %d: %v", seed, i, err)
 			}
 			if i == synced-1 {
@@ -85,7 +85,7 @@ func TestCrashDiscardsUnsyncedTail(t *testing.T) {
 	}
 	w := NewWriter(f)
 	for i := 0; i < total; i++ {
-		if err := w.Append(crashRec(i)); err != nil {
+		if err := add(w, crashRec(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		if i == synced-1 {

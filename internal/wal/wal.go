@@ -77,12 +77,6 @@ func (w *Writer) Flush() error {
 	return err
 }
 
-// Append writes one record: Add, then Flush.
-func (w *Writer) Append(rec Record) error {
-	w.Add(rec)
-	return w.Flush()
-}
-
 // Sync flushes the log to stable storage.
 func (w *Writer) Sync() error { return w.f.Sync() }
 

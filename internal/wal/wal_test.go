@@ -11,6 +11,12 @@ import (
 	"adcache/internal/vfs"
 )
 
+// add writes one record as a group of one: Add, then Flush.
+func add(w *Writer, rec Record) error {
+	w.Add(rec)
+	return w.Flush()
+}
+
 func TestAppendReplay(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
@@ -22,7 +28,7 @@ func TestAppendReplay(t *testing.T) {
 			Key:   []byte(fmt.Sprintf("key%03d", i)),
 			Value: []byte(fmt.Sprintf("val%03d", i)),
 		}
-		if err := w.Append(rec); err != nil {
+		if err := add(w, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +63,7 @@ func TestDeleteRecords(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
-	w.Append(Record{Seq: 1, Kind: keys.KindDelete, Key: []byte("k")})
+	add(w, Record{Seq: 1, Kind: keys.KindDelete, Key: []byte("k")})
 	w.Close()
 	g, _ := fs.Open("wal")
 	Replay(g, func(r Record) error {
@@ -73,7 +79,7 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
 	for i := 0; i < 10; i++ {
-		w.Append(Record{Seq: uint64(i + 1), Kind: keys.KindSet, Key: []byte("k"), Value: []byte("v")})
+		add(w, Record{Seq: uint64(i + 1), Kind: keys.KindSet, Key: []byte("k"), Value: []byte("v")})
 	}
 	w.Sync()
 	// Simulate a torn write: append garbage that looks like a frame header
@@ -94,9 +100,9 @@ func TestCorruptPayloadStopsCleanly(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
-	w.Append(Record{Seq: 1, Kind: keys.KindSet, Key: []byte("good"), Value: []byte("v")})
+	add(w, Record{Seq: 1, Kind: keys.KindSet, Key: []byte("good"), Value: []byte("v")})
 	sizeAfterFirst, _ := f.Size()
-	w.Append(Record{Seq: 2, Kind: keys.KindSet, Key: []byte("bad"), Value: []byte("v")})
+	add(w, Record{Seq: 2, Kind: keys.KindSet, Key: []byte("bad"), Value: []byte("v")})
 	// Corrupt one payload byte of the second record.
 	f.WriteAt([]byte{0xFF}, sizeAfterFirst+9)
 	g, _ := fs.Open("wal")
@@ -112,7 +118,7 @@ func TestAppendAfterClose(t *testing.T) {
 	f, _ := fs.Create("wal")
 	w := NewWriter(f)
 	w.Close()
-	if err := w.Append(Record{Seq: 1}); err != ErrClosed {
+	if err := add(w, Record{Seq: 1}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	if err := w.Close(); err != nil {
@@ -137,7 +143,7 @@ func TestLargeValues(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	w.Append(Record{Seq: 1, Kind: keys.KindSet, Key: []byte("k"), Value: big})
+	add(w, Record{Seq: 1, Kind: keys.KindSet, Key: []byte("k"), Value: big})
 	w.Close()
 	g, _ := fs.Open("wal")
 	Replay(g, func(r Record) error {
