@@ -13,6 +13,12 @@
 // Against a node started without cluster flags the client runs in
 // single-node mode: no map, every request to the one seed address.
 //
+// Every operation takes one path: retry runs the operation's attempts, and
+// each attempt reaches a node through send — breaker, per-attempt deadline,
+// epoch header, hedging for reads, envelope decoding. Get, Put, Delete, each
+// node's share of a Batch and each node's Scan stream differ only in the
+// request they describe.
+//
 // Consistency contract: a rebalance fences the old owner before the new
 // owner accepts a key, so an acked write is never lost across a shard
 // move; during the move itself requests to the moving shard retry with
@@ -66,21 +72,22 @@ type Op struct {
 
 // Stats is a point-in-time snapshot of the client's routing behavior —
 // the observable the cluster tests assert on (bounded retries, zero
-// unexpected errors).
+// unexpected errors). Counters count attempts: one request to one node, or
+// for a Batch one round that sends every still-unacked node group.
 type Stats struct {
 	// Epoch is the client's current shard-map epoch (0 in single-node mode).
 	Epoch uint64
-	// WrongShardRetries counts requests re-sent after a WRONG_SHARD answer.
+	// WrongShardRetries counts attempts answered WRONG_SHARD and re-sent.
 	WrongShardRetries int64
 	// MapRefreshes counts shard-map fetches after the initial bootstrap.
 	MapRefreshes int64
-	// RetryableErrors counts attempts that failed retryably — transport
-	// errors, per-attempt timeouts, open breakers — and were retried.
+	// RetryableErrors counts attempts that failed retryably otherwise —
+	// transport errors, per-attempt timeouts, open breakers, response
+	// bodies cut short — and were retried.
 	RetryableErrors int64
 	// TerminalErrors counts calls that ended in a terminal error (an
-	// envelope other than WRONG_SHARD/NOT_FOUND, the caller's context
-	// ending, or a response body that died mid-read once the caller's
-	// context was already gone).
+	// envelope other than WRONG_SHARD/NOT_FOUND, or the caller's context
+	// ending).
 	TerminalErrors int64
 	// BreakerOpens and BreakerCloses count per-node circuit-breaker
 	// transitions; a close after an open is the recovery signal chaos
@@ -149,7 +156,7 @@ func WithHedgedReads(delay time.Duration) Option { return func(c *Client) { c.he
 // the JSON encode/decode cost, and values round-trip as raw bytes
 // (arbitrary binary survives; JSON degrades invalid UTF-8 to U+FFFD).
 // Requires servers that speak the codec; older servers answer 400.
-func WithBinary() Option { return func(c *Client) { c.binary = true } }
+func WithBinary() Option { return func(c *Client) { c.codec = binCodec{} } }
 
 // Client is a shard-map-caching, routing, retrying cluster client. Safe
 // for concurrent use.
@@ -162,7 +169,7 @@ type Client struct {
 	reqTimeout time.Duration
 	hedgeDelay time.Duration
 	jitterSeed int64
-	binary     bool
+	codec      codec
 
 	breakerThreshold int
 	breakerCooldown  time.Duration
@@ -198,6 +205,7 @@ func New(seeds []string, opts ...Option) (*Client, error) {
 		seeds:            append([]string(nil), seeds...),
 		maxRetries:       20,
 		backoff:          5 * time.Millisecond,
+		codec:            jsonCodec{},
 		breakerThreshold: 5,
 		breakerCooldown:  200 * time.Millisecond,
 		breakers:         map[string]*breaker{},
@@ -222,8 +230,7 @@ func New(seeds []string, opts ...Option) (*Client, error) {
 			c.cur.Store(m)
 			return c, nil
 		}
-		var env *api.Envelope
-		if errors.As(err, &env) && env.Code == api.CodeNotFound {
+		if code(err) == api.CodeNotFound {
 			return c, nil // single-node mode
 		}
 		lastErr = err
@@ -257,7 +264,9 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// fetchMap GETs /v1/shardmap from addr.
+// fetchMap GETs /v1/shardmap from addr. It is the control plane's one
+// request and bypasses send: the map decides routing, so fetching it must
+// not itself depend on a map, a breaker or a retry budget.
 func (c *Client) fetchMap(ctx context.Context, addr string) (*cluster.ShardMap, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/shardmap", nil)
 	if err != nil {
@@ -331,9 +340,9 @@ func (c *Client) route(key []byte) string {
 	return c.seeds[0]
 }
 
-// decodeEnvelope turns a non-2xx response into an *api.Envelope error
+// decodeEnvelope turns a non-2xx response into its *api.Envelope
 // (synthesizing one when the body is not an envelope).
-func decodeEnvelope(resp *http.Response) error {
+func decodeEnvelope(resp *http.Response) *api.Envelope {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var env api.Envelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Code != "" {
@@ -345,99 +354,59 @@ func decodeEnvelope(resp *http.Response) error {
 	}
 }
 
-// do executes one keyed request with WRONG_SHARD/transport retries.
-// build makes the request for the currently routed address; handle
-// consumes a 2xx response; hedge marks the request idempotent and
-// eligible for hedged execution (WithHedgedReads). Retryable failures
-// (transport errors, per-attempt timeouts, open breakers, WRONG_SHARD)
-// back off with full jitter and go again; terminal answers (any other
-// envelope, or the caller's context ending) return immediately.
-func (c *Client) do(ctx context.Context, key []byte, hedge bool, build func(addr string) (*http.Request, error), handle func(*http.Response) error) error {
-	var lastErr error
+// code returns the envelope code err carries, or "" when it carries none.
+func code(err error) string {
+	var env *api.Envelope
+	if err != nil && errors.As(err, &env) {
+		return env.Code
+	}
+	return ""
+}
+
+// call is one data-plane request, described independently of the node it
+// is sent to: a single-key request, one node's share of a Batch, or one
+// node's Scan stream.
+type call struct {
+	method string
+	path   string // path and query
+	body   []byte
+	ctype  string // Content-Type of body
+	accept string
+	read   bool // an idempotent read: hedged under WithHedgedReads
+}
+
+// retry runs one operation: try makes an attempt, retry decides what
+// follows. Success and terminal errors (IsRetryable false: an envelope
+// other than WRONG_SHARD, the caller's context ending) return at once;
+// retryable ones (transport failures, attempt timeouts, open breakers,
+// cut bodies, WRONG_SHARD) back off with full jitter and go again, at
+// most WithMaxRetries times. NOT_FOUND is an answer, not an error, so it
+// returns uncounted.
+func (c *Client) retry(ctx context.Context, try func() error) error {
+	var err error
 	for attempt := 0; attempt <= c.maxRetries; attempt++ {
 		if attempt > 0 {
-			if err := c.sleep(ctx, attempt); err != nil {
+			if serr := c.sleep(ctx, attempt); serr != nil {
 				c.terminalErrs.Add(1)
-				return fmt.Errorf("client: request abandoned after %d attempts: %w", attempt, err)
+				return fmt.Errorf("client: request abandoned after %d attempts: %w", attempt, serr)
 			}
 		}
-		if err := ctx.Err(); err != nil {
-			c.terminalErrs.Add(1)
+		if err = try(); err == nil {
+			return nil
+		}
+		if !IsRetryable(err) {
+			if code(err) != api.CodeNotFound {
+				c.terminalErrs.Add(1)
+			}
 			return err
 		}
-		addr := c.route(key)
-		if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
-			// The node is believed down: skip dialing it, back off, and
-			// let a half-open probe test it. A retryable non-event, not a
-			// user-visible failure — if the map moves the key elsewhere
-			// meanwhile, the next attempt routes there.
-			c.retryableErrs.Add(1)
-			lastErr = fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
-			continue
-		}
-		resp, release, err := c.roundTrip(ctx, addr, build, hedge)
-		if err != nil {
-			if ctx.Err() == nil {
-				c.noteTransport(addr, false)
-			} else {
-				// The caller's context ended mid-attempt: that says
-				// nothing about the node's health, so release any probe
-				// slot without charging the breaker — repeated short
-				// caller deadlines must not open it.
-				c.breakerFor(addr).abandonProbe()
-			}
-			if !IsRetryable(err) {
-				c.terminalErrs.Add(1)
-				return err
-			}
-			c.retryableErrs.Add(1)
-			lastErr = err
-			continue
-		}
-		c.noteTransport(addr, true)
-		c.noteEpochHeader(ctx, resp, addr)
-		if resp.StatusCode/100 == 2 {
-			herr := handle(resp)
-			resp.Body.Close()
-			release()
-			if herr == nil {
-				return nil
-			}
-			// A 2xx whose body died mid-read (connection reset,
-			// truncated stream, the attempt deadline firing while
-			// streaming) is a transport-class failure, not an answer:
-			// retry idempotent reads; writes never error in handle, so
-			// the terminal path below is reached only once the caller's
-			// own context has ended.
-			if hedge && ctx.Err() == nil {
-				c.retryableErrs.Add(1)
-				lastErr = herr
-				continue
-			}
-			c.terminalErrs.Add(1)
-			return herr
-		}
-		envErr := decodeEnvelope(resp)
-		resp.Body.Close()
-		release()
-		var env *api.Envelope
-		if errors.As(envErr, &env) && env.Code == api.CodeWrongShard {
+		if code(err) == api.CodeWrongShard {
 			c.retries.Add(1)
-			lastErr = envErr
-			// The rejecting node is ahead of us: adopt its map and go
-			// again immediately. A node *behind* us (mid-publish) just
-			// needs time — fall through to the backoff.
-			if env.Epoch > c.Epoch() {
-				c.refreshFrom(ctx, addr)
-			}
-			continue
+		} else {
+			c.retryableErrs.Add(1)
 		}
-		if env == nil || env.Code != api.CodeNotFound {
-			c.terminalErrs.Add(1) // NOT_FOUND is an answer, not an error
-		}
-		return envErr
 	}
-	return fmt.Errorf("client: retries exhausted for key %q: %w", key, lastErr)
+	return fmt.Errorf("client: retries exhausted after %d attempts: %w", c.maxRetries+1, err)
 }
 
 // sleep waits the attempt-th jittered backoff, or returns the caller's
@@ -457,6 +426,72 @@ func (c *Client) sleep(ctx context.Context, attempt int) error {
 	}
 }
 
+// send makes one attempt of r against addr; it is the only way a data
+// request reaches a node. It consults addr's breaker, runs the exchange
+// under the per-attempt deadline (hedged for reads), feeds the transport
+// outcome to the breaker and watches the answer's epoch header. A 2xx
+// comes back with its body open and a release func that closes it and
+// ends the attempt; any other status comes back as its *api.Envelope,
+// after a WRONG_SHARD from a node ahead of the client refreshed the map.
+func (c *Client) send(ctx context.Context, addr string, r *call) (*http.Response, func(), error) {
+	b := c.breakerFor(addr)
+	if !b.allow(time.Now(), c.breakerCooldown) {
+		// The node is believed down: skip dialing it, back off, and let a
+		// half-open probe test it. If the map moves the key elsewhere
+		// meanwhile, the next attempt routes there.
+		return nil, nil, fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
+	}
+	resp, release, err := c.roundTrip(ctx, addr, r)
+	if err != nil {
+		if ctx.Err() == nil {
+			c.noteTransport(b, false)
+		} else {
+			// The caller's context ended mid-attempt: that says nothing
+			// about the node's health, so release any probe slot without
+			// charging the breaker — repeated short caller deadlines must
+			// not open it.
+			b.abandonProbe()
+		}
+		return nil, nil, err
+	}
+	c.noteTransport(b, true)
+	c.noteEpochHeader(ctx, resp, addr)
+	if resp.StatusCode/100 == 2 {
+		return resp, release, nil
+	}
+	env := decodeEnvelope(resp)
+	release()
+	// A WRONG_SHARD node ahead of us has the map we need: adopt it before
+	// the retry. A node *behind* us (mid-publish) just needs time.
+	if env.Code == api.CodeWrongShard && env.Epoch > c.Epoch() {
+		c.refreshFrom(ctx, addr)
+	}
+	return nil, nil, env
+}
+
+// transmit builds r for addr under the attempt context actx and performs
+// the HTTP exchange.
+func (c *Client) transmit(actx context.Context, addr string, r *call) (*http.Response, error) {
+	var body io.Reader
+	if r.body != nil {
+		body = bytes.NewReader(r.body)
+	}
+	req, err := http.NewRequestWithContext(actx, r.method, "http://"+addr+r.path, body)
+	if err != nil {
+		return nil, err
+	}
+	if r.ctype != "" {
+		req.Header.Set("Content-Type", r.ctype)
+	}
+	if r.accept != "" {
+		req.Header.Set("Accept", r.accept)
+	}
+	if e := c.Epoch(); e > 0 {
+		req.Header.Set(api.HeaderEpoch, strconv.FormatUint(e, 10))
+	}
+	return c.httpc.Do(req)
+}
+
 // noteEpochHeader watches response routing headers for evidence of a
 // newer map and refreshes passively.
 func (c *Client) noteEpochHeader(ctx context.Context, resp *http.Response, addr string) {
@@ -473,12 +508,24 @@ func (c *Client) noteEpochHeader(ctx context.Context, resp *http.Response, addr 
 	}
 }
 
-// epochHeaderValue renders an epoch for the routing header.
-func epochHeaderValue(e uint64) string { return strconv.FormatUint(e, 10) }
-
-func (c *Client) keyURL(addr string, key []byte) string {
-	return "http://" + addr + "/v1/kv/" + url.PathEscape(string(key))
+// keyed runs a single-key request against key's owner, re-routed on every
+// attempt. consume, when non-nil, reads the 2xx body.
+func (c *Client) keyed(ctx context.Context, key []byte, r *call, consume func(io.Reader) error) error {
+	return c.retry(ctx, func() error {
+		resp, release, err := c.send(ctx, c.route(key), r)
+		if err != nil {
+			return err
+		}
+		defer release()
+		if consume == nil {
+			return nil
+		}
+		return attemptErr(ctx, consume(resp.Body))
+	})
 }
+
+// kvPath is key's single-key resource.
+func kvPath(key []byte) string { return "/v1/kv/" + url.PathEscape(string(key)) }
 
 // Get fetches key. ok is false when the key does not exist.
 func (c *Client) Get(key []byte) (value []byte, ok bool, err error) {
@@ -487,26 +534,18 @@ func (c *Client) Get(key []byte) (value []byte, ok bool, err error) {
 
 // GetCtx is Get with a context.
 func (c *Client) GetCtx(ctx context.Context, key []byte) (value []byte, ok bool, err error) {
-	err = c.do(ctx, key, true,
-		func(addr string) (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, c.keyURL(addr, key), nil)
-		},
-		func(resp *http.Response) error {
-			b, err := io.ReadAll(resp.Body)
-			if err != nil {
-				return err
-			}
-			value, ok = b, true
-			return nil
+	err = c.keyed(ctx, key, &call{method: http.MethodGet, path: kvPath(key), read: true},
+		func(body io.Reader) (rerr error) {
+			value, rerr = io.ReadAll(body)
+			return rerr
 		})
-	var env *api.Envelope
-	if errors.As(err, &env) && env.Code == api.CodeNotFound {
+	if code(err) == api.CodeNotFound {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	return value, ok, nil
+	return value, true, nil
 }
 
 // Put writes key=value. A nil error means the write is acked by the
@@ -517,11 +556,7 @@ func (c *Client) Put(key, value []byte) error {
 
 // PutCtx is Put with a context.
 func (c *Client) PutCtx(ctx context.Context, key, value []byte) error {
-	return c.do(ctx, key, false,
-		func(addr string) (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(addr, key), bytes.NewReader(value))
-		},
-		func(*http.Response) error { return nil })
+	return c.keyed(ctx, key, &call{method: http.MethodPut, path: kvPath(key), body: value}, nil)
 }
 
 // Delete removes key (idempotent).
@@ -531,11 +566,7 @@ func (c *Client) Delete(key []byte) error {
 
 // DeleteCtx is Delete with a context.
 func (c *Client) DeleteCtx(ctx context.Context, key []byte) error {
-	return c.do(ctx, key, false,
-		func(addr string) (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodDelete, c.keyURL(addr, key), nil)
-		},
-		func(*http.Response) error { return nil })
+	return c.keyed(ctx, key, &call{method: http.MethodDelete, path: kvPath(key)}, nil)
 }
 
 // Scan returns up to n entries with key >= start (and < end when end is
@@ -549,44 +580,60 @@ func (c *Client) Scan(start, end []byte, n int) ([]KV, error) {
 // array or binary entry stream, per WithBinary) and merge-sorted on the
 // fly, so the client holds at most one pending entry per node plus the
 // n results — never a node's full response — and cancels the underlying
-// requests as soon as n entries are merged.
+// requests as soon as n entries are merged. Each node's stream is opened
+// like any read — retried until its first entry (or its clean end) has
+// arrived; a stream cut after that fails the scan.
 func (c *Client) ScanCtx(ctx context.Context, start, end []byte, n int) ([]KV, error) {
 	if n <= 0 {
 		n = 16
 	}
+	q := url.Values{}
+	q.Set("start", string(start))
+	if len(end) > 0 {
+		q.Set("end", string(end))
+	}
+	q.Set("n", strconv.Itoa(n))
+	r := &call{method: http.MethodGet, path: "/v1/scan?" + q.Encode(), accept: c.codec.contentType(), read: true}
 	addrs := c.addrs()
 	// A child context so returning (n reached, or any stream error)
 	// aborts every stream still in flight.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	streams := make([]*scanStream, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
 	for i, addr := range addrs {
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func() {
 			defer wg.Done()
-			streams[i], errs[i] = c.openScan(sctx, addr, start, end, n)
-		}(i, addr)
+			st, err := c.openScan(sctx, addr, r)
+			streams[i] = st
+			if err != nil {
+				// One lost stream loses the scan: stop the other opens'
+				// retries rather than wait them out. The first error is
+				// the cause; the others are this cancellation.
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
+				cancel()
+			}
+		}()
 	}
 	wg.Wait()
 	defer func() {
 		for _, st := range streams {
 			if st != nil {
-				st.resp.Body.Close()
-				if st.release != nil {
-					st.release()
-				}
+				st.release()
 			}
 		}
 	}()
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		if streams[i].err != nil {
-			return nil, streams[i].err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	// Shards partition the keyspace, so streams never carry duplicate
 	// keys: plain min-select over the stream heads yields global order.
@@ -619,8 +666,7 @@ func (c *Client) ScanCtx(ctx context.Context, start, end []byte, n int) ([]KV, e
 // stream's consumer once handed out — advance always builds fresh
 // slices.
 type scanStream struct {
-	resp      *http.Response
-	release   func()                                // cancels the attempt contexts; call after Body.Close
+	release   func()                                // closes the body and ends the attempt
 	pull      func() (key, value []byte, err error) // io.EOF at clean end
 	key       []byte
 	value     []byte
@@ -643,100 +689,23 @@ func (s *scanStream) advance() {
 	s.key, s.value = k, v
 }
 
-// openScan starts one node's scan and primes its first entry. The open
-// is hedged when WithHedgedReads is armed — a scan is an idempotent
-// read, so racing a second open against a slow node is safe.
-func (c *Client) openScan(ctx context.Context, addr string, start, end []byte, n int) (*scanStream, error) {
-	q := url.Values{}
-	q.Set("start", string(start))
-	if len(end) > 0 {
-		q.Set("end", string(end))
-	}
-	q.Set("n", strconv.Itoa(n))
-	build := func(addr string) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			"http://"+addr+"/v1/scan?"+q.Encode(), nil)
+// openScan opens addr's stream for r and primes its first entry.
+func (c *Client) openScan(ctx context.Context, addr string, r *call) (*scanStream, error) {
+	var st *scanStream
+	err := c.retry(ctx, func() error {
+		resp, release, err := c.send(ctx, addr, r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if c.binary {
-			req.Header.Set("Accept", wire.ContentType)
-		}
-		return req, nil
-	}
-	if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
-		return nil, fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
-	}
-	resp, release, err := c.roundTrip(ctx, addr, build, true)
-	if err != nil {
-		if ctx.Err() == nil {
-			c.noteTransport(addr, false)
-		} else {
-			// Caller (or sibling-stream) cancellation, not node health.
-			c.breakerFor(addr).abandonProbe()
-		}
-		return nil, err
-	}
-	c.noteTransport(addr, true)
-	if resp.StatusCode != http.StatusOK {
-		defer release()
-		defer resp.Body.Close()
-		return nil, decodeEnvelope(resp)
-	}
-	st := &scanStream{resp: resp, release: release}
-	if resp.Header.Get("Content-Type") == wire.ContentType {
-		// Binary entry stream: the decoder's slices are scratch reused
-		// by the next frame, so copy out before handing them upward.
-		// Copies are carved from a chunked arena — two allocations per
-		// entry would make the scan hot path GC-bound.
-		dec := &wire.StreamDecoder{}
-		dec.Reset(resp.Body)
-		var arena []byte
-		carve := func(b []byte) []byte {
-			if len(b) > len(arena) {
-				sz := 64 << 10
-				if len(b) > sz {
-					sz = len(b)
-				}
-				arena = make([]byte, sz)
-			}
-			out := arena[:len(b):len(b)]
-			arena = arena[len(b):]
-			copy(out, b)
-			return out
-		}
-		st.pull = func() ([]byte, []byte, error) {
-			k, v, err := dec.Next()
-			if err != nil {
-				return nil, nil, err
-			}
-			return carve(k), carve(v), nil
-		}
-	} else {
-		// JSON array, element-at-a-time: Token consumes the brackets,
-		// Decode one entry per pull.
-		dec := json.NewDecoder(resp.Body)
-		if _, err := dec.Token(); err != nil { // opening [
-			resp.Body.Close()
+		st = &scanStream{release: release, pull: c.codec.entries(resp.Body)}
+		if st.advance(); st.err != nil {
 			release()
-			return nil, err
+			err, st = st.err, nil
+			return attemptErr(ctx, err)
 		}
-		st.pull = func() ([]byte, []byte, error) {
-			if !dec.More() {
-				if _, err := dec.Token(); err != nil { // closing ]
-					return nil, nil, err
-				}
-				return nil, nil, io.EOF
-			}
-			var e api.ScanEntry
-			if err := dec.Decode(&e); err != nil {
-				return nil, nil, err
-			}
-			return []byte(e.Key), []byte(e.Value), nil
-		}
-	}
-	st.advance()
-	return st, nil
+		return nil
+	})
+	return st, err
 }
 
 // Batch applies ops, grouped by owning node and dispatched concurrently.
@@ -753,158 +722,70 @@ func (c *Client) Batch(ops []Op) error {
 
 // BatchCtx is Batch with a context.
 func (c *Client) BatchCtx(ctx context.Context, ops []Op) error {
-	if len(ops) == 0 {
-		return nil
+	for _, op := range ops {
+		if op.Kind != OpPut && op.Kind != OpDelete {
+			return fmt.Errorf("client: unknown batch op kind %q", op.Kind)
+		}
 	}
 	pending := ops
-	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries; attempt++ {
-		if attempt > 0 {
-			if err := c.sleep(ctx, attempt); err != nil {
-				c.terminalErrs.Add(1)
-				return fmt.Errorf("client: batch abandoned (%d ops unacked): %w", len(pending), err)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			c.terminalErrs.Add(1)
-			return err
-		}
-		groups := map[string][]Op{}
-		for _, op := range pending {
-			addr := c.route(op.Key)
-			groups[addr] = append(groups[addr], op)
-		}
-		retry, retryErr, fatal := c.sendGroups(ctx, groups)
-		if fatal != nil {
-			return fatal
-		}
-		if len(retry) == 0 {
-			return nil
-		}
-		pending, lastErr = retry, retryErr
-		c.retries.Add(1)
+	err := c.retry(ctx, func() (err error) {
+		pending, err = c.sendGroups(ctx, pending)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("client: batch (%d ops unacked): %w", len(pending), err)
 	}
-	return fmt.Errorf("client: batch retries exhausted (%d ops unacked): %w", len(pending), lastErr)
+	return nil
 }
 
-// sendGroups posts each node's group concurrently. Failed groups come
-// back in retry: WRONG_SHARD groups re-route under the map that was
-// already refreshed; transport-failed groups re-send as-is — the node
-// may or may not have applied them (a dropped ack means it did), and
-// idempotent last-write-wins ops make the re-send safe. Terminal
-// failures (other envelopes, the caller's context ending) are fatal.
-// Acked groups are consumed here and never returned.
-func (c *Client) sendGroups(ctx context.Context, groups map[string][]Op) (retry []Op, retryErr, fatal error) {
+// sendGroups sends each node's group of ops concurrently, one attempt
+// each, and returns the ops still unacked with the round's error: nil
+// when every group acked, a terminal error when any group failed
+// terminally, else a retryable one. Acked groups are consumed here and
+// never returned.
+func (c *Client) sendGroups(ctx context.Context, ops []Op) ([]Op, error) {
+	groups := map[string][]Op{}
+	for _, op := range ops {
+		addr := c.route(op.Key)
+		groups[addr] = append(groups[addr], op)
+	}
 	type result struct {
-		addr string
-		ops  []Op
-		err  error
+		ops []Op
+		err error
 	}
 	results := make(chan result, len(groups))
 	for addr, group := range groups {
-		go func(addr string, group []Op) {
-			results <- result{addr, group, c.postBatch(ctx, addr, group)}
-		}(addr, group)
+		go func() { results <- result{group, c.sendGroup(ctx, addr, group)} }()
 	}
+	var unacked []Op
+	var err error
 	for range groups {
 		r := <-results
 		if r.err == nil {
 			continue
 		}
-		var env *api.Envelope
-		if errors.As(r.err, &env) && env.Code == api.CodeWrongShard {
-			if env.Epoch > c.Epoch() {
-				c.refreshFrom(ctx, r.addr)
-			}
-			retry = append(retry, r.ops...)
-			retryErr = r.err
-			continue
+		unacked = append(unacked, r.ops...)
+		if err == nil || IsRetryable(err) {
+			err = r.err
 		}
-		if IsRetryable(r.err) {
-			c.retryableErrs.Add(1)
-			retry = append(retry, r.ops...)
-			retryErr = r.err
-			continue
-		}
-		c.terminalErrs.Add(1)
-		fatal = r.err // keep draining; the channel is buffered
 	}
-	if fatal != nil {
-		return nil, nil, fatal
-	}
-	return retry, retryErr, nil
+	return unacked, err
 }
 
-func (c *Client) postBatch(ctx context.Context, addr string, group []Op) error {
-	var body []byte
-	contentType := "application/json"
-	if c.binary {
-		contentType = wire.ContentType
-		var buf []byte
-		bp := wire.GetBuf()
-		// The buffer is pooled; it outlives Do because bytes.Reader's
-		// GetBody (for transport retries) re-slices it, so release only
-		// after the round trip fully completes.
-		defer func() { *bp = buf; wire.PutBuf(bp) }()
-		buf = wire.AppendBatchHeader((*bp)[:0], len(group))
-		for _, op := range group {
-			switch op.Kind {
-			case OpDelete:
-				buf = wire.AppendDelete(buf, op.Key)
-			case OpPut:
-				buf = wire.AppendPut(buf, op.Key, op.Value)
-			default:
-				return fmt.Errorf("client: unknown batch op kind %q", op.Kind)
-			}
-		}
-		body = buf
-	} else {
-		jops := make([]api.BatchOp, len(group))
-		for i, op := range group {
-			jops[i] = api.BatchOp{Op: string(op.Kind), Key: string(op.Key), Value: string(op.Value)}
-		}
-		b, err := json.Marshal(jops)
-		if err != nil {
-			return err
-		}
-		body = b
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+addr+"/v1/batch", bytes.NewReader(body))
+// sendGroup makes one attempt of group as a /v1/batch on addr.
+func (c *Client) sendGroup(ctx context.Context, addr string, group []Op) error {
+	bp := wire.GetBuf()
+	body := c.codec.appendBatch((*bp)[:0], group)
+	// The buffer is pooled; it outlives the exchange because bytes.Reader's
+	// GetBody (for transport retries) re-slices it, so it is returned only
+	// once the attempt has fully completed.
+	defer func() { *bp = body; wire.PutBuf(bp) }()
+	_, release, err := c.send(ctx, addr, &call{
+		method: http.MethodPost, path: "/v1/batch", body: body, ctype: c.codec.contentType(),
+	})
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
-	actx := ctx
-	if c.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.reqTimeout)
-		defer cancel()
-		req = req.WithContext(actx)
-	}
-	// The breaker check sits immediately before the dial so that every
-	// path past a successful allow() reports an outcome — an early
-	// return between allow() and Do would strand a half-open probe slot
-	// and permanently blacklist the node.
-	if !c.breakerFor(addr).allow(time.Now(), c.breakerCooldown) {
-		return fmt.Errorf("%w (%s)", ErrBreakerOpen, addr)
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		if actx.Err() != nil && ctx.Err() == nil {
-			err = fmt.Errorf("%w: %w", ErrAttemptTimeout, err)
-		}
-		if ctx.Err() == nil {
-			c.noteTransport(addr, false)
-		} else {
-			c.breakerFor(addr).abandonProbe()
-		}
-		return err
-	}
-	c.noteTransport(addr, true)
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeEnvelope(resp)
-	}
+	release()
 	return nil
 }

@@ -14,10 +14,10 @@ import (
 
 // This file is the client's resilience layer: typed error classification,
 // capped-exponential backoff with full jitter, per-node circuit breakers
-// with half-open probing, and hedged reads. The routing/retry loop in
-// client.go consumes these pieces; none of them change the consistency
-// contract — they change how fast and how politely the client rides out
-// a slow, partitioned, or dead node.
+// with half-open probing, and hedged reads. retry and send in client.go
+// consume these pieces; none of them change the consistency contract —
+// they change how fast and how politely the client rides out a slow,
+// partitioned, or dead node.
 
 // ErrBreakerOpen is the per-attempt error recorded while a node's circuit
 // breaker is open: the client skipped dialing the node entirely. It is
@@ -30,17 +30,16 @@ var ErrBreakerOpen = errors.New("client: circuit breaker open")
 // (WithRequestTimeout) while the caller's own context was still live.
 // The raw failure wraps the *attempt* context's DeadlineExceeded —
 // indistinguishable by errors.Is from the caller's deadline ending, which
-// is terminal — so roundTrip/postBatch tag it with this sentinel at the
-// only place the two contexts can be told apart. It is retryable by
-// definition: the whole point of a per-attempt timeout is that a hung
-// node costs one attempt's budget, not the call.
+// is terminal — so attemptErr tags it with this sentinel. It is
+// retryable by definition: the whole point of a per-attempt timeout is
+// that a hung node costs one attempt's budget, not the call.
 var ErrAttemptTimeout = errors.New("client: per-attempt timeout")
 
 // IsRetryable classifies a client-visible failure: true for failures that
 // can heal on their own (transport errors, per-attempt timeouts, an open
 // breaker, and WRONG_SHARD — a map refresh away from succeeding), false
 // for terminal answers from a live node (NOT_FOUND, BAD_*, INTERNAL, ...)
-// and for the caller's own context ending. The client's retry loops use
+// and for the caller's own context ending. The client's retry loop uses
 // exactly this predicate, so a caller inspecting a returned error sees
 // the same taxonomy the loop acted on.
 func IsRetryable(err error) bool {
@@ -215,10 +214,10 @@ func (c *Client) BreakerState(addr string) string {
 	return b.state.String()
 }
 
-// noteTransport feeds one attempt's transport outcome into addr's breaker
-// and the stats counters.
-func (c *Client) noteTransport(addr string, success bool) {
-	opened, closed := c.breakerFor(addr).record(success, c.breakerThreshold, time.Now())
+// noteTransport feeds one attempt's transport outcome into its node's
+// breaker and the stats counters.
+func (c *Client) noteTransport(b *breaker, success bool) {
+	opened, closed := b.record(success, c.breakerThreshold, time.Now())
 	if opened {
 		c.breakerOpens.Add(1)
 	}
@@ -227,78 +226,71 @@ func (c *Client) noteTransport(addr string, success bool) {
 	}
 }
 
-// attemptResult is one hedged sub-request's outcome.
-type attemptResult struct {
-	resp   *http.Response
-	err    error
-	hedged bool // true when this was the second (hedge) request
+// attemptErr classifies err, the failure of an attempt's exchange or of
+// reading its 2xx body. While the caller's context is live, a deadline
+// error can only be the attempt's own (WithRequestTimeout), so it is
+// tagged ErrAttemptTimeout and retried; any other failure is left as it is.
+func attemptErr(ctx context.Context, err error) error {
+	if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %w", ErrAttemptTimeout, err)
+	}
+	return err
 }
 
-// roundTrip executes one logical attempt against addr: the request runs
-// under a per-attempt deadline (WithRequestTimeout), and — when read
-// hedging is enabled and this is an idempotent read — a second identical
-// request is launched on another pooled connection if the first has not
-// answered within the hedge delay, first usable answer wins. The returned
-// release func MUST be called once the response body is fully consumed
-// (it cancels the per-attempt contexts); it is non-nil iff err is nil.
-func (c *Client) roundTrip(ctx context.Context, addr string, build func(addr string) (*http.Request, error), hedge bool) (*http.Response, func(), error) {
-	results := make(chan attemptResult, 2)
-	var cancels []context.CancelFunc
-	var cancelsMu sync.Mutex
-	launch := func(hedged bool) error {
-		req, err := build(addr)
-		if err != nil {
-			return err
-		}
-		actx := ctx
-		var acancel context.CancelFunc
-		if c.reqTimeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, c.reqTimeout)
-		} else {
-			actx, acancel = context.WithCancel(ctx)
-		}
-		cancelsMu.Lock()
-		cancels = append(cancels, acancel)
-		cancelsMu.Unlock()
-		req = req.WithContext(actx)
-		if e := c.Epoch(); e > 0 {
-			req.Header.Set(api.HeaderEpoch, epochHeaderValue(e))
-		}
-		go func() {
-			resp, err := c.httpc.Do(req)
-			if err != nil && actx.Err() != nil && ctx.Err() == nil {
-				// The attempt's context ended but the caller's did not:
-				// this is WithRequestTimeout firing on a hung node (the
-				// only way the two diverge before a winner is picked).
-				// Tag it so IsRetryable sees a retryable attempt
-				// timeout, not the caller's own deadline.
-				err = fmt.Errorf("%w: %w", ErrAttemptTimeout, err)
-			}
-			results <- attemptResult{resp: resp, err: err, hedged: hedged}
-		}()
-		return nil
+// attemptCtx derives one attempt's context, carrying the per-attempt
+// deadline (WithRequestTimeout). A hedged attempt needs a cancel even
+// without a deadline: it is how the losing request is cut off.
+func (c *Client) attemptCtx(ctx context.Context, hedged bool) (context.Context, context.CancelFunc) {
+	switch {
+	case c.reqTimeout > 0:
+		return context.WithTimeout(ctx, c.reqTimeout)
+	case hedged:
+		return context.WithCancel(ctx)
 	}
-	// cancelAll cancels every launched attempt's context. The winner's
-	// body must be consumed before this runs, so it is handed to the
-	// caller as the release func rather than deferred here.
-	cancelAll := func() {
-		cancelsMu.Lock()
-		cs := append([]context.CancelFunc(nil), cancels...)
-		cancelsMu.Unlock()
-		for _, cf := range cs {
-			cf()
+	return ctx, func() {}
+}
+
+// roundTrip performs r's exchange with addr under an attempt context.
+// When read hedging is armed and r is a read, a second identical request
+// is launched on another pooled connection if the first has not answered
+// within the hedge delay, and the first usable answer wins. The returned
+// release closes the winner's body and cancels every attempt context,
+// so it runs once the body is consumed; it is non-nil iff err is nil.
+func (c *Client) roundTrip(ctx context.Context, addr string, r *call) (*http.Response, func(), error) {
+	if !r.read || c.hedgeDelay <= 0 {
+		actx, cancel := c.attemptCtx(ctx, false)
+		resp, err := c.transmit(actx, addr, r)
+		if err != nil {
+			cancel()
+			return nil, nil, attemptErr(ctx, err)
 		}
+		return resp, func() { resp.Body.Close(); cancel() }, nil
 	}
 
-	if err := launch(false); err != nil {
-		return nil, nil, err
+	type result struct {
+		resp  *http.Response
+		err   error
+		hedge bool
 	}
-	var hedgeC <-chan time.Time
-	if hedge && c.hedgeDelay > 0 {
-		t := time.NewTimer(c.hedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
+	results := make(chan result, 2) // primary and hedge; neither blocks after a winner
+	var cancels []context.CancelFunc
+	launch := func(hedge bool) {
+		actx, cancel := c.attemptCtx(ctx, true)
+		cancels = append(cancels, cancel)
+		go func() {
+			resp, err := c.transmit(actx, addr, r)
+			results <- result{resp, attemptErr(ctx, err), hedge}
+		}()
 	}
+	cancelAll := func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}
+	launch(false)
+	t := time.NewTimer(c.hedgeDelay)
+	defer t.Stop()
+	hedgeC := t.C
 	launched, got := 1, 0
 	var firstErr error
 	for {
@@ -306,38 +298,36 @@ func (c *Client) roundTrip(ctx context.Context, addr string, build func(addr str
 		case <-hedgeC:
 			hedgeC = nil
 			c.hedges.Add(1)
-			if err := launch(true); err == nil {
-				launched++
-			}
-		case r := <-results:
+			launch(true)
+			launched++
+		case res := <-results:
 			got++
-			if r.err == nil {
-				if r.hedged {
+			if res.err == nil {
+				if res.hedge {
 					c.hedgeWins.Add(1)
 				}
-				// Winner. Losers are cancelled once the caller releases;
-				// any straggler result is drained and closed so its
+				// Winner. The loser is cancelled once the caller releases;
+				// its straggling result is drained and closed so its
 				// connection returns to the pool.
-				remaining := launched - got
-				if remaining > 0 {
-					go func(n int) {
-						for i := 0; i < n; i++ {
+				if n := launched - got; n > 0 {
+					go func() {
+						for ; n > 0; n-- {
 							if lr := <-results; lr.resp != nil {
 								lr.resp.Body.Close()
 							}
 						}
-					}(remaining)
+					}()
 				}
-				return r.resp, cancelAll, nil
+				return res.resp, func() { res.resp.Body.Close(); cancelAll() }, nil
 			}
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = res.err
 			}
 			if got == launched {
 				// Every launched attempt failed. A hedge still pending on
 				// its timer would hit the same address the primary just
-				// failed against — the outer retry loop's backoff is the
-				// better path, so fail the attempt now.
+				// failed against — the retry loop's backoff is the better
+				// path, so fail the attempt now.
 				cancelAll()
 				return nil, nil, firstErr
 			}
