@@ -11,16 +11,20 @@
 //	lsmtool -dir /tmp/db fill 10000     # load synthetic keys
 //	lsmtool -dir /tmp/db compact
 //	lsmtool -dir /tmp/db check          # verify checksums & invariants
+//	lsmtool -dir /tmp/db manifest       # the version-edit history, then the state
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"adcache"
 	"adcache/internal/lsm"
+	"adcache/internal/manifest"
 	"adcache/internal/vfs"
 	"adcache/internal/workload"
 )
@@ -33,8 +37,16 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: lsmtool -dir DIR stats|metrics|put|get|scan|fill|compact|check ...")
+		fmt.Fprintln(os.Stderr, "usage: lsmtool -dir DIR stats|metrics|put|get|scan|fill|compact|check|manifest ...")
 		os.Exit(2)
+	}
+	if args[0] == "manifest" {
+		// Read the directory as it is: opening the database would commit
+		// edits of its own.
+		if err := printManifest(os.Stdout, vfs.NewOS(), *dir); err != nil {
+			fatal(err)
+		}
+		return
 	}
 
 	lsmOpts := lsm.DefaultOptions(*dir)
@@ -129,6 +141,51 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown subcommand %q", args[0]))
 	}
+}
+
+// printManifest prints one line per edit of dir's MANIFEST, oldest first,
+// then the state they fold to.
+func printManifest(w io.Writer, fs vfs.FS, dir string) error {
+	edits, err := manifest.ReadFile(fs, dir)
+	if err != nil {
+		return err
+	}
+	for i, e := range edits {
+		fmt.Fprintf(w, "%d %s next_file=%d last_seq=%d", i+1, e.Kind, e.NextFileNum, e.LastSeq)
+		for _, f := range e.Added {
+			fmt.Fprintf(w, " +L%d:%06d", f.Level, f.Meta.FileNum)
+		}
+		for _, f := range e.Deleted {
+			fmt.Fprintf(w, " -L%d:%06d", f.Level, f.FileNum)
+		}
+		for _, n := range e.AddedWALs {
+			fmt.Fprintf(w, " +wal:%06d", n)
+		}
+		for _, n := range e.RetiredWALs {
+			fmt.Fprintf(w, " -wal:%06d", n)
+		}
+		fmt.Fprintln(w)
+	}
+	st, err := manifest.Fold(edits)
+	if err != nil {
+		return err
+	}
+	wals := make([]string, len(st.WALNums))
+	for i, n := range st.WALNums {
+		wals[i] = fmt.Sprintf("%06d", n)
+	}
+	fmt.Fprintf(w, "state next_file=%d last_seq=%d wals=[%s]\n", st.NextFileNum, st.LastSeq, strings.Join(wals, " "))
+	for level, files := range st.Version.Levels {
+		if len(files) == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "L%d", level)
+		for _, f := range files {
+			fmt.Fprintf(w, " %06d[%q..%q]", f.FileNum, f.Smallest.UserKey(), f.Largest.UserKey())
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 func need(args []string, n int) {

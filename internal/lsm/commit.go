@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"adcache/internal/keys"
+	"adcache/internal/manifest"
 	"adcache/internal/memtable"
 	"adcache/internal/metrics"
 	"adcache/internal/wal"
@@ -40,10 +41,12 @@ import (
 //
 // Failure rule: a failed sync fails its group and every later group that had
 // already appended when the failure was seen; groups appended afterwards are
-// unaffected. Flush, Close and WAL rotation drain the chain before they touch
-// the log or the memtable. InlineCompaction keeps all three stages and the
-// seal under commitMu, so its seal points stay those of the single-threaded
-// engine.
+// unaffected. A failed WAL write fails its group, and the next group seals
+// to a fresh log before it appends, so no acknowledged record lands behind
+// the torn bytes where replay would never reach it. Flush, Close and WAL
+// rotation drain the chain before they touch the log or the memtable.
+// InlineCompaction keeps all three stages and the seal under commitMu, so
+// its seal points stay those of the single-threaded engine.
 
 // maxSyncsInFlight bounds the groups in their WAL sync at once. Two let one
 // group's sync overlap the next one's. A leader that finds both slots taken
@@ -163,6 +166,14 @@ func (d *DB) appendGroup(g *writeGroup) error {
 	} else if !d.opts.InlineCompaction {
 		err = d.waitForWriteRoom()
 	}
+	if err == nil && d.walBroken {
+		// A failed write may have left part of a frame at the log's end, and
+		// replay stops there: nothing may be appended behind it.
+		d.drainLocked()
+		if err = d.sealMemTable(); err == nil {
+			d.notifyWorker()
+		}
+	}
 	if err == nil {
 		t := time.Now()
 		d.syncSlots <- struct{}{}
@@ -201,6 +212,7 @@ func (d *DB) appendGroup(g *writeGroup) error {
 		}
 	}
 	if err := d.log.Flush(); err != nil {
+		d.walBroken = true
 		<-d.syncSlots
 		return err
 	}
@@ -402,16 +414,18 @@ func (d *DB) waitForWriteRoom() error {
 }
 
 // sealMemTable moves the active memtable onto the immutable queue and starts
-// a fresh memtable + WAL. The new WAL file is created before any state
-// changes, and outside mu, so a creation failure leaves the DB fully intact
-// and no reader waits on the device. Caller holds commitMu and has drained
-// the publish chain: no group still owes a record to the old log or an
-// apply to the old memtable.
+// a fresh memtable + WAL. The new WAL is created and the manifest edit that
+// adds it is committed before any state changes, and outside mu, so a
+// failure leaves the DB fully intact and no reader waits on the device.
+// After a failed WAL write it switches logs even with an empty memtable:
+// the old log, holding nothing acknowledged, is retired then. Caller holds
+// commitMu and has drained the publish chain: no group still owes a record
+// to the old log or an apply to the old memtable.
 func (d *DB) sealMemTable() error {
 	d.mu.RLock()
 	empty := d.mem.Empty()
 	d.mu.RUnlock()
-	if empty {
+	if empty && !d.walBroken {
 		return nil
 	}
 	num := d.nextFileNum.Add(1) - 1
@@ -419,20 +433,36 @@ func (d *DB) sealMemTable() error {
 	if err != nil {
 		return err
 	}
+	edit := &manifest.Edit{
+		Kind:        manifest.EditSeal,
+		AddedWALs:   []uint64{num},
+		NextFileNum: d.nextFileNum.Load(),
+		LastSeq:     d.seqAlloc.Load(),
+	}
+	oldNum := d.walNum
+	if empty {
+		edit.RetiredWALs = []uint64{oldNum}
+	}
+	if _, err := d.store.Commit(edit); err != nil {
+		f.Close()
+		return err
+	}
 	d.mu.Lock()
-	d.imm = append(d.imm, &immTable{mem: d.mem, walNum: d.walNum, bytes: d.mem.ApproximateSize()})
+	if !empty {
+		d.imm = append(d.imm, &immTable{mem: d.mem, walNum: oldNum, bytes: d.mem.ApproximateSize()})
+		d.mem = memtable.New(d.nextMemSeedLocked())
+	}
 	oldLog := d.log
 	d.walNum = num
 	d.log = wal.NewWriter(f)
-	d.mem = memtable.New(d.nextMemSeedLocked())
-	obsolete, err := d.saveManifestLocked()
 	d.storeMemGaugesLocked()
 	d.mu.Unlock()
-	d.removeTables(obsolete)
+	d.walBroken = false
 	// Every record in the old log was synced by its own group; closing it
 	// only releases the handle.
-	if cerr := oldLog.Close(); err == nil {
-		err = cerr
+	err = oldLog.Close()
+	if empty {
+		d.removeWAL(oldNum, "retired")
 	}
 	return err
 }

@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +39,9 @@ func (d *DB) compactLoop() error {
 // merge or as range-partitioned parallel subcompactions (see
 // Options.CompactionParallelism). The merges and output writes run without
 // d.mu — reads and write groups proceed concurrently — and only the version
-// install takes the exclusive lock, so readers and the strategy callback
-// observe one atomic compaction regardless of how many shards executed it.
+// install takes the exclusive lock, after the manifest edit is durable, so
+// readers and the strategy callback observe one atomic compaction regardless
+// of how many shards executed it.
 // Input files cannot disappear mid-merge: they belong to the current
 // version, version changes are serialised by compactMu (held here), and the
 // version GC only deletes files referenced by no live version.
@@ -61,21 +61,37 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 		return err
 	}
 
+	edit := &manifest.Edit{
+		Kind:        manifest.EditCompaction,
+		NextFileNum: d.nextFileNum.Load(),
+		LastSeq:     d.seqAlloc.Load(),
+	}
+	inputs := plan.Files()
+	oldNums := make([]uint64, 0, len(inputs))
+	for _, f := range plan.Inputs {
+		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: plan.InputLevel, FileNum: f.FileNum})
+		oldNums = append(oldNums, f.FileNum)
+	}
+	for _, f := range plan.Overlaps {
+		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: plan.OutputLevel, FileNum: f.FileNum})
+		oldNums = append(oldNums, f.FileNum)
+	}
+	newNums := make([]uint64, 0, len(outputs))
+	for _, f := range outputs {
+		edit.Added = append(edit.Added, manifest.LevelFile{Level: plan.OutputLevel, Meta: f})
+		newNums = append(newNums, f.FileNum)
+	}
+	// On failure the outputs stay on disk, as a failed flush's table does.
+	v, err := d.store.Commit(edit)
+	if err != nil {
+		return err
+	}
+
 	// Install the new version. Obsolete input files are deleted by the
 	// version GC once no in-flight read pins them.
 	d.mu.Lock()
-	nv := d.version.Clone()
-	removeFiles(nv, plan.InputLevel, plan.Inputs)
-	removeFiles(nv, plan.OutputLevel, plan.Overlaps)
-	nv.Levels[plan.OutputLevel] = append(nv.Levels[plan.OutputLevel], outputs...)
-	sort.Slice(nv.Levels[plan.OutputLevel], func(i, j int) bool {
-		lvl := nv.Levels[plan.OutputLevel]
-		return keys.Compare(lvl[i].Smallest, lvl[j].Smallest) < 0
-	})
-	inputs := plan.Files()
-	oldNums := make([]uint64, 0, len(inputs))
+	dead := d.installVersion(v, oldNums)
 	for _, f := range inputs {
-		oldNums = append(oldNums, f.FileNum)
 		d.metrics.compactedBytes.Add(int64(f.Size))
 	}
 	for _, f := range plan.Inputs {
@@ -84,23 +100,16 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 	for _, f := range plan.Overlaps {
 		d.metrics.levelCompactIn[plan.OutputLevel].Add(int64(f.Size))
 	}
-	d.installVersion(nv, oldNums)
-	d.metrics.compactions.Inc()
-	d.metrics.subcompactions.Add(int64(len(ranges)))
-	newNums := make([]uint64, 0, len(outputs))
 	for _, f := range outputs {
-		newNums = append(newNums, f.FileNum)
 		d.metrics.compactionOut.Add(int64(f.Size))
 		d.metrics.levelCompactOut[plan.OutputLevel].Add(int64(f.Size))
 	}
-	obsolete, saveErr := d.saveManifestLocked()
+	d.metrics.compactions.Inc()
+	d.metrics.subcompactions.Add(int64(len(ranges)))
 	// L0 may have shrunk below the stop trigger: wake stalled writers.
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
-	if saveErr != nil {
-		return saveErr
-	}
-	d.removeTables(obsolete)
+	d.removeTables(dead)
 
 	// Notify the strategy: this is the moment block-cache entries keyed by
 	// the old files become dead weight. Outside d.mu — the callback only
@@ -414,22 +423,4 @@ func (d *DB) removeOutputs(outs []*manifest.FileMeta) {
 			d.fs.Remove(path)
 		}
 	}
-}
-
-// removeFiles deletes the given files from the version's level in place.
-func removeFiles(v *manifest.Version, level int, files []*manifest.FileMeta) {
-	if len(files) == 0 {
-		return
-	}
-	dead := make(map[uint64]bool, len(files))
-	for _, f := range files {
-		dead[f.FileNum] = true
-	}
-	kept := v.Levels[level][:0:0]
-	for _, f := range v.Levels[level] {
-		if !dead[f.FileNum] {
-			kept = append(kept, f)
-		}
-	}
-	v.Levels[level] = kept
 }

@@ -142,7 +142,8 @@ func countCrashWorkloadOps(t *testing.T) int64 {
 
 // TestCrashPointSweep kills the simulated device after every Nth durable FS
 // operation of the scripted workload — covering WAL appends and syncs,
-// SSTable writes, manifest tmp/sync/rename windows and WAL retirement — and
+// SSTable writes, directory syncs, manifest appends and rollovers and WAL
+// retirement — and
 // verifies recovery at each point.
 func TestCrashPointSweep(t *testing.T) {
 	total := countCrashWorkloadOps(t)
@@ -433,8 +434,9 @@ func TestCrashStressRandomizedOSFS(t *testing.T) {
 }
 
 // TestManifestCrashWindowLSM crashes inside every FS operation of a single
-// flush — the window that includes the manifest tmp write, sync, rename and
-// WAL retirement — and checks the flush is all-or-nothing across reopen.
+// flush — the window that includes the directory sync, the manifest append
+// and sync, and WAL retirement — and checks the flush is all-or-nothing
+// across reopen.
 func TestManifestCrashWindowLSM(t *testing.T) {
 	// Count the ops of: open, 60 acked puts, Flush.
 	prep := func(fs vfs.FS) (*DB, map[string]string, error) {

@@ -35,7 +35,7 @@ var ErrClosed = errors.New("lsm: database closed")
 
 // immTable is a sealed (immutable) memtable queued for background flush,
 // paired with the WAL that made it durable. The WAL file is deleted only
-// after the memtable's SSTable is installed in a persisted version, so a
+// after the manifest edit that adds the memtable's SSTable is durable, so a
 // crash at any point between seal and flush recovers every write.
 type immTable struct {
 	mem    *memtable.MemTable
@@ -58,8 +58,10 @@ type immTable struct {
 // restores the synchronous pre-concurrency behaviour for deterministic
 // experiments.
 //
-// Lock ordering: commitMu → compactMu → mu → verMu. A goroutine may only
-// acquire a lock that is to the right of every lock it already holds.
+// Lock ordering: commitMu → compactMu → manifest → mu → verMu, where
+// manifest is the manifest.Store's own mutex, held through each edit's
+// append and sync. A goroutine may only acquire a lock that is to the right
+// of every lock it already holds.
 type DB struct {
 	opts     Options
 	fs       *vfs.CountingFS
@@ -138,14 +140,13 @@ type DB struct {
 	current *versionHandle
 	live    map[*versionHandle]struct{}
 	zombies map[uint64]bool
-	// deletable holds obsolete file numbers whose physical deletion waits
-	// for the next durable manifest save: deleting them earlier would let a
-	// crash land with a manifest referencing missing files. Guarded by verMu.
-	deletable []uint64
 
 	nextFileNum atomic.Uint64
 	walNum      uint64      // active log; written under commitMu+mu, read under either
 	log         *wal.Writer // appended to under commitMu; synced by groups in flight
+	// walBroken records a failed write to log: the next group seals to a
+	// fresh log before appending. Guarded by commitMu.
+	walBroken bool
 
 	// shapeInfo is a lock-free snapshot of tree-shape figures, refreshed on
 	// every version install. Cache strategies read it from inside engine
@@ -194,11 +195,15 @@ func Open(opts Options) (*DB, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
+	store, st, err := manifest.Open(fs, opts.Dir, numLevels)
+	if err != nil {
+		return nil, err
+	}
 	db := &DB{
 		opts:       opts,
 		fs:         fs,
 		strategy:   strategy,
-		store:      manifest.NewStore(fs, opts.Dir),
+		store:      store,
 		roundRobin: make(map[int][]byte),
 		memSeed:    opts.Seed,
 	}
@@ -211,27 +216,13 @@ func Open(opts Options) (*DB, error) {
 	db.live = make(map[*versionHandle]struct{})
 	db.zombies = make(map[uint64]bool)
 
-	st, found, err := db.store.Load()
-	if err != nil {
+	db.installVersion(st.Version, nil)
+	db.lastSeq = st.LastSeq
+	db.nextFileNum.Store(st.NextFileNum)
+	if err := db.replayWALs(st.WALNums); err != nil {
 		return nil, err
 	}
-	var oldWALs []uint64
-	if found {
-		db.installVersion(st.Version, nil)
-		db.lastSeq = st.LastSeq
-		db.nextFileNum.Store(st.NextFileNum)
-		oldWALs = st.WALNums
-		if err := db.replayWALs(oldWALs); err != nil {
-			return nil, err
-		}
-		if err := db.flushRecovered(); err != nil {
-			return nil, err
-		}
-	} else {
-		db.installVersion(manifest.NewVersion(numLevels), nil)
-		db.nextFileNum.Store(1)
-	}
-	if err := db.startWAL(oldWALs); err != nil {
+	if err := db.startWAL(st.WALNums); err != nil {
 		return nil, err
 	}
 	db.removeOrphans()
@@ -287,68 +278,58 @@ func (d *DB) replayWALs(nums []uint64) error {
 	return nil
 }
 
-// flushRecovered persists the memtable rebuilt by replayWALs as an L0
-// table. It must run before startWAL retires the replayed logs: without
-// it the recovered entries exist only in memory while the manifest stops
-// listing the logs that held them, so a second crash before the next
-// flush would lose every acknowledged write from before the first crash.
-// Single-threaded (no other goroutine exists yet); the version installed
-// here is persisted by startWAL's manifest save.
-func (d *DB) flushRecovered() error {
-	if d.mem.Empty() {
-		return nil
+// startWAL persists the memtable rebuilt by replayWALs as an L0 table,
+// opens a fresh active log, and commits both in one manifest edit that
+// retires the replayed logs. The table must be in the edit: without it the
+// recovered entries would exist only in memory while the manifest stops
+// listing the logs that held them, so a second crash before the next flush
+// would lose every acknowledged write from before the first. The edit is
+// the first since the manifest was loaded, so the store writes it as the
+// snapshot of a fresh log. Single-threaded (no other goroutine exists yet).
+func (d *DB) startWAL(replayed []uint64) error {
+	edit := &manifest.Edit{Kind: manifest.EditFlush, RetiredWALs: replayed}
+	if !d.mem.Empty() {
+		start := time.Now()
+		meta, err := d.writeMemTable(d.mem)
+		if err != nil {
+			return err
+		}
+		d.metrics.flushNanos.ObserveSince(start)
+		d.metrics.flushes.Inc()
+		d.metrics.flushedBytes.Add(int64(meta.Size))
+		edit.Added = []manifest.LevelFile{{Level: 0, Meta: meta}}
+		d.mem = memtable.New(d.nextMemSeedLocked())
 	}
-	start := time.Now()
-	meta, err := d.writeMemTable(d.mem)
-	if err != nil {
-		return err
-	}
-	d.metrics.flushNanos.ObserveSince(start)
-	nv := d.version.Clone()
-	nv.Levels[0] = append([]*manifest.FileMeta{meta}, nv.Levels[0]...)
-	d.installVersion(nv, nil)
-	d.metrics.flushes.Inc()
-	d.metrics.flushedBytes.Add(int64(meta.Size))
-	d.mem = memtable.New(d.nextMemSeedLocked())
-	return nil
-}
-
-// startWAL opens a fresh active log during Open and retires the replayed
-// ones. Single-threaded (no other goroutine exists yet).
-func (d *DB) startWAL(oldNums []uint64) error {
 	num := d.nextFileNum.Add(1) - 1
 	f, err := d.fs.Create(walPath(d.opts.Dir, num))
 	if err != nil {
 		return err
 	}
-	d.walNum = num
-	d.log = wal.NewWriter(f)
-	obsolete, err := d.saveManifestLocked()
+	edit.AddedWALs = []uint64{num}
+	edit.NextFileNum = d.nextFileNum.Load()
+	edit.LastSeq = d.lastSeq
+	v, err := d.store.Commit(edit)
 	if err != nil {
+		f.Close()
 		return err
 	}
-	d.removeTables(obsolete)
-	for _, old := range oldNums {
-		if old == 0 || old == num || !d.fs.Exists(walPath(d.opts.Dir, old)) {
-			continue
-		}
-		// Same contract as flushImm: the replayed records are durably in the
-		// tree, so a failed deletion of a retired log is cosmetic — log it and
-		// let the next Open's orphan sweep retry.
-		if err := d.fs.Remove(walPath(d.opts.Dir, old)); err != nil {
-			d.logf("lsm: removing replayed wal %06d failed (will retry on reopen): %v", old, err)
-			d.metrics.walRemoveErrors.Inc()
-		}
+	d.installVersion(v, nil)
+	d.walNum = num
+	d.log = wal.NewWriter(f)
+	// Same contract as flushImm: the replayed records are durably in the
+	// tree, so a failed deletion of a retired log is cosmetic.
+	for _, old := range replayed {
+		d.removeWAL(old, "replayed")
 	}
 	return nil
 }
 
 // removeOrphans deletes files in the database directory that the freshly
-// persisted manifest does not reference: SSTs from flushes or compactions
-// that crashed before their version install, WALs already folded into
-// flushed tables, and leftover MANIFEST.tmp from an interrupted save.
-// Without this, every crash leaks its in-flight files forever. Best-effort;
-// runs single-threaded at the end of Open, after the manifest save, so the
+// committed manifest does not reference: SSTs from flushes or compactions
+// whose edit never became durable, tables and WALs whose removal a crash
+// undid, and a leftover MANIFEST.tmp from an interrupted rollover. Without
+// this, every crash leaks its in-flight files forever. Best-effort; runs
+// single-threaded at the end of Open, after the manifest commit, so the
 // live set is exact.
 func (d *DB) removeOrphans() {
 	names, err := d.fs.List(d.opts.Dir)
@@ -385,33 +366,6 @@ func (d *DB) removeOrphans() {
 			}
 		}
 	}
-}
-
-// saveManifestLocked persists the current state. The manifest lists every
-// live log oldest-first (one per queued immutable memtable, then the active
-// log) so recovery can replay all of them in order. It returns the obsolete
-// table files the saved manifest no longer references; the caller removes
-// them with removeTables after releasing d.mu, so no reader or write group
-// waits on the device's directory updates. Caller holds d.mu.
-func (d *DB) saveManifestLocked() (obsolete []uint64, err error) {
-	walNums := make([]uint64, 0, len(d.imm)+1)
-	for _, im := range d.imm {
-		walNums = append(walNums, im.walNum)
-	}
-	walNums = append(walNums, d.walNum)
-	if err := d.store.Save(manifest.State{
-		NextFileNum: d.nextFileNum.Load(),
-		LastSeq:     d.lastSeq,
-		WALNum:      d.walNum,
-		WALNums:     walNums,
-		Version:     d.version,
-	}); err != nil {
-		return nil, err
-	}
-	// The saved manifest references none of the deferred-obsolete files
-	// (they left d.version before this save, under this same hold of d.mu);
-	// files queued after it wait for the next save.
-	return d.takeDeletable(), nil
 }
 
 // Put stores key=value.
@@ -796,10 +750,10 @@ func (d *DB) foregroundBgError(err error) error {
 	return err
 }
 
-// Close stops background work, closes the log and persists the manifest.
-// Sealed-but-unflushed memtables are not flushed; their WALs stay on disk
-// and are replayed on the next Open. Close is idempotent, and writes racing
-// Close either commit fully or return ErrClosed.
+// Close stops background work, closes the log and commits a last manifest
+// edit. Sealed-but-unflushed memtables are not flushed; their WALs stay on
+// disk and are replayed on the next Open. Close is idempotent, and writes
+// racing Close either commit fully or return ErrClosed.
 func (d *DB) Close() error {
 	d.closing.Store(true)
 	// Wake writers stalled on backpressure so they can observe closing and
@@ -818,6 +772,7 @@ func (d *DB) Close() error {
 		return nil
 	}
 	d.closed = true
+	lastSeq := d.lastSeq
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 
@@ -826,13 +781,17 @@ func (d *DB) Close() error {
 		d.wg.Wait()
 	}
 
-	if err := d.log.Close(); err != nil {
-		return err
+	err := d.log.Close()
+	if err == nil {
+		_, err = d.store.Commit(&manifest.Edit{
+			Kind:        manifest.EditClose,
+			NextFileNum: d.nextFileNum.Load(),
+			LastSeq:     lastSeq,
+		})
 	}
-	d.mu.Lock()
-	obsolete, err := d.saveManifestLocked()
-	d.mu.Unlock()
-	d.removeTables(obsolete)
+	if cerr := d.store.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 

@@ -107,10 +107,12 @@ func (d *DB) drainAndCompact(compact bool) error {
 	return nil
 }
 
-// flushImm writes the oldest immutable memtable to a new L0 table, installs
-// it, and retires the memtable's WAL. No-op when the queue is empty. Caller
-// holds compactMu; d.mu is taken only around the version install, so reads
-// and commits proceed during the SSTable write.
+// flushImm writes the oldest immutable memtable to a new L0 table, commits
+// the manifest edit that adds it and retires the memtable's WAL, installs
+// the version and deletes the WAL. No-op when the queue is empty. Caller
+// holds compactMu; d.mu is taken only to swap pointers once the edit is
+// durable, so reads and commits proceed during the table write and the
+// manifest sync.
 func (d *DB) flushImm() error {
 	d.mu.RLock()
 	var im *immTable
@@ -128,23 +130,29 @@ func (d *DB) flushImm() error {
 	if err != nil {
 		return err
 	}
+	// On failure the table stays on disk: the edit may have reached the
+	// manifest (manifest.Store.Commit), and if it did not, the next Open
+	// deletes the orphan.
+	v, err := d.store.Commit(&manifest.Edit{
+		Kind:        manifest.EditFlush,
+		Added:       []manifest.LevelFile{{Level: 0, Meta: meta}},
+		RetiredWALs: []uint64{im.walNum},
+		NextFileNum: d.nextFileNum.Load(),
+		LastSeq:     d.seqAlloc.Load(),
+	})
+	if err != nil {
+		return err
+	}
 
 	d.mu.Lock()
-	nv := d.version.Clone()
-	// L0 is ordered newest-first.
-	nv.Levels[0] = append([]*manifest.FileMeta{meta}, nv.Levels[0]...)
-	d.installVersion(nv, nil)
+	dead := d.installVersion(v, nil)
 	d.metrics.flushes.Inc()
 	d.metrics.flushedBytes.Add(int64(meta.Size))
 	d.imm = d.imm[1:]
 	d.storeMemGaugesLocked()
-	obsolete, saveErr := d.saveManifestLocked()
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
-	if saveErr != nil {
-		return saveErr
-	}
-	d.removeTables(obsolete)
+	d.removeTables(dead)
 
 	// The manifest no longer lists this WAL; its contents live in the
 	// flushed table. A crash before this Remove just replays it redundantly
@@ -153,13 +161,21 @@ func (d *DB) flushImm() error {
 	// flush is durably complete, the leftover log is harmless garbage that
 	// the next Open's orphan sweep retries. Poisoning the background state
 	// here would turn a cosmetic deletion hiccup into a write outage.
-	if im.walNum != 0 && d.fs.Exists(walPath(d.opts.Dir, im.walNum)) {
-		if err := d.fs.Remove(walPath(d.opts.Dir, im.walNum)); err != nil {
-			d.logf("lsm: removing flushed wal %06d failed (will retry on reopen): %v", im.walNum, err)
-			d.metrics.walRemoveErrors.Inc()
-		}
-	}
+	d.removeWAL(im.walNum, "flushed")
 	return nil
+}
+
+// removeWAL deletes a log the manifest no longer lists. A failure is only
+// logged and counted: the next Open's orphan sweep retries.
+func (d *DB) removeWAL(num uint64, what string) {
+	path := walPath(d.opts.Dir, num)
+	if !d.fs.Exists(path) {
+		return
+	}
+	if err := d.fs.Remove(path); err != nil {
+		d.logf("lsm: removing %s wal %06d failed (will retry on reopen): %v", what, num, err)
+		d.metrics.walRemoveErrors.Inc()
+	}
 }
 
 // writeMemTable persists mem as an sstable and returns its metadata.

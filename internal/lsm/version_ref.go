@@ -4,7 +4,10 @@ import "adcache/internal/manifest"
 
 // versionHandle reference-counts a Version so that in-flight reads can pin
 // the file set they iterate while compactions install newer versions.
-// Obsolete files are deleted only once no live handle references them.
+// Obsolete files are deleted only once no live handle references them. A
+// version is installed only after the manifest edit that leads to it is
+// durable, so a file no live version references is already unreferenced on
+// disk and can go at once.
 type versionHandle struct {
 	v    *manifest.Version
 	refs int // guarded by DB.verMu
@@ -19,22 +22,27 @@ func (d *DB) acquireVersion() *versionHandle {
 	return h
 }
 
-// releaseVersion unpins h, garbage-collecting obsolete files when the last
-// reference to a superseded version drops.
+// releaseVersion unpins h. When the last reference to a superseded version
+// drops, it deletes the files that were only that version's, after letting
+// go of verMu.
 func (d *DB) releaseVersion(h *versionHandle) {
+	var dead []uint64
 	d.verMu.Lock()
 	h.refs--
 	if h.refs == 0 && h != d.current {
 		delete(d.live, h)
-		d.gcFilesLocked()
+		dead = d.gcFilesLocked()
 	}
 	d.verMu.Unlock()
+	d.removeTables(dead)
 }
 
 // installVersion publishes v as the current version. obsolete lists file
 // numbers no longer part of any future version; they are deleted as soon as
-// no pinned version references them. Caller holds d.mu.
-func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) {
+// no pinned version references them. It returns the ones no version pins
+// now, for the caller to pass to removeTables once it holds no engine lock.
+// Caller holds d.mu.
+func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) (dead []uint64) {
 	d.verMu.Lock()
 	old := d.current
 	h := &versionHandle{v: v, refs: 1} // the "current" reference
@@ -50,7 +58,7 @@ func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) {
 			delete(d.live, old)
 		}
 	}
-	d.gcFilesLocked()
+	dead = d.gcFilesLocked()
 	d.verMu.Unlock()
 
 	info := ShapeInfo{
@@ -65,13 +73,14 @@ func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) {
 		}
 	}
 	d.shapeInfo.Store(info)
+	return dead
 }
 
-// gcFilesLocked deletes zombie files referenced by no live version.
-// Caller holds d.verMu.
-func (d *DB) gcFilesLocked() {
+// gcFilesLocked returns the zombie files referenced by no live version,
+// forgetting them and dropping their readers. Caller holds d.verMu.
+func (d *DB) gcFilesLocked() (dead []uint64) {
 	if len(d.zombies) == 0 {
-		return
+		return nil
 	}
 	referenced := make(map[uint64]bool)
 	for h := range d.live {
@@ -87,29 +96,14 @@ func (d *DB) gcFilesLocked() {
 		}
 		delete(d.zombies, fn)
 		d.tc.evict(fn)
-		// Deferred, not deleted: the on-disk manifest may still reference
-		// this file. Physical removal happens after the next successful
-		// manifest save (takeDeletable) — a crash in between must
-		// recover from a manifest whose whole file set is still present.
-		d.deletable = append(d.deletable, fn)
+		dead = append(dead, fn)
 	}
+	return dead
 }
 
-// takeDeletable hands over the files queued by the version GC. Called by
-// saveManifestLocked right after a manifest that no longer references them
-// has been durably saved; anything queued afterwards waits for the next save
-// (or, if the process dies first, for the orphan sweep on reopen).
-func (d *DB) takeDeletable() []uint64 {
-	d.verMu.Lock()
-	defer d.verMu.Unlock()
-	pending := d.deletable
-	d.deletable = nil
-	return pending
-}
-
-// removeTables physically removes table files taken by takeDeletable. It
-// runs with no engine lock held: on a real file system each removal is a
-// directory update the device must persist.
+// removeTables physically removes dead table files. It runs with no engine
+// lock held, and syncs no directory: a removal a crash undoes leaves an
+// orphan that the next Open deletes.
 func (d *DB) removeTables(nums []uint64) {
 	for _, fn := range nums {
 		// Removal failures are harmless (the file may already be gone);

@@ -6,78 +6,73 @@ import (
 	"adcache/internal/vfs"
 )
 
-// crashState builds a distinguishable State for the crash-window sweep.
-func crashState(gen uint64) State {
-	v := NewVersion(7)
-	for i := uint64(0); i < 3; i++ {
-		f := fm(gen*100+i, "a", "z")
-		v.Levels[1] = append(v.Levels[1], f)
-	}
-	return State{NextFileNum: gen * 1000, LastSeq: gen * 7, WALNum: gen, Version: v}
-}
-
-// TestSaveCrashWindow crashes inside every FS operation of Store.Save — the
-// tmp create, payload writes, sync and rename — and checks atomicity: Load
-// must always succeed and return either the previous state or the new one,
-// never an error or a hybrid, whether or not the crash tears unsynced bytes.
+// TestSaveCrashWindow crashes at every FS operation of an edit's append and
+// of a rollover, with and without torn unsynced bytes, and checks that each
+// Commit is atomic: Open must always succeed and return either the state
+// before the edit or the state after it — never an error or a hybrid — and
+// the state after it once the Commit was acknowledged.
 func TestSaveCrashWindow(t *testing.T) {
-	// Count the ops one Save performs on a dirty directory (tmp file from a
-	// previous save already present) by doing two probe saves.
-	probe := vfs.NewCrash(vfs.NewMem())
-	probe.MkdirAll("db")
-	st := NewStore(probe, "db")
-	if err := st.Save(crashState(1)); err != nil {
-		t.Fatalf("probe save 1: %v", err)
+	edits := history()
+	last := len(edits) - 1
+	// prep commits every edit but the last. With reopen set, the store is
+	// reopened before the last, so the last is a rollover; otherwise it is
+	// an append.
+	prep := func(fs vfs.FS, reopen bool) *Store {
+		store, _ := open(t, fs)
+		for _, e := range edits[:last] {
+			if _, err := store.Commit(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reopen {
+			store.Close()
+			store, _ = open(t, fs)
+		}
+		return store
 	}
-	before := probe.OpCount()
-	if err := st.Save(crashState(2)); err != nil {
-		t.Fatalf("probe save 2: %v", err)
+	_, before := open(t, vfs.NewMem())
+	for _, e := range edits[:last] {
+		before, _ = before.apply(e)
 	}
-	saveOps := probe.OpCount() - before
-	if saveOps < 3 {
-		t.Fatalf("Save performed only %d FS ops", saveOps)
-	}
+	after, _ := before.apply(edits[last])
 
-	for torn := 0; torn < 2; torn++ {
-		for p := int64(0); p <= saveOps; p++ {
-			cfs := vfs.NewCrash(vfs.NewMem())
-			cfs.MkdirAll("db")
-			store := NewStore(cfs, "db")
-			if err := store.Save(crashState(1)); err != nil {
-				t.Fatalf("save 1: %v", err)
-			}
-			cfs.ArmCrash(p) // relative: p more ops succeed, then the device dies
-			saveErr := store.Save(crashState(2))
-			if p < saveOps && saveErr == nil {
-				t.Fatalf("crash point %d: second save did not observe the crash", p)
-			}
-			recovered := cfs.Crash(vfs.CrashOptions{
-				Seed:         p,
-				KeepTornTail: torn == 1,
-				SectorSize:   512,
-			})
-
-			got, found, err := NewStore(recovered, "db").Load()
-			if err != nil {
-				t.Fatalf("crash point %d (torn=%d): Load after crash: %v", p, torn, err)
-			}
-			if !found {
-				t.Fatalf("crash point %d (torn=%d): manifest vanished", p, torn)
-			}
-			switch got.WALNum {
-			case 1:
-				if saveErr == nil {
-					t.Fatalf("crash point %d (torn=%d): save acked but old state survived", p, torn)
+	for _, path := range []struct {
+		name   string
+		reopen bool
+	}{{"append", false}, {"rollover", true}} {
+		probe := vfs.NewCrash(vfs.NewMem())
+		store := prep(probe, path.reopen)
+		start := probe.OpCount()
+		if _, err := store.Commit(edits[last]); err != nil {
+			t.Fatal(err)
+		}
+		ops := probe.OpCount() - start
+		if min := map[bool]int64{false: 3, true: 5}[path.reopen]; ops < min {
+			t.Fatalf("%s: Commit performed %d FS ops, want at least %d", path.name, ops, min)
+		}
+		for torn := 0; torn < 2; torn++ {
+			for p := int64(0); p <= ops; p++ {
+				cfs := vfs.NewCrash(vfs.NewMem())
+				store := prep(cfs, path.reopen)
+				cfs.ArmCrash(p) // p more ops succeed, then the device dies
+				_, commitErr := store.Commit(edits[last])
+				if p < ops && commitErr == nil {
+					t.Fatalf("%s crash point %d: Commit did not observe the crash", path.name, p)
 				}
-				if got.LastSeq != 7 || len(got.Version.Levels[1]) != 3 || got.Version.Levels[1][0].FileNum != 100 {
-					t.Fatalf("crash point %d (torn=%d): old state mangled: %+v", p, torn, got)
+				recovered := cfs.Crash(vfs.CrashOptions{Seed: p, KeepTornTail: torn == 1, SectorSize: 512})
+				_, got, err := Open(recovered, "db", 7)
+				if err != nil {
+					t.Fatalf("%s crash point %d (torn=%d): Open after crash: %v", path.name, p, torn, err)
 				}
-			case 2:
-				if got.LastSeq != 14 || len(got.Version.Levels[1]) != 3 || got.Version.Levels[1][0].FileNum != 200 {
-					t.Fatalf("crash point %d (torn=%d): new state mangled: %+v", p, torn, got)
+				switch {
+				case sameState(got, after):
+				case sameState(got, before):
+					if commitErr == nil {
+						t.Fatalf("%s crash point %d (torn=%d): Commit acked but the edit was lost", path.name, p, torn)
+					}
+				default:
+					t.Fatalf("%s crash point %d (torn=%d): hybrid state %v %v", path.name, p, torn, fileNums(got.Version), got.WALNums)
 				}
-			default:
-				t.Fatalf("crash point %d (torn=%d): hybrid state: %+v", p, torn, got)
 			}
 		}
 	}

@@ -1,22 +1,19 @@
 // Package manifest tracks the LSM tree's file-level metadata: which
-// SSTables live at which level, the next file number, and the last committed
-// sequence number.
+// SSTables live at which level, which write-ahead logs are live, the next
+// file number, and the last committed sequence number.
 //
-// Persistence uses snapshot manifests: the full state is serialised to a
-// temporary file and atomically renamed over MANIFEST. At this engine's
-// scale a snapshot per version change is cheaper and simpler than a
-// version-edit log, and the atomic rename gives the same crash-consistency
-// guarantee.
+// The MANIFEST file is a log of version edits (edit.go): a snapshot of the
+// whole state, then one crc-framed edit per version change, each appended
+// and synced on its own (store.go). Recovery folds the intact prefix of the
+// log. Once the log outgrows a multiple of its snapshot, the store writes a
+// fresh snapshot to a new file and renames it over MANIFEST.
 package manifest
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"sync"
 
 	"adcache/internal/keys"
-	"adcache/internal/vfs"
 )
 
 // FileMeta describes one SSTable.
@@ -131,133 +128,35 @@ func (v *Version) Overlapping(level int, lo, hi []byte) []*FileMeta {
 	return out
 }
 
+// check verifies the level invariants: every file has valid bounds with
+// smallest <= largest, no file number appears twice, and each level below
+// L0 is sorted by key with no two files overlapping.
+func (v *Version) check() error {
+	seen := make(map[uint64]bool)
+	for level, files := range v.Levels {
+		for i, f := range files {
+			if seen[f.FileNum] {
+				return fmt.Errorf("manifest: file %06d listed twice", f.FileNum)
+			}
+			seen[f.FileNum] = true
+			if !f.Smallest.Valid() || !f.Largest.Valid() || keys.Compare(f.Smallest, f.Largest) > 0 {
+				return fmt.Errorf("manifest: file %06d has invalid bounds", f.FileNum)
+			}
+			if level > 0 && i > 0 && bytes.Compare(files[i-1].Largest.UserKey(), f.Smallest.UserKey()) >= 0 {
+				return fmt.Errorf("manifest: level %d: file %06d overlaps its predecessor", level, f.FileNum)
+			}
+		}
+	}
+	return nil
+}
+
 // State is everything the manifest persists.
 type State struct {
 	NextFileNum uint64
 	LastSeq     uint64
-	// WALNum is the active log. Kept alongside WALNums for compatibility
-	// with manifests written before background flushing existed.
-	WALNum uint64
 	// WALNums lists every live log oldest-first: one per sealed memtable
 	// still awaiting flush, then the active log. Recovery replays them in
-	// order. Empty in pre-background manifests (fall back to WALNum).
+	// order.
 	WALNums []uint64
 	Version *Version
-}
-
-type fileMetaJSON struct {
-	FileNum    uint64 `json:"file_num"`
-	Size       uint64 `json:"size"`
-	NumEntries uint64 `json:"num_entries"`
-	Smallest   []byte `json:"smallest"`
-	Largest    []byte `json:"largest"`
-}
-
-type stateJSON struct {
-	NextFileNum uint64           `json:"next_file_num"`
-	LastSeq     uint64           `json:"last_seq"`
-	WALNum      uint64           `json:"wal_num"`
-	WALNums     []uint64         `json:"wal_nums,omitempty"`
-	Levels      [][]fileMetaJSON `json:"levels"`
-}
-
-// Store saves and loads manifest state under a directory.
-type Store struct {
-	mu  sync.Mutex
-	fs  vfs.FS
-	dir string
-}
-
-// NewStore returns a Store for dir on fs.
-func NewStore(fs vfs.FS, dir string) *Store { return &Store{fs: fs, dir: dir} }
-
-// Path returns the manifest file path.
-func (s *Store) Path() string { return s.dir + "/MANIFEST" }
-
-// Save atomically persists st.
-func (s *Store) Save(st State) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js := stateJSON{
-		NextFileNum: st.NextFileNum,
-		LastSeq:     st.LastSeq,
-		WALNum:      st.WALNum,
-		WALNums:     st.WALNums,
-		Levels:      make([][]fileMetaJSON, len(st.Version.Levels)),
-	}
-	for i, level := range st.Version.Levels {
-		js.Levels[i] = make([]fileMetaJSON, len(level))
-		for j, f := range level {
-			js.Levels[i][j] = fileMetaJSON{
-				FileNum: f.FileNum, Size: f.Size, NumEntries: f.NumEntries,
-				Smallest: f.Smallest, Largest: f.Largest,
-			}
-		}
-	}
-	data, err := json.Marshal(js)
-	if err != nil {
-		return err
-	}
-	tmp := s.Path() + ".tmp"
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return s.fs.Rename(tmp, s.Path())
-}
-
-// Load reads the persisted state. ok is false when no manifest exists.
-func (s *Store) Load() (State, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.fs.Exists(s.Path()) {
-		return State{}, false, nil
-	}
-	f, err := s.fs.Open(s.Path())
-	if err != nil {
-		return State{}, false, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return State{}, false, err
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return State{}, false, err
-	}
-	var js stateJSON
-	if err := json.Unmarshal(data, &js); err != nil {
-		return State{}, false, fmt.Errorf("manifest: corrupt: %w", err)
-	}
-	st := State{
-		NextFileNum: js.NextFileNum,
-		LastSeq:     js.LastSeq,
-		WALNum:      js.WALNum,
-		WALNums:     js.WALNums,
-		Version:     NewVersion(len(js.Levels)),
-	}
-	if len(st.WALNums) == 0 && st.WALNum != 0 {
-		st.WALNums = []uint64{st.WALNum}
-	}
-	for i, level := range js.Levels {
-		for _, fm := range level {
-			st.Version.Levels[i] = append(st.Version.Levels[i], &FileMeta{
-				FileNum: fm.FileNum, Size: fm.Size, NumEntries: fm.NumEntries,
-				Smallest: fm.Smallest, Largest: fm.Largest,
-			})
-		}
-	}
-	return st, true, nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 
 	"adcache/internal/vfs"
 )
@@ -282,7 +283,8 @@ type snapshot struct {
 }
 
 // Save writes the network weights to path on fs, tagged with the owner's
-// parametrization.
+// parametrization, and syncs path's directory so the new file survives a
+// crash.
 func (m *MLP) Save(fs vfs.FS, path, tag string) error {
 	f, err := fs.Create(path)
 	if err != nil {
@@ -290,7 +292,10 @@ func (m *MLP) Save(fs vfs.FS, path, tag string) error {
 	}
 	defer f.Close()
 	enc := gob.NewEncoder(writerAdapter{f})
-	return enc.Encode(snapshot{Sizes: m.sizes, Acts: m.acts, W: m.w, B: m.b, Tag: tag})
+	if err := enc.Encode(snapshot{Sizes: m.sizes, Acts: m.acts, W: m.w, B: m.b, Tag: tag}); err != nil {
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 // Load reads network weights from path on fs. The layer sizes and the

@@ -106,6 +106,9 @@ func TestConcurrentWriteSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := fs.SyncDir("db"); err != nil {
+				t.Fatal(err)
+			}
 			data := hammer(t, f)
 			if c, ok := fs.(*CountingFS); ok {
 				if got := c.Stats.WriteOps.Load(); got != cwWriters*cwRecords {
@@ -168,6 +171,9 @@ func TestCrashSyncCoversOnlyBytesPresentAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := cfs.SyncDir("db"); err != nil {
+		t.Fatal(err)
+	}
 	f.Write([]byte("synced"))
 	done := make(chan error)
 	go func() { done <- f.Sync() }()
@@ -190,6 +196,9 @@ func TestCrashOverlappingSyncsNeverShrink(t *testing.T) {
 	cfs.SetRoot("db")
 	f, err := cfs.Create("db/log")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfs.SyncDir("db"); err != nil {
 		t.Fatal(err)
 	}
 	f.Write([]byte("first"))

@@ -17,7 +17,7 @@ var ErrCrashed = errors.New("vfs: simulated crash")
 
 // CrashFS wraps an FS with a power-failure model. All data flows through to
 // the inner FS immediately (readers on the live handle see it), but bytes
-// only become *durable* when the file is synced: each path carries a durable
+// only become *durable* when the file is synced: each file carries a durable
 // snapshot that Sync refreshes with the file's full current contents.
 //
 // Syncs may overlap each other and writes to the same file. A Sync makes
@@ -25,47 +25,63 @@ var ErrCrashed = errors.New("vfs: simulated crash")
 // appends while it runs — and the durable length only grows, so an earlier
 // sync finishing after a later one cannot shrink it.
 //
+// Namespace operations (create, remove, rename) become durable only at a
+// SyncDir of their directory, which makes every such change in the
+// directory durable at once. A crash undoes the rest: an unsynced create
+// vanishes even if its data was synced, an unsynced remove comes back with
+// the file's durable contents, and an unsynced rename reverts. Creating
+// over an existing name leaves the old file in the durable directory until
+// the SyncDir.
+//
 // A crash can be triggered two ways:
 //
 //   - ArmCrash(n): the first n durability-relevant operations (Create,
-//     Remove, Rename, Write, WriteAt, Sync) succeed; operation n+1 fails
-//     with ErrCrashed and the device dies — every later operation also
+//     Remove, Rename, SyncDir, Write, WriteAt, Sync) succeed; operation n+1
+//     fails with ErrCrashed and the device dies — every later operation also
 //     returns ErrCrashed. Sweeping n over a workload's full operation count
 //     visits every crash window the engine has.
 //   - Calling Crash directly at any quiescent point.
 //
-// Crash materialises the post-crash disk as a fresh *MemFS: for every file,
-// the durable snapshot survives, the unsynced tail is discarded — or,
-// per CrashOptions, partially kept at sector granularity (a torn write) or
-// kept entirely (the write happened to reach the platter before the cut,
-// modelling reordered completion across files). Namespace operations
-// (create/remove/rename) are modelled as immediately durable, which matches
-// the engine's usage: the manifest syncs file contents before its atomic
-// rename, and WAL/SST files are created before any data that matters is
-// acknowledged.
+// Crash materialises the post-crash disk as a fresh *MemFS: every durable
+// directory entry survives with its file's durable snapshot, and the
+// unsynced tail is discarded — or, per CrashOptions, partially kept at
+// sector granularity (a torn write) or kept entirely (the write happened to
+// reach the platter before the cut, modelling reordered completion across
+// files).
 //
 // Files that already existed on the inner FS before wrapping are treated as
-// fully durable.
+// fully durable, contents and directory entry alike.
 type CrashFS struct {
 	inner FS
 
-	mu      sync.Mutex
-	files   map[string]*crashState
+	mu sync.Mutex
+	// live maps each path this wrapper has touched to its file as the live
+	// namespace has it; durable maps paths to files as the durable
+	// directories have them. A path in neither is untouched and as durable
+	// as it is live.
+	live    map[string]*crashState
+	durable map[string]*crashState
 	root    string // non-empty: bound the crash-time enumeration to this tree
 	opCount int64
 	armAt   int64 // fail the (armAt+1)-th op; negative = disarmed
 	crashed bool
 }
 
-// crashState tracks one path's durable contents. Handles hold a pointer to
-// it, so Rename (which re-keys the map) keeps handles attached.
+// crashState is one file: its durable contents and where the live namespace
+// has it. Handles hold a pointer to it, so a rename keeps them attached.
 type crashState struct {
 	durable []byte
+	path    string // live path; "" once removed or replaced
 }
 
 // NewCrash wraps inner with crash simulation, disarmed.
 func NewCrash(inner FS) *CrashFS {
-	return &CrashFS{inner: inner, files: make(map[string]*crashState), armAt: -1}
+	return &CrashFS{
+		inner:   inner,
+		live:    make(map[string]*crashState),
+		durable: make(map[string]*crashState),
+		armAt:   -1,
+	}
 }
 
 // SetRoot bounds the crash-time file enumeration to the tree under dir.
@@ -132,34 +148,47 @@ func (c *CrashFS) readGate() error {
 	return nil
 }
 
-// state returns the tracked durable state for name, creating it if the file
-// pre-existed the wrapper (such files are fully durable as of first contact).
-func (c *CrashFS) state(name string, preExistingDurable func() []byte) *crashState {
-	name = clean(name)
-	st, ok := c.files[name]
-	if !ok {
-		st = &crashState{}
-		if preExistingDurable != nil {
-			st.durable = preExistingDurable()
-		}
-		c.files[name] = st
+// adoptLocked starts tracking name if it exists on the inner FS but this
+// wrapper has not touched it: such a file pre-existed the wrapper and is
+// fully durable, so its current contents and entry become its durable
+// state. Caller holds c.mu.
+func (c *CrashFS) adoptLocked(name string) {
+	if _, ok := c.live[name]; ok || !c.inner.Exists(name) {
+		return
 	}
-	return st
+	st := &crashState{path: name}
+	if f, err := c.inner.Open(name); err == nil {
+		st.durable = readAll(f)
+		f.Close()
+	}
+	c.live[name] = st
+	c.durable[name] = st
 }
 
-// Create implements FS. The truncation is modelled as immediately durable.
+// unlinkLocked drops name from the live namespace. Caller holds c.mu.
+func (c *CrashFS) unlinkLocked(name string) {
+	if st, ok := c.live[name]; ok {
+		st.path = ""
+		delete(c.live, name)
+	}
+}
+
+// Create implements FS.
 func (c *CrashFS) Create(name string) (File, error) {
 	if err := c.op(); err != nil {
 		return nil, err
 	}
+	name = clean(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.adoptLocked(name)
 	f, err := c.inner.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	st := &crashState{}
-	c.files[clean(name)] = st
-	c.mu.Unlock()
+	c.unlinkLocked(name)
+	st := &crashState{path: name}
+	c.live[name] = st
 	return &crashFile{File: f, fs: c, st: st}, nil
 }
 
@@ -168,48 +197,79 @@ func (c *CrashFS) Open(name string) (File, error) {
 	if err := c.readGate(); err != nil {
 		return nil, err
 	}
+	name = clean(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.adoptLocked(name)
 	f, err := c.inner.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	st := c.state(name, func() []byte { return readAll(f) })
-	c.mu.Unlock()
-	return &crashFile{File: f, fs: c, st: st}, nil
+	return &crashFile{File: f, fs: c, st: c.live[name]}, nil
 }
 
-// Remove implements FS. Deletion is modelled as immediately durable.
+// Remove implements FS. The removal is durable at the next SyncDir.
 func (c *CrashFS) Remove(name string) error {
 	if err := c.op(); err != nil {
 		return err
 	}
+	name = clean(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.adoptLocked(name)
 	if err := c.inner.Remove(name); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	delete(c.files, clean(name))
-	c.mu.Unlock()
+	c.unlinkLocked(name)
 	return nil
 }
 
-// Rename implements FS. The rename itself is immediately durable (and
-// atomic); the renamed file's durable contents are whatever had been synced.
+// Rename implements FS. The rename is atomic and durable at the next
+// SyncDir; the renamed file's durable contents are whatever had been synced.
 func (c *CrashFS) Rename(oldname, newname string) error {
 	if err := c.op(); err != nil {
 		return err
 	}
+	oldname, newname = clean(oldname), clean(newname)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.adoptLocked(oldname)
+	c.adoptLocked(newname)
 	if err := c.inner.Rename(oldname, newname); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	oldname, newname = clean(oldname), clean(newname)
-	if st, ok := c.files[oldname]; ok {
-		delete(c.files, oldname)
-		c.files[newname] = st
-	} else {
-		delete(c.files, newname)
+	st := c.live[oldname]
+	delete(c.live, oldname)
+	c.unlinkLocked(newname)
+	if st != nil {
+		st.path = newname
+		c.live[newname] = st
 	}
-	c.mu.Unlock()
+	return nil
+}
+
+// SyncDir implements FS: every create, remove and rename done so far in dir
+// becomes durable.
+func (c *CrashFS) SyncDir(dir string) error {
+	if err := c.op(); err != nil {
+		return err
+	}
+	if err := c.inner.SyncDir(dir); err != nil {
+		return err
+	}
+	dir = clean(dir)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, st := range c.live {
+		if path.Dir(name) == dir {
+			c.durable[name] = st
+		}
+	}
+	for name := range c.durable {
+		if _, ok := c.live[name]; !ok && path.Dir(name) == dir {
+			delete(c.durable, name)
+		}
+	}
 	return nil
 }
 
@@ -255,9 +315,10 @@ type CrashOptions struct {
 }
 
 // Crash simulates the power cut and returns the post-crash disk as a fresh
-// MemFS: durable snapshots survive, unsynced tails are discarded or torn per
-// opt. The CrashFS itself becomes unusable (every operation fails with
-// ErrCrashed); reopen the database on the returned FS.
+// MemFS: durable directory entries survive with their files' durable
+// snapshots, unsynced tails are discarded or torn per opt. The CrashFS
+// itself becomes unusable (every operation fails with ErrCrashed); reopen
+// the database on the returned FS.
 func (c *CrashFS) Crash(opt CrashOptions) *MemFS {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -269,22 +330,44 @@ func (c *CrashFS) Crash(opt CrashOptions) *MemFS {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	// Deterministic iteration order: sorted live paths from the inner FS
-	// (untracked paths pre-existed the wrapper and are fully durable).
-	names := allFiles(c.inner, c.root)
+	// Deterministic iteration order: sorted durable paths, plus the
+	// untouched ones the inner FS holds (pre-existing, fully durable).
+	var names []string
+	for name := range c.durable {
+		names = append(names, name)
+	}
+	for _, name := range allFiles(c.inner, c.root) {
+		_, live := c.live[name]
+		_, durable := c.durable[name]
+		if !live && !durable {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
 	out := NewMem()
 	for _, name := range names {
-		f, err := c.inner.Open(name)
-		if err != nil {
-			continue
-		}
-		current := readAll(f)
-		content := current
-		if st, ok := c.files[name]; ok {
+		var content []byte
+		st, tracked := c.durable[name]
+		if !tracked {
+			f, err := c.inner.Open(name)
+			if err != nil {
+				continue
+			}
+			content = readAll(f)
+			f.Close()
+		} else {
 			content = st.durable
 			// The unsynced tail is the bytes appended past the durable
-			// snapshot. Unsynced in-place rewrites of durable bytes (which
-			// the engine never does) revert wholesale to the snapshot.
+			// snapshot of a file still in the live namespace. Unsynced
+			// in-place rewrites of durable bytes (which the engine never
+			// does) revert wholesale to the snapshot.
+			var current []byte
+			if st.path != "" {
+				if f, err := c.inner.Open(st.path); err == nil {
+					current = readAll(f)
+					f.Close()
+				}
+			}
 			if len(current) > len(content) && bytes.Equal(current[:len(content)], content) {
 				tail := current[len(content):]
 				keep := 0

@@ -32,6 +32,7 @@ func TestCrashDiscardsUnsynced(t *testing.T) {
 
 	g, _ := cfs.Create("db/b")
 	g.Write([]byte("never-synced"))
+	cfs.SyncDir("db")
 
 	// The live view sees everything.
 	if got := crashRead(t, cfs, "db/a"); string(got) != "durable-volatile" {
@@ -68,6 +69,7 @@ func TestCrashTornTailSectorAligned(t *testing.T) {
 	build := func(seed int64) []byte {
 		cfs := NewCrash(NewMem())
 		f, _ := cfs.Create("db/wal")
+		cfs.SyncDir("db")
 		f.Write(bytes.Repeat([]byte{'d'}, 100))
 		f.Sync()
 		f.Write(bytes.Repeat([]byte{'t'}, 4096))
@@ -102,6 +104,7 @@ func TestCrashKeepAllProbability(t *testing.T) {
 	mk := func(p float64) []byte {
 		cfs := NewCrash(NewMem())
 		f, _ := cfs.Create("db/x")
+		cfs.SyncDir("db")
 		f.Write([]byte("base"))
 		f.Sync()
 		f.Write([]byte("tail"))
@@ -123,12 +126,15 @@ func TestCrashArmKillsDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("x")); err != nil { // op 2
+	if err := cfs.SyncDir("db"); err != nil { // op 2
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("x")); err != nil { // op 3
 		t.Fatal(err)
 	}
 
 	cfs.ArmCrash(1)
-	if err := f.Sync(); err != nil { // op 3: one more allowed
+	if err := f.Sync(); err != nil { // op 4: one more allowed
 		t.Fatal(err)
 	}
 	if _, err := f.Write([]byte("y")); !errors.Is(err, ErrCrashed) {
@@ -166,13 +172,14 @@ func TestCrashOpCountSweepable(t *testing.T) {
 	f.Sync()                   // 3
 	cfs.Rename("db/a", "db/b") // 4
 	cfs.Remove("db/b")         // 5
-	if n := cfs.OpCount(); n != 5 {
-		t.Fatalf("OpCount = %d, want 5", n)
+	cfs.SyncDir("db")          // 6
+	if n := cfs.OpCount(); n != 6 {
+		t.Fatalf("OpCount = %d, want 6", n)
 	}
 }
 
 // TestCrashRenameTracksDurable checks the durable snapshot follows a rename
-// (the manifest tmp+rename pattern).
+// made durable by a directory sync (the manifest rollover pattern).
 func TestCrashRenameTracksDurable(t *testing.T) {
 	cfs := NewCrash(NewMem())
 	f, _ := cfs.Create("db/MANIFEST.tmp")
@@ -182,11 +189,59 @@ func TestCrashRenameTracksDurable(t *testing.T) {
 	if err := cfs.Rename("db/MANIFEST.tmp", "db/MANIFEST"); err != nil {
 		t.Fatal(err)
 	}
+	if err := cfs.SyncDir("db"); err != nil {
+		t.Fatal(err)
+	}
 	after := cfs.Crash(CrashOptions{})
 	if got := crashRead(t, after, "db/MANIFEST"); string(got) != "state-v2" {
 		t.Fatalf("post-crash MANIFEST = %q", got)
 	}
 	if after.Exists("db/MANIFEST.tmp") {
 		t.Fatal("tmp survived its rename")
+	}
+}
+
+// TestCrashNamespaceDurableAtSyncDir pins the namespace model: creates,
+// removes and renames survive a crash only once their directory is synced,
+// whatever the state of the files' own data.
+func TestCrashNamespaceDurableAtSyncDir(t *testing.T) {
+	mk := func(cfs *CrashFS, name, content string) {
+		f, _ := cfs.Create(name)
+		f.Write([]byte(content))
+		f.Sync()
+		f.Close()
+	}
+	cfs := NewCrash(NewMem())
+	mk(cfs, "db/kept", "kept")
+	mk(cfs, "db/removed", "removed")
+	mk(cfs, "db/old", "renamed")
+	mk(cfs, "db/target", "target")
+	if err := cfs.SyncDir("db"); err != nil {
+		t.Fatal(err)
+	}
+	mk(cfs, "db/fresh", "synced data, unsynced entry")
+	cfs.Remove("db/removed")
+	cfs.Rename("db/old", "db/new")
+	mk(cfs, "db/other/synced", "other dir")
+	cfs.Rename("db/target.tmp", "db/target") // fails: no such file
+	mk(cfs, "db/target.tmp", "replacement")
+	cfs.Rename("db/target.tmp", "db/target")
+	cfs.SyncDir("db/other") // covers nothing in db
+
+	after := cfs.Crash(CrashOptions{})
+	want := map[string]string{
+		"db/kept":         "kept",
+		"db/removed":      "removed",
+		"db/old":          "renamed",
+		"db/target":       "target",
+		"db/other/synced": "other dir",
+	}
+	if got := after.AllFiles(); len(got) != len(want) {
+		t.Fatalf("post-crash files %v, want %d files", got, len(want))
+	}
+	for name, content := range want {
+		if got := crashRead(t, after, name); string(got) != content {
+			t.Fatalf("post-crash %s = %q, want %q", name, got, content)
+		}
 	}
 }

@@ -43,6 +43,9 @@ type FaultFS struct {
 	// the write "succeeds" but persists damaged bytes, the failure mode
 	// ParanoidChecks exists to catch.
 	corruptWrites int
+	// shortWrites makes each of the next n writes persist the first half of
+	// its bytes and then fail: a torn write the caller knows about.
+	shortWrites int
 	// prob, when positive, fails each operation independently with this
 	// probability, drawn from rng.
 	prob float64
@@ -102,6 +105,14 @@ func (f *FaultFS) CorruptWrites(n int) {
 	f.corruptWrites = n
 }
 
+// ShortWrites arranges for the next n writes (to targeted files) to persist
+// only the first half of their bytes and then fail.
+func (f *FaultFS) ShortWrites(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.shortWrites = n
+}
+
 // SetFailReads toggles failing all reads.
 func (f *FaultFS) SetFailReads(fail bool) {
 	f.mu.Lock()
@@ -149,6 +160,7 @@ func (f *FaultFS) Reset() {
 	f.failRemoves = 0
 	f.failRenames = 0
 	f.corruptWrites = 0
+	f.shortWrites = 0
 	f.prob = 0
 	f.target = ""
 	f.err = ErrInjected
@@ -167,26 +179,32 @@ func (f *FaultFS) rollLocked() bool {
 // injectErrLocked returns the configured injection error. Caller holds f.mu.
 func (f *FaultFS) injectErrLocked() error { return f.err }
 
-func (f *FaultFS) writeFault(name string) (corrupt bool, err error) {
+// writeFault decides the fate of one write: pass, fail outright, persist a
+// corrupted copy, or persist a prefix and fail.
+func (f *FaultFS) writeFault(name string) (corrupt, short bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.matchesLocked(name) {
-		return false, nil
+		return false, false, nil
 	}
 	if f.failAfterWrites >= 0 {
 		if f.failAfterWrites == 0 {
-			return false, f.injectErrLocked()
+			return false, false, f.injectErrLocked()
 		}
 		f.failAfterWrites--
 	}
 	if f.corruptWrites > 0 {
 		f.corruptWrites--
-		return true, nil
+		return true, false, nil
+	}
+	if f.shortWrites > 0 {
+		f.shortWrites--
+		return false, true, f.injectErrLocked()
 	}
 	if f.rollLocked() {
-		return false, f.injectErrLocked()
+		return false, false, f.injectErrLocked()
 	}
-	return false, nil
+	return false, false, nil
 }
 
 func (f *FaultFS) readFault(name string) error {
@@ -307,31 +325,31 @@ func corruptCopy(p []byte) []byte {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	corrupt, err := f.fs.writeFault(f.name)
-	if err != nil {
-		return 0, err
-	}
-	if corrupt {
-		n, err := f.File.Write(corruptCopy(p))
-		if n > len(p) {
-			n = len(p)
-		}
+	corrupt, short, err := f.fs.writeFault(f.name)
+	switch {
+	case short:
+		n, _ := f.File.Write(p[:len(p)/2])
 		return n, err
+	case err != nil:
+		return 0, err
+	case corrupt:
+		n, err := f.File.Write(corruptCopy(p))
+		return min(n, len(p)), err
 	}
 	return f.File.Write(p)
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	corrupt, err := f.fs.writeFault(f.name)
-	if err != nil {
-		return 0, err
-	}
-	if corrupt {
-		n, err := f.File.WriteAt(corruptCopy(p), off)
-		if n > len(p) {
-			n = len(p)
-		}
+	corrupt, short, err := f.fs.writeFault(f.name)
+	switch {
+	case short:
+		n, _ := f.File.WriteAt(p[:len(p)/2], off)
 		return n, err
+	case err != nil:
+		return 0, err
+	case corrupt:
+		n, err := f.File.WriteAt(corruptCopy(p), off)
+		return min(n, len(p)), err
 	}
 	return f.File.WriteAt(p, off)
 }

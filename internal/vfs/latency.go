@@ -55,6 +55,7 @@ func (l *LatencyFS) Rename(oldname, newname string) error { return l.fs.Rename(o
 func (l *LatencyFS) List(dir string) ([]string, error)    { return l.fs.List(dir) }
 func (l *LatencyFS) MkdirAll(dir string) error            { return l.fs.MkdirAll(dir) }
 func (l *LatencyFS) Exists(name string) bool              { return l.fs.Exists(name) }
+func (l *LatencyFS) SyncDir(dir string) error             { return l.fs.SyncDir(dir) }
 
 type latencyFile struct {
 	f    File

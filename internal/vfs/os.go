@@ -4,17 +4,17 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // OSFS implements FS over the operating system's file system. It lets the
 // engine and tools run against real disks; tests and experiments use MemFS.
 //
-// OSFS honours the engine's durability contract on a real file system:
-// Create, Remove and Rename are followed by an fsync of the parent
-// directory, so an acked namespace operation (the manifest's atomic
-// temp+rename install, WAL creation, obsolete-file deletion) survives a
-// power cut — without the parent sync, a crash can roll back the directory
-// entry even though the file's own data was fsynced.
+// Create, Remove and Rename change the directory without syncing it: a crash
+// can roll them back even when the file's own data was fsynced. SyncDir
+// fsyncs the directory, making every such change in it durable at once, so
+// a caller pays one directory sync per batch of namespace changes it needs
+// to survive, not one per file.
 //
 // Files opened for reading additionally expose the NoCopyReaderAt
 // capability, serving pinned zero-copy views from a lazily established
@@ -24,10 +24,14 @@ type OSFS struct{}
 // NewOS returns an OS-backed file system.
 func NewOS() OSFS { return OSFS{} }
 
-// syncDir fsyncs the directory containing name, making a preceding create,
-// remove or rename of name durable.
-func syncDir(name string) error {
-	d, err := os.Open(filepath.Dir(name))
+// dirSyncs counts the directory fsyncs OSFS has issued, so tests can check
+// that SyncDir is the only operation that issues one.
+var dirSyncs atomic.Int64
+
+// SyncDir implements FS by fsyncing dir.
+func (OSFS) SyncDir(dir string) error {
+	dirSyncs.Add(1)
+	d, err := os.Open(filepath.Clean(dir))
 	if err != nil {
 		return err
 	}
@@ -35,15 +39,10 @@ func syncDir(name string) error {
 	return d.Sync()
 }
 
-// Create implements FS. The new directory entry is fsynced before Create
-// returns, so the file's existence is as durable as its future contents.
+// Create implements FS.
 func (OSFS) Create(name string) (File, error) {
 	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
-	}
-	if err := syncDir(name); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return &osFile{f: f}, nil
@@ -63,34 +62,17 @@ func (OSFS) Open(name string) (File, error) {
 	return &osFile{f: f}, nil
 }
 
-// Remove implements FS, fsyncing the parent directory so the deletion is
-// durable.
+// Remove implements FS.
 func (OSFS) Remove(name string) error {
 	err := os.Remove(name)
 	if os.IsNotExist(err) {
 		return &NotExistError{Name: name}
 	}
-	if err != nil {
-		return err
-	}
-	return syncDir(name)
+	return err
 }
 
-// Rename implements FS, fsyncing the destination's parent directory (and
-// the source's when it differs) so the acked rename survives a crash — the
-// durability step the manifest's temp+rename install relies on.
-func (OSFS) Rename(oldname, newname string) error {
-	if err := os.Rename(oldname, newname); err != nil {
-		return err
-	}
-	if err := syncDir(newname); err != nil {
-		return err
-	}
-	if filepath.Dir(oldname) != filepath.Dir(newname) {
-		return syncDir(oldname)
-	}
-	return nil
-}
+// Rename implements FS.
+func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
 // List implements FS.
 func (OSFS) List(dir string) ([]string, error) {

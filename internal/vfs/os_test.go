@@ -8,7 +8,8 @@ import (
 	"time"
 )
 
-// writeFile creates name on fs with content, synced and closed.
+// writeFile creates name on fs with content, synced and closed, and syncs
+// its directory.
 func writeFile(t *testing.T, fs FS, name string, content []byte) {
 	t.Helper()
 	f, err := fs.Create(name)
@@ -22,6 +23,9 @@ func writeFile(t *testing.T, fs FS, name string, content []byte) {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir(filepath.Dir(name)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,6 +245,9 @@ func TestCrashFSRootScopedOverOS(t *testing.T) {
 	if _, err := f.Write([]byte("-unsynced-tail")); err != nil {
 		t.Fatal(err)
 	}
+	if err := crash.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
 
 	disk := crash.Crash(CrashOptions{})
 	df, err := disk.Open(durable)
@@ -259,5 +266,33 @@ func TestCrashFSRootScopedOverOS(t *testing.T) {
 	}
 	if _, err := crash.Open(durable); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash Open = %v, want ErrCrashed", err)
+	}
+}
+
+// TestOSFSDirSyncOnlyOnSyncDir: Create, Remove and Rename leave the
+// directory unsynced; SyncDir fsyncs it once.
+func TestOSFSDirSyncOnlyOnSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewOS()
+	before := dirSyncs.Load()
+	f, err := fs.Create(filepath.Join(dir, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := fs.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove(filepath.Join(dir, "b")); err != nil {
+		t.Fatal(err)
+	}
+	if n := dirSyncs.Load() - before; n != 0 {
+		t.Fatalf("Create, Rename and Remove issued %d directory syncs, want 0", n)
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n := dirSyncs.Load() - before; n != 1 {
+		t.Fatalf("SyncDir issued %d directory syncs, want 1", n)
 	}
 }

@@ -58,6 +58,10 @@ type FS interface {
 	MkdirAll(dir string) error
 	// Exists reports whether the named file exists.
 	Exists(name string) bool
+	// SyncDir makes the creates, removes and renames already done in dir
+	// durable. Until it returns they may be undone by a crash, even for a
+	// file whose own data was synced.
+	SyncDir(dir string) error
 }
 
 // memFile is an in-memory file. It is safe for concurrent ReadAt once
@@ -190,6 +194,9 @@ func (fs *MemFS) MkdirAll(dir string) error {
 	fs.dirs[clean(dir)] = true
 	return nil
 }
+
+// SyncDir implements FS. MemFS has no crash to survive.
+func (fs *MemFS) SyncDir(string) error { return nil }
 
 // Exists implements FS.
 func (fs *MemFS) Exists(name string) bool {

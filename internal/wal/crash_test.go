@@ -30,6 +30,9 @@ func TestCrashTornTailReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := cfs.SyncDir("."); err != nil {
+			t.Fatal(err)
+		}
 		w := NewWriter(f)
 		for i := 0; i < total; i++ {
 			if err := add(w, crashRec(i)); err != nil {
@@ -81,6 +84,9 @@ func TestCrashDiscardsUnsyncedTail(t *testing.T) {
 	cfs := vfs.NewCrash(vfs.NewMem())
 	f, err := cfs.Create("wal")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfs.SyncDir("."); err != nil {
 		t.Fatal(err)
 	}
 	w := NewWriter(f)
