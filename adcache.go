@@ -20,14 +20,11 @@ package adcache
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"adcache/internal/core"
 	"adcache/internal/lsm"
 	"adcache/internal/metrics"
-	"adcache/internal/trace"
 	"adcache/internal/vfs"
-	"adcache/internal/workload"
 )
 
 // Strategy selects the cache scheme, mirroring the paper's evaluation
@@ -109,9 +106,6 @@ type Options struct {
 	// background I/O rate limit, tree shape; FS/Dir/Strategy fields are
 	// managed by Open.
 	LSM *lsm.Options
-	// Trace, when non-nil, records every operation (§3.1: "workload logs
-	// can be collected"); trace.ReadAll replays one.
-	Trace *trace.Writer
 }
 
 // DB is an LSM-tree key-value store with a pluggable cache strategy.
@@ -121,25 +115,6 @@ type DB struct {
 	ad       *core.AdCache // non-nil only for StrategyAdCache
 	kind     Strategy
 	reg      *metrics.Registry
-
-	traceMu   sync.Mutex
-	trace     *trace.Writer
-	traceErrs *metrics.Counter
-}
-
-// recordTrace appends op to the trace log, if tracing is enabled. Trace
-// write errors never reach the data path (tracing is advisory) but are
-// counted, so a silently failing trace shows up in /stats and /metrics.
-func (d *DB) recordTrace(op workload.Op) {
-	if d.trace == nil {
-		return
-	}
-	d.traceMu.Lock()
-	err := d.trace.Record(op)
-	d.traceMu.Unlock()
-	if err != nil {
-		d.traceErrs.Inc()
-	}
 }
 
 // Open creates or opens a database.
@@ -206,43 +181,34 @@ func Open(opts Options) (*DB, error) {
 	if ad != nil {
 		ad.Bind(inner)
 	}
-	d := &DB{inner: inner, strategy: strategy, ad: ad, kind: opts.Strategy, reg: reg, trace: opts.Trace}
+	d := &DB{inner: inner, strategy: strategy, ad: ad, kind: opts.Strategy, reg: reg}
 	d.registerMetrics(reg)
 	return d, nil
 }
 
 // Put stores key=value.
 func (d *DB) Put(key, value []byte) error {
-	d.recordTrace(workload.Op{Kind: workload.OpPut, Key: key})
 	return d.inner.Put(key, value)
 }
 
 // Delete removes key.
 func (d *DB) Delete(key []byte) error {
-	d.recordTrace(workload.Op{Kind: workload.OpDelete, Key: key})
 	return d.inner.Delete(key)
 }
 
 // Get returns the value for key. ok is false when the key does not exist.
 func (d *DB) Get(key []byte) (value []byte, ok bool, err error) {
-	d.recordTrace(workload.Op{Kind: workload.OpGet, Key: key})
 	return d.inner.Get(key)
 }
 
 // Scan returns up to n live key-value pairs with key >= start, in order.
 func (d *DB) Scan(start []byte, n int) ([]lsm.KV, error) {
-	d.recordTrace(workload.Op{Kind: workload.OpScan, Key: start, ScanLen: n})
 	return d.inner.Scan(start, n)
 }
 
 // ScanRange returns up to limit live pairs with start <= key < end (nil end
 // means unbounded above; limit <= 0 means bounded by end only).
 func (d *DB) ScanRange(start, end []byte, limit int) ([]lsm.KV, error) {
-	scanLen := limit
-	if scanLen < 0 {
-		scanLen = 0 // bounded by end only
-	}
-	d.recordTrace(workload.Op{Kind: workload.OpScanRange, Key: start, End: end, ScanLen: scanLen})
 	return d.inner.ScanRange(start, end, limit)
 }
 
@@ -254,18 +220,8 @@ func (d *DB) NewIter() (*lsm.Iterator, error) { return d.inner.NewIter() }
 // NewBatch returns an empty write batch; commit it with Apply.
 func (d *DB) NewBatch() *lsm.Batch { return lsm.NewBatch() }
 
-// Apply atomically commits a batch of writes. In the trace log a batch is
-// one put or delete per entry.
+// Apply atomically commits a batch of writes.
 func (d *DB) Apply(b *lsm.Batch) error {
-	if d.trace != nil {
-		b.Each(func(del bool, key []byte) {
-			kind := workload.OpPut
-			if del {
-				kind = workload.OpDelete
-			}
-			d.recordTrace(workload.Op{Kind: kind, Key: key})
-		})
-	}
 	return d.inner.Apply(b)
 }
 

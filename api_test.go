@@ -7,9 +7,7 @@ import (
 
 	"adcache"
 	"adcache/internal/lsm"
-	"adcache/internal/trace"
 	"adcache/internal/vfs"
-	"adcache/internal/workload"
 )
 
 func openAPI(t *testing.T, strategy adcache.Strategy) *adcache.DB {
@@ -189,60 +187,5 @@ func TestAPIUnboundedScanRangeRepeats(t *testing.T) {
 			}
 		}
 		db.Close()
-	}
-}
-
-// TestAPITraceRecordsBatchEntries: Options.Trace promises every operation,
-// and an Apply is one put or delete per entry — so a batch-writing
-// application's trace carries its true write ratio.
-func TestAPITraceRecordsBatchEntries(t *testing.T) {
-	fs := vfs.NewMem()
-	f, err := fs.Create("ops.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := trace.NewWriter(f)
-	db, err := adcache.Open(adcache.Options{CacheBytes: 1 << 20, Trace: tw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := db.NewBatch()
-	b.Put([]byte("a"), []byte("1"))
-	b.Delete([]byte("b"))
-	b.Put([]byte("c"), []byte("3"))
-	if err := db.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Get([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := fs.Open("ops.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	got, err := trace.ReadAll(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []workload.Op{
-		{Kind: workload.OpPut, Key: []byte("a")},
-		{Kind: workload.OpDelete, Key: []byte("b")},
-		{Kind: workload.OpPut, Key: []byte("c")},
-		{Kind: workload.OpGet, Key: []byte("a")},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("trace holds %d ops, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i].Kind != want[i].Kind || !bytes.Equal(got[i].Key, want[i].Key) {
-			t.Fatalf("op %d = %+v, want %+v", i, got[i], want[i])
-		}
 	}
 }

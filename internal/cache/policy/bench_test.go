@@ -34,7 +34,5 @@ func benchWorkload(b *testing.B, name string) {
 }
 
 func BenchmarkPolicyLRU(b *testing.B)     { benchWorkload(b, "lru") }
-func BenchmarkPolicyLFU(b *testing.B)     { benchWorkload(b, "lfu") }
-func BenchmarkPolicyARC(b *testing.B)     { benchWorkload(b, "arc") }
 func BenchmarkPolicyLeCaR(b *testing.B)   { benchWorkload(b, "lecar") }
 func BenchmarkPolicyCacheus(b *testing.B) { benchWorkload(b, "cacheus") }

@@ -7,8 +7,7 @@ import (
 )
 
 // learned exposes what a policy has learned besides its victim order, for
-// exact comparison with the reference: LeCaR's and Cacheus's expert weights,
-// ARC's target.
+// exact comparison with the reference: LeCaR's and Cacheus's expert weights.
 func learned(p any) [2]float64 {
 	switch p := p.(type) {
 	case *LeCaR:
@@ -23,10 +22,6 @@ func learned(p any) [2]float64 {
 	case *refCacheus:
 		a, b := p.Weights()
 		return [2]float64{a, b}
-	case *ARC:
-		return [2]float64{float64(p.Target())}
-	case *refARC:
-		return [2]float64{float64(p.Target())}
 	}
 	return [2]float64{}
 }
@@ -44,13 +39,12 @@ func TestHandlePoliciesMatchReference(t *testing.T) {
 	refs := map[string]func() refPolicy{
 		"lru":     func() refPolicy { return newRefLRU() },
 		"lfu":     func() refPolicy { return newRefLFU() },
-		"arc":     func() refPolicy { return newRefARC(capacity) },
 		"lecar":   func() refPolicy { return newRefLeCaR(capacity) },
 		"cacheus": func() refPolicy { return newRefCacheus(capacity) },
 	}
 	for name, newRef := range refs {
 		t.Run(name, func(t *testing.T) {
-			ref, got := newRef(), newByKey(New(name, capacity))
+			ref, got := newRef(), newByKey(newTestPolicy(name, capacity))
 			rng := rand.New(rand.NewSource(42))
 			evictions := 0
 			evict := func(step int) {
@@ -102,7 +96,7 @@ func TestHandlePoliciesMatchReference(t *testing.T) {
 			if evictions < ops/20 {
 				t.Fatalf("only %d evictions compared", evictions)
 			}
-			if fresh := learned(New(name, capacity)); name != "lru" && name != "lfu" && learned(got.Policy) == fresh {
+			if fresh := learned(newTestPolicy(name, capacity)); name != "lru" && name != "lfu" && learned(got.Policy) == fresh {
 				t.Fatalf("the stream taught %s nothing: learned state still %v", name, fresh)
 			}
 			t.Logf("%d evictions, learned state %v", evictions, learned(got.Policy))

@@ -1,13 +1,14 @@
 // Package policy provides pluggable eviction policies for the result caches:
-// LRU, LFU, ARC, LeCaR (Vietri et al., HotStorage'18) and Cacheus (Rodriguez
-// et al., FAST'21). The paper evaluates Range Cache variants that swap LRU
-// for LeCaR or Cacheus, so the range cache accepts any Policy.
+// LRU, LeCaR (Vietri et al., HotStorage'18) and Cacheus (Rodriguez et al.,
+// FAST'21). The paper evaluates Range Cache variants that swap LRU for LeCaR
+// or Cacheus, so the range cache accepts any Policy. LFU is the frequency
+// expert inside LeCaR and Cacheus.
 //
 // A resident entry is identified by the Handle its cache entry embeds: the
 // policy's list links, frequency bucket and list id live in the entry
 // itself, so a hit or an insert is a pointer splice and a victim is handed
 // back as the entry, with no key-to-node map in between. Keys survive as
-// strings only in the ghost histories of ARC, LeCaR and Cacheus, which
+// strings only in the ghost histories of LeCaR and Cacheus, which
 // remember entries that are gone. The owning cache stores the bytes and
 // enforces the capacity, asking the policy for victims. Implementations are
 // not safe for concurrent use — the owning cache shards and locks.
@@ -24,8 +25,8 @@ type Keyed interface {
 // it belongs to the policy tracking the entry.
 type Handle struct {
 	owner Keyed
-	// links[recency] chains the entry into an LRU-ordered list (LRU, ARC's
-	// T1/T2, SR-LRU's S/R); links[frequency] into its LFU frequency bucket.
+	// links[recency] chains the entry into an LRU-ordered list (LRU,
+	// SR-LRU's S/R); links[frequency] into its LFU frequency bucket.
 	// LeCaR and Cacheus keep an entry in one list of each kind at once.
 	links  [2]link
 	bucket *freqBucket
@@ -113,14 +114,10 @@ type Policy interface {
 	Name() string
 }
 
-// New constructs a policy by name: "lru", "lfu", "arc", "lecar" or
-// "cacheus". Unknown names fall back to LRU.
+// New constructs a policy by name: "lru", "lecar" or "cacheus". Unknown
+// names fall back to LRU.
 func New(name string, capacityHint int) Policy {
 	switch name {
-	case "lfu":
-		return NewLFU()
-	case "arc":
-		return NewARC(capacityHint)
 	case "lecar":
 		return NewLeCaR(capacityHint)
 	case "cacheus":

@@ -192,7 +192,7 @@ func TestCacheusScanResistance(t *testing.T) {
 }
 
 func TestPolicyFactory(t *testing.T) {
-	for _, name := range []string{"lru", "lfu", "arc", "lecar", "cacheus", "bogus"} {
+	for _, name := range []string{"lru", "lecar", "cacheus", "bogus"} {
 		p := newByKey(New(name, 16))
 		p.OnInsert("x")
 		if p.Len() != 1 {
@@ -204,15 +204,24 @@ func TestPolicyFactory(t *testing.T) {
 	}
 }
 
+// newTestPolicy builds a policy like New, and also "lfu": the LFU expert
+// inside LeCaR and Cacheus, tested on its own.
+func newTestPolicy(name string, capacityHint int) Policy {
+	if name == "lfu" {
+		return NewLFU()
+	}
+	return New(name, capacityHint)
+}
+
 // TestPolicyInvariants property-tests every policy: after any operation
 // sequence, Len matches the live-key set and eviction drains exactly the
 // inserted keys.
 func TestPolicyInvariants(t *testing.T) {
-	for _, name := range []string{"lru", "lfu", "arc", "lecar", "cacheus"} {
+	for _, name := range []string{"lru", "lfu", "lecar", "cacheus"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			f := func(ops []uint8) bool {
-				p := newByKey(New(name, 8))
+				p := newByKey(newTestPolicy(name, 8))
 				live := map[string]bool{}
 				for _, op := range ops {
 					key := fmt.Sprintf("k%d", op%16)
@@ -256,71 +265,5 @@ func TestPolicyInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestARCPromotesRepeatedKeys(t *testing.T) {
-	arc := NewARC(4)
-	p := newByKey(arc)
-	p.OnInsert("a")
-	p.OnInsert("b")
-	p.OnAccess("a") // a graduates to T2
-	p.OnInsert("c")
-	p.OnInsert("d")
-	// Evictions should prefer T1 (one-hit wonders) over T2 residents.
-	v1, ok := p.Evict()
-	if !ok || v1 == "a" {
-		t.Fatalf("first victim = %q (the reused key must survive)", v1)
-	}
-	v2, _ := p.Evict()
-	if v2 == "a" {
-		t.Fatalf("second victim = %q (the reused key must survive)", v2)
-	}
-}
-
-func TestARCGhostHitAdaptsTarget(t *testing.T) {
-	arc := NewARC(4)
-	p := newByKey(arc)
-	for _, k := range []string{"a", "b", "c", "d"} {
-		p.OnInsert(k)
-	}
-	v, ok := p.Evict() // T1 LRU ("a") moves to ghost B1
-	if !ok || v != "a" {
-		t.Fatalf("victim = %q, want a", v)
-	}
-	before := arc.Target()
-	p.OnInsert("a") // ghost hit in B1 grows the T1 target
-	if arc.Target() <= before {
-		t.Fatalf("target did not grow on B1 ghost hit: %d -> %d", before, arc.Target())
-	}
-	// The returning key is live again, in T2.
-	if p.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", p.Len())
-	}
-}
-
-func TestARCRemoveAndDrain(t *testing.T) {
-	arc := NewARC(8)
-	p := newByKey(arc)
-	for i := 0; i < 8; i++ {
-		p.OnInsert(fmt.Sprintf("k%d", i))
-	}
-	p.OnRemove("k3")
-	if p.Len() != 7 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	seen := map[string]bool{}
-	for {
-		v, ok := p.Evict()
-		if !ok {
-			break
-		}
-		if seen[v] || v == "k3" {
-			t.Fatalf("bad eviction %q", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("drained %d keys", len(seen))
 	}
 }

@@ -233,163 +233,6 @@ func (p *refLFU) SetFreq(key string, freq int64) {
 	p.items[key] = ent
 }
 
-// refARC implements the Adaptive Replacement Cache of Megiddo & Modha
-// (FAST'03): two live lists — T1 (seen once, recency) and T2 (seen at least
-// twice, frequency) — and two ghost lists (B1, B2) whose hits steer the
-// adaptive target p for T1's share. AC-Key (ATC'20), one of the paper's
-// related systems, drives its hierarchical caches with refARC; it is provided
-// here as an additional pluggable policy ("arc").
-type refARC struct {
-	capacity int
-	p        int // target size of T1
-
-	t1, t2 *list.List // front = MRU
-	b1, b2 *list.List
-	where  map[string]*refArcEntry
-}
-
-type refArcList int
-
-const (
-	refInT1 refArcList = iota
-	refInT2
-	refInB1
-	refInB2
-)
-
-type refArcEntry struct {
-	key  string
-	list refArcList
-	elem *list.Element
-}
-
-// newRefARC returns an refARC policy sized for capacity entries. refARC needs the
-// entry capacity up front (its lists balance against it); the owning cache
-// passes its capacity hint.
-func newRefARC(capacity int) *refARC {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &refARC{
-		capacity: capacity,
-		t1:       list.New(), t2: list.New(),
-		b1: list.New(), b2: list.New(),
-		where: make(map[string]*refArcEntry),
-	}
-}
-
-func (p *refARC) listOf(l refArcList) *list.List {
-	switch l {
-	case refInT1:
-		return p.t1
-	case refInT2:
-		return p.t2
-	case refInB1:
-		return p.b1
-	default:
-		return p.b2
-	}
-}
-
-func (p *refARC) moveTo(e *refArcEntry, dst refArcList) {
-	p.listOf(e.list).Remove(e.elem)
-	e.list = dst
-	e.elem = p.listOf(dst).PushFront(e)
-}
-
-func (p *refARC) dropFrom(e *refArcEntry) {
-	p.listOf(e.list).Remove(e.elem)
-	delete(p.where, e.key)
-}
-
-// OnInsert implements Policy.
-func (p *refARC) OnInsert(key string) {
-	if e, ok := p.where[key]; ok {
-		switch e.list {
-		case refInT1, refInT2:
-			p.OnAccess(key)
-		case refInB1:
-			// Ghost hit on the recency side: grow T1's target.
-			p.p = refMinInt(p.p+refMaxInt(1, p.b2.Len()/refMaxInt(1, p.b1.Len())), p.capacity)
-			p.moveTo(e, refInT2)
-		case refInB2:
-			// Ghost hit on the frequency side: shrink T1's target.
-			p.p = refMaxInt(p.p-refMaxInt(1, p.b1.Len()/refMaxInt(1, p.b2.Len())), 0)
-			p.moveTo(e, refInT2)
-		}
-		return
-	}
-	e := &refArcEntry{key: key, list: refInT1}
-	e.elem = p.t1.PushFront(e)
-	p.where[key] = e
-	p.truncateGhosts()
-}
-
-// OnAccess implements Policy: a second touch promotes T1 → T2.
-func (p *refARC) OnAccess(key string) {
-	e, ok := p.where[key]
-	if !ok {
-		return
-	}
-	switch e.list {
-	case refInT1, refInT2:
-		p.moveTo(e, refInT2)
-	}
-}
-
-// OnMiss implements Policy. Ghost-hit adaptation happens on reinsertion
-// (OnInsert), where refARC's original formulation puts it.
-func (p *refARC) OnMiss(string) {}
-
-// OnRemove implements Policy.
-func (p *refARC) OnRemove(key string) {
-	if e, ok := p.where[key]; ok {
-		p.dropFrom(e)
-	}
-}
-
-// Evict implements Policy: replace per refARC — evict T1's refLRU into B1 when T1
-// exceeds its target, else T2's refLRU into B2.
-func (p *refARC) Evict() (string, bool) {
-	var victim *refArcEntry
-	if p.t1.Len() > 0 && (p.t1.Len() > p.p || p.t2.Len() == 0) {
-		victim = p.t1.Back().Value.(*refArcEntry)
-		p.moveTo(victim, refInB1)
-	} else if p.t2.Len() > 0 {
-		victim = p.t2.Back().Value.(*refArcEntry)
-		p.moveTo(victim, refInB2)
-	} else {
-		return "", false
-	}
-	p.truncateGhosts()
-	return victim.key, true
-}
-
-// truncateGhosts bounds B1+B2 to the cache capacity.
-func (p *refARC) truncateGhosts() {
-	for p.b1.Len()+p.b2.Len() > p.capacity {
-		var back *list.Element
-		if p.b1.Len() > p.b2.Len() {
-			back = p.b1.Back()
-		} else {
-			back = p.b2.Back()
-		}
-		if back == nil {
-			return
-		}
-		p.dropFrom(back.Value.(*refArcEntry))
-	}
-}
-
-// Len implements Policy: only live entries count.
-func (p *refARC) Len() int { return p.t1.Len() + p.t2.Len() }
-
-// Name implements Policy.
-func (p *refARC) Name() string { return "arc" }
-
-// Target reports the adaptive T1 target (tests).
-func (p *refARC) Target() int { return p.p }
-
 func refMinInt(a, b int) int {
 	if a < b {
 		return a
@@ -581,7 +424,7 @@ func (g *refGhostList) len() int { return g.ll.Len() }
 // rate driven by recent performance instead of refLeCaR's fixed rate.
 //
 // The experts follow the published designs; partition adaptation inside
-// SR-LRU uses refARC-style ±1 target adjustment on history hits, a documented
+// SR-LRU uses ARC-style ±1 target adjustment on history hits, a documented
 // simplification of the original's demotion bookkeeping.
 type refCacheus struct {
 	srlru *refSRLRU
@@ -726,7 +569,7 @@ func (p *refCacheus) Weights() (float64, float64) { return p.wSR, p.wCR }
 // refSRLRU is the scan-resistant refLRU expert. The cache is split into a scan
 // segment S (new, never-reused keys) and a reused segment R; evictions come
 // from S so one-shot scan traffic cannot flush reused data. A ghost history
-// recognises prematurely evicted keys, and an refARC-style target steers the
+// recognises prematurely evicted keys, and an ARC-style target steers the
 // S/R split.
 type refSRLRU struct {
 	cap     int

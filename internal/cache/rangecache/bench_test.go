@@ -59,7 +59,7 @@ func BenchmarkPutWriteThrough(b *testing.B) {
 }
 
 func BenchmarkEvictionPressure(b *testing.B) {
-	for _, policy := range []string{"lru", "lfu", "arc", "lecar", "cacheus"} {
+	for _, policy := range []string{"lru", "lecar", "cacheus"} {
 		b.Run(policy, func(b *testing.B) {
 			// Capacity for ~1000 entries; constant insertion pressure.
 			c := New(Options{Capacity: 1000 * 160, Policy: policy})

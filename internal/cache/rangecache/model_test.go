@@ -208,7 +208,7 @@ func TestRangeCacheModel(t *testing.T) {
 		"1shard":  nil,
 		"4shards": {string(k(24)), string(k(48)), string(k(72))},
 	}
-	for _, policyName := range []string{"lru", "lfu", "arc", "lecar", "cacheus"} {
+	for _, policyName := range []string{"lru", "lecar", "cacheus"} {
 		for name, splits := range shardings {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", policyName, name, seed), func(t *testing.T) {

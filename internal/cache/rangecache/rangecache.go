@@ -38,8 +38,8 @@ type KV = keys.KV
 type Options struct {
 	// Capacity is the byte budget across all shards.
 	Capacity int64
-	// Policy names the eviction policy: "lru" (default), "lfu", "arc",
-	// "lecar", "cacheus".
+	// Policy names the eviction policy: "lru" (default), "lecar",
+	// "cacheus".
 	Policy string
 	// PolicyCapacityHint estimates the entry count for policies that size
 	// ghost lists (defaults to Capacity/128).

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"adcache/internal/cache/blockcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/cache/rangecache"
 	"adcache/internal/lsm"
 	"adcache/internal/rl"
@@ -161,7 +161,7 @@ type WindowTrace struct {
 type AdCache struct {
 	cfg Config
 
-	block     *blockcache.Cache
+	block     *lru.BlockCache
 	rng       *rangecache.Cache
 	cms       *sketch.CMS
 	collector *stats.Collector
@@ -184,7 +184,7 @@ type AdCache struct {
 	trace    []WindowTrace
 	tuning   TuningState // last closed window's controller view (metrics)
 
-	lastBlockStats blockcache.Stats
+	lastBlockStats lru.Stats
 	// lastWriteInfo is the previous window's write-side snapshot, owned by
 	// the tuner (like lastBlockStats) for per-window deltas.
 	lastWriteInfo lsm.WriteSideInfo
@@ -216,7 +216,7 @@ func New(cfg Config, splitKeys []string) (*AdCache, error) {
 	rangeBytes := int64(float64(cacheBytes) * cfg.InitialRangeRatio)
 	// Shard sizing uses the full budget (the boundary may move the whole
 	// budget to the block side later); the initial split applies via Resize.
-	a.block = blockcache.New(cfg.Capacity)
+	a.block = lru.NewBlockCache(cfg.Capacity)
 	a.block.Resize(cacheBytes - rangeBytes)
 	a.rng = rangecache.New(rangecache.Options{Capacity: rangeBytes, SplitKeys: splitKeys}) // LRU
 	a.params.Store(Params{
@@ -279,7 +279,7 @@ func (a *AdCache) Trace() []WindowTrace {
 func (a *AdCache) Windows() int64 { return a.windowsClosed.Load() }
 
 // Block and Range expose the component caches for metrics.
-func (a *AdCache) Block() *blockcache.Cache { return a.block }
+func (a *AdCache) Block() *lru.BlockCache   { return a.block }
 func (a *AdCache) Range() *rangecache.Cache { return a.rng }
 
 // countOp advances the window clock and pokes the tuner at boundaries.

@@ -11,8 +11,7 @@
 package core
 
 import (
-	"adcache/internal/cache/blockcache"
-	"adcache/internal/cache/kvcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/cache/rangecache"
 	"adcache/internal/lsm"
 	"adcache/internal/sstable"
@@ -21,12 +20,12 @@ import (
 // BlockOnly is the RocksDB-default strategy: all memory to a sharded LRU
 // block cache; no result caching.
 type BlockOnly struct {
-	cache *blockcache.Cache
+	cache *lru.BlockCache
 }
 
 // NewBlockOnly returns a BlockOnly strategy with the given byte budget.
 func NewBlockOnly(capacity int64) *BlockOnly {
-	return &BlockOnly{cache: blockcache.New(capacity)}
+	return &BlockOnly{cache: lru.NewBlockCache(capacity)}
 }
 
 // GetCached implements lsm.CacheStrategy.
@@ -54,17 +53,17 @@ func (*BlockOnly) ScanBlockFillQuota(int) (int64, bool) { return 0, false }
 func (*BlockOnly) OnCompaction([]uint64, []uint64) {}
 
 // Block exposes the underlying cache for metrics.
-func (b *BlockOnly) Block() *blockcache.Cache { return b.cache }
+func (b *BlockOnly) Block() *lru.BlockCache { return b.cache }
 
 // KVOnly is the paper's "KV Cache" baseline: an LRU over point-lookup
 // results. Scans receive no caching at all.
 type KVOnly struct {
-	cache *kvcache.Cache
+	cache *lru.KVCache
 }
 
 // NewKVOnly returns a KVOnly strategy with the given byte budget.
 func NewKVOnly(capacity int64) *KVOnly {
-	return &KVOnly{cache: kvcache.New(capacity)}
+	return &KVOnly{cache: lru.NewKVCache(capacity)}
 }
 
 // GetCached implements lsm.CacheStrategy.
@@ -92,7 +91,7 @@ func (*KVOnly) OnScanResult([]byte, []lsm.KV, int) {}
 // RocksDB's row cache — the cache stores lookup results, not write traffic,
 // so a written key re-enters only when it is read again.
 func (k *KVOnly) OnWrite(key, value []byte, deleted bool) {
-	k.cache.Invalidate(key)
+	k.cache.Remove(key)
 }
 
 // BlockCache implements lsm.CacheStrategy.

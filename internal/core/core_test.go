@@ -32,8 +32,8 @@ func TestDefaultsApplied(t *testing.T) {
 	if p.ScanA != 16 {
 		t.Fatalf("initial scan a = %d (paper: short-scan length)", p.ScanA)
 	}
-	if a.Block().Capacity()+a.Range().Capacity() != 1<<20 {
-		t.Fatalf("budget split = %d + %d", a.Block().Capacity(), a.Range().Capacity())
+	if a.Block().Stats().Capacity+a.Range().Capacity() != 1<<20 {
+		t.Fatalf("budget split = %d + %d", a.Block().Stats().Capacity, a.Range().Capacity())
 	}
 }
 
@@ -175,7 +175,7 @@ func TestWindowTuningAppliesParams(t *testing.T) {
 		t.Fatal("synchronous tuning processed no windows")
 	}
 	// Budget invariant must hold after boundary moves.
-	total := a.Block().Capacity() + a.Range().Capacity()
+	total := a.Block().Stats().Capacity + a.Range().Capacity()
 	if total < (1<<20)-1024 || total > (1<<20)+1024 {
 		t.Fatalf("budget drifted to %d", total)
 	}
@@ -285,7 +285,7 @@ func TestConcurrentStrategyUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if total := a.Block().Capacity() + a.Range().Capacity(); total <= 0 {
+	if total := a.Block().Stats().Capacity + a.Range().Capacity(); total <= 0 {
 		t.Fatal("budget lost under concurrency")
 	}
 }

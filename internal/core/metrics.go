@@ -9,8 +9,7 @@ package core
 import (
 	"fmt"
 
-	"adcache/internal/cache/blockcache"
-	"adcache/internal/cache/kvcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/cache/rangecache"
 	"adcache/internal/lsm"
 	"adcache/internal/metrics"
@@ -27,23 +26,23 @@ type cacheSeries[S any] struct {
 	set                  func(*lsm.CacheCounters, int64) // nil: not part of CacheCounters
 }
 
-var blockSeries = []cacheSeries[blockcache.Stats]{
+var blockSeries = []cacheSeries[lru.Stats]{
 	{"cache_block_hits_total", "Block cache hits.", "cache_block_shard_hits_total", "Block cache hits by shard.", true,
-		func(s blockcache.Stats) int64 { return s.Hits }, func(c *lsm.CacheCounters, v int64) { c.BlockHits = v }},
+		func(s lru.Stats) int64 { return s.Hits }, func(c *lsm.CacheCounters, v int64) { c.BlockHits = v }},
 	{"cache_block_misses_total", "Block cache misses.", "cache_block_shard_misses_total", "Block cache misses by shard.", true,
-		func(s blockcache.Stats) int64 { return s.Misses }, func(c *lsm.CacheCounters, v int64) { c.BlockMisses = v }},
+		func(s lru.Stats) int64 { return s.Misses }, func(c *lsm.CacheCounters, v int64) { c.BlockMisses = v }},
 	{"cache_block_inserts_total", "Blocks admitted into the block cache.", "", "", true,
-		func(s blockcache.Stats) int64 { return s.Inserts }, nil},
+		func(s lru.Stats) int64 { return s.Inserts }, nil},
 	{"cache_block_evictions_total", "Blocks evicted from the block cache.", "cache_block_shard_evictions_total", "Block cache evictions by shard.", true,
-		func(s blockcache.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.BlockEvictions = v }},
+		func(s lru.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.BlockEvictions = v }},
 	{"cache_block_used_bytes", "Physical (resident) bytes held by the block cache.", "cache_block_shard_used_bytes", "Bytes held, by shard.", false,
-		func(s blockcache.Stats) int64 { return s.Used }, func(c *lsm.CacheCounters, v int64) { c.BlockUsed = v }},
+		func(s lru.Stats) int64 { return s.Used }, func(c *lsm.CacheCounters, v int64) { c.BlockUsed = v }},
 	{"cache_block_logical_bytes", "Decoded size of the blocks held by the block cache.", "", "", false,
-		func(s blockcache.Stats) int64 { return s.LogicalUsed }, func(c *lsm.CacheCounters, v int64) { c.BlockLogicalUsed = v }},
+		func(s lru.Stats) int64 { return s.LogicalUsed }, func(c *lsm.CacheCounters, v int64) { c.BlockLogicalUsed = v }},
 	{"cache_block_capacity_bytes", "Block cache byte budget (charges physical bytes).", "", "", false,
-		func(s blockcache.Stats) int64 { return s.Capacity }, func(c *lsm.CacheCounters, v int64) { c.BlockCapacity = v }},
+		func(s lru.Stats) int64 { return s.Capacity }, func(c *lsm.CacheCounters, v int64) { c.BlockCapacity = v }},
 	{"cache_block_entries", "Blocks held by the block cache.", "", "", false,
-		func(s blockcache.Stats) int64 { return int64(s.Blocks) }, nil},
+		func(s lru.Stats) int64 { return int64(s.Entries) }, nil},
 }
 
 // With split keys configured, range-cache shard i covers the i-th key range
@@ -69,19 +68,19 @@ var rangeSeries = []cacheSeries[rangecache.Stats]{
 		func(s rangecache.Stats) int64 { return int64(s.Entries) }, func(c *lsm.CacheCounters, v int64) { c.RangeEntries = int(v) }},
 }
 
-var kvSeries = []cacheSeries[kvcache.Stats]{
+var kvSeries = []cacheSeries[lru.Stats]{
 	{"cache_kv_hits_total", "KV cache hits.", "cache_kv_shard_hits_total", "KV cache hits by shard.", true,
-		func(s kvcache.Stats) int64 { return s.Hits }, func(c *lsm.CacheCounters, v int64) { c.KVHits = v }},
+		func(s lru.Stats) int64 { return s.Hits }, func(c *lsm.CacheCounters, v int64) { c.KVHits = v }},
 	{"cache_kv_misses_total", "KV cache misses.", "cache_kv_shard_misses_total", "KV cache misses by shard.", true,
-		func(s kvcache.Stats) int64 { return s.Misses }, func(c *lsm.CacheCounters, v int64) { c.KVMisses = v }},
+		func(s lru.Stats) int64 { return s.Misses }, func(c *lsm.CacheCounters, v int64) { c.KVMisses = v }},
 	{"cache_kv_evictions_total", "Entries evicted from the KV cache.", "cache_kv_shard_evictions_total", "KV cache evictions by shard.", true,
-		func(s kvcache.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.KVEvictions = v }},
+		func(s lru.Stats) int64 { return s.Evictions }, func(c *lsm.CacheCounters, v int64) { c.KVEvictions = v }},
 	{"cache_kv_used_bytes", "Bytes held by the KV cache.", "", "", false,
-		func(s kvcache.Stats) int64 { return s.Used }, nil},
+		func(s lru.Stats) int64 { return s.Used }, nil},
 	{"cache_kv_capacity_bytes", "KV cache byte budget.", "", "", false,
-		func(s kvcache.Stats) int64 { return s.Capacity }, nil},
+		func(s lru.Stats) int64 { return s.Capacity }, nil},
 	{"cache_kv_entries", "Entries held by the KV cache.", "", "", false,
-		func(s kvcache.Stats) int64 { return int64(s.Entries) }, nil},
+		func(s lru.Stats) int64 { return int64(s.Entries) }, nil},
 }
 
 // fillCounters copies a cache's aggregate stats into the CacheCounters
@@ -144,7 +143,7 @@ func (a *AdCache) Counters() (c lsm.CacheCounters) {
 func (b *BlockOnly) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(s *metrics.Sink) {
 		shards := b.cache.ShardStats()
-		emitCache(s, blockSeries, blockcache.Sum(shards), shards)
+		emitCache(s, blockSeries, lru.Sum(shards), shards)
 	})
 }
 
@@ -152,7 +151,7 @@ func (b *BlockOnly) RegisterMetrics(reg *metrics.Registry) {
 func (k *KVOnly) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(s *metrics.Sink) {
 		shards := k.cache.ShardStats()
-		emitCache(s, kvSeries, kvcache.Sum(shards), shards)
+		emitCache(s, kvSeries, lru.Sum(shards), shards)
 	})
 }
 
@@ -220,7 +219,7 @@ func (a *AdCache) Budgets() []Budget {
 }
 
 // budgets builds the ledger from cache stats the caller already holds.
-func (a *AdCache) budgets(bs blockcache.Stats, rs rangecache.Stats) []Budget {
+func (a *AdCache) budgets(bs lru.Stats, rs rangecache.Stats) []Budget {
 	info := a.dbWriteInfo()
 	return []Budget{
 		{Component: "memtable",
@@ -248,7 +247,7 @@ func (a *AdCache) TuningState() TuningState {
 func (a *AdCache) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(s *metrics.Sink) {
 		blockShards, rangeShards := a.block.ShardStats(), a.rng.ShardStats()
-		bs, rs := blockcache.Sum(blockShards), rangecache.Sum(rangeShards)
+		bs, rs := lru.Sum(blockShards), rangecache.Sum(rangeShards)
 		emitCache(s, blockSeries, bs, blockShards)
 		emitCache(s, rangeSeries, rs, rangeShards)
 

@@ -119,7 +119,7 @@ func TestMetricsCountersUnified(t *testing.T) {
 	key, val := []byte("k"), []byte("v")
 
 	b := NewBlockOnly(1 << 20)
-	b.BlockCache().Insert(7, 0, []byte("block"), 0, false)
+	b.BlockCache().Insert(7, 0, []byte("block"), 0)
 	if _, ok := b.BlockCache().Get(7, 0); !ok {
 		t.Fatal("block cache miss after insert")
 	}

@@ -166,7 +166,7 @@ func TestBudgetsPartitionCapacity(t *testing.T) {
 			sum += b.TargetBytes
 		}
 	}
-	sum += a.Block().Capacity() + a.Range().Capacity()
+	sum += a.Block().Stats().Capacity + a.Range().Capacity()
 	if diff := (int64(1) << 20) - sum; diff < 0 || diff > 2 {
 		t.Fatalf("budget targets sum to %d, want %d (±2 truncation)", sum, int64(1)<<20)
 	}

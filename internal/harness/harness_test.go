@@ -217,11 +217,14 @@ func TestCalibrationDeterministic(t *testing.T) {
 	}
 }
 
-// backgroundTuners counts the goroutines running an AdCache tuning loop.
+// backgroundTuners counts the live goroutines core.New started; its only one
+// is the tuning loop. It matches the "created by" line, which a goroutine
+// carries from its go statement on, not its top frame: until the scheduler
+// first runs it, that frame is the go statement's wrapper, not tuneLoop.
 func backgroundTuners() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return bytes.Count(buf[:n], []byte("core.(*AdCache).tuneLoop"))
+	return bytes.Count(buf[:n], []byte("created by adcache/internal/core.New in goroutine"))
 }
 
 // TestFig11aTunesAsynchronously checks that Figure 11a measures what it

@@ -3,7 +3,7 @@ package lsm
 import (
 	"testing"
 
-	"adcache/internal/cache/blockcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/vfs"
 )
 
@@ -37,7 +37,7 @@ func allocDB(t *testing.T, strategy CacheStrategy, n int) *DB {
 // target block is in the block cache, a point lookup's only allocation is
 // the value copy returned to the caller.
 func TestAllocsCachedGet(t *testing.T) {
-	db := allocDB(t, &blockOnlyStrategy{cache: blockcache.New(32 << 20)}, 20_000)
+	db := allocDB(t, &blockOnlyStrategy{cache: lru.NewBlockCache(32 << 20)}, 20_000)
 	k := key(12345)
 	if _, ok, err := db.Get(k); err != nil || !ok {
 		t.Fatalf("warm-up Get: ok=%v err=%v", ok, err)
@@ -79,7 +79,7 @@ func TestAllocsBloomNegativeGet(t *testing.T) {
 // strategy made it 4, regrowing the arena and the per-level file lists 13,
 // the per-entry copies before that ~69).
 func TestAllocsWarmScan16(t *testing.T) {
-	db := allocDB(t, &blockOnlyStrategy{cache: blockcache.New(32 << 20)}, 20_000)
+	db := allocDB(t, &blockOnlyStrategy{cache: lru.NewBlockCache(32 << 20)}, 20_000)
 	start := key(5000)
 	if kvs, err := db.Scan(start, 16); err != nil || len(kvs) != 16 {
 		t.Fatalf("warm-up Scan: len=%d err=%v", len(kvs), err)

@@ -43,14 +43,6 @@ func (b *Batch) Delete(key []byte) {
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Each calls fn for every queued operation in order; del reports a
-// deletion. key is the batch's copy and must not be modified.
-func (b *Batch) Each(fn func(del bool, key []byte)) {
-	for _, op := range b.ops {
-		fn(op.kind == keys.KindDelete, op.key)
-	}
-}
-
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"adcache/internal/cache/blockcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/vfs"
 )
 
@@ -70,7 +70,7 @@ func BenchmarkDBGetUncached(b *testing.B) {
 // BenchmarkDBGetCached measures the steady-state point lookup with every
 // block in the block cache — the path the zero-allocation work targets.
 func BenchmarkDBGetCached(b *testing.B) {
-	db := benchDBStrategy(b, 50_000, &blockOnlyStrategy{cache: blockcache.New(64 << 20)})
+	db := benchDBStrategy(b, 50_000, &blockOnlyStrategy{cache: lru.NewBlockCache(64 << 20)})
 	// One pass over the keyspace pulls every block into the cache.
 	for i := 0; i < 50_000; i += 50 {
 		if _, ok, err := db.Get(key(i)); err != nil || !ok {

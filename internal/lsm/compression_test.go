@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"adcache/internal/cache/blockcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/metrics"
 	"adcache/internal/vfs"
 )
@@ -102,7 +102,7 @@ func TestDBCompressionRoundTrip(t *testing.T) {
 // block-cache strategy and checks physical-byte charging end to end: the
 // cache's resident bytes stay below what the blocks decode to.
 func TestDBCompressionWithBlockCache(t *testing.T) {
-	bc := blockcache.New(1 << 20)
+	bc := lru.NewBlockCache(1 << 20)
 	strategy := &blockOnlyStrategy{cache: bc}
 	opts := DefaultOptions("db")
 	opts.FS = vfs.NewMem()
@@ -129,7 +129,8 @@ func TestDBCompressionWithBlockCache(t *testing.T) {
 			t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
 		}
 	}
-	physical, logical := bc.Stats().Used, bc.LogicalUsed()
+	st := bc.Stats()
+	physical, logical := st.Used, st.LogicalUsed
 	if physical == 0 || logical == 0 {
 		t.Fatalf("cache not populated: physical=%d logical=%d", physical, logical)
 	}

@@ -7,7 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"adcache/internal/cache/blockcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/sstable"
 	"adcache/internal/vfs"
 )
@@ -693,7 +693,7 @@ func TestVerifyIntegrityDetectsCorruption(t *testing.T) {
 // compactions rewrite files, previously cached blocks are dead weight (the
 // hit rate collapses until re-warmed), while the range cache keeps serving.
 func TestCompactionInvalidatesBlockCache(t *testing.T) {
-	bc := blockcache.New(1 << 20)
+	bc := lru.NewBlockCache(1 << 20)
 	strategy := &blockOnlyStrategy{cache: bc}
 	opts := testOptions(vfs.NewMem())
 	opts.Strategy = strategy
@@ -756,7 +756,7 @@ func TestCompactionInvalidatesBlockCache(t *testing.T) {
 // (avoids importing internal/core, which would cycle).
 type blockOnlyStrategy struct {
 	NoCache
-	cache *blockcache.Cache
+	cache *lru.BlockCache
 }
 
 func (s *blockOnlyStrategy) BlockCache() sstable.BlockCache { return s.cache }

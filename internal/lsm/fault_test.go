@@ -231,7 +231,7 @@ type countingBlockCache struct {
 
 func (c *countingBlockCache) Get(uint64, uint64) ([]byte, bool) { return nil, false }
 
-func (c *countingBlockCache) Insert(_, _ uint64, _ []byte, _ int, _ bool) {
+func (c *countingBlockCache) Insert(_, _ uint64, _ []byte, _ int) {
 	c.mu.Lock()
 	c.n++
 	c.mu.Unlock()

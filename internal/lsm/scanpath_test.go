@@ -9,7 +9,7 @@ import (
 	"sort"
 	"testing"
 
-	"adcache/internal/cache/blockcache"
+	"adcache/internal/cache/lru"
 	"adcache/internal/keys"
 	"adcache/internal/sstable"
 	"adcache/internal/vfs"
@@ -139,7 +139,7 @@ func differentialRun(t *testing.T, fs vfs.FS, dir string, comp sstable.Compressi
 	opts.DisableAutoCompaction = true
 	// A cache small enough to evict: hits, misses and refills interleave,
 	// and a block admitted from a span must survive the span's reuse.
-	opts.Strategy = &blockOnlyStrategy{cache: blockcache.New(24 << 10)}
+	opts.Strategy = &blockOnlyStrategy{cache: lru.NewBlockCache(24 << 10)}
 	db := mustOpen(t, opts)
 	defer db.Close()
 

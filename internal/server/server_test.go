@@ -264,7 +264,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cache_block_shard_hits_total{shard="0"}`,
 		"adcache_range_ratio",
 		"adcache_actor_lr",
-		"trace_write_errors_total 0",
 		`adcache_strategy_info{strategy="AdCache"} 1`,
 		`http_requests_total{route="kv"}`,
 		`http_shard_read_nanos`,

@@ -221,7 +221,7 @@ func (c *logicalFakeCache) Get(fileNum, off uint64) ([]byte, bool) {
 	return b, ok
 }
 
-func (c *logicalFakeCache) Insert(fileNum, off uint64, data []byte, logical int, scan bool) {
+func (c *logicalFakeCache) Insert(fileNum, off uint64, data []byte, logical int) {
 	c.store[[2]uint64{fileNum, off}] = data
 	c.inserts++
 	c.lastPhysical = len(data)

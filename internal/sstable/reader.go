@@ -26,11 +26,8 @@ type BlockCache interface {
 	// Insert offers a physical block image for caching; the cache may
 	// decline. logical is the decoded size of the block in bytes (equal to
 	// len(data) for uncompressed blocks), letting caches report both
-	// physical and logical occupancy. scan reports whether the block was
-	// read by a range-scan iterator rather than a point lookup, letting
-	// admission policies treat the two differently (§3.4 "this strategy can
-	// also be applied to the block cache").
-	Insert(fileNum, offset uint64, data []byte, logical int, scan bool)
+	// physical and logical occupancy.
+	Insert(fileNum, offset uint64, data []byte, logical int)
 }
 
 // ReadStats counts logical cache activity for one reader. Updated atomically
@@ -239,7 +236,7 @@ func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte,
 		stats.BlockMisses++
 	}
 	if fill && r.admits(scan, stats) {
-		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, img, len(data), scan)
+		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, img, len(data))
 	}
 	return data, nil
 }

@@ -177,8 +177,8 @@ type retainingCache struct {
 	imgs [][]byte
 }
 
-func (c *retainingCache) Insert(fileNum, off uint64, data []byte, logical int, scan bool) {
-	c.fakeCache.Insert(fileNum, off, data, logical, scan)
+func (c *retainingCache) Insert(fileNum, off uint64, data []byte, logical int) {
+	c.fakeCache.Insert(fileNum, off, data, logical)
 	c.imgs = append(c.imgs, data)
 }
 
@@ -199,8 +199,8 @@ func TestCacheNeverPinsSpan(t *testing.T) {
 	if it.Err() != nil {
 		t.Fatal(it.Err())
 	}
-	if cache.inserts != 5 || cache.scanInserts != 5 {
-		t.Fatalf("budget 5 admitted %d blocks (%d tagged scan)", cache.inserts, cache.scanInserts)
+	if cache.inserts != 5 {
+		t.Fatalf("budget 5 admitted %d blocks", cache.inserts)
 	}
 	for i, img := range cache.imgs {
 		h := r.index[i].h

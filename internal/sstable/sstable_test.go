@@ -154,9 +154,8 @@ func TestBloomFilterSkipsAbsentKeys(t *testing.T) {
 
 // fakeCache records Get/Insert traffic.
 type fakeCache struct {
-	store       map[[2]uint64][]byte
-	inserts     int
-	scanInserts int
+	store   map[[2]uint64][]byte
+	inserts int
 }
 
 func newFakeCache() *fakeCache { return &fakeCache{store: map[[2]uint64][]byte{}} }
@@ -166,12 +165,9 @@ func (c *fakeCache) Get(fileNum, off uint64) ([]byte, bool) {
 	return b, ok
 }
 
-func (c *fakeCache) Insert(fileNum, off uint64, data []byte, logical int, scan bool) {
+func (c *fakeCache) Insert(fileNum, off uint64, data []byte, logical int) {
 	c.store[[2]uint64{fileNum, off}] = data
 	c.inserts++
-	if scan {
-		c.scanInserts++
-	}
 }
 
 func TestBlockCacheServesRepeatReads(t *testing.T) {
@@ -206,9 +202,6 @@ func TestScanFillBudgetLimitsInserts(t *testing.T) {
 	}
 	if cache.inserts != 3 {
 		t.Fatalf("inserts = %d, want budget 3", cache.inserts)
-	}
-	if cache.scanInserts != 3 {
-		t.Fatal("scan inserts not tagged")
 	}
 }
 

@@ -28,19 +28,12 @@ const (
 	OpGet OpKind = iota
 	OpScan
 	OpPut
-	// OpDelete is a point deletion. Replay must distinguish deletes from
-	// puts — a delete shrinks the hot set where a put refreshes it.
-	OpDelete
-	// OpScanRange is a bounded range scan [Key, End). ScanLen carries the
-	// result limit (0 = unbounded, treated as a long scan by windowing).
-	OpScanRange
 )
 
 // Op is one generated operation.
 type Op struct {
 	Kind    OpKind
 	Key     []byte
-	End     []byte // exclusive upper bound; OpScanRange only (nil = +inf)
 	ScanLen int
 	Value   []byte
 }

@@ -15,11 +15,10 @@ type MetricsSnapshot struct {
 	Engine   lsm.Metrics `json:"engine"`
 	// SSTReads is the paper's headline I/O metric: SST block reads issued
 	// by queries (flush/compaction/recovery I/O excluded).
-	SSTReads         int64            `json:"sst_reads"`
-	BlockCacheHits   int64            `json:"block_cache_hits"`
-	Cache            CacheCounters    `json:"cache"`
-	TraceWriteErrors int64            `json:"trace_write_errors"`
-	AdCache          *AdCacheSnapshot `json:"adcache,omitempty"`
+	SSTReads       int64            `json:"sst_reads"`
+	BlockCacheHits int64            `json:"block_cache_hits"`
+	Cache          CacheCounters    `json:"cache"`
+	AdCache        *AdCacheSnapshot `json:"adcache,omitempty"`
 }
 
 // AdCacheSnapshot is the controller portion of a MetricsSnapshot.
@@ -36,12 +35,11 @@ type AdCacheSnapshot struct {
 // traffic; counters are point-in-time reads, not a consistent cut.
 func (d *DB) Metrics() MetricsSnapshot {
 	m := MetricsSnapshot{
-		Strategy:         d.kind.String(),
-		Engine:           d.inner.Metrics(),
-		SSTReads:         d.inner.QueryBlockReads(),
-		BlockCacheHits:   d.inner.QueryBlockHits(),
-		Cache:            d.strategy.Counters(),
-		TraceWriteErrors: d.traceErrs.Value(),
+		Strategy:       d.kind.String(),
+		Engine:         d.inner.Metrics(),
+		SSTReads:       d.inner.QueryBlockReads(),
+		BlockCacheHits: d.inner.QueryBlockHits(),
+		Cache:          d.strategy.Counters(),
 	}
 	if d.ad != nil {
 		m.AdCache = &AdCacheSnapshot{
@@ -59,13 +57,11 @@ func (d *DB) Metrics() MetricsSnapshot {
 // and /debug/vars; callers may register their own series alongside.
 func (d *DB) Registry() *metrics.Registry { return d.reg }
 
-// registerMetrics creates the public layer's cell (the trace-error
-// counter), registers its collector (strategy identity) and lets the
-// strategy register its own through the optional RegisterMetrics interface —
-// the same mechanism external CacheStrategy implementations can adopt.
+// registerMetrics registers the public layer's collector (strategy
+// identity) and lets the strategy register its own through the optional
+// RegisterMetrics interface — the same mechanism external CacheStrategy
+// implementations can adopt.
 func (d *DB) registerMetrics(reg *metrics.Registry) {
-	d.traceErrs = reg.Counter("trace_write_errors_total",
-		"Trace-log writes that failed (tracing is advisory; errors are counted, not surfaced).")
 	info := `adcache_strategy_info{strategy="` + d.kind.String() + `"}`
 	reg.Collect(func(s *metrics.Sink) {
 		s.Gauge(info, "Configured cache strategy (value is always 1).", 1)
