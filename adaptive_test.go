@@ -154,11 +154,11 @@ func TestPartialAdmissionBoundsLongScanFootprint(t *testing.T) {
 	if p.ScanA >= workload.LongScanLen {
 		t.Skipf("learned a=%d admits whole long scans; nothing to bound", p.ScanA)
 	}
-	entriesBefore := ad.Range().Len()
+	entriesBefore := ad.Range().Stats().Entries
 	if _, err := r.DB.Scan(workload.Key(4000), workload.LongScanLen); err != nil {
 		t.Fatal(err)
 	}
-	added := ad.Range().Len() - entriesBefore
+	added := ad.Range().Stats().Entries - entriesBefore
 	expect := p.ScanA + int(p.ScanB*float64(workload.LongScanLen-p.ScanA)) + 2
 	if added > expect {
 		t.Fatalf("one long scan added %d entries, partial admission bound ≈%d", added, expect)
@@ -178,14 +178,14 @@ func TestAdmissionFiltersOneOffKeys(t *testing.T) {
 	if ad.CurrentParams().PointThreshold <= 0 {
 		t.Skip("learned threshold is zero; nothing to verify")
 	}
-	before := ad.Range().Len()
+	before := ad.Range().Stats().Entries
 	// One-off cold keys (read once each) should mostly be rejected.
 	for i := 0; i < 200; i++ {
 		if _, _, err := r.DB.Get(workload.Key(7000 + i*3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	added := ad.Range().Len() - before
+	added := ad.Range().Stats().Entries - before
 	if added > 150 {
 		t.Fatalf("admission admitted %d of 200 one-off keys", added)
 	}

@@ -100,8 +100,6 @@ type Options struct {
 	// range cache, and the agent moves bytes across all three as the
 	// read/write mix drifts.
 	AdCache core.Config
-	// RangeShards optionally shards result caches by key range (§4.4).
-	RangeShards []string
 	// LSM optionally overrides engine options — block compression,
 	// background I/O rate limit, tree shape; FS/Dir/Strategy fields are
 	// managed by Open.
@@ -136,16 +134,16 @@ func Open(opts Options) (*DB, error) {
 	case StrategyKV:
 		strategy = core.NewKVOnly(opts.CacheBytes)
 	case StrategyRange:
-		strategy = core.NewRangeOnly(opts.CacheBytes, "lru", opts.RangeShards)
+		strategy = core.NewRangeOnly(opts.CacheBytes, "lru")
 	case StrategyRangeLeCaR:
-		strategy = core.NewRangeOnly(opts.CacheBytes, "lecar", opts.RangeShards)
+		strategy = core.NewRangeOnly(opts.CacheBytes, "lecar")
 	case StrategyRangeCacheus:
-		strategy = core.NewRangeOnly(opts.CacheBytes, "cacheus", opts.RangeShards)
+		strategy = core.NewRangeOnly(opts.CacheBytes, "cacheus")
 	case StrategyAdCache:
 		cfg := opts.AdCache
 		cfg.Capacity = opts.CacheBytes
 		var err error
-		ad, err = core.New(cfg, opts.RangeShards)
+		ad, err = core.New(cfg)
 		if err != nil {
 			return nil, err
 		}

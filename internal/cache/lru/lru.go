@@ -28,6 +28,8 @@ type Cache[K comparable] struct {
 	shards []*shard[K]
 	mask   uint64
 	hash   func(K) uint64
+	// perShard is every shard's budget, the largest entry Put accepts.
+	perShard atomic.Int64
 	// statLocks counts shard locks taken by ShardStats; tests pin the
 	// one-visit-per-scrape rule with it.
 	statLocks atomic.Int64
@@ -68,6 +70,7 @@ func newShards[K comparable](capacity int64, numShards int, hash func(K) uint64)
 		n *= 2
 	}
 	c := &Cache[K]{shards: make([]*shard[K], n), mask: uint64(n - 1), hash: hash}
+	c.perShard.Store(capacity / int64(n))
 	for i := range c.shards {
 		c.shards[i] = &shard[K]{
 			capacity: capacity / int64(n),
@@ -159,6 +162,7 @@ func (s *shard[K]) evictLocked() {
 // cache boundary.
 func (c *Cache[K]) Resize(capacity int64) {
 	per := capacity / int64(len(c.shards))
+	c.perShard.Store(per)
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.capacity = per
@@ -246,6 +250,15 @@ func blockHash(k blockKey) uint64 {
 // Get implements sstable.BlockCache.
 func (b *BlockCache) Get(fileNum, offset uint64) ([]byte, bool) {
 	return b.Cache.Get(blockKey{fileNum, offset})
+}
+
+// Fits implements sstable.BlockCache: it reports whether Insert would keep
+// a block image of size bytes, and the sstable reader reads a block it will
+// not offer into scratch instead of a buffer of its own. At a zero budget (AdCache has moved it all to the
+// range cache) no block fits.
+func (b *BlockCache) Fits(size int) bool {
+	per := b.perShard.Load()
+	return per > 0 && int64(size) <= per
 }
 
 // Insert implements sstable.BlockCache. data is the block's physical image

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -119,5 +121,35 @@ func BenchmarkScanMissThenAdmit(b *testing.B) {
 			b.Fatal("scan of an uncovered range hit")
 		}
 		c.ExtendScan(res[0].Key, res, 24)
+	}
+}
+
+// BenchmarkParallelMix runs embed_read's operation mix (see mix_test.go)
+// from every benchmark goroutine against one 6 MB cache, filled first by
+// the same mix: one shard behind one lock against the shards the budget
+// earns. Misses are admitted as AdCache admits them, so an op is a lookup
+// and, about half the time, an admission with its evictions. Run it at
+// -cpu 1,2,... to see what the shard locks buy under contention.
+func BenchmarkParallelMix(b *testing.B) {
+	table := mixTable()
+	warm := mixOps(embedRead, 1, 300_000)
+	streams := make([][]mixOp, runtime.GOMAXPROCS(0))
+	for i := range streams {
+		streams[i] = mixOps(embedRead, int64(100+i), 1<<16)
+	}
+	for _, shards := range []int{1, shardCount(6 << 20)} {
+		c := newCache(Options{Capacity: 6 << 20}, shards)
+		for _, op := range warm {
+			serveMix(c, table, op)
+		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var next atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				ops := streams[int(next.Add(1)-1)%len(streams)]
+				for i := 0; pb.Next(); i++ {
+					serveMix(c, table, ops[i%len(ops)])
+				}
+			})
+		})
 	}
 }

@@ -73,55 +73,102 @@ func (m *modelDB) empty(lo, hi int) bool {
 }
 
 // checkClaims walks every shard and verifies the cache against the model:
-// subset and value equality, each contigNext and lowerBound claim, byte
-// accounting and the policy tracking exactly the resident entries.
+// subset and value equality, each contigNext and lowerBound claim — a
+// shard's last entry claiming its upper edge included — every entry inside
+// its shard's range, byte and stale accounting, and the policy tracking
+// exactly the resident entries.
 func checkClaims(t *testing.T, c *Cache, m *modelDB, step int, what string) {
 	t.Helper()
+	c.lockAll()
+	defer c.unlockAll()
+	l := c.layout.Load()
+	var capacity int64
 	for si, s := range c.shards {
-		s.mu.Lock()
-		var used int64
+		if si >= l.live() {
+			if s.list.len() != 0 || s.capacity != 0 {
+				t.Fatalf("step %d (%s): idle shard %d holds %d entries, %d bytes of budget", step, what, si, s.list.len(), s.capacity)
+			}
+			continue
+		}
+		lower, upper := l.lower(si), l.upper(si)
+		var used, older int64
+		var ages [ageWindow]int64
 		entries := 0
 		for n := s.list.first(); n != nil; n = n.next(0) {
 			i := modelCeil(string(n.key))
 			if len(n.key) != len("key000000") || !m.present[i] {
 				t.Fatalf("step %d (%s): shard %d caches %q, not in the database", step, what, si, n.key)
 			}
+			if bytes.Compare(n.key, lower) < 0 || (upper != nil && bytes.Compare(n.key, upper) >= 0) {
+				t.Fatalf("step %d (%s): shard %d [%q, %q) holds %q", step, what, si, lower, upper, n.key)
+			}
 			if !bytes.Equal(n.value, m.value(i)) {
 				t.Fatalf("step %d (%s): %q cached as %q, database has %q", step, what, n.key, n.value, m.value(i))
 			}
-			if nx := n.next(0); n.contigNext && nx != nil {
-				if j := modelCeil(string(nx.key)); !m.empty(i+1, j) {
-					t.Fatalf("step %d (%s): %q claims %q is its successor, but the database has a key between", step, what, n.key, nx.key)
+			if nx := n.next(0); n.contigNext {
+				switch {
+				case nx != nil:
+					if j := modelCeil(string(nx.key)); !m.empty(i+1, j) {
+						t.Fatalf("step %d (%s): %q claims %q is its successor, but the database has a key between", step, what, n.key, nx.key)
+					}
+				case upper == nil:
+					t.Fatalf("step %d (%s): %q, the last entry, claims a successor", step, what, n.key)
+				default:
+					if j := modelCeil(string(upper)); !m.empty(i+1, j) {
+						t.Fatalf("step %d (%s): %q claims nothing lives up to shard %d's edge %q, the database disagrees", step, what, n.key, si, upper)
+					}
 				}
 			}
 			if len(n.lowerBound) > 0 {
+				if bytes.Compare(n.lowerBound, lower) < 0 {
+					t.Fatalf("step %d (%s): %q's lower bound %q reaches below its shard's edge %q", step, what, n.key, n.lowerBound, lower)
+				}
 				if lb := modelCeil(string(n.lowerBound)); !m.empty(lb, i) {
 					t.Fatalf("step %d (%s): %q claims [%q, itself) is empty, the database disagrees", step, what, n.key, n.lowerBound)
 				}
 			}
 			used += n.size()
+			if c.epoch-n.epoch < ageWindow {
+				ages[n.epoch%ageWindow] += n.size()
+			} else {
+				older += n.size()
+			}
 			entries++
 		}
 		if used != s.used || s.used > s.capacity {
 			t.Fatalf("step %d (%s): shard %d used=%d, entries sum to %d, capacity %d", step, what, si, s.used, used, s.capacity)
 		}
+		if ages != s.ages || older != s.older {
+			t.Fatalf("step %d (%s): shard %d counts bytes by age %v + %d older, its entries %v + %d", step, what, si, s.ages, s.older, ages, older)
+		}
 		if entries != s.list.len() || entries != s.pol.Len() {
 			t.Fatalf("step %d (%s): shard %d walks %d entries, list counts %d, policy tracks %d", step, what, si, entries, s.list.len(), s.pol.Len())
 		}
-		s.mu.Unlock()
+		capacity += s.capacity
+	}
+	if capacity != c.Capacity() {
+		t.Fatalf("step %d (%s): shards hold %d bytes of budget, the cache says %d", step, what, capacity, c.Capacity())
 	}
 }
 
-func runRangeCacheModel(t *testing.T, policyName string, splits []string, seed int64, ops int) {
+// forceSplit re-derives the boundaries now, lopsided or not.
+func forceSplit(c *Cache) {
+	c.lockAll()
+	c.splitLocked(0, false)
+	c.unlockAll()
+}
+
+func runRangeCacheModel(t *testing.T, policyName string, shards int, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	const entryBytes = 9 + 8 + entryOverhead
-	c := New(Options{Capacity: 40 * entryBytes, Policy: policyName, SplitKeys: splits, Seed: seed})
+	c := newCache(Options{Capacity: 40 * entryBytes, Policy: policyName, Seed: seed}, shards)
 	m := &modelDB{}
 	for i := range m.present {
 		if rng.Intn(3) > 0 {
 			m.put(i)
 		}
 	}
+	crossed := 0 // scan hits whose chain spans a shard edge
 	for step := 0; step < ops; step++ {
 		i := rng.Intn(modelKeys)
 		var what string
@@ -155,14 +202,17 @@ func runRangeCacheModel(t *testing.T, policyName string, splits []string, seed i
 				what = "InsertScan (truncated)"
 			}
 			c.InsertScan(modelKey(i, between), res)
-		case op < 58:
+		case op < 57:
 			what = "Resize"
 			c.Resize(int64((4 + rng.Intn(60)) * entryBytes))
-		case op < 60:
+		case op < 59:
 			what = "forced eviction"
 			capacity := c.Capacity()
-			c.Resize(c.Used() / 2)
+			c.Resize(c.Stats().Used / 2)
 			c.Resize(capacity)
+		case op < 60:
+			what = "split"
+			forceSplit(c)
 		case op < 80:
 			what = "Get"
 			if got, ok := c.Get(k(i)); ok && (!m.present[i] || !bytes.Equal(got, m.value(i))) {
@@ -186,6 +236,9 @@ func runRangeCacheModel(t *testing.T, policyName string, splits []string, seed i
 						t.Fatalf("step %d: Scan(%q, %d)[%d] = %q:%q, database has %q:%q", step, modelKey(i, between), n, j, got[j].Key, got[j].Value, want[j].Key, want[j].Value)
 					}
 				}
+				if l := c.layout.Load(); l.index(got[0].Key) != l.index(got[n-1].Key) {
+					crossed++
+				}
 			}
 		}
 		checkClaims(t, c, m, step, what)
@@ -193,27 +246,27 @@ func runRangeCacheModel(t *testing.T, policyName string, splits []string, seed i
 	if st := c.Stats(); st.GetHits == 0 || st.ScanHits == 0 || st.Evictions == 0 {
 		t.Fatalf("model run exercised too little: %+v", st)
 	}
+	if shards > 1 && (crossed == 0 || c.splits == 0) {
+		t.Fatalf("model run split %d times and no scan hit crossed a shard edge (%d)", c.splits, crossed)
+	}
 }
 
-// TestRangeCacheModel drives random writes, admissions, resizes and forced
-// evictions against the model database and checks every hit and every
-// coverage claim after each step — for all five policies, one and four
-// shards, three fixed seeds.
+// TestRangeCacheModel drives random writes, admissions, resizes, forced
+// evictions and forced splits against the model database and checks every
+// hit — chains across shard edges included — and every coverage claim
+// after each step: for all three policies, one and four shards, three
+// fixed seeds.
 func TestRangeCacheModel(t *testing.T) {
 	ops := 100_000
 	if testing.Short() {
 		ops = 5_000
 	}
-	shardings := map[string][]string{
-		"1shard":  nil,
-		"4shards": {string(k(24)), string(k(48)), string(k(72))},
-	}
 	for _, policyName := range []string{"lru", "lecar", "cacheus"} {
-		for name, splits := range shardings {
+		for name, shards := range map[string]int{"1shard": 1, "4shards": 4} {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", policyName, name, seed), func(t *testing.T) {
 					t.Parallel()
-					runRangeCacheModel(t, policyName, splits, seed, ops)
+					runRangeCacheModel(t, policyName, shards, seed, ops)
 				})
 			}
 		}

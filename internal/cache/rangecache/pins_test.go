@@ -131,9 +131,10 @@ func TestUsedTracksHeap(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	used, heap := c.Used(), int64(after.HeapAlloc)-int64(before.HeapAlloc)
-	if c.Len() != scans*admit {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), scans*admit)
+	st := c.Stats()
+	used, heap := st.Used, int64(after.HeapAlloc)-int64(before.HeapAlloc)
+	if st.Entries != scans*admit {
+		t.Fatalf("cache holds %d entries, want %d", st.Entries, scans*admit)
 	}
 	t.Logf("Used %d B, heap grew %d B (%.2fx)", used, heap, float64(heap)/float64(used))
 	if float64(heap) > 1.5*float64(used) {
@@ -147,11 +148,10 @@ func TestUsedTracksHeap(t *testing.T) {
 // one shard whose first result lives in the next recorded "nothing in
 // [start, first)" on that entry, but a later Put into the part of the gap
 // the start's shard owns reaches only that shard, so the claim went stale.
-// No lookup could read the stale part (a scan is served by its start's
-// shard), but an entry must not carry a claim its shard cannot keep true:
-// the bound is cut at the shard's lower edge.
+// An entry must not carry a claim its shard cannot keep true: the bound is
+// cut at the shard's lower edge.
 func TestLowerBoundStaysInsideShard(t *testing.T) {
-	c := New(Options{Capacity: 1 << 20, SplitKeys: []string{string(k(50))}})
+	c := newSplit(1<<20, k(50))
 	// The database holds key 60 and nothing in [40, 60).
 	c.InsertScan(k(40), []KV{{Key: k(60), Value: v(60)}})
 	n := c.shards[1].list.first()

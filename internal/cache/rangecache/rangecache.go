@@ -16,14 +16,18 @@
 // with one allocation each.
 //
 // Concurrency (§4.4 of the paper): the key space is range-partitioned into
-// shards, each with its own lock. A scan is served entirely by the shard
-// owning its start key; chains that would cross a shard boundary count as
-// misses, a small, documented fidelity cost of partitioned locking.
+// shards, each with its own lock and an equal share of the budget. The
+// shard count follows from the budget given to New; the boundaries follow
+// from what the cache holds. Until the cache first fills it is one shard;
+// then it splits at byte quantiles of its entries, and it splits again only
+// when its occupancy turns lopsided: a shard evicts entries while the other
+// shards hold a quarter of the budget in entries older than those by half
+// a turnover of the cache. A scan chain continues across a shard edge:
+// claims never name an entry of another shard, only the edge itself.
 package rangecache
 
 import (
 	"bytes"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +40,9 @@ type KV = keys.KV
 
 // Options configures a Cache.
 type Options struct {
-	// Capacity is the byte budget across all shards.
+	// Capacity is the byte budget across all shards. It also fixes the
+	// shard count: one per shardBytes of it, a power of two, at most
+	// maxShards.
 	Capacity int64
 	// Policy names the eviction policy: "lru" (default), "lecar",
 	// "cacheus".
@@ -44,11 +50,25 @@ type Options struct {
 	// PolicyCapacityHint estimates the entry count for policies that size
 	// ghost lists (defaults to Capacity/128).
 	PolicyCapacityHint int
-	// SplitKeys are the shard boundaries; len(SplitKeys)+1 shards are
-	// created. Empty means a single shard.
-	SplitKeys []string
 	// Seed makes skiplist shapes deterministic.
 	Seed int64
+}
+
+const (
+	// shardBytes is the budget that earns a cache one more lock: a shard
+	// much smaller than this holds too few entries for its LRU order to
+	// stand in for the cache's.
+	shardBytes = 512 << 10
+	maxShards  = 16
+)
+
+// shardCount is how many shards a cache with the given budget runs.
+func shardCount(capacity int64) int {
+	n := 1
+	for n < maxShards && int64(2*n)*shardBytes <= capacity {
+		n *= 2
+	}
+	return n
 }
 
 // Stats aggregates cache counters.
@@ -68,22 +88,79 @@ type Stats struct {
 // Cache is a sharded result cache. It is safe for concurrent use.
 type Cache struct {
 	shards []*shard
-	// splits[i] is the first key of shard i+1.
-	splits [][]byte
-	// capacity is the sum of the shard budgets, kept here so the admission
-	// path can read it without visiting every shard lock.
+	// layout holds the current boundaries. It is replaced only while every
+	// shard lock is held, so whoever holds one shard lock sees it fixed.
+	layout atomic.Pointer[layout]
+	policy string
+	hint   int
+	// capacity is the byte budget, kept here so the admission path can
+	// read it without visiting every shard lock.
 	capacity atomic.Int64
+	// epoch is the cache's age clock: it ticks each time a shard has
+	// evicted its budget's worth of bytes. Entries remember the epoch they
+	// were last touched in. Written only under every shard lock.
+	epoch uint32
+	// splits counts boundary derivations; guarded by every shard lock.
+	splits int
 	// statLocks counts shard locks taken by ShardStats; tests pin the
 	// one-visit-per-scrape rule with it.
 	statLocks atomic.Int64
 }
 
+// layout is one assignment of key ranges to shards: splits[i] is the first
+// key of shard i+1, and shards past len(splits) are idle.
+type layout struct {
+	splits [][]byte
+}
+
+// live is the number of shards in use.
+func (l *layout) live() int { return len(l.splits) + 1 }
+
+// index returns the shard owning key: the number of split keys at or below
+// it.
+func (l *layout) index(key []byte) int {
+	lo, hi := 0, len(l.splits)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(l.splits[mid], key) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lower and upper are shard i's edges; nil means unbounded.
+func (l *layout) lower(i int) []byte {
+	if i == 0 {
+		return nil
+	}
+	return l.splits[i-1]
+}
+
+func (l *layout) upper(i int) []byte {
+	if i == len(l.splits) {
+		return nil
+	}
+	return l.splits[i]
+}
+
 type shard struct {
 	mu       sync.Mutex
+	c        *Cache
 	list     *skiplist
 	pol      policy.Policy
 	capacity int64
 	used     int64
+	// ages[e%ageWindow] is the bytes last touched in epoch e, for the
+	// ageWindow epochs up to the current one; older holds the rest.
+	ages  [ageWindow]int64
+	older int64
+	// churn is the bytes evicted since the shard last asked for a
+	// boundary check; victim is the epoch of the latest entry evicted.
+	churn  int64
+	victim uint32
 
 	getHits, getMisses   int64
 	scanHits, scanMisses int64
@@ -91,9 +168,15 @@ type shard struct {
 	evictions            int64
 }
 
+// ageWindow is how many epochs a shard's age histogram resolves: enough
+// for a 16-shard cache's entries to age through two turnovers.
+const ageWindow = 2 * maxShards
+
 // New returns a Cache configured by opts.
-func New(opts Options) *Cache {
-	numShards := len(opts.SplitKeys) + 1
+func New(opts Options) *Cache { return newCache(opts, shardCount(opts.Capacity)) }
+
+// newCache returns a Cache that splits into shards shards once it fills.
+func newCache(opts Options, shards int) *Cache {
 	hint := opts.PolicyCapacityHint
 	if hint <= 0 {
 		hint = int(opts.Capacity / 128)
@@ -101,33 +184,45 @@ func New(opts Options) *Cache {
 			hint = 16
 		}
 	}
-	c := &Cache{}
-	for _, split := range opts.SplitKeys {
-		c.splits = append(c.splits, []byte(split))
-	}
-	per := opts.Capacity / int64(numShards)
-	c.capacity.Store(per * int64(numShards))
+	c := &Cache{policy: opts.Policy, hint: hint}
+	c.layout.Store(&layout{})
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	for i := 0; i < numShards; i++ {
-		c.shards = append(c.shards, &shard{
-			list:     newSkiplist(seed + int64(i)),
-			pol:      policy.New(opts.Policy, hint/numShards+1),
-			capacity: per,
-		})
+	for i := 0; i < shards; i++ {
+		c.shards = append(c.shards, &shard{c: c, list: newSkiplist(seed + int64(i))})
 	}
+	c.shards[0].pol = policy.New(opts.Policy, hint+1)
+	c.setCapacityLocked(opts.Capacity)
 	return c
 }
 
-// shardIndex returns the index of the shard owning key: the number of
-// split keys at or below it.
-func (c *Cache) shardIndex(key []byte) int {
-	if len(c.splits) == 0 {
-		return 0
+// lock locks and returns the shard owning key, with the layout that makes
+// it the owner.
+func (c *Cache) lock(key []byte) (*layout, *shard, int) {
+	for {
+		l := c.layout.Load()
+		i := l.index(key)
+		s := c.shards[i]
+		s.mu.Lock()
+		if c.layout.Load() == l {
+			return l, s, i
+		}
+		s.mu.Unlock() // split while we waited
 	}
-	return sort.Search(len(c.splits), func(i int) bool { return bytes.Compare(c.splits[i], key) > 0 })
+}
+
+func (c *Cache) lockAll() {
+	for _, s := range c.shards {
+		s.mu.Lock()
+	}
+}
+
+func (c *Cache) unlockAll() {
+	for _, s := range c.shards {
+		s.mu.Unlock()
+	}
 }
 
 // anchored reports whether first, the first cached key at or after start
@@ -140,11 +235,10 @@ func anchored(pred, first *node, start []byte) bool {
 
 // Get returns the cached value for key.
 func (c *Cache) Get(key []byte) ([]byte, bool) {
-	s := c.shards[c.shardIndex(key)]
-	s.mu.Lock()
+	_, s, _ := c.lock(key)
 	defer s.mu.Unlock()
 	if n := s.list.seek(key).next0; n != nil && bytes.Equal(n.key, key) {
-		s.pol.OnAccess(&n.Handle)
+		s.touch(n)
 		s.getHits++
 		return n.value, true
 	}
@@ -156,51 +250,104 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 // Scan returns the first n pairs at or after start if the cache can prove
 // it holds the full contiguous prefix; ok=false otherwise. The pairs alias
 // the cached bytes, which are never written in place.
+//
+// The chain may run on past the start shard's upper edge: its last entry
+// then claims nothing lives between it and the edge, and the next shard's
+// first entry that nothing lives between the edge and it. The scan takes
+// each shard's lock on the way, in key order, and holds them all until it
+// returns.
 func (c *Cache) Scan(start []byte, n int) ([]KV, bool) {
-	s := c.shards[c.shardIndex(start)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	l, s, si := c.lock(start)
+	last := si // the chain's shard so far; si..last are locked
+	defer func() {
+		for j := si; j <= last; j++ {
+			c.shards[j].mu.Unlock()
+		}
+	}()
 
 	pred := s.list.seek(start)
 	first := pred.next0
-	if n <= 0 || first == nil || !anchored(pred, first, start) {
+	switch {
+	case n <= 0:
+		first = nil
+	case first == nil:
+		// start lies past the shard's entries; pred may claim its edge.
+		if pred.contigNext {
+			first = c.follow(l, pred, &last)
+		}
+	case !anchored(pred, first, start):
+		first = nil
+	}
+	if first == nil {
 		s.scanMisses++
 		s.pol.OnMiss(start)
 		return nil, false
 	}
 	// Prove the chain reaches n entries before building (and allocating)
 	// the result.
-	last := first
+	at, fi := first, last
 	for i := 1; i < n; i++ {
-		if !last.contigNext || last.next0 == nil {
+		if at.contigNext {
+			at = c.follow(l, at, &last)
+		} else {
+			at = nil
+		}
+		if at == nil {
 			s.scanPartials++
 			s.pol.OnMiss(start)
 			return nil, false
 		}
-		last = last.next0
 	}
 	out := make([]KV, n)
-	at := first
+	at, ai := first, fi
 	for i := range out {
 		out[i] = KV{Key: at.key, Value: at.value}
-		s.pol.OnAccess(&at.Handle)
-		at = at.next0
+		c.shards[ai].touch(at)
+		if at = at.next0; at == nil && i+1 < n {
+			ai++
+			at = c.shards[ai].list.first()
+		}
 	}
 	s.scanHits++
 	return out, true
 }
 
+// follow returns the entry the chain continues to after at, in shard *j,
+// which claims contiguity to its successor: the next entry of the shard,
+// or — at the shard's last entry, whose claim reaches the upper edge — the
+// next shard's first entry when that one's claims reach down to the edge.
+// Crossing locks the next shard and advances *j. It returns nil if the
+// chain breaks at the edge.
+func (c *Cache) follow(l *layout, at *node, j *int) *node {
+	if at.next0 != nil {
+		return at.next0
+	}
+	edge := l.upper(*j)
+	if edge == nil {
+		return nil
+	}
+	*j++
+	t := c.shards[*j]
+	t.mu.Lock()
+	if f := t.list.first(); f != nil && anchored(t.list.head, f, edge) {
+		return f
+	}
+	return nil
+}
+
 // InsertPoint admits a point-lookup result (no contiguity claims).
 func (c *Cache) InsertPoint(key, value []byte) {
-	s := c.shards[c.shardIndex(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	_, s, si := c.lock(key)
 	if n := s.list.seek(key).next0; n != nil && bytes.Equal(n.key, key) {
 		s.refreshLocked(n, value)
 	} else {
 		s.insertLocked(nil, key, value)
 	}
-	s.enforceCapacityLocked()
+	split := s.enforceCapacityLocked()
+	s.mu.Unlock()
+	if split {
+		c.check(si)
+	}
 }
 
 // InsertScan admits a scan result: entries are consecutive database keys
@@ -219,28 +366,26 @@ func (c *Cache) InsertScan(start []byte, entries []KV) {
 // it share one lock visit and one descent per shard the result touches.
 func (c *Cache) ExtendScan(start []byte, entries []KV, grow int) int {
 	limit := min(grow, len(entries)) // grows by one per covered entry
+	// Coverage is measured only by a partial admission; it ends at the
+	// first entry that is not chained to the last.
+	chain := limit < len(entries)
 	i := 0
 	for i < limit {
-		si := c.shardIndex(entries[i].Key)
-		var lower, upper []byte
-		if si > 0 {
-			lower = c.splits[si-1]
-		}
-		if si < len(c.splits) {
-			upper = c.splits[si]
-		}
-		s := c.shards[si]
-		s.mu.Lock()
-		i, limit = s.admitLocked(start, entries, i, limit, lower, upper)
-		s.enforceCapacityLocked()
+		l, s, si := c.lock(entries[i].Key)
+		i, limit, chain = s.admitLocked(start, entries, i, limit, chain, l.lower(si), l.upper(si))
+		split := s.enforceCapacityLocked()
 		s.mu.Unlock()
+		if split {
+			c.check(si)
+		}
 	}
 	return i
 }
 
 // admitLocked admits entries[i:limit] as far as they belong to this shard,
-// which holds keys in [lower, upper), and returns where it stopped and the
-// limit, raised by the covered entries it walked over.
+// which holds keys in [lower, upper), and returns where it stopped, the
+// limit, raised by the covered entries it walked over, and whether the
+// covered chain is still unbroken.
 //
 // It descends once, to entries[i], and then moves the finger along: the
 // cache is a subset of the database and the entries are consecutive
@@ -248,17 +393,23 @@ func (c *Cache) ExtendScan(start []byte, entries []KV, grow int) int {
 // after the finger is either the next entry itself, already resident, or
 // lies beyond it, and the entry is spliced in right there. One key compare
 // per entry (skiplist.step) tells which. contigNext is likewise truthful:
-// the scan saw every database key between an entry and its successor.
-func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, lower, upper []byte) (int, int) {
+// the scan saw every database key between an entry and its successor, and
+// between the last entry below upper and upper itself.
+func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, chain bool, lower, upper []byte) (int, int, bool) {
 	pred := s.list.seek(entries[i].Key)
-	// Coverage is measured only by an admission that starts here and is
-	// partial; it ends at the first entry that is not chained to the last.
-	chain := i == 0 && limit < len(entries)
-	// Nothing lives in [start, first entry); the part of that gap inside
-	// this shard is the claim the shard can keep true.
+	// Nothing lives in [from, first entry here), from being start or, for
+	// a result that comes from the shard below, this shard's lower edge;
+	// the part of that gap inside this shard is the claim it can keep true.
+	from, fromOK := start, true
+	if i > 0 {
+		// Unless a split moved the edge since the last visit.
+		from = lower
+		fromOK = lower != nil && bytes.Compare(entries[i-1].Key, lower) < 0
+		chain = chain && fromOK
+	}
 	var lb []byte
-	if i == 0 && bytes.Compare(start, entries[0].Key) < 0 {
-		lb = start
+	if fromOK && bytes.Compare(from, entries[i].Key) < 0 {
+		lb = from
 		if bytes.Compare(lb, lower) < 0 {
 			lb = lower
 		}
@@ -280,7 +431,7 @@ func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, lower, upp
 			n = s.insertLocked(&buf, e.Key, e.Value)
 		} else {
 			if chain {
-				if (prev == nil && anchored(pred, n, start)) || (prev != nil && prev.contigNext) {
+				if (prev == nil && fromOK && anchored(pred, n, from)) || (prev != nil && prev.contigNext) {
 					limit = min(limit+1, len(entries))
 				} else {
 					chain = false
@@ -300,7 +451,13 @@ func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, lower, upp
 		}
 		prev = n
 	}
-	return i, limit
+	// The result goes on past the upper edge: nothing lives between the
+	// last entry here and the edge.
+	if prev != nil && upper != nil && i < len(entries) && bytes.Compare(entries[i].Key, upper) >= 0 {
+		chain = chain && prev.contigNext
+		prev.contigNext = true
+	}
+	return i, limit, chain
 }
 
 // admitBytes sizes the buffer for admitting entries as far as they sort
@@ -348,11 +505,32 @@ func (s *shard) insertLocked(buf *[]byte, key, value []byte) *node {
 		n.key = carve(buf, key)
 	}
 	n.value = carve(buf, value)
+	n.epoch = s.c.epoch
 	n.Init(n)
 	s.list.insert(n)
 	s.used += n.size()
+	s.ages[n.epoch%ageWindow] += n.size()
 	s.pol.OnInsert(&n.Handle)
 	return n
+}
+
+// touch records a hit on a resident entry.
+func (s *shard) touch(n *node) {
+	if n.epoch != s.c.epoch {
+		s.forget(n)
+		n.epoch = s.c.epoch
+		s.ages[n.epoch%ageWindow] += n.size()
+	}
+	s.pol.OnAccess(&n.Handle)
+}
+
+// forget takes n, about to be touched or to leave, out of its age class.
+func (s *shard) forget(n *node) {
+	if s.c.epoch-n.epoch < ageWindow {
+		s.ages[n.epoch%ageWindow] -= n.size()
+	} else {
+		s.older -= n.size()
+	}
 }
 
 // refreshLocked records a hit on a resident entry whose value was read or
@@ -360,53 +538,58 @@ func (s *shard) insertLocked(buf *[]byte, key, value []byte) *node {
 // matches and nothing is copied; a new value replaces the old slice, never
 // its bytes, which scan hits alias.
 func (s *shard) refreshLocked(n *node, value []byte) {
+	s.touch(n)
 	if !bytes.Equal(n.value, value) {
-		s.used += int64(len(value) - len(n.value))
+		grow := int64(len(value) - len(n.value))
+		s.used += grow
+		s.ages[n.epoch%ageWindow] += grow
 		n.value = bytes.Clone(value)
 	}
-	s.pol.OnAccess(&n.Handle)
 }
 
 // Put applies a write: update in place, or admit into a covered gap to keep
 // coverage claims truthful. Writes outside covered regions are not admitted
 // (result caches store query results, not write traffic).
 func (c *Cache) Put(key, value []byte) {
-	s := c.shards[c.shardIndex(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	l, s, si := c.lock(key)
 
-	// p and q are the cached neighbours of key: the last entry before it
-	// and the first at or after it.
+	// p and q are the cached neighbours of key in its shard: the last entry
+	// before it and the first at or after it.
 	p := s.list.seek(key)
 	q := p.next0
 	if q != nil && bytes.Equal(q.key, key) {
 		s.refreshLocked(q, value)
-		s.enforceCapacityLocked()
-		return
-	}
-
-	// A new DB key inside a covered gap is admitted so the claims around it
-	// stay truthful. The gap can be covered from below — p's contiguity
-	// claim over (p.key, q.key) — and from above — q's lower bound over
-	// [lb, q.key) — and both must learn of the key: it joins p's chain, and
-	// takes over the part of q's bound that still holds, [lb, key).
-	chained := p.contigNext && q != nil
-	bounded := q != nil && len(q.lowerBound) > 0 && bytes.Compare(q.lowerBound, key) <= 0
-	if chained || bounded {
+	} else {
+		// A new DB key inside a covered gap is admitted so the claims
+		// around it stay truthful. The gap can be covered from below — p's
+		// contiguity claim over (p.key, q.key), or up to the shard's upper
+		// edge when p is its last entry — and from above — q's lower bound
+		// over [lb, q.key) — and both must learn of the key: it joins p's
+		// chain, and takes over the part of q's bound that still holds,
+		// [lb, key).
+		chained := p.contigNext && (q != nil || l.upper(si) != nil)
+		bounded := q != nil && len(q.lowerBound) > 0 && bytes.Compare(q.lowerBound, key) <= 0
+		if !chained && !bounded {
+			s.mu.Unlock()
+			return
+		}
 		n := s.insertLocked(nil, key, value)
 		n.contigNext = true
 		if bounded {
 			n.lowerBound, q.lowerBound = q.lowerBound, nil
 		}
-		s.enforceCapacityLocked()
+	}
+	split := s.enforceCapacityLocked()
+	s.mu.Unlock()
+	if split {
+		c.check(si)
 	}
 }
 
 // Delete applies a database delete: the key leaves the cache, and because it
 // also left the database, neighbouring coverage claims merge.
 func (c *Cache) Delete(key []byte) {
-	s := c.shards[c.shardIndex(key)]
-	s.mu.Lock()
+	l, s, si := c.lock(key)
 	defer s.mu.Unlock()
 
 	p := s.list.seek(key)
@@ -415,18 +598,32 @@ func (c *Cache) Delete(key []byte) {
 		return // covered-gap keys cannot exist in the DB; nothing to fix
 	}
 	next := n.next0
-	s.list.unlink(n)
-	s.used -= n.size()
+	s.removeLocked(n)
 	s.pol.OnRemove(&n.Handle)
 
 	// Merge coverage across the removed key. The deleted key no longer
-	// exists in the DB, so emptiness claims on both sides compose.
-	p.contigNext = p.contigNext && n.contigNext && next != nil
-	if next != nil && n.contigNext && len(n.lowerBound) > 0 {
-		if len(next.lowerBound) == 0 || bytes.Compare(n.lowerBound, next.lowerBound) < 0 {
-			next.lowerBound = n.lowerBound
+	// exists in the DB, so emptiness claims on both sides compose. A
+	// shard's first entry sitting right on its lower edge bounds the gap
+	// from the edge.
+	upper := l.upper(si)
+	p.contigNext = p.contigNext && n.contigNext && (next != nil || upper != nil)
+	bound := n.lowerBound
+	if lower := l.lower(si); p == s.list.head && len(bound) == 0 && bytes.Equal(n.key, lower) {
+		bound = lower
+	}
+	if next != nil && n.contigNext && len(bound) > 0 {
+		if len(next.lowerBound) == 0 || bytes.Compare(bound, next.lowerBound) < 0 {
+			next.lowerBound = bound
 		}
 	}
+}
+
+// removeLocked unlinks n, the node right after the finger, and stops
+// charging for it.
+func (s *shard) removeLocked(n *node) {
+	s.forget(n)
+	s.list.unlink(n)
+	s.used -= n.size()
 }
 
 // enforceCapacityLocked evicts policy-chosen victims until the shard fits
@@ -435,12 +632,16 @@ func (c *Cache) Delete(key []byte) {
 // in key order ages out in key order, and after one victim is unlinked the
 // finger stands right before its successor, so only the first victim of a
 // run costs a descent.
-func (s *shard) enforceCapacityLocked() {
-	fingered := false
+//
+// It reports whether the boundaries need a look (see Cache.check): the
+// cache has filled for the first time, or this shard has evicted its
+// budget's worth since it last asked.
+func (s *shard) enforceCapacityLocked() bool {
+	fingered, evicted := false, false
 	for s.used > s.capacity {
 		h := s.pol.Evict()
 		if h == nil {
-			return
+			break
 		}
 		victim := h.Owner().(*node)
 		if !fingered || s.list.finger[0].next0 != victim {
@@ -448,21 +649,51 @@ func (s *shard) enforceCapacityLocked() {
 			fingered = true
 		}
 		s.list.finger[0].contigNext = false
-		s.list.unlink(victim)
-		s.used -= victim.size()
+		s.removeLocked(victim)
+		s.churn += victim.size()
+		s.victim = victim.epoch
 		s.evictions++
+		evicted = true
 	}
+	c := s.c
+	switch {
+	case !evicted || len(c.shards) == 1:
+		return false
+	case len(c.layout.Load().splits) == 0:
+		return s.list.len() >= 2*len(c.shards)
+	case s.churn < s.capacity:
+		return false
+	}
+	s.churn = 0
+	return true
 }
 
-// Resize changes the byte budget, evicting as needed.
+// setCapacityLocked shares capacity out among the live shards, the
+// remainder a byte each to the first ones. The caller holds every shard
+// lock (or owns the cache exclusively).
+func (c *Cache) setCapacityLocked(capacity int64) {
+	live := int64(c.layout.Load().live())
+	per, rem := capacity/live, capacity%live
+	for j, s := range c.shards {
+		s.capacity = 0
+		if int64(j) < live {
+			s.capacity = per
+			if int64(j) < rem {
+				s.capacity++
+			}
+		}
+	}
+	c.capacity.Store(capacity)
+}
+
+// Resize changes the byte budget, evicting as needed. A shrink never
+// splits the cache.
 func (c *Cache) Resize(capacity int64) {
-	per := capacity / int64(len(c.shards))
-	c.capacity.Store(per * int64(len(c.shards)))
+	c.lockAll()
+	defer c.unlockAll()
+	c.setCapacityLocked(capacity)
 	for _, s := range c.shards {
-		s.mu.Lock()
-		s.capacity = per
 		s.enforceCapacityLocked()
-		s.mu.Unlock()
 	}
 }
 
@@ -486,13 +717,15 @@ func Sum(shards []Stats) Stats {
 	return st
 }
 
-// ShardStats returns one counter snapshot per shard, in shard order.
-// Shards map to key ranges (§4.4), so a hot range shows up as one shard's
-// hit and eviction counters running away from its siblings'.
+// ShardStats returns one counter snapshot per live shard, in key order —
+// one before the cache first fills. Shards map to key ranges (§4.4), so a
+// hot range shows up as one shard's hit and eviction counters running away
+// from its siblings'.
 func (c *Cache) ShardStats() []Stats {
-	out := make([]Stats, len(c.shards))
-	c.statLocks.Add(int64(len(c.shards)))
-	for i, s := range c.shards {
+	live := c.layout.Load().live()
+	out := make([]Stats, live)
+	c.statLocks.Add(int64(live))
+	for i, s := range c.shards[:live] {
 		s.mu.Lock()
 		out[i] = Stats{
 			GetHits:      s.getHits,
@@ -513,28 +746,6 @@ func (c *Cache) ShardStats() []Stats {
 // StatLockVisits reports how many shard locks ShardStats (and so Stats) has
 // taken — a test hook for the scrape-cost pin.
 func (c *Cache) StatLockVisits() int64 { return c.statLocks.Load() }
-
-// Len reports the total entry count.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.list.len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Used reports cached bytes.
-func (c *Cache) Used() int64 {
-	var used int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		used += s.used
-		s.mu.Unlock()
-	}
-	return used
-}
 
 // Capacity reports the configured byte budget.
 func (c *Cache) Capacity() int64 { return c.capacity.Load() }

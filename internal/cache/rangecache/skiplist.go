@@ -43,7 +43,9 @@ const (
 //
 // contigNext claims that the next cache entry (in key order, same shard) is
 // this key's immediate successor in the database: a scan passing through
-// this entry may continue to the next without missing keys. lowerBound,
+// this entry may continue to the next without missing keys. On a shard's
+// last entry it claims the database holds no keys between the entry and
+// the shard's upper edge, and never anything on the last shard's. lowerBound,
 // when non-empty, claims the database holds no keys in [lowerBound, key) —
 // it extends coverage below the entry so scans starting in that gap can
 // anchor here.
@@ -56,6 +58,7 @@ type node struct {
 	value      []byte
 	lowerBound []byte // empty means none
 	contigNext bool
+	epoch      uint32 // the cache's epoch when the entry was last touched
 	policy.Handle
 }
 
@@ -181,6 +184,28 @@ func (s *skiplist) unlink(n *node) {
 	clear(n.tower) // its slab outlives it; leave no reference behind
 	n.next0, n.tower = nil, nil
 	s.count--
+}
+
+// rebuild makes the list hold exactly nodes, which are sorted and keep
+// their towers, linking them in one pass. The finger is left invalid.
+func (s *skiplist) rebuild(nodes []*node) {
+	clear(s.head.tower)
+	s.head.next0 = nil
+	s.height = 1
+	tail := &s.finger
+	for level := range tail {
+		tail[level] = s.head
+	}
+	for _, n := range nodes {
+		n.next0 = nil
+		clear(n.tower)
+		for level := 0; level <= len(n.tower); level++ {
+			tail[level].setNext(level, n)
+			tail[level] = n
+		}
+		s.height = max(s.height, len(n.tower)+1)
+	}
+	s.count = len(nodes)
 }
 
 // first returns the lowest-keyed node, or nil.

@@ -191,9 +191,8 @@ type AdCache struct {
 	windowsClosed atomic.Int64
 }
 
-// New returns a started AdCache whose range cache is sharded at splitKeys
-// (§4.4; nil for one shard). Call Close to stop its tuning goroutine.
-func New(cfg Config, splitKeys []string) (*AdCache, error) {
+// New returns a started AdCache. Call Close to stop its tuning goroutine.
+func New(cfg Config) (*AdCache, error) {
 	cfg = cfg.withDefaults()
 	a := &AdCache{
 		cfg:       cfg,
@@ -215,10 +214,11 @@ func New(cfg Config, splitKeys []string) (*AdCache, error) {
 	cacheBytes := cfg.Capacity - int64(float64(cfg.Capacity)*initialMemRatio)
 	rangeBytes := int64(float64(cacheBytes) * cfg.InitialRangeRatio)
 	// Shard sizing uses the full budget (the boundary may move the whole
-	// budget to the block side later); the initial split applies via Resize.
+	// budget to either side later); the initial split applies via Resize.
 	a.block = lru.NewBlockCache(cfg.Capacity)
 	a.block.Resize(cacheBytes - rangeBytes)
-	a.rng = rangecache.New(rangecache.Options{Capacity: rangeBytes, SplitKeys: splitKeys}) // LRU
+	a.rng = rangecache.New(rangecache.Options{Capacity: cfg.Capacity}) // LRU
+	a.rng.Resize(rangeBytes)
 	a.params.Store(Params{
 		RangeRatio:     cfg.InitialRangeRatio,
 		PointThreshold: 0,

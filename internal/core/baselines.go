@@ -112,13 +112,9 @@ type RangeOnly struct {
 }
 
 // NewRangeOnly returns a RangeOnly strategy. policy is "lru", "lecar" or
-// "cacheus"; splitKeys optionally shard the cache (§4.4).
-func NewRangeOnly(capacity int64, policy string, splitKeys []string) *RangeOnly {
-	return &RangeOnly{cache: rangecache.New(rangecache.Options{
-		Capacity:  capacity,
-		Policy:    policy,
-		SplitKeys: splitKeys,
-	})}
+// "cacheus".
+func NewRangeOnly(capacity int64, policy string) *RangeOnly {
+	return &RangeOnly{cache: rangecache.New(rangecache.Options{Capacity: capacity, Policy: policy})}
 }
 
 // GetCached implements lsm.CacheStrategy.

@@ -15,7 +15,7 @@ func newTestAdCache(t *testing.T, cfg Config) *AdCache {
 		cfg.Capacity = 1 << 20
 	}
 	cfg.SyncTuning = true
-	a, err := New(cfg, nil)
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestScanPartialAdmission(t *testing.T) {
 			entries[i] = lsm.KV{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")}
 		}
 		a.OnScanResult([]byte("k00"), entries, 1)
-		return a.rng.Len()
+		return a.rng.Stats().Entries
 	}
 	for _, l := range []int{10, 16} { // up to a: admitted whole
 		a := newTestAdCache(t, Config{})
@@ -231,14 +231,14 @@ func TestTraceRecording(t *testing.T) {
 func TestTinyRangeCapacitySkipsInserts(t *testing.T) {
 	a := newTestAdCache(t, Config{InitialRangeRatio: 0.0001, DisableAdmission: true})
 	a.OnPointResult([]byte("k"), []byte("v"), 1)
-	if a.Range().Len() != 0 {
+	if a.Range().Stats().Entries != 0 {
 		t.Fatal("inserted into a boundary-starved range cache")
 	}
 }
 
 func TestAsyncTuningMode(t *testing.T) {
 	// Production mode: the tuner runs on its own goroutine; Close stops it.
-	a, err := New(Config{Capacity: 1 << 20}, nil) // SyncTuning off
+	a, err := New(Config{Capacity: 1 << 20}) // SyncTuning off
 	if err != nil {
 		t.Fatal(err)
 	}

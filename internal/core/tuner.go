@@ -241,8 +241,8 @@ func (a *AdCache) buildState(w stats.Window, shape stats.Shape, hEst float64, in
 	}
 	p := a.CurrentParams()
 	state[8] = float32(p.RangeRatio)
-	if c := a.rng.Capacity(); c > 0 {
-		state[9] = float32(clamp01f(float64(a.rng.Used()) / float64(c)))
+	if rs := a.rng.Stats(); rs.Capacity > 0 {
+		state[9] = float32(clamp01f(float64(rs.Used) / float64(rs.Capacity)))
 	}
 	state[10] = float32(clamp01f(float64(shape.Levels) / 7))
 	state[11] = float32(clamp01f(shape.IOScan(w.AvgScanLen()) / 32))

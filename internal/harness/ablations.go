@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"adcache"
 	"adcache/internal/workload"
@@ -25,9 +24,10 @@ type AblationRow struct {
 //   - online residual learning vs acting on the calibrated prior alone
 //     (a Frozen agent), under a window budget comparable to the experiments;
 //   - Leaper-style prefetch: re-populating the block cache after
-//     compactions under a write-heavy mix;
-//   - sharded range cache: §4.4's partitioned locking vs a single shard
-//     under concurrent clients (wall-clock, not simulated, throughput).
+//     compactions under a write-heavy mix.
+//
+// The range cache's shards (§4.4) are measured by the rangecache package's
+// BenchmarkParallelMix, not here: the cache sizes its own shard set.
 func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 	var rows []AblationRow
 	add := func(row AblationRow) {
@@ -127,36 +127,6 @@ func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 			variant = fmt.Sprintf("prefetch %d blocks", prefetch)
 		}
 		add(AblationRow{Study: "compaction-prefetch", Variant: variant, Result: res})
-	}
-
-	// Study 4: sharded vs single-lock range cache, concurrent clients.
-	for _, sharded := range []bool{true, false} {
-		cfg := Config{
-			NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
-			CacheFrac: 0.10, Strategy: adcache.StrategyRange, Seed: sc.Seed,
-		}
-		if sharded {
-			cfg.RangeShards = defaultShards(sc.NumKeys)
-		}
-		r, err := NewRunner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, _, err := r.RunConcurrent(workload.MixBalanced, sc.MeasureOps/8, 8)
-		wall := time.Since(start)
-		r.Close()
-		if err != nil {
-			return nil, err
-		}
-		variant := "single shard"
-		if sharded {
-			variant = "8 range shards"
-		}
-		add(AblationRow{
-			Study: "range-cache-sharding", Variant: variant, Result: res,
-			Note: fmt.Sprintf("wall=%s", wall.Round(time.Millisecond)),
-		})
 	}
 
 	return rows, nil

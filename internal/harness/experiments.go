@@ -464,18 +464,8 @@ func fig11aConfig(sc Scale) Config {
 	return Config{
 		NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
 		CacheFrac: 0.10, Strategy: adcache.StrategyAdCache, Seed: sc.Seed,
-		RangeShards: defaultShards(sc.NumKeys),
 		AsyncTuning: true,
 	}
-}
-
-// defaultShards splits the key space into 8 range shards (§4.4).
-func defaultShards(numKeys int) []string {
-	var splits []string
-	for i := 1; i < 8; i++ {
-		splits = append(splits, string(workload.Key(numKeys*i/8)))
-	}
-	return splits
 }
 
 // FormatFig11a renders the scaling table.

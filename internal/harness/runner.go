@@ -38,8 +38,6 @@ type Config struct {
 	// AdCache overrides controller settings (window size, alpha,
 	// ablations, a frozen agent...).
 	AdCache core.Config
-	// RangeShards optionally shards result caches.
-	RangeShards []string
 	// PrefetchOnCompaction enables Leaper-style cache re-population
 	// (ablation experiments).
 	PrefetchOnCompaction int
@@ -164,12 +162,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 	cfg.AdCache.SyncTuning = !cfg.AsyncTuning
 
 	db, err := adcache.Open(adcache.Options{
-		FS:          fs,
-		CacheBytes:  cacheBytes,
-		Strategy:    cfg.Strategy,
-		AdCache:     cfg.AdCache,
-		RangeShards: cfg.RangeShards,
-		LSM:         &lsmOpts,
+		FS:         fs,
+		CacheBytes: cacheBytes,
+		Strategy:   cfg.Strategy,
+		AdCache:    cfg.AdCache,
+		LSM:        &lsmOpts,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"runtime"
 	"testing"
 
 	"adcache/internal/cache/lru"
@@ -92,6 +93,47 @@ func TestAllocsWarmScan16(t *testing.T) {
 	})
 	if !raceEnabled && allocs > 7 {
 		t.Fatalf("warm Scan(16) allocates %.1f objects/op, want <= 7", allocs)
+	}
+}
+
+// TestAllocsZeroBudgetBlockMiss pins what a block cache with no budget
+// costs a read that misses it: nothing block-sized. AdCache's controller
+// can move the whole budget to the range cache; a missed Get then reads its
+// block into the operation's scratch and a missed Scan(16) offers nothing to
+// copy, where each used to allocate a buffer per block for an insert the
+// cache refused.
+func TestAllocsZeroBudgetBlockMiss(t *testing.T) {
+	db := allocDB(t, &blockOnlyStrategy{cache: lru.NewBlockCache(0)}, 20_000)
+	blockSize := db.opts.BlockSize
+	perOp := func(ops int, op func(i int)) float64 {
+		op(0) // warm the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 1; i <= ops; i++ {
+			op(i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+	}
+	get := perOp(500, func(i int) {
+		if _, ok, err := db.Get(key(i * 37 % 20_000)); err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	})
+	scan := perOp(500, func(i int) {
+		if kvs, err := db.Scan(key(i*37%19_000), 16); err != nil || len(kvs) != 16 {
+			t.Fatalf("Scan: len=%d err=%v", len(kvs), err)
+		}
+	})
+	t.Logf("missed Get allocates %.0f B/op, missed Scan(16) %.0f B/op (blocks are %d B)", get, scan, blockSize)
+	if raceEnabled {
+		return
+	}
+	if get >= float64(blockSize)/2 {
+		t.Errorf("missed Get allocates %.0f B/op at a zero block budget, want < %d (no block buffer)", get, blockSize/2)
+	}
+	if scan >= float64(blockSize)/2 {
+		t.Errorf("missed Scan(16) allocates %.0f B/op at a zero block budget, want < %d (no block copy)", scan, blockSize/2)
 	}
 }
 

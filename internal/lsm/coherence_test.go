@@ -23,13 +23,13 @@ type strategyCase struct {
 
 func rangeOnly(policy string) func(*testing.T, int64) lsm.CacheStrategy {
 	return func(_ *testing.T, capacity int64) lsm.CacheStrategy {
-		return core.NewRangeOnly(capacity, policy, nil)
+		return core.NewRangeOnly(capacity, policy)
 	}
 }
 
 var strategyCases = []strategyCase{
 	{"AdCache", func(t *testing.T, capacity int64) lsm.CacheStrategy {
-		a, err := core.New(core.Config{Capacity: capacity}, nil)
+		a, err := core.New(core.Config{Capacity: capacity})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -228,6 +228,8 @@ func (c *logicalFakeCache) Insert(fileNum, off uint64, data []byte, logical int)
 	c.lastLogical = logical
 }
 
+func (c *logicalFakeCache) Fits(int) bool { return true }
+
 // FuzzBlockTrailer exercises the physical block codec: arbitrary payloads
 // must round-trip through both codecs, and decodeBlock must reject (never
 // panic on) arbitrary images.

@@ -198,7 +198,7 @@ func (i *Iter) readCoalesced(h Handle) ([]byte, error) {
 	if i.stats != nil {
 		i.stats.BlockMisses++
 	}
-	if i.fill && r.admits(true, i.stats) {
+	if i.fill && r.admits(true, i.stats) && r.keeps(h) {
 		// The cache gets a copy of exactly the block: img aliases the span,
 		// which this iterator reuses and which is several blocks long.
 		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, bytes.Clone(img), len(data))

@@ -28,6 +28,10 @@ type BlockCache interface {
 	// len(data) for uncompressed blocks), letting caches report both
 	// physical and logical occupancy.
 	Insert(fileNum, offset uint64, data []byte, logical int)
+	// Fits reports whether Insert would keep a block image of size bytes
+	// right now. The reader does not materialise a copy of its own for a
+	// block the cache would refuse.
+	Fits(size int) bool
 }
 
 // ReadStats counts logical cache activity for one reader. Updated atomically
@@ -57,6 +61,8 @@ type ReadStats struct {
 	// warm point lookups allocation-free in the block/sstable layers.
 	seekBuf   []byte
 	blockIter block.Iter
+	// blockBuf is where a point lookup reads a block no cache will keep.
+	blockBuf []byte
 }
 
 // Reset clears the counters and flags for a new operation while retaining
@@ -167,7 +173,13 @@ func (r *Reader) Size() int64 { return r.size }
 // file. When the file supports pinned no-copy views (mmap on OSFS) the image
 // aliases mapped pages and the read allocates nothing; otherwise it is one
 // heap buffer and one ReadAt, as before.
-func (r *Reader) readBlockPhysical(h Handle) ([]byte, error) {
+//
+// With scratch, a read that needs a buffer reuses *scratch, growing it as
+// needed, instead of allocating one the caller could hand to the cache.
+func (r *Reader) readBlockPhysical(h Handle, scratch *[]byte) ([]byte, error) {
+	if size := uint64(r.size); h.Length > size || h.Offset > size-h.Length || size-h.Length-h.Offset < TrailerLen {
+		return nil, errCorruptf("block handle %d+%d past the end of a %d-byte file", h.Offset, h.Length, r.size)
+	}
 	n := int64(h.Length) + TrailerLen
 	var buf []byte
 	if r.nc != nil {
@@ -177,7 +189,14 @@ func (r *Reader) readBlockPhysical(h Handle) ([]byte, error) {
 		}
 		buf = view
 	} else {
-		buf = make([]byte, n)
+		if scratch != nil {
+			if int64(cap(*scratch)) < n {
+				*scratch = make([]byte, n)
+			}
+			buf = (*scratch)[:n]
+		} else {
+			buf = make([]byte, n)
+		}
 		if _, err := r.f.ReadAt(buf, int64(h.Offset)); err != nil {
 			return nil, err
 		}
@@ -202,7 +221,7 @@ func checkBlock(buf []byte, h Handle) ([]byte, error) {
 // reader's lifetime (as RocksDB does with its index/filter partitions by
 // default), and by compaction iterators.
 func (r *Reader) readBlockRaw(h Handle) ([]byte, error) {
-	img, err := r.readBlockPhysical(h)
+	img, err := r.readBlockPhysical(h, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +233,9 @@ func (r *Reader) readBlockRaw(h Handle) ([]byte, error) {
 // zero-copy slice for uncompressed blocks, a fresh exact-size buffer for
 // flate). fill controls whether a missed block is offered to the cache
 // (false for scan paths when NoFillOnScan is set); scan tags the insert with
-// its origin.
+// its origin. A point lookup reads a block the cache will not keep into
+// stats' scratch: it is done with the block before its next read, and
+// copies the value it returns.
 func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte, error) {
 	if c := r.opts.Cache; c != nil {
 		if img, ok := c.Get(r.opts.FileNum, h.Offset); ok {
@@ -224,7 +245,12 @@ func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte,
 			return decodeBlock(img)
 		}
 	}
-	img, err := r.readBlockPhysical(h)
+	keep := fill && r.keeps(h)
+	var scratch *[]byte
+	if !keep && !scan && stats != nil {
+		scratch = &stats.blockBuf
+	}
+	img, err := r.readBlockPhysical(h, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -235,10 +261,16 @@ func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte,
 	if stats != nil {
 		stats.BlockMisses++
 	}
-	if fill && r.admits(scan, stats) {
+	if fill && r.admits(scan, stats) && keep {
 		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, img, len(data))
 	}
 	return data, nil
+}
+
+// keeps reports whether the cache would keep the block at h, whose
+// physical image is its payload plus the compression-type byte.
+func (r *Reader) keeps(h Handle) bool {
+	return r.opts.Cache != nil && r.opts.Cache.Fits(int(h.Length)+1)
 }
 
 // admits reports whether a block that missed the cache may be inserted under

@@ -170,6 +170,8 @@ func (c *fakeCache) Insert(fileNum, off uint64, data []byte, logical int) {
 	c.inserts++
 }
 
+func (c *fakeCache) Fits(int) bool { return true }
+
 func TestBlockCacheServesRepeatReads(t *testing.T) {
 	fs := vfs.NewMem()
 	buildTable(t, fs, "t.sst", 1000, WriterOptions{})

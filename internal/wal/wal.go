@@ -136,9 +136,12 @@ func Replay(f vfs.File, fn func(Record) error) (maxSeq uint64, err error) {
 	return maxSeq, nil
 }
 
+// decode parses one frame's payload. It accepts exactly what Add writes —
+// minimal varints, and nothing after the value — so any other payload, even
+// under a valid checksum, reads as corrupt.
 func decode(p []byte) (Record, bool) {
 	var rec Record
-	seq, n := binary.Uvarint(p)
+	seq, n := uvarint(p)
 	if n <= 0 || n >= len(p) {
 		return rec, false
 	}
@@ -146,18 +149,28 @@ func decode(p []byte) (Record, bool) {
 	p = p[n:]
 	rec.Kind = keys.Kind(p[0])
 	p = p[1:]
-	klen, n := binary.Uvarint(p)
-	if n <= 0 || int(klen) > len(p)-n {
+	klen, n := uvarint(p)
+	if n <= 0 || klen > uint64(len(p)-n) {
 		return rec, false
 	}
 	p = p[n:]
 	rec.Key = append([]byte(nil), p[:klen]...)
 	p = p[klen:]
-	vlen, n := binary.Uvarint(p)
-	if n <= 0 || int(vlen) > len(p)-n {
+	vlen, n := uvarint(p)
+	if n <= 0 || vlen != uint64(len(p)-n) {
 		return rec, false
 	}
-	p = p[n:]
-	rec.Value = append([]byte(nil), p[:vlen]...)
+	rec.Value = append([]byte(nil), p[n:]...)
 	return rec, true
+}
+
+// uvarint reads a varint in the minimal encoding binary.AppendUvarint
+// writes; n <= 0 for anything else.
+func uvarint(p []byte) (uint64, int) {
+	v, n := binary.Uvarint(p)
+	var buf [binary.MaxVarintLen64]byte
+	if n > 0 && binary.PutUvarint(buf[:], v) != n {
+		return 0, -1
+	}
+	return v, n
 }
