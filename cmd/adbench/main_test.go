@@ -3,9 +3,17 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,11 +26,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/options_surface.golden from the running code")
 
+// surfaceStructs are the config structs whose exported fields are settable
+// values.
+var surfaceStructs = []any{adcache.Options{}, core.Config{}, lsm.Options{}, rl.Config{}, harness.Config{}}
+
+// optionPackages are the packages whose exported With* functions are
+// settable values (functional options).
+var optionPackages = []string{"adcache/internal/server", "adcache/client"}
+
 // optionsSurface lists every settable value: the exported fields of the
 // config structs, one per line in declaration order, then adbench's flags.
 func optionsSurface() string {
 	var b strings.Builder
-	for _, v := range []any{adcache.Options{}, core.Config{}, lsm.Options{}, rl.Config{}, harness.Config{}} {
+	for _, v := range surfaceStructs {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
 			if f := typ.Field(i); f.IsExported() {
@@ -74,4 +90,226 @@ func TestExperimentNames(t *testing.T) {
 	if got, want := strings.Join(all, " "), "table2 fig1 fig6 fig7 fig8 fig9 fig10 fig11a fig11b ablations"; got != want {
 		t.Errorf("-exp all runs %q, want %q", got, want)
 	}
+}
+
+// noCallerNeeded lists the settings exempt from TestEverySettingHasACaller,
+// with the reason.
+var noCallerNeeded = map[string]string{
+	// A deployment path: an agent trained elsewhere and saved with
+	// rl.Agent.Save is loaded from it. No program in the module ships a
+	// model, so only tests set it.
+	"core.Config.ModelFS":   "deployment path for a saved agent",
+	"core.Config.ModelPath": "deployment path for a saved agent",
+}
+
+// TestEverySettingHasACaller checks that every settable value — each field
+// of the surface structs and each server.With*/client.With* option — is set
+// by a program in the module, not only by tests: a field as a
+// composite-literal key of its struct or as the target of an assignment, an
+// option by a reference to it. Test files, the examples and the defaults a
+// setting's own package fills in do not count. The check is type-aware, so
+// setting a field of the same name on another struct does not count.
+func TestEverySettingHasACaller(t *testing.T) {
+	l := newModuleLoader(filepath.Join("..", ".."))
+	if err := l.loadAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The settings, by the object that declares them.
+	settings := map[types.Object]string{}
+	for _, v := range surfaceStructs {
+		typ := reflect.TypeOf(v)
+		pkg := l.pkgs[typ.PkgPath()]
+		if pkg == nil {
+			t.Fatalf("package %s not loaded", typ.PkgPath())
+		}
+		st := pkg.Scope().Lookup(typ.Name()).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				settings[f] = fmt.Sprintf("%s.%s", typ, f.Name())
+			}
+		}
+	}
+	for _, path := range optionPackages {
+		pkg := l.pkgs[path]
+		if pkg == nil {
+			t.Fatalf("package %s not loaded", path)
+		}
+		for _, name := range pkg.Scope().Names() {
+			if fn, ok := pkg.Scope().Lookup(name).(*types.Func); ok && fn.Exported() && strings.HasPrefix(name, "With") {
+				settings[fn] = pkg.Name() + "." + name
+			}
+		}
+	}
+
+	set := map[types.Object]bool{}
+	for path, files := range l.files {
+		pkg := l.pkgs[path]
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				// Defaults are not a caller choosing a value. In the
+				// setting's own package, a function named for its defaults
+				// does not count, and neither does a fill-in such as
+				// "if c.N <= 0 { c.N = 8 }" anywhere else.
+				fd, _ := decl.(*ast.FuncDecl)
+				inDefaults := fd != nil && strings.Contains(strings.ToLower(fd.Name.Name), "default")
+				fills := map[*ast.AssignStmt]bool{}
+				mark := func(obj types.Object, n ast.Node) {
+					if obj.Pkg() == pkg {
+						if as, _ := n.(*ast.AssignStmt); inDefaults || fills[as] {
+							return
+						}
+					}
+					set[obj] = true
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.IfStmt:
+						guarded := map[types.Object]bool{}
+						ast.Inspect(n.Cond, func(c ast.Node) bool {
+							if sel, ok := c.(*ast.SelectorExpr); ok {
+								if s := l.info.Selections[sel]; s != nil {
+									guarded[s.Obj()] = true
+								}
+							}
+							return true
+						})
+						for _, st := range n.Body.List {
+							as, ok := st.(*ast.AssignStmt)
+							if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || l.info.Types[as.Rhs[0]].Value == nil {
+								continue
+							}
+							if sel, ok := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr); ok {
+								if s := l.info.Selections[sel]; s != nil && guarded[s.Obj()] {
+									fills[as] = true
+								}
+							}
+						}
+					case *ast.CompositeLit:
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									if obj, ok := l.info.Uses[id].(*types.Var); ok && obj.IsField() {
+										mark(obj, n)
+									}
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						// x.A.B = v sets B, and through it A.
+						for _, lhs := range n.Lhs {
+							sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+							for ok {
+								if s := l.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+									mark(s.Obj(), n)
+								}
+								sel, ok = ast.Unparen(sel.X).(*ast.SelectorExpr)
+							}
+						}
+					case *ast.Ident:
+						if fn, ok := l.info.Uses[n].(*types.Func); ok {
+							mark(fn, n)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var missing []string
+	for obj, name := range settings {
+		if !set[obj] && noCallerNeeded[name] == "" {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("%d settings are set by no program in the module, only by tests, examples or their defaults; make each a constant or an unexported field its package's tests set:\n%s",
+			len(missing), strings.Join(missing, "\n"))
+	}
+}
+
+// moduleLoader type-checks the non-test, non-example Go files of the module
+// rooted at root from source; standard-library imports come from export
+// data.
+type moduleLoader struct {
+	root  string
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+}
+
+func newModuleLoader(root string) *moduleLoader {
+	fset := token.NewFileSet()
+	return &moduleLoader{
+		root: root,
+		fset: fset,
+		std:  importer.ForCompiler(fset, "gc", nil),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+}
+
+// loadAll loads every package of the module outside examples/, testdata/
+// and the separately built bench/ module.
+func (l *moduleLoader) loadAll() error {
+	return filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(l.root, path)
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if rel != "." && (strings.HasPrefix(name, ".") || name == "testdata" || rel == "examples" || rel == "bench") {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(path, 0); err != nil {
+			if _, ok := err.(*build.NoGoError); ok {
+				return nil
+			}
+			return err
+		}
+		_, err = l.Import(filepath.ToSlash(filepath.Join("adcache", rel)))
+		return err
+	})
+}
+
+// Import implements types.Importer.
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	if path != "adcache" && !strings.HasPrefix(path, "adcache/") {
+		return l.std.Import(path)
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, "adcache")))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[path] = pkg, files
+	return pkg, nil
 }

@@ -148,7 +148,7 @@ func runMemCase(name string, unified bool, memFrac float64, keys, valueSize, ops
 		cur.BgIOBytes = bg - baseBg
 		baseReads, baseBg = reads, bg
 		simNs := cur.QueryBlockReads*memReadCostNs +
-			cur.BgIOBytes*memReadCostNs/int64(lsmOpts.BlockSize) +
+			cur.BgIOBytes*memReadCostNs/int64(db.LSM().ShapeInfo().BlockSize) +
 			int64(cur.Ops)*memOpCostNs
 		cur.SimQPS = float64(cur.Ops) / (float64(simNs) / 1e9)
 		if len(getCosts) > 0 {

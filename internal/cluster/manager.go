@@ -124,7 +124,7 @@ func NewManager(m *ShardMap, opts ManagerOptions) (*Manager, error) {
 	}, nil
 }
 
-// Current returns the manager's current map (MapSource).
+// Current returns the manager's current map.
 func (mg *Manager) Current() *ShardMap {
 	mg.mu.Lock()
 	defer mg.mu.Unlock()

@@ -5,14 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// MapSource is anything that can produce the current shard map; the server
-// and client both consume ownership through it. Implementations must be
-// safe for concurrent use. A nil map means "no cluster configured" and the
-// consumer owns every key.
-type MapSource interface {
-	Current() *ShardMap
-}
-
 // NodeView is one node's live view of the cluster: its own identity plus
 // the newest shard map it has accepted. The server enforces ownership
 // against it and serves/accepts /v1/shardmap through it; the shard manager
@@ -90,10 +82,3 @@ func (v *NodeView) Apply(m *ShardMap) error {
 		}
 	}
 }
-
-// StaticSource adapts a fixed map (or nil) into a MapSource — the
-// single-node and test configuration.
-type StaticSource struct{ Map *ShardMap }
-
-// Current returns the fixed map.
-func (s StaticSource) Current() *ShardMap { return s.Map }

@@ -60,10 +60,6 @@ type Config struct {
 	// at the next memtable rotation). The reward becomes mix-weighted
 	// between read hit rate and write efficiency (1/write-amplification).
 	MemtableArbitration bool
-	// InitialMemRatio seeds the memtable share before the agent's first
-	// decision (default 0.25; meaningful only with MemtableArbitration,
-	// and pinned there by DisablePartitioning).
-	InitialMemRatio float64
 	// WindowSize is the operations-per-window control interval
 	// (paper default: 1000).
 	WindowSize int
@@ -80,7 +76,7 @@ type Config struct {
 	// (Figure 11b's "admission only" ablation).
 	DisablePartitioning bool
 
-	// RL configures the agent; zero value uses the paper's defaults.
+	// RL configures the agent; the zero value is the paper's settings.
 	RL rl.Config
 	// ModelFS/ModelPath optionally load an agent saved with rl.Agent.Save —
 	// one that has already learned its residual online elsewhere.
@@ -102,6 +98,13 @@ type Config struct {
 	// are skipped); experiments use synchronous tuning so every window is
 	// processed and runs are machine-speed independent.
 	SyncTuning bool
+
+	// initialMemRatio seeds the memtable share before the agent's first
+	// decision (default 0.25; meaningful only with MemtableArbitration,
+	// and pinned there by DisablePartitioning). Not settable outside the
+	// package: every caller runs with the default, and only the package's
+	// own tests vary it.
+	initialMemRatio float64
 }
 
 // Fixed scales of the action decoding; no caller tunes them.
@@ -128,13 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.InitialRangeRatio <= 0 {
 		c.InitialRangeRatio = 0.5
 	}
-	if c.InitialMemRatio <= 0 {
-		c.InitialMemRatio = 0.25
-	}
-	if c.RL.ActorLR == 0 && c.RL.Seed == 0 {
-		frozen := c.RL.Frozen
-		c.RL = rl.DefaultConfig()
-		c.RL.Frozen = frozen
+	if c.initialMemRatio <= 0 {
+		c.initialMemRatio = 0.25
 	}
 	return c
 }
@@ -209,7 +207,7 @@ func New(cfg Config) (*AdCache, error) {
 	}
 	initialMemRatio := 0.0
 	if cfg.MemtableArbitration {
-		initialMemRatio = cfg.InitialMemRatio
+		initialMemRatio = cfg.initialMemRatio
 	}
 	cacheBytes := cfg.Capacity - int64(float64(cfg.Capacity)*initialMemRatio)
 	rangeBytes := int64(float64(cacheBytes) * cfg.InitialRangeRatio)
@@ -310,14 +308,11 @@ func (a *AdCache) countOp() {
 }
 
 // GetCached implements lsm.CacheStrategy.
-func (a *AdCache) GetCached(key []byte) ([]byte, bool, bool) {
+func (a *AdCache) GetCached(key []byte) ([]byte, bool) {
 	a.countOp()
-	if v, ok := a.rng.Get(key); ok {
-		a.collector.RecordPoint(true)
-		return v, true, true
-	}
-	a.collector.RecordPoint(false)
-	return nil, false, false
+	v, ok := a.rng.Get(key)
+	a.collector.RecordPoint(ok)
+	return v, ok
 }
 
 // ScanCached implements lsm.CacheStrategy.
@@ -341,15 +336,12 @@ func (a *AdCache) OnPointResult(key, value []byte, blockReads int) {
 	}
 	if a.cfg.DisableAdmission {
 		a.rng.InsertPoint(key, value)
-		a.collector.RecordPointAdmission(true)
 		return
 	}
 	a.cms.Increment(key)
 	score := a.cms.Score(key)
 	p := a.CurrentParams()
-	admit := score >= p.PointThreshold
-	a.collector.RecordPointAdmission(admit)
-	if admit {
+	if score >= p.PointThreshold {
 		a.rng.InsertPoint(key, value)
 	}
 }
@@ -370,8 +362,7 @@ func (a *AdCache) OnScanResult(start []byte, entries []lsm.KV, blockReads int) {
 	if p := a.CurrentParams(); !a.cfg.DisableAdmission {
 		grow = partialAdmitGrowth(p, grow)
 	}
-	admitted := a.rng.ExtendScan(start, entries, grow)
-	a.collector.RecordScanAdmission(admitted, len(entries))
+	a.rng.ExtendScan(start, entries, grow)
 }
 
 // partialAdmitGrowth decides how many entries of a scan result of length l
@@ -425,11 +416,6 @@ func (a *AdCache) ScanBlockFillQuota(scanLen int) (int64, bool) {
 	return int64(float64(admitKeys)/b) + 1, true
 }
 
-// OnCompaction implements lsm.CacheStrategy. Block entries of dead files
-// age out of the LRU naturally (the realistic invalidation cost); the range
-// cache is immune by construction.
-func (a *AdCache) OnCompaction([]uint64, []uint64) {}
-
 // dbWriteInfo returns the bound DB's lock-free write-side snapshot (zero
 // value when no DB is bound). Like shape it is safe from inside engine
 // callbacks: the snapshot is an atomic load, never d.mu.
@@ -453,13 +439,12 @@ func (a *AdCache) shape() (shape stats.Shape, cacheShare float64) {
 	db := a.db
 	a.mu.Unlock()
 	var info lsm.ShapeInfo
-	blockSize := 0
 	if db != nil {
-		info, blockSize = db.ShapeInfo(), db.Options().BlockSize
+		info = db.ShapeInfo()
 	}
 	cacheShare = 0.1
 	if info.TotalBytes > 0 {
 		cacheShare = float64(a.cfg.Capacity) / float64(info.TotalBytes)
 	}
-	return info.IOShape(blockSize), cacheShare
+	return info.IOShape(), cacheShare
 }

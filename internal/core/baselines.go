@@ -29,7 +29,7 @@ func NewBlockOnly(capacity int64) *BlockOnly {
 }
 
 // GetCached implements lsm.CacheStrategy.
-func (*BlockOnly) GetCached([]byte) ([]byte, bool, bool) { return nil, false, false }
+func (*BlockOnly) GetCached([]byte) ([]byte, bool) { return nil, false }
 
 // ScanCached implements lsm.CacheStrategy.
 func (*BlockOnly) ScanCached([]byte, int) ([]lsm.KV, bool) { return nil, false }
@@ -49,9 +49,6 @@ func (b *BlockOnly) BlockCache() sstable.BlockCache { return b.cache }
 // ScanBlockFillQuota implements lsm.CacheStrategy.
 func (*BlockOnly) ScanBlockFillQuota(int) (int64, bool) { return 0, false }
 
-// OnCompaction implements lsm.CacheStrategy.
-func (*BlockOnly) OnCompaction([]uint64, []uint64) {}
-
 // Block exposes the underlying cache for metrics.
 func (b *BlockOnly) Block() *lru.BlockCache { return b.cache }
 
@@ -67,12 +64,7 @@ func NewKVOnly(capacity int64) *KVOnly {
 }
 
 // GetCached implements lsm.CacheStrategy.
-func (k *KVOnly) GetCached(key []byte) ([]byte, bool, bool) {
-	if v, ok := k.cache.Get(key); ok {
-		return v, true, true
-	}
-	return nil, false, false
-}
+func (k *KVOnly) GetCached(key []byte) ([]byte, bool) { return k.cache.Get(key) }
 
 // ScanCached implements lsm.CacheStrategy.
 func (*KVOnly) ScanCached([]byte, int) ([]lsm.KV, bool) { return nil, false }
@@ -100,9 +92,6 @@ func (*KVOnly) BlockCache() sstable.BlockCache { return nil }
 // ScanBlockFillQuota implements lsm.CacheStrategy.
 func (*KVOnly) ScanBlockFillQuota(int) (int64, bool) { return 0, false }
 
-// OnCompaction implements lsm.CacheStrategy.
-func (*KVOnly) OnCompaction([]uint64, []uint64) {}
-
 // RangeOnly is the Range Cache baseline (ICDE'24): all memory to a
 // result cache; the eviction policy is pluggable, yielding the paper's
 // "Range Cache", "Range Cache with LeCaR" and "Range Cache with Cacheus"
@@ -118,12 +107,7 @@ func NewRangeOnly(capacity int64, policy string) *RangeOnly {
 }
 
 // GetCached implements lsm.CacheStrategy.
-func (r *RangeOnly) GetCached(key []byte) ([]byte, bool, bool) {
-	if v, ok := r.cache.Get(key); ok {
-		return v, true, true
-	}
-	return nil, false, false
-}
+func (r *RangeOnly) GetCached(key []byte) ([]byte, bool) { return r.cache.Get(key) }
 
 // ScanCached implements lsm.CacheStrategy.
 func (r *RangeOnly) ScanCached(start []byte, n int) ([]lsm.KV, bool) {
@@ -158,9 +142,6 @@ func (*RangeOnly) BlockCache() sstable.BlockCache { return nil }
 
 // ScanBlockFillQuota implements lsm.CacheStrategy.
 func (*RangeOnly) ScanBlockFillQuota(int) (int64, bool) { return 0, false }
-
-// OnCompaction implements lsm.CacheStrategy: result caches are immune.
-func (*RangeOnly) OnCompaction([]uint64, []uint64) {}
 
 // Range exposes the underlying cache for metrics.
 func (r *RangeOnly) Range() *rangecache.Cache { return r.cache }

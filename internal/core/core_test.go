@@ -40,20 +40,20 @@ func TestDefaultsApplied(t *testing.T) {
 func TestPointResultAdmissionRoundTrip(t *testing.T) {
 	a := newTestAdCache(t, Config{DisableAdmission: true})
 	key, val := []byte("k"), []byte("v")
-	if _, _, ok := a.GetCached(key); ok {
+	if _, ok := a.GetCached(key); ok {
 		t.Fatal("hit before insert")
 	}
 	a.OnPointResult(key, val, 1)
-	v, found, ok := a.GetCached(key)
-	if !ok || !found || string(v) != "v" {
-		t.Fatalf("GetCached = %q found=%v ok=%v", v, found, ok)
+	v, ok := a.GetCached(key)
+	if !ok || string(v) != "v" {
+		t.Fatalf("GetCached = %q ok=%v", v, ok)
 	}
 }
 
 func TestNotFoundResultsNotCached(t *testing.T) {
 	a := newTestAdCache(t, Config{DisableAdmission: true})
 	a.OnPointResult([]byte("absent"), nil, 1)
-	if _, _, ok := a.GetCached([]byte("absent")); ok {
+	if _, ok := a.GetCached([]byte("absent")); ok {
 		t.Fatal("cached a not-found result")
 	}
 }
@@ -69,7 +69,7 @@ func TestFrequencyAdmissionFiltersColdKeys(t *testing.T) {
 		a.cms.Increment([]byte(fmt.Sprintf("bg%03d", i)))
 	}
 	a.OnPointResult([]byte("one-off"), []byte("v"), 1)
-	if _, _, ok := a.GetCached([]byte("one-off")); ok {
+	if _, ok := a.GetCached([]byte("one-off")); ok {
 		t.Fatal("cold key admitted past a strict threshold")
 	}
 	// A hot key eventually clears even a strict threshold (score → 1 as it
@@ -77,7 +77,7 @@ func TestFrequencyAdmissionFiltersColdKeys(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.OnPointResult([]byte("hot"), []byte("v"), 1)
 	}
-	if _, _, ok := a.GetCached([]byte("hot")); !ok {
+	if _, ok := a.GetCached([]byte("hot")); !ok {
 		t.Fatal("hot key never admitted")
 	}
 }
@@ -155,11 +155,11 @@ func TestWriteCoherence(t *testing.T) {
 	a := newTestAdCache(t, Config{DisableAdmission: true})
 	a.OnPointResult([]byte("k"), []byte("old"), 1)
 	a.OnWrite([]byte("k"), []byte("new"), false)
-	if v, _, ok := a.GetCached([]byte("k")); !ok || string(v) != "new" {
+	if v, ok := a.GetCached([]byte("k")); !ok || string(v) != "new" {
 		t.Fatalf("after update = %q ok=%v", v, ok)
 	}
 	a.OnWrite([]byte("k"), nil, true)
-	if _, _, ok := a.GetCached([]byte("k")); ok {
+	if _, ok := a.GetCached([]byte("k")); ok {
 		t.Fatal("deleted key still cached")
 	}
 }
@@ -271,7 +271,7 @@ func TestConcurrentStrategyUse(t *testing.T) {
 				key := []byte(fmt.Sprintf("k%04d", (g*131+i)%500))
 				switch i % 4 {
 				case 0:
-					if _, _, ok := a.GetCached(key); !ok {
+					if _, ok := a.GetCached(key); !ok {
 						a.OnPointResult(key, []byte("v"), 1)
 					}
 				case 1:

@@ -45,8 +45,8 @@ var blockSeries = []cacheSeries[lru.Stats]{
 		func(s lru.Stats) int64 { return int64(s.Entries) }, nil},
 }
 
-// With split keys configured, range-cache shard i covers the i-th key range
-// in split order.
+// Range-cache shard i covers the i-th key range in key order. The cache
+// derives the ranges when it first fills and reports one shard until then.
 var rangeSeries = []cacheSeries[rangecache.Stats]{
 	{"cache_range_get_hits_total", "Range cache point-lookup hits.", "cache_range_shard_get_hits_total", "Range cache point hits by key-range shard.", true,
 		func(s rangecache.Stats) int64 { return s.GetHits }, func(c *lsm.CacheCounters, v int64) { c.RangeGetHits = v }},

@@ -17,7 +17,7 @@ func driveWindows(a *AdCache, n int) {
 	ops := n * a.cfg.WindowSize
 	for i := 0; i < ops; i++ {
 		k := []byte(fmt.Sprintf("k%06d", i%64))
-		if _, _, ok := a.GetCached(k); !ok {
+		if _, ok := a.GetCached(k); !ok {
 			a.OnPointResult(k, []byte("value"), 2)
 		}
 	}

@@ -97,7 +97,6 @@ func boundTestAdCache(t *testing.T, a *AdCache) *lsm.DB {
 // hysteresis.
 func TestFrozenTrajectoryIsThePrior(t *testing.T) {
 	cfg := Config{Capacity: 256 << 10, WindowSize: 200, SyncTuning: true, RecordTrace: true}
-	cfg.RL = rl.DefaultConfig()
 	cfg.RL.Frozen = true
 	a, err := New(cfg)
 	if err != nil {

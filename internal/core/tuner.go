@@ -154,7 +154,7 @@ func (a *AdCache) decodeAction(act rl.Action) Params {
 	if a.cfg.DisablePartitioning {
 		p.RangeRatio = a.cfg.InitialRangeRatio
 		if a.cfg.MemtableArbitration {
-			p.MemRatio = a.cfg.InitialMemRatio
+			p.MemRatio = a.cfg.initialMemRatio
 		}
 	}
 	if a.cfg.DisableAdmission {

@@ -42,7 +42,7 @@ func TestOldDimModelRejected(t *testing.T) {
 // loads back cleanly (the rejection above is about dims, not loading).
 func TestCurrentDimModelRoundTrips(t *testing.T) {
 	fs := vfs.NewMem()
-	agent := rl.New(rl.Config{Seed: 7})
+	agent := rl.New(rl.Config{})
 	if err := agent.Save(fs, "model"); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestUnifiedDecodeDeterministic(t *testing.T) {
 // a sub-deadband move is not applied AND not published, so dashboards
 // never show a pre-clamp target.
 func TestMemRatioHysteresisPublishing(t *testing.T) {
-	a := newTestAdCache(t, Config{MemtableArbitration: true, InitialMemRatio: 0.3})
+	a := newTestAdCache(t, Config{MemtableArbitration: true, initialMemRatio: 0.3})
 	base := a.CurrentParams()
 	if base.MemRatio != 0.3 {
 		t.Fatalf("initial MemRatio = %f, want 0.3", base.MemRatio)
@@ -159,7 +159,7 @@ func TestMemRatioHysteresisPublishing(t *testing.T) {
 // partitions the configured capacity (targets sum to Capacity, modulo
 // integer truncation at the two splits).
 func TestBudgetsPartitionCapacity(t *testing.T) {
-	a := newTestAdCache(t, Config{Capacity: 1 << 20, MemtableArbitration: true, InitialMemRatio: 0.25})
+	a := newTestAdCache(t, Config{Capacity: 1 << 20, MemtableArbitration: true, initialMemRatio: 0.25})
 	var sum int64
 	for _, b := range a.Budgets() {
 		if b.Component == "memtable" {

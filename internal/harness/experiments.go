@@ -7,7 +7,6 @@ import (
 
 	"adcache"
 	"adcache/internal/core"
-	"adcache/internal/rl"
 	"adcache/internal/workload"
 )
 
@@ -353,7 +352,6 @@ func RunFig10(sc Scale) (windowPanel, alphaPanel []Fig10Series, paramPanel Fig10
 		cfg.AdCache.WindowSize = windowSize
 		cfg.AdCache.Alpha = alpha
 		cfg.AdCache.RecordTrace = true
-		cfg.AdCache.RL = rl.DefaultConfig()
 		cfg.AdCache.RL.Frozen = frozen
 		r, err := NewRunner(cfg)
 		if err != nil {

@@ -140,7 +140,7 @@ type Table2Row struct {
 // RunTable2 regenerates Table 2 from the live model: parameter memory and
 // online-training overhead (gradients + Adam moments ≈ 4× parameters).
 func RunTable2() []Table2Row {
-	agent := rl.New(rl.DefaultConfig())
+	agent := rl.New(rl.Config{})
 	params := agent.MemoryBytes()
 	return []Table2Row{
 		{"model parameters (actor+critic)", params},

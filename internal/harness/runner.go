@@ -179,8 +179,7 @@ func (r *Runner) Close() error { return r.DB.Close() }
 
 // Shape returns the I/O-model parameters of the live tree.
 func (r *Runner) Shape() stats.Shape {
-	db := r.DB.LSM()
-	return db.ShapeInfo().IOShape(db.Options().BlockSize)
+	return r.DB.LSM().ShapeInfo().IOShape()
 }
 
 // Warm drives ops operations without measuring (cache warm-up and, for

@@ -104,7 +104,7 @@ func TestAllocsWarmScan16(t *testing.T) {
 // cache refused.
 func TestAllocsZeroBudgetBlockMiss(t *testing.T) {
 	db := allocDB(t, &blockOnlyStrategy{cache: lru.NewBlockCache(0)}, 20_000)
-	blockSize := db.opts.BlockSize
+	blockSize := db.opts.blockSize
 	perOp := func(ops int, op func(i int)) float64 {
 		op(0) // warm the pools
 		var before, after runtime.MemStats

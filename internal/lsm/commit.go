@@ -133,7 +133,7 @@ func (d *DB) commit(ops []batchOp) error {
 			// filled the memtable, before any later group appends.
 			err = d.sealMemTable()
 			if err == nil {
-				err = d.drainAndCompact(!d.opts.DisableAutoCompaction)
+				err = d.drainAndCompact(!d.opts.disableAutoCompaction)
 			}
 		}
 		d.commitMu.Unlock()
@@ -359,8 +359,8 @@ func (d *DB) writePressureLocked() (stop, slowdown bool, err error) {
 	// deadlock writers; the flush worker still drains the immutable queue,
 	// so that bound continues to apply.
 	l0 := len(d.version.Levels[0])
-	auto := !d.opts.DisableAutoCompaction
-	stop = len(d.imm) >= d.opts.MaxImmutableMemTables || (auto && l0 >= l0StopTrigger)
+	auto := !d.opts.disableAutoCompaction
+	stop = len(d.imm) >= d.opts.maxImmutableMemTables || (auto && l0 >= l0StopTrigger)
 	slowdown = auto && l0 >= l0CompactTrigger
 	return stop, slowdown, nil
 }

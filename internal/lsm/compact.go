@@ -76,10 +76,8 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: plan.OutputLevel, FileNum: f.FileNum})
 		oldNums = append(oldNums, f.FileNum)
 	}
-	newNums := make([]uint64, 0, len(outputs))
 	for _, f := range outputs {
 		edit.Added = append(edit.Added, manifest.LevelFile{Level: plan.OutputLevel, Meta: f})
-		newNums = append(newNums, f.FileNum)
 	}
 	// On failure the outputs stay on disk, as a failed flush's table does.
 	v, err := d.store.Commit(edit)
@@ -110,12 +108,6 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 	d.removeTables(dead)
-
-	// Notify the strategy: this is the moment block-cache entries keyed by
-	// the old files become dead weight. Outside d.mu — the callback only
-	// touches its own (thread-safe) caches, and holding the exclusive lock
-	// here would stall readers behind cache eviction.
-	d.strategy.OnCompaction(oldNums, newNums)
 
 	if d.opts.PrefetchOnCompaction > 0 && d.strategy.BlockCache() != nil {
 		if err := d.prefetchOutputs(outputs); err != nil {
@@ -340,7 +332,7 @@ func (d *DB) writeCompactionOutputs(merged *mergingIter, sr compaction.SubRange,
 			Smallest:   append(keys.InternalKey(nil), meta.Smallest...),
 			Largest:    append(keys.InternalKey(nil), meta.Largest...),
 		}
-		// ParanoidChecks: verify the closed output before it can be
+		// paranoidChecks: verify the closed output before it can be
 		// installed; a rejected table is deleted and the compaction retried.
 		if err := d.paranoidCheck(fm); err != nil {
 			return err
@@ -388,7 +380,7 @@ func (d *DB) writeCompactionOutputs(merged *mergingIter, sr compaction.SubRange,
 			file = limitFile(file, d.ioLimit)
 			f = file
 			w = sstable.NewWriter(file, sstable.WriterOptions{
-				BlockSize:   d.opts.BlockSize,
+				BlockSize:   d.opts.blockSize,
 				BitsPerKey:  bitsPerKey,
 				Compression: d.opts.Compression,
 			})

@@ -305,7 +305,7 @@ func TestBackpressureBoundsState(t *testing.T) {
 			default:
 			}
 			m := db.Metrics()
-			if m.ImmMemTables > db.Options().MaxImmutableMemTables {
+			if m.ImmMemTables > db.Options().maxImmutableMemTables {
 				violated.Add(1)
 			}
 			if m.L0Files > l0StopTrigger {
@@ -443,7 +443,7 @@ func TestRecoveryWithQueuedImmutables(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOptions(fs)
 	opts.MemTableSize = 1 << 20    // never seals on its own
-	opts.MaxImmutableMemTables = 4 // room for both hand-sealed memtables
+	opts.maxImmutableMemTables = 4 // room for both hand-sealed memtables
 	db := mustOpen(t, opts)
 	// Keep the background worker from flushing the sealed memtables before
 	// the queue is inspected: flushes run under compactMu.

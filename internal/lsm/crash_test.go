@@ -32,7 +32,7 @@ func crashOpts(fs vfs.FS, dir string) Options {
 	opts.L1TargetSize = 8 << 10
 	opts.TargetFileSize = 4 << 10
 	opts.InlineCompaction = true
-	opts.Seed = 42
+	opts.seed = 42
 	return opts
 }
 
@@ -237,9 +237,9 @@ func crashStress(t *testing.T, inline bool, cycles int, seed int64, osDir string
 			// A dead device never heals: escalate to read-only quickly so
 			// writers fail fast instead of stalling behind a flush that
 			// cannot complete.
-			opts.BgMaxRetries = 2
-			opts.BgRetryBase = time.Millisecond
-			opts.BgRetryMaxDelay = 2 * time.Millisecond
+			opts.bgMaxRetries = 2
+			opts.bgRetryBase = time.Millisecond
+			opts.bgRetryMaxDelay = 2 * time.Millisecond
 		}
 		exemptKey := ""
 		exemptDel := false

@@ -205,7 +205,7 @@ func Open(opts Options) (*DB, error) {
 		strategy:   strategy,
 		store:      store,
 		roundRobin: make(map[int][]byte),
-		memSeed:    opts.Seed,
+		memSeed:    opts.seed,
 	}
 	db.registerMetrics(reg)
 	db.ioLimit = newIOLimiter(opts.BgIOBytesPerSec, db.metrics.bgIOStallNanos)
@@ -392,8 +392,8 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	defer d.metrics.getNanos.ObserveSince(start)
 
 	// 1. Result cache.
-	if v, found, ok := d.strategy.GetCached(key); ok {
-		return v, found, nil
+	if v, ok := d.strategy.GetCached(key); ok {
+		return v, true, nil
 	}
 
 	// The read runs on a pinned snapshot with no engine lock held: a Get
@@ -634,6 +634,8 @@ type ShapeInfo struct {
 	L0Files        int
 	TotalEntries   uint64
 	TotalBytes     uint64
+	// BlockSize is the data-block size the tables are written in.
+	BlockSize int
 }
 
 // ShapeInfo returns the latest tree-shape snapshot without locking.
@@ -646,11 +648,10 @@ func (d *DB) ShapeInfo() ShapeInfo {
 var bloomFPR = bloom.FalsePositiveRate(bitsPerKey)
 
 // IOShape derives the I/O model's parameters (stats.Shape, the paper's
-// Table 1) from a snapshot of a tree written in blockSize-byte blocks,
-// falling back to 3 levels and 16 entries per block while the tree is
-// empty. It is the one derivation: the AdCache reward and the experiments'
-// hit rate both use it.
-func (s ShapeInfo) IOShape(blockSize int) stats.Shape {
+// Table 1) from a snapshot of the tree, falling back to 3 levels and 16
+// entries per block while the tree is empty. It is the one derivation: the
+// AdCache reward and the experiments' hit rate both use it.
+func (s ShapeInfo) IOShape() stats.Shape {
 	shape := stats.Shape{
 		Levels:          3,
 		Runs:            s.SortedRuns,
@@ -662,7 +663,7 @@ func (s ShapeInfo) IOShape(blockSize int) stats.Shape {
 		shape.Levels = s.NonEmptyLevels
 	}
 	if s.TotalBytes > 0 && s.TotalEntries > 0 {
-		if blocks := float64(s.TotalBytes) / float64(blockSize); blocks >= 1 {
+		if blocks := float64(s.TotalBytes) / float64(s.BlockSize); blocks >= 1 {
 			shape.EntriesPerBlock = float64(s.TotalEntries) / blocks
 		}
 	}
@@ -703,7 +704,7 @@ func (d *DB) Flush() error {
 	if err != nil || !hadWork {
 		return err
 	}
-	if err := d.drainAndCompact(!d.opts.DisableAutoCompaction); err != nil {
+	if err := d.drainAndCompact(!d.opts.disableAutoCompaction); err != nil {
 		return d.foregroundBgError(err)
 	}
 	// A successful synchronous flush also clears any transient background

@@ -738,7 +738,7 @@ func TestCompactionInvalidatesBlockCache(t *testing.T) {
 	}
 	// The same reads now miss once per block of the rewritten tree: cached
 	// blocks are keyed by dead files.
-	blocks := int64(db.Metrics().TotalBytes) / int64(db.opts.BlockSize)
+	blocks := int64(db.Metrics().TotalBytes) / int64(db.opts.blockSize)
 	mark := db.QueryBlockReads()
 	for i := 0; i < 3000; i++ {
 		db.Get(key(i))

@@ -151,14 +151,14 @@ func (d *DB) noteBgError(err error) (retry bool, delay time.Duration) {
 	}
 	d.bgAttempt++
 	d.metrics.bgRetries.Inc()
-	if d.opts.BgMaxRetries > 0 && d.bgAttempt >= d.opts.BgMaxRetries {
+	if d.opts.bgMaxRetries > 0 && d.bgAttempt >= d.opts.bgMaxRetries {
 		d.bgState = bgReadOnly
 		d.bgCond.Broadcast()
 		d.logf("lsm: background error persisted through %d retries, entering read-only mode: %v", d.bgAttempt, err)
 		return false, 0
 	}
 	d.bgState = bgRetrying
-	delay = backoffDelay(d.opts.BgRetryBase, d.opts.BgRetryMaxDelay, d.bgAttempt)
+	delay = backoffDelay(d.opts.bgRetryBase, d.opts.bgRetryMaxDelay, d.bgAttempt)
 	d.logf("lsm: background %s error (attempt %d, retry in %v): %v", kind, d.bgAttempt, delay, err)
 	return true, delay
 }
@@ -214,7 +214,7 @@ func (d *DB) Resume() error {
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 
-	if err := d.drainAndCompact(!d.opts.DisableAutoCompaction); err != nil {
+	if err := d.drainAndCompact(!d.opts.disableAutoCompaction); err != nil {
 		if !d.opts.InlineCompaction {
 			d.noteBgError(err)
 			d.notifyWorker()
@@ -229,7 +229,7 @@ func (d *DB) Resume() error {
 
 // verifyNewTable re-reads a just-written, not-yet-installed table and
 // checks it end to end: block checksums (every read re-verifies CRCs), key
-// ordering, entry count and manifest bounds. Options.ParanoidChecks runs it
+// ordering, entry count and manifest bounds. Options.paranoidChecks runs it
 // on every flush/compaction output before the version install, so a bad
 // write surfaces as a retried error instead of persisted corruption.
 func (d *DB) verifyNewTable(meta *manifest.FileMeta) error {
@@ -274,10 +274,10 @@ func (d *DB) verifyNewTable(meta *manifest.FileMeta) error {
 	return nil
 }
 
-// paranoidCheck verifies meta when ParanoidChecks is on. On failure the bad
+// paranoidCheck verifies meta when paranoidChecks is on. On failure the bad
 // file is deleted and a retryable paranoidError is returned.
 func (d *DB) paranoidCheck(meta *manifest.FileMeta) error {
-	if !d.opts.ParanoidChecks {
+	if !d.opts.paranoidChecks {
 		return nil
 	}
 	if err := d.verifyNewTable(meta); err != nil {

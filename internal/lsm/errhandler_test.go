@@ -68,8 +68,8 @@ func waitForMetrics(t *testing.T, db *DB, what string, cond func(Metrics) bool) 
 
 func fastRetryOpts(fs vfs.FS) Options {
 	opts := testOptions(fs)
-	opts.BgRetryBase = time.Millisecond
-	opts.BgRetryMaxDelay = 4 * time.Millisecond
+	opts.bgRetryBase = time.Millisecond
+	opts.bgRetryMaxDelay = 4 * time.Millisecond
 	return opts
 }
 
@@ -119,12 +119,12 @@ func TestBgTransientSelfHeals(t *testing.T) {
 }
 
 // TestBgMaxRetriesEscalatesToReadOnly: a persistent transient fault exhausts
-// BgMaxRetries, the DB degrades to read-only (writes fail fast with
+// bgMaxRetries, the DB degrades to read-only (writes fail fast with
 // ErrReadOnly), and clearing the fault plus Resume restores service.
 func TestBgMaxRetriesEscalatesToReadOnly(t *testing.T) {
 	fault := vfs.NewFault(vfs.NewMem())
 	opts := fastRetryOpts(fault)
-	opts.BgMaxRetries = 2
+	opts.bgMaxRetries = 2
 	db := mustOpen(t, opts)
 	defer db.Close()
 
@@ -195,8 +195,8 @@ func corruptSSTInPlace(t *testing.T, fs vfs.FS, path string) (restore func()) {
 func TestBgCorruptionParksReadOnlyAndResumeRecovers(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOptions(fs)
-	opts.DisableAutoCompaction = true // stage L0 deterministically
-	opts.BgRetryBase = time.Millisecond
+	opts.disableAutoCompaction = true // stage L0 deterministically
+	opts.bgRetryBase = time.Millisecond
 	db := mustOpen(t, opts)
 	defer db.Close()
 
@@ -263,7 +263,7 @@ func TestBgCorruptionParksReadOnlyAndResumeRecovers(t *testing.T) {
 func TestParanoidChecksRejectAndRetry(t *testing.T) {
 	fault := vfs.NewFault(vfs.NewMem())
 	opts := fastRetryOpts(fault)
-	opts.ParanoidChecks = true
+	opts.paranoidChecks = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 
@@ -292,7 +292,7 @@ func TestParanoidChecksInline(t *testing.T) {
 	fault := vfs.NewFault(vfs.NewMem())
 	opts := testOptions(fault)
 	opts.InlineCompaction = true
-	opts.ParanoidChecks = true
+	opts.paranoidChecks = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 

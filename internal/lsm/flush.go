@@ -45,7 +45,7 @@ func (d *DB) bgDrain() bool {
 		// reopening after a crash that left a tall L0. The worker must
 		// compact in that state too, or writers stalled on the L0 stop
 		// trigger would wait for a flush that never comes.
-		needCompact := !d.opts.DisableAutoCompaction &&
+		needCompact := !d.opts.disableAutoCompaction &&
 			len(d.version.Levels[0]) >= l0CompactTrigger
 		parked := d.bgState == bgReadOnly
 		d.mu.RUnlock()
@@ -54,7 +54,7 @@ func (d *DB) bgDrain() bool {
 		}
 		d.compactMu.Lock()
 		err := d.flushImm()
-		if err == nil && !d.opts.DisableAutoCompaction {
+		if err == nil && !d.opts.disableAutoCompaction {
 			err = d.compactLoop()
 		}
 		d.compactMu.Unlock()
@@ -190,7 +190,7 @@ func (d *DB) writeMemTable(mem *memtable.MemTable) (*manifest.FileMeta, error) {
 	// Flush output pays the background I/O budget (no-op when unlimited).
 	f = limitFile(f, d.ioLimit)
 	w := sstable.NewWriter(f, sstable.WriterOptions{
-		BlockSize:   d.opts.BlockSize,
+		BlockSize:   d.opts.blockSize,
 		BitsPerKey:  bitsPerKey,
 		Compression: d.opts.Compression,
 	})
@@ -216,7 +216,7 @@ func (d *DB) writeMemTable(mem *memtable.MemTable) (*manifest.FileMeta, error) {
 		Smallest:   append(keys.InternalKey(nil), meta.Smallest...),
 		Largest:    append(keys.InternalKey(nil), meta.Largest...),
 	}
-	// ParanoidChecks: re-read and verify the table before anything can
+	// paranoidChecks: re-read and verify the table before anything can
 	// reference it; a bad write is deleted and retried instead of installed.
 	if err := d.paranoidCheck(fm); err != nil {
 		return nil, err

@@ -57,7 +57,7 @@ func TestManifestOffLock(t *testing.T) {
 	gate := &manifestGate{FS: vfs.NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
 	opts := testOptions(gate)
 	opts.MemTableSize = 1 << 20
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 	for i := 0; i < 200; i++ {
@@ -140,7 +140,7 @@ func TestDirSyncsPerEdit(t *testing.T) {
 	opts := testOptions(fs)
 	opts.Dir = filepath.Join(t.TempDir(), "db")
 	opts.MemTableSize = 1 << 20
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 	if n := fs.syncs.Load(); n != 1 {

@@ -20,12 +20,12 @@ type WriteSideInfo struct {
 	MemBytes int64
 	// MemTarget is the flush threshold currently in force for the active
 	// memtable (dynamic budget minus immutable bytes when a budget is set,
-	// floored at MinMemTableSize; otherwise the static MemTableSize).
+	// floored at minMemTableSize; otherwise the static MemTableSize).
 	MemTarget int64
 	// ImmCount / ImmBytes describe the sealed-memtable queue.
 	ImmCount int
 	ImmBytes int64
-	// MaxImm is Options.MaxImmutableMemTables (the backpressure cap).
+	// MaxImm is Options.maxImmutableMemTables (the backpressure cap).
 	MaxImm int
 	// Cumulative counters, for windowed deltas.
 	Flushes        int64
@@ -51,7 +51,7 @@ func (d *DB) WriteSideInfo() WriteSideInfo {
 		MemTarget:          d.memTarget.Load(),
 		ImmCount:           int(d.immCount.Load()),
 		ImmBytes:           d.immBytes.Load(),
-		MaxImm:             d.opts.MaxImmutableMemTables,
+		MaxImm:             d.opts.maxImmutableMemTables,
 		Flushes:            c.flushes.Value(),
 		StallSlowdowns:     c.stallSlowdowns.Value(),
 		StallStops:         c.stallStops.Value(),
@@ -80,7 +80,7 @@ func (d *DB) MemTableBudget() int64 { return d.memBudget.Load() }
 
 // activeMemTargetLocked computes the active memtable's flush threshold:
 // the dynamic budget minus bytes pinned by sealed-but-unflushed memtables,
-// floored at MinMemTableSize so a tiny or transiently oversubscribed
+// floored at minMemTableSize so a tiny or transiently oversubscribed
 // budget degrades to small flushes rather than a zero-size livelock.
 // Caller holds d.mu.
 func (d *DB) activeMemTargetLocked() int64 {
@@ -89,8 +89,8 @@ func (d *DB) activeMemTargetLocked() int64 {
 		return d.opts.MemTableSize
 	}
 	target := budget - d.immBytesLocked()
-	if target < d.opts.MinMemTableSize {
-		target = d.opts.MinMemTableSize
+	if target < d.opts.minMemTableSize {
+		target = d.opts.minMemTableSize
 	}
 	return target
 }

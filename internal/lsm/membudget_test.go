@@ -12,7 +12,7 @@ func budgetOpts() Options {
 	opts.FS = vfs.NewMem()
 	opts.InlineCompaction = true
 	opts.MemTableSize = 1 << 20
-	opts.MinMemTableSize = 8 << 10
+	opts.minMemTableSize = 8 << 10
 	return opts
 }
 
@@ -76,7 +76,7 @@ func TestMemTableBudgetShrinkAtRotation(t *testing.T) {
 	}
 }
 
-// TestMemTableBudgetFloor: a budget below MinMemTableSize degrades to
+// TestMemTableBudgetFloor: a budget below minMemTableSize degrades to
 // frequent small flushes at the floor, never a zero-size livelock, and
 // clearing the budget restores static sizing.
 func TestMemTableBudgetFloor(t *testing.T) {
@@ -92,8 +92,8 @@ func TestMemTableBudgetFloor(t *testing.T) {
 	if m.Flushes == 0 {
 		t.Fatal("tiny budget never flushed")
 	}
-	if m.MemTableTarget != opts.MinMemTableSize {
-		t.Fatalf("target %d, want floor %d", m.MemTableTarget, opts.MinMemTableSize)
+	if m.MemTableTarget != opts.minMemTableSize {
+		t.Fatalf("target %d, want floor %d", m.MemTableTarget, opts.minMemTableSize)
 	}
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key%06d", i))
@@ -132,8 +132,8 @@ func TestWriteSideInfoSnapshot(t *testing.T) {
 	if info.MemTarget > 32<<10 {
 		t.Fatalf("MemTarget %d exceeds budget", info.MemTarget)
 	}
-	if info.MaxImm != db.opts.MaxImmutableMemTables {
-		t.Fatalf("MaxImm = %d, want %d", info.MaxImm, db.opts.MaxImmutableMemTables)
+	if info.MaxImm != db.opts.maxImmutableMemTables {
+		t.Fatalf("MaxImm = %d, want %d", info.MaxImm, db.opts.maxImmutableMemTables)
 	}
 	m := db.Metrics()
 	if info.FlushedBytes != m.FlushedBytes || info.UserBytes != m.UserBytes {

@@ -31,14 +31,6 @@ type Options struct {
 	// threshold; a cache strategy driving unified memory arbitration can
 	// override it dynamically via DB.SetMemTableBudget.
 	MemTableSize int64
-	// MinMemTableSize floors the dynamic flush threshold when a memtable
-	// budget is set (DB.SetMemTableBudget): however small the arbiter's
-	// allocation, the active memtable may always grow to this size, so a
-	// shrinking budget degrades to frequent small flushes instead of
-	// livelocking the write path. Default 32 KiB.
-	MinMemTableSize int64
-	// BlockSize is the SSTable data-block size (paper: 4 KiB).
-	BlockSize int
 	// Compression selects per-block SSTable compression
 	// (sstable.CompressionNone or sstable.CompressionFlate). Default none:
 	// the physical and logical layouts coincide, as before this option
@@ -56,11 +48,6 @@ type Options struct {
 	// L1TargetSize * levelSizeRatio^(i-1).
 	L1TargetSize int64
 
-	// MaxImmutableMemTables bounds the queue of sealed memtables awaiting
-	// background flush. Writers stall once the queue is full (RocksDB's
-	// max_write_buffer_number analogue). Ignored with InlineCompaction.
-	MaxImmutableMemTables int
-
 	// CompactionParallelism bounds the worker pool that executes one
 	// compaction as range-partitioned subcompactions (RocksDB's
 	// max_subcompactions analogue): the plan's keyspace is cut into at most
@@ -70,23 +57,6 @@ type Options struct {
 	// min(GOMAXPROCS, 4) — or to 1 under InlineCompaction, where
 	// deterministic experiments need a machine-independent file layout.
 	CompactionParallelism int
-
-	// ParanoidChecks re-reads and fully verifies every flush and
-	// compaction output table (checksums, key order, entry count, bounds)
-	// before installing it in a version. A bad write is deleted and
-	// surfaces as a retryable background error instead of persisted
-	// corruption. Costs one extra read pass per table written.
-	ParanoidChecks bool
-
-	// BgRetryBase is the first retry delay after a transient background
-	// flush/compaction failure; successive failures double it up to
-	// BgRetryMaxDelay. Defaults: 5ms base, 1s cap.
-	BgRetryBase     time.Duration
-	BgRetryMaxDelay time.Duration
-	// BgMaxRetries caps consecutive transient-failure retries; when
-	// exceeded the DB degrades to read-only (Resume exits). 0 retries
-	// forever at the capped delay, matching RocksDB's auto-resume.
-	BgMaxRetries int
 
 	// Logf, when non-nil, receives error-handler and recovery events
 	// (background failures, retries, mode transitions, orphan cleanup).
@@ -109,17 +79,51 @@ type Options struct {
 	// background flush/compaction worker with real write backpressure.
 	InlineCompaction bool
 
-	// DisableAutoCompaction turns off flush-triggered compaction
-	// (tests and tools only).
-	DisableAutoCompaction bool
 	// PrefetchOnCompaction, when positive, re-populates the block cache
 	// after each compaction by reading up to this many blocks from every
 	// output file — the mitigation Leaper (VLDB'20) applies to
 	// compaction-induced cache invalidation. Off by default, matching
 	// RocksDB; the ablation benches compare both settings.
 	PrefetchOnCompaction int
-	// Seed makes memtable skiplists deterministic.
-	Seed int64
+
+	// The fields below are not settable outside the package: every caller
+	// runs with their defaults, and only the package's own tests vary them.
+
+	// minMemTableSize floors the dynamic flush threshold when a memtable
+	// budget is set (DB.SetMemTableBudget): however small the arbiter's
+	// allocation, the active memtable may always grow to this size, so a
+	// shrinking budget degrades to frequent small flushes instead of
+	// livelocking the write path. Default 32 KiB.
+	minMemTableSize int64
+	// blockSize is the SSTable data-block size (paper: 4 KiB). The I/O
+	// model reads it through ShapeInfo.
+	blockSize int
+	// maxImmutableMemTables bounds the queue of sealed memtables awaiting
+	// background flush. Writers stall once the queue is full (RocksDB's
+	// max_write_buffer_number analogue). Ignored with InlineCompaction.
+	// Default 2.
+	maxImmutableMemTables int
+	// paranoidChecks re-reads and fully verifies every flush and
+	// compaction output table (checksums, key order, entry count, bounds)
+	// before installing it in a version. A bad write is deleted and
+	// surfaces as a retryable background error instead of persisted
+	// corruption. Costs one extra read pass per table written. Default off.
+	paranoidChecks bool
+	// bgRetryBase is the first retry delay after a transient background
+	// flush/compaction failure; successive failures double it up to
+	// bgRetryMaxDelay. Both default to 0: a failed flush or compaction is
+	// retried at once.
+	bgRetryBase     time.Duration
+	bgRetryMaxDelay time.Duration
+	// bgMaxRetries caps consecutive transient-failure retries; when
+	// exceeded the DB degrades to read-only (Resume exits). The default 0
+	// retries forever, matching RocksDB's auto-resume.
+	bgMaxRetries int
+	// disableAutoCompaction turns off flush-triggered compaction, so a
+	// test can stage L0 by hand.
+	disableAutoCompaction bool
+	// seed makes memtable skiplists deterministic. Default 1.
+	seed int64
 }
 
 // The tree shape and write throttle of the paper's RocksDB configuration.
@@ -167,11 +171,11 @@ func (o Options) withDefaults() Options {
 	if o.MemTableSize <= 0 {
 		o.MemTableSize = 1 << 20 // 1 MiB
 	}
-	if o.MinMemTableSize <= 0 {
-		o.MinMemTableSize = 32 << 10
+	if o.minMemTableSize <= 0 {
+		o.minMemTableSize = 32 << 10
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 4096
+	if o.blockSize <= 0 {
+		o.blockSize = 4096
 	}
 	if o.TargetFileSize <= 0 {
 		o.TargetFileSize = 256 << 10 // 256 KiB (paper: 4 MiB at 100 GB scale)
@@ -179,11 +183,11 @@ func (o Options) withDefaults() Options {
 	if o.L1TargetSize <= 0 {
 		o.L1TargetSize = 1 << 20 // 1 MiB
 	}
-	if o.MaxImmutableMemTables <= 0 {
-		o.MaxImmutableMemTables = 2
+	if o.maxImmutableMemTables <= 0 {
+		o.maxImmutableMemTables = 2
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.seed == 0 {
+		o.seed = 1
 	}
 	return o
 }

@@ -373,7 +373,7 @@ func (g *removeGate) Remove(name string) error {
 func TestTableRemovalOffLock(t *testing.T) {
 	gate := &removeGate{FS: vfs.NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
 	opts := testOptions(gate)
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 	for f := 0; f < l0CompactTrigger; f++ {
@@ -451,7 +451,7 @@ func TestCrashRotationUnderLoad(t *testing.T) {
 	gate := newWALGate(cfs)
 	opts := testOptions(gate)
 	opts.MemTableSize = 1 << 20
-	opts.MinMemTableSize = 1 << 10
+	opts.minMemTableSize = 1 << 10
 	db := mustOpen(t, opts)
 	defer db.Close()
 	for i := 0; i < 50; i++ {
@@ -532,9 +532,9 @@ func crashStressMultiWriter(t *testing.T, cycles int, seed int64) {
 		cfs.ArmCrash(int64(rng.Intn(600) + 20))
 		opts := crashOpts(vfs.NewLatency(cfs, 20*time.Microsecond, 0), "crashdb")
 		opts.InlineCompaction = false
-		opts.BgMaxRetries = 2
-		opts.BgRetryBase = time.Millisecond
-		opts.BgRetryMaxDelay = 2 * time.Millisecond
+		opts.bgMaxRetries = 2
+		opts.bgRetryBase = time.Millisecond
+		opts.bgRetryMaxDelay = 2 * time.Millisecond
 
 		acked := make([]map[string]string, writers)
 		inflight := make([]*mwOp, writers)

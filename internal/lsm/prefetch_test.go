@@ -51,7 +51,7 @@ func TestPrefetchClosesIteratorOnError(t *testing.T) {
 	ffs := vfs.NewFault(vfs.NewMem())
 	opts := subcompactOptions(ffs, 1)
 	opts.PrefetchOnCompaction = 4
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	strategy := &countingStrategy{}
 	opts.Strategy = strategy
 	db := mustOpen(t, opts)

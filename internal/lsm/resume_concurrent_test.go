@@ -21,7 +21,7 @@ import (
 func TestResumeUnderConcurrentWriters(t *testing.T) {
 	fault := vfs.NewFault(vfs.NewMem())
 	opts := fastRetryOpts(fault)
-	opts.BgMaxRetries = 2
+	opts.bgMaxRetries = 2
 	db := mustOpen(t, opts)
 	defer db.Close()
 

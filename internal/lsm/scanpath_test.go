@@ -132,11 +132,11 @@ func differentialRun(t *testing.T, fs vfs.FS, dir string, comp sstable.Compressi
 	opts := DefaultOptions(dir)
 	opts.FS = fs
 	opts.Compression = comp
-	opts.BlockSize = 512
+	opts.blockSize = 512
 	opts.MemTableSize = 8 << 10
 	opts.TargetFileSize = 8 << 10
 	opts.L1TargetSize = 16 << 10
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	// A cache small enough to evict: hits, misses and refills interleave,
 	// and a block admitted from a span must survive the span's reuse.
 	opts.Strategy = &blockOnlyStrategy{cache: lru.NewBlockCache(24 << 10)}
@@ -403,7 +403,7 @@ func TestBoundedScanPrunes(t *testing.T) {
 // so N input bytes cost at most N/window reads plus one per input file.
 func TestCompactionReadCalls(t *testing.T) {
 	opts := testOptions(vfs.NewMem())
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	opts.L1TargetSize = 64 << 20 // one L0->L1 compaction, no cascade
 	opts.TargetFileSize = 256 << 10
 	opts.CompactionParallelism = 1
@@ -450,7 +450,7 @@ func TestCompactionReadCalls(t *testing.T) {
 func TestScanSurfacesCorruptPrefetchedBlock(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOptions(fs)
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	opts.MemTableSize = 1 << 20
 	db := mustOpen(t, opts)
 	defer db.Close()

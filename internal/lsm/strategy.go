@@ -61,8 +61,8 @@ type CacheCounters struct {
 //     simultaneously on different goroutines.
 //   - OnWrite runs under the DB's exclusive lock (inside a write group's
 //     apply), mutually excluding the two admission callbacks above.
-//   - OnCompaction and block-cache fills driven by compaction prefetch run
-//     on the background flush/compaction goroutine with no DB lock held,
+//   - Block-cache fills driven by compaction prefetch run on the
+//     background flush/compaction goroutine with no DB lock held,
 //     concurrently with all of the above.
 //
 // Coherence rests on the order OnWrite and the admission callbacks see, not
@@ -75,10 +75,9 @@ type CacheCounters struct {
 // contiguous. A result that a write has overtaken is still reported, for its
 // blockReads, but with a nil value / nil entries: there is nothing to admit.
 type CacheStrategy interface {
-	// GetCached returns a cached value for key. found distinguishes a
-	// cached "key absent" answer (ok=true, found=false) from a cache miss
-	// (ok=false).
-	GetCached(key []byte) (value []byte, found, ok bool)
+	// GetCached returns a cached value for key; ok=false is a miss. No
+	// strategy caches a "key absent" answer, so a hit always has a value.
+	GetCached(key []byte) (value []byte, ok bool)
 
 	// ScanCached returns the first n pairs starting at start if the cache
 	// can prove it has the full contiguous prefix; ok=false otherwise. The
@@ -111,10 +110,6 @@ type CacheStrategy interface {
 	// applied to the block cache"). limited=false means unlimited.
 	ScanBlockFillQuota(scanLen int) (quota int64, limited bool)
 
-	// OnCompaction reports that a compaction replaced oldFiles with
-	// newFiles, letting strategies account invalidation.
-	OnCompaction(oldFiles, newFiles []uint64)
-
 	// Counters snapshots the strategy's cache counters — the unified
 	// observability surface every strategy provides.
 	Counters() CacheCounters
@@ -125,7 +120,7 @@ type CacheStrategy interface {
 type NoCache struct{}
 
 // GetCached implements CacheStrategy.
-func (NoCache) GetCached([]byte) ([]byte, bool, bool) { return nil, false, false }
+func (NoCache) GetCached([]byte) ([]byte, bool) { return nil, false }
 
 // ScanCached implements CacheStrategy.
 func (NoCache) ScanCached([]byte, int) ([]KV, bool) { return nil, false }
@@ -144,9 +139,6 @@ func (NoCache) BlockCache() sstable.BlockCache { return nil }
 
 // ScanBlockFillQuota implements CacheStrategy.
 func (NoCache) ScanBlockFillQuota(int) (int64, bool) { return 0, false }
-
-// OnCompaction implements CacheStrategy.
-func (NoCache) OnCompaction([]uint64, []uint64) {}
 
 // Counters implements CacheStrategy: the uncached baseline has none.
 func (NoCache) Counters() CacheCounters { return CacheCounters{} }

@@ -177,7 +177,7 @@ func TestSerialCompactionDeterministic(t *testing.T) {
 func TestSubcompactionFaultLeavesNoOrphans(t *testing.T) {
 	ffs := vfs.NewFault(vfs.NewMem())
 	opts := subcompactOptions(ffs, 4)
-	opts.DisableAutoCompaction = true
+	opts.disableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 

@@ -72,7 +72,7 @@ func (d *DB) VerifyIntegrity() (IntegrityReport, error) {
 			}
 			rep.Files++
 			rep.Entries += count
-			rep.BlocksChecked += int64(r.Size()) / int64(d.opts.BlockSize)
+			rep.BlocksChecked += int64(r.Size()) / int64(d.opts.blockSize)
 		}
 	}
 	return rep, nil

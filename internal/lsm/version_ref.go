@@ -65,6 +65,7 @@ func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) (dead []uint
 		NonEmptyLevels: v.NumNonEmptyLevels(),
 		SortedRuns:     v.NumSortedRuns(),
 		L0Files:        len(v.Levels[0]),
+		BlockSize:      d.opts.blockSize,
 	}
 	for _, level := range v.Levels {
 		for _, f := range level {

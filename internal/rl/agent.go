@@ -85,26 +85,26 @@ func actionFrom(v []float64) Action {
 	return Action{RangeRatio: v[0], PointThreshold: v[1], ScanA: v[2], ScanB: v[3], MemRatio: v[4]}
 }
 
-// Config tunes the agent.
+// Config tunes the agent. The zero value is the paper's settings.
 type Config struct {
-	// ActorLR is the actor's initial learning rate (paper: 1e-3).
-	ActorLR float64
-	// ExploreStd is the Gaussian exploration noise applied to the actor's
+	// Frozen disables learning and exploration: the agent acts on the prior
+	// plus whatever residual its (loaded) weights produce.
+	Frozen bool
+
+	// The fields below are not settable outside the package: every caller
+	// runs with the paper's settings, and only the package's own tests
+	// vary them.
+
+	// actorLR is the actor's initial learning rate (paper: 1e-3).
+	actorLR float64
+	// exploreStd is the Gaussian exploration noise applied to the actor's
 	// output, the residual in units of ResidualSpan: the default 0.08 is
 	// 0.012 in action units, 0.15× the direct-output actor's exploration
 	// (DESIGN.md, "Controller prior"). The budget-moving actions get half
 	// of it (noiseStd).
-	ExploreStd float64
-	// Seed drives weight init and exploration noise.
-	Seed int64
-	// Frozen disables learning and exploration: the agent acts on the prior
-	// plus whatever residual its (loaded) weights produce.
-	Frozen bool
-}
-
-// DefaultConfig returns the paper's settings.
-func DefaultConfig() Config {
-	return Config{ActorLR: 1e-3, ExploreStd: 0.08, Seed: 1}
+	exploreStd float64
+	// seed drives weight init and exploration noise. Default 1.
+	seed int64
 }
 
 // The paper's critic settings; no caller tunes them.
@@ -143,13 +143,16 @@ type Agent struct {
 
 // New returns an agent with freshly initialised networks.
 func New(cfg Config) *Agent {
-	if cfg.ActorLR <= 0 {
-		cfg.ActorLR = 1e-3
+	if cfg.actorLR <= 0 {
+		cfg.actorLR = 1e-3
 	}
-	if cfg.ExploreStd <= 0 {
-		cfg.ExploreStd = 0.08
+	if cfg.exploreStd <= 0 {
+		cfg.exploreStd = 0.08
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	if cfg.seed == 0 {
+		cfg.seed = 1
+	}
+	rng := rand.New(rand.NewSource(cfg.seed))
 	actor := nn.NewMLP([]int{StateDim, HiddenDim, HiddenDim, ActionDim}, nn.ReLU, nn.Tanh, rng)
 	actor.ZeroOutputLayer()
 	return &Agent{
@@ -157,19 +160,19 @@ func New(cfg Config) *Agent {
 		actor:   actor,
 		critic:  nn.NewMLP([]int{StateDim, HiddenDim, HiddenDim, 1}, nn.ReLU, nn.Linear, rng),
 		rng:     rng,
-		actorLR: cfg.ActorLR,
+		actorLR: cfg.actorLR,
 	}
 }
 
 // noiseStd returns the exploration standard deviation for action dim i.
 // Both budget-moving dims (range ratio, memtable ratio) get half of
-// ExploreStd: jitter there evicts cache entries or forces flushes, unlike
+// exploreStd: jitter there evicts cache entries or forces flushes, unlike
 // jitter on admission thresholds.
 func (a *Agent) noiseStd(i int) float64 {
 	if i == 0 || i == 4 {
-		return a.cfg.ExploreStd / 2
+		return a.cfg.exploreStd / 2
 	}
-	return a.cfg.ExploreStd
+	return a.cfg.exploreStd
 }
 
 // means returns the action-space means prior + ResidualSpan·tanh(actor(s)),

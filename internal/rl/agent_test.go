@@ -55,7 +55,7 @@ func checkWithinSpan(t *testing.T, what string, act, prior Action) {
 }
 
 func TestActBounded(t *testing.T) {
-	a := New(DefaultConfig())
+	a := New(Config{})
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
 		prior := randomPrior(rng)
@@ -68,16 +68,14 @@ func TestActBounded(t *testing.T) {
 // the prior's.
 func TestFreshAgentActsOnPrior(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := New(DefaultConfig())
+	a := New(Config{})
 	for i := 0; i < 200; i++ {
 		s, prior := randomState(rng), randomPrior(rng)
 		if got := a.greedy(s, prior); got != prior {
 			t.Fatalf("fresh agent's mean %+v, want the prior %+v", got, prior)
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Frozen = true
-	frozen := New(cfg)
+	frozen := New(Config{Frozen: true})
 	for i := 0; i < 200; i++ {
 		s, prior := randomState(rng), randomPrior(rng)
 		if got := frozen.Act(s, prior); got != prior {
@@ -92,9 +90,7 @@ func TestFreshAgentActsOnPrior(t *testing.T) {
 // action — sampled or mean — ever leaves prior ± ResidualSpan.
 func TestResidualStaysBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	cfg := DefaultConfig()
-	cfg.ExploreStd = 0.3
-	a := New(cfg)
+	a := New(Config{exploreStd: 0.3})
 	for i := 0; i < adversarialUpdates; i++ {
 		s, prior := randomState(rng), randomPrior(rng)
 		act := a.Act(s, prior)
@@ -117,9 +113,7 @@ func TestResidualStaysBounded(t *testing.T) {
 // deployment starts in) must not walk the residual to the edge of its span.
 func TestUnrewardedResidualStaysNearPrior(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		a := New(cfg)
+		a := New(Config{seed: seed})
 		rng := rand.New(rand.NewSource(seed))
 		s := randomState(rng)
 		for i := 0; i < 1000; i++ {
@@ -139,7 +133,7 @@ func TestUnrewardedResidualStaysNearPrior(t *testing.T) {
 // moves the action-space mean toward the action that earned it, in every
 // dimension.
 func TestPositiveTDMovesMeanTowardSample(t *testing.T) {
-	a := New(DefaultConfig())
+	a := New(Config{})
 	s := randomState(rand.New(rand.NewSource(5)))
 	before := a.greedy(s, midPrior).vector()
 	act := a.Act(s, midPrior).vector()
@@ -154,9 +148,7 @@ func TestPositiveTDMovesMeanTowardSample(t *testing.T) {
 }
 
 func TestFrozenAgentIsDeterministicAndUnchanging(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Frozen = true
-	a := New(cfg)
+	a := New(Config{Frozen: true})
 	s := constState()
 	first := a.Act(s, midPrior)
 	for i := 0; i < 10; i++ {
@@ -192,12 +184,7 @@ func TestConvergesToRewardPeak(t *testing.T) {
 		{"scan_b/adaptive_lr", 11, 0, 3, 0, true, 2500, 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Seed = tc.seed
-			if tc.actorLR > 0 {
-				cfg.ActorLR = tc.actorLR
-			}
-			a := New(cfg)
+			a := New(Config{seed: tc.seed, actorLR: tc.actorLR})
 			s := constState()
 			dist := func(act Action) float64 { return math.Abs(act.vector()[tc.dim] - 0.6) }
 			initial := dist(a.greedy(s, midPrior))
@@ -218,7 +205,7 @@ func TestConvergesToRewardPeak(t *testing.T) {
 }
 
 func TestAdaptiveLearningRate(t *testing.T) {
-	a := New(DefaultConfig())
+	a := New(Config{})
 	s := constState()
 	a.Act(s, midPrior)
 	lr0 := a.ActorLR()
@@ -250,7 +237,7 @@ func TestAdaptiveLearningRate(t *testing.T) {
 }
 
 func TestMemoryAccountingTable2(t *testing.T) {
-	a := New(DefaultConfig())
+	a := New(Config{})
 	if n := a.NumParams(); n < 120_000 || n > 160_000 {
 		t.Fatalf("NumParams = %d, want ≈140K (paper Table 2)", n)
 	}
@@ -264,7 +251,7 @@ func TestMemoryAccountingTable2(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	fs := vfs.NewMem()
-	a := New(DefaultConfig())
+	a := New(Config{})
 	s := constState()
 	// Move the residual off zero so the round trip has something to carry.
 	for i := 0; i < 20; i++ {
@@ -278,9 +265,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := a.Save(fs, "models/agent"); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	cfg := DefaultConfig()
-	cfg.Seed = 999
-	b := New(cfg)
+	b := New(Config{seed: 999})
 	if err := b.Load(fs, "models/agent"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -322,7 +307,7 @@ func TestParentModelRejected(t *testing.T) {
 	write("parent.actor", []int{StateDim, HiddenDim, HiddenDim, ActionDim}, nn.Sigmoid)
 	write("parent.critic", []int{StateDim, HiddenDim, HiddenDim, 1}, nn.Linear)
 
-	a := New(DefaultConfig())
+	a := New(Config{})
 	if err := a.Load(fs, "parent"); !errors.Is(err, nn.ErrArchitectureMismatch) {
 		t.Fatalf("Load(parent model) = %v, want nn.ErrArchitectureMismatch", err)
 	}

@@ -19,21 +19,15 @@ import (
 // handleShardMap serves the node's current map and accepts newer epochs
 // from the shard manager.
 func (s *server) handleShardMap(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.src == nil {
+	if s.cfg.view == nil {
 		s.writeErr(w, http.StatusNotFound, api.CodeNotFound, "node is not cluster-configured")
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.cfg.src.Current())
+		json.NewEncoder(w).Encode(s.cfg.view.Current())
 	case http.MethodPost:
-		applier, ok := s.cfg.src.(MapApplier)
-		if !ok {
-			s.writeErr(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-				"node's map source is read-only")
-			return
-		}
 		body, ok := s.readBody(w, r)
 		if !ok {
 			return
@@ -48,7 +42,7 @@ func (s *server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 		// before the new map (and the 204 that releases the shard manager
 		// to start copying) lands.
 		s.flight.Lock()
-		err := applier.Apply(&m)
+		err := s.cfg.view.Apply(&m)
 		s.flight.Unlock()
 		if err != nil {
 			if m.Epoch < s.epoch() {

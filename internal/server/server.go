@@ -79,19 +79,12 @@ import (
 	"adcache/internal/metrics"
 )
 
-// MapApplier is the optional write half of a cluster.MapSource: a source
-// that can accept newer map epochs (cluster.NodeView implements it).
-// POST /v1/shardmap requires it.
-type MapApplier interface {
-	Apply(*cluster.ShardMap) error
-}
-
 // config is the resolved option set for one server.
 type config struct {
 	readOnly      bool
 	maxBodyBytes  int64
 	nodeID        string
-	src           cluster.MapSource
+	view          *cluster.NodeView
 	maxInFlight   int
 	serviceTime   time.Duration
 	internalToken string
@@ -119,17 +112,12 @@ func WithMaxBodyBytes(n int64) Option { return func(c *config) { c.maxBodyBytes 
 // X-Adcache-Node header and /v1/shardstats).
 func WithNodeID(id string) Option { return func(c *config) { c.nodeID = id } }
 
-// WithMapSource supplies the shard map the server enforces ownership
-// against. If the source also implements MapApplier, POST /v1/shardmap
-// accepts newer epochs.
-func WithMapSource(src cluster.MapSource) Option { return func(c *config) { c.src = src } }
-
 // WithCluster wires a NodeView as both identity and map source — the
 // standard cluster configuration.
 func WithCluster(view *cluster.NodeView) Option {
 	return func(c *config) {
 		c.nodeID = view.ID()
-		c.src = view
+		c.view = view
 	}
 }
 
@@ -191,10 +179,8 @@ func New(db *adcache.DB, opts ...Option) http.Handler {
 		cfg.maxBodyBytes = 64 << 20
 	}
 	nShards := 1
-	if cfg.src != nil {
-		if m := cfg.src.Current(); m != nil {
-			nShards = m.Shards
-		}
+	if cfg.view != nil {
+		nShards = cfg.view.Current().Shards
 	}
 	s := &server{db: db, cfg: cfg, reg: db.Registry(), nShards: nShards}
 	s.readHist = make([]*metrics.Histogram, nShards)
@@ -328,10 +314,10 @@ func (s *server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 
 // currentMap returns the shard map in force (nil without a cluster).
 func (s *server) currentMap() *cluster.ShardMap {
-	if s.cfg.src == nil {
+	if s.cfg.view == nil {
 		return nil
 	}
-	return s.cfg.src.Current()
+	return s.cfg.view.Current()
 }
 
 // epoch returns the node's current map epoch (0 without a cluster).

@@ -29,8 +29,7 @@ type Iter struct {
 	data    block.Iter
 	stats   *ReadStats
 	upper   []byte // exclusive user-key upper bound; nil = unbounded
-	fill    bool
-	bypass  bool // skip the cache entirely (compaction reads)
+	bypass  bool   // skip the cache entirely (compaction reads)
 	err     error
 	valid   bool
 	exhaust bool
@@ -82,7 +81,6 @@ func (i *Iter) Init(r *Reader, stats *ReadStats) {
 	i.data.Reset()
 	i.stats = stats
 	i.upper = nil
-	i.fill = !r.opts.NoFillOnScan
 	i.bypass = false
 	i.err = nil
 	i.valid = false
@@ -95,7 +93,7 @@ func (i *Iter) Init(r *Reader, stats *ReadStats) {
 // NewIterNoCache returns.
 func (i *Iter) InitNoCache(r *Reader) {
 	i.Init(r, nil)
-	i.fill, i.bypass = false, true
+	i.bypass = true
 }
 
 // SetShare tells the iterator which fraction of the entries its operation
@@ -154,7 +152,7 @@ func (i *Iter) loadData() bool {
 		// call to coalesce, so the mmap path reads block by block.
 		data, err = i.r.readBlockRaw(h)
 	default:
-		data, err = i.r.readBlock(h, i.fill, true, i.stats)
+		data, err = i.r.readBlock(h, true, i.stats)
 	}
 	if err != nil {
 		i.err = err
@@ -198,7 +196,7 @@ func (i *Iter) readCoalesced(h Handle) ([]byte, error) {
 	if i.stats != nil {
 		i.stats.BlockMisses++
 	}
-	if i.fill && r.admits(true, i.stats) && r.keeps(h) {
+	if !i.bypass && r.admits(true, i.stats) && r.keeps(h) {
 		// The cache gets a copy of exactly the block: img aliases the span,
 		// which this iterator reuses and which is several blocks long.
 		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, bytes.Clone(img), len(data))

@@ -11,8 +11,10 @@ import (
 )
 
 // BlockCache is the hook through which block reads are cached. The engine's
-// block cache implements it; AdCache wraps the insert side with admission
-// control. Implementations must be safe for concurrent use.
+// block cache implements it; how many blocks a scan may insert is limited
+// per operation through ReadStats (LimitScanFill, ScanFillBudget), which the
+// engine sets from the strategy's ScanBlockFillQuota. Implementations must be
+// safe for concurrent use.
 //
 // The cache holds the block's *physical image* — compressed payload plus the
 // compression-type byte, exactly as stored on disk minus the checksum — so
@@ -34,8 +36,9 @@ type BlockCache interface {
 	Fits(size int) bool
 }
 
-// ReadStats counts logical cache activity for one reader. Updated atomically
-// via the shared counters passed in ReaderOptions.
+// ReadStats counts the cache activity of one operation and carries its
+// scan-fill budget and scratch buffers. It belongs to one operation at a
+// time and is not synchronised; the engine pools and Resets them.
 type ReadStats struct {
 	// BlockHits counts block reads served from the cache.
 	BlockHits int64
@@ -83,10 +86,6 @@ type ReaderOptions struct {
 	Cache BlockCache
 	// FileNum identifies this file in cache keys.
 	FileNum uint64
-	// NoFillOnScan, when true, suppresses inserting blocks read by
-	// iterators (scans) into the cache; point lookups still fill. AdCache
-	// overrides fill behaviour via its own BlockCache wrapper instead.
-	NoFillOnScan bool
 }
 
 // indexEntry is one parsed index-block entry: the last internal key of a
@@ -231,12 +230,11 @@ func (r *Reader) readBlockRaw(h Handle) ([]byte, error) {
 // readBlock fetches a data block through the cache. The cache stores
 // physical images; the logical block is decoded after every Get or miss (a
 // zero-copy slice for uncompressed blocks, a fresh exact-size buffer for
-// flate). fill controls whether a missed block is offered to the cache
-// (false for scan paths when NoFillOnScan is set); scan tags the insert with
-// its origin. A point lookup reads a block the cache will not keep into
+// flate). A missed block is offered to the cache under the operation's fill
+// rules; scan tags the insert with its origin. A point lookup reads a block the cache will not keep into
 // stats' scratch: it is done with the block before its next read, and
 // copies the value it returns.
-func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte, error) {
+func (r *Reader) readBlock(h Handle, scan bool, stats *ReadStats) ([]byte, error) {
 	if c := r.opts.Cache; c != nil {
 		if img, ok := c.Get(r.opts.FileNum, h.Offset); ok {
 			if stats != nil {
@@ -245,7 +243,7 @@ func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte,
 			return decodeBlock(img)
 		}
 	}
-	keep := fill && r.keeps(h)
+	keep := r.keeps(h)
 	var scratch *[]byte
 	if !keep && !scan && stats != nil {
 		scratch = &stats.blockBuf
@@ -261,7 +259,7 @@ func (r *Reader) readBlock(h Handle, fill, scan bool, stats *ReadStats) ([]byte,
 	if stats != nil {
 		stats.BlockMisses++
 	}
-	if fill && r.admits(scan, stats) && keep {
+	if r.admits(scan, stats) && keep {
 		r.opts.Cache.Insert(r.opts.FileNum, h.Offset, img, len(data))
 	}
 	return data, nil
@@ -368,7 +366,7 @@ func (r *Reader) Get(userKey []byte, seq uint64, stats *ReadStats) (value []byte
 	if pos == len(r.index) {
 		return nil, false, false, nil
 	}
-	data, err := r.readBlock(r.index[pos].h, true, false, stats)
+	data, err := r.readBlock(r.index[pos].h, false, stats)
 	if err != nil {
 		return nil, false, false, err
 	}

@@ -73,7 +73,7 @@ func (o *oldIndexPath) oldGet(t *testing.T, r *Reader, userKey []byte, seq uint6
 	if !found {
 		return nil, false, false
 	}
-	data, err := r.readBlock(h, true, false, nil)
+	data, err := r.readBlock(h, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,7 @@
 // caches without observing the true no-cache I/O.
 package stats
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Collector accumulates one window of workload statistics. All Record*
 // methods are safe for concurrent use.
@@ -23,15 +20,8 @@ type Collector struct {
 	scanLenSum atomic.Int64
 	blockReads atomic.Int64 // measured block I/O after cache misses (IO_miss)
 
-	rangeGetHits   atomic.Int64
-	rangeScanHits  atomic.Int64
-	pointAdmits    atomic.Int64
-	pointRejects   atomic.Int64
-	scanFullAdmits atomic.Int64
-	scanPartAdmits atomic.Int64
-
-	mu           sync.Mutex
-	totalWindows int64
+	rangeGetHits  atomic.Int64
+	rangeScanHits atomic.Int64
 }
 
 // Window is an immutable snapshot of one window's counters.
@@ -42,12 +32,8 @@ type Window struct {
 	ScanLenSum int64
 	BlockReads int64
 
-	RangeGetHits   int64
-	RangeScanHits  int64
-	PointAdmits    int64
-	PointRejects   int64
-	ScanFullAdmits int64
-	ScanPartAdmits int64
+	RangeGetHits  int64
+	RangeScanHits int64
 }
 
 // Ops returns the total operation count in the window.
@@ -89,52 +75,17 @@ func (c *Collector) RecordBlockReads(n int) {
 	}
 }
 
-// RecordPointAdmission counts an admission-control decision for a point
-// result.
-func (c *Collector) RecordPointAdmission(admitted bool) {
-	if admitted {
-		c.pointAdmits.Add(1)
-	} else {
-		c.pointRejects.Add(1)
-	}
-}
-
-// RecordScanAdmission counts a scan admission: full, partial or none.
-func (c *Collector) RecordScanAdmission(admitted, total int) {
-	switch {
-	case admitted >= total && total > 0:
-		c.scanFullAdmits.Add(1)
-	case admitted > 0:
-		c.scanPartAdmits.Add(1)
-	}
-}
-
-// EndWindow atomically snapshots and resets the counters.
+// EndWindow snapshots and resets the counters, each one atomically.
 func (c *Collector) EndWindow() Window {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := Window{
-		Points:         c.points.Swap(0),
-		Scans:          c.scans.Swap(0),
-		Writes:         c.writes.Swap(0),
-		ScanLenSum:     c.scanLenSum.Swap(0),
-		BlockReads:     c.blockReads.Swap(0),
-		RangeGetHits:   c.rangeGetHits.Swap(0),
-		RangeScanHits:  c.rangeScanHits.Swap(0),
-		PointAdmits:    c.pointAdmits.Swap(0),
-		PointRejects:   c.pointRejects.Swap(0),
-		ScanFullAdmits: c.scanFullAdmits.Swap(0),
-		ScanPartAdmits: c.scanPartAdmits.Swap(0),
+	return Window{
+		Points:        c.points.Swap(0),
+		Scans:         c.scans.Swap(0),
+		Writes:        c.writes.Swap(0),
+		ScanLenSum:    c.scanLenSum.Swap(0),
+		BlockReads:    c.blockReads.Swap(0),
+		RangeGetHits:  c.rangeGetHits.Swap(0),
+		RangeScanHits: c.rangeScanHits.Swap(0),
 	}
-	c.totalWindows++
-	return w
-}
-
-// Windows reports how many windows have closed.
-func (c *Collector) Windows() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalWindows
 }
 
 // Shape carries the LSM-tree parameters of the I/O model (Table 1).
