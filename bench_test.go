@@ -24,7 +24,7 @@ func benchScale() harness.Scale {
 }
 
 // BenchmarkTable2RLMemory regenerates Table 2: the RL model's memory
-// overhead (≈550 KB of weights, ≈4× that during online training).
+// overhead (≈550 KB of weights, 3× that during online training).
 func BenchmarkTable2RLMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := harness.RunTable2()

@@ -85,8 +85,8 @@ func checkClaims(t *testing.T, c *Cache, m *modelDB, step int, what string) {
 	var capacity int64
 	for si, s := range c.shards {
 		if si >= l.live() {
-			if s.list.len() != 0 || s.capacity != 0 {
-				t.Fatalf("step %d (%s): idle shard %d holds %d entries, %d bytes of budget", step, what, si, s.list.len(), s.capacity)
+			if s.tree.count != 0 || s.capacity != 0 {
+				t.Fatalf("step %d (%s): idle shard %d holds %d entries, %d bytes of budget", step, what, si, s.tree.count, s.capacity)
 			}
 			continue
 		}
@@ -94,7 +94,9 @@ func checkClaims(t *testing.T, c *Cache, m *modelDB, step int, what string) {
 		var used, older int64
 		var ages [ageWindow]int64
 		entries := 0
-		for n := s.list.first(); n != nil; n = n.next(0) {
+		for cur := s.tree.begin(); cur.entry() != nil; cur.advance() {
+			n, succ := cur.entry(), cur
+			succ.advance()
 			i := modelCeil(string(n.key))
 			if len(n.key) != len("key000000") || !m.present[i] {
 				t.Fatalf("step %d (%s): shard %d caches %q, not in the database", step, what, si, n.key)
@@ -105,7 +107,7 @@ func checkClaims(t *testing.T, c *Cache, m *modelDB, step int, what string) {
 			if !bytes.Equal(n.value, m.value(i)) {
 				t.Fatalf("step %d (%s): %q cached as %q, database has %q", step, what, n.key, n.value, m.value(i))
 			}
-			if nx := n.next(0); n.contigNext {
+			if nx := succ.entry(); n.contigNext {
 				switch {
 				case nx != nil:
 					if j := modelCeil(string(nx.key)); !m.empty(i+1, j) {
@@ -141,8 +143,8 @@ func checkClaims(t *testing.T, c *Cache, m *modelDB, step int, what string) {
 		if ages != s.ages || older != s.older {
 			t.Fatalf("step %d (%s): shard %d counts bytes by age %v + %d older, its entries %v + %d", step, what, si, s.ages, s.older, ages, older)
 		}
-		if entries != s.list.len() || entries != s.pol.Len() {
-			t.Fatalf("step %d (%s): shard %d walks %d entries, list counts %d, policy tracks %d", step, what, si, entries, s.list.len(), s.pol.Len())
+		if entries != s.tree.count || entries != s.pol.Len() {
+			t.Fatalf("step %d (%s): shard %d walks %d entries, index counts %d, policy tracks %d", step, what, si, entries, s.tree.count, s.pol.Len())
 		}
 		capacity += s.capacity
 	}
@@ -161,7 +163,7 @@ func forceSplit(c *Cache) {
 func runRangeCacheModel(t *testing.T, policyName string, shards int, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	const entryBytes = 9 + 8 + entryOverhead
-	c := newCache(Options{Capacity: 40 * entryBytes, Policy: policyName, Seed: seed}, shards)
+	c := newCache(Options{Capacity: 40 * entryBytes, Policy: policyName}, shards)
 	m := &modelDB{}
 	for i := range m.present {
 		if rng.Intn(3) > 0 {

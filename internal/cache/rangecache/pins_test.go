@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// descents reports how many index descents f costs a single-shard cache.
-func descents(c *Cache, f func()) int {
-	before := c.shards[0].list.descents
+// searches reports how many index searches f costs a single-shard cache.
+func searches(c *Cache, f func()) int {
+	before := c.shards[0].tree.searches
 	f()
-	return c.shards[0].list.descents - before
+	return c.shards[0].tree.searches - before
 }
 
 // TestOneDescentPerOperation pins the rule the cache is built around: every
-// public operation descends its shard's index exactly once.
+// public operation searches its shard's index exactly once, the evictions
+// it causes included — a victim is found from the entry, with no search.
 func TestOneDescentPerOperation(t *testing.T) {
 	c := newTest(1 << 20)
 	c.InsertScan(k(100), kvs(100, 100)) // keys 100..199, chained
@@ -40,19 +41,41 @@ func TestOneDescentPerOperation(t *testing.T) {
 		{"InsertScan 64 resident", func() { c.InsertScan(k(500), kvs(500, 64)) }},
 		{"ExtendScan past prefix", func() { c.ExtendScan(k(500), kvs(500, 96), 8) }},
 	}
+	// The same operations on a full cache, where each one that admits or
+	// grows an entry evicts.
+	entry := kvs(0, 1)[0]
+	full := newTest(128 * (int64(len(entry.Key)+len(entry.Value)) + entryOverhead))
+	full.InsertScan(k(100), kvs(100, 128))
+	evicting := []struct {
+		name string
+		op   func()
+	}{
+		{"InsertPoint new", func() { full.InsertPoint(k(400), v(400)) }},
+		{"Put growing a value", func() { full.Put(k(200), []byte("a value longer than any")) }},
+		{"Put into a covered gap", func() { full.Put([]byte("key000220~"), v(7)) }},
+		{"InsertScan 64 new", func() { full.InsertScan(k(500), kvs(500, 64)) }},
+		{"ExtendScan past prefix", func() { full.ExtendScan(k(500), kvs(500, 96), 8) }},
+	}
 	for _, o := range ops {
-		if got := descents(c, o.op); got != 1 {
-			t.Errorf("%s: %d descents, want 1", o.name, got)
+		if got := searches(c, o.op); got != 1 {
+			t.Errorf("%s: %d searches, want 1", o.name, got)
+		}
+	}
+	for _, o := range evicting {
+		before := full.Stats().Evictions
+		if got := searches(full, o.op); got != 1 {
+			t.Errorf("%s at capacity: %d searches, want 1", o.name, got)
+		}
+		if full.Stats().Evictions == before {
+			t.Errorf("%s at capacity evicted nothing; the case needs a fuller cache", o.name)
 		}
 	}
 }
 
-// TestAdmissionAtCapacityDescendsOncePerRun pins batch admission and run
-// eviction: 64 consecutive keys spliced into a full cache cost one descent,
-// plus one per run of victims that are neighbours in key order — and a
-// batch admitted in key order is evicted as one run. (Before the index kept
-// a finger this took three descents per admitted entry and two per victim,
-// 190 and more.)
+// TestAdmissionAtCapacityDescendsOncePerRun pins batch admission and
+// eviction: a batch of consecutive keys put into a full cache costs one
+// search for the whole admission run, and its victims none, whether they
+// leave as one run of neighbours or scattered.
 func TestAdmissionAtCapacityDescendsOncePerRun(t *testing.T) {
 	entry := kvs(0, 1)[0]
 	c := newTest(256 * (int64(len(entry.Key)+len(entry.Value)) + entryOverhead))
@@ -64,8 +87,8 @@ func TestAdmissionAtCapacityDescendsOncePerRun(t *testing.T) {
 	}
 	// The 64 oldest entries are one batch, keys 256..319: one run.
 	batch := kvs(1000, 64)
-	if got := descents(c, func() { c.InsertScan(k(1000), batch) }); got != 2 {
-		t.Errorf("InsertScan(64) evicting one batch: %d descents, want 2 (one to splice, one for the run of victims)", got)
+	if got := searches(c, func() { c.InsertScan(k(1000), batch) }); got != 1 {
+		t.Errorf("InsertScan(64) evicting one batch: %d searches, want 1 (to splice; none for the victims)", got)
 	}
 	// Touch every other entry of the next batch in line: its untouched
 	// entries leave as 32 runs of one.
@@ -73,14 +96,14 @@ func TestAdmissionAtCapacityDescendsOncePerRun(t *testing.T) {
 		c.Get(k(i))
 	}
 	batch = kvs(2000, 32)
-	if got := descents(c, func() { c.InsertScan(k(2000), batch) }); got != 1+32 {
-		t.Errorf("InsertScan(32) evicting 32 scattered victims: %d descents, want 33", got)
+	if got := searches(c, func() { c.InsertScan(k(2000), batch) }); got != 1 {
+		t.Errorf("InsertScan(32) evicting 32 scattered victims: %d searches, want 1", got)
 	}
 }
 
 // TestAllocationPins bounds what the cache allocates: nothing on a Get hit,
-// the result slice on a Scan hit, and for an admission one node per new
-// entry plus the batch's shared buffers (values; towers, a slab at a time).
+// the result slice on a Scan hit, and for an admission one object per new
+// entry plus the batch's shared buffer and the index leaves it fills.
 func TestAllocationPins(t *testing.T) {
 	c := New(Options{Capacity: 64 << 20})
 	table := benchTable[:64*256]
@@ -154,7 +177,7 @@ func TestLowerBoundStaysInsideShard(t *testing.T) {
 	c := newSplit(1<<20, k(50))
 	// The database holds key 60 and nothing in [40, 60).
 	c.InsertScan(k(40), []KV{{Key: k(60), Value: v(60)}})
-	n := c.shards[1].list.first()
+	n := c.shards[1].tree.begin().entry()
 	if string(n.key) != string(k(60)) || string(n.lowerBound) != string(k(50)) {
 		t.Fatalf("entry %q carries lower bound %q, want %q (its shard's edge)", n.key, n.lowerBound, k(50))
 	}
@@ -167,20 +190,20 @@ func TestLowerBoundStaysInsideShard(t *testing.T) {
 	}
 }
 
-// TestAdmissionOfNonConsecutiveKeysKeepsOrder covers the finger's guard: a
+// TestAdmissionOfNonConsecutiveKeysKeepsOrder covers the cursor's guard: a
 // caller that admits keys with a cached key between them (so not consecutive
-// in the database) pays another descent, and the index stays sorted.
+// in the database) pays another search, and the index stays sorted.
 func TestAdmissionOfNonConsecutiveKeysKeepsOrder(t *testing.T) {
 	c := newTest(1 << 20)
 	c.InsertPoint(k(5), v(5))
 	c.InsertPoint(k(7), v(7))
-	if got := descents(c, func() {
+	if got := searches(c, func() {
 		c.InsertScan(k(4), []KV{{Key: k(4), Value: v(4)}, {Key: k(6), Value: v(6)}, {Key: k(8), Value: v(8)}})
 	}); got != 3 {
-		t.Errorf("%d descents, want 3: one to start and one past each key in between", got)
+		t.Errorf("%d searches, want 3: one to start and one past each key in between", got)
 	}
 	want := 4
-	for n := c.shards[0].list.first(); n != nil; n = n.next0 {
+	for _, n := range c.shards[0].tree.appendTo(nil) {
 		if string(n.key) != string(k(want)) {
 			t.Fatalf("index holds %q where %q belongs", n.key, k(want))
 		}

@@ -9,11 +9,11 @@
 // truthful across updates (in-place), inserts into covered gaps (admitted
 // with the known value) and deletes (neighbouring claims merge).
 //
-// Cost: every public operation performs exactly one descent of its shard's
-// ordered index, and a scan admission or a run of evictions performs one for
-// the whole batch (see skiplist). Entries are found by key bytes, tracked by
-// the eviction policy through a handle embedded in the entry, and admitted
-// with one allocation each.
+// Cost: every public operation searches its shard's ordered index at most
+// once, a scan admission once for the whole batch, and an eviction not at
+// all (see tree). Entries are found by key bytes, tracked by the eviction
+// policy through a handle embedded in the entry, and admitted with two
+// allocations per batch (see batch).
 //
 // Concurrency (§4.4 of the paper): the key space is range-partitioned into
 // shards, each with its own lock and an equal share of the budget. The
@@ -47,11 +47,6 @@ type Options struct {
 	// Policy names the eviction policy: "lru" (default), "lecar",
 	// "cacheus".
 	Policy string
-	// PolicyCapacityHint estimates the entry count for policies that size
-	// ghost lists (defaults to Capacity/128).
-	PolicyCapacityHint int
-	// Seed makes skiplist shapes deterministic.
-	Seed int64
 }
 
 const (
@@ -92,7 +87,8 @@ type Cache struct {
 	// shard lock is held, so whoever holds one shard lock sees it fixed.
 	layout atomic.Pointer[layout]
 	policy string
-	hint   int
+	// hint estimates the entry count, for policies that size ghost lists.
+	hint int
 	// capacity is the byte budget, kept here so the admission path can
 	// read it without visiting every shard lock.
 	capacity atomic.Int64
@@ -149,7 +145,7 @@ func (l *layout) upper(i int) []byte {
 type shard struct {
 	mu       sync.Mutex
 	c        *Cache
-	list     *skiplist
+	tree     tree
 	pol      policy.Policy
 	capacity int64
 	used     int64
@@ -168,6 +164,37 @@ type shard struct {
 	evictions            int64
 }
 
+// entry is one cached key-value pair: the cache entry with its coverage
+// metadata and the policy's handle in a single object, cut with the other
+// entries of its batch from one slab; its key and value sit in the batch's
+// buffer.
+//
+// contigNext claims that the next cache entry (in key order, same shard) is
+// this key's immediate successor in the database: a scan passing through
+// this entry may continue to the next without missing keys. On a shard's
+// last entry it claims the database holds no keys between the entry and
+// the shard's upper edge, and never anything on the last shard's. lowerBound,
+// when non-empty, claims the database holds no keys in [lowerBound, key) —
+// it extends coverage below the entry so scans starting in that gap can
+// anchor here.
+type entry struct {
+	key, value []byte
+	lowerBound []byte // empty means none
+	leaf       *leaf  // the index leaf holding the entry
+	epoch      uint32 // the cache's epoch when the entry was last touched
+	contigNext bool
+	policy.Handle
+}
+
+// PolicyKey implements policy.Keyed.
+func (n *entry) PolicyKey() []byte { return n.key }
+
+func (n *entry) size() int64 { return int64(len(n.key)+len(n.value)) + entryOverhead }
+
+// entryOverhead approximates per-entry bookkeeping bytes (the entry, its
+// policy handle, its index slot), charged against the cache budget.
+const entryOverhead = 64
+
 // ageWindow is how many epochs a shard's age histogram resolves: enough
 // for a 16-shard cache's entries to age through two turnovers.
 const ageWindow = 2 * maxShards
@@ -177,23 +204,12 @@ func New(opts Options) *Cache { return newCache(opts, shardCount(opts.Capacity))
 
 // newCache returns a Cache that splits into shards shards once it fills.
 func newCache(opts Options, shards int) *Cache {
-	hint := opts.PolicyCapacityHint
-	if hint <= 0 {
-		hint = int(opts.Capacity / 128)
-		if hint < 16 {
-			hint = 16
-		}
-	}
-	c := &Cache{policy: opts.Policy, hint: hint}
+	c := &Cache{policy: opts.Policy, hint: max(int(opts.Capacity/128), 16)}
 	c.layout.Store(&layout{})
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	for i := 0; i < shards; i++ {
-		c.shards = append(c.shards, &shard{c: c, list: newSkiplist(seed + int64(i))})
+		c.shards = append(c.shards, &shard{c: c, tree: newTree()})
 	}
-	c.shards[0].pol = policy.New(opts.Policy, hint+1)
+	c.shards[0].pol = policy.New(opts.Policy, c.hint+1)
 	c.setCapacityLocked(opts.Capacity)
 	return c
 }
@@ -226,10 +242,10 @@ func (c *Cache) unlockAll() {
 }
 
 // anchored reports whether first, the first cached key at or after start
-// (pred being the last one before it), is provably also the first database
-// key at or after start.
-func anchored(pred, first *node, start []byte) bool {
-	return pred.contigNext || bytes.Equal(first.key, start) ||
+// (pred being the last one before it, if any), is provably also the first
+// database key at or after start.
+func anchored(pred, first *entry, start []byte) bool {
+	return (pred != nil && pred.contigNext) || bytes.Equal(first.key, start) ||
 		(len(first.lowerBound) > 0 && bytes.Compare(first.lowerBound, start) <= 0)
 }
 
@@ -237,10 +253,10 @@ func anchored(pred, first *node, start []byte) bool {
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	_, s, _ := c.lock(key)
 	defer s.mu.Unlock()
-	if n := s.list.seek(key).next0; n != nil && bytes.Equal(n.key, key) {
-		s.touch(n)
+	if _, e := s.tree.seek(key); e != nil {
+		s.touch(e)
 		s.getHits++
-		return n.value, true
+		return e.value, true
 	}
 	s.pol.OnMiss(key)
 	s.getMisses++
@@ -265,15 +281,15 @@ func (c *Cache) Scan(start []byte, n int) ([]KV, bool) {
 		}
 	}()
 
-	pred := s.list.seek(start)
-	first := pred.next0
+	cur, _ := s.tree.seek(start)
+	pred, first := cur.pred(), cur.entry()
 	switch {
 	case n <= 0:
 		first = nil
 	case first == nil:
 		// start lies past the shard's entries; pred may claim its edge.
-		if pred.contigNext {
-			first = c.follow(l, pred, &last)
+		if pred != nil && pred.contigNext {
+			first = c.cross(l, &cur, &last)
 		}
 	case !anchored(pred, first, start):
 		first = nil
@@ -285,43 +301,51 @@ func (c *Cache) Scan(start []byte, n int) ([]KV, bool) {
 	}
 	// Prove the chain reaches n entries before building (and allocating)
 	// the result.
-	at, fi := first, last
-	for i := 1; i < n; i++ {
-		if at.contigNext {
-			at = c.follow(l, at, &last)
+	at, fi := cur, last
+	for e, i := first, 1; i < n; i++ {
+		if e.contigNext {
+			e = c.follow(l, &at, &last)
 		} else {
-			at = nil
+			e = nil
 		}
-		if at == nil {
+		if e == nil {
 			s.scanPartials++
 			s.pol.OnMiss(start)
 			return nil, false
 		}
 	}
 	out := make([]KV, n)
-	at, ai := first, fi
+	at, ai := cur, fi
 	for i := range out {
-		out[i] = KV{Key: at.key, Value: at.value}
-		c.shards[ai].touch(at)
-		if at = at.next0; at == nil && i+1 < n {
+		e := at.entry()
+		out[i] = KV{Key: e.key, Value: e.value}
+		c.shards[ai].touch(e)
+		if at.advance(); i+1 < n && at.entry() == nil {
 			ai++
-			at = c.shards[ai].list.first()
+			at = c.shards[ai].tree.begin()
 		}
 	}
 	s.scanHits++
 	return out, true
 }
 
-// follow returns the entry the chain continues to after at, in shard *j,
-// which claims contiguity to its successor: the next entry of the shard,
-// or — at the shard's last entry, whose claim reaches the upper edge — the
-// next shard's first entry when that one's claims reach down to the edge.
-// Crossing locks the next shard and advances *j. It returns nil if the
-// chain breaks at the edge.
-func (c *Cache) follow(l *layout, at *node, j *int) *node {
-	if at.next0 != nil {
-		return at.next0
+// follow moves cur, in shard *j, past its entry, which claims contiguity to
+// its successor, and returns the entry the chain continues to: the next
+// entry of the shard, or — past the shard's last entry, whose claim reaches
+// the upper edge — the next shard's first (see cross).
+func (c *Cache) follow(l *layout, cur *cursor, j *int) *entry {
+	cur.advance()
+	if e := cur.entry(); e != nil {
+		return e
 	}
+	return c.cross(l, cur, j)
+}
+
+// cross carries a chain that reached shard *j's upper edge over it: it
+// locks the next shard, advances *j, moves cur to the shard's start and
+// returns its first entry if that one's claims reach down to the edge, nil
+// if the chain breaks there.
+func (c *Cache) cross(l *layout, cur *cursor, j *int) *entry {
 	edge := l.upper(*j)
 	if edge == nil {
 		return nil
@@ -329,7 +353,8 @@ func (c *Cache) follow(l *layout, at *node, j *int) *node {
 	*j++
 	t := c.shards[*j]
 	t.mu.Lock()
-	if f := t.list.first(); f != nil && anchored(t.list.head, f, edge) {
+	*cur = t.tree.begin()
+	if f := cur.entry(); f != nil && anchored(nil, f, edge) {
 		return f
 	}
 	return nil
@@ -338,10 +363,11 @@ func (c *Cache) follow(l *layout, at *node, j *int) *node {
 // InsertPoint admits a point-lookup result (no contiguity claims).
 func (c *Cache) InsertPoint(key, value []byte) {
 	_, s, si := c.lock(key)
-	if n := s.list.seek(key).next0; n != nil && bytes.Equal(n.key, key) {
-		s.refreshLocked(n, value)
+	if cur, e := s.tree.seek(key); e != nil {
+		s.refreshLocked(e, value)
 	} else {
-		s.insertLocked(nil, key, value)
+		b := newBatch(1, len(key)+len(value))
+		s.insertLocked(&b, &cur, key, value)
 	}
 	split := s.enforceCapacityLocked()
 	s.mu.Unlock()
@@ -363,7 +389,7 @@ func (c *Cache) InsertScan(start []byte, entries []KV) {
 // extends coverage this way: each repetition of a long scan admits b·(l−a)
 // entries past what is already cached (§3.4, "overlapping scans naturally
 // accelerate this process"). Measuring the covered prefix and admitting past
-// it share one lock visit and one descent per shard the result touches.
+// it share one lock visit and one search per shard the result touches.
 func (c *Cache) ExtendScan(start []byte, entries []KV, grow int) int {
 	limit := min(grow, len(entries)) // grows by one per covered entry
 	// Coverage is measured only by a partial admission; it ends at the
@@ -387,16 +413,17 @@ func (c *Cache) ExtendScan(start []byte, entries []KV, grow int) int {
 // limit, raised by the covered entries it walked over, and whether the
 // covered chain is still unbroken.
 //
-// It descends once, to entries[i], and then moves the finger along: the
+// It searches once, for entries[i], and then moves the cursor along: the
 // cache is a subset of the database and the entries are consecutive
-// database keys, so no cached key can sit between two of them — the node
-// after the finger is either the next entry itself, already resident, or
-// lies beyond it, and the entry is spliced in right there. One key compare
-// per entry (skiplist.step) tells which. contigNext is likewise truthful:
-// the scan saw every database key between an entry and its successor, and
+// database keys, so no cached key can sit between two of them — the entry
+// after the cursor is either the next one itself, already resident, or
+// lies beyond it, and the new one is put in right there. One key compare
+// per entry (tree.step) tells which. contigNext is likewise truthful: the
+// scan saw every database key between an entry and its successor, and
 // between the last entry below upper and upper itself.
 func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, chain bool, lower, upper []byte) (int, int, bool) {
-	pred := s.list.seek(entries[i].Key)
+	cur, _ := s.tree.seek(entries[i].Key)
+	pred := cur.pred()
 	// Nothing lives in [from, first entry here), from being start or, for
 	// a result that comes from the shard below, this shard's lower edge;
 	// the part of that gap inside this shard is the claim it can keep true.
@@ -414,21 +441,22 @@ func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, chain bool
 			lb = lower
 		}
 	}
-	var buf []byte // one buffer for what the new entries keep outside their nodes
-	var prev *node // entries[i-1], when it is in this shard
+	var b batch     // the new entries' storage
+	var prev *entry // entries[i-1], when it is in this shard
 	for ; i < limit; i++ {
 		e := entries[i]
 		if upper != nil && bytes.Compare(e.Key, upper) >= 0 {
 			break
 		}
-		n := s.list.step(e.Key)
+		n := s.tree.step(&cur, e.Key)
 		fresh := n == nil
 		if fresh {
 			chain = false
-			if buf == nil {
-				buf = make([]byte, 0, len(lb)+admitBytes(entries[i:limit], upper))
+			if b.ents == nil {
+				count, size := admitSize(entries[i:limit], upper)
+				b = newBatch(count, len(lb)+size)
 			}
-			n = s.insertLocked(&buf, e.Key, e.Value)
+			n = s.insertLocked(&b, &cur, e.Key, e.Value)
 		} else {
 			if chain {
 				if (prev == nil && fromOK && anchored(pred, n, from)) || (prev != nil && prev.contigNext) {
@@ -438,13 +466,13 @@ func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, chain bool
 				}
 			}
 			s.refreshLocked(n, e.Value)
-			s.list.advance(n)
+			cur.advance()
 		}
 		if prev != nil {
 			prev.contigNext = true
 		} else if len(lb) > 0 && (len(n.lowerBound) == 0 || bytes.Compare(lb, n.lowerBound) < 0) {
 			if fresh {
-				n.lowerBound = carve(&buf, lb)
+				n.lowerBound = carve(&b.buf, lb)
 			} else {
 				n.lowerBound = bytes.Clone(lb)
 			}
@@ -460,26 +488,40 @@ func (s *shard) admitLocked(start []byte, entries []KV, i, limit int, chain bool
 	return i, limit, chain
 }
 
-// admitBytes sizes the buffer for admitting entries as far as they sort
-// below upper: what each keeps outside its node.
-func admitBytes(entries []KV, upper []byte) int {
-	need := 0
+// admitSize counts the entries an admission may add, as far as they sort
+// below upper, and the bytes of their keys and values.
+func admitSize(entries []KV, upper []byte) (count, size int) {
 	for _, e := range entries {
 		if upper != nil && bytes.Compare(e.Key, upper) >= 0 {
 			break
 		}
-		need += entryBytes(e.Key, e.Value)
+		count++
+		size += len(e.Key) + len(e.Value)
 	}
-	return need
+	return count, size
 }
 
-// entryBytes is how many buffer bytes a new entry takes: its value, and its
-// key when that does not fit inside the node.
-func entryBytes(key, value []byte) int {
-	if len(key) <= inlineKeyLen {
-		return len(value)
-	}
-	return len(key) + len(value)
+// batch is the storage of entries admitted together: one slab for the
+// entries and one buffer for the bytes they keep (keys, values and lower
+// bounds), so that admitting a scan result costs two allocations, not two
+// per entry. An entry and its bytes live as long as the last entry of the
+// batch does.
+type batch struct {
+	buf  []byte
+	ents []entry
+}
+
+// newBatch returns a batch with room for count entries and size bytes.
+func newBatch(count, size int) batch {
+	return batch{buf: make([]byte, 0, size), ents: make([]entry, 0, count)}
+}
+
+// entry returns a new entry holding copies of key and value.
+func (b *batch) entry(key, value []byte) *entry {
+	b.ents = append(b.ents, entry{})
+	e := &b.ents[len(b.ents)-1]
+	e.key, e.value = carve(&b.buf, key), carve(&b.buf, value)
+	return e
 }
 
 // carve copies b into buf's spare capacity and returns the copy, capped so
@@ -490,24 +532,12 @@ func carve(buf *[]byte, b []byte) []byte {
 	return (*buf)[o:len(*buf):len(*buf)]
 }
 
-// insertLocked links a new entry right after the finger, copying the key
-// into the node (or, too long for that, into buf) and the value into buf —
-// the batch's shared buffer, or with nil one of the entry's own.
-func (s *shard) insertLocked(buf *[]byte, key, value []byte) *node {
-	if buf == nil {
-		own := make([]byte, 0, entryBytes(key, value))
-		buf = &own
-	}
-	n := &node{}
-	if len(key) <= inlineKeyLen {
-		n.key = n.keyBuf[:copy(n.keyBuf[:], key):len(key)]
-	} else {
-		n.key = carve(buf, key)
-	}
-	n.value = carve(buf, value)
+// insertLocked puts a new entry of b at cur and moves cur past it.
+func (s *shard) insertLocked(b *batch, cur *cursor, key, value []byte) *entry {
+	n := b.entry(key, value)
 	n.epoch = s.c.epoch
 	n.Init(n)
-	s.list.insert(n)
+	*cur = s.tree.insert(*cur, n)
 	s.used += n.size()
 	s.ages[n.epoch%ageWindow] += n.size()
 	s.pol.OnInsert(&n.Handle)
@@ -515,7 +545,7 @@ func (s *shard) insertLocked(buf *[]byte, key, value []byte) *node {
 }
 
 // touch records a hit on a resident entry.
-func (s *shard) touch(n *node) {
+func (s *shard) touch(n *entry) {
 	if n.epoch != s.c.epoch {
 		s.forget(n)
 		n.epoch = s.c.epoch
@@ -525,7 +555,7 @@ func (s *shard) touch(n *node) {
 }
 
 // forget takes n, about to be touched or to leave, out of its age class.
-func (s *shard) forget(n *node) {
+func (s *shard) forget(n *entry) {
 	if s.c.epoch-n.epoch < ageWindow {
 		s.ages[n.epoch%ageWindow] -= n.size()
 	} else {
@@ -535,15 +565,17 @@ func (s *shard) forget(n *node) {
 
 // refreshLocked records a hit on a resident entry whose value was read or
 // written again. Reads are admitted only while current, so their value
-// matches and nothing is copied; a new value replaces the old slice, never
-// its bytes, which scan hits alias.
-func (s *shard) refreshLocked(n *node, value []byte) {
+// matches and nothing is copied; a new value replaces the old slices, never
+// their bytes, which scan hits alias. The key moves along into the new
+// buffer, so that it does not keep the old value alive.
+func (s *shard) refreshLocked(n *entry, value []byte) {
 	s.touch(n)
 	if !bytes.Equal(n.value, value) {
 		grow := int64(len(value) - len(n.value))
 		s.used += grow
 		s.ages[n.epoch%ageWindow] += grow
-		n.value = bytes.Clone(value)
+		buf := make([]byte, 0, len(n.key)+len(value))
+		n.key, n.value = carve(&buf, n.key), carve(&buf, value)
 	}
 }
 
@@ -555,9 +587,9 @@ func (c *Cache) Put(key, value []byte) {
 
 	// p and q are the cached neighbours of key in its shard: the last entry
 	// before it and the first at or after it.
-	p := s.list.seek(key)
-	q := p.next0
-	if q != nil && bytes.Equal(q.key, key) {
+	cur, hit := s.tree.seek(key)
+	p, q := cur.pred(), cur.entry()
+	if hit != nil {
 		s.refreshLocked(q, value)
 	} else {
 		// A new DB key inside a covered gap is admitted so the claims
@@ -567,13 +599,14 @@ func (c *Cache) Put(key, value []byte) {
 		// over [lb, q.key) — and both must learn of the key: it joins p's
 		// chain, and takes over the part of q's bound that still holds,
 		// [lb, key).
-		chained := p.contigNext && (q != nil || l.upper(si) != nil)
+		chained := p != nil && p.contigNext && (q != nil || l.upper(si) != nil)
 		bounded := q != nil && len(q.lowerBound) > 0 && bytes.Compare(q.lowerBound, key) <= 0
 		if !chained && !bounded {
 			s.mu.Unlock()
 			return
 		}
-		n := s.insertLocked(nil, key, value)
+		b := newBatch(1, len(key)+len(value))
+		n := s.insertLocked(&b, &cur, key, value)
 		n.contigNext = true
 		if bounded {
 			n.lowerBound, q.lowerBound = q.lowerBound, nil
@@ -592,13 +625,13 @@ func (c *Cache) Delete(key []byte) {
 	l, s, si := c.lock(key)
 	defer s.mu.Unlock()
 
-	p := s.list.seek(key)
-	n := p.next0
-	if n == nil || !bytes.Equal(n.key, key) {
+	cur, n := s.tree.seek(key)
+	if n == nil {
 		return // covered-gap keys cannot exist in the DB; nothing to fix
 	}
-	next := n.next0
-	s.removeLocked(n)
+	cur.advance()
+	next := cur.entry()
+	p := s.removeLocked(n)
 	s.pol.OnRemove(&n.Handle)
 
 	// Merge coverage across the removed key. The deleted key no longer
@@ -606,9 +639,11 @@ func (c *Cache) Delete(key []byte) {
 	// shard's first entry sitting right on its lower edge bounds the gap
 	// from the edge.
 	upper := l.upper(si)
-	p.contigNext = p.contigNext && n.contigNext && (next != nil || upper != nil)
+	if p != nil {
+		p.contigNext = p.contigNext && n.contigNext && (next != nil || upper != nil)
+	}
 	bound := n.lowerBound
-	if lower := l.lower(si); p == s.list.head && len(bound) == 0 && bytes.Equal(n.key, lower) {
+	if lower := l.lower(si); p == nil && len(bound) == 0 && bytes.Equal(n.key, lower) {
 		bound = lower
 	}
 	if next != nil && n.contigNext && len(bound) > 0 {
@@ -618,38 +653,33 @@ func (c *Cache) Delete(key []byte) {
 	}
 }
 
-// removeLocked unlinks n, the node right after the finger, and stops
-// charging for it.
-func (s *shard) removeLocked(n *node) {
+// removeLocked takes n out of the index, stops charging for it and returns
+// the entry before it in the shard, or nil.
+func (s *shard) removeLocked(n *entry) *entry {
 	s.forget(n)
-	s.list.unlink(n)
 	s.used -= n.size()
+	return s.tree.remove(n)
 }
 
 // enforceCapacityLocked evicts policy-chosen victims until the shard fits
 // its budget. Unlike Delete, a victim's key still exists in the database, so
-// the claim through it breaks. Victims are unlinked in runs: a batch admitted
-// in key order ages out in key order, and after one victim is unlinked the
-// finger stands right before its successor, so only the first victim of a
-// run costs a descent.
+// the claim through it breaks: its predecessor, found beside it in the
+// index, loses its contiguity claim. No victim costs a search.
 //
 // It reports whether the boundaries need a look (see Cache.check): the
 // cache has filled for the first time, or this shard has evicted its
 // budget's worth since it last asked.
 func (s *shard) enforceCapacityLocked() bool {
-	fingered, evicted := false, false
+	evicted := false
 	for s.used > s.capacity {
 		h := s.pol.Evict()
 		if h == nil {
 			break
 		}
-		victim := h.Owner().(*node)
-		if !fingered || s.list.finger[0].next0 != victim {
-			s.list.seek(victim.key)
-			fingered = true
+		victim := h.Owner().(*entry)
+		if p := s.removeLocked(victim); p != nil {
+			p.contigNext = false
 		}
-		s.list.finger[0].contigNext = false
-		s.removeLocked(victim)
 		s.churn += victim.size()
 		s.victim = victim.epoch
 		s.evictions++
@@ -660,7 +690,7 @@ func (s *shard) enforceCapacityLocked() bool {
 	case !evicted || len(c.shards) == 1:
 		return false
 	case len(c.layout.Load().splits) == 0:
-		return s.list.len() >= 2*len(c.shards)
+		return s.tree.count >= 2*len(c.shards)
 	case s.churn < s.capacity:
 		return false
 	}
@@ -736,7 +766,7 @@ func (c *Cache) ShardStats() []Stats {
 			Evictions:    s.evictions,
 			Used:         s.used,
 			Capacity:     s.capacity,
-			Entries:      s.list.len(),
+			Entries:      s.tree.count,
 		}
 		s.mu.Unlock()
 	}

@@ -17,7 +17,7 @@ func (c *Cache) check(i int) {
 	c.lockAll()
 	defer c.unlockAll()
 	if len(c.layout.Load().splits) == 0 {
-		if c.shards[0].list.len() >= 2*len(c.shards) {
+		if c.shards[0].tree.count >= 2*len(c.shards) {
 			c.splitLocked(0, false)
 		}
 		return
@@ -52,7 +52,7 @@ func (c *Cache) check(i int) {
 // splitLocked moves the boundaries so that each shard holds an equal share
 // of the bytes of entries touched in epoch cut or later (with byAge; of
 // all entries without), and rebuilds every shard around its new range. It
-// costs O(resident entries): each node moves with its tower, and each
+// costs O(resident entries): each shard's index is bulk-loaded, and each
 // shard's policy is refilled in the old policies' eviction order — an LRU
 // keeps every entry's recency relative to the entries it shared a shard
 // with. LeCaR's and Cacheus' frequencies and ghosts are not carried over.
@@ -62,34 +62,31 @@ func (c *Cache) splitLocked(cut uint32, byAge bool) {
 	shards := len(c.shards)
 	resident := 0
 	for j := 0; j < old.live(); j++ {
-		resident += c.shards[j].list.len()
+		resident += c.shards[j].tree.count
 	}
 	if resident < shards {
 		return
 	}
-	recent := func(n *node) bool { return !byAge || c.epoch-n.epoch <= c.epoch-cut }
+	recent := func(n *entry) bool { return !byAge || c.epoch-n.epoch <= c.epoch-cut }
 
 	// Every entry in key order. A claim that reached an old edge becomes
 	// one on the entry's successor when the next shard's first entry
 	// reaches down to that edge; otherwise it is dropped.
-	all := make([]*node, 0, resident)
+	all := make([]*entry, 0, resident)
 	var total int64
-	var before *node // the last entry of the shards so far
 	for j := 0; j < old.live(); j++ {
 		s := c.shards[j]
-		f := s.list.first()
-		if before != nil && before.contigNext {
-			before.contigNext = f != nil && anchored(s.list.head, f, old.lower(j))
+		if f := s.tree.begin().entry(); len(all) > 0 && all[len(all)-1].contigNext {
+			all[len(all)-1].contigNext = f != nil && anchored(nil, f, old.lower(j))
 		}
-		for n := f; n != nil; n = n.next0 {
-			all = append(all, n)
-			if recent(n) {
-				total += n.size()
-			}
-			before = n
+		all = s.tree.appendTo(all)
+	}
+	for _, n := range all {
+		if recent(n) {
+			total += n.size()
 		}
 	}
-	before.contigNext = false // nothing is known past the last entry
+	all[len(all)-1].contigNext = false // nothing is known past the last entry
 	if total == 0 {
 		byAge = false
 		for _, n := range all {
@@ -131,13 +128,13 @@ func (c *Cache) splitLocked(cut uint32, byAge bool) {
 		all[idx].lowerBound = nil
 	}
 
-	// Drain the old policies in eviction order before any node moves.
-	orders := make([][]*node, old.live())
+	// Drain the old policies in eviction order before any entry moves.
+	orders := make([][]*entry, old.live())
 	for j := range orders {
 		pol := c.shards[j].pol
-		orders[j] = make([]*node, 0, pol.Len())
+		orders[j] = make([]*entry, 0, pol.Len())
 		for h := pol.Evict(); h != nil; h = pol.Evict() {
-			orders[j] = append(orders[j], h.Owner().(*node))
+			orders[j] = append(orders[j], h.Owner().(*entry))
 		}
 	}
 
@@ -147,7 +144,7 @@ func (c *Cache) splitLocked(cut uint32, byAge bool) {
 		if j < len(at) {
 			hi = at[j]
 		}
-		s.list.rebuild(all[lo:hi])
+		s.tree.build(all[lo:hi])
 		s.pol = policy.New(c.policy, c.hint/shards+1)
 		s.used, s.ages, s.older, s.churn = 0, [ageWindow]int64{}, 0, 0
 		for _, n := range all[lo:hi] {

@@ -173,6 +173,11 @@ type AdCache struct {
 	stopped sync.Once
 	tuneMu  sync.Mutex // serialises tuneOnce and Pin
 	pinned  bool       // guarded by tuneMu; see Pin
+	// blockBytes and rangeBytes are the cache budgets last applied, and
+	// resizes counts the cache resizes that applied them (a test hook);
+	// all guarded by tuneMu.
+	blockBytes, rangeBytes int64
+	resizes                int
 
 	// Bound DB (optional): provides live LSM shape for the I/O model.
 	mu       sync.Mutex
@@ -217,6 +222,7 @@ func New(cfg Config) (*AdCache, error) {
 	a.block.Resize(cacheBytes - rangeBytes)
 	a.rng = rangecache.New(rangecache.Options{Capacity: cfg.Capacity}) // LRU
 	a.rng.Resize(rangeBytes)
+	a.blockBytes, a.rangeBytes = cacheBytes-rangeBytes, rangeBytes
 	a.params.Store(Params{
 		RangeRatio:     cfg.InitialRangeRatio,
 		PointThreshold: 0,

@@ -187,7 +187,9 @@ func (a *AdCache) applyParams(p Params) Params {
 	return p
 }
 
-// setParams publishes p and moves the budget boundaries to it.
+// setParams publishes p and moves the budget boundaries to it. A cache
+// whose budget stays the same is not resized: a resize locks every shard,
+// and hysteresis keeps the split most windows.
 func (a *AdCache) setParams(p Params) {
 	a.params.Store(p)
 	// Unified ledger: memtables take their share off the top, the caches
@@ -196,8 +198,16 @@ func (a *AdCache) setParams(p Params) {
 	memBytes := int64(float64(a.cfg.Capacity) * p.MemRatio)
 	cacheBytes := a.cfg.Capacity - memBytes
 	rangeBytes := int64(float64(cacheBytes) * p.RangeRatio)
-	a.block.Resize(cacheBytes - rangeBytes)
-	a.rng.Resize(rangeBytes)
+	if blockBytes := cacheBytes - rangeBytes; blockBytes != a.blockBytes {
+		a.block.Resize(blockBytes)
+		a.blockBytes = blockBytes
+		a.resizes++
+	}
+	if rangeBytes != a.rangeBytes {
+		a.rng.Resize(rangeBytes)
+		a.rangeBytes = rangeBytes
+		a.resizes++
+	}
 	if a.cfg.MemtableArbitration {
 		a.mu.Lock()
 		db := a.db

@@ -171,3 +171,28 @@ func TestBudgetsPartitionCapacity(t *testing.T) {
 		t.Fatalf("budget targets sum to %d, want %d (±2 truncation)", sum, int64(1)<<20)
 	}
 }
+
+// TestNoOpBudgetMoveTakesNoLocks pins that a window whose byte split
+// hysteresis kept resizes neither cache (a resize locks every shard), and
+// that a real move resizes both.
+func TestNoOpBudgetMoveTakesNoLocks(t *testing.T) {
+	a := newTestAdCache(t, Config{})
+	base := a.CurrentParams()
+	p := base
+	p.RangeRatio += 0.01 // inside the ±0.02 deadband
+	p.PointThreshold += 0.1
+	before := a.resizes
+	a.applyParams(p)
+	a.applyParams(base)
+	if a.resizes != before {
+		t.Fatalf("moves inside the deadband resized the caches %d times", a.resizes-before)
+	}
+	p.RangeRatio = base.RangeRatio + 0.1
+	a.applyParams(p)
+	if got := a.resizes - before; got != 2 {
+		t.Fatalf("a real move resized %d caches, want 2", got)
+	}
+	if got, want := a.rng.Capacity(), a.rangeBytes; got != want {
+		t.Fatalf("range cache holds %d bytes of budget, the split says %d", got, want)
+	}
+}

@@ -138,13 +138,14 @@ type Table2Row struct {
 }
 
 // RunTable2 regenerates Table 2 from the live model: parameter memory and
-// online-training overhead (gradients + Adam moments ≈ 4× parameters).
+// online-training overhead (Adam's two moments: 3× parameters in all, one
+// copy less than the paper's ≈4×, since a training step applies each
+// gradient as it computes it and stores none).
 func RunTable2() []Table2Row {
 	agent := rl.New(rl.Config{})
 	params := agent.MemoryBytes()
 	return []Table2Row{
 		{"model parameters (actor+critic)", params},
-		{"gradients", params},
 		{"Adam first moments", params},
 		{"Adam second moments", params},
 		{"total online training", agent.TrainingMemoryBytes()},

@@ -128,15 +128,15 @@ func TestRunConcurrentAggregates(t *testing.T) {
 
 func TestTable2Accounting(t *testing.T) {
 	rows := RunTable2()
-	if len(rows) != 5 {
+	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	weights := rows[0].Bytes
 	if weights < 450_000 || weights > 650_000 {
 		t.Fatalf("weights = %d bytes, want ≈550KB (paper Table 2)", weights)
 	}
-	if rows[4].Bytes != 4*weights {
-		t.Fatalf("training total = %d, want 4× weights", rows[4].Bytes)
+	if rows[3].Bytes != 3*weights {
+		t.Fatalf("training total = %d, want 3× weights (no gradient buffers)", rows[3].Bytes)
 	}
 }
 

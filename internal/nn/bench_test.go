@@ -5,53 +5,55 @@ import (
 	"testing"
 )
 
-// The paper-sized networks: these benchmarks back the §4.2 claim that a
-// control step is negligible against a 1000-operation window.
-func paperMLP() *MLP {
-	return NewMLP([]int{12, 256, 256, 4}, ReLU, Sigmoid, rand.New(rand.NewSource(1)))
+// The controller's networks (internal/rl): 18 state features, two hidden
+// layers of 256, a Tanh actor with 5 outputs and a Linear critic with 1.
+func controllerNets() (actor, critic *MLP, state []float32) {
+	rng := rand.New(rand.NewSource(1))
+	actor = NewMLP([]int{18, 256, 256, 5}, ReLU, Tanh, rng)
+	critic = NewMLP([]int{18, 256, 256, 1}, ReLU, Linear, rng)
+	state = make([]float32, 18)
+	for i := range state {
+		if i%3 != 0 { // a third of the features idle, as on a read-only mix
+			state[i] = float32(rng.Float64())
+		}
+	}
+	return actor, critic, state
 }
 
 func BenchmarkForward(b *testing.B) {
-	m := paperMLP()
-	x := make([]float32, 12)
+	actor, _, x := controllerNets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x)
-	}
-}
-
-func BenchmarkBackward(b *testing.B) {
-	m := paperMLP()
-	m.Forward(make([]float32, 12))
-	grad := []float32{1, 0, 0, 0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Backward(grad)
-	}
-}
-
-func BenchmarkStepAdam(b *testing.B) {
-	m := paperMLP()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.StepAdam(1e-3)
-	}
-}
-
-// BenchmarkControlStep measures a full window's training work: two critic
-// forwards, critic backward+Adam, actor forward, actor backward+Adam.
-func BenchmarkControlStep(b *testing.B) {
-	actor := paperMLP()
-	critic := NewMLP([]int{12, 256, 256, 1}, ReLU, Linear, rand.New(rand.NewSource(2)))
-	x := make([]float32, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		critic.Forward(x)
-		critic.Forward(x)
-		critic.Backward([]float32{0.1})
-		critic.StepAdam(1e-3)
 		actor.Forward(x)
-		actor.Backward([]float32{0.01, 0.01, 0.01, 0.01})
-		actor.StepAdam(1e-3)
+	}
+}
+
+func BenchmarkTrain(b *testing.B) {
+	actor, _, x := controllerNets()
+	actor.Forward(x)
+	grad := []float32{0.01, 0.01, 0.01, 0.01, 0.01}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		actor.Train(grad, 1e-3)
+	}
+}
+
+// BenchmarkControlStep measures one tuning window's network work, as
+// rl.Agent does it: the actor's forward pass to act, two critic forwards,
+// then one training step for each network, the actor's on the activations
+// it acted on. About 0.8 ms on a 2-core Xeon VM (1.1 ms for a two-pass
+// backward + Adam with a second actor forward): close to 1 µs per
+// operation of a 1,000-operation window, not negligible next to a
+// range-cache hit, which is why the step runs off the request path in
+// asynchronous mode.
+func BenchmarkControlStep(b *testing.B) {
+	actor, critic, x := controllerNets()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		actor.Forward(x)
+		critic.Forward(x)
+		critic.Forward(x)
+		critic.Train([]float32{0.1}, 1e-3)
+		actor.Train([]float32{0.01, 0.01, 0.01, 0.01, 0.01}, 1e-3)
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,8 +37,8 @@ func TestGradientNumerically(t *testing.T) {
 
 	// Analytic gradients.
 	out := m.Forward(x)
-	m.ZeroGrad()
-	m.Backward([]float32{out[0]})
+	g := newRefGrads(m)
+	g.backward(m, []float32{out[0]})
 
 	const eps = 1e-3
 	for l := range m.w {
@@ -49,7 +50,7 @@ func TestGradientNumerically(t *testing.T) {
 			lm := loss()
 			m.w[l][i] = orig
 			numeric := (lp - lm) / (2 * eps)
-			analytic := float64(m.gw[l][i])
+			analytic := float64(g.gw[l][i])
 			if math.Abs(numeric-analytic) > 1e-2*(1+math.Abs(numeric)) {
 				t.Fatalf("layer %d w[%d]: numeric %f vs analytic %f", l, i, numeric, analytic)
 			}
@@ -62,7 +63,7 @@ func TestGradientNumerically(t *testing.T) {
 			lm := loss()
 			m.b[l][j] = orig
 			numeric := (lp - lm) / (2 * eps)
-			analytic := float64(m.gb[l][j])
+			analytic := float64(g.gb[l][j])
 			if math.Abs(numeric-analytic) > 1e-2*(1+math.Abs(numeric)) {
 				t.Fatalf("layer %d b[%d]: numeric %f vs analytic %f", l, j, numeric, analytic)
 			}
@@ -77,8 +78,7 @@ func TestInputGradientNumerically(t *testing.T) {
 	m := NewMLP([]int{3, 5, 1}, ReLU, Linear, rng)
 	x := []float32{0.5, -0.2, 0.9}
 	out := m.Forward(x)
-	m.ZeroGrad()
-	dIn := m.Backward([]float32{out[0]})
+	dIn := newRefGrads(m).backward(m, []float32{out[0]})
 
 	const eps = 1e-3
 	for i := range x {
@@ -112,8 +112,7 @@ func TestAdamLearnsRegression(t *testing.T) {
 			first = math.Abs(float64(diff))
 		}
 		last = math.Abs(float64(diff))
-		m.Backward([]float32{diff})
-		m.StepAdam(0.01)
+		m.Train([]float32{diff}, 0.01)
 	}
 	if last > first/4 && last > 0.1 {
 		t.Fatalf("Adam failed to learn: first err %f, last err %f", first, last)
@@ -133,9 +132,9 @@ func TestParamAccountingMatchesPaper(t *testing.T) {
 	if bytes < 450_000 || bytes > 650_000 {
 		t.Fatalf("weight bytes = %d, want ≈550KB", bytes)
 	}
-	training := actor.TrainingMemoryBytes() + critic.TrainingMemoryBytes()
-	if training < 3*bytes || training > 5*bytes {
-		t.Fatalf("training bytes = %d, want ≈4× weights", training)
+	// Weights and Adam's two moments; Train keeps no gradient buffers.
+	if training := actor.TrainingMemoryBytes() + critic.TrainingMemoryBytes(); training != 3*bytes {
+		t.Fatalf("training bytes = %d, want 3× weights (%d)", training, 3*bytes)
 	}
 }
 
@@ -178,5 +177,160 @@ func TestZeroOutputLayer(t *testing.T) {
 				t.Fatalf("output %d = %v for %v, want exactly 0", i, y, x)
 			}
 		}
+	}
+}
+
+// refGrads is the two-pass reference for Train: gradients accumulated by
+// backward, then applied by stepAdam — the update Train must reproduce bit
+// for bit.
+type refGrads struct{ gw, gb [][]float32 }
+
+func newRefGrads(m *MLP) *refGrads {
+	g := &refGrads{}
+	for l := range m.w {
+		g.gw = append(g.gw, make([]float32, len(m.w[l])))
+		g.gb = append(g.gb, make([]float32, len(m.b[l])))
+	}
+	return g
+}
+
+// forward is the dense reference for Forward: every input summed.
+func refForward(m *MLP, x []float32) []float32 {
+	cur := x
+	for l := range m.w {
+		in, out := m.sizes[l], m.sizes[l+1]
+		next := make([]float32, out)
+		for j := 0; j < out; j++ {
+			sum := m.b[l][j]
+			row := m.w[l][j*in : (j+1)*in]
+			for i, xi := range cur {
+				sum += row[i] * xi
+			}
+			next[j] = m.acts[l].apply(sum)
+		}
+		cur = next
+	}
+	return cur
+}
+
+// backward accumulates the gradients of dOut at the most recent Forward
+// and returns dLoss/dInput.
+func (g *refGrads) backward(m *MLP, dOut []float32) []float32 {
+	delta := append([]float32(nil), dOut...)
+	for l := len(m.w) - 1; l >= 0; l-- {
+		in, out := m.sizes[l], m.sizes[l+1]
+		act := m.as[l+1]
+		for j := 0; j < out; j++ {
+			delta[j] *= m.acts[l].derivFromOutput(act[j])
+		}
+		prev := m.as[l]
+		dPrev := make([]float32, in)
+		for j := 0; j < out; j++ {
+			dj := delta[j]
+			g.gb[l][j] += dj
+			row := m.w[l][j*in : (j+1)*in]
+			grow := g.gw[l][j*in : (j+1)*in]
+			for i := 0; i < in; i++ {
+				grow[i] += dj * prev[i]
+				dPrev[i] += dj * row[i]
+			}
+		}
+		delta = dPrev
+	}
+	return delta
+}
+
+// stepAdam applies one Adam update from the accumulated gradients and
+// zeroes them.
+func (g *refGrads) stepAdam(m *MLP, lr float64) {
+	m.step++
+	invBC1 := float32(1 / (1 - math.Pow(adamBeta1, float64(m.step))))
+	invBC2 := float32(1 / (1 - math.Pow(adamBeta2, float64(m.step))))
+	const b1, b2, eps, tiny = float32(adamBeta1), float32(adamBeta2), float32(adamEps), 1e-30
+	lr32 := float32(lr)
+	update := func(w, gr, mo, vo []float32) {
+		for i := range w {
+			gi := gr[i]
+			m1 := b1*mo[i] + (1-b1)*gi
+			if m1 < tiny && m1 > -tiny {
+				m1 = 0
+			}
+			mo[i] = m1
+			v1 := b2*vo[i] + (1-b2)*gi*gi
+			if v1 < tiny {
+				v1 = 0
+			}
+			vo[i] = v1
+			w[i] -= lr32 * (m1 * invBC1) / (sqrt32(v1*invBC2) + eps)
+			gr[i] = 0
+		}
+	}
+	for l := range m.w {
+		update(m.w[l], g.gw[l], m.mw[l], m.vw[l])
+		update(m.b[l], g.gb[l], m.mb[l], m.vb[l])
+	}
+}
+
+// sameBits reports the first parameter or moment where a and b differ in
+// any bit, or "" if they are identical.
+func sameBits(a, b *MLP) string {
+	for l := range a.w {
+		for name, pair := range map[string][2][]float32{
+			"w": {a.w[l], b.w[l]}, "b": {a.b[l], b.b[l]},
+			"mw": {a.mw[l], b.mw[l]}, "vw": {a.vw[l], b.vw[l]},
+			"mb": {a.mb[l], b.mb[l]}, "vb": {a.vb[l], b.vb[l]},
+		} {
+			for i := range pair[0] {
+				if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
+					return fmt.Sprintf("layer %d %s[%d]: %v vs %v", l, name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestTrainMatchesTwoPass pins Train, and Forward's sparse sums, to the
+// two-pass reference bit for bit: 300 steps on the controller's shapes —
+// the Tanh actor and the Linear critic — with inputs that are partly zero,
+// as the controller's state is.
+func TestTrainMatchesTwoPass(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		out  int
+		act  Act
+	}{{"tanh actor", 5, Tanh}, {"linear critic", 1, Linear}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sizes := []int{18, 256, 256, tc.out}
+			fused := NewMLP(sizes, ReLU, tc.act, rand.New(rand.NewSource(7)))
+			ref := NewMLP(sizes, ReLU, tc.act, rand.New(rand.NewSource(7)))
+			g := newRefGrads(ref)
+			rng := rand.New(rand.NewSource(8))
+			x, dOut := make([]float32, 18), make([]float32, tc.out)
+			for step := 0; step < 300; step++ {
+				for i := range x {
+					x[i] = 0
+					if rng.Intn(3) > 0 {
+						x[i] = float32(rng.Float64())
+					}
+				}
+				for i := range dOut {
+					dOut[i] = float32(rng.NormFloat64())
+				}
+				got := fused.Forward(x)
+				ref.Forward(x)
+				for i, want := range refForward(ref, x) {
+					if math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Fatalf("step %d: Forward output %d = %v, the dense sum %v", step, i, got[i], want)
+					}
+				}
+				fused.Train(dOut, 1e-3)
+				g.backward(ref, dOut)
+				g.stepAdam(ref, 1e-3)
+				if diff := sameBits(fused, ref); diff != "" {
+					t.Fatalf("step %d: Train differs from backward + Adam at %s", step, diff)
+				}
+			}
+		})
 	}
 }

@@ -127,6 +127,10 @@ type Agent struct {
 
 	havePrev  bool
 	prevState []float32
+	// actorOut is the actor's output for prevState from Act's forward pass,
+	// whose activations Update trains on; nil once another forward pass
+	// (greedy) or a weight change has come between.
+	actorOut []float32
 	// prevNoise is the Gaussian draw of the last Act (residual units), before
 	// clamping: the score is taken on it, since clamped samples are
 	// one-sided at a bound and would push the mean inward on every positive
@@ -176,14 +180,14 @@ func (a *Agent) noiseStd(i int) float64 {
 }
 
 // means returns the action-space means prior + ResidualSpan·tanh(actor(s)),
-// unclamped.
-func (a *Agent) means(state []float32, prior []float64) []float64 {
+// unclamped, and the actor's output.
+func (a *Agent) means(state []float32, prior []float64) ([]float64, []float32) {
 	z := a.actor.Forward(state)
 	mu := make([]float64, ActionDim)
 	for i := range mu {
 		mu[i] = prior[i] + ResidualSpan*float64(z[i])
 	}
-	return mu
+	return mu, z
 }
 
 // bound clamps v into prior ± ResidualSpan, intersected with [0, 1].
@@ -196,7 +200,7 @@ func bound(v, prior float64) float64 {
 // next Update.
 func (a *Agent) Act(state []float32, prior Action) Action {
 	p := prior.vector()
-	act := a.means(state, p)
+	act, z := a.means(state, p)
 	a.prevNoise = a.prevNoise[:0]
 	for i := range act {
 		var noise float64
@@ -207,6 +211,7 @@ func (a *Agent) Act(state []float32, prior Action) Action {
 		act[i] = bound(act[i]+ResidualSpan*noise, p[i])
 	}
 	a.prevState = append(a.prevState[:0], state...)
+	a.actorOut = z
 	a.havePrev = true
 	return actionFrom(act)
 }
@@ -244,8 +249,7 @@ func (a *Agent) Update(reward, lrDelta float64, newState []float32) {
 	tdErr := target - vPrev // advantage estimate
 	a.lastCriticLoss = tdErr * tdErr
 	// dLoss/dV = V − target  (squared error).
-	a.critic.Backward([]float32{float32(vPrev - target)})
-	a.critic.StepAdam(criticLR)
+	a.critic.Train([]float32{float32(vPrev - target)}, criticLR)
 
 	// Actor: Gaussian policy gradient in action space. The policy's mean is
 	// μ = prior + span·tanh(z), its sample μ + span·ε (clamped only when
@@ -253,7 +257,12 @@ func (a *Agent) Update(reward, lrDelta float64, newState []float32) {
 	// advantage·logπ → descend loss with dL/dμ = −A·ε/(span·σ²), which
 	// dμ/d tanh(z) = span carries to the actor's output as −A·ε/σ² (the
 	// network applies tanh'), plus the residual's pull toward the prior.
-	u := a.actor.Forward(a.prevState)
+	// Act's forward pass left the actor's activations on prevState, unless
+	// something ran the actor since.
+	u := a.actorOut
+	if u == nil {
+		u = a.actor.Forward(a.prevState)
+	}
 	grad := make([]float32, ActionDim)
 	var logPi float64
 	for i := range grad {
@@ -264,8 +273,8 @@ func (a *Agent) Update(reward, lrDelta float64, newState []float32) {
 		grad[i] = float32(clampF(g, -10, 10) + residualPull*float64(u[i]))
 	}
 	a.lastActorLoss = -tdErr * logPi
-	a.actor.Backward(grad)
-	a.actor.StepAdam(a.actorLR)
+	a.actor.Train(grad, a.actorLR)
+	a.actorOut = nil
 }
 
 // Losses reports the actor and critic losses of the most recent Update —
@@ -285,7 +294,8 @@ func (a *Agent) Steps() int64 { return a.steps }
 // without recording it.
 func (a *Agent) greedy(state []float32, prior Action) Action {
 	p := prior.vector()
-	mu := a.means(state, p)
+	mu, _ := a.means(state, p)
+	a.actorOut = nil // the actor's activations are state's now
 	for i := range mu {
 		mu[i] = bound(mu[i], p[i])
 	}
@@ -298,7 +308,8 @@ func (a *Agent) NumParams() int { return a.actor.NumParams() + a.critic.NumParam
 // MemoryBytes reports parameter memory (Table 2's model row).
 func (a *Agent) MemoryBytes() int { return a.actor.MemoryBytes() + a.critic.MemoryBytes() }
 
-// TrainingMemoryBytes reports parameter+gradient+optimizer memory.
+// TrainingMemoryBytes reports parameter and optimizer memory (training
+// keeps no gradient buffers).
 func (a *Agent) TrainingMemoryBytes() int {
 	return a.actor.TrainingMemoryBytes() + a.critic.TrainingMemoryBytes()
 }
@@ -316,6 +327,7 @@ func (a *Agent) Save(fs vfs.FS, prefix string) error {
 // parametrization — including the untagged direct-output actor, whose layer
 // sizes match — fails with nn.ErrArchitectureMismatch.
 func (a *Agent) Load(fs vfs.FS, prefix string) error {
+	a.actorOut = nil
 	if err := a.actor.Load(fs, prefix+".actor", parametrization); err != nil {
 		return err
 	}

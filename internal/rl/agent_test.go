@@ -244,8 +244,9 @@ func TestMemoryAccountingTable2(t *testing.T) {
 	if b := a.MemoryBytes(); b < 450_000 || b > 650_000 {
 		t.Fatalf("MemoryBytes = %d, want ≈550KB", b)
 	}
-	if tb := a.TrainingMemoryBytes(); tb != 4*a.MemoryBytes() {
-		t.Fatalf("TrainingMemoryBytes = %d, want 4× weights", tb)
+	// Weights and Adam's two moments: training keeps no gradient buffers.
+	if tb := a.TrainingMemoryBytes(); tb != 3*a.MemoryBytes() {
+		t.Fatalf("TrainingMemoryBytes = %d, want 3× weights", tb)
 	}
 }
 
@@ -319,3 +320,27 @@ func TestParentModelRejected(t *testing.T) {
 type fileWriter struct{ f vfs.File }
 
 func (w fileWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
+
+// TestUpdateReusesActActivations pins the flag behind Update's reuse of
+// Act's forward pass: an agent whose actor ran on another state between
+// Act and Update (a greedy query) must train exactly as one whose did not.
+func TestUpdateReusesActActivations(t *testing.T) {
+	plain, probed := New(Config{}), New(Config{})
+	other := make([]float32, StateDim)
+	for i := range other {
+		other[i] = 1
+	}
+	s := constState()
+	for step := 0; step < 50; step++ {
+		reward := 0.5 + 0.01*float64(step%7)
+		if got, want := probed.Act(s, midPrior), plain.Act(s, midPrior); got != want {
+			t.Fatalf("step %d: actions diverge: %+v vs %+v", step, got, want)
+		}
+		probed.greedy(other, midPrior)
+		plain.Update(reward, 0, s)
+		probed.Update(reward, 0, s)
+	}
+	if got, want := probed.greedy(s, midPrior), plain.greedy(s, midPrior); got != want {
+		t.Fatalf("a greedy query between Act and Update changed training: %+v vs %+v", got, want)
+	}
+}
