@@ -609,7 +609,7 @@ func (c *Client) ScanCtx(ctx context.Context, start, end []byte, n int) ([]KV, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := c.openScan(sctx, addr, r)
+			st, err := c.openScan(sctx, addr, r, n)
 			streams[i] = st
 			if err != nil {
 				// One lost stream loses the scan: stop the other opens'
@@ -666,8 +666,10 @@ func (c *Client) ScanCtx(ctx context.Context, start, end []byte, n int) ([]KV, e
 // stream's consumer once handed out — advance always builds fresh
 // slices.
 type scanStream struct {
-	release   func()                                // closes the body and ends the attempt
-	pull      func() (key, value []byte, err error) // io.EOF at clean end
+	done      func() // closes the body and ends the attempt
+	dec       entryDecoder
+	limit     int // entries the scan asked for
+	arena     []byte
 	key       []byte
 	value     []byte
 	err       error
@@ -678,7 +680,7 @@ type scanStream struct {
 // end and recording any decode/transport error (a truncated stream —
 // the server died mid-scan — surfaces here, never as silent shortness).
 func (s *scanStream) advance() {
-	k, v, err := s.pull()
+	k, v, err := s.dec.next()
 	if err != nil {
 		s.exhausted = true
 		if err != io.EOF {
@@ -686,20 +688,40 @@ func (s *scanStream) advance() {
 		}
 		return
 	}
-	s.key, s.value = k, v
+	// The decoder's slices are its scratch: the entry is copied into the
+	// stream's arena, so a scan's results cost a chunk or two, not two
+	// allocations per entry. The first chunk is sized from the first entry
+	// for the whole limit (at most 64 entries and 1 MiB, as the engine's own
+	// scan presizes); a chunk that runs out is followed by one of its size.
+	if need := len(k) + len(v); need > cap(s.arena)-len(s.arena) {
+		size := cap(s.arena)
+		if size == 0 {
+			size = min(min(s.limit, 64)*need, 1<<20)
+		}
+		s.arena = make([]byte, 0, max(size, need))
+	}
+	n, m := len(s.arena), len(s.arena)+len(k)
+	s.arena = append(append(s.arena, k...), v...)
+	s.key, s.value = s.arena[n:m:m], s.arena[m:len(s.arena):len(s.arena)]
+}
+
+// release returns the decoder to its pool and ends the attempt.
+func (s *scanStream) release() {
+	s.dec.release()
+	s.done()
 }
 
 // openScan opens addr's stream for r and primes its first entry.
-func (c *Client) openScan(ctx context.Context, addr string, r *call) (*scanStream, error) {
+func (c *Client) openScan(ctx context.Context, addr string, r *call, limit int) (*scanStream, error) {
 	var st *scanStream
 	err := c.retry(ctx, func() error {
 		resp, release, err := c.send(ctx, addr, r)
 		if err != nil {
 			return err
 		}
-		st = &scanStream{release: release, pull: c.codec.entries(resp.Body)}
+		st = &scanStream{done: release, dec: c.codec.decoder(resp.Body), limit: limit}
 		if st.advance(); st.err != nil {
-			release()
+			st.release()
 			err, st = st.err, nil
 			return attemptErr(ctx, err)
 		}

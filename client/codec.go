@@ -1,9 +1,8 @@
 package client
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
+	"sync"
 
 	"adcache/internal/api"
 	"adcache/internal/api/wire"
@@ -19,10 +18,19 @@ type codec interface {
 	// appendBatch appends ops, encoded as a /v1/batch body, to dst. Every
 	// op's Kind is OpPut or OpDelete (BatchCtx checks before encoding).
 	appendBatch(dst []byte, ops []Op) []byte
-	// entries returns the pull function of a scan response body: a fresh
-	// key and value per call, io.EOF at the stream's end, and an error —
-	// never io.EOF — when the stream was cut before its end.
-	entries(body io.Reader) func() (key, value []byte, err error)
+	// decoder returns a pooled decoder reading a scan response body.
+	decoder(body io.Reader) entryDecoder
+}
+
+// entryDecoder reads one scan response stream.
+type entryDecoder interface {
+	// next returns the next entry, io.EOF at the stream's end, and an
+	// error — never io.EOF — when the stream was cut before its end. The
+	// slices are scratch, valid until the following call.
+	next() (key, value []byte, err error)
+	// release drops the body (and any buffer a huge entry grew) and
+	// returns the decoder to its pool.
+	release()
 }
 
 // binCodec is the binary framing: values round-trip as raw bytes.
@@ -42,80 +50,63 @@ func (binCodec) appendBatch(dst []byte, ops []Op) []byte {
 	return dst
 }
 
-func (binCodec) entries(body io.Reader) func() ([]byte, []byte, error) {
-	// The decoder's slices are scratch reused by the next frame, so entries
-	// are copied out before they are handed upward. Copies are carved from a
-	// chunked arena — two allocations per entry would make the scan hot path
-	// GC-bound.
-	dec := &wire.StreamDecoder{}
-	dec.Reset(body)
-	var arena []byte
-	carve := func(b []byte) []byte {
-		if len(b) > len(arena) {
-			arena = make([]byte, max(len(b), 64<<10))
-		}
-		out := arena[:len(b):len(b)]
-		arena = arena[len(b):]
-		copy(out, b)
-		return out
-	}
-	return func() ([]byte, []byte, error) {
-		k, v, err := dec.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		return carve(k), carve(v), nil
-	}
+type binDecoder struct{ dec wire.StreamDecoder }
+
+var binDecoders = sync.Pool{New: func() any { return new(binDecoder) }}
+
+func (binCodec) decoder(body io.Reader) entryDecoder {
+	d := binDecoders.Get().(*binDecoder)
+	d.dec.Reset(body)
+	return d
+}
+
+func (d *binDecoder) next() ([]byte, []byte, error) { return d.dec.Next() }
+
+func (d *binDecoder) release() {
+	d.dec.Reset(nil)
+	binDecoders.Put(d)
 }
 
 // jsonCodec is the default: a batch body is a JSON array of api.BatchOp, a
-// scan stream a JSON array of api.ScanEntry decoded element at a time.
+// scan stream a JSON array of api.ScanEntry, both through internal/api's
+// data-plane JSON codec.
 type jsonCodec struct{}
 
 func (jsonCodec) contentType() string { return "application/json" }
 
 func (jsonCodec) appendBatch(dst []byte, ops []Op) []byte {
-	jops := make([]api.BatchOp, len(ops))
+	dst = append(dst, '[')
 	for i, op := range ops {
-		jops[i] = api.BatchOp{Op: string(op.Kind), Key: string(op.Key), Value: string(op.Value)}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = api.AppendBatchOp(dst, string(op.Kind), op.Key, op.Value)
 	}
-	buf := bytes.NewBuffer(dst)
-	json.NewEncoder(buf).Encode(jops) // a slice of string-only structs always encodes
-	return buf.Bytes()
+	return append(dst, ']')
 }
 
-func (jsonCodec) entries(body io.Reader) func() ([]byte, []byte, error) {
-	dec := json.NewDecoder(body)
-	opened := false
-	return func() ([]byte, []byte, error) {
-		if !opened {
-			if _, err := dec.Token(); err != nil { // opening [
-				return nil, nil, unexpectedEOF(err)
-			}
-			opened = true
-		}
-		if !dec.More() {
-			// The closing ] ends the stream. A body that ends first is a
-			// stream the server cut (it signals a failure after the first
-			// flush by leaving the terminator off), not a short result.
-			if _, err := dec.Token(); err != nil {
-				return nil, nil, unexpectedEOF(err)
-			}
-			return nil, nil, io.EOF
-		}
-		var e api.ScanEntry
-		if err := dec.Decode(&e); err != nil {
-			return nil, nil, unexpectedEOF(err)
-		}
-		return []byte(e.Key), []byte(e.Value), nil
-	}
+type jsonDecoder struct {
+	dec api.JSONDecoder
+	f   api.JSONFields
 }
 
-// unexpectedEOF turns the decoder's io.EOF — the body ended — into
-// io.ErrUnexpectedEOF: inside a JSON array, running out of input is a cut.
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+var jsonDecoders = sync.Pool{New: func() any { return new(jsonDecoder) }}
+
+func (jsonCodec) decoder(body io.Reader) entryDecoder {
+	d := jsonDecoders.Get().(*jsonDecoder)
+	d.dec.Reset(body)
+	return d
+}
+
+func (d *jsonDecoder) next() ([]byte, []byte, error) {
+	if err := d.dec.Next(&d.f); err != nil {
+		return nil, nil, err
 	}
-	return err
+	return d.f.Key, d.f.Value, nil
+}
+
+func (d *jsonDecoder) release() {
+	d.dec.Reset(nil)
+	d.f = api.JSONFields{}
+	jsonDecoders.Put(d)
 }

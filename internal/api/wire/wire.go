@@ -232,7 +232,9 @@ type StreamDecoder struct {
 	value   []byte
 }
 
-// Reset points the decoder at a new stream, reusing its buffers.
+// Reset points the decoder at a new stream, reusing its buffers. Reset(nil)
+// drops the stream and any scratch a huge entry grew past 1 MiB, so a
+// pooled decoder pins neither a body nor a giant buffer.
 func (d *StreamDecoder) Reset(r io.Reader) {
 	if d.br == nil {
 		d.br = bufio.NewReaderSize(r, 32<<10)
@@ -240,6 +242,14 @@ func (d *StreamDecoder) Reset(r io.Reader) {
 		d.br.Reset(r)
 	}
 	d.started = false
+	if r == nil {
+		if cap(d.key) > keepBufBytes {
+			d.key = nil
+		}
+		if cap(d.value) > keepBufBytes {
+			d.value = nil
+		}
+	}
 }
 
 // Next decodes the next entry. It returns io.EOF at the terminator frame

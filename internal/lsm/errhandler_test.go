@@ -3,6 +3,8 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,6 +187,57 @@ func corruptSSTInPlace(t *testing.T, fs vfs.FS, path string) (restore func()) {
 	return func() {
 		if _, err := f.WriteAt(orig, off); err != nil {
 			t.Fatalf("restore %s: %v", path, err)
+		}
+	}
+}
+
+// createClock records when each SSTable create reaches the file system.
+type createClock struct {
+	vfs.FS
+	mu    sync.Mutex
+	times []time.Time
+}
+
+func (c *createClock) Create(name string) (vfs.File, error) {
+	if strings.HasSuffix(name, ".sst") {
+		c.mu.Lock()
+		c.times = append(c.times, time.Now())
+		c.mu.Unlock()
+	}
+	return c.FS.Create(name)
+}
+
+// TestBgRetriesBackOffByDefault runs the production worker with the
+// default retry settings against a flush whose table create fails three
+// times: each retry waits out the backoff (5 ms, doubling), so a failing
+// device is not hammered in a loop.
+func TestBgRetriesBackOffByDefault(t *testing.T) {
+	const fails = 3
+	fault := vfs.NewFault(vfs.NewMem())
+	clock := &createClock{FS: fault}
+	db := mustOpen(t, testOptions(clock))
+	defer db.Close()
+
+	fault.Target(".sst")
+	fault.FailCreates(fails)
+	fillMemTable(t, db, 0)
+	m := waitForMetrics(t, db, "the flush to succeed", func(m Metrics) bool {
+		return m.Flushes >= 1 && m.BgState == "healthy"
+	})
+	if m.BgRetries != fails {
+		t.Fatalf("BgRetries = %d, want %d", m.BgRetries, fails)
+	}
+	clock.mu.Lock()
+	times := append([]time.Time(nil), clock.times...)
+	clock.mu.Unlock()
+	if len(times) < fails+1 {
+		t.Fatalf("%d table creates, want at least %d", len(times), fails+1)
+	}
+	for i := 1; i <= fails; i++ {
+		gap, want := times[i].Sub(times[i-1]), (5*time.Millisecond)<<(i-1)
+		t.Logf("retry %d: %v after the failure", i, gap)
+		if gap < want {
+			t.Errorf("retry %d came %v after the failure, want at least %v", i, gap, want)
 		}
 	}
 }

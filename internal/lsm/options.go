@@ -111,8 +111,8 @@ type Options struct {
 	paranoidChecks bool
 	// bgRetryBase is the first retry delay after a transient background
 	// flush/compaction failure; successive failures double it up to
-	// bgRetryMaxDelay. Both default to 0: a failed flush or compaction is
-	// retried at once.
+	// bgRetryMaxDelay. Defaults 5 ms and 1 s, so a failing device is
+	// retried at a falling rate, not in a hot loop.
 	bgRetryBase     time.Duration
 	bgRetryMaxDelay time.Duration
 	// bgMaxRetries caps consecutive transient-failure retries; when
@@ -185,6 +185,12 @@ func (o Options) withDefaults() Options {
 	}
 	if o.maxImmutableMemTables <= 0 {
 		o.maxImmutableMemTables = 2
+	}
+	if o.bgRetryBase <= 0 {
+		o.bgRetryBase = 5 * time.Millisecond
+	}
+	if o.bgRetryMaxDelay <= 0 {
+		o.bgRetryMaxDelay = time.Second
 	}
 	if o.seed == 0 {
 		o.seed = 1

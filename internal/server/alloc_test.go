@@ -130,11 +130,10 @@ func TestBatchHandlerAllocs(t *testing.T) {
 		body        []byte
 		budget      float64
 	}{
-		// Budgets are the measurements taken before the handlers were
-		// rebuilt around one write path (87 and 54), not ceilings with
-		// headroom: most of each is the engine's per-op commit state, the
-		// JSON surplus is encoding/json building []api.BatchOp.
-		{"json", "application/json", jsonOps(ops...), 87},
+		// One budget for both codecs (both measure 45): most of it is the
+		// engine's per-op commit state, and a JSON body decodes in place,
+		// allocating nothing per op that a binary one does not.
+		{"json", "application/json", jsonOps(ops...), 54},
 		{"binary", wire.ContentType, binOps(ops...), 54},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -13,8 +12,8 @@ import (
 // JSON by default, the binary framing of internal/api/wire for
 // application/x-adcache-bin. It owns the package's only batch decoder and
 // only entry-stream encoder; handlers never branch on the format. Both
-// implementations are stateless (internal/api/wire and appendJSONBytes do
-// the byte work), so choosing one allocates nothing.
+// implementations are stateless (internal/api/wire and internal/api's JSON
+// codec do the byte work), so choosing one allocates nothing.
 type codec interface {
 	// contentType labels a response stream written with this codec.
 	contentType() string
@@ -92,28 +91,32 @@ type jsonCodec struct{}
 func (jsonCodec) contentType() string { return "application/json" }
 
 func (jsonCodec) each(body []byte, fn stageFunc) error {
-	var ops []api.BatchOp
-	if err := json.Unmarshal(body, &ops); err != nil {
-		return err
+	// The decoder decodes each string over its own encoding in body, so the
+	// ops it yields alias body as the binary codec's do, and staging a JSON
+	// op allocates nothing the binary path does not. The first 16 ops are
+	// collected on the stack.
+	var dec api.JSONDecoder
+	dec.ResetBytes(body)
+	var arr [16]api.JSONFields
+	ops := arr[:0]
+	for {
+		var f api.JSONFields
+		err := dec.Next(&f)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		ops = append(ops, f)
 	}
-	// Unmarshal copied every string out, so body is dead: its buffer now
-	// hosts the byte forms of the keys and values, and staging a JSON op
-	// allocates nothing the binary path does not. (Only an op whose decoded
-	// form outgrows its encoding — U+FFFD replacing invalid bytes — makes
-	// append move to a fresh array; slices handed out earlier stay valid.)
-	buf := body[:0]
 	for i, o := range ops {
-		k := len(buf)
-		buf = append(buf, o.Key...)
-		key := buf[k:len(buf):len(buf)]
 		var err error
-		switch o.Op {
+		switch string(o.Op) {
 		case "put":
-			v := len(buf)
-			buf = append(buf, o.Value...)
-			err = fn(i, wire.OpPut, key, buf[v:len(buf):len(buf)])
+			err = fn(i, wire.OpPut, o.Key, o.Value)
 		case "delete":
-			err = fn(i, wire.OpDelete, key, nil)
+			err = fn(i, wire.OpDelete, o.Key, nil)
 		default:
 			err = &reqError{api.CodeBadOp, fmt.Sprintf("op %d: unknown %q (want put|delete)", i, o.Op)}
 		}
@@ -130,11 +133,7 @@ func (jsonCodec) entry(dst []byte, n int, key, value []byte) []byte {
 	if n > 0 {
 		dst = append(dst, ',')
 	}
-	dst = append(dst, `{"key":`...)
-	dst = appendJSONBytes(dst, key)
-	dst = append(dst, `,"value":`...)
-	dst = appendJSONBytes(dst, value)
-	return append(dst, '}')
+	return api.AppendScanEntry(dst, key, value)
 }
 
 func (jsonCodec) end(dst []byte) []byte { return append(dst, ']', '\n') }

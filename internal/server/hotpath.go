@@ -4,16 +4,15 @@ import (
 	"net/http"
 	"sync"
 	"time"
-	"unicode/utf8"
 )
 
 // The service hot path avoids per-request allocation: every request is
 // wrapped in a pooled timedWriter carrying its arrival time plus two
 // reusable scratch buffers (request-body bytes and response encoding),
 // per-route metrics are resolved once when the route is mounted, and
-// JSON envelopes/scan entries are appended by hand instead of through
-// encoding/json. Regression tests in alloc_test.go pin the resulting
-// budgets.
+// JSON envelopes/scan entries are appended by hand (internal/api's
+// data-plane JSON codec) instead of through encoding/json. Regression
+// tests in alloc_test.go pin the resulting budgets.
 
 // keepScratchBytes bounds what a pooled scratch buffer may retain: one
 // giant body or scan response must not pin megabytes in the pool.
@@ -50,53 +49,3 @@ var twPool = sync.Pool{New: func() any { return new(timedWriter) }}
 // writerOf returns the request's timedWriter: route wraps every mounted
 // handler, so a handler's ResponseWriter always is one.
 func writerOf(w http.ResponseWriter) *timedWriter { return w.(*timedWriter) }
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONBytes appends s as a JSON string literal, escaping exactly
-// what validity requires (quotes, backslashes, control bytes) and
-// replacing invalid UTF-8 with U+FFFD, matching encoding/json semantics
-// minus its HTML escaping.
-func appendJSONBytes(dst []byte, s []byte) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
-				dst = append(dst, c)
-			} else {
-				dst = appendEscaped(dst, c)
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			continue
-		}
-		dst = append(dst, s[i:i+size]...)
-		i += size
-	}
-	return append(dst, '"')
-}
-
-// appendEscaped writes the escape sequence for one ASCII byte that cannot
-// appear raw inside a JSON string.
-func appendEscaped(dst []byte, c byte) []byte {
-	switch c {
-	case '"':
-		return append(dst, '\\', '"')
-	case '\\':
-		return append(dst, '\\', '\\')
-	case '\n':
-		return append(dst, '\\', 'n')
-	case '\r':
-		return append(dst, '\\', 'r')
-	case '\t':
-		return append(dst, '\\', 't')
-	default:
-		return append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-	}
-}

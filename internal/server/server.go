@@ -379,7 +379,7 @@ func (s *server) writeErr(w http.ResponseWriter, status int, code, msg string) {
 	buf := append(tw.out[:0], `{"code":"`...)
 	buf = append(buf, code...)
 	buf = append(buf, `","message":`...)
-	buf = appendJSONBytes(buf, []byte(msg))
+	buf = api.AppendJSONString(buf, []byte(msg))
 	if e := s.epoch(); e != 0 {
 		buf = append(buf, `,"epoch":`...)
 		buf = strconv.AppendUint(buf, e, 10)
