@@ -71,6 +71,7 @@ func main() {
 		fmt.Printf("entries:        %d (+%d in memtable)\n", m.TotalEntries, m.MemTableEntries)
 		fmt.Printf("total bytes:    %d\n", m.TotalBytes)
 		fmt.Printf("flushes:        %d, compactions: %d\n", m.Flushes, m.Compactions)
+		fmt.Printf("moves:          %d (%d bytes moved down a level, none rewritten)\n", m.Moves, m.MovedBytes)
 		fmt.Printf("sst reads:      %d (query path)\n", db.SSTReads())
 	case "metrics":
 		// Full registry in Prometheus text form — pipe-friendly for diffing
@@ -125,7 +126,9 @@ func main() {
 		if err := db.Flush(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("loaded %d keys\n", n)
+		m := db.LSM().Metrics()
+		fmt.Printf("loaded %d keys: %d compactions rewrote %d bytes, %d moves moved %d bytes\n",
+			n, m.Compactions, m.CompactedBytes, m.Moves, m.MovedBytes)
 	case "compact":
 		if err := db.Compact(); err != nil {
 			fatal(err)

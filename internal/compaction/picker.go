@@ -4,11 +4,14 @@
 //
 // The policy is the paper's "1-leveling" (RocksDB leveled) scheme: L0→L1
 // when L0 accumulates L0Trigger files, and Li→Li+1 when level i exceeds its
-// byte target, with targets growing by SizeRatio per level.
+// byte target, with targets growing by SizeRatio per level. A plan whose
+// inputs overlap nothing in the output level, nor each other, is a move
+// (RocksDB's trivial move): its files go down a level as they are.
 package compaction
 
 import (
 	"bytes"
+	"slices"
 
 	"adcache/internal/manifest"
 )
@@ -23,6 +26,11 @@ type Config struct {
 	SizeRatio int
 	// NumLevels is the level count.
 	NumLevels int
+	// TargetFileSize is the size compaction outputs aim for. A file of less
+	// than half of it is merged, never moved: each file edge costs a missed
+	// scan one more device read, and a rewrite packs small files into
+	// full-sized ones.
+	TargetFileSize int64
 }
 
 // TargetSize returns level's byte budget (level >= 1).
@@ -44,6 +52,10 @@ type Plan struct {
 	// LastLevel reports that OutputLevel is the deepest level containing
 	// data after the compaction, so tombstones may be dropped.
 	LastLevel bool
+	// Move reports that Inputs go to OutputLevel unchanged: Overlaps is
+	// empty, the inputs are pairwise disjoint in user keys, and none is
+	// under half of Config.TargetFileSize. Nothing is read or rewritten.
+	Move bool
 }
 
 // Files returns all participating files.
@@ -91,6 +103,7 @@ func pickL0(v *manifest.Version, cfg Config) *Plan {
 		Inputs:      inputs,
 		Overlaps:    overlaps,
 		LastLevel:   deepestDataLevel(v) <= 1,
+		Move:        len(overlaps) == 0 && movable(inputs, cfg),
 	}
 }
 
@@ -119,7 +132,28 @@ func pickLevel(v *manifest.Version, cfg Config, level int, roundRobin map[int][]
 		Inputs:      inputs,
 		Overlaps:    overlaps,
 		LastLevel:   deepestDataLevel(v) <= level+1,
+		Move:        len(overlaps) == 0 && movable(inputs, cfg),
 	}
+}
+
+// movable reports whether files can go down a level unchanged: each holds
+// at least half of cfg.TargetFileSize, and no two share a user key.
+func movable(files []*manifest.FileMeta, cfg Config) bool {
+	for _, f := range files {
+		if 2*int64(f.Size) < cfg.TargetFileSize {
+			return false
+		}
+	}
+	sorted := slices.Clone(files)
+	slices.SortFunc(sorted, func(a, b *manifest.FileMeta) int {
+		return bytes.Compare(a.Smallest.UserKey(), b.Smallest.UserKey())
+	})
+	for i := 1; i < len(sorted); i++ {
+		if bytes.Compare(sorted[i-1].Largest.UserKey(), sorted[i].Smallest.UserKey()) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // keyBounds returns the min smallest and max largest user keys of files.

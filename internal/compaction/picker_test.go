@@ -123,3 +123,74 @@ func TestPlanFiles(t *testing.T) {
 		t.Fatalf("Files = %d", len(p.Files()))
 	}
 }
+
+// TestMoveOrMerge: a plan moves only when no output-level file overlaps it,
+// its inputs are pairwise disjoint, and each input is at least half of
+// TargetFileSize; every other plan merges.
+func TestMoveOrMerge(t *testing.T) {
+	cfg := testConfig()
+	cfg.TargetFileSize = 200 // the size floor is 100 bytes
+	l0 := func(files ...*manifest.FileMeta) *manifest.Version {
+		v := manifest.NewVersion(5)
+		v.Levels[0] = files
+		return v
+	}
+	disjointL0 := func() *manifest.Version {
+		return l0(fm(4, "m", "p", 100), fm(3, "j", "l", 100), fm(2, "d", "f", 100), fm(1, "a", "c", 100))
+	}
+	for _, tc := range []struct {
+		name   string
+		v      *manifest.Version
+		move   bool
+		inputs int
+	}{
+		{"disjoint L0 files move together", disjointL0(), true, 4},
+		{"L0 files that share a user key merge", l0(fm(4, "m", "p", 100), fm(3, "j", "m", 100), fm(2, "d", "f", 100), fm(1, "a", "c", 100)), false, 4},
+		{"an L0 file under the size floor merges", l0(fm(4, "m", "p", 100), fm(3, "j", "l", 99), fm(2, "d", "f", 100), fm(1, "a", "c", 100)), false, 4},
+		{"an overlap in the output level merges", func() *manifest.Version {
+			v := disjointL0()
+			v.Levels[1] = []*manifest.FileMeta{fm(10, "e", "g", 100)}
+			return v
+		}(), false, 4},
+		{"output-level files outside the inputs' range do not stop a move", func() *manifest.Version {
+			v := disjointL0()
+			v.Levels[1] = []*manifest.FileMeta{fm(11, "q", "z", 100)}
+			return v
+		}(), true, 4},
+		{"an output-level file in a gap between the inputs merges", func() *manifest.Version {
+			v := disjointL0()
+			v.Levels[1] = []*manifest.FileMeta{fm(10, "g", "i", 100)}
+			return v
+		}(), false, 4},
+		{"a level file with no overlap below moves", func() *manifest.Version {
+			v := manifest.NewVersion(5)
+			v.Levels[1] = []*manifest.FileMeta{fm(1, "a", "f", 800), fm(2, "g", "p", 800)}
+			v.Levels[2] = []*manifest.FileMeta{fm(3, "q", "z", 500)}
+			return v
+		}(), true, 1},
+		{"a level file with an overlap below merges", func() *manifest.Version {
+			v := manifest.NewVersion(5)
+			v.Levels[1] = []*manifest.FileMeta{fm(1, "a", "f", 800), fm(2, "g", "p", 800)}
+			v.Levels[2] = []*manifest.FileMeta{fm(3, "e", "z", 500)}
+			return v
+		}(), false, 1},
+		{"a level file under the size floor merges", func() *manifest.Version {
+			v := manifest.NewVersion(5)
+			v.Levels[1] = []*manifest.FileMeta{fm(1, "a", "f", 99), fm(2, "g", "p", 1000)}
+			return v
+		}(), false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := Pick(tc.v, cfg, map[int][]byte{})
+			if plan == nil {
+				t.Fatal("no plan")
+			}
+			if plan.Move != tc.move || len(plan.Inputs) != tc.inputs {
+				t.Fatalf("Move = %v with %d inputs, want %v with %d", plan.Move, len(plan.Inputs), tc.move, tc.inputs)
+			}
+			if plan.Move && len(plan.Overlaps) != 0 {
+				t.Fatalf("a move with %d overlaps", len(plan.Overlaps))
+			}
+		})
+	}
+}

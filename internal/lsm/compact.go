@@ -37,15 +37,22 @@ func (d *DB) compactLoop() error {
 
 // runCompaction merges plan's inputs into the output level, as one serial
 // merge or as range-partitioned parallel subcompactions (see
-// Options.CompactionParallelism). The merges and output writes run without
-// d.mu — reads and write groups proceed concurrently — and only the version
-// install takes the exclusive lock, after the manifest edit is durable, so
-// readers and the strategy callback observe one atomic compaction regardless
-// of how many shards executed it.
+// Options.CompactionParallelism), or moves them there when the plan is a
+// move. The merges and output writes run without d.mu — reads and write
+// groups proceed concurrently — and only the version install takes the
+// exclusive lock, after the manifest edit is durable, so readers and the
+// strategy callback observe one atomic compaction regardless of how many
+// shards executed it.
 // Input files cannot disappear mid-merge: they belong to the current
 // version, version changes are serialised by compactMu (held here), and the
 // version GC only deletes files referenced by no live version.
 func (d *DB) runCompaction(plan *compaction.Plan) error {
+	if plan.Move {
+		// A move is a compaction whose outputs are its inputs: nothing is
+		// read or written, and the files keep their numbers, so the blocks
+		// cached from them stay valid.
+		return d.installCompaction(plan, plan.Inputs, 0)
+	}
 	start := time.Now()
 	defer d.metrics.compactNanos.ObserveSince(start)
 
@@ -60,60 +67,75 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 	if err != nil {
 		return err
 	}
+	if err := d.installCompaction(plan, outputs, len(ranges)); err != nil {
+		return err
+	}
+	if d.opts.PrefetchOnCompaction > 0 && d.strategy.BlockCache() != nil {
+		return d.prefetchOutputs(outputs)
+	}
+	return nil
+}
 
+// installCompaction commits the edit that replaces plan's files with
+// outputs, one level down for a move, and installs the version it leads
+// to. A merge's inputs become obsolete, to be deleted by the version GC once
+// no in-flight read pins them; a move's stay live at their new level.
+// shards is the number of subcompactions that wrote outputs.
+func (d *DB) installCompaction(plan *compaction.Plan, outputs []*manifest.FileMeta, shards int) error {
 	edit := &manifest.Edit{
 		Kind:        manifest.EditCompaction,
 		NextFileNum: d.nextFileNum.Load(),
 		LastSeq:     d.seqAlloc.Load(),
 	}
-	inputs := plan.Files()
-	oldNums := make([]uint64, 0, len(inputs))
 	for _, f := range plan.Inputs {
 		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: plan.InputLevel, FileNum: f.FileNum})
-		oldNums = append(oldNums, f.FileNum)
 	}
 	for _, f := range plan.Overlaps {
 		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: plan.OutputLevel, FileNum: f.FileNum})
-		oldNums = append(oldNums, f.FileNum)
 	}
 	for _, f := range outputs {
 		edit.Added = append(edit.Added, manifest.LevelFile{Level: plan.OutputLevel, Meta: f})
 	}
-	// On failure the outputs stay on disk, as a failed flush's table does.
+	var obsolete []uint64
+	if !plan.Move {
+		for _, f := range plan.Files() {
+			obsolete = append(obsolete, f.FileNum)
+		}
+	}
+	// On failure a merge's outputs stay on disk, as a failed flush's table
+	// does.
 	v, err := d.store.Commit(edit)
 	if err != nil {
 		return err
 	}
 
-	// Install the new version. Obsolete input files are deleted by the
-	// version GC once no in-flight read pins them.
 	d.mu.Lock()
-	dead := d.installVersion(v, oldNums)
-	for _, f := range inputs {
-		d.metrics.compactedBytes.Add(int64(f.Size))
+	dead := d.installVersion(v, obsolete)
+	if plan.Move {
+		d.metrics.moves.Inc()
+		for _, f := range outputs {
+			d.metrics.movedBytes.Add(int64(f.Size))
+		}
+	} else {
+		for _, f := range plan.Inputs {
+			d.metrics.compactedBytes.Add(int64(f.Size))
+			d.metrics.levelCompactIn[plan.InputLevel].Add(int64(f.Size))
+		}
+		for _, f := range plan.Overlaps {
+			d.metrics.compactedBytes.Add(int64(f.Size))
+			d.metrics.levelCompactIn[plan.OutputLevel].Add(int64(f.Size))
+		}
+		for _, f := range outputs {
+			d.metrics.compactionOut.Add(int64(f.Size))
+			d.metrics.levelCompactOut[plan.OutputLevel].Add(int64(f.Size))
+		}
+		d.metrics.compactions.Inc()
+		d.metrics.subcompactions.Add(int64(shards))
 	}
-	for _, f := range plan.Inputs {
-		d.metrics.levelCompactIn[plan.InputLevel].Add(int64(f.Size))
-	}
-	for _, f := range plan.Overlaps {
-		d.metrics.levelCompactIn[plan.OutputLevel].Add(int64(f.Size))
-	}
-	for _, f := range outputs {
-		d.metrics.compactionOut.Add(int64(f.Size))
-		d.metrics.levelCompactOut[plan.OutputLevel].Add(int64(f.Size))
-	}
-	d.metrics.compactions.Inc()
-	d.metrics.subcompactions.Add(int64(len(ranges)))
 	// L0 may have shrunk below the stop trigger: wake stalled writers.
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 	d.removeTables(dead)
-
-	if d.opts.PrefetchOnCompaction > 0 && d.strategy.BlockCache() != nil {
-		if err := d.prefetchOutputs(outputs); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

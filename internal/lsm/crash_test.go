@@ -43,31 +43,53 @@ func crashOp(j int) (del bool, k, v []byte) {
 	if j%13 == 12 {
 		return true, k, nil
 	}
-	return false, k, []byte(fmt.Sprintf("val%08d-%s", j, strings.Repeat("x", 100)))
+	return false, k, crashValue(j)
 }
 
-const crashWorkloadOps = 150
+func crashValue(j int) []byte {
+	return []byte(fmt.Sprintf("val%08d-%s", j, strings.Repeat("x", 100)))
+}
 
-// runCrashWorkload opens a DB on fs and applies the scripted workload,
-// tracking the model of acknowledged state. failedAt is the index of the op
-// that observed the crash (-1 if none, -2 if Open itself crashed). The model
-// contains only acked ops: op failedAt may or may not have applied.
-func runCrashWorkload(fs vfs.FS, dir string) (model map[string]string, failedAt int) {
+// crashScript is a scripted workload: ops operations op(0)..op(ops-1) over
+// the keys key(0)..key(pool-1).
+type crashScript struct {
+	name      string
+	ops, pool int
+	op        func(j int) (del bool, k, v []byte)
+	// moves: the uninterrupted run must execute compactions as moves.
+	moves bool
+}
+
+var crashScripts = []crashScript{
+	{name: "mixed", ops: 150, pool: crashKeyPool, op: crashOp},
+	// An ordered load: its tables overlap nothing, so its compactions are
+	// moves, and a crash lands inside or around each move's one edit.
+	{name: "ordered", ops: 200, pool: 200, moves: true, op: func(j int) (bool, []byte, []byte) {
+		return false, key(j), crashValue(j)
+	}},
+}
+
+// runCrashWorkload opens a DB on fs and applies the script, tracking the
+// model of acknowledged state. failedAt is the index of the op that
+// observed the crash (-1 if none, -2 if Open itself crashed). The model
+// contains only acked ops: op failedAt may or may not have applied. moves is
+// the number of moves the DB made before it closed or crashed.
+func runCrashWorkload(fs vfs.FS, dir string, s crashScript) (model map[string]string, failedAt int, moves int64) {
 	model = map[string]string{}
 	db, err := Open(crashOpts(fs, dir))
 	if err != nil {
-		return model, -2
+		return model, -2, 0
 	}
-	for j := 0; j < crashWorkloadOps; j++ {
-		del, k, v := crashOp(j)
+	defer db.Close() // may crash mid-close; everything acked is already synced
+	for j := 0; j < s.ops; j++ {
+		del, k, v := s.op(j)
 		if del {
 			err = db.Delete(k)
 		} else {
 			err = db.Put(k, v)
 		}
 		if err != nil {
-			db.Close() // device is gone; errors here are expected
-			return model, j
+			return model, j, db.Metrics().Moves // device is gone; errors here are expected
 		}
 		if del {
 			delete(model, string(k))
@@ -75,21 +97,23 @@ func runCrashWorkload(fs vfs.FS, dir string) (model map[string]string, failedAt 
 			model[string(k)] = string(v)
 		}
 	}
-	db.Close() // may crash mid-close; everything acked is already synced
-	return model, -1
+	return model, -1, db.Metrics().Moves
 }
 
 // verifyCrashRecovery reopens the post-crash file system and asserts the
-// durability contract against the acked model. The op in flight at the crash
-// (if any) is allowed to have either fully applied or not at all — never
-// half-applied, which the integrity check and value comparison would catch.
-func verifyCrashRecovery(t *testing.T, fs vfs.FS, dir string, model map[string]string, failedAt int) {
+// durability contract against the acked model: every table the recovered
+// manifest lists exists and passes the integrity check, and every acked
+// key reads back. The op in flight at the crash (if any) is allowed to have
+// either fully applied or not at all — never half-applied, which the
+// integrity check and value comparison would catch.
+func verifyCrashRecovery(t *testing.T, fs vfs.FS, dir string, s crashScript, model map[string]string, failedAt int) {
 	t.Helper()
 	db, err := Open(crashOpts(fs, dir))
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer db.Close()
+	// VerifyIntegrity opens and reads every table the manifest lists.
 	if _, err := db.VerifyIntegrity(); err != nil {
 		t.Fatalf("integrity after crash: %v", err)
 	}
@@ -97,10 +121,10 @@ func verifyCrashRecovery(t *testing.T, fs vfs.FS, dir string, model map[string]s
 	var exemptDel bool
 	var exemptVal string
 	if failedAt >= 0 {
-		del, k, v := crashOp(failedAt)
+		del, k, v := s.op(failedAt)
 		exemptKey, exemptDel, exemptVal = string(k), del, string(v)
 	}
-	for i := 0; i < crashKeyPool; i++ {
+	for i := 0; i < s.pool; i++ {
 		k := key(i)
 		got, ok, err := db.Get(k)
 		if err != nil {
@@ -125,13 +149,17 @@ func verifyCrashRecovery(t *testing.T, fs vfs.FS, dir string, model map[string]s
 	}
 }
 
-// countCrashWorkloadOps runs the workload uninterrupted to learn how many FS
+// countCrashWorkloadOps runs the script uninterrupted to learn how many FS
 // operations the full run performs — the sweep's domain.
-func countCrashWorkloadOps(t *testing.T) int64 {
+func countCrashWorkloadOps(t *testing.T, s crashScript) int64 {
 	t.Helper()
 	cfs := vfs.NewCrash(vfs.NewMem())
-	if _, failedAt := runCrashWorkload(cfs, "crashdb"); failedAt != -1 {
+	_, failedAt, moves := runCrashWorkload(cfs, "crashdb", s)
+	if failedAt != -1 {
 		t.Fatalf("unarmed workload reported crash at op %d", failedAt)
+	}
+	if s.moves && moves == 0 {
+		t.Fatal("the workload made no move")
 	}
 	total := cfs.OpCount()
 	if total < 100 {
@@ -141,26 +169,29 @@ func countCrashWorkloadOps(t *testing.T) int64 {
 }
 
 // TestCrashPointSweep kills the simulated device after every Nth durable FS
-// operation of the scripted workload — covering WAL appends and syncs,
-// SSTable writes, directory syncs, manifest appends and rollovers and WAL
-// retirement — and
-// verifies recovery at each point.
+// operation of each scripted workload — covering WAL appends and syncs,
+// SSTable writes, directory syncs, manifest appends and rollovers, moves
+// and WAL retirement — and verifies recovery at each point.
 func TestCrashPointSweep(t *testing.T) {
-	total := countCrashWorkloadOps(t)
-	step := int64(1)
-	if max := int64(400); total > max {
-		step = total / max
-	}
-	t.Logf("sweeping %d crash points (every %d of %d FS ops)", total/step, step, total)
-	for p := int64(0); p <= total; p += step {
-		cfs := vfs.NewCrash(vfs.NewMem())
-		cfs.ArmCrash(p)
-		model, failedAt := runCrashWorkload(cfs, "crashdb")
-		if p < total && !cfs.Crashed() {
-			t.Fatalf("crash point %d: workload completed without hitting the crash", p)
-		}
-		recovered := cfs.Crash(vfs.CrashOptions{})
-		verifyCrashRecovery(t, recovered, "crashdb", model, failedAt)
+	for _, s := range crashScripts {
+		t.Run(s.name, func(t *testing.T) {
+			total := countCrashWorkloadOps(t, s)
+			step := int64(1)
+			if max := int64(400); total > max {
+				step = total / max
+			}
+			t.Logf("sweeping %d crash points (every %d of %d FS ops)", total/step, step, total)
+			for p := int64(0); p <= total; p += step {
+				cfs := vfs.NewCrash(vfs.NewMem())
+				cfs.ArmCrash(p)
+				model, failedAt, _ := runCrashWorkload(cfs, "crashdb", s)
+				if p < total && !cfs.Crashed() {
+					t.Fatalf("crash point %d: workload completed without hitting the crash", p)
+				}
+				recovered := cfs.Crash(vfs.CrashOptions{})
+				verifyCrashRecovery(t, recovered, "crashdb", s, model, failedAt)
+			}
+		})
 	}
 }
 
@@ -168,21 +199,25 @@ func TestCrashPointSweep(t *testing.T) {
 // keeps a sector-aligned prefix of each file's unsynced bytes, so recovery
 // must also cope with partially persisted records past the durable point.
 func TestCrashPointSweepTornTail(t *testing.T) {
-	total := countCrashWorkloadOps(t)
-	step := int64(1)
-	if max := int64(150); total > max {
-		step = total / max
-	}
-	for p := int64(0); p <= total; p += step {
-		cfs := vfs.NewCrash(vfs.NewMem())
-		cfs.ArmCrash(p)
-		model, failedAt := runCrashWorkload(cfs, "crashdb")
-		recovered := cfs.Crash(vfs.CrashOptions{
-			Seed:         p,
-			KeepTornTail: true,
-			SectorSize:   512,
+	for _, s := range crashScripts {
+		t.Run(s.name, func(t *testing.T) {
+			total := countCrashWorkloadOps(t, s)
+			step := int64(1)
+			if max := int64(150); total > max {
+				step = total / max
+			}
+			for p := int64(0); p <= total; p += step {
+				cfs := vfs.NewCrash(vfs.NewMem())
+				cfs.ArmCrash(p)
+				model, failedAt, _ := runCrashWorkload(cfs, "crashdb", s)
+				recovered := cfs.Crash(vfs.CrashOptions{
+					Seed:         p,
+					KeepTornTail: true,
+					SectorSize:   512,
+				})
+				verifyCrashRecovery(t, recovered, "crashdb", s, model, failedAt)
+			}
 		})
-		verifyCrashRecovery(t, recovered, "crashdb", model, failedAt)
 	}
 }
 
@@ -193,14 +228,14 @@ func TestCrashPointSweepTornTail(t *testing.T) {
 func TestWALTornTailRecovery(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		cfs := vfs.NewCrash(vfs.NewMem())
-		model, failedAt := runCrashWorkload(cfs, "crashdb")
+		model, failedAt, _ := runCrashWorkload(cfs, "crashdb", crashScripts[0])
 		if failedAt != -1 {
 			t.Fatalf("seed %d: unarmed workload crashed at %d", seed, failedAt)
 		}
 		// Tear at a random sector boundary of whatever was unsynced at the
 		// end; with per-group WAL sync the acked model must survive intact.
 		recovered := cfs.Crash(vfs.CrashOptions{Seed: seed, KeepTornTail: true, SectorSize: 512})
-		verifyCrashRecovery(t, recovered, "crashdb", model, -1)
+		verifyCrashRecovery(t, recovered, "crashdb", crashScripts[0], model, -1)
 	}
 }
 
@@ -387,38 +422,47 @@ func materializeOS(t *testing.T, img *vfs.MemFS, dir string) {
 	}
 }
 
-// TestCrashPointSweepOSFS runs the crash-point sweep on the real file
-// system: CrashFS over OSFS in a fresh temp directory per point, with the
-// crash-time enumeration root-scoped to the database directory. Short mode
-// sweeps a thinner grid; CI runs the short variant.
+// TestCrashPointSweepOSFS runs the crash-point sweep of each scripted
+// workload on the real file system: CrashFS over OSFS in a fresh temp
+// directory per point, with the crash-time enumeration root-scoped to the
+// database directory. Short mode sweeps a thinner grid; CI runs the short
+// variant.
 func TestCrashPointSweepOSFS(t *testing.T) {
-	probeDir := filepath.Join(t.TempDir(), "crashdb")
-	probe := vfs.NewCrash(vfs.NewOS())
-	probe.SetRoot(probeDir)
-	if _, failedAt := runCrashWorkload(probe, probeDir); failedAt != -1 {
-		t.Fatalf("unarmed workload reported crash at op %d", failedAt)
-	}
-	total := probe.OpCount()
-	points := int64(60)
-	if testing.Short() {
-		points = 12
-	}
-	step := total / points
-	if step == 0 {
-		step = 1
-	}
-	t.Logf("sweeping %d OSFS crash points (every %d of %d FS ops)", total/step, step, total)
-	for p := int64(0); p <= total; p += step {
-		dir := filepath.Join(t.TempDir(), "crashdb")
-		cfs := vfs.NewCrash(vfs.NewOS())
-		cfs.SetRoot(dir)
-		cfs.ArmCrash(p)
-		model, failedAt := runCrashWorkload(cfs, dir)
-		if p < total && !cfs.Crashed() {
-			t.Fatalf("crash point %d: workload completed without hitting the crash", p)
-		}
-		recovered := cfs.Crash(vfs.CrashOptions{Seed: p, KeepTornTail: p%2 == 0, SectorSize: 512})
-		verifyCrashRecovery(t, recovered, dir, model, failedAt)
+	for _, s := range crashScripts {
+		t.Run(s.name, func(t *testing.T) {
+			probeDir := filepath.Join(t.TempDir(), "crashdb")
+			probe := vfs.NewCrash(vfs.NewOS())
+			probe.SetRoot(probeDir)
+			_, failedAt, moves := runCrashWorkload(probe, probeDir, s)
+			if failedAt != -1 {
+				t.Fatalf("unarmed workload reported crash at op %d", failedAt)
+			}
+			if s.moves && moves == 0 {
+				t.Fatal("the workload made no move")
+			}
+			total := probe.OpCount()
+			points := int64(60)
+			if testing.Short() {
+				points = 12
+			}
+			step := total / points
+			if step == 0 {
+				step = 1
+			}
+			t.Logf("sweeping %d OSFS crash points (every %d of %d FS ops)", total/step, step, total)
+			for p := int64(0); p <= total; p += step {
+				dir := filepath.Join(t.TempDir(), "crashdb")
+				cfs := vfs.NewCrash(vfs.NewOS())
+				cfs.SetRoot(dir)
+				cfs.ArmCrash(p)
+				model, failedAt, _ := runCrashWorkload(cfs, dir, s)
+				if p < total && !cfs.Crashed() {
+					t.Fatalf("crash point %d: workload completed without hitting the crash", p)
+				}
+				recovered := cfs.Crash(vfs.CrashOptions{Seed: p, KeepTornTail: p%2 == 0, SectorSize: 512})
+				verifyCrashRecovery(t, recovered, dir, s, model, failedAt)
+			}
+		})
 	}
 }
 
@@ -482,6 +526,6 @@ func TestManifestCrashWindowLSM(t *testing.T) {
 		db.Flush()      // may fail at any internal op
 		db.Close()
 		recovered := cfs.Crash(vfs.CrashOptions{Seed: p, KeepTornTail: p%2 == 0, SectorSize: 512})
-		verifyCrashRecovery(t, recovered, "crashdb", model, -1)
+		verifyCrashRecovery(t, recovered, "crashdb", crashScripts[0], model, -1)
 	}
 }

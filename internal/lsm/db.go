@@ -823,7 +823,12 @@ type Metrics struct {
 	Compactions      int64
 	// Subcompactions counts shard merges: equal to Compactions when every
 	// compaction ran serially, larger when range-partitioned shards ran.
-	Subcompactions     int64
+	Subcompactions int64
+	// Moves counts compactions executed as moves: files sent down a level
+	// unchanged, MovedBytes in all. Neither Compactions nor CompactedBytes
+	// counts them, so write amplification stays the bytes rewritten.
+	Moves              int64
+	MovedBytes         int64
 	StallSlowdowns     int64
 	StallStops         int64
 	WriteGroups        int64
@@ -958,9 +963,10 @@ func (d *DB) String() string {
 // pickerConfig adapts Options to the compaction picker.
 func (d *DB) pickerConfig() compaction.Config {
 	return compaction.Config{
-		L0Trigger:    l0CompactTrigger,
-		L1TargetSize: d.opts.L1TargetSize,
-		SizeRatio:    levelSizeRatio,
-		NumLevels:    numLevels,
+		L0Trigger:      l0CompactTrigger,
+		L1TargetSize:   d.opts.L1TargetSize,
+		SizeRatio:      levelSizeRatio,
+		NumLevels:      numLevels,
+		TargetFileSize: d.opts.TargetFileSize,
 	}
 }

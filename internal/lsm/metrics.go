@@ -28,6 +28,7 @@ type dbMetrics struct {
 	writeGroups                          *metrics.Counter
 	flushedBytes, userBytes              *metrics.Counter
 	compactedBytes, compactionOut        *metrics.Counter // compaction input / output bytes
+	moves, movedBytes                    *metrics.Counter // compactions executed as moves, and their bytes
 	bgRetries, resumes, walRemoveErrors  *metrics.Counter
 	bgIOStallNanos                       *metrics.Counter
 	// queryBlockReads/Hits count block reads and block-cache hits
@@ -65,6 +66,8 @@ var counterSeries = []struct {
 	{"lsm_flushed_bytes_total", "bytes written by flushes", func(c *dbMetrics) **metrics.Counter { return &c.flushedBytes }, func(m *Metrics) *int64 { return &m.FlushedBytes }},
 	{"lsm_compacted_bytes_total", "bytes read as compaction inputs", func(c *dbMetrics) **metrics.Counter { return &c.compactedBytes }, func(m *Metrics) *int64 { return &m.CompactedBytes }},
 	{"lsm_compaction_out_bytes_total", "bytes written as compaction outputs", func(c *dbMetrics) **metrics.Counter { return &c.compactionOut }, func(m *Metrics) *int64 { return &m.CompactionOutBytes }},
+	{"lsm_moves_total", "compactions executed as moves: files sent down a level, nothing rewritten", func(c *dbMetrics) **metrics.Counter { return &c.moves }, func(m *Metrics) *int64 { return &m.Moves }},
+	{"lsm_moved_bytes_total", "bytes of files moved down a level without a rewrite", func(c *dbMetrics) **metrics.Counter { return &c.movedBytes }, func(m *Metrics) *int64 { return &m.MovedBytes }},
 	{"lsm_user_bytes_total", "user key+value bytes accepted", func(c *dbMetrics) **metrics.Counter { return &c.userBytes }, func(m *Metrics) *int64 { return &m.UserBytes }},
 	{"lsm_bg_retries_total", "background flush/compaction retry attempts", func(c *dbMetrics) **metrics.Counter { return &c.bgRetries }, func(m *Metrics) *int64 { return &m.BgRetries }},
 	{"lsm_resumes_total", "recoveries from read-only degraded mode", func(c *dbMetrics) **metrics.Counter { return &c.resumes }, func(m *Metrics) *int64 { return &m.Resumes }},

@@ -19,7 +19,8 @@ func encodeLog(edits ...*Edit) []byte {
 // byte for byte from the edits it yields; and a fold of those edits either
 // fails or leaves a version that satisfies the level invariants. The seed
 // corpus in testdata holds a whole log, torn, damaged and rolled-over logs,
-// an overlapping level and a JSON manifest.
+// an overlapping level, a JSON manifest, and moves: edits that delete a
+// file at one level and add it one level down.
 func FuzzManifestLog(f *testing.F) {
 	snap := State{NextFileNum: 1, Version: NewVersion(7)}.snapshot()
 	f.Add([]byte{})
