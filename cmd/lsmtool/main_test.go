@@ -36,11 +36,15 @@ func TestPrintManifest(t *testing.T) {
 	}
 	want := []string{
 		"1 snapshot next_file=2 last_seq=0 +wal:000001",
-		"2 seal next_file=3 last_seq=100 +wal:000002",
-		"3 flush next_file=4 last_seq=100 +L0:000003 -wal:000001",
-		"4 close next_file=4 last_seq=100",
-		"state next_file=4 last_seq=100 wals=[000002]",
-		`L0 000003["k000".."k099"]`,
+		// Open prepares the log the first seal switches to, and that
+		// seal (inside Flush) prepares the next one, ahead of the flush.
+		"2 seal next_file=3 last_seq=0 +wal:000002",
+		"3 seal next_file=4 last_seq=0 +wal:000003",
+		"4 flush next_file=5 last_seq=100 +L0:000004 -wal:000001",
+		"5 close next_file=5 last_seq=100",
+		// The prepared log stays listed, empty; the next Open retires it.
+		"state next_file=5 last_seq=100 wals=[000002 000003]",
+		`L0 000004["k000".."k099"]`,
 	}
 	if got := strings.Split(strings.TrimSpace(out.String()), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("manifest printout:\n%s\nwant:\n%s", out.String(), strings.Join(want, "\n"))

@@ -27,15 +27,17 @@ func NumProbes(bitsPerKey int) int {
 	return k
 }
 
-// Build constructs a filter for keys using bitsPerKey bits per key.
-// The returned filter's final byte stores the probe count so readers need no
+// Build constructs a filter for the keys whose Hash64 values are hashes,
+// using bitsPerKey bits per key. A table writer records each key's hash as
+// the key goes by instead of keeping a copy of every key. The returned
+// filter's final byte stores the probe count so readers need no
 // out-of-band configuration.
-func Build(keys [][]byte, bitsPerKey int) Filter {
+func Build(hashes []uint64, bitsPerKey int) Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
 	k := NumProbes(bitsPerKey)
-	nBits := len(keys) * bitsPerKey
+	nBits := len(hashes) * bitsPerKey
 	if nBits < 64 {
 		nBits = 64
 	}
@@ -43,8 +45,7 @@ func Build(keys [][]byte, bitsPerKey int) Filter {
 	nBits = nBytes * 8
 	filter := make(Filter, nBytes+1)
 	filter[nBytes] = byte(k)
-	for _, key := range keys {
-		h := hash64(key)
+	for _, h := range hashes {
 		delta := h>>33 | h<<31
 		for i := 0; i < k; i++ {
 			bit := h % uint64(nBits)

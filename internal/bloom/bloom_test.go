@@ -16,7 +16,7 @@ func keys(n int) [][]byte {
 
 func TestNoFalseNegatives(t *testing.T) {
 	ks := keys(10_000)
-	f := Build(ks, 10)
+	f := build(ks, 10)
 	for _, k := range ks {
 		if !f.MayContain(k) {
 			t.Fatalf("false negative for %q", k)
@@ -26,7 +26,7 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestFalsePositiveRateNear1Percent(t *testing.T) {
 	ks := keys(10_000)
-	f := Build(ks, 10)
+	f := build(ks, 10)
 	fp := 0
 	const probes = 20_000
 	for i := 0; i < probes; i++ {
@@ -53,7 +53,7 @@ func TestTheoreticalFPR(t *testing.T) {
 }
 
 func TestEmptyAndTinyFilters(t *testing.T) {
-	f := Build(nil, 10)
+	f := build(nil, 10)
 	if f.MayContain([]byte("anything")) {
 		t.Fatal("empty filter claimed containment")
 	}
@@ -61,14 +61,14 @@ func TestEmptyAndTinyFilters(t *testing.T) {
 	if zero.MayContain([]byte("k")) {
 		t.Fatal("zero-length filter claimed containment")
 	}
-	one := Build([][]byte{[]byte("solo")}, 10)
+	one := build([][]byte{[]byte("solo")}, 10)
 	if !one.MayContain([]byte("solo")) {
 		t.Fatal("single-key filter lost its key")
 	}
 }
 
 func TestCorruptProbeCountFailsOpen(t *testing.T) {
-	f := Build(keys(10), 10)
+	f := build(keys(10), 10)
 	f[len(f)-1] = 200 // invalid probe count
 	if !f.MayContain([]byte("key00000001")) {
 		t.Fatal("corrupt filter must fail open (no false negatives)")
@@ -94,7 +94,7 @@ func TestBuildContainsProperty(t *testing.T) {
 		if len(ks) == 0 {
 			return true
 		}
-		filter := Build(ks, 10)
+		filter := build(ks, 10)
 		for _, k := range ks {
 			if !filter.MayContain(k) {
 				return false
@@ -116,4 +116,13 @@ func TestHash64Spreads(t *testing.T) {
 		}
 		seen[h] = true
 	}
+}
+
+// build is Build over the keys themselves.
+func build(ks [][]byte, bitsPerKey int) Filter {
+	hashes := make([]uint64, len(ks))
+	for i, k := range ks {
+		hashes[i] = Hash64(k)
+	}
+	return Build(hashes, bitsPerKey)
 }

@@ -289,3 +289,42 @@ func TestConcurrentStrategyUse(t *testing.T) {
 		t.Fatal("budget lost under concurrency")
 	}
 }
+
+// TestReadFreeWindowLeavesController pins that a window with no lookups
+// (its hit-rate estimate is 0 by construction) is counted but trains
+// nothing: the agent takes no step, the parameters and the smoothed
+// reward stay where the last read window left them.
+func TestReadFreeWindowLeavesController(t *testing.T) {
+	a := newTestAdCache(t, Config{WindowSize: 50})
+	for i := 0; i < 100; i++ {
+		k := []byte(fmt.Sprintf("k%d", i%10))
+		a.GetCached(k)
+		a.OnPointResult(k, []byte("v"), 1)
+	}
+	// A lookup is counted into the window after the one its op closed, so
+	// the first write window still holds the last read.
+	for i := 0; i < 50; i++ {
+		a.OnWrite([]byte(fmt.Sprintf("w%d", i)), []byte("v"), false)
+	}
+	before := a.TuningState()
+	params := a.CurrentParams()
+	if before.AgentSteps == 0 {
+		t.Fatal("read windows trained nothing")
+	}
+	for i := 0; i < 200; i++ {
+		a.OnWrite([]byte(fmt.Sprintf("w%d", i)), []byte("v"), false)
+	}
+	after := a.TuningState()
+	if after.Windows != before.Windows+4 || a.Windows() != after.Windows {
+		t.Fatalf("windows %d → %d (Windows() %d), want 4 more", before.Windows, after.Windows, a.Windows())
+	}
+	if after.AgentSteps != before.AgentSteps {
+		t.Fatalf("agent steps %d → %d on read-free windows", before.AgentSteps, after.AgentSteps)
+	}
+	if after.HSmoothed != before.HSmoothed {
+		t.Fatalf("smoothed reward %v → %v on read-free windows", before.HSmoothed, after.HSmoothed)
+	}
+	if got := a.CurrentParams(); got != params {
+		t.Fatalf("params %+v → %+v on read-free windows", params, got)
+	}
+}

@@ -115,6 +115,7 @@ func TestFrozenTrajectoryIsThePrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := len(a.Trace())
+	prev := a.CurrentParams()
 	// Read-only from here, so the live size — and the cache share — hold
 	// still while the mix shifts from points to scans.
 	for i := 0; i < 8000; i++ {
@@ -137,7 +138,6 @@ func TestFrozenTrajectoryIsThePrior(t *testing.T) {
 		t.Fatalf("%d windows closed after the load", len(trace)-loaded)
 	}
 	_, share := a.shape()
-	prev := trace[loaded-1].Params
 	for i, w := range trace {
 		if w.Residual != (Params{}) {
 			t.Fatalf("window %d: frozen agent's residual %+v", i, w.Residual)

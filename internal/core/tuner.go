@@ -40,9 +40,6 @@ func (a *AdCache) tuneOnce() {
 	if w.Ops() == 0 {
 		return
 	}
-	shape, cacheShare := a.shape()
-	hEst := shape.HitRateEstimate(w)
-
 	// Write-side deltas for this window (zero when no DB is bound).
 	info := a.dbWriteInfo()
 	wd := writeDeltas{
@@ -53,6 +50,23 @@ func (a *AdCache) tuneOnce() {
 			(a.lastWriteInfo.FlushedBytes + a.lastWriteInfo.CompactionOutBytes),
 	}
 	a.lastWriteInfo = info
+
+	// A read-free window has nothing to learn from: the hit-rate estimate
+	// is 0 by construction (no lookups to hit), so training on it would
+	// only teach the agent that a write burst is a bad state. The window
+	// is counted and its baselines advance; the agent, the parameters and
+	// the smoothed reward stay where they are. Unified arbitration prices
+	// write efficiency too, so there every window trains.
+	if w.Points+w.Scans == 0 && !a.cfg.MemtableArbitration {
+		a.lastBlockStats = a.block.Stats()
+		windows := a.windowsClosed.Add(1)
+		a.mu.Lock()
+		a.tuning.Windows = windows
+		a.mu.Unlock()
+		return
+	}
+	shape, cacheShare := a.shape()
+	hEst := shape.HitRateEstimate(w)
 
 	// Reward. Cache-only arbitration optimises the estimated hit rate
 	// alone. Unified memory arbitration mixes in write efficiency — user

@@ -42,10 +42,16 @@ type InternalKey []byte
 
 // Make encodes an internal key from its parts.
 func Make(userKey []byte, seq uint64, kind Kind) InternalKey {
-	ik := make([]byte, len(userKey)+TrailerLen)
-	copy(ik, userKey)
-	binary.LittleEndian.PutUint64(ik[len(userKey):], (seq<<8)|uint64(kind))
+	ik := make(InternalKey, len(userKey)+TrailerLen)
+	Encode(ik, userKey, seq, kind)
 	return ik
+}
+
+// Encode writes the internal key of its parts into dst, which must be
+// exactly len(userKey)+TrailerLen bytes long.
+func Encode(dst InternalKey, userKey []byte, seq uint64, kind Kind) {
+	copy(dst, userKey)
+	binary.LittleEndian.PutUint64(dst[len(userKey):], (seq<<8)|uint64(kind))
 }
 
 // MakeSearch returns the internal key that sorts before every version of

@@ -163,3 +163,55 @@ func TestAllocsCommit(t *testing.T) {
 		t.Fatalf("Put allocates %.1f objects/op, want <= 10", allocs)
 	}
 }
+
+// TestAllocsBatchApply pins the write path's allocations: a batch copies
+// its operations into one growing buffer, and the memtable copies them
+// into its arena, so a 512-op Put + Apply costs the group commit's few
+// objects, not several per operation. Run on a batch reused with Reset
+// (the server's pool) and on a fresh one per Apply (the bench's load).
+func TestAllocsBatchApply(t *testing.T) {
+	const ops, runs = 512, 50
+	opts := DefaultOptions("allocbatch")
+	opts.FS = vfs.NewMem()
+	// Every write stays in the active memtable: a seal and its flush
+	// would count the table writer's allocations here too.
+	opts.MemTableSize = 64 << 20
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	userKeys := make([][]byte, 2*(runs+1)*ops)
+	for i := range userKeys {
+		userKeys[i] = key(i)
+	}
+	value := make([]byte, 256)
+	next := 0
+	fill := func(b *Batch) {
+		for i := 0; i < ops; i++ {
+			b.Put(userKeys[next], value)
+			next++
+		}
+	}
+	reused := NewBatch()
+	for _, tc := range []struct {
+		name  string
+		batch func() *Batch
+		max   float64
+	}{
+		{"reused", func() *Batch { reused.Reset(); return reused }, 8},
+		{"fresh", NewBatch, 32},
+	} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			b := tc.batch()
+			fill(b)
+			if err := db.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s batch: %.0f allocations per %d-op Put + Apply", tc.name, allocs, ops)
+		if !raceEnabled && allocs > tc.max {
+			t.Fatalf("%s batch: %.0f allocations per %d-op Put + Apply, want <= %.0f", tc.name, allocs, ops, tc.max)
+		}
+	}
+}

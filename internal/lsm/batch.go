@@ -10,8 +10,12 @@ import (
 // keeps none of the later records beyond the first corruption — operations
 // within a batch are assigned consecutive sequence numbers and reach the WAL
 // in the same device write.
+//
+// The batch copies every key and value into one buffer of its own, which
+// Reset keeps: a batch reused for equal-sized work allocates nothing.
 type Batch struct {
 	ops []batchOp
+	buf []byte
 }
 
 type batchOp struct {
@@ -25,35 +29,47 @@ func NewBatch() *Batch { return &Batch{} }
 
 // Put queues key=value.
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		kind:  keys.KindSet,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	k, v := b.copy(key, value)
+	b.ops = append(b.ops, batchOp{kind: keys.KindSet, key: k, value: v})
 }
 
 // Delete queues a deletion of key.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{
-		kind: keys.KindDelete,
-		key:  append([]byte(nil), key...),
-	})
+	k, _ := b.copy(key, nil)
+	b.ops = append(b.ops, batchOp{kind: keys.KindDelete, key: k})
+}
+
+// copy appends key and value to the buffer and returns the copies. A full
+// buffer is replaced by one twice its size; the ops already queued keep
+// pointing into the old one, which stays valid, so nothing is moved.
+func (b *Batch) copy(key, value []byte) (k, v []byte) {
+	n := len(key) + len(value)
+	if cap(b.buf)-len(b.buf) < n {
+		b.buf = make([]byte, 0, max(2*cap(b.buf), n, 4<<10))
+	}
+	off := len(b.buf)
+	b.buf = append(append(b.buf, key...), value...)
+	k = b.buf[off : off+len(key) : off+len(key)]
+	if len(value) > 0 {
+		v = b.buf[off+len(key) : off+n : off+n]
+	}
+	return k, v
 }
 
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
 // Reset clears the batch for reuse.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }
+func (b *Batch) Reset() {
+	b.ops = b.ops[:0]
+	b.buf = b.buf[:0]
+}
 
 // Apply commits the batch through the group-commit pipeline: the batch's
 // operations receive consecutive sequence numbers within whichever write
-// group commits them. The batch may be Reset and reused afterwards.
+// group commits them. Apply returns only once its group has published or
+// failed, and by then the WAL and the memtable hold copies of every
+// operation, so the batch may be Reset and reused afterwards.
 func (d *DB) Apply(b *Batch) error {
-	if len(b.ops) == 0 {
-		return nil
-	}
-	// The pipeline retains ops until the group commits; copy the slice
-	// header's backing so Reset-and-refill cannot race a slow group.
-	return d.commit(append([]batchOp(nil), b.ops...))
+	return d.commit(b.ops)
 }

@@ -7,6 +7,7 @@ import (
 	"adcache/internal/manifest"
 	"adcache/internal/memtable"
 	"adcache/internal/metrics"
+	"adcache/internal/vfs"
 	"adcache/internal/wal"
 )
 
@@ -275,7 +276,7 @@ func (d *DB) publish(g *writeGroup) error {
 	seq := g.startSeq
 	for _, x := range g.waiters {
 		for _, op := range x.ops {
-			d.mem.Set(keys.Make(op.key, seq, op.kind), op.value)
+			d.mem.Set(op.key, seq, op.kind, op.value)
 			userBytes += int64(len(op.key) + len(op.value))
 			// Write-through cache coherence happens inside the exclusive
 			// section, as in the single-threaded engine: no reader can
@@ -413,14 +414,75 @@ func (d *DB) waitForWriteRoom() error {
 	return nil
 }
 
-// sealMemTable moves the active memtable onto the immutable queue and starts
-// a fresh memtable + WAL. The new WAL is created and the manifest edit that
-// adds it is committed before any state changes, and outside mu, so a
-// failure leaves the DB fully intact and no reader waits on the device.
-// After a failed WAL write it switches logs even with an empty memtable:
-// the old log, holding nothing acknowledged, is retired then. Caller holds
-// commitMu and has drained the publish chain: no group still owes a record
-// to the old log or an apply to the old memtable.
+// preparedLog is the log the next seal switches to. In background mode
+// it is created, and the EditSeal that adds it to the manifest committed,
+// ahead of the seal that needs it: at open and after every seal.
+type preparedLog struct {
+	num uint64
+	// f and err are final once done is closed: the created file, or why
+	// it could not be created and committed.
+	f    vfs.File
+	err  error
+	done chan struct{}
+}
+
+// prepareLog starts preparing the next log. Its number is taken here, so
+// file numbers follow the seal order; the create and the commit, with the
+// directory sync the commit makes, run on a goroutine of their own. Caller
+// holds commitMu, or is Open with no other goroutine running.
+func (d *DB) prepareLog() {
+	p := &preparedLog{num: d.nextFileNum.Add(1) - 1, done: make(chan struct{})}
+	d.nextLog.Store(p)
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		defer close(p.done)
+		f, err := d.fs.Create(walPath(d.opts.Dir, p.num))
+		if err != nil {
+			p.err = err
+			return
+		}
+		// A failed commit keeps the file: the edit may have reached the
+		// manifest. Either way the next Open retires or removes it. The
+		// edit claims only what preparing knows: its own file number, and
+		// no sequence numbers (the manifest folds both by maximum).
+		if _, err := d.store.Commit(&manifest.Edit{
+			Kind:        manifest.EditSeal,
+			AddedWALs:   []uint64{p.num},
+			NextFileNum: p.num + 1,
+		}); err != nil {
+			f.Close()
+			p.err = err
+			return
+		}
+		p.f = f
+	}()
+}
+
+// waitPrepared waits until the log being prepared, if any, is ready or has
+// failed. A flush waits for it before committing its own edit, so the
+// manifest lists each log's EditSeal before the flush that follows the
+// seal before it.
+func (d *DB) waitPrepared() {
+	if p := d.nextLog.Load(); p != nil {
+		<-p.done
+	}
+}
+
+// sealMemTable moves the active memtable onto the immutable queue and
+// switches to a fresh memtable and WAL. In background mode the WAL was
+// prepared ahead (prepareLog), so the seal does no file-system work: it
+// swaps the memtable and the log under mu and starts preparing the next
+// one. Without a prepared log — InlineCompaction, whose file numbers stay
+// those of the single-threaded engine; a preparation that failed, counted
+// in SealFallbacks; or the empty seal below — it creates the WAL and
+// commits the edit that adds it itself, before any state changes and
+// outside mu, so a failure leaves the DB fully intact and no reader waits
+// on the device. After a failed WAL write it switches logs even with an
+// empty memtable: the old log, holding nothing acknowledged, is retired
+// in that edit. Caller holds commitMu and has drained the publish chain:
+// no group still owes a record to the old log or an apply to the old
+// memtable.
 func (d *DB) sealMemTable() error {
 	d.mu.RLock()
 	empty := d.mem.Empty()
@@ -428,24 +490,41 @@ func (d *DB) sealMemTable() error {
 	if empty && !d.walBroken {
 		return nil
 	}
-	num := d.nextFileNum.Add(1) - 1
-	f, err := d.fs.Create(walPath(d.opts.Dir, num))
-	if err != nil {
-		return err
-	}
-	edit := &manifest.Edit{
-		Kind:        manifest.EditSeal,
-		AddedWALs:   []uint64{num},
-		NextFileNum: d.nextFileNum.Load(),
-		LastSeq:     d.seqAlloc.Load(),
-	}
 	oldNum := d.walNum
-	if empty {
-		edit.RetiredWALs = []uint64{oldNum}
+	// An empty seal retires the old log in the edit that adds the new
+	// one, so it leaves the prepared log for the next seal.
+	p := d.nextLog.Load()
+	usePrepared := p != nil && !empty
+	var num uint64
+	var f vfs.File
+	if usePrepared {
+		<-p.done
+		if p.err == nil {
+			num, f = p.num, p.f
+		} else {
+			d.logf("lsm: prepared wal %06d failed, sealing without it: %v", p.num, p.err)
+			d.metrics.sealFallbacks.Inc()
+		}
 	}
-	if _, err := d.store.Commit(edit); err != nil {
-		f.Close()
-		return err
+	if f == nil {
+		num = d.nextFileNum.Add(1) - 1
+		var err error
+		if f, err = d.fs.Create(walPath(d.opts.Dir, num)); err != nil {
+			return err
+		}
+		edit := &manifest.Edit{
+			Kind:        manifest.EditSeal,
+			AddedWALs:   []uint64{num},
+			NextFileNum: d.nextFileNum.Load(),
+			LastSeq:     d.seqAlloc.Load(),
+		}
+		if empty {
+			edit.RetiredWALs = []uint64{oldNum}
+		}
+		if _, err := d.store.Commit(edit); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	d.mu.Lock()
 	if !empty {
@@ -458,9 +537,12 @@ func (d *DB) sealMemTable() error {
 	d.storeMemGaugesLocked()
 	d.mu.Unlock()
 	d.walBroken = false
+	if usePrepared {
+		d.prepareLog()
+	}
 	// Every record in the old log was synced by its own group; closing it
 	// only releases the handle.
-	err = oldLog.Close()
+	err := oldLog.Close()
 	if empty {
 		d.removeWAL(oldNum, "retired")
 	}

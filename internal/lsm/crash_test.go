@@ -58,6 +58,11 @@ type crashScript struct {
 	op        func(j int) (del bool, k, v []byte)
 	// moves: the uninterrupted run must execute compactions as moves.
 	moves bool
+	// flushEvery > 0 runs the background engine instead, with a memtable
+	// no op fills, and calls Flush after every flushEvery ops: each seal
+	// switches to a log prepared ahead of it, and the next preparation's
+	// create and EditSeal land among the flush's own operations.
+	flushEvery int
 }
 
 var crashScripts = []crashScript{
@@ -67,6 +72,9 @@ var crashScripts = []crashScript{
 	{name: "ordered", ops: 200, pool: 200, moves: true, op: func(j int) (bool, []byte, []byte) {
 		return false, key(j), crashValue(j)
 	}},
+	// Crash points land between a prepared log's EditSeal and the seal
+	// that switches to it, and after that seal, while the log fills.
+	{name: "prepared", ops: 150, pool: crashKeyPool, op: crashOp, flushEvery: 20},
 }
 
 // runCrashWorkload opens a DB on fs and applies the script, tracking the
@@ -76,7 +84,12 @@ var crashScripts = []crashScript{
 // the number of moves the DB made before it closed or crashed.
 func runCrashWorkload(fs vfs.FS, dir string, s crashScript) (model map[string]string, failedAt int, moves int64) {
 	model = map[string]string{}
-	db, err := Open(crashOpts(fs, dir))
+	opts := crashOpts(fs, dir)
+	if s.flushEvery > 0 {
+		opts.InlineCompaction = false
+		opts.MemTableSize = 1 << 20
+	}
+	db, err := Open(opts)
 	if err != nil {
 		return model, -2, 0
 	}
@@ -96,14 +109,21 @@ func runCrashWorkload(fs vfs.FS, dir string, s crashScript) (model map[string]st
 		} else {
 			model[string(k)] = string(v)
 		}
+		if s.flushEvery > 0 && (j+1)%s.flushEvery == 0 {
+			if err := db.Flush(); err != nil {
+				return model, -1, db.Metrics().Moves // every op so far was acked
+			}
+		}
 	}
 	return model, -1, db.Metrics().Moves
 }
 
 // verifyCrashRecovery reopens the post-crash file system and asserts the
 // durability contract against the acked model: every table the recovered
-// manifest lists exists and passes the integrity check, and every acked
-// key reads back. The op in flight at the crash (if any) is allowed to have
+// manifest lists exists and passes the integrity check, every acked key
+// reads back, and the one log left is the reopened engine's own — every
+// log the crash left, prepared and empty or not, was replayed and retired
+// or removed as an orphan. The op in flight at the crash (if any) is allowed to have
 // either fully applied or not at all — never half-applied, which the
 // integrity check and value comparison would catch.
 func verifyCrashRecovery(t *testing.T, fs vfs.FS, dir string, s crashScript, model map[string]string, failedAt int) {
@@ -116,6 +136,19 @@ func verifyCrashRecovery(t *testing.T, fs vfs.FS, dir string, s crashScript, mod
 	// VerifyIntegrity opens and reads every table the manifest lists.
 	if _, err := db.VerifyIntegrity(); err != nil {
 		t.Fatalf("integrity after crash: %v", err)
+	}
+	names, err := fs.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".log") {
+			logs = append(logs, n)
+		}
+	}
+	if len(logs) != 1 {
+		t.Fatalf("logs after reopen: %v, want only the active one", logs)
 	}
 	var exemptKey string
 	var exemptDel bool
@@ -265,7 +298,10 @@ func crashStress(t *testing.T, inline bool, cycles int, seed int64, osDir string
 		if osDir != "" {
 			cfs.SetRoot(dir)
 		}
-		cfs.ArmCrash(int64(rng.Intn(400) + 1))
+		// A cycle performs about 50–300 FS operations (a table is one
+		// buffered write, a move syncs no directory), so the arm lands
+		// inside most cycles.
+		cfs.ArmCrash(int64(rng.Intn(300) + 1))
 		opts := crashOpts(cfs, dir)
 		opts.InlineCompaction = inline
 		if !inline {

@@ -147,6 +147,9 @@ type DB struct {
 	// walBroken records a failed write to log: the next group seals to a
 	// fresh log before appending. Guarded by commitMu.
 	walBroken bool
+	// nextLog is the log the next seal switches to (see prepareLog); nil
+	// with InlineCompaction. Stored under commitMu; flushes read it.
+	nextLog atomic.Pointer[preparedLog]
 
 	// shapeInfo is a lock-free snapshot of tree-shape figures, refreshed on
 	// every version install. Cache strategies read it from inside engine
@@ -234,6 +237,7 @@ func Open(opts Options) (*DB, error) {
 		db.quit = make(chan struct{})
 		db.wg.Add(1)
 		go db.flushWorker()
+		db.prepareLog()
 		// Recovery may have rebuilt a tree that already violates its shape
 		// invariants (e.g. a tall L0 from replayed flushes); start working
 		// on it now rather than after the first seal.
@@ -265,7 +269,7 @@ func (d *DB) replayWALs(nums []uint64) error {
 			return err
 		}
 		maxSeq, err := wal.Replay(f, func(rec wal.Record) error {
-			d.mem.Set(keys.Make(rec.Key, rec.Seq, rec.Kind), rec.Value)
+			d.mem.Set(rec.Key, rec.Seq, rec.Kind, rec.Value)
 			return nil
 		})
 		if err != nil {
@@ -368,21 +372,19 @@ func (d *DB) removeOrphans() {
 	}
 }
 
-// Put stores key=value.
+// Put stores key=value. The engine copies both before Put returns (the
+// WAL encodes them, the memtable keeps its own copy), so it keeps no
+// reference to the caller's slices.
 func (d *DB) Put(key, value []byte) error {
-	return d.commit([]batchOp{{
-		kind:  keys.KindSet,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	}})
+	if len(value) == 0 {
+		value = nil // an empty value is stored as nil, as a batch stores it
+	}
+	return d.commit([]batchOp{{kind: keys.KindSet, key: key, value: value}})
 }
 
 // Delete removes key.
 func (d *DB) Delete(key []byte) error {
-	return d.commit([]batchOp{{
-		kind: keys.KindDelete,
-		key:  append([]byte(nil), key...),
-	}})
+	return d.commit([]batchOp{{kind: keys.KindDelete, key: key}})
 }
 
 // Get returns the value for key, following the paper's query-handling path:
@@ -781,6 +783,11 @@ func (d *DB) Close() error {
 		close(d.quit)
 		d.wg.Wait()
 	}
+	// A prepared log stays listed, empty: the next Open replays and
+	// retires it.
+	if p := d.nextLog.Load(); p != nil && p.f != nil {
+		p.f.Close()
+	}
 
 	err := d.log.Close()
 	if err == nil {
@@ -856,6 +863,9 @@ type Metrics struct {
 	BgRetries       int64
 	Resumes         int64
 	WALRemoveErrors int64
+	// SealFallbacks counts seals that found the log prepared for them
+	// failed, and so created one and committed its edit themselves.
+	SealFallbacks int64
 	// BgIOStallNanos is cumulative time background flush/compaction writers
 	// spent throttled by the Options.BgIOBytesPerSec token bucket.
 	BgIOStallNanos int64

@@ -38,7 +38,9 @@ func TestWALWriteFailureSurfacesError(t *testing.T) {
 }
 
 // TestFlushCreateFailure checks flush failures propagate and do not corrupt
-// the in-memory state.
+// the in-memory state. The fault targets the table: the seal inside Flush
+// switches to a log prepared at open, and the next log is prepared off the
+// flush's path (TestPreparedLogFailureFallsBack).
 func TestFlushCreateFailure(t *testing.T) {
 	ffs := vfs.NewFault(vfs.NewMem())
 	opts := testOptions(ffs)
@@ -49,6 +51,7 @@ func TestFlushCreateFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ffs.Target(".sst")
 	ffs.FailCreates(1)
 	if err := db.Flush(); err == nil {
 		t.Fatal("Flush succeeded despite create failure")

@@ -133,6 +133,7 @@ func (d *DB) flushImm() error {
 	// On failure the table stays on disk: the edit may have reached the
 	// manifest (manifest.Store.Commit), and if it did not, the next Open
 	// deletes the orphan.
+	d.waitPrepared()
 	v, err := d.store.Commit(&manifest.Edit{
 		Kind:        manifest.EditFlush,
 		Added:       []manifest.LevelFile{{Level: 0, Meta: meta}},

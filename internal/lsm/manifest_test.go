@@ -132,9 +132,10 @@ func (c *dirSyncCounter) Remove(name string) error {
 	return c.FS.Remove(name)
 }
 
-// TestDirSyncsPerEdit: on the real file system, each seal, flush and
-// compaction syncs the directory exactly once, and removing retired WALs
-// and compacted tables syncs it not at all.
+// TestDirSyncsPerEdit: on the real file system, each edit that names a new
+// file — a prepared log, a flush, a compaction — syncs the directory
+// exactly once; a seal (it switches to a prepared log) and a move sync it
+// not at all, and neither does removing retired WALs and compacted tables.
 func TestDirSyncsPerEdit(t *testing.T) {
 	fs := &dirSyncCounter{FS: vfs.NewOS()}
 	opts := testOptions(fs)
@@ -143,8 +144,10 @@ func TestDirSyncsPerEdit(t *testing.T) {
 	opts.disableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
-	if n := fs.syncs.Load(); n != 1 {
-		t.Fatalf("Open made %d directory syncs, want 1", n)
+	// One for the manifest's rollover, one for the log Open prepares.
+	db.waitPrepared()
+	if n := fs.syncs.Load(); n != 2 {
+		t.Fatalf("Open made %d directory syncs, want 2", n)
 	}
 
 	for f := 0; f < l0CompactTrigger; f++ {
@@ -157,8 +160,10 @@ func TestDirSyncsPerEdit(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		// The seal switches to the prepared log and syncs nothing; the
+		// next log's preparation and the flush sync once each.
 		if n := fs.syncs.Load() - syncs; n != 2 {
-			t.Fatalf("Flush (one seal, one flush) made %d directory syncs, want 2", n)
+			t.Fatalf("Flush (one log prepared, one flush) made %d directory syncs, want 2", n)
 		}
 		if n := fs.removes.Load() - removes; n != 1 {
 			t.Fatalf("Flush removed %d files, want its WAL", n)
@@ -180,6 +185,32 @@ func TestDirSyncsPerEdit(t *testing.T) {
 	}
 	if fs.removes.Load() == removes {
 		t.Fatal("compaction removed no table")
+	}
+
+	// An ordered load past the tree's keys: its L0 tables overlap nothing
+	// below, so they move, and a move names no new file.
+	for f := 0; f < l0CompactTrigger; f++ {
+		for i := 0; i < 1000; i++ {
+			k := 10_000 + f*1000 + i
+			if err := db.Put(key(k), val(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m0, syncs = db.Metrics(), fs.syncs.Load()
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	m1 = db.Metrics()
+	moves, compactions := m1.Moves-m0.Moves, m1.Compactions-m0.Compactions
+	if moves == 0 {
+		t.Fatal("ordered load made no move")
+	}
+	if n := fs.syncs.Load() - syncs; n != compactions {
+		t.Fatalf("%d moves and %d compactions made %d directory syncs, want %d", moves, compactions, n, compactions)
 	}
 }
 

@@ -329,6 +329,7 @@ func TestOneWALWritePerGroup(t *testing.T) {
 	cfs := vfs.NewCounting(vfs.NewMem())
 	db := mustOpen(t, testOptions(cfs))
 	defer db.Close()
+	db.waitPrepared() // its manifest write is not the WAL's
 
 	writes := func(do func() error) int64 {
 		t.Helper()

@@ -13,8 +13,8 @@ import (
 // unthrottled background work competes with foreground reads for device
 // bandwidth; bounding it trades compaction latency for stable read tails.
 //
-// The bucket holds up to one second of budget so short bursts (a block plus
-// its trailer) pass without sleeping, while sustained output converges on
+// The bucket holds up to one second of budget so short bursts (one of a
+// table writer's buffered writes) pass without sleeping, while sustained output converges on
 // bytesPerSec. Stall time accumulates in the engine's
 // lsm_bg_io_stall_nanos_total cell.
 type ioLimiter struct {

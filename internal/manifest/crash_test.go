@@ -10,9 +10,23 @@ import (
 // of a rollover, with and without torn unsynced bytes, and checks that each
 // Commit is atomic: Open must always succeed and return either the state
 // before the edit or the state after it — never an error or a hybrid — and
-// the state after it once the Commit was acknowledged.
+// the state after it once the Commit was acknowledged. The swept edit is
+// one that names a new file (a seal: directory sync, write, sync), a move
+// and a close (neither syncs the directory on the append path).
 func TestSaveCrashWindow(t *testing.T) {
-	edits := history()
+	seal := &Edit{Kind: EditSeal, AddedWALs: []uint64{10}, NextFileNum: 11}
+	for _, last := range []struct {
+		name string
+		edit *Edit
+		ops  int64 // FS operations of its append
+	}{{"seal", seal, 3}, {"move", moveEdit(), 2}, {"close", &Edit{Kind: EditClose, NextFileNum: 10, LastSeq: 32}, 2}} {
+		crashSweepLastEdit(t, last.name, append(history(), last.edit), last.ops)
+	}
+}
+
+// crashSweepLastEdit runs TestSaveCrashWindow's sweep over the last of
+// edits, whose append takes appendOps FS operations.
+func crashSweepLastEdit(t *testing.T, name string, edits []*Edit, appendOps int64) {
 	last := len(edits) - 1
 	// prep commits every edit but the last. With reopen set, the store is
 	// reopened before the last, so the last is a rollover; otherwise it is
@@ -39,7 +53,7 @@ func TestSaveCrashWindow(t *testing.T) {
 	for _, path := range []struct {
 		name   string
 		reopen bool
-	}{{"append", false}, {"rollover", true}} {
+	}{{name + " append", false}, {name + " rollover", true}} {
 		probe := vfs.NewCrash(vfs.NewMem())
 		store := prep(probe, path.reopen)
 		start := probe.OpCount()
@@ -47,8 +61,8 @@ func TestSaveCrashWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		ops := probe.OpCount() - start
-		if min := map[bool]int64{false: 3, true: 5}[path.reopen]; ops < min {
-			t.Fatalf("%s: Commit performed %d FS ops, want at least %d", path.name, ops, min)
+		if want := map[bool]int64{false: appendOps, true: 5}[path.reopen]; ops != want {
+			t.Fatalf("%s: Commit performed %d FS ops, want %d", path.name, ops, want)
 		}
 		for torn := 0; torn < 2; torn++ {
 			for p := int64(0); p <= ops; p++ {

@@ -65,6 +65,18 @@ func (v *Version) Clone() *Version {
 	return nv
 }
 
+// lists reports whether a table numbered num is live at some level.
+func (v *Version) lists(num uint64) bool {
+	for _, level := range v.Levels {
+		for _, f := range level {
+			if f.FileNum == num {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // NumFiles reports the total file count.
 func (v *Version) NumFiles() int {
 	n := 0

@@ -163,13 +163,27 @@ func TestStoreCommitReopenRoundTrip(t *testing.T) {
 	}
 }
 
+// moveEdit moves history()'s last flushed table from L0 to L2: it names
+// no file the folded state does not already list.
+func moveEdit() *Edit {
+	return &Edit{Kind: EditCompaction,
+		Deleted:     []DeletedFile{{0, 8}},
+		Added:       []LevelFile{{2, fm(8, "b", "d")}},
+		NextFileNum: 10, LastSeq: 31}
+}
+
 // TestCommitAppendsOneFrame: past the first Commit, each edit grows the
-// MANIFEST by one frame and costs one directory sync.
+// MANIFEST by one frame. It costs one directory sync if it names a new
+// file — a log, or a table no level lists yet — and none otherwise: a
+// move or a close.
 func TestCommitAppendsOneFrame(t *testing.T) {
 	fs := &syncDirCounter{FS: vfs.NewMem()}
 	store, _ := open(t, fs)
 	defer store.Close()
-	edits := history()
+	edits := append(history(), moveEdit())
+	// Directory syncs of edits[1:]: seal, flush, seal, flush, compaction,
+	// flush, seal, close, move.
+	wantSyncs := []int{1, 1, 1, 1, 1, 1, 1, 0, 0}
 	if _, err := store.Commit(edits[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +195,8 @@ func TestCommitAppendsOneFrame(t *testing.T) {
 		if got, want := manifestSize(t, fs)-before, int64(len(appendFrame(nil, e))); got != want {
 			t.Fatalf("edit %d grew the log by %d bytes, want one %d-byte frame", i+1, got, want)
 		}
-		if fs.n-syncs != 1 {
-			t.Fatalf("edit %d made %d directory syncs, want 1", i+1, fs.n-syncs)
+		if got := fs.n - syncs; got != wantSyncs[i] {
+			t.Fatalf("edit %d (%s) made %d directory syncs, want %d", i+1, e.Kind, got, wantSyncs[i])
 		}
 	}
 }

@@ -12,13 +12,14 @@ import (
 // the folded state, so each Commit costs one appended frame and one sync;
 // only a rollover rewrites the whole state.
 //
-// The directory holds the tables and logs the edits name, and the store
-// syncs it once per Commit before the edit becomes durable: on the append
+// The directory holds the tables and logs the edits name. The store syncs
+// it before an edit that names a new file becomes durable: on the append
 // path before writing the frame, on the rollover path after the rename. A
 // file created before a Commit is therefore on disk whenever an edit
-// naming it is, and a file removed after the Commit that retires it needs
-// no sync of its own — a crash that undoes the removal leaves an orphan,
-// which recovery deletes.
+// naming it is. An appended edit that names no new file — a move, whose
+// tables an earlier edit named, or a close — syncs no directory. A file
+// removed after the Commit that retires it needs no sync of its own — a
+// crash that undoes the removal leaves an orphan, which recovery deletes.
 type Store struct {
 	fs  vfs.FS
 	dir string
@@ -76,7 +77,7 @@ func (s *Store) Commit(e *Edit) (*Version, error) {
 		return nil, err
 	}
 	if s.log != nil && s.size < s.limit {
-		err = s.append(e)
+		err = s.append(e, s.state.namesNewFile(e))
 	} else {
 		err = s.rollover(next)
 	}
@@ -87,10 +88,27 @@ func (s *Store) Commit(e *Edit) (*Version, error) {
 	return next.Version, nil
 }
 
-// append writes e's frame to the open log and syncs it. Caller holds s.mu.
-func (s *Store) append(e *Edit) error {
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return err
+// namesNewFile reports whether e names a file st does not list: a log, or
+// a table that is not already live at some level.
+func (st State) namesNewFile(e *Edit) bool {
+	if len(e.AddedWALs) > 0 {
+		return true
+	}
+	for _, lf := range e.Added {
+		if !st.Version.lists(lf.Meta.FileNum) {
+			return true
+		}
+	}
+	return false
+}
+
+// append writes e's frame to the open log and syncs it, syncing the
+// directory first when e names a new file. Caller holds s.mu.
+func (s *Store) append(e *Edit, syncDir bool) error {
+	if syncDir {
+		if err := s.fs.SyncDir(s.dir); err != nil {
+			return err
+		}
 	}
 	s.buf = appendFrame(s.buf[:0], e)
 	_, err := s.log.Write(s.buf)

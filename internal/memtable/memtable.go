@@ -46,13 +46,43 @@ func allocSize(n int) int64 {
 	}
 }
 
-// entryBytes is the approximate physical footprint of one inserted entry:
-// the node struct, its height-h next array, and the key and value backing
-// arrays it pins. This is what ApproximateSize sums, so the memtable's
-// ledger charges the same physical currency as the block cache's
-// physical-byte accounting.
+// entryBytes is the charge for one inserted entry: the node struct, its
+// height-h next array, and its key and value bytes, each rounded as if it
+// were an allocation of its own. The arena packs entries tighter than
+// that (TestApproximateSizeTracksHeap bounds the gap); the charge is kept
+// so the engine's flush points, and every experiment built on them, stay
+// where they were. ApproximateSize sums it, in the same physical currency
+// as the block cache's charges.
 func entryBytes(ikeyLen, valueLen, h int) int64 {
 	return nodeStructBytes + allocSize(8*h) + allocSize(ikeyLen) + allocSize(valueLen)
+}
+
+// arena is the memtable's storage: nodes, next arrays and key/value bytes
+// are carved from chunks, so an insert allocates only when a chunk runs
+// out. A chunk is never freed before the memtable itself is dropped, so
+// the slices handed out of it stay valid for as long as anything
+// references them.
+type arena struct {
+	nodes []node
+	ptrs  []*node
+	bytes []byte
+}
+
+// carve returns n elements of *chunk's free space. A full chunk is
+// replaced by one twice its size, at least lo and at most hi elements, so
+// a memtable holding a few entries pins a few kilobytes; a request above a
+// quarter of hi gets an allocation of its own rather than a chunk's tail.
+func carve[T any](chunk *[]T, n, lo, hi int) []T {
+	if n > hi/4 {
+		return make([]T, n)
+	}
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, min(max(2*cap(c), lo), hi))
+	}
+	off := len(c)
+	*chunk = c[:off+n]
+	return c[off : off+n : off+n]
 }
 
 // MemTable is a sorted in-memory buffer of internal keys.
@@ -63,16 +93,25 @@ type MemTable struct {
 	rnd    *rand.Rand
 	size   int64
 	count  int
+	arena  arena
+	// splice holds, per level, the node after which the last insert was
+	// linked (the inserted node itself at its own levels): the search for
+	// an ascending insert starts there instead of at the head.
+	splice [maxHeight]*node
 }
 
 // New returns an empty memtable. seed makes skiplist heights deterministic
 // for reproducible tests; use any value in production.
 func New(seed int64) *MemTable {
-	return &MemTable{
+	m := &MemTable{
 		head:   &node{next: make([]*node, maxHeight)},
 		height: 1,
 		rnd:    rand.New(rand.NewSource(seed)),
 	}
+	for i := range m.splice {
+		m.splice[i] = m.head
+	}
+	return m
 }
 
 func (m *MemTable) randomHeight() int {
@@ -98,24 +137,55 @@ func (m *MemTable) findGE(target keys.InternalKey, prev []*node) *node {
 	return n.next[0]
 }
 
-// Set inserts an entry. Internal keys are unique (sequence numbers differ),
-// so Set never overwrites.
-func (m *MemTable) Set(ikey keys.InternalKey, value []byte) {
+// spliceFits reports whether the last insert's splice brackets target on
+// every level below h: each splice node sorts before target and its
+// successor, if any, after it. Then target links in right there.
+func (m *MemTable) spliceFits(target keys.InternalKey, h int) bool {
+	for level := 0; level < h; level++ {
+		p := m.splice[level]
+		if p != m.head && keys.Compare(p.ikey, target) >= 0 {
+			return false
+		}
+		if nx := p.next[level]; nx != nil && keys.Compare(nx.ikey, target) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Set inserts the entry userKey@seq of the given kind. Internal keys are
+// unique (sequence numbers differ), so Set never overwrites. The key and
+// value are copied into the memtable's arena: the caller may reuse both
+// once Set returns.
+func (m *MemTable) Set(userKey []byte, seq uint64, kind keys.Kind, value []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev := make([]*node, maxHeight)
-	m.findGE(ikey, prev)
+	klen := len(userKey) + keys.TrailerLen
+	buf := carve(&m.arena.bytes, klen+len(value), 4<<10, 256<<10)
+	ikey := keys.InternalKey(buf[:klen:klen])
+	keys.Encode(ikey, userKey, seq, kind)
+	var v []byte // an empty value is kept as nil
+	if len(value) > 0 {
+		v = buf[klen:]
+		copy(v, value)
+	}
+
 	h := m.randomHeight()
 	if h > m.height {
-		for level := m.height; level < h; level++ {
-			prev[level] = m.head
-		}
 		m.height = h
 	}
-	n := &node{ikey: ikey, value: value, next: make([]*node, h)}
+	if !m.spliceFits(ikey, h) {
+		m.findGE(ikey, m.splice[:m.height])
+		for level := m.height; level < maxHeight; level++ {
+			m.splice[level] = m.head
+		}
+	}
+	n := &carve(&m.arena.nodes, 1, 32, 4096)[0]
+	n.ikey, n.value, n.next = ikey, v, carve(&m.arena.ptrs, h, 64, 4096)
 	for level := 0; level < h; level++ {
-		n.next[level] = prev[level].next[level]
-		prev[level].next[level] = n
+		n.next[level] = m.splice[level].next[level]
+		m.splice[level].next[level] = n
+		m.splice[level] = n
 	}
 	m.size += entryBytes(len(ikey), len(value), h)
 	m.count++

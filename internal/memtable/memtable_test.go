@@ -13,7 +13,7 @@ import (
 
 func TestSetGet(t *testing.T) {
 	m := New(1)
-	m.Set(keys.Make([]byte("a"), 1, keys.KindSet), []byte("v1"))
+	m.Set([]byte("a"), 1, keys.KindSet, []byte("v1"))
 	v, deleted, ok := m.Get([]byte("a"), keys.MaxSeq)
 	if !ok || deleted || string(v) != "v1" {
 		t.Fatalf("Get = %q deleted=%v ok=%v", v, deleted, ok)
@@ -25,9 +25,9 @@ func TestSetGet(t *testing.T) {
 
 func TestVersionsAndSnapshots(t *testing.T) {
 	m := New(1)
-	m.Set(keys.Make([]byte("k"), 1, keys.KindSet), []byte("v1"))
-	m.Set(keys.Make([]byte("k"), 5, keys.KindSet), []byte("v5"))
-	m.Set(keys.Make([]byte("k"), 9, keys.KindDelete), nil)
+	m.Set([]byte("k"), 1, keys.KindSet, []byte("v1"))
+	m.Set([]byte("k"), 5, keys.KindSet, []byte("v5"))
+	m.Set([]byte("k"), 9, keys.KindDelete, nil)
 	if _, deleted, ok := m.Get([]byte("k"), keys.MaxSeq); !ok || !deleted {
 		t.Fatal("latest version should be the tombstone")
 	}
@@ -46,7 +46,7 @@ func TestIterOrdered(t *testing.T) {
 	m := New(42)
 	perm := rand.New(rand.NewSource(1)).Perm(500)
 	for _, i := range perm {
-		m.Set(keys.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet), []byte("v"))
+		m.Set([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet, []byte("v"))
 	}
 	it := m.NewIter()
 	i := 0
@@ -65,7 +65,7 @@ func TestIterOrdered(t *testing.T) {
 func TestIterSeek(t *testing.T) {
 	m := New(1)
 	for i := 0; i < 100; i += 2 {
-		m.Set(keys.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet), []byte("v"))
+		m.Set([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet, []byte("v"))
 	}
 	it := m.NewIter()
 	if !it.Seek(keys.MakeSearch([]byte("key000050"), keys.MaxSeq)) {
@@ -86,7 +86,7 @@ func TestSizeAndCount(t *testing.T) {
 	if !m.Empty() {
 		t.Fatal("new memtable not empty")
 	}
-	m.Set(keys.Make([]byte("abc"), 1, keys.KindSet), []byte("defgh"))
+	m.Set([]byte("abc"), 1, keys.KindSet, []byte("defgh"))
 	if m.Count() != 1 || m.Empty() {
 		t.Fatal("count wrong after insert")
 	}
@@ -98,7 +98,7 @@ func TestSizeAndCount(t *testing.T) {
 func TestConcurrentReadsDuringWrites(t *testing.T) {
 	m := New(1)
 	for i := 0; i < 1000; i++ {
-		m.Set(keys.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet), []byte("v"))
+		m.Set([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet, []byte("v"))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -119,7 +119,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1000; i < 2000; i++ {
-			m.Set(keys.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet), []byte("v"))
+			m.Set([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet, []byte("v"))
 		}
 	}()
 	wg.Wait()
@@ -147,7 +147,7 @@ func TestModelEquivalence(t *testing.T) {
 			} else {
 				v = []byte{op.Val}
 			}
-			m.Set(keys.Make([]byte(k), uint64(i+1), kind), v)
+			m.Set([]byte(k), uint64(i+1), kind, v)
 			model[k] = struct {
 				val string
 				del bool
@@ -180,10 +180,10 @@ func TestModelEquivalence(t *testing.T) {
 
 func TestNewerThan(t *testing.T) {
 	m := New(1)
-	m.Set(keys.Make([]byte("b"), 3, keys.KindSet), []byte("v"))
-	m.Set(keys.Make([]byte("d"), 5, keys.KindDelete), nil)
-	m.Set(keys.Make([]byte("d"), 2, keys.KindSet), []byte("v"))
-	m.Set(keys.Make([]byte("f"), 9, keys.KindSet), []byte("v"))
+	m.Set([]byte("b"), 3, keys.KindSet, []byte("v"))
+	m.Set([]byte("d"), 5, keys.KindDelete, nil)
+	m.Set([]byte("d"), 2, keys.KindSet, []byte("v"))
+	m.Set([]byte("f"), 9, keys.KindSet, []byte("v"))
 	for _, tc := range []struct {
 		lo, hi string // hi "" = unbounded
 		seq    uint64
@@ -218,7 +218,7 @@ func TestNewerThanMatchesScan(t *testing.T) {
 	f := func(ks []byte, lo, hi byte, seq uint8, open bool) bool {
 		m := New(3)
 		for i, k := range ks {
-			m.Set(keys.Make([]byte{k % 16}, uint64(i+1), keys.KindSet), nil)
+			m.Set([]byte{k % 16}, uint64(i+1), keys.KindSet, nil)
 		}
 		lo, hi = lo%16, hi%16
 		hiKey := []byte{hi}
@@ -238,4 +238,150 @@ func TestNewerThanMatchesScan(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSetAllocatesNothing pins the arena: an insert copies its key and
+// value into chunks the memtable owns, so only the occasional new chunk
+// allocates — less than one allocation per insert, amortised.
+func TestSetAllocatesNothing(t *testing.T) {
+	const n = 4096
+	userKeys := make([][]byte, n)
+	for i := range userKeys {
+		userKeys[i] = []byte(fmt.Sprintf("user%016d", i))
+	}
+	value := make([]byte, 100)
+	for _, order := range []string{"ascending", "random"} {
+		m := New(1)
+		perm := rand.New(rand.NewSource(3)).Perm(n)
+		i := 0
+		allocs := testing.AllocsPerRun(n-1, func() {
+			k := i
+			if order == "random" {
+				k = perm[i]
+			}
+			m.Set(userKeys[k], uint64(i+1), keys.KindSet, value)
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %.0f allocations per Set, want 0", order, allocs)
+		}
+	}
+}
+
+// TestSetCopies pins that the memtable keeps copies, not the caller's
+// slices: a write batch reuses its buffer once Apply returns.
+func TestSetCopies(t *testing.T) {
+	m := New(1)
+	k, v := []byte("key"), []byte("value")
+	m.Set(k, 1, keys.KindSet, v)
+	copy(k, "xxx")
+	copy(v, "XXXXX")
+	if got, _, ok := m.Get([]byte("key"), keys.MaxSeq); !ok || string(got) != "value" {
+		t.Fatalf("Get = %q ok=%v after the caller reused its buffers", got, ok)
+	}
+}
+
+// TestSkiplistModel checks the skiplist against a sorted reference under
+// ascending, descending, random and clustered insert orders (the splice
+// an ascending insert starts from must never link a node out of order),
+// while readers iterate and look up concurrently with the single writer.
+// Under -race it also checks that readers and the writer share nothing
+// without the lock.
+func TestSkiplistModel(t *testing.T) {
+	const n = 3000
+	orders := map[string]func(r *rand.Rand) []int{
+		"ascending":  func(*rand.Rand) []int { return seqOrder(n, false) },
+		"descending": func(*rand.Rand) []int { return seqOrder(n, true) },
+		"random":     func(r *rand.Rand) []int { return r.Perm(n) },
+		// Ascending runs that restart lower: the splice fits inside a run
+		// and must be abandoned at each restart.
+		"runs": func(r *rand.Rand) []int {
+			out := make([]int, 0, n)
+			for _, start := range r.Perm(n / 100) {
+				for j := 0; j < 100; j++ {
+					out = append(out, start*100+j)
+				}
+			}
+			return out
+		},
+	}
+	for name, order := range orders {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(9))
+			m := New(5)
+			ks := order(r)
+			var done sync.WaitGroup
+			stop := make(chan struct{})
+			for g := 0; g < 3; g++ {
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					for q := 0; ; q++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var prev keys.InternalKey
+						it := m.NewIter()
+						for ok := it.First(); ok; ok = it.Next() {
+							if prev != nil && keys.Compare(prev, it.Key()) >= 0 {
+								t.Errorf("iteration out of order: %q then %q", prev, it.Key())
+								return
+							}
+							prev = it.Key()
+						}
+						m.Get([]byte(fmt.Sprintf("k%06d", q%n)), keys.MaxSeq)
+					}
+				}()
+			}
+			// Every key twice, the second version newer, so the reference
+			// orders versions of one user key as well.
+			var ref []string
+			for pass := 0; pass < 2; pass++ {
+				for i, k := range ks {
+					seq := uint64(pass*n + i + 1)
+					uk := fmt.Sprintf("k%06d", k)
+					m.Set([]byte(uk), seq, keys.KindSet, []byte(fmt.Sprint(seq)))
+					ref = append(ref, string(keys.Make([]byte(uk), seq, keys.KindSet)))
+				}
+			}
+			close(stop)
+			done.Wait()
+			sort.Slice(ref, func(i, j int) bool {
+				return keys.Compare(keys.InternalKey(ref[i]), keys.InternalKey(ref[j])) < 0
+			})
+			it := m.NewIter()
+			i := 0
+			for ok := it.First(); ok; ok = it.Next() {
+				if i >= len(ref) || string(it.Key()) != ref[i] {
+					t.Fatalf("entry %d = %q, want %q", i, it.Key(), ref[i])
+				}
+				if want := fmt.Sprint(it.Key().Seq()); string(it.Value()) != want {
+					t.Fatalf("entry %d value %q, want %q", i, it.Value(), want)
+				}
+				i++
+			}
+			if i != len(ref) || m.Count() != len(ref) {
+				t.Fatalf("iterated %d, count %d, want %d", i, m.Count(), len(ref))
+			}
+			for _, k := range ks {
+				uk := []byte(fmt.Sprintf("k%06d", k))
+				if v, _, ok := m.Get(uk, n); !ok || len(v) == 0 {
+					t.Fatalf("snapshot %d lost %s", n, uk)
+				}
+			}
+		})
+	}
+}
+
+func seqOrder(n int, reverse bool) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+		if reverse {
+			out[i] = n - 1 - i
+		}
+	}
+	return out
 }

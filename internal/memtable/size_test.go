@@ -26,8 +26,8 @@ func TestApproximateSizeTracksHeap(t *testing.T) {
 
 	// Source material is allocated before the baseline measurement and
 	// stays live throughout, so it cancels out of the heap delta. The
-	// measured region contains only the allocations the memtable charges
-	// for: internal keys, value copies, and skiplist nodes.
+	// measured region contains only what the memtable holds: its arena of
+	// nodes, next arrays and key/value copies.
 	userKeys := make([][]byte, n)
 	vals := make([][]byte, n)
 	for i := range userKeys {
@@ -41,9 +41,7 @@ func TestApproximateSizeTracksHeap(t *testing.T) {
 
 	m := New(1)
 	for i := range userKeys {
-		ik := keys.Make(userKeys[i], uint64(i+1), keys.KindSet)
-		v := append([]byte(nil), vals[i]...)
-		m.Set(ik, v)
+		m.Set(userKeys[i], uint64(i+1), keys.KindSet, vals[i])
 	}
 
 	runtime.GC()

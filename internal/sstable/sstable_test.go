@@ -271,3 +271,45 @@ func TestMetaBounds(t *testing.T) {
 		t.Fatal("zero Size")
 	}
 }
+
+// TestTableWritesAreBuffered pins the writer's output buffering: a table
+// reaches the file in writes of at least writeBufferSize, so it costs at
+// most ceil(size/writeBufferSize)+1 Write calls, not two per block.
+func TestTableWritesAreBuffered(t *testing.T) {
+	for _, n := range []int{10, 20_000, 60_000} {
+		fs := vfs.NewCounting(vfs.NewMem())
+		meta := buildTable(t, fs, "t.sst", n, WriterOptions{BitsPerKey: DefaultBitsPerKey})
+		writes := fs.Stats.Snapshot().WriteOps
+		limit := int64((meta.Size+writeBufferSize-1)/writeBufferSize) + 1
+		t.Logf("%d entries: %d bytes in %d writes (limit %d)", n, meta.Size, writes, limit)
+		if writes > limit {
+			t.Fatalf("%d entries: %d bytes took %d writes, want <= %d", n, meta.Size, writes, limit)
+		}
+		r := openTable(t, fs, "t.sst", ReaderOptions{})
+		if v, _, ok, err := r.Get([]byte(fmt.Sprintf("key%06d", n-1)), keys.MaxSeq, nil); err != nil || !ok || string(v) != fmt.Sprintf("val%06d", n-1) {
+			t.Fatalf("%d entries: last key = %q ok=%v err=%v", n, v, ok, err)
+		}
+	}
+}
+
+// TestBufferedWriteErrorSurfaces pins that a write failing inside the
+// buffered writer is reported: by Add once the buffer spills, and by
+// Finish for the last write.
+func TestBufferedWriteErrorSurfaces(t *testing.T) {
+	for _, fail := range []int{0, 2} {
+		fs := vfs.NewFault(vfs.NewMem())
+		f, err := fs.Create("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.FailAfterWrites(fail)
+		w := NewWriter(f, WriterOptions{})
+		var addErr error
+		for i := 0; i < 30_000 && addErr == nil; i++ {
+			addErr = w.Add(keys.Make([]byte(fmt.Sprintf("key%06d", i)), uint64(i+1), keys.KindSet), []byte("value"))
+		}
+		if _, err := w.Finish(); err == nil {
+			t.Fatalf("fail after %d writes: Finish succeeded (Add error %v)", fail, addErr)
+		}
+	}
+}
