@@ -11,12 +11,22 @@ import (
 // within a batch are assigned consecutive sequence numbers and reach the WAL
 // in the same device write.
 //
-// The batch copies every key and value into one buffer of its own, which
-// Reset keeps: a batch reused for equal-sized work allocates nothing.
+// The batch copies every key and value into buffers of its own. Reset
+// keeps one as large as everything the batch held, so a batch reused for
+// equal-sized work allocates nothing.
 type Batch struct {
-	ops []batchOp
-	buf []byte
+	ops  []batchOp
+	buf  []byte
+	size int // key and value bytes queued since Reset
 }
+
+// Batch buffer sizes: a fresh batch starts small and doubles up to the
+// cap, so a short batch pins a few kilobytes and a long one zeroes little
+// more than it holds.
+const (
+	minBatchBuf = 4 << 10
+	maxBatchBuf = 64 << 10
+)
 
 type batchOp struct {
 	kind  keys.Kind
@@ -40,13 +50,14 @@ func (b *Batch) Delete(key []byte) {
 }
 
 // copy appends key and value to the buffer and returns the copies. A full
-// buffer is replaced by one twice its size; the ops already queued keep
-// pointing into the old one, which stays valid, so nothing is moved.
+// buffer is replaced by a new one; the ops already queued keep pointing
+// into the old one, which stays valid, so nothing is moved.
 func (b *Batch) copy(key, value []byte) (k, v []byte) {
 	n := len(key) + len(value)
 	if cap(b.buf)-len(b.buf) < n {
-		b.buf = make([]byte, 0, max(2*cap(b.buf), n, 4<<10))
+		b.buf = make([]byte, 0, max(min(2*cap(b.buf), maxBatchBuf), n, minBatchBuf))
 	}
+	b.size += n
 	off := len(b.buf)
 	b.buf = append(append(b.buf, key...), value...)
 	k = b.buf[off : off+len(key) : off+len(key)]
@@ -62,7 +73,10 @@ func (b *Batch) Len() int { return len(b.ops) }
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]
-	b.buf = b.buf[:0]
+	if b.size > cap(b.buf) {
+		b.buf = make([]byte, 0, b.size)
+	}
+	b.buf, b.size = b.buf[:0], 0
 }
 
 // Apply commits the batch through the group-commit pipeline: the batch's

@@ -46,9 +46,8 @@ const (
 	// DefaultBitsPerKey is the paper's Bloom filter budget.
 	DefaultBitsPerKey = 10
 	// writeBufferSize is the least a table writer hands the file in one
-	// Write (only a table's last write is smaller): a 4 KiB block per
-	// system call made the writer's syscalls a visible share of a bulk
-	// load's CPU.
+	// Write (only a table's last write is smaller), so a table costs a
+	// few system calls, not one or two per block.
 	writeBufferSize = 256 << 10
 )
 

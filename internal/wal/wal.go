@@ -48,6 +48,12 @@ func NewWriter(f vfs.File) *Writer { return &Writer{f: f} }
 // Add frames rec onto the writer's buffer. Nothing reaches the file until
 // Flush.
 func (w *Writer) Add(rec Record) {
+	// Grow by doubling from a page-sized start: append's own growth, 1.25×
+	// past a few hundred bytes, copies a large group's buffer dozens of
+	// times in every fresh log.
+	if n := 8 + 3*binary.MaxVarintLen64 + 1 + len(rec.Key) + len(rec.Value); cap(w.buf)-len(w.buf) < n {
+		w.buf = append(make([]byte, 0, max(2*cap(w.buf), len(w.buf)+n, 4<<10)), w.buf...)
+	}
 	hdr := len(w.buf)
 	w.buf = append(w.buf, make([]byte, 8)...)
 	w.buf = binary.AppendUvarint(w.buf, rec.Seq)
