@@ -94,11 +94,7 @@ type Options struct {
 	// CacheBytes > 0, else StrategyNone).
 	Strategy Strategy
 	// AdCache optionally overrides the AdCache configuration; Capacity is
-	// filled from CacheBytes. AdCache.MemtableArbitration extends the
-	// adaptive arbiter across the memtables: CacheBytes becomes one budget
-	// shared by the active/immutable memtables, the block cache, and the
-	// range cache, and the agent moves bytes across all three as the
-	// read/write mix drifts.
+	// filled from CacheBytes.
 	AdCache core.Config
 	// LSM optionally overrides engine options — block compression,
 	// background I/O rate limit, tree shape; FS/Dir/Strategy fields are

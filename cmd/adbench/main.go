@@ -42,13 +42,6 @@
 //     write coalescing. Fails unless codec+coalescing sustains 2x the JSON
 //     throughput at equal-or-better read p99 with zero client errors.
 //
-//   - memory: the RL-arbitrated single budget (memtables + block cache +
-//     range cache) against static memtable/cache splits of the same budget
-//     over a write-heavy → read-heavy → scan-heavy schedule, in simulated
-//     time. At artifact scale it fails unless unified beats every static
-//     split on aggregate throughput with read-heavy Get p99 no worse than
-//     the best split and zero errors.
-//
 //   - chaos: a 3-node fleet and manager under a seeded fault timeline, held
 //     to hard resilience gates.
 //
@@ -156,9 +149,6 @@ func experiments() []experiment {
 		}},
 		{name: "wire", out: "BENCH_WIRE.json", run: func(o options, out string) error {
 			return runWireBench(o.keys, o.ops, o.json, out)
-		}},
-		{name: "memory", out: "BENCH_MEMORY.json", run: func(o options, out string) error {
-			return runMemBench(o.keys, o.values, o.ops, o.json, out)
 		}},
 		{name: "chaos", out: "BENCH_CHAOS.json", run: func(o options, out string) error {
 			return runChaosBench(o.seed, o.json, out)

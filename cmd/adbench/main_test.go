@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -90,6 +92,89 @@ func TestExperimentNames(t *testing.T) {
 	if got, want := strings.Join(all, " "), "table2 fig1 fig6 fig7 fig8 fig9 fig10 fig11a fig11b ablations"; got != want {
 		t.Errorf("-exp all runs %q, want %q", got, want)
 	}
+}
+
+// ciFilter finds the -run, -bench and -fuzz patterns of the CI workflow's
+// go test commands, quoted or one word.
+var ciFilter = regexp.MustCompile(`-(run|bench|fuzz) +(?:'([^']*)'|([^\s']+))`)
+
+// TestCIFiltersMatchTests checks that every |-alternative of a -run, -bench
+// or -fuzz pattern in the CI workflow matches a Test, Fuzz or Benchmark
+// function of the module or of its bench/ module: a CI step whose filter
+// names a deleted or renamed test would otherwise pass by running nothing.
+// "-run -" runs no test on purpose.
+func TestCIFiltersMatchTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := testFuncNames(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := ciFilter.FindAllStringSubmatch(string(ci), -1)
+	if len(filters) == 0 {
+		t.Fatal("no -run, -bench or -fuzz filter in the CI workflow")
+	}
+	for _, m := range filters {
+		pattern := m[2] + m[3]
+		if pattern == "-" {
+			continue
+		}
+		// go test matches what precedes the first '/' against top-level
+		// functions; the rest selects subtests.
+		top, _, _ := strings.Cut(pattern, "/")
+		for _, alt := range strings.Split(top, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("CI -%s filter %q: %v", m[1], pattern, err)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("CI -%s filter: %q matches no Test, Fuzz or Benchmark function", m[1], alt)
+			}
+		}
+	}
+}
+
+// testFuncNames returns the Test, Fuzz and Benchmark functions declared in
+// the test files under root.
+func testFuncNames(root string) ([]string, error) {
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Benchmark"} {
+				if strings.HasPrefix(fn.Name.Name, prefix) {
+					names = append(names, fn.Name.Name)
+					break
+				}
+			}
+		}
+		return nil
+	})
+	return names, err
 }
 
 // noCallerNeeded lists the settings exempt from TestEverySettingHasACaller,

@@ -106,10 +106,9 @@ type ShardStat struct {
 	Writes metrics.HistogramSnapshot `json:"writes"`
 }
 
-// BudgetStat is one component of the node's unified memory ledger as
-// reported by /v1/shardstats: the arbiter's byte target for the component
-// and the bytes it actually holds. Components are "memtable",
-// "blockcache" and "rangecache".
+// BudgetStat is one component of the node's cache budget as reported by
+// /v1/shardstats: the controller's byte target for the component and the
+// bytes it actually holds. Components are "blockcache" and "rangecache".
 type BudgetStat struct {
 	Component   string `json:"component"`
 	TargetBytes int64  `json:"target_bytes"`
@@ -139,8 +138,8 @@ type ShardStats struct {
 	Node   string      `json:"node"`
 	Epoch  uint64      `json:"epoch"`
 	Shards []ShardStat `json:"shards"`
-	// Budgets is the node's unified memory ledger (present when the node
+	// Budgets is the node's cache-budget ledger (present when the node
 	// runs the adaptive strategy), so the shard manager and operators can
-	// watch memory move between the write and read sides.
+	// watch the controller move bytes between the block and range caches.
 	Budgets []BudgetStat `json:"budgets,omitempty"`
 }

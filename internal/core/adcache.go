@@ -19,8 +19,7 @@ import (
 // §4.2).
 type Params struct {
 	// RangeRatio is the fraction of the cache budget held by the range
-	// cache (the block cache holds the rest). With memtable arbitration the
-	// cache budget is Capacity minus the memtable share.
+	// cache (the block cache holds the rest).
 	RangeRatio float64
 	// PointThreshold is the absolute normalized-frequency score a missed
 	// key must reach to be admitted (§3.4).
@@ -29,10 +28,6 @@ type Params struct {
 	ScanA int
 	// ScanB is the partial-admission aggressiveness b ∈ [0,1].
 	ScanB float64
-	// MemRatio is the fraction of the unified budget allotted to the
-	// active + immutable memtables. Always 0 unless
-	// Config.MemtableArbitration is set.
-	MemRatio float64
 }
 
 // sub returns p − q per parameter (the residual of p around a prior q).
@@ -42,24 +37,14 @@ func (p Params) sub(q Params) Params {
 		PointThreshold: p.PointThreshold - q.PointThreshold,
 		ScanA:          p.ScanA - q.ScanA,
 		ScanB:          p.ScanB - q.ScanB,
-		MemRatio:       p.MemRatio - q.MemRatio,
 	}
 }
 
 // Config configures an AdCache instance.
 type Config struct {
-	// Capacity is the total byte budget shared by block and range caches —
-	// and, with MemtableArbitration, by the memtables too: one unified
-	// ledger the agent moves bytes across as the read/write mix drifts.
+	// Capacity is the total byte budget shared by block and range caches.
 	Capacity int64
 
-	// MemtableArbitration extends the arbiter across the write side:
-	// the action space gains a memtable-share dimension, the state vector
-	// gains write-side features, and the bound DB's flush threshold tracks
-	// the agent's allocation (via lsm.DB.SetMemTableBudget; shrinks apply
-	// at the next memtable rotation). The reward becomes mix-weighted
-	// between read hit rate and write efficiency (1/write-amplification).
-	MemtableArbitration bool
 	// WindowSize is the operations-per-window control interval
 	// (paper default: 1000).
 	WindowSize int
@@ -98,13 +83,6 @@ type Config struct {
 	// are skipped); experiments use synchronous tuning so every window is
 	// processed and runs are machine-speed independent.
 	SyncTuning bool
-
-	// initialMemRatio seeds the memtable share before the agent's first
-	// decision (default 0.25; meaningful only with MemtableArbitration,
-	// and pinned there by DisablePartitioning). Not settable outside the
-	// package: every caller runs with the default, and only the package's
-	// own tests vary it.
-	initialMemRatio float64
 }
 
 // Fixed scales of the action decoding; no caller tunes them.
@@ -114,11 +92,6 @@ const (
 	// pointThresholdScale maps the actor's [0,1] threshold action onto
 	// normalized-frequency scores, which concentrate near zero.
 	pointThresholdScale = 0.01
-	// memRatioMin and memRatioMax bound the decoded memtable share: the
-	// engine always keeps a working write buffer, and the caches are never
-	// starved below 40% of the budget.
-	memRatioMin = 0.05
-	memRatioMax = 0.6
 )
 
 func (c Config) withDefaults() Config {
@@ -130,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InitialRangeRatio <= 0 {
 		c.InitialRangeRatio = 0.5
-	}
-	if c.initialMemRatio <= 0 {
-		c.initialMemRatio = 0.25
 	}
 	return c
 }
@@ -188,10 +158,7 @@ type AdCache struct {
 	tuning   TuningState // last closed window's controller view (metrics)
 
 	lastBlockStats lru.Stats
-	// lastWriteInfo is the previous window's write-side snapshot, owned by
-	// the tuner (like lastBlockStats) for per-window deltas.
-	lastWriteInfo lsm.WriteSideInfo
-	windowsClosed atomic.Int64
+	windowsClosed  atomic.Int64
 }
 
 // New returns a started AdCache. Call Close to stop its tuning goroutine.
@@ -210,25 +177,19 @@ func New(cfg Config) (*AdCache, error) {
 			return nil, err
 		}
 	}
-	initialMemRatio := 0.0
-	if cfg.MemtableArbitration {
-		initialMemRatio = cfg.initialMemRatio
-	}
-	cacheBytes := cfg.Capacity - int64(float64(cfg.Capacity)*initialMemRatio)
-	rangeBytes := int64(float64(cacheBytes) * cfg.InitialRangeRatio)
+	rangeBytes := int64(float64(cfg.Capacity) * cfg.InitialRangeRatio)
 	// Shard sizing uses the full budget (the boundary may move the whole
 	// budget to either side later); the initial split applies via Resize.
 	a.block = lru.NewBlockCache(cfg.Capacity)
-	a.block.Resize(cacheBytes - rangeBytes)
+	a.block.Resize(cfg.Capacity - rangeBytes)
 	a.rng = rangecache.New(rangecache.Options{Capacity: cfg.Capacity}) // LRU
 	a.rng.Resize(rangeBytes)
-	a.blockBytes, a.rangeBytes = cacheBytes-rangeBytes, rangeBytes
+	a.blockBytes, a.rangeBytes = cfg.Capacity-rangeBytes, rangeBytes
 	a.params.Store(Params{
 		RangeRatio:     cfg.InitialRangeRatio,
 		PointThreshold: 0,
 		ScanA:          16, // paper: initialised to the short-scan length
 		ScanB:          0.5,
-		MemRatio:       initialMemRatio,
 	})
 	if !cfg.SyncTuning {
 		go a.tuneLoop()
@@ -237,17 +198,11 @@ func New(cfg Config) (*AdCache, error) {
 }
 
 // Bind attaches the DB so the tuner can read live LSM shape (levels, runs,
-// entries per block) for the I/O-estimate reward — and, with memtable
-// arbitration, pushes the current memtable allocation into the engine's
-// dynamic flush threshold. Optional but recommended (required for
-// MemtableArbitration to have any effect).
+// entries per block) for the I/O-estimate reward. Optional but recommended.
 func (a *AdCache) Bind(db *lsm.DB) {
 	a.mu.Lock()
 	a.db = db
 	a.mu.Unlock()
-	if a.cfg.MemtableArbitration && db != nil {
-		db.SetMemTableBudget(int64(float64(a.cfg.Capacity) * a.CurrentParams().MemRatio))
-	}
 }
 
 // Close stops the background tuner.
@@ -420,19 +375,6 @@ func (a *AdCache) ScanBlockFillQuota(scanLen int) (int64, bool) {
 		b = 1
 	}
 	return int64(float64(admitKeys)/b) + 1, true
-}
-
-// dbWriteInfo returns the bound DB's lock-free write-side snapshot (zero
-// value when no DB is bound). Like shape it is safe from inside engine
-// callbacks: the snapshot is an atomic load, never d.mu.
-func (a *AdCache) dbWriteInfo() lsm.WriteSideInfo {
-	a.mu.Lock()
-	db := a.db
-	a.mu.Unlock()
-	if db == nil {
-		return lsm.WriteSideInfo{}
-	}
-	return db.WriteSideInfo()
 }
 
 // shape returns the I/O model of the bound DB's live tree (of an empty tree

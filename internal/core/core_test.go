@@ -1,12 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"adcache/internal/lsm"
+	"adcache/internal/nn"
+	"adcache/internal/rl"
+	"adcache/internal/vfs"
 )
 
 func newTestAdCache(t *testing.T, cfg Config) *AdCache {
@@ -326,5 +332,148 @@ func TestReadFreeWindowLeavesController(t *testing.T) {
 	}
 	if got := a.CurrentParams(); got != params {
 		t.Fatalf("params %+v → %+v on read-free windows", params, got)
+	}
+}
+
+// saveAgentModel writes an actor and a critic as rl.Agent.Save does, at the
+// given state and action widths.
+func saveAgentModel(t *testing.T, fs vfs.FS, prefix string, stateDim, actionDim int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	actor := nn.NewMLP([]int{stateDim, rl.HiddenDim, rl.HiddenDim, actionDim}, nn.ReLU, nn.Tanh, rng)
+	critic := nn.NewMLP([]int{stateDim, rl.HiddenDim, rl.HiddenDim, 1}, nn.ReLU, nn.Linear, rng)
+	if err := actor.Save(fs, prefix+".actor", "residual-tanh/v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := critic.Save(fs, prefix+".critic", "residual-tanh/v1"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldDimModelRejected: a model saved with memtable arbitration's
+// widths (18 state features, 5 actions) is rejected with
+// nn.ErrArchitectureMismatch, never misindexed into the paper's 13/4
+// networks. The same file written at the current widths loads, so the
+// rejection is about the widths alone.
+func TestOldDimModelRejected(t *testing.T) {
+	fs := vfs.NewMem()
+	saveAgentModel(t, fs, "old", 18, 5)
+	_, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "old"})
+	if !errors.Is(err, nn.ErrArchitectureMismatch) {
+		t.Fatalf("loading an 18/5 model into a %d/%d agent: err = %v, want nn.ErrArchitectureMismatch",
+			rl.StateDim, rl.ActionDim, err)
+	}
+	saveAgentModel(t, fs, "current", rl.StateDim, rl.ActionDim)
+	a, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "current"})
+	if err != nil {
+		t.Fatalf("loading a model of the current widths: %v", err)
+	}
+	a.Close()
+}
+
+// TestCurrentDimModelRoundTrips: an agent serialized at the current dims
+// loads back cleanly (the rejection above is about dims, not loading).
+func TestCurrentDimModelRoundTrips(t *testing.T) {
+	fs := vfs.NewMem()
+	agent := rl.New(rl.Config{})
+	if err := agent.Save(fs, "model"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "model"})
+	if err != nil {
+		t.Fatalf("round trip failed: %v", err)
+	}
+	a.Close()
+}
+
+// TestBudgetsPartitionCapacity: the ledger has two components, the block
+// and range caches; their targets are the caches' capacities and partition
+// the configured capacity, at the initial split and after a move, up to the
+// remainders a cache drops when it splits its budget evenly among its
+// shards.
+func TestBudgetsPartitionCapacity(t *testing.T) {
+	const capacity = 1 << 20
+	a := newTestAdCache(t, Config{Capacity: capacity})
+	check := func(when string) {
+		t.Helper()
+		b := a.Budgets()
+		if len(b) != 2 || b[0].Component != "blockcache" || b[1].Component != "rangecache" {
+			t.Fatalf("%s: ledger %+v, want blockcache and rangecache", when, b)
+		}
+		if diff := capacity - (b[0].TargetBytes + b[1].TargetBytes); diff < 0 || diff >= 64 {
+			t.Fatalf("%s: targets sum to %d of %d bytes", when, capacity-diff, capacity)
+		}
+		if b[0].TargetBytes != a.Block().Stats().Capacity || b[1].TargetBytes != a.Range().Capacity() {
+			t.Fatalf("%s: targets %d/%d, cache capacities %d/%d", when,
+				b[0].TargetBytes, b[1].TargetBytes, a.Block().Stats().Capacity, a.Range().Capacity())
+		}
+	}
+	check("initial split")
+	p := a.CurrentParams()
+	p.RangeRatio = 0.3
+	a.applyParams(p)
+	check("after a move")
+}
+
+// TestNoOpBudgetMoveTakesNoLocks pins that a window whose byte split
+// hysteresis kept resizes neither cache (a resize locks every shard), and
+// that a real move resizes both.
+func TestNoOpBudgetMoveTakesNoLocks(t *testing.T) {
+	a := newTestAdCache(t, Config{})
+	base := a.CurrentParams()
+	p := base
+	p.RangeRatio += 0.01 // inside the ±0.02 deadband
+	p.PointThreshold += 0.1
+	before := a.resizes
+	a.applyParams(p)
+	a.applyParams(base)
+	if a.resizes != before {
+		t.Fatalf("moves inside the deadband resized the caches %d times", a.resizes-before)
+	}
+	p.RangeRatio = base.RangeRatio + 0.1
+	a.applyParams(p)
+	if got := a.resizes - before; got != 2 {
+		t.Fatalf("a real move resized %d caches, want 2", got)
+	}
+	if got, want := a.rng.Capacity(), a.rangeBytes; got != want {
+		t.Fatalf("range cache holds %d bytes of budget, the split says %d", got, want)
+	}
+}
+
+// TestLearningTraceDeterministic: under InlineCompaction + SyncTuning two
+// identically-seeded learning stacks produce identical per-window Params
+// traces on a fixed mixed workload.
+func TestLearningTraceDeterministic(t *testing.T) {
+	trace := func() []Params {
+		a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true, RecordTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		db := boundTestAdCache(t, a)
+		val := make([]byte, 256)
+		for i := 0; i < 3000; i++ {
+			key := []byte(fmt.Sprintf("key%06d", i%500))
+			if i%3 == 0 {
+				err = db.Put(key, val)
+			} else {
+				_, _, err = db.Get(key)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var params []Params
+		for _, w := range a.Trace() {
+			params = append(params, w.Params)
+		}
+		return params
+	}
+	p1, p2 := trace(), trace()
+	if len(p1) == 0 {
+		t.Fatal("no windows closed")
+	}
+	if !reflect.DeepEqual(p1, p2) {
+		t.Fatalf("param traces diverge:\n%+v\nvs\n%+v", p1, p2)
 	}
 }

@@ -174,10 +174,6 @@ type TuningState struct {
 	AgentSteps int64   `json:"agent_steps"`
 	HEstimate  float64 `json:"h_estimate"`
 	HSmoothed  float64 `json:"h_smoothed"`
-	// WriteEff is the last window's write efficiency (user bytes per
-	// SSTable byte written, the reciprocal of windowed write
-	// amplification). Zero unless memtable arbitration is enabled.
-	WriteEff   float64 `json:"write_eff,omitempty"`
 	Reward     float64 `json:"reward"`
 	ActorLR    float64 `json:"actor_lr"`
 	ActorLoss  float64 `json:"actor_loss"`
@@ -197,34 +193,27 @@ var paramSeries = []struct {
 	{"point_threshold", func(p Params) float64 { return p.PointThreshold }},
 	{"scan_a", func(p Params) float64 { return float64(p.ScanA) }},
 	{"scan_b", func(p Params) float64 { return p.ScanB }},
-	{"mem_ratio", func(p Params) float64 { return p.MemRatio }},
 }
 
-// Budget is one component of the unified memory ledger: the arbiter's
+// Budget is one component of the cache budget's ledger: the controller's
 // byte target for it and what it actually holds. Components are
-// "memtable" (target = Capacity × MemRatio, actual = active + immutable
-// physical bytes), "blockcache" and "rangecache" (targets are the
-// post-split cache capacities, actuals the resident bytes).
+// "blockcache" and "rangecache": targets are the post-split cache
+// capacities, actuals the resident bytes.
 type Budget struct {
 	Component   string `json:"component"`
 	TargetBytes int64  `json:"target_bytes"`
 	ActualBytes int64  `json:"actual_bytes"`
 }
 
-// Budgets reports the unified ledger's per-component targets and actuals.
-// The memtable row is all-zero when no DB is bound or arbitration is off.
-// Safe for concurrent use.
+// Budgets reports the ledger's per-component targets and actuals. Safe for
+// concurrent use.
 func (a *AdCache) Budgets() []Budget {
 	return a.budgets(a.block.Stats(), a.rng.Stats())
 }
 
 // budgets builds the ledger from cache stats the caller already holds.
 func (a *AdCache) budgets(bs lru.Stats, rs rangecache.Stats) []Budget {
-	info := a.dbWriteInfo()
 	return []Budget{
-		{Component: "memtable",
-			TargetBytes: int64(float64(a.cfg.Capacity) * a.CurrentParams().MemRatio),
-			ActualBytes: info.MemBytes + info.ImmBytes},
 		{Component: "blockcache", TargetBytes: bs.Capacity, ActualBytes: bs.Used},
 		{Component: "rangecache", TargetBytes: rs.Capacity, ActualBytes: rs.Used},
 	}
@@ -253,14 +242,12 @@ func (a *AdCache) RegisterMetrics(reg *metrics.Registry) {
 
 		p, t := a.CurrentParams(), a.TuningState()
 		s.Gauge("adcache_range_ratio", "Fraction of the cache budget held by the range cache.", p.RangeRatio)
-		s.Gauge("adcache_mem_ratio", "Fraction of the unified budget allotted to memtables (0 without arbitration).", p.MemRatio)
 		for _, b := range a.budgets(bs, rs) {
 			s.Gauge(fmt.Sprintf("adcache_budget_target_bytes{component=%q}", b.Component),
-				"Unified-ledger byte target for the component.", float64(b.TargetBytes))
+				"Cache-budget byte target for the component.", float64(b.TargetBytes))
 			s.Gauge(fmt.Sprintf("adcache_budget_actual_bytes{component=%q}", b.Component),
 				"Bytes the component actually holds.", float64(b.ActualBytes))
 		}
-		s.Gauge("adcache_write_eff", "Last window's write efficiency (1/write-amplification; unified arbitration only).", t.WriteEff)
 		s.Gauge("adcache_point_threshold", "Frequency-score threshold for point admission.", p.PointThreshold)
 		s.Gauge("adcache_scan_a", "Full-admission scan length threshold a, in keys.", float64(p.ScanA))
 		s.Gauge("adcache_scan_b", "Partial-admission aggressiveness b.", p.ScanB)

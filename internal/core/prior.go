@@ -14,10 +14,6 @@ import (
 // short, long and write are the window's operation shares; share is the
 // cache budget over the live data size. The agent learns a bounded residual
 // around it (rl.ResidualSpan).
-//
-// The memtable share is not calibrated (block reads per op cannot price
-// it): write-heavy mixes want large memtables — fewer, bigger flushes cut
-// write amplification — while read mixes hand the memory to the caches.
 func Prior(point, short, long, write, share float64) rl.Action {
 	best, bestMix, bestShare := 0, math.Inf(1), math.Inf(1)
 	for i, r := range calibration {
@@ -34,7 +30,6 @@ func Prior(point, short, long, write, share float64) rl.Action {
 		PointThreshold: r.threshold,
 		ScanA:          r.a,
 		ScanB:          r.b,
-		MemRatio:       clamp01f(0.05 + 1.1*write),
 	}
 }
 

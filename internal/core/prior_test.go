@@ -10,9 +10,8 @@ import (
 	"adcache/internal/vfs"
 )
 
-func rowAction(r calibRow, write float64) rl.Action {
-	return rl.Action{RangeRatio: r.ratio, PointThreshold: r.threshold, ScanA: r.a, ScanB: r.b,
-		MemRatio: clamp01f(0.05 + 1.1*write)}
+func rowAction(r calibRow) rl.Action {
+	return rl.Action{RangeRatio: r.ratio, PointThreshold: r.threshold, ScanA: r.a, ScanB: r.b}
 }
 
 // TestPriorReproducesCalibration: for a calibrated mix the prior is the row
@@ -21,7 +20,7 @@ func rowAction(r calibRow, write float64) rl.Action {
 func TestPriorReproducesCalibration(t *testing.T) {
 	for i, r := range calibration {
 		p, s, l, w := r.point/100, r.short/100, r.long/100, r.write/100
-		want := rowAction(r, w)
+		want := rowAction(r)
 		for _, share := range []float64{r.share, r.share * 1.2, r.share / 1.2} {
 			if got := Prior(p, s, l, w, share); got != want {
 				t.Errorf("row %d at share %.4f: Prior = %+v, want %+v", i, share, got, want)
@@ -39,12 +38,12 @@ func TestPriorReproducesCalibration(t *testing.T) {
 		if got := Prior(p, s, l, w, mid*0.99); got != want {
 			t.Errorf("row %d: just below the midpoint Prior = %+v, want %+v", i, got, want)
 		}
-		if got, want := Prior(p, s, l, w, mid*1.01), rowAction(next, w); got != want {
+		if got, want := Prior(p, s, l, w, mid*1.01), rowAction(next); got != want {
 			t.Errorf("row %d: just above the midpoint Prior = %+v, want %+v", i, got, want)
 		}
 	}
 	r := calibration[0]
-	if got, want := Prior(r.point/100, r.short/100, r.long/100, r.write/100, r.share/3), rowAction(r, r.write/100); got != want {
+	if got, want := Prior(r.point/100, r.short/100, r.long/100, r.write/100, r.share/3), rowAction(r); got != want {
 		t.Errorf("below the smallest share Prior = %+v, want %+v", got, want)
 	}
 }
@@ -68,7 +67,7 @@ func TestPriorPicksNearestMix(t *testing.T) {
 				*v += 0.02 / 3
 			}
 		}
-		if got, want := Prior(p, s, l, w, r.share), rowAction(r, w); got != want {
+		if got, want := Prior(p, s, l, w, r.share), rowAction(r); got != want {
 			t.Errorf("row %d: near its mix Prior = %+v, want %+v", i, got, want)
 		}
 	}

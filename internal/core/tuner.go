@@ -1,7 +1,6 @@
 package core
 
 import (
-	"adcache/internal/lsm"
 	"adcache/internal/rl"
 	"adcache/internal/stats"
 )
@@ -24,40 +23,18 @@ func (a *AdCache) tuneLoop() {
 	}
 }
 
-// writeDeltas are the per-window changes of the engine's cumulative
-// write-side counters, computed by tuneOnce from successive WriteSideInfo
-// snapshots.
-type writeDeltas struct {
-	flushes   int64
-	stalls    int64
-	userBytes int64
-	outBytes  int64 // flush + compaction output bytes
-}
-
 // tuneOnce closes one window. Callers hold tuneMu.
 func (a *AdCache) tuneOnce() {
 	w := a.collector.EndWindow()
 	if w.Ops() == 0 {
 		return
 	}
-	// Write-side deltas for this window (zero when no DB is bound).
-	info := a.dbWriteInfo()
-	wd := writeDeltas{
-		flushes:   info.Flushes - a.lastWriteInfo.Flushes,
-		stalls:    (info.StallSlowdowns + info.StallStops) - (a.lastWriteInfo.StallSlowdowns + a.lastWriteInfo.StallStops),
-		userBytes: info.UserBytes - a.lastWriteInfo.UserBytes,
-		outBytes: (info.FlushedBytes + info.CompactionOutBytes) -
-			(a.lastWriteInfo.FlushedBytes + a.lastWriteInfo.CompactionOutBytes),
-	}
-	a.lastWriteInfo = info
-
 	// A read-free window has nothing to learn from: the hit-rate estimate
 	// is 0 by construction (no lookups to hit), so training on it would
 	// only teach the agent that a write burst is a bad state. The window
-	// is counted and its baselines advance; the agent, the parameters and
-	// the smoothed reward stay where they are. Unified arbitration prices
-	// write efficiency too, so there every window trains.
-	if w.Points+w.Scans == 0 && !a.cfg.MemtableArbitration {
+	// is counted and the block-cache baseline advances; the agent, the
+	// parameters and the smoothed reward stay where they are.
+	if w.Points+w.Scans == 0 {
 		a.lastBlockStats = a.block.Stats()
 		windows := a.windowsClosed.Add(1)
 		a.mu.Lock()
@@ -68,24 +45,6 @@ func (a *AdCache) tuneOnce() {
 	shape, cacheShare := a.shape()
 	hEst := shape.HitRateEstimate(w)
 
-	// Reward. Cache-only arbitration optimises the estimated hit rate
-	// alone. Unified memory arbitration mixes in write efficiency — user
-	// bytes per SSTable byte written this window, i.e. the reciprocal of
-	// windowed write amplification, in (0, 1] — weighted by the window's
-	// write share, so the composite degenerates to hEst exactly on
-	// read-only windows and the cache-only behaviour is unchanged.
-	reward := hEst
-	var writeEff float64
-	if a.cfg.MemtableArbitration {
-		ops := float64(w.Ops())
-		writeShare := float64(w.Writes) / ops
-		writeEff = 1.0
-		if wd.userBytes > 0 && wd.outBytes > wd.userBytes {
-			writeEff = float64(wd.userBytes) / float64(wd.outBytes)
-		}
-		reward = (1-writeShare)*hEst + writeShare*writeEff
-	}
-
 	// Reward smoothing (§3.5): h ← α·h + (1−α)·h_est. The relative change
 	// Δh/h drives the adaptive learning rate exactly as published; the
 	// smoothed level itself is the critic's return signal (see the
@@ -93,10 +52,10 @@ func (a *AdCache) tuneOnce() {
 	a.mu.Lock()
 	var lrDelta float64
 	if !a.haveInit {
-		a.smoothed = reward
+		a.smoothed = hEst
 		a.haveInit = true
 	} else {
-		next := a.cfg.Alpha*a.smoothed + (1-a.cfg.Alpha)*reward
+		next := a.cfg.Alpha*a.smoothed + (1-a.cfg.Alpha)*hEst
 		if next > 1e-9 {
 			lrDelta = (next - a.smoothed) / next
 		}
@@ -105,7 +64,7 @@ func (a *AdCache) tuneOnce() {
 	smoothed := a.smoothed
 	a.mu.Unlock()
 
-	state := a.buildState(w, shape, hEst, info, wd)
+	state := a.buildState(w, shape, hEst)
 	point, short, long, write := windowMix(w)
 	priorAct := Prior(point, short, long, write, cacheShare)
 	prior, params := a.decodeAction(priorAct), a.CurrentParams()
@@ -128,7 +87,6 @@ func (a *AdCache) tuneOnce() {
 		AgentSteps: a.agent.Steps(),
 		HEstimate:  hEst,
 		HSmoothed:  smoothed,
-		WriteEff:   writeEff,
 		Reward:     lrDelta,
 		ActorLR:    a.agent.ActorLR(),
 		ActorLoss:  actorLoss,
@@ -160,16 +118,8 @@ func (a *AdCache) decodeAction(act rl.Action) Params {
 		ScanA:          int(act.ScanA*maxScanLen) + 1,
 		ScanB:          act.ScanB,
 	}
-	if a.cfg.MemtableArbitration {
-		// The [0,1] action maps onto a fixed band: the engine always
-		// keeps a working write buffer and the caches are never starved.
-		p.MemRatio = memRatioMin + act.MemRatio*(memRatioMax-memRatioMin)
-	}
 	if a.cfg.DisablePartitioning {
 		p.RangeRatio = a.cfg.InitialRangeRatio
-		if a.cfg.MemtableArbitration {
-			p.MemRatio = a.cfg.initialMemRatio
-		}
 	}
 	if a.cfg.DisableAdmission {
 		p.PointThreshold = 0
@@ -179,40 +129,31 @@ func (a *AdCache) decodeAction(act rl.Action) Params {
 	return p
 }
 
-// applyParams publishes params and moves the budget boundaries, returning
+// applyParams publishes params and moves the budget boundary, returning
 // what it actually applied. Small ratio jitters (exploration noise) are not
-// applied: every downward cache resize evicts entries, every memtable-share
-// move forces or delays flushes, and §3.5 warns that frequent boundary
-// adjustments degrade performance — so both budget ratios carry a ±0.02
-// hysteresis deadband, and the POST-hysteresis values are what gets stored
-// (dashboards and the trace never see a pre-clamp target). Admission
-// parameters always apply.
+// applied: every downward cache resize evicts entries, and §3.5 warns that
+// frequent boundary adjustments degrade performance — so the range ratio
+// carries a ±0.02 hysteresis deadband, and the POST-hysteresis value is
+// what gets stored (dashboards and the trace never see a pre-clamp
+// target). Admission parameters always apply.
 func (a *AdCache) applyParams(p Params) Params {
 	prev := a.CurrentParams()
 	if !a.cfg.DisableHysteresis {
 		if diff := p.RangeRatio - prev.RangeRatio; diff < 0.02 && diff > -0.02 {
 			p.RangeRatio = prev.RangeRatio
 		}
-		if diff := p.MemRatio - prev.MemRatio; diff < 0.02 && diff > -0.02 {
-			p.MemRatio = prev.MemRatio
-		}
 	}
 	a.setParams(p)
 	return p
 }
 
-// setParams publishes p and moves the budget boundaries to it. A cache
-// whose budget stays the same is not resized: a resize locks every shard,
-// and hysteresis keeps the split most windows.
+// setParams publishes p and moves the budget boundary to it. A cache whose
+// budget stays the same is not resized: a resize locks every shard, and
+// hysteresis keeps the split most windows.
 func (a *AdCache) setParams(p Params) {
 	a.params.Store(p)
-	// Unified ledger: memtables take their share off the top, the caches
-	// split the remainder at the range/block boundary. With arbitration off
-	// MemRatio is always 0 and this is the original two-way split.
-	memBytes := int64(float64(a.cfg.Capacity) * p.MemRatio)
-	cacheBytes := a.cfg.Capacity - memBytes
-	rangeBytes := int64(float64(cacheBytes) * p.RangeRatio)
-	if blockBytes := cacheBytes - rangeBytes; blockBytes != a.blockBytes {
+	rangeBytes := int64(float64(a.cfg.Capacity) * p.RangeRatio)
+	if blockBytes := a.cfg.Capacity - rangeBytes; blockBytes != a.blockBytes {
 		a.block.Resize(blockBytes)
 		a.blockBytes = blockBytes
 		a.resizes++
@@ -222,23 +163,12 @@ func (a *AdCache) setParams(p Params) {
 		a.rangeBytes = rangeBytes
 		a.resizes++
 	}
-	if a.cfg.MemtableArbitration {
-		a.mu.Lock()
-		db := a.db
-		a.mu.Unlock()
-		if db != nil {
-			// Lock-free atomic store: safe even when this runs inside an
-			// engine callback holding the DB's locks (SyncTuning). A shrink
-			// takes effect at the engine's next memtable rotation.
-			db.SetMemTableBudget(memBytes)
-		}
-	}
 }
 
 // buildState assembles the agent's observation: workload composition, scan
 // shape, cache effectiveness and occupancy, tree state — the features §3.5
-// lists — plus the write-side features of the unified memory arbiter.
-func (a *AdCache) buildState(w stats.Window, shape stats.Shape, hEst float64, info lsm.WriteSideInfo, wd writeDeltas) []float32 {
+// lists.
+func (a *AdCache) buildState(w stats.Window, shape stats.Shape, hEst float64) []float32 {
 	ops := float64(w.Ops())
 	if ops == 0 {
 		ops = 1
@@ -276,23 +206,6 @@ func (a *AdCache) buildState(w stats.Window, shape stats.Shape, hEst float64, in
 	state[12] = 1
 	if bs.LogicalUsed > 0 {
 		state[12] = float32(clamp01f(float64(bs.Used) / float64(bs.LogicalUsed)))
-	}
-
-	// Write-side features (unified memory arbitration; all zero when no DB
-	// is bound): the in-force memtable share, how full the active memtable
-	// is against its target, immutable-queue pressure, this window's
-	// flush + stall events, and this window's write amplification.
-	state[13] = float32(p.MemRatio)
-	if info.MemTarget > 0 {
-		state[14] = float32(clamp01f(float64(info.MemBytes) / float64(info.MemTarget)))
-	}
-	if info.MaxImm > 0 {
-		state[15] = float32(clamp01f(float64(info.ImmCount) / float64(info.MaxImm)))
-	}
-	state[16] = float32(clamp01f(float64(wd.flushes+wd.stalls) / 8))
-	if wd.userBytes > 0 && wd.outBytes > 0 {
-		wa := float64(wd.outBytes) / float64(wd.userBytes)
-		state[17] = float32(clamp01f(wa / 8))
 	}
 	return state
 }

@@ -140,8 +140,7 @@ func TestAllocsZeroBudgetBlockMiss(t *testing.T) {
 // TestAllocsCommit bounds what a write group of one Put allocates: ten
 // objects — the caller's key and value copies, the group's bookkeeping, the
 // WAL record and the memtable entry. Publishing the write-side counters
-// allocates nothing: they are registry cells, where a WriteSideInfo copy
-// boxed into an atomic.Value per group used to be the eleventh.
+// allocates nothing: they are registry cells.
 func TestAllocsCommit(t *testing.T) {
 	opts := DefaultOptions("allocdb")
 	opts.FS = vfs.NewMem()

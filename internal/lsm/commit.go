@@ -292,17 +292,13 @@ func (d *DB) publish(g *writeGroup) error {
 	d.metrics.userBytes.Add(userBytes)
 	d.metrics.writeGroups.Inc()
 	g.full = d.memFullLocked()
-	d.storeMemGaugesLocked()
 	return nil
 }
 
-// memFullLocked reports the active memtable at or past its flush threshold.
-// The threshold is dynamic when a unified-memory arbiter has set a budget
-// (SetMemTableBudget): active target = budget − immutable bytes, floored. A
-// budget shrink never truncates the in-flight memtable, it just seals it
-// after the next group publishes. Caller holds d.mu, shared or exclusive.
+// memFullLocked reports the active memtable at or past its flush threshold,
+// Options.MemTableSize. Caller holds d.mu, shared or exclusive.
 func (d *DB) memFullLocked() bool {
-	return d.mem.ApproximateSize() >= d.activeMemTargetLocked()
+	return d.mem.ApproximateSize() >= d.opts.MemTableSize
 }
 
 // rotate is background mode's seal point, run by the leader of a group that
@@ -528,13 +524,12 @@ func (d *DB) sealMemTable() error {
 	}
 	d.mu.Lock()
 	if !empty {
-		d.imm = append(d.imm, &immTable{mem: d.mem, walNum: oldNum, bytes: d.mem.ApproximateSize()})
+		d.imm = append(d.imm, &immTable{mem: d.mem, walNum: oldNum})
 		d.mem = memtable.New(d.nextMemSeedLocked())
 	}
 	oldLog := d.log
 	d.walNum = num
 	d.log = wal.NewWriter(f)
-	d.storeMemGaugesLocked()
 	d.mu.Unlock()
 	d.walBroken = false
 	if usePrepared {

@@ -40,10 +40,6 @@ var ErrClosed = errors.New("lsm: database closed")
 type immTable struct {
 	mem    *memtable.MemTable
 	walNum uint64
-	// bytes caches ApproximateSize at seal time: the memtable is frozen, so
-	// the commit path can charge the immutable queue against the memtable
-	// budget without taking per-memtable locks.
-	bytes int64
 }
 
 // DB is an LSM-tree key-value store. It is safe for concurrent use by
@@ -156,18 +152,6 @@ type DB struct {
 	// callbacks (where taking d.mu would deadlock).
 	shapeInfo atomic.Value // ShapeInfo
 
-	// memBudget is the dynamic byte budget for active + immutable memtables,
-	// set by a unified-memory arbiter via SetMemTableBudget. 0 means no
-	// arbiter: the static Options.MemTableSize threshold applies. Atomic so
-	// strategies can move it from inside engine callbacks (which may run
-	// under d.mu).
-	memBudget atomic.Int64
-
-	// Write-side gauges, stored (under d.mu) wherever the memtable or the
-	// immutable queue changes and read lock-free by WriteSideInfo: cache
-	// strategies observe the write side from inside engine callbacks.
-	memBytes, memTarget, immCount, immBytes atomic.Int64
-
 	// readPool recycles per-operation read scratch (seek-key buffers, block
 	// and merge iterators, the scan iterator stack) so warm Get/Scan calls
 	// allocate nothing beyond their results.
@@ -231,7 +215,6 @@ func Open(opts Options) (*DB, error) {
 	db.removeOrphans()
 	db.seqAlloc.Store(db.lastSeq)
 	db.syncSlots = make(chan struct{}, maxSyncsInFlight)
-	db.storeMemGaugesLocked() // single-threaded: no other goroutine yet
 	if !opts.InlineCompaction {
 		db.bgWork = make(chan struct{}, 1)
 		db.quit = make(chan struct{})
@@ -820,12 +803,8 @@ type Metrics struct {
 	MemTableEntries int
 	MemTableBytes   int64
 	ImmMemTables    int
-	// ImmMemTableBytes is the physical bytes pinned by the sealed queue;
-	// MemTableBudget the dynamic unified-memory budget (0 = static sizing);
-	// MemTableTarget the flush threshold currently in force.
+	// ImmMemTableBytes is the physical bytes pinned by the sealed queue.
 	ImmMemTableBytes int64
-	MemTableBudget   int64
-	MemTableTarget   int64
 	Flushes          int64
 	Compactions      int64
 	// Subcompactions counts shard merges: equal to Compactions when every
@@ -916,8 +895,6 @@ func (d *DB) Metrics() Metrics {
 		MemTableBytes:    d.mem.ApproximateSize(),
 		ImmMemTables:     len(d.imm),
 		ImmMemTableBytes: d.immBytesLocked(),
-		MemTableBudget:   d.memBudget.Load(),
-		MemTableTarget:   d.activeMemTargetLocked(),
 		LastSeq:          d.lastSeq,
 		BgState:          d.bgState.String(),
 		bgStateNum:       int(d.bgState),
@@ -946,6 +923,15 @@ func (d *DB) Metrics() Metrics {
 		}
 	}
 	return m
+}
+
+// immBytesLocked sums the sealed queue's sizes. Caller holds d.mu.
+func (d *DB) immBytesLocked() int64 {
+	var total int64
+	for _, im := range d.imm {
+		total += im.mem.ApproximateSize()
+	}
+	return total
 }
 
 // MetricsSnapshots reports how many times Metrics has run — a test hook for

@@ -150,7 +150,6 @@ func (d *DB) flushImm() error {
 	d.metrics.flushes.Inc()
 	d.metrics.flushedBytes.Add(int64(meta.Size))
 	d.imm = d.imm[1:]
-	d.storeMemGaugesLocked()
 	d.bgCond.Broadcast()
 	d.mu.Unlock()
 	d.removeTables(dead)

@@ -8,7 +8,7 @@ import (
 
 // dbMetrics holds the engine's registry cells: the hot-path histograms and
 // every cumulative counter. A cell is the count's only home — the owner
-// increments it where the event happens, Metrics() and WriteSideInfo() read
+// increments it where the event happens, Metrics() reads
 // it, /metrics renders it. Latencies are recorded in nanoseconds (the
 // `_nanos` suffix drives duration formatting in summary tables);
 // write-group size is a plain magnitude.
@@ -95,8 +95,6 @@ var sampledSeries = []struct {
 	{"lsm_memtable_bytes", "active memtable size", false, func(m *Metrics) float64 { return float64(m.MemTableBytes) }},
 	{"lsm_imm_memtables", "sealed memtables awaiting flush", false, func(m *Metrics) float64 { return float64(m.ImmMemTables) }},
 	{"lsm_imm_memtable_bytes", "bytes pinned by sealed memtables awaiting flush", false, func(m *Metrics) float64 { return float64(m.ImmMemTableBytes) }},
-	{"lsm_memtable_budget_bytes", "dynamic unified-memory memtable budget (0 = static sizing)", false, func(m *Metrics) float64 { return float64(m.MemTableBudget) }},
-	{"lsm_memtable_target_bytes", "flush threshold currently in force for the active memtable", false, func(m *Metrics) float64 { return float64(m.MemTableTarget) }},
 	{"lsm_sorted_runs", "sorted runs in the tree", false, func(m *Metrics) float64 { return float64(m.SortedRuns) }},
 	{"lsm_total_entries", "entries across all SSTables", false, func(m *Metrics) float64 { return float64(m.TotalEntries) }},
 	{"lsm_total_bytes", "bytes across all SSTables", false, func(m *Metrics) float64 { return float64(m.TotalBytes) }},

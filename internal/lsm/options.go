@@ -27,9 +27,7 @@ type Options struct {
 	// Dir is the database directory.
 	Dir string
 
-	// MemTableSize is the flush threshold in bytes. It is the static
-	// threshold; a cache strategy driving unified memory arbitration can
-	// override it dynamically via DB.SetMemTableBudget.
+	// MemTableSize is the flush threshold in bytes.
 	MemTableSize int64
 	// Compression selects per-block SSTable compression
 	// (sstable.CompressionNone or sstable.CompressionFlate). Default none:
@@ -89,12 +87,6 @@ type Options struct {
 	// The fields below are not settable outside the package: every caller
 	// runs with their defaults, and only the package's own tests vary them.
 
-	// minMemTableSize floors the dynamic flush threshold when a memtable
-	// budget is set (DB.SetMemTableBudget): however small the arbiter's
-	// allocation, the active memtable may always grow to this size, so a
-	// shrinking budget degrades to frequent small flushes instead of
-	// livelocking the write path. Default 32 KiB.
-	minMemTableSize int64
 	// blockSize is the SSTable data-block size (paper: 4 KiB). The I/O
 	// model reads it through ShapeInfo.
 	blockSize int
@@ -174,9 +166,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemTableSize <= 0 {
 		o.MemTableSize = 1 << 20 // 1 MiB
-	}
-	if o.minMemTableSize <= 0 {
-		o.minMemTableSize = 32 << 10
 	}
 	if o.blockSize <= 0 {
 		o.blockSize = 4096

@@ -435,8 +435,8 @@ func TestFillingPutSeals(t *testing.T) {
 		if err := db.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
-		if mem, target := db.memBytes.Load(), db.memTarget.Load(); mem >= target {
-			t.Fatalf("after Put %d the active memtable holds %d bytes, threshold %d", i, mem, target)
+		if mem := db.Metrics().MemTableBytes; mem >= db.opts.MemTableSize {
+			t.Fatalf("after Put %d the active memtable holds %d bytes, threshold %d", i, mem, db.opts.MemTableSize)
 		}
 	}
 	if m := db.Metrics(); m.ImmMemTables == 0 && m.Flushes == 0 {
@@ -452,7 +452,6 @@ func TestCrashRotationUnderLoad(t *testing.T) {
 	gate := newWALGate(cfs)
 	opts := testOptions(gate)
 	opts.MemTableSize = 1 << 20
-	opts.minMemTableSize = 1 << 10
 	db := mustOpen(t, opts)
 	defer db.Close()
 	for i := 0; i < 50; i++ {
@@ -461,7 +460,11 @@ func TestCrashRotationUnderLoad(t *testing.T) {
 		}
 	}
 
-	db.SetMemTableBudget(1) // the next group to publish finds the memtable full
+	// The next group to publish finds the memtable full; the threshold is
+	// read under d.mu.
+	db.mu.Lock()
+	db.opts.MemTableSize = 1 << 10
+	db.mu.Unlock()
 	r1, r2, filler, inFlight := parkTwo(t, db, gate)
 	r1 <- nil // the filling group publishes, then rotates
 	if !pending(filler) {

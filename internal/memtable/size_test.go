@@ -17,9 +17,9 @@ import (
 // TestApproximateSizeTracksHeap pins the memtable's physical-byte
 // accounting against the Go heap: after inserting many entries, the sum of
 // entryBytes charges must land within ±30% of the measured heap growth.
-// The unified memory arbiter trades these bytes against the block cache's
-// physical charges, so a systematic over- or under-count here would skew
-// every budget decision.
+// The engine's flush threshold (lsm.Options.MemTableSize) is counted in
+// these bytes, so a systematic over- or under-count here would seal
+// memtables at a heap size other than the configured one.
 func TestApproximateSizeTracksHeap(t *testing.T) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(42))

@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// The controller's networks (internal/rl): 18 state features, two hidden
-// layers of 256, a Tanh actor with 5 outputs and a Linear critic with 1.
+// The controller's networks (rl.StateDim, rl.HiddenDim, rl.ActionDim): 13
+// state features, two hidden layers of 256, a Tanh actor with 4 outputs and
+// a Linear critic with 1.
 func controllerNets() (actor, critic *MLP, state []float32) {
 	rng := rand.New(rand.NewSource(1))
-	actor = NewMLP([]int{18, 256, 256, 5}, ReLU, Tanh, rng)
-	critic = NewMLP([]int{18, 256, 256, 1}, ReLU, Linear, rng)
-	state = make([]float32, 18)
+	actor = NewMLP([]int{13, 256, 256, 4}, ReLU, Tanh, rng)
+	critic = NewMLP([]int{13, 256, 256, 1}, ReLU, Linear, rng)
+	state = make([]float32, 13)
 	for i := range state {
 		if i%3 != 0 { // a third of the features idle, as on a read-only mix
 			state[i] = float32(rng.Float64())
@@ -31,7 +32,7 @@ func BenchmarkForward(b *testing.B) {
 func BenchmarkTrain(b *testing.B) {
 	actor, _, x := controllerNets()
 	actor.Forward(x)
-	grad := []float32{0.01, 0.01, 0.01, 0.01, 0.01}
+	grad := []float32{0.01, 0.01, 0.01, 0.01}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		actor.Train(grad, 1e-3)
@@ -54,6 +55,6 @@ func BenchmarkControlStep(b *testing.B) {
 		critic.Forward(x)
 		critic.Forward(x)
 		critic.Train([]float32{0.1}, 1e-3)
-		actor.Train([]float32{0.01, 0.01, 0.01, 0.01, 0.01}, 1e-3)
+		actor.Train([]float32{0.01, 0.01, 0.01, 0.01}, 1e-3)
 	}
 }

@@ -299,14 +299,14 @@ func TestTrainMatchesTwoPass(t *testing.T) {
 		name string
 		out  int
 		act  Act
-	}{{"tanh actor", 5, Tanh}, {"linear critic", 1, Linear}} {
+	}{{"tanh actor", 4, Tanh}, {"linear critic", 1, Linear}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sizes := []int{18, 256, 256, tc.out}
+			sizes := []int{13, 256, 256, tc.out}
 			fused := NewMLP(sizes, ReLU, tc.act, rand.New(rand.NewSource(7)))
 			ref := NewMLP(sizes, ReLU, tc.act, rand.New(rand.NewSource(7)))
 			g := newRefGrads(ref)
 			rng := rand.New(rand.NewSource(8))
-			x, dOut := make([]float32, 18), make([]float32, tc.out)
+			x, dOut := make([]float32, 13), make([]float32, tc.out)
 			for step := 0; step < 300; step++ {
 				for i := range x {
 					x[i] = 0

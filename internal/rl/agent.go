@@ -44,16 +44,12 @@ const parametrization = "residual-tanh/v1"
 const (
 	// StateDim is the workload/cache feature vector length. Feature 12 is
 	// the block cache's physical/logical byte ratio (1.0 when blocks are
-	// uncompressed or the cache is empty), so budget arbitration observes
-	// what its byte budget actually buys in decoded data. Features 13-17
-	// are the write-side observations of the unified memory arbiter:
-	// current memtable share, memtable fill fraction, immutable-queue
-	// depth, flush+stall rate, and windowed write amplification.
-	StateDim = 18
+	// uncompressed or the cache is empty), so the budget split observes
+	// what its byte budget actually buys in decoded data.
+	StateDim = 13
 	// ActionDim covers: range-cache ratio, point admission threshold,
-	// scan partial-admission a (normalised), scan partial-admission b,
-	// memtable budget share (unified memory arbitration).
-	ActionDim = 5
+	// scan partial-admission a (normalised), scan partial-admission b.
+	ActionDim = 4
 	// HiddenDim matches the paper's 256-unit hidden layers.
 	HiddenDim = 256
 )
@@ -71,18 +67,14 @@ type Action struct {
 	ScanA float64
 	// ScanB is the partial-admission aggressiveness b.
 	ScanB float64
-	// MemRatio is the normalised memtable share of the unified memory
-	// budget; the strategy maps it onto its configured [min, max] band.
-	// Ignored unless memtable arbitration is enabled.
-	MemRatio float64
 }
 
 func (a Action) vector() []float64 {
-	return []float64{a.RangeRatio, a.PointThreshold, a.ScanA, a.ScanB, a.MemRatio}
+	return []float64{a.RangeRatio, a.PointThreshold, a.ScanA, a.ScanB}
 }
 
 func actionFrom(v []float64) Action {
-	return Action{RangeRatio: v[0], PointThreshold: v[1], ScanA: v[2], ScanB: v[3], MemRatio: v[4]}
+	return Action{RangeRatio: v[0], PointThreshold: v[1], ScanA: v[2], ScanB: v[3]}
 }
 
 // Config tunes the agent. The zero value is the paper's settings.
@@ -100,7 +92,7 @@ type Config struct {
 	// exploreStd is the Gaussian exploration noise applied to the actor's
 	// output, the residual in units of ResidualSpan: the default 0.08 is
 	// 0.012 in action units, 0.15× the direct-output actor's exploration
-	// (DESIGN.md, "Controller prior"). The budget-moving actions get half
+	// (DESIGN.md, "Controller prior"). The budget-moving action gets half
 	// of it (noiseStd).
 	exploreStd float64
 	// seed drives weight init and exploration noise. Default 1.
@@ -169,11 +161,10 @@ func New(cfg Config) *Agent {
 }
 
 // noiseStd returns the exploration standard deviation for action dim i.
-// Both budget-moving dims (range ratio, memtable ratio) get half of
-// exploreStd: jitter there evicts cache entries or forces flushes, unlike
-// jitter on admission thresholds.
+// The budget-moving dim (range ratio) gets half of exploreStd: jitter there
+// evicts cache entries, unlike jitter on admission thresholds.
 func (a *Agent) noiseStd(i int) float64 {
-	if i == 0 || i == 4 {
+	if i == 0 {
 		return a.cfg.exploreStd / 2
 	}
 	return a.cfg.exploreStd

@@ -15,7 +15,7 @@ func constState() []float32 { return make([]float32, StateDim) }
 
 // midPrior sits away from the [0, 1] edges, so prior ± ResidualSpan is
 // never clipped.
-var midPrior = Action{RangeRatio: 0.5, PointThreshold: 0.5, ScanA: 0.5, ScanB: 0.5, MemRatio: 0.5}
+var midPrior = Action{RangeRatio: 0.5, PointThreshold: 0.5, ScanA: 0.5, ScanB: 0.5}
 
 func randomState(rng *rand.Rand) []float32 {
 	s := make([]float32, StateDim)
@@ -97,7 +97,7 @@ func TestResidualStaysBounded(t *testing.T) {
 		checkWithinSpan(t, "Act", act, prior)
 		// Reward pushes every dimension up on even steps and down on odd
 		// ones, scaled far past any real reward.
-		push := act.RangeRatio + act.PointThreshold + act.ScanA + act.ScanB + act.MemRatio
+		push := act.RangeRatio + act.PointThreshold + act.ScanA + act.ScanB
 		if i%2 == 1 {
 			push = -push
 		}

@@ -73,8 +73,8 @@ func (s *server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 			Writes: s.writeHist[i].Snapshot(),
 		}
 	}
-	// Unified memory ledger (adaptive strategy only): lets the manager and
-	// operators watch memory shift between memtables and the caches.
+	// Cache-budget ledger (adaptive strategy only): lets the manager and
+	// operators watch bytes shift between the block and range caches.
 	if ad := s.db.AdCache(); ad != nil {
 		budgets := ad.Budgets()
 		st.Budgets = make([]api.BudgetStat, 0, len(budgets))

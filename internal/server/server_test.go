@@ -514,9 +514,9 @@ func TestShardStats(t *testing.T) {
 	}
 }
 
-// TestShardStatsBudgets: adaptive-strategy nodes report the unified memory
-// ledger (memtable, blockcache, rangecache) on /v1/shardstats, so the
-// shard manager and operators can see memory moving between components.
+// TestShardStatsBudgets: adaptive-strategy nodes report the cache-budget
+// ledger (blockcache, rangecache) on /v1/shardstats, so the shard manager
+// and operators can see bytes moving between the caches.
 func TestShardStatsBudgets(t *testing.T) {
 	view, _, _ := twoNodeView(t)
 	srv := clusterServer(t, view)
@@ -533,18 +533,17 @@ func TestShardStatsBudgets(t *testing.T) {
 	for _, b := range st.Budgets {
 		seen[b.Component] = b
 	}
-	for _, want := range []string{"memtable", "blockcache", "rangecache"} {
+	if len(st.Budgets) != 2 {
+		t.Fatalf("budgets %+v, want blockcache and rangecache", st.Budgets)
+	}
+	for _, want := range []string{"blockcache", "rangecache"} {
 		if _, ok := seen[want]; !ok {
 			t.Fatalf("budgets missing %q: %+v", want, st.Budgets)
 		}
 	}
-	// Without unified memory the caches split the whole budget and the
-	// memtable target is zero (arbitration off).
+	// The caches split the whole budget.
 	if sum := seen["blockcache"].TargetBytes + seen["rangecache"].TargetBytes; sum != 1<<20 {
 		t.Fatalf("cache targets sum to %d, want %d", sum, 1<<20)
-	}
-	if got := seen["memtable"].TargetBytes; got != 0 {
-		t.Fatalf("memtable target %d with arbitration off, want 0", got)
 	}
 }
 

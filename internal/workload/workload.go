@@ -77,51 +77,6 @@ func DynamicPhases() []Phase {
 	}
 }
 
-// MemoryPhases is the unified-memory arbitration schedule: a write-heavy
-// phase (memory pays in the memtables — bigger flushes, less write
-// amplification), a point-read-heavy phase (memory pays in the caches),
-// and a scan-heavy phase with a trickle of writes (memory pays in the
-// block cache). `adbench -memory` drives this schedule; each phase is
-// long enough for the arbiter to converge before the mix flips.
-func MemoryPhases() []Phase {
-	return []Phase{
-		{"write-heavy", Mix{GetPct: 10, ShortScanPct: 5, WritePct: 85}},
-		{"read-heavy", Mix{GetPct: 90, ShortScanPct: 5, WritePct: 5}},
-		{"scan-heavy", Mix{GetPct: 5, ShortScanPct: 45, LongScanPct: 45, WritePct: 5}},
-	}
-}
-
-// Schedule walks a Generator through a phase sequence, a fixed number of
-// operations per phase. It is deterministic under the generator's seed:
-// two schedules over same-seeded generators yield identical (op, phase)
-// streams, so every configuration under comparison sees the same load.
-type Schedule struct {
-	gen      *Generator
-	phases   []Phase
-	perPhase int
-	emitted  int
-}
-
-// NewSchedule returns a schedule emitting opsPerPhase operations for each
-// phase in order.
-func NewSchedule(gen *Generator, phases []Phase, opsPerPhase int) *Schedule {
-	return &Schedule{gen: gen, phases: phases, perPhase: opsPerPhase}
-}
-
-// Next draws the next operation and the phase it belongs to. ok is false
-// once every phase has emitted its quota.
-func (s *Schedule) Next() (op Op, phase Phase, ok bool) {
-	idx := 0
-	if s.perPhase > 0 {
-		idx = s.emitted / s.perPhase
-	}
-	if s.perPhase <= 0 || idx >= len(s.phases) {
-		return Op{}, Phase{}, false
-	}
-	s.emitted++
-	return s.gen.Next(s.phases[idx].Mix), s.phases[idx], true
-}
-
 // Config parameterises a Generator.
 type Config struct {
 	// NumKeys is the key-space size.
@@ -177,9 +132,17 @@ func NewGenerator(cfg Config) *Generator {
 	}
 }
 
-// Key renders the i-th key: a 24-byte fixed-width format matching the
-// paper's key size.
-func Key(i int) []byte { return []byte(fmt.Sprintf("user%020d", i)) }
+// Key renders the i-th key, i ≥ 0: "user" and i zero-padded to 20 digits,
+// a 24-byte fixed-width format matching the paper's key size (the bytes of
+// fmt.Sprintf("user%020d", i), without its formatting cost).
+func Key(i int) []byte {
+	k := []byte("user00000000000000000000")
+	for j := len(k) - 1; i > 0; j-- {
+		k[j] = byte('0' + i%10)
+		i /= 10
+	}
+	return k
+}
 
 // KeyIndexUpper returns the exclusive upper key for index i (sharding).
 func KeyIndexUpper(i int) string { return string(Key(i)) }

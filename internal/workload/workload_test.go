@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -77,6 +78,17 @@ func TestKeyFormat(t *testing.T) {
 	}
 	if string(Key(1)) >= string(Key(2)) || string(Key(9)) >= string(Key(10)) {
 		t.Fatal("keys do not sort numerically")
+	}
+}
+
+// TestKeyMatchesSprintf pins Key's bytes to the fmt.Sprintf("user%020d")
+// form it replaced: every stored key, and so every benchmark's operations,
+// stay byte-identical.
+func TestKeyMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 199_999, 1 << 40, math.MaxInt64} {
+		if got, want := string(Key(i)), fmt.Sprintf("user%020d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -26,8 +26,8 @@ type AdCacheSnapshot struct {
 	Params  core.Params      `json:"params"`
 	Tuning  core.TuningState `json:"tuning"`
 	Windows int64            `json:"windows"`
-	// Budgets is the unified memory ledger: per-component byte targets and
-	// actuals for memtable, blockcache and rangecache.
+	// Budgets is the cache budget's ledger: per-component byte targets and
+	// actuals for blockcache and rangecache.
 	Budgets []core.Budget `json:"budgets"`
 }
 
