@@ -113,11 +113,19 @@ func TestCIFiltersMatchTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filters := ciFilter.FindAllStringSubmatch(string(ci), -1)
-	if len(filters) == 0 {
+	if len(ciFilter.FindAllString(string(ci), -1)) == 0 {
 		t.Fatal("no -run, -bench or -fuzz filter in the CI workflow")
 	}
-	for _, m := range filters {
+	for _, stale := range staleCIFilters(string(ci), names) {
+		t.Error(stale)
+	}
+}
+
+// staleCIFilters returns one message for each |-alternative of a -run,
+// -bench or -fuzz pattern in ci that matches none of names.
+func staleCIFilters(ci string, names []string) []string {
+	var stale []string
+	for _, m := range ciFilter.FindAllStringSubmatch(ci, -1) {
 		pattern := m[2] + m[3]
 		if pattern == "-" {
 			continue
@@ -128,13 +136,39 @@ func TestCIFiltersMatchTests(t *testing.T) {
 		for _, alt := range strings.Split(top, "|") {
 			re, err := regexp.Compile(alt)
 			if err != nil {
-				t.Errorf("CI -%s filter %q: %v", m[1], pattern, err)
+				stale = append(stale, fmt.Sprintf("CI -%s filter %q: %v", m[1], pattern, err))
 				continue
 			}
 			if !slices.ContainsFunc(names, re.MatchString) {
-				t.Errorf("CI -%s filter: %q matches no Test, Fuzz or Benchmark function", m[1], alt)
+				stale = append(stale, fmt.Sprintf("CI -%s filter: %q matches no Test, Fuzz or Benchmark function", m[1], alt))
 			}
 		}
+	}
+	return stale
+}
+
+// TestStaleCIFilterIsReported: the check above names exactly the
+// alternatives that match no function, in quoted and one-word patterns
+// alike; "-run -" and the subtest part of a pattern are not checked.
+func TestStaleCIFilterIsReported(t *testing.T) {
+	const ci = `
+      - run: go test -run 'TestKept|TestGone' ./internal/a
+      - run: go test -run - -bench BenchmarkKept ./internal/b
+      - run: go test -run 'TestKept/case|Fuzz' -fuzz FuzzGone ./internal/c
+      - run: go test -bench 'BenchmarkMissing|Benchmark' ./internal/d
+`
+	names := []string{"TestKept", "BenchmarkKept", "FuzzKept"}
+	got := staleCIFilters(ci, names)
+	want := []string{
+		`CI -run filter: "TestGone" matches no Test, Fuzz or Benchmark function`,
+		`CI -fuzz filter: "FuzzGone" matches no Test, Fuzz or Benchmark function`,
+		`CI -bench filter: "BenchmarkMissing" matches no Test, Fuzz or Benchmark function`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stale filters:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := staleCIFilters(ci, append(names, "TestGone", "FuzzGone", "BenchmarkMissing")); len(got) != 0 {
+		t.Fatalf("every name declared, still reported: %q", got)
 	}
 }
 

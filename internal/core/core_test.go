@@ -477,3 +477,74 @@ func TestLearningTraceDeterministic(t *testing.T) {
 		t.Fatalf("param traces diverge:\n%+v\nvs\n%+v", p1, p2)
 	}
 }
+
+// TestRewardIsTheHitRateEstimate pins the one reward: on a write-heavy mix
+// that flushes and compacts, every trained window's smoothed reward is
+// α·h + (1−α)·h_est of the estimated hit rate alone, with nothing priced
+// for writes.
+func TestRewardIsTheHitRateEstimate(t *testing.T) {
+	a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true, RecordTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	db := boundTestAdCache(t, a)
+	val := make([]byte, 256)
+	for i := 0; i < 4000; i++ {
+		key := []byte(fmt.Sprintf("key%06d", (i*7919)%1000))
+		if i%4 == 0 {
+			_, _, err = db.Get(key)
+		} else {
+			err = db.Put(key, val)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.Metrics().Flushes == 0 {
+		t.Fatal("the mix never flushed")
+	}
+	trace := a.Trace()
+	if len(trace) < 2 {
+		t.Fatalf("%d trained windows, want at least 2", len(trace))
+	}
+	alpha := a.cfg.Alpha
+	h := trace[0].HEstimate
+	for i, w := range trace {
+		if i > 0 {
+			h = alpha*h + (1-alpha)*w.HEstimate
+		}
+		if w.HSmoothed != h {
+			t.Fatalf("window %d: smoothed reward %v, want %v from hit-rate estimates alone", i, w.HSmoothed, h)
+		}
+	}
+}
+
+// TestStateIsThePapersFeatures: the observation has the paper's 13
+// features, each in [0, 1], and the agent acts on 4 parameters.
+func TestStateIsThePapersFeatures(t *testing.T) {
+	if rl.StateDim != 13 || rl.ActionDim != 4 {
+		t.Fatalf("agent widths %d/%d, want 13/4", rl.StateDim, rl.ActionDim)
+	}
+	a := newTestAdCache(t, Config{WindowSize: 1 << 20})
+	for i := 0; i < 300; i++ {
+		k := []byte(fmt.Sprintf("k%d", i%40))
+		a.GetCached(k)
+		a.OnPointResult(k, []byte("v"), 1)
+		if i%3 == 0 {
+			a.ScanCached(k, 8)
+		}
+		a.OnWrite([]byte(fmt.Sprintf("w%d", i)), []byte("v"), false)
+	}
+	w := a.collector.EndWindow()
+	shape, _ := a.shape()
+	state := a.buildState(w, shape, shape.HitRateEstimate(w))
+	if len(state) != rl.StateDim {
+		t.Fatalf("state has %d features, want %d", len(state), rl.StateDim)
+	}
+	for i, f := range state {
+		if f < 0 || f > 1 {
+			t.Fatalf("feature %d = %v, outside [0, 1]", i, f)
+		}
+	}
+}

@@ -444,6 +444,36 @@ func TestFillingPutSeals(t *testing.T) {
 	}
 }
 
+// TestMemTableSealsOnlyWhenFull: the seal point is Options.MemTableSize and
+// nothing else. Every memtable is sealed by the Put that brings it to that
+// size, never earlier: the bytes it held before that Put are within one
+// entry's charge of the threshold.
+func TestMemTableSealsOnlyWhenFull(t *testing.T) {
+	db := mustOpen(t, testOptions(vfs.NewMem()))
+	defer db.Close()
+	// An entry here charges well under 256 bytes: an 11-byte key, a 13-byte
+	// value and the skiplist node.
+	const entryCharge = 256
+	seals := 0
+	prev := db.Metrics().MemTableBytes
+	for i := 0; i < 2000; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		mem := db.Metrics().MemTableBytes
+		if mem < prev {
+			seals++
+			if prev < db.opts.MemTableSize-entryCharge {
+				t.Fatalf("Put %d sealed a memtable of %d bytes, threshold %d", i, prev, db.opts.MemTableSize)
+			}
+		}
+		prev = mem
+	}
+	if seals == 0 {
+		t.Fatal("2000 puts never sealed a memtable")
+	}
+}
+
 // TestCrashRotationUnderLoad: the group that fills the memtable seals it only
 // after every group still in flight on the old log has published into the
 // old memtable; after a crash every acked write is back.

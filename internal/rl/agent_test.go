@@ -344,3 +344,19 @@ func TestUpdateReusesActActivations(t *testing.T) {
 		t.Fatalf("a greedy query between Act and Update changed training: %+v vs %+v", got, want)
 	}
 }
+
+// TestOnlyTheBudgetDimGetsDampedNoise: the range ratio, the one action that
+// moves bytes between caches, explores at half the noise of the admission
+// parameters.
+func TestOnlyTheBudgetDimGetsDampedNoise(t *testing.T) {
+	a := New(Config{})
+	std := a.cfg.exploreStd
+	if got := a.noiseStd(0); got != std/2 {
+		t.Fatalf("range ratio noise %v, want %v", got, std/2)
+	}
+	for i := 1; i < ActionDim; i++ {
+		if got := a.noiseStd(i); got != std {
+			t.Fatalf("action %d noise %v, want %v", i, got, std)
+		}
+	}
+}

@@ -200,3 +200,15 @@ func TestScrambleStableAndInRange(t *testing.T) {
 		}
 	}
 }
+
+// keySink keeps Key's result on the heap, as a caller that stores it does.
+var keySink []byte
+
+// TestKeyAllocatesOnce: a key costs the one allocation of the slice it
+// returns, as loaders and generators call it for every operation.
+func TestKeyAllocatesOnce(t *testing.T) {
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() { i++; keySink = Key(i * 7919) }); allocs != 1 {
+		t.Fatalf("Key allocates %v times, want 1", allocs)
+	}
+}
