@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"adcache"
-	"adcache/internal/core"
 	"adcache/internal/harness"
-	"adcache/internal/rl"
 	"adcache/internal/workload"
 )
 
@@ -168,31 +166,22 @@ func TestPartialAdmissionBoundsLongScanFootprint(t *testing.T) {
 }
 
 // TestAdmissionFiltersOneOffKeys: where the calibrated prior asks for
-// point admission control (a 5 % cache share of a Zipfian point mix),
-// one-off cold keys are mostly refused. The agent is frozen, so the
-// threshold is the prior's rather than whatever an untrained residual adds
-// to it. The range cache is full after the warm-up, so an admission shows
+// point admission control (a 5 % cache share of a Zipfian point mix), the
+// learning controller keeps a threshold that refuses most one-off cold
+// keys. The range cache is full after the warm-up, so an admission shows
 // as an eviction as often as a new entry, and both are counted.
 func TestAdmissionFiltersOneOffKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptation runs are slow")
 	}
-	r, err := harness.NewRunner(harness.Config{
-		NumKeys: 8000, ValueSize: 100, CacheFrac: 0.05,
-		Strategy: adcache.StrategyAdCache, Seed: 5,
-		AdCache: core.Config{RL: rl.Config{Frozen: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
+	r := adaptRunnerAt(t, adcache.StrategyAdCache, 0.05)
 	// Zipfian points establish frequency mass.
 	if err := r.Warm(workload.MixPointLookup, 15_000); err != nil {
 		t.Fatal(err)
 	}
 	ad := r.DB.AdCache()
 	if ad.CurrentParams().PointThreshold <= 0 {
-		t.Fatalf("point threshold %v at a 5 %% share, want the prior's nonzero one", ad.CurrentParams().PointThreshold)
+		t.Fatalf("point threshold %v at a 5 %% share, want a nonzero one", ad.CurrentParams().PointThreshold)
 	}
 	before := ad.Range().Stats()
 	// One-off cold keys (read once each) should mostly be rejected.

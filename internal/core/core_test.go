@@ -335,40 +335,27 @@ func TestReadFreeWindowLeavesController(t *testing.T) {
 	}
 }
 
-// saveAgentModel writes an actor and a critic as rl.Agent.Save does, at the
-// given state and action widths.
-func saveAgentModel(t *testing.T, fs vfs.FS, prefix string, stateDim, actionDim int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	actor := nn.NewMLP([]int{stateDim, rl.HiddenDim, rl.HiddenDim, actionDim}, nn.ReLU, nn.Tanh, rng)
-	critic := nn.NewMLP([]int{stateDim, rl.HiddenDim, rl.HiddenDim, 1}, nn.ReLU, nn.Linear, rng)
-	if err := actor.Save(fs, prefix+".actor", "residual-tanh/v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := critic.Save(fs, prefix+".critic", "residual-tanh/v1"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOldDimModelRejected: a model saved with memtable arbitration's
 // widths (18 state features, 5 actions) is rejected with
 // nn.ErrArchitectureMismatch, never misindexed into the paper's 13/4
-// networks. The same file written at the current widths loads, so the
-// rejection is about the widths alone.
+// networks. TestCurrentDimModelRoundTrips loads the same format at the
+// current widths, so the rejection is about the widths alone.
 func TestOldDimModelRejected(t *testing.T) {
 	fs := vfs.NewMem()
-	saveAgentModel(t, fs, "old", 18, 5)
+	rng := rand.New(rand.NewSource(1))
+	actor := nn.NewMLP([]int{18, rl.HiddenDim, rl.HiddenDim, 5}, nn.ReLU, nn.Tanh, rng)
+	critic := nn.NewMLP([]int{18, rl.HiddenDim, rl.HiddenDim, 1}, nn.ReLU, nn.Linear, rng)
+	if err := actor.Save(fs, "old.actor", "residual-tanh/v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := critic.Save(fs, "old.critic", "residual-tanh/v1"); err != nil {
+		t.Fatal(err)
+	}
 	_, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "old"})
 	if !errors.Is(err, nn.ErrArchitectureMismatch) {
 		t.Fatalf("loading an 18/5 model into a %d/%d agent: err = %v, want nn.ErrArchitectureMismatch",
 			rl.StateDim, rl.ActionDim, err)
 	}
-	saveAgentModel(t, fs, "current", rl.StateDim, rl.ActionDim)
-	a, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "current"})
-	if err != nil {
-		t.Fatalf("loading a model of the current widths: %v", err)
-	}
-	a.Close()
 }
 
 // TestCurrentDimModelRoundTrips: an agent serialized at the current dims

@@ -9,7 +9,8 @@
 // baseline. Rewards arrive pre-computed by the caller
 // (the smoothed relative change of the estimated hit rate), and the actor's
 // learning rate adapts as lr ← lr·(1 − reward), growing after workload
-// shifts and decaying during stable phases.
+// shifts and decaying during stable phases. The actor's first ten updates
+// ramp its step up while the critic learns the return.
 package rl
 
 import (
@@ -105,6 +106,10 @@ const (
 	criticLR = 1e-3
 	// gamma is the discount factor.
 	gamma = 0.9
+	// actorWarmup is the number of updates over which the actor's step
+	// ramps from 1/actorWarmup of the learning rate to all of it: the
+	// critic's horizon, 1/(1−gamma) windows.
+	actorWarmup = 10
 )
 
 // Agent is the actor-critic controller. Not safe for concurrent use; the
@@ -264,7 +269,17 @@ func (a *Agent) Update(reward, lrDelta float64, newState []float32) {
 		grad[i] = float32(clampF(g, -10, 10) + residualPull*float64(u[i]))
 	}
 	a.lastActorLoss = -tdErr * logPi
-	a.actor.Train(grad, a.actorLR)
+	// The actor's step ramps up over its first actorWarmup updates. Until
+	// the critic has seen about a horizon of windows its TD error is mostly
+	// its own bootstrap error rather than an advantage, and Adam's first
+	// steps move every output weight by the full learning rate whatever the
+	// gradient's size, so at full rate the residual follows its own
+	// exploration noise (TestEarlyResidualStaysNearPrior).
+	lr := a.actorLR
+	if a.steps < actorWarmup {
+		lr *= float64(a.steps) / actorWarmup
+	}
+	a.actor.Train(grad, lr)
 	a.actorOut = nil
 }
 
