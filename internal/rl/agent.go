@@ -106,9 +106,8 @@ const (
 	criticLR = 1e-3
 	// gamma is the discount factor.
 	gamma = 0.9
-	// actorWarmup is the number of updates over which the actor's step
-	// ramps from 1/actorWarmup of the learning rate to all of it: the
-	// critic's horizon, 1/(1−gamma) windows.
+	// actorWarmup is the critic's horizon, 1/(1−gamma) updates: the
+	// actor's step ramps up to the full learning rate over that many.
 	actorWarmup = 10
 )
 
