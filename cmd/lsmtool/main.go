@@ -73,6 +73,7 @@ func main() {
 		fmt.Printf("flushes:        %d, compactions: %d\n", m.Flushes, m.Compactions)
 		fmt.Printf("moves:          %d (%d bytes moved down a level, none rewritten)\n", m.Moves, m.MovedBytes)
 		fmt.Printf("seal fallbacks: %d (seals without a prepared log)\n", m.SealFallbacks)
+		fmt.Printf("table opens:    %d (by flushes and compactions, or by reads of recovered tables)\n", m.TableOpens)
 		fmt.Printf("sst reads:      %d (query path)\n", db.SSTReads())
 	case "metrics":
 		// Full registry in Prometheus text form — pipe-friendly for diffing

@@ -269,6 +269,11 @@ func (b *BlockCache) Insert(fileNum, offset uint64, data []byte, logical int) {
 	b.Put(blockKey{fileNum, offset}, data, int64(len(data)), max(int64(logical), int64(len(data))))
 }
 
+// Remove implements sstable.BlockCache.
+func (b *BlockCache) Remove(fileNum, offset uint64) {
+	b.Cache.Remove(blockKey{fileNum, offset})
+}
+
 // kvEntryOverhead matches the range cache's per-entry bookkeeping charge so
 // the two result caches compare under equal effective capacity (the paper
 // treats them as "identical" pure KV caches in point-only workloads).

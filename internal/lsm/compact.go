@@ -102,10 +102,15 @@ func (d *DB) installCompaction(plan *compaction.Plan, outputs []*manifest.FileMe
 			obsolete = append(obsolete, f.FileNum)
 		}
 	}
-	// On failure a merge's outputs stay on disk, as a failed flush's table
-	// does.
+	// On failure a merge's outputs stay on disk, their readers closed, as a
+	// failed flush's table does.
 	v, err := d.store.Commit(edit)
 	if err != nil {
+		if !plan.Move {
+			for _, f := range outputs {
+				d.tc.evict(f.FileNum)
+			}
+		}
 		return err
 	}
 
@@ -354,9 +359,7 @@ func (d *DB) writeCompactionOutputs(merged *mergingIter, sr compaction.SubRange,
 			Smallest:   append(keys.InternalKey(nil), meta.Smallest...),
 			Largest:    append(keys.InternalKey(nil), meta.Largest...),
 		}
-		// paranoidChecks: verify the closed output before it can be
-		// installed; a rejected table is deleted and the compaction retried.
-		if err := d.paranoidCheck(fm); err != nil {
+		if err := d.openNewTable(fm); err != nil {
 			return err
 		}
 		outputs = append(outputs, fm)
@@ -427,11 +430,13 @@ func (d *DB) writeCompactionOutputs(merged *mergingIter, sr compaction.SubRange,
 	return outputs, nil
 }
 
-// removeOutputs best-effort deletes compaction output files that were never
-// installed in a version (failed or cancelled shards). The files are
-// invisible to readers and the manifest, so deletion needs no locks.
+// removeOutputs closes the readers of, and best-effort deletes, output
+// tables that were never installed in a version (failed or cancelled jobs).
+// The files are invisible to readers and the manifest, so this needs no
+// locks.
 func (d *DB) removeOutputs(outs []*manifest.FileMeta) {
 	for _, f := range outs {
+		d.tc.evict(f.FileNum)
 		path := sstPath(d.opts.Dir, f.FileNum)
 		if d.fs.Exists(path) {
 			d.fs.Remove(path)

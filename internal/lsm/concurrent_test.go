@@ -242,12 +242,30 @@ func TestCloseRacesInFlightWrites(t *testing.T) {
 }
 
 // TestCloseRacesFlushAndCompact exercises Close against the foreground
-// barriers and the background worker at once.
+// barriers, the background worker and reads at once: reads in flight at
+// Close hold the table readers open until they finish.
 func TestCloseRacesFlushAndCompact(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		db := mustOpen(t, testOptions(vfs.NewMem()))
 		var wg sync.WaitGroup
-		wg.Add(3)
+		wg.Add(4)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if _, _, err := db.Get(key(i % 1000)); errors.Is(err, ErrClosed) {
+					return
+				} else if err != nil {
+					t.Errorf("Get: %v", err)
+					return
+				}
+				if _, err := db.Scan(key(i%1000), 8); errors.Is(err, ErrClosed) {
+					return
+				} else if err != nil {
+					t.Errorf("Scan: %v", err)
+					return
+				}
+			}
+		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {

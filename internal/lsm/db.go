@@ -198,7 +198,7 @@ func Open(opts Options) (*DB, error) {
 	db.ioLimit = newIOLimiter(opts.BgIOBytesPerSec, db.metrics.bgIOStallNanos)
 	db.readPool.New = func() any { return new(readState) }
 	db.bgCond = sync.NewCond(&db.mu)
-	db.tc = newTableCache(fs, opts.Dir, strategy.BlockCache())
+	db.tc = newTableCache(fs, opts.Dir, strategy.BlockCache(), db.metrics.tableOpens)
 	db.mem = memtable.New(db.nextMemSeedLocked())
 	db.live = make(map[*versionHandle]struct{})
 	db.zombies = make(map[uint64]bool)
@@ -210,6 +210,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if err := db.startWAL(st.WALNums); err != nil {
+		db.tc.close()
 		return nil, err
 	}
 	db.removeOrphans()
@@ -783,6 +784,9 @@ func (d *DB) Close() error {
 	if cerr := d.store.Close(); err == nil {
 		err = cerr
 	}
+	d.compactMu.Lock()
+	d.releaseCurrent()
+	d.compactMu.Unlock()
 	return err
 }
 
@@ -845,6 +849,10 @@ type Metrics struct {
 	// SealFallbacks counts seals that found the log prepared for them
 	// failed, and so created one and committed its edit themselves.
 	SealFallbacks int64
+	// TableOpens counts table readers opened: one per table a flush or
+	// compaction writes, plus the first read of each table recovered at
+	// Open. Reads of tables this process wrote open none.
+	TableOpens int64
 	// BgIOStallNanos is cumulative time background flush/compaction writers
 	// spent throttled by the Options.BgIOBytesPerSec token bucket.
 	BgIOStallNanos int64

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"adcache/internal/block"
-	"adcache/internal/keys"
-	"adcache/internal/manifest"
 	"adcache/internal/sstable"
 	"adcache/internal/vfs"
 )
@@ -223,69 +221,6 @@ func (d *DB) Resume() error {
 	}
 	if !d.opts.InlineCompaction {
 		d.notifyWorker()
-	}
-	return nil
-}
-
-// verifyNewTable re-reads a just-written, not-yet-installed table and
-// checks it end to end: block checksums (every read re-verifies CRCs), key
-// ordering, entry count and manifest bounds. Options.paranoidChecks runs it
-// on every flush/compaction output before the version install, so a bad
-// write surfaces as a retried error instead of persisted corruption.
-func (d *DB) verifyNewTable(meta *manifest.FileMeta) error {
-	f, err := d.fs.Open(sstPath(d.opts.Dir, meta.FileNum))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	// A fresh uncached reader: the table cache must not learn about (or
-	// pin) a file that may be rejected and deleted.
-	r, err := sstable.NewReader(f, sstable.ReaderOptions{FileNum: meta.FileNum})
-	if err != nil {
-		return err
-	}
-	it, err := r.NewIterNoCache()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	var prev keys.InternalKey
-	var count uint64
-	for ok := it.First(); ok; ok = it.Next() {
-		ik := it.Key()
-		if prev != nil && keys.Compare(prev, ik) >= 0 {
-			return fmt.Errorf("keys out of order (%s >= %s)", prev, ik)
-		}
-		if count == 0 && keys.Compare(ik, meta.Smallest) != 0 {
-			return fmt.Errorf("first key %s != meta smallest %s", ik, meta.Smallest)
-		}
-		prev = append(prev[:0], ik...)
-		count++
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if count != meta.NumEntries {
-		return fmt.Errorf("%d entries, meta says %d", count, meta.NumEntries)
-	}
-	if count > 0 && keys.Compare(prev, meta.Largest) != 0 {
-		return fmt.Errorf("last key %s != meta largest %s", prev, meta.Largest)
-	}
-	return nil
-}
-
-// paranoidCheck verifies meta when paranoidChecks is on. On failure the bad
-// file is deleted and a retryable paranoidError is returned.
-func (d *DB) paranoidCheck(meta *manifest.FileMeta) error {
-	if !d.opts.paranoidChecks {
-		return nil
-	}
-	if err := d.verifyNewTable(meta); err != nil {
-		path := sstPath(d.opts.Dir, meta.FileNum)
-		if d.fs.Exists(path) {
-			d.fs.Remove(path)
-		}
-		return &paranoidError{fileNum: meta.FileNum, err: err}
 	}
 	return nil
 }

@@ -242,6 +242,8 @@ func (c *countingBlockCache) Insert(_, _ uint64, _ []byte, _ int) {
 
 func (c *countingBlockCache) Fits(int) bool { return true }
 
+func (c *countingBlockCache) Remove(uint64, uint64) {}
+
 func (c *countingBlockCache) inserts() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

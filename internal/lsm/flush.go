@@ -83,6 +83,13 @@ func (d *DB) bgDrain() bool {
 func (d *DB) drainAndCompact(compact bool) error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
+	d.mu.RLock()
+	closed := d.closed
+	d.mu.RUnlock()
+	if closed {
+		// Close has released the tables; nothing may change the tree.
+		return ErrClosed
+	}
 	for {
 		d.mu.RLock()
 		n := len(d.imm)
@@ -130,9 +137,9 @@ func (d *DB) flushImm() error {
 	if err != nil {
 		return err
 	}
-	// On failure the table stays on disk: the edit may have reached the
-	// manifest (manifest.Store.Commit), and if it did not, the next Open
-	// deletes the orphan.
+	// On failure the table stays on disk, its reader closed: the edit may
+	// have reached the manifest (manifest.Store.Commit), and if it did not,
+	// the next Open deletes the orphan.
 	d.waitPrepared()
 	v, err := d.store.Commit(&manifest.Edit{
 		Kind:        manifest.EditFlush,
@@ -142,6 +149,7 @@ func (d *DB) flushImm() error {
 		LastSeq:     d.seqAlloc.Load(),
 	})
 	if err != nil {
+		d.tc.evict(meta.FileNum)
 		return err
 	}
 
@@ -216,9 +224,7 @@ func (d *DB) writeMemTable(mem *memtable.MemTable) (*manifest.FileMeta, error) {
 		Smallest:   append(keys.InternalKey(nil), meta.Smallest...),
 		Largest:    append(keys.InternalKey(nil), meta.Largest...),
 	}
-	// paranoidChecks: re-read and verify the table before anything can
-	// reference it; a bad write is deleted and retried instead of installed.
-	if err := d.paranoidCheck(fm); err != nil {
+	if err := d.openNewTable(fm); err != nil {
 		return nil, err
 	}
 	return fm, nil

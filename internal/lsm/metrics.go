@@ -31,6 +31,7 @@ type dbMetrics struct {
 	moves, movedBytes                    *metrics.Counter // compactions executed as moves, and their bytes
 	bgRetries, resumes, walRemoveErrors  *metrics.Counter
 	sealFallbacks                        *metrics.Counter // seals whose prepared log had failed
+	tableOpens                           *metrics.Counter // table readers opened
 	bgIOStallNanos                       *metrics.Counter
 	// queryBlockReads/Hits count block reads and block-cache hits
 	// attributable to Get/Scan only, excluding flush/compaction/recovery
@@ -74,6 +75,7 @@ var counterSeries = []struct {
 	{"lsm_resumes_total", "recoveries from read-only degraded mode", func(c *dbMetrics) **metrics.Counter { return &c.resumes }, func(m *Metrics) *int64 { return &m.Resumes }},
 	{"lsm_wal_remove_errors_total", "non-fatal failures deleting retired WAL files", func(c *dbMetrics) **metrics.Counter { return &c.walRemoveErrors }, func(m *Metrics) *int64 { return &m.WALRemoveErrors }},
 	{"lsm_seal_fallbacks_total", "seals that could not use a prepared log and created one on the commit path", func(c *dbMetrics) **metrics.Counter { return &c.sealFallbacks }, func(m *Metrics) *int64 { return &m.SealFallbacks }},
+	{"lsm_table_opens_total", "table readers opened: by the flush or compaction that wrote the table, or by the first read of a table recovered at open", func(c *dbMetrics) **metrics.Counter { return &c.tableOpens }, func(m *Metrics) *int64 { return &m.TableOpens }},
 	{"lsm_bg_io_stall_nanos_total", "time background writers spent throttled by the I/O rate limit", func(c *dbMetrics) **metrics.Counter { return &c.bgIOStallNanos }, func(m *Metrics) *int64 { return &m.BgIOStallNanos }},
 	{"lsm_scan_lazy_skipped_runs_total", "sorted runs scans positioned but never had to open", func(c *dbMetrics) **metrics.Counter { return &c.lazySkippedRuns }, func(m *Metrics) *int64 { return &m.ScanLazySkippedRuns }},
 	{`lsm_admissions_skipped_stale_total{op="point"}`, staleHelp, func(c *dbMetrics) **metrics.Counter { return &c.staleSkippedPoints }, func(m *Metrics) *int64 { return &m.AdmissionsSkippedStalePoint }},

@@ -3,13 +3,19 @@ package lsm
 import (
 	"sync"
 
+	"adcache/internal/manifest"
+	"adcache/internal/metrics"
 	"adcache/internal/sstable"
 	"adcache/internal/vfs"
 )
 
-// tableCache keeps sstable readers open for the DB's lifetime, evicting them
-// when their files are deleted by compaction. Index and filter blocks stay
-// pinned with the reader, matching RocksDB's default behaviour.
+// tableCache keeps one sstable reader per live table, with the table's
+// index and filter blocks pinned, matching RocksDB's default behaviour.
+// The flush or compaction that writes a table opens it here before the edit
+// that lists it commits, so reads find every table they can reach already
+// open; only tables recovered at Open are opened by the first read. A
+// reader closes when its file is deleted (evict), and the rest when the
+// DB's last read is done after Close (close).
 //
 // Opens are per-file singleflight: the global lock is only held to look up
 // or install a table entry, never across the file open and index/filter
@@ -22,9 +28,11 @@ type tableCache struct {
 	fs    *vfs.CountingFS
 	dir   string
 	cache sstable.BlockCache // shared by all readers; may be nil
+	opens *metrics.Counter   // tables opened
 
 	mu     sync.RWMutex
 	tables map[uint64]*tableEntry
+	closed bool // set by close; no table opens after it
 }
 
 // tableEntry is the per-file singleflight slot: the first goroutine through
@@ -35,8 +43,8 @@ type tableEntry struct {
 	err  error
 }
 
-func newTableCache(fs vfs.FS, dir string, cache sstable.BlockCache) *tableCache {
-	return &tableCache{fs: vfs.NewCounting(fs), dir: dir, cache: cache, tables: make(map[uint64]*tableEntry)}
+func newTableCache(fs vfs.FS, dir string, cache sstable.BlockCache, opens *metrics.Counter) *tableCache {
+	return &tableCache{fs: vfs.NewCounting(fs), dir: dir, cache: cache, opens: opens, tables: make(map[uint64]*tableEntry)}
 }
 
 // get returns the reader for fileNum, opening it on first use.
@@ -46,6 +54,10 @@ func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, error) {
 	tc.mu.RUnlock()
 	if e == nil {
 		tc.mu.Lock()
+		if tc.closed {
+			tc.mu.Unlock()
+			return nil, ErrClosed
+		}
 		if e = tc.tables[fileNum]; e == nil {
 			e = &tableEntry{}
 			tc.tables[fileNum] = e
@@ -69,16 +81,72 @@ func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, error) {
 // open performs the actual file open and reader construction. It runs
 // without tc.mu held.
 func (tc *tableCache) open(fileNum uint64) (*sstable.Reader, error) {
+	tc.opens.Inc()
 	f, err := tc.fs.Open(sstPath(tc.dir, fileNum))
 	if err != nil {
 		return nil, err
 	}
-	return sstable.NewReader(f, sstable.ReaderOptions{Cache: tc.cache, FileNum: fileNum})
+	r, err := sstable.NewReader(f, sstable.ReaderOptions{Cache: tc.cache, FileNum: fileNum})
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return r, nil
 }
 
-// evict drops the reader for a deleted file.
+// evict drops and closes the reader of a file that no version lists: a
+// deleted table, or the output of a job that failed before its edit.
 func (tc *tableCache) evict(fileNum uint64) {
 	tc.mu.Lock()
-	defer tc.mu.Unlock()
+	e := tc.tables[fileNum]
 	delete(tc.tables, fileNum)
+	tc.mu.Unlock()
+	if e != nil {
+		closeEntry(e)
+	}
+}
+
+// close closes every reader and refuses later opens. The DB calls it once
+// no read pins a version.
+func (tc *tableCache) close() {
+	tc.mu.Lock()
+	tables := tc.tables
+	tc.tables = make(map[uint64]*tableEntry)
+	tc.closed = true
+	tc.mu.Unlock()
+	for _, e := range tables {
+		closeEntry(e)
+	}
+}
+
+// closeEntry settles e — waiting out an open in flight, or marking one
+// never started as failed — and closes its reader, if it has one.
+func closeEntry(e *tableEntry) {
+	e.once.Do(func() { e.err = ErrClosed })
+	if e.r != nil {
+		e.r.Close()
+	}
+}
+
+// openNewTable opens a table that a flush or compaction has just written,
+// before the edit that lists it commits, so the first read to reach it
+// finds its reader, index and filter in memory. With paranoidChecks the job
+// then walks the table through that reader (checkTable); a failed open or
+// check is a paranoidError, retried because the table never reaches the
+// tree. On any failure the table is discarded: its reader closed, its file
+// deleted.
+func (d *DB) openNewTable(meta *manifest.FileMeta) error {
+	r, err := d.tc.get(meta.FileNum)
+	if d.opts.paranoidChecks {
+		if err == nil {
+			err = checkTable(r, meta)
+		}
+		if err != nil {
+			err = &paranoidError{fileNum: meta.FileNum, err: err}
+		}
+	}
+	if err != nil {
+		d.removeOutputs([]*manifest.FileMeta{meta})
+	}
+	return err
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adcache/internal/keys"
+	"adcache/internal/metrics"
 	"adcache/internal/sstable"
 	"adcache/internal/vfs"
 )
@@ -56,7 +57,7 @@ func TestTableCacheColdOpenDoesNotBlockWarmGets(t *testing.T) {
 	writeTestTable(t, mem, dir, 2)
 
 	fs := &stallFS{FS: mem, stall: sstPath(dir, 2), gate: make(chan struct{})}
-	tc := newTableCache(fs, dir, nil)
+	tc := newTableCache(fs, dir, nil, new(metrics.Counter))
 
 	if _, err := tc.get(1); err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestTableCacheSingleflight(t *testing.T) {
 	writeTestTable(t, mem, dir, 1)
 
 	fs := &stallFS{FS: mem, stall: sstPath(dir, 1), gate: make(chan struct{})}
-	tc := newTableCache(fs, dir, nil)
+	tc := newTableCache(fs, dir, nil, new(metrics.Counter))
 
 	const goroutines = 16
 	readers := make([]*sstable.Reader, goroutines)
@@ -147,7 +148,7 @@ func TestTableCacheSingleflight(t *testing.T) {
 func TestTableCacheRetryAfterError(t *testing.T) {
 	mem := vfs.NewMem()
 	const dir = "tctest"
-	tc := newTableCache(mem, dir, nil)
+	tc := newTableCache(mem, dir, nil, new(metrics.Counter))
 
 	if _, err := tc.get(7); err == nil {
 		t.Fatal("get of missing file succeeded")

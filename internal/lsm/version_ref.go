@@ -24,7 +24,7 @@ func (d *DB) acquireVersion() *versionHandle {
 
 // releaseVersion unpins h. When the last reference to a superseded version
 // drops, it deletes the files that were only that version's, after letting
-// go of verMu.
+// go of verMu. After Close, the last release closes the table readers.
 func (d *DB) releaseVersion(h *versionHandle) {
 	var dead []uint64
 	d.verMu.Lock()
@@ -33,8 +33,31 @@ func (d *DB) releaseVersion(h *versionHandle) {
 		delete(d.live, h)
 		dead = d.gcFilesLocked()
 	}
+	idle := d.current == nil && len(d.live) == 0
 	d.verMu.Unlock()
 	d.removeTables(dead)
+	if idle {
+		d.tc.close()
+	}
+}
+
+// releaseCurrent drops the current version's own reference at Close. The
+// table readers close once no read pins a version: here, or in the
+// releaseVersion of the last read still in flight. Caller holds compactMu,
+// so no version is installed after this.
+func (d *DB) releaseCurrent() {
+	d.verMu.Lock()
+	h := d.current
+	d.current = nil
+	h.refs--
+	if h.refs == 0 {
+		delete(d.live, h)
+	}
+	idle := len(d.live) == 0
+	d.verMu.Unlock()
+	if idle {
+		d.tc.close()
+	}
 }
 
 // installVersion publishes v as the current version. obsolete lists file
@@ -78,7 +101,7 @@ func (d *DB) installVersion(v *manifest.Version, obsolete []uint64) (dead []uint
 }
 
 // gcFilesLocked returns the zombie files referenced by no live version,
-// forgetting them and dropping their readers. Caller holds d.verMu.
+// forgetting them. Caller holds d.verMu.
 func (d *DB) gcFilesLocked() (dead []uint64) {
 	if len(d.zombies) == 0 {
 		return nil
@@ -96,17 +119,17 @@ func (d *DB) gcFilesLocked() (dead []uint64) {
 			continue
 		}
 		delete(d.zombies, fn)
-		d.tc.evict(fn)
 		dead = append(dead, fn)
 	}
 	return dead
 }
 
-// removeTables physically removes dead table files. It runs with no engine
-// lock held, and syncs no directory: a removal a crash undoes leaves an
-// orphan that the next Open deletes.
+// removeTables closes the readers of dead tables and removes their files.
+// It runs with no engine lock held, and syncs no directory: a removal a
+// crash undoes leaves an orphan that the next Open deletes.
 func (d *DB) removeTables(nums []uint64) {
 	for _, fn := range nums {
+		d.tc.evict(fn)
 		// Removal failures are harmless (the file may already be gone);
 		// the next reopen's orphan sweep retries.
 		_ = d.fs.Remove(sstPath(d.opts.Dir, fn))

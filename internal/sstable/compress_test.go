@@ -230,6 +230,8 @@ func (c *logicalFakeCache) Insert(fileNum, off uint64, data []byte, logical int)
 
 func (c *logicalFakeCache) Fits(int) bool { return true }
 
+func (c *logicalFakeCache) Remove(fileNum, off uint64) { delete(c.store, [2]uint64{fileNum, off}) }
+
 // FuzzBlockTrailer exercises the physical block codec: arbitrary payloads
 // must round-trip through both codecs, and decodeBlock must reject (never
 // panic on) arbitrary images.

@@ -34,6 +34,10 @@ type BlockCache interface {
 	// right now. The reader does not materialise a copy of its own for a
 	// block the cache would refuse.
 	Fits(size int) bool
+	// Remove drops the image cached for (fileNum, offset), if any. A
+	// reader whose images alias its file's mapping removes them when it
+	// closes (see Reader.Close).
+	Remove(fileNum, offset uint64)
 }
 
 // ReadStats counts the cache activity of one operation and carries its
@@ -159,6 +163,21 @@ func NewReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 		r.filter = bloom.Filter(fb)
 	}
 	return r, nil
+}
+
+// Close releases the table's file, and with it any mapping of the file. A
+// reader that served no-copy views first removes its data blocks from the
+// cache: their images alias the mapping, so none may outlive it. Images
+// read into heap buffers stay, as they stay after the file is deleted; the
+// cache ages them out. No read may use r, or a block it returned, after
+// Close.
+func (r *Reader) Close() error {
+	if r.nc != nil && r.opts.Cache != nil {
+		for i := range r.index {
+			r.opts.Cache.Remove(r.opts.FileNum, r.index[i].h.Offset)
+		}
+	}
+	return r.f.Close()
 }
 
 // NumEntries reports the entry count recorded in the footer.

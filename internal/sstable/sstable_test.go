@@ -172,6 +172,8 @@ func (c *fakeCache) Insert(fileNum, off uint64, data []byte, logical int) {
 
 func (c *fakeCache) Fits(int) bool { return true }
 
+func (c *fakeCache) Remove(fileNum, off uint64) { delete(c.store, [2]uint64{fileNum, off}) }
+
 func TestBlockCacheServesRepeatReads(t *testing.T) {
 	fs := vfs.NewMem()
 	buildTable(t, fs, "t.sst", 1000, WriterOptions{})
