@@ -199,7 +199,7 @@ func BenchmarkFig11bAblation(b *testing.B) {
 }
 
 // BenchmarkAblations measures the repo's own design choices (boundary
-// hysteresis, pretraining, Leaper-style prefetch, range-cache sharding).
+// hysteresis, online residual learning vs the frozen prior).
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.RunAblations(benchScale(), nil)

@@ -74,7 +74,7 @@ func TestE2EChaosCluster(t *testing.T) {
 		}
 		views[id] = view
 		hs := &http.Server{Handler: server.New(db,
-			server.WithCluster(view), server.WithNodeID(id), server.WithInternalToken(chaosToke))}
+			server.WithCluster(view), server.WithInternalToken(chaosToke))}
 		go hs.Serve(listeners[id])
 		defer hs.Close()
 	}

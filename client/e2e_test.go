@@ -71,7 +71,7 @@ func TestE2EClusterMove(t *testing.T) {
 		// acked writes across fenced moves) must hold with grouped
 		// cross-request commits exactly as with per-request commits.
 		hs := &http.Server{Handler: server.New(db,
-			server.WithCluster(view), server.WithNodeID(id), server.WithInternalToken(e2eToken),
+			server.WithCluster(view), server.WithInternalToken(e2eToken),
 			server.WithWriteCoalescing(150*time.Microsecond, 64))}
 		go hs.Serve(listeners[id])
 		defer hs.Close()

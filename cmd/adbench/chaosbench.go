@@ -157,7 +157,6 @@ func runChaosBench(seed int64, asJSON bool, path string) error {
 		}
 		srv := &http.Server{Handler: server.New(db,
 			server.WithCluster(view),
-			server.WithNodeID(n.ID),
 			server.WithInternalToken(benchToken),
 			server.WithServiceTime(serviceTime))}
 		go srv.Serve(listeners[i])

@@ -24,18 +24,9 @@
 // The system benchmarks write their results as JSON to -out (default
 // BENCH_<NAME>.json) with -json, and exit non-zero when their gate fails:
 //
-//   - compaction: the same random-order write-heavy load with serial and
-//     parallel subcompactions; throughput and stall figures.
-//
 //   - disk: the on-disk persistence benchmark on a real temporary directory
 //     through OSFS, once per block codec (none, flate): compression ratio,
 //     cache hit-rate uplift and the physical-byte budget check.
-//
-//   - cluster: a 3-node sharded cluster in-process with every hot hash slot
-//     on one node; fleet read p50/p99 through the public client before and
-//     after the latency-driven shard manager rebalances under live load.
-//     Fails on any user-visible client error or if fleet read p99 does not
-//     improve.
 //
 //   - wire: the data plane on a real on-disk store behind loopback HTTP,
 //     a scan-heavy mix under JSON, the binary codec, and the codec plus
@@ -138,14 +129,8 @@ func experiments() []experiment {
 		}})
 	}
 	return append(exps, []experiment{
-		{name: "compaction", out: "BENCH_COMPACTION.json", run: func(o options, out string) error {
-			return runCompactionBench(orDefault(o.keys, 200_000), o.json, out)
-		}},
 		{name: "disk", out: "BENCH_DISK.json", run: func(o options, out string) error {
 			return runDiskBench(orDefault(o.keys, 100_000), o.json, out)
-		}},
-		{name: "cluster", out: "BENCH_CLUSTER.json", run: func(o options, out string) error {
-			return runClusterBench(o.keys, o.ops, o.json, out)
 		}},
 		{name: "wire", out: "BENCH_WIRE.json", run: func(o options, out string) error {
 			return runWireBench(o.keys, o.ops, o.json, out)

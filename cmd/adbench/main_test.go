@@ -121,6 +121,32 @@ func TestCIFiltersMatchTests(t *testing.T) {
 	}
 }
 
+// expName finds the experiment name of each "adbench -exp NAME" command.
+var expName = regexp.MustCompile("adbench[^\\n`]*?-exp[ =]+([A-Za-z][\\w-]*)")
+
+// TestDocumentedExperimentsExist checks that every "adbench -exp NAME" in
+// the CI workflow, README.md and the verify skill names all or an entry of
+// experiments(): a step or recipe left behind by a deleted experiment would
+// otherwise only fail when someone runs it.
+func TestDocumentedExperimentsExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	known := map[string]bool{"all": true}
+	for _, e := range experiments() {
+		known[e.name] = true
+	}
+	for _, rel := range []string{".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(rel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range expName.FindAllStringSubmatch(string(text), -1) {
+			if !known[m[1]] {
+				t.Errorf("%s: %q names no experiment", rel, m[0])
+			}
+		}
+	}
+}
+
 // staleCIFilters returns one message for each |-alternative of a -run,
 // -bench or -fuzz pattern in ci that matches none of names.
 func staleCIFilters(ci string, names []string) []string {
@@ -262,20 +288,27 @@ func TestEverySettingHasACaller(t *testing.T) {
 	}
 
 	set := map[types.Object]bool{}
+	// fill is one field an assignment sets as a default.
+	type fill struct {
+		as  *ast.AssignStmt
+		obj types.Object
+	}
 	for path, files := range l.files {
 		pkg := l.pkgs[path]
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				// Defaults are not a caller choosing a value. In the
 				// setting's own package, a function named for its defaults
-				// does not count, and neither does a fill-in such as
-				// "if c.N <= 0 { c.N = 8 }" anywhere else.
+				// does not count, and neither does an assignment to a field
+				// anywhere in the body of an if whose condition reads that
+				// field, such as "if c.N <= 0 { c.N = 8 }", nested ifs
+				// included, whatever the value assigned.
 				fd, _ := decl.(*ast.FuncDecl)
 				inDefaults := fd != nil && strings.Contains(strings.ToLower(fd.Name.Name), "default")
-				fills := map[*ast.AssignStmt]bool{}
+				fills := map[fill]bool{}
 				mark := func(obj types.Object, n ast.Node) {
 					if obj.Pkg() == pkg {
-						if as, _ := n.(*ast.AssignStmt); inDefaults || fills[as] {
+						if as, _ := n.(*ast.AssignStmt); inDefaults || fills[fill{as, obj}] {
 							return
 						}
 					}
@@ -293,17 +326,22 @@ func TestEverySettingHasACaller(t *testing.T) {
 							}
 							return true
 						})
-						for _, st := range n.Body.List {
-							as, ok := st.(*ast.AssignStmt)
-							if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || l.info.Types[as.Rhs[0]].Value == nil {
-								continue
+						ast.Inspect(n.Body, func(c ast.Node) bool {
+							as, ok := c.(*ast.AssignStmt)
+							if !ok {
+								return true
 							}
-							if sel, ok := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr); ok {
+							for _, lhs := range as.Lhs {
+								sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+								if !ok {
+									continue
+								}
 								if s := l.info.Selections[sel]; s != nil && guarded[s.Obj()] {
-									fills[as] = true
+									fills[fill{as, s.Obj()}] = true
 								}
 							}
-						}
+							return true
+						})
 					case *ast.CompositeLit:
 						for _, elt := range n.Elts {
 							if kv, ok := elt.(*ast.KeyValueExpr); ok {

@@ -22,9 +22,7 @@ type AblationRow struct {
 //   - boundary hysteresis: suppressing exploration jitter at the cache
 //     boundary vs applying every sampled ratio;
 //   - online residual learning vs acting on the calibrated prior alone
-//     (a Frozen agent), under a window budget comparable to the experiments;
-//   - Leaper-style prefetch: re-populating the block cache after
-//     compactions under a write-heavy mix.
+//     (a Frozen agent), under a window budget comparable to the experiments.
 //
 // The range cache's shards (§4.4) are measured by the rangecache package's
 // BenchmarkParallelMix, not here: the cache sizes its own shard set.
@@ -100,33 +98,6 @@ func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 			Study: "residual-learning", Variant: variant, Result: res,
 			Note: fmt.Sprintf("final ratio=%.2f", ratio),
 		})
-	}
-
-	// Study 3: Leaper-style post-compaction prefetch on the block cache.
-	writeHeavy := workload.Mix{GetPct: 40, ShortScanPct: 10, WritePct: 50}
-	for _, prefetch := range []int{0, 32} {
-		r, err := NewRunner(Config{
-			NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
-			CacheFrac: 0.10, Strategy: adcache.StrategyBlock, Seed: sc.Seed,
-			PrefetchOnCompaction: prefetch,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Warm(writeHeavy, sc.WarmOps); err != nil {
-			r.Close()
-			return nil, err
-		}
-		res, err := r.Run(writeHeavy, sc.MeasureOps)
-		r.Close()
-		if err != nil {
-			return nil, err
-		}
-		variant := "no prefetch"
-		if prefetch > 0 {
-			variant = fmt.Sprintf("prefetch %d blocks", prefetch)
-		}
-		add(AblationRow{Study: "compaction-prefetch", Variant: variant, Result: res})
 	}
 
 	return rows, nil

@@ -38,9 +38,6 @@ type Config struct {
 	// AdCache overrides controller settings (window size, alpha,
 	// ablations, a frozen agent...).
 	AdCache core.Config
-	// PrefetchOnCompaction enables Leaper-style cache re-population
-	// (ablation experiments).
-	PrefetchOnCompaction int
 	// AsyncTuning uses the production background tuner instead of the
 	// experiments' synchronous mode.
 	AsyncTuning bool
@@ -126,7 +123,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	lsmOpts := lsm.DefaultOptions("db")
 	lsmOpts.MemTableSize = 256 << 10
 	lsmOpts.L1TargetSize = 512 << 10
-	lsmOpts.PrefetchOnCompaction = cfg.PrefetchOnCompaction
 	// Deterministic experiments flush and compact inline on the writer's
 	// goroutine, so every flush point is a pure function of the op stream;
 	// AsyncTuning runs opt into the production background write path.

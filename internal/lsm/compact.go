@@ -37,7 +37,7 @@ func (d *DB) compactLoop() error {
 
 // runCompaction merges plan's inputs into the output level, as one serial
 // merge or as range-partitioned parallel subcompactions (see
-// Options.CompactionParallelism), or moves them there when the plan is a
+// Options.compactionParallelism), or moves them there when the plan is a
 // move. The merges and output writes run without d.mu — reads and write
 // groups proceed concurrently — and only the version install takes the
 // exclusive lock, after the manifest edit is durable, so readers and the
@@ -67,13 +67,7 @@ func (d *DB) runCompaction(plan *compaction.Plan) error {
 	if err != nil {
 		return err
 	}
-	if err := d.installCompaction(plan, outputs, len(ranges)); err != nil {
-		return err
-	}
-	if d.opts.PrefetchOnCompaction > 0 && d.strategy.BlockCache() != nil {
-		return d.prefetchOutputs(outputs)
-	}
-	return nil
+	return d.installCompaction(plan, outputs, len(ranges))
 }
 
 // installCompaction commits the edit that replaces plan's files with
@@ -149,7 +143,7 @@ func (d *DB) installCompaction(plan *compaction.Plan, outputs []*manifest.FileMe
 // input each — a shard that cannot fill a single output file costs more in
 // setup than its merge saves.
 func (d *DB) splitCompaction(plan *compaction.Plan) []compaction.SubRange {
-	k := d.opts.CompactionParallelism
+	k := d.opts.compactionParallelism
 	if k > 1 && d.opts.TargetFileSize > 0 {
 		var total int64
 		for _, f := range plan.Files() {
@@ -163,7 +157,7 @@ func (d *DB) splitCompaction(plan *compaction.Plan) []compaction.SubRange {
 }
 
 // runSubcompactionsParallel executes one merge per shard on a worker pool
-// bounded by CompactionParallelism. The first shard failure wins: it flips
+// bounded by compactionParallelism. The first shard failure wins: it flips
 // the shared cancel flag, sibling shards abort at their next entry, and
 // every shard (plus this function, for shards that had already completed)
 // deletes its partial outputs — an aborted compaction leaves no orphan SST
@@ -177,7 +171,7 @@ func (d *DB) runSubcompactionsParallel(plan *compaction.Plan, ranges []compactio
 
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(d.opts.CompactionParallelism, len(ranges)); w++ {
+	for w := 0; w < min(d.opts.compactionParallelism, len(ranges)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -265,54 +259,6 @@ func (d *DB) runSubcompaction(plan *compaction.Plan, sr compaction.SubRange, can
 
 	merged := newMergingIter(iters...)
 	return d.writeCompactionOutputs(merged, sr, plan.LastLevel, cancel)
-}
-
-// prefetchOutputs warms the block cache with the leading blocks of each
-// compaction output (Leaper-style re-population). Reads go through the
-// normal cached-read path so the cache applies its own admission.
-func (d *DB) prefetchOutputs(outputs []*manifest.FileMeta) error {
-	for _, f := range outputs {
-		if err := d.prefetchFile(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// prefetchIterDone is a test hook observing every prefetch iterator as it
-// is released, so the regression test for the close-on-every-path contract
-// can see them. Nil outside tests.
-var prefetchIterDone func(*sstable.Iter)
-
-// prefetchFile reads up to PrefetchOnCompaction blocks of one output file
-// through the cached path. The iterator is closed on every return path: a
-// leaked iterator would pin the reader's parsed index and the pooled block
-// state beyond the prefetch.
-func (d *DB) prefetchFile(f *manifest.FileMeta) error {
-	r, err := d.tc.get(f.FileNum)
-	if err != nil {
-		return err
-	}
-	var stats sstable.ReadStats
-	it, err := r.NewIter(&stats)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		it.Close()
-		if prefetchIterDone != nil {
-			prefetchIterDone(it)
-		}
-	}()
-	// One entry per block suffices to pull the block in; stepping a
-	// whole block at a time needs only the iterator's block boundary,
-	// so walk entries until the misses counter reaches the budget.
-	for ok := it.First(); ok; ok = it.Next() {
-		if stats.BlockMisses+stats.BlockHits >= int64(d.opts.PrefetchOnCompaction) {
-			break
-		}
-	}
-	return it.Err()
 }
 
 // writeCompactionOutputs streams the merged shard in [sr.Start, sr.End)

@@ -163,11 +163,11 @@ type DB struct {
 // Open opens (creating if necessary) the database described by opts.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	if opts.CompactionParallelism <= 0 {
+	if opts.compactionParallelism <= 0 {
 		// Deterministic experiments need a machine-independent file layout.
-		opts.CompactionParallelism = 1
+		opts.compactionParallelism = 1
 		if !opts.InlineCompaction {
-			opts.CompactionParallelism = min(runtime.GOMAXPROCS(0), 4)
+			opts.compactionParallelism = min(runtime.GOMAXPROCS(0), 4)
 		}
 	}
 	fs := vfs.NewCounting(opts.FS)

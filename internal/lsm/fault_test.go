@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
-	"adcache/internal/sstable"
 	"adcache/internal/vfs"
 )
 
@@ -191,61 +189,4 @@ func TestRandomizedModelCheck(t *testing.T) {
 			db.Close()
 		})
 	}
-}
-
-// TestPrefetchOnCompactionWarmsCache verifies the Leaper-style option
-// repopulates the block cache after compactions.
-func TestPrefetchOnCompactionWarmsCache(t *testing.T) {
-	run := func(prefetch int) int {
-		fs := vfs.NewMem()
-		opts := testOptions(fs)
-		opts.PrefetchOnCompaction = prefetch
-		strategy := &countingStrategy{}
-		opts.Strategy = strategy
-		db := mustOpen(t, opts)
-		defer db.Close()
-		for i := 0; i < 20000; i++ {
-			if err := db.Put(key(i%4000), val(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return strategy.cache.inserts()
-	}
-	cold := run(0)
-	warm := run(8)
-	if warm <= cold {
-		t.Fatalf("prefetch did not add cache inserts: %d vs %d", warm, cold)
-	}
-}
-
-// countingStrategy is a minimal strategy with a counting block cache.
-type countingStrategy struct {
-	NoCache
-	cache countingBlockCache
-}
-
-func (s *countingStrategy) BlockCache() sstable.BlockCache { return &s.cache }
-
-// countingBlockCache counts inserts; it stores nothing.
-type countingBlockCache struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *countingBlockCache) Get(uint64, uint64) ([]byte, bool) { return nil, false }
-
-func (c *countingBlockCache) Insert(_, _ uint64, _ []byte, _ int) {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-func (c *countingBlockCache) Fits(int) bool { return true }
-
-func (c *countingBlockCache) Remove(uint64, uint64) {}
-
-func (c *countingBlockCache) inserts() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }

@@ -46,16 +46,6 @@ type Options struct {
 	// L1TargetSize * levelSizeRatio^(i-1).
 	L1TargetSize int64
 
-	// CompactionParallelism bounds the worker pool that executes one
-	// compaction as range-partitioned subcompactions (RocksDB's
-	// max_subcompactions analogue): the plan's keyspace is cut into at most
-	// this many byte-balanced shards which merge and write outputs
-	// concurrently, and the results install as one atomic version edit.
-	// 1 runs the serial path unchanged. 0 (the default) resolves to
-	// min(GOMAXPROCS, 4) — or to 1 under InlineCompaction, where
-	// deterministic experiments need a machine-independent file layout.
-	CompactionParallelism int
-
 	// Logf, when non-nil, receives error-handler and recovery events
 	// (background failures, retries, mode transitions, orphan cleanup).
 	Logf func(format string, args ...any)
@@ -76,13 +66,6 @@ type Options struct {
 	// machine-speed independent; production leaves it off and gets a
 	// background flush/compaction worker with real write backpressure.
 	InlineCompaction bool
-
-	// PrefetchOnCompaction, when positive, re-populates the block cache
-	// after each compaction by reading up to this many blocks from every
-	// output file — the mitigation Leaper (VLDB'20) applies to
-	// compaction-induced cache invalidation. Off by default, matching
-	// RocksDB; the ablation benches compare both settings.
-	PrefetchOnCompaction int
 
 	// The fields below are not settable outside the package: every caller
 	// runs with their defaults, and only the package's own tests vary them.
@@ -116,6 +99,15 @@ type Options struct {
 	disableAutoCompaction bool
 	// seed makes memtable skiplists deterministic. Default 1.
 	seed int64
+	// compactionParallelism bounds the worker pool that executes one
+	// compaction as range-partitioned subcompactions (RocksDB's
+	// max_subcompactions analogue): the plan's keyspace is cut into at most
+	// this many byte-balanced shards which merge and write outputs
+	// concurrently, and the results install as one atomic version edit.
+	// 1 runs the serial path unchanged. 0 (the default) resolves to
+	// min(GOMAXPROCS, 4) — or to 1 under InlineCompaction, where
+	// deterministic experiments need a machine-independent file layout.
+	compactionParallelism int
 }
 
 // The tree shape and write throttle of the paper's RocksDB configuration.
@@ -154,7 +146,7 @@ func DefaultOptions(dir string) Options {
 
 // withDefaults fills every unset field from the one defaults table. It is
 // idempotent, so DefaultOptions and Open agree whatever a caller sets in
-// between. CompactionParallelism stays 0 here: its default depends on
+// between. compactionParallelism stays 0 here: its default depends on
 // InlineCompaction, which callers set after DefaultOptions, so Open
 // resolves it.
 func (o Options) withDefaults() Options {

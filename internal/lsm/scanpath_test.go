@@ -406,7 +406,7 @@ func TestCompactionReadCalls(t *testing.T) {
 	opts.disableAutoCompaction = true
 	opts.L1TargetSize = 64 << 20 // one L0->L1 compaction, no cascade
 	opts.TargetFileSize = 256 << 10
-	opts.CompactionParallelism = 1
+	opts.compactionParallelism = 1
 	db := mustOpen(t, opts)
 	defer db.Close()
 	rng := rand.New(rand.NewSource(3))

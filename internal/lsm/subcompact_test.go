@@ -16,7 +16,7 @@ func subcompactOptions(fs vfs.FS, parallelism int) Options {
 	opts := DefaultOptions("testdb")
 	opts.FS = fs
 	opts.InlineCompaction = true
-	opts.CompactionParallelism = parallelism
+	opts.compactionParallelism = parallelism
 	opts.MemTableSize = 8 << 10
 	opts.TargetFileSize = 8 << 10
 	opts.L1TargetSize = 16 << 10

@@ -108,12 +108,9 @@ func WithReadOnly() Option { return func(c *config) { c.readOnly = true } }
 // /v1/migrate (default 64 MiB).
 func WithMaxBodyBytes(n int64) Option { return func(c *config) { c.maxBodyBytes = n } }
 
-// WithNodeID sets this node's cluster identity (reported in the
-// X-Adcache-Node header and /v1/shardstats).
-func WithNodeID(id string) Option { return func(c *config) { c.nodeID = id } }
-
-// WithCluster wires a NodeView as both identity and map source — the
-// standard cluster configuration.
+// WithCluster wires a NodeView as both identity (reported in the
+// X-Adcache-Node header and /v1/shardstats) and map source — the standard
+// cluster configuration.
 func WithCluster(view *cluster.NodeView) Option {
 	return func(c *config) {
 		c.nodeID = view.ID()

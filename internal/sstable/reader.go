@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 
@@ -129,40 +130,93 @@ func NewReader(f vfs.File, opts ReaderOptions) (*Reader, error) {
 		return nil, errCorruptf("file too small (%d bytes)", size)
 	}
 	var nc vfs.NoCopyReaderAt
+	var footer []byte
 	if cap, ok := f.(vfs.NoCopyReaderAt); ok {
 		// Probe once: a file that can serve the footer as a pinned view can
 		// serve every block (mapping failures surface here, not mid-read).
-		if _, err := cap.ReadAtNoCopy(size-FooterLen, FooterLen); err == nil {
-			nc = cap
+		// The probe's view is the footer.
+		if view, err := cap.ReadAtNoCopy(size-FooterLen, FooterLen); err == nil {
+			nc, footer = cap, view
 		}
 	}
-	var footer [FooterLen]byte
-	if _, err := f.ReadAt(footer[:], size-FooterLen); err != nil {
-		return nil, err
+	if footer == nil {
+		footer = make([]byte, FooterLen)
+		if _, err := f.ReadAt(footer, size-FooterLen); err != nil {
+			return nil, err
+		}
 	}
 	if binary.LittleEndian.Uint64(footer[40:]) != Magic {
 		return nil, errCorruptf("bad magic")
 	}
 	r := &Reader{f: f, opts: opts, nc: nc, size: size}
 	r.entries = binary.LittleEndian.Uint64(footer[32:])
-	filterHandle := decodeHandle(footer[:])
-	indexHandle := decodeHandle(footer[16:])
+	if err := r.readMeta(decodeHandle(footer), decodeHandle(footer[16:])); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
-	indexRaw, err := r.readBlockRaw(indexHandle)
-	if err != nil {
-		return nil, err
+// readMeta reads the filter and index blocks named by the footer, which
+// stay pinned in memory for the reader's lifetime (as RocksDB does with its
+// index/filter partitions by default). The writer lays them out back to
+// back ahead of the footer, so one read from the first of them up to the
+// footer fetches both; each is checksummed in place. A handle outside that
+// span is corruption.
+func (r *Reader) readMeta(filterH, indexH Handle) error {
+	end := uint64(r.size - FooterLen)
+	start := indexH.Offset
+	if filterH.Length > 0 {
+		start = min(start, filterH.Offset)
 	}
-	if r.index, err = parseIndex(indexRaw); err != nil {
-		return nil, err
+	handles := []Handle{indexH}
+	if filterH.Length > 0 {
+		handles = append(handles, filterH)
 	}
-	if filterHandle.Length > 0 {
-		fb, err := r.readBlockRaw(filterHandle)
+	for _, h := range handles {
+		if h.Offset > end || end-h.Offset < TrailerLen || h.Length > end-h.Offset-TrailerLen {
+			return errCorruptf("block handle %d+%d past the metadata of a %d-byte file", h.Offset, h.Length, r.size)
+		}
+	}
+	var span []byte
+	if r.nc != nil {
+		view, err := r.nc.ReadAtNoCopy(int64(start), int64(end-start))
+		if err != nil {
+			return err
+		}
+		span = view
+	} else {
+		span = make([]byte, end-start)
+		if _, err := r.f.ReadAt(span, int64(start)); err != nil {
+			return err
+		}
+	}
+	block := func(h Handle) ([]byte, error) {
+		img, err := checkBlock(span[h.Offset-start:][:h.Length+TrailerLen], h)
 		if err != nil {
 			return nil, err
 		}
+		return decodeBlock(img)
+	}
+	indexRaw, err := block(indexH)
+	if err != nil {
+		return err
+	}
+	if r.index, err = parseIndex(indexRaw); err != nil {
+		return err
+	}
+	if filterH.Length > 0 {
+		fb, err := block(filterH)
+		if err != nil {
+			return err
+		}
+		if r.nc == nil {
+			// The filter is kept for the reader's life; on the heap, a
+			// copy of its own lets the rest of the span go.
+			fb = bytes.Clone(fb)
+		}
 		r.filter = bloom.Filter(fb)
 	}
-	return r, nil
+	return nil
 }
 
 // Close releases the table's file, and with it any mapping of the file. A
@@ -235,9 +289,7 @@ func checkBlock(buf []byte, h Handle) ([]byte, error) {
 }
 
 // readBlockRaw reads, checksums and decodes a block, bypassing the cache.
-// Used for the index and filter blocks, which are pinned in memory for the
-// reader's lifetime (as RocksDB does with its index/filter partitions by
-// default), and by compaction iterators.
+// Used by iterators that must not fill the cache, such as compaction's.
 func (r *Reader) readBlockRaw(h Handle) ([]byte, error) {
 	img, err := r.readBlockPhysical(h, nil)
 	if err != nil {

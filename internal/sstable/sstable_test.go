@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"adcache/internal/keys"
@@ -238,6 +239,39 @@ func TestCorruptionDetected(t *testing.T) {
 			if _, _, _, err := r.Get([]byte("key000001"), keys.MaxSeq, nil); err == nil {
 				t.Fatal("corruption not detected")
 			}
+		}
+	}
+}
+
+// TestOpenReadsTwice: opening a table costs two device reads, the footer
+// and one span holding the filter and index blocks, with a filter and
+// without one, on the heap and through a memory map.
+func TestOpenReadsTwice(t *testing.T) {
+	for _, bits := range []int{DefaultBitsPerKey, 0} {
+		for _, base := range []struct {
+			name string
+			fs   vfs.FS
+			dir  string
+		}{{"mem", vfs.NewMem(), ""}, {"os", vfs.NewOS(), t.TempDir()}} {
+			t.Run(fmt.Sprintf("%s/bits=%d", base.name, bits), func(t *testing.T) {
+				fs := vfs.NewCounting(base.fs)
+				name := filepath.Join(base.dir, "t.sst")
+				buildTable(t, fs, name, 2000, WriterOptions{BlockSize: 512, BitsPerKey: bits})
+				before := fs.Stats.Snapshot()
+				r := openTable(t, fs, name, ReaderOptions{})
+				defer r.Close()
+				if reads := fs.Stats.Snapshot().Sub(before).ReadOps; reads != 2 {
+					t.Fatalf("open cost %d reads, want 2", reads)
+				}
+				if (r.filter != nil) != (bits > 0) || len(r.index) < 2 {
+					t.Fatalf("filter %d bytes, %d index entries", len(r.filter), len(r.index))
+				}
+				for _, i := range []int{0, 1234, 1999} {
+					if v, del, ok, err := r.Get([]byte(fmt.Sprintf("key%06d", i)), keys.MaxSeq, nil); err != nil || del || !ok || string(v) != fmt.Sprintf("val%06d", i) {
+						t.Fatalf("Get key%06d = %q, %v, %v, %v", i, v, del, ok, err)
+					}
+				}
+			})
 		}
 	}
 }
