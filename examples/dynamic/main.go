@@ -19,12 +19,12 @@ func main() {
 	const numKeys = 30_000
 
 	lsmOpts := lsm.DefaultOptions("db")
+	lsmOpts.InlineCompaction = true // with SyncTuning: deterministic demo output
 	db, err := adcache.Open(adcache.Options{
 		CacheBytes: 2 << 20,
 		Strategy:   adcache.StrategyAdCache,
 		AdCache: core.Config{
-			SyncTuning:  true, // deterministic demo output
-			RecordTrace: true,
+			SyncTuning: true,
 		},
 		LSM: &lsmOpts,
 	})
@@ -77,11 +77,7 @@ func main() {
 			}
 		}
 		p := db.AdCache().CurrentParams()
-		trace := db.AdCache().Trace()
-		var hit float64
-		if len(trace) > 0 {
-			hit = trace[len(trace)-1].HSmoothed
-		}
+		hit := db.AdCache().TuningState().HSmoothed
 		fmt.Printf("learned: range ratio %.2f | point threshold %.4f | scan a=%d b=%.2f\n",
 			p.RangeRatio, p.PointThreshold, p.ScanA, p.ScanB)
 		fmt.Printf("smoothed hit-rate estimate: %.3f (over %d control windows)\n",

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -272,5 +275,143 @@ func TestRangeCacheModel(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRangeCacheModelConcurrent runs the model with concurrency: in each
+// round the database changes single-threaded (Put, Delete), then readers
+// hit points and scans concurrently while an admitter fills the cache from
+// the model's answers and a splitter resizes it and moves its shard edges.
+// Every hit — chains across shard edges included — must equal the model's
+// answer, and every claim must hold after the round.
+func TestRangeCacheModelConcurrent(t *testing.T) {
+	rounds := 60
+	if testing.Short() {
+		rounds = 10
+	}
+	for _, policyName := range []string{"lru", "lecar", "cacheus"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", policyName, seed), func(t *testing.T) {
+				runConcurrentModel(t, policyName, seed, rounds)
+			})
+		}
+	}
+}
+
+func runConcurrentModel(t *testing.T, policyName string, seed int64, rounds int) {
+	const (
+		entryBytes = 9 + 8 + entryOverhead
+		readers    = 3
+		readOps    = 400
+	)
+	rng := rand.New(rand.NewSource(seed))
+	c := newCache(Options{Capacity: 48 * entryBytes, Policy: policyName}, 4)
+	m := &modelDB{}
+	for i := range m.present {
+		if rng.Intn(3) > 0 {
+			m.put(i)
+		}
+	}
+	// scanStart draws a scan's start key: a universe key or, one time in
+	// four, a key between two of them; from is its model index.
+	scanStart := func(rng *rand.Rand) (start []byte, from int) {
+		i := rng.Intn(modelKeys)
+		if rng.Intn(4) == 0 {
+			return modelKey(i, true), i + 1
+		}
+		return modelKey(i, false), i
+	}
+	var crossed atomic.Int64
+	for round := 0; round < rounds; round++ {
+		for j := 0; j < 8; j++ {
+			i := rng.Intn(modelKeys)
+			if rng.Intn(3) == 0 {
+				m.present[i] = false
+				c.Delete(k(i))
+			} else {
+				m.put(i)
+				c.Put(k(i), m.value(i))
+			}
+		}
+		// The model is read-only from here until the round ends.
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		background := func(seed int64, op func(rng *rand.Rand)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						op(rng)
+					}
+				}
+			}()
+		}
+		base := seed*1000 + int64(round)*10
+		background(base, func(rng *rand.Rand) {
+			if i := rng.Intn(modelKeys); rng.Intn(3) == 0 && m.present[i] {
+				c.InsertPoint(k(i), m.value(i))
+				return
+			}
+			start, from := scanStart(rng)
+			c.InsertScan(start, m.scan(from, 1+rng.Intn(24)))
+		})
+		background(base+1, func(rng *rand.Rand) {
+			if rng.Intn(4) == 0 {
+				forceSplit(c)
+			}
+			c.Resize(int64((24 + rng.Intn(40)) * entryBytes))
+			runtime.Gosched()
+		})
+		var readersDone sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			readersDone.Add(1)
+			go func(rng *rand.Rand) {
+				defer readersDone.Done()
+				for op := 0; op < readOps; op++ {
+					if i := rng.Intn(modelKeys); rng.Intn(2) == 0 {
+						if got, ok := c.Get(k(i)); ok && (!m.present[i] || !bytes.Equal(got, m.value(i))) {
+							t.Errorf("round %d: Get(%q) hit with %q; database present=%v value=%q", round, k(i), got, m.present[i], m.value(i))
+							return
+						}
+						continue
+					}
+					start, from := scanStart(rng)
+					n := 1 + rng.Intn(24)
+					got, ok := c.Scan(start, n)
+					if !ok {
+						continue
+					}
+					want := m.scan(from, n)
+					if len(got) != n || len(want) != n {
+						t.Errorf("round %d: Scan(%q, %d) hit with %d entries; database has %d", round, start, n, len(got), len(want))
+						return
+					}
+					for j := range got {
+						if !bytes.Equal(got[j].Key, want[j].Key) || !bytes.Equal(got[j].Value, want[j].Value) {
+							t.Errorf("round %d: Scan(%q, %d)[%d] = %q:%q, database has %q:%q", round, start, n, j, got[j].Key, got[j].Value, want[j].Key, want[j].Value)
+							return
+						}
+					}
+					if l := c.layout.Load(); l.index(got[0].Key) != l.index(got[n-1].Key) {
+						crossed.Add(1)
+					}
+				}
+			}(rand.New(rand.NewSource(base + 2 + int64(r))))
+		}
+		readersDone.Wait()
+		close(stop)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		checkClaims(t, c, m, round, "concurrent round")
+	}
+	if st := c.Stats(); st.GetHits == 0 || st.ScanHits == 0 || c.splits == 0 || crossed.Load() == 0 {
+		t.Fatalf("concurrent model run exercised too little: %+v, %d splits, %d scan hits across an edge", st, c.splits, crossed.Load())
 	}
 }

@@ -50,15 +50,13 @@ type Config struct {
 	WindowSize int
 	// Alpha is the reward smoothing factor (paper default: 0.9).
 	Alpha float64
-	// InitialRangeRatio seeds the boundary before the agent's first
-	// decision (and fixes it when DisablePartitioning is set).
-	InitialRangeRatio float64
 
 	// DisableAdmission turns off both point and scan admission control
 	// (Figure 11b's "partitioning only" ablation).
 	DisableAdmission bool
-	// DisablePartitioning freezes the boundary at InitialRangeRatio
-	// (Figure 11b's "admission only" ablation).
+	// DisablePartitioning fixes the boundary at fixedRangeRatio, the whole
+	// budget in the range cache like the baseline it modifies (Figure 11b's
+	// "admission only" ablation).
 	DisablePartitioning bool
 
 	// RL configures the agent; the zero value is the paper's settings.
@@ -67,10 +65,6 @@ type Config struct {
 	// one that has already learned its residual online elsewhere.
 	ModelFS   vfs.FS
 	ModelPath string
-
-	// RecordTrace keeps a per-window trace of rewards and parameters
-	// (used to regenerate Figure 10).
-	RecordTrace bool
 
 	// DisableHysteresis applies every ratio action to the boundary verbatim,
 	// including exploration jitter (ablation: quantifies the eviction churn
@@ -92,6 +86,10 @@ const (
 	// pointThresholdScale maps the actor's [0,1] threshold action onto
 	// normalized-frequency scores, which concentrate near zero.
 	pointThresholdScale = 0.01
+	// initialRangeRatio is the boundary before the agent's first decision.
+	initialRangeRatio = 0.5
+	// fixedRangeRatio is the boundary under DisablePartitioning.
+	fixedRangeRatio = 0.99
 )
 
 func (c Config) withDefaults() Config {
@@ -101,25 +99,7 @@ func (c Config) withDefaults() Config {
 	if c.Alpha <= 0 {
 		c.Alpha = 0.9
 	}
-	if c.InitialRangeRatio <= 0 {
-		c.InitialRangeRatio = 0.5
-	}
 	return c
-}
-
-// WindowTrace records one control window for experiment plots: the applied
-// (post-hysteresis) Params, the Prior decoded for the window, and the
-// agent's Residual around it (its chosen parameters minus the prior, before
-// hysteresis).
-type WindowTrace struct {
-	Window    stats.Window
-	HEstimate float64
-	HSmoothed float64
-	Reward    float64
-	Params    Params
-	Prior     Params
-	Residual  Params
-	ActorLR   float64
 }
 
 // AdCache is the paper's contribution: block and range caches under one
@@ -154,11 +134,9 @@ type AdCache struct {
 	db       *lsm.DB
 	smoothed float64
 	haveInit bool
-	trace    []WindowTrace
-	tuning   TuningState // last closed window's controller view (metrics)
+	journal  journal // one record per closed window
 
 	lastBlockStats lru.Stats
-	windowsClosed  atomic.Int64
 }
 
 // New returns a started AdCache. Call Close to stop its tuning goroutine.
@@ -177,7 +155,11 @@ func New(cfg Config) (*AdCache, error) {
 			return nil, err
 		}
 	}
-	rangeBytes := int64(float64(cfg.Capacity) * cfg.InitialRangeRatio)
+	ratio := initialRangeRatio
+	if cfg.DisablePartitioning {
+		ratio = fixedRangeRatio
+	}
+	rangeBytes := int64(float64(cfg.Capacity) * ratio)
 	// Shard sizing uses the full budget (the boundary may move the whole
 	// budget to either side later); the initial split applies via Resize.
 	a.block = lru.NewBlockCache(cfg.Capacity)
@@ -186,7 +168,7 @@ func New(cfg Config) (*AdCache, error) {
 	a.rng.Resize(rangeBytes)
 	a.blockBytes, a.rangeBytes = cfg.Capacity-rangeBytes, rangeBytes
 	a.params.Store(Params{
-		RangeRatio:     cfg.InitialRangeRatio,
+		RangeRatio:     ratio,
 		PointThreshold: 0,
 		ScanA:          16, // paper: initialised to the short-scan length
 		ScanB:          0.5,
@@ -227,15 +209,8 @@ func (a *AdCache) Pin(act rl.Action) {
 	a.setParams(a.decodeAction(act))
 }
 
-// Trace returns the recorded per-window trace (RecordTrace must be set).
-func (a *AdCache) Trace() []WindowTrace {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]WindowTrace(nil), a.trace...)
-}
-
 // Windows reports how many control windows have been processed.
-func (a *AdCache) Windows() int64 { return a.windowsClosed.Load() }
+func (a *AdCache) Windows() int64 { return a.TuningState().Windows }
 
 // Block and Range expose the component caches for metrics.
 func (a *AdCache) Block() *lru.BlockCache   { return a.block }

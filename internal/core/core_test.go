@@ -187,13 +187,19 @@ func TestWindowTuningAppliesParams(t *testing.T) {
 	}
 }
 
+// TestDisablePartitioningFixesBoundary: the admission-only ablation keeps
+// the whole budget in the range cache from the start, whatever the agent
+// asks for.
 func TestDisablePartitioningFixesBoundary(t *testing.T) {
-	a := newTestAdCache(t, Config{WindowSize: 50, DisablePartitioning: true, InitialRangeRatio: 0.7})
+	a := newTestAdCache(t, Config{WindowSize: 50, DisablePartitioning: true})
+	if got, want := a.Range().Capacity(), int64(0.99*float64(a.cfg.Capacity)); got != want {
+		t.Fatalf("range capacity %d, want %d", got, want)
+	}
 	for i := 0; i < 500; i++ {
 		a.GetCached([]byte(fmt.Sprintf("k%d", i)))
 		a.OnPointResult([]byte(fmt.Sprintf("k%d", i)), []byte("v"), 1)
 	}
-	if r := a.CurrentParams().RangeRatio; r != 0.7 {
+	if r := a.CurrentParams().RangeRatio; r != 0.99 {
 		t.Fatalf("ratio moved to %f despite ablation", r)
 	}
 }
@@ -214,17 +220,20 @@ func TestScanBlockFillQuota(t *testing.T) {
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
-	a := newTestAdCache(t, Config{WindowSize: 20, RecordTrace: true})
+func TestJournalRecording(t *testing.T) {
+	a := newTestAdCache(t, Config{WindowSize: 20})
 	for i := 0; i < 100; i++ {
 		a.GetCached([]byte(fmt.Sprintf("k%d", i%5)))
 		a.OnPointResult([]byte(fmt.Sprintf("k%d", i%5)), []byte("v"), 1)
 	}
-	trace := a.Trace()
-	if len(trace) == 0 {
-		t.Fatal("no trace recorded")
+	trace := a.Journal(0)
+	if int64(len(trace)) != a.Windows() || len(trace) == 0 {
+		t.Fatalf("%d records for %d windows", len(trace), a.Windows())
 	}
-	for _, tr := range trace {
+	for i, tr := range trace {
+		if tr.Windows != int64(i+1) || !tr.Trained || tr.Window.Points == 0 {
+			t.Fatalf("record %d: windows %d trained %v window %+v", i, tr.Windows, tr.Trained, tr.Window)
+		}
 		if tr.HEstimate < 0 || tr.HEstimate > 1 {
 			t.Fatalf("hEst out of range: %f", tr.HEstimate)
 		}
@@ -235,7 +244,8 @@ func TestTraceRecording(t *testing.T) {
 }
 
 func TestTinyRangeCapacitySkipsInserts(t *testing.T) {
-	a := newTestAdCache(t, Config{InitialRangeRatio: 0.0001, DisableAdmission: true})
+	a := newTestAdCache(t, Config{DisableAdmission: true})
+	a.Pin(rl.Action{RangeRatio: 0.0001})
 	a.OnPointResult([]byte("k"), []byte("v"), 1)
 	if a.Range().Stats().Entries != 0 {
 		t.Fatal("inserted into a boundary-starved range cache")
@@ -286,6 +296,14 @@ func TestConcurrentStrategyUse(t *testing.T) {
 					a.OnWrite(key, []byte("w"), false)
 				case 3:
 					a.OnWrite(key, nil, true)
+				}
+				if i%250 == 0 { // the journal is read while windows close
+					recs := a.Journal(a.Windows() - 4)
+					for j := 1; j < len(recs); j++ {
+						if recs[j].Windows != recs[j-1].Windows+1 {
+							t.Errorf("journal skips from window %d to %d", recs[j-1].Windows, recs[j].Windows)
+						}
+					}
 				}
 			}
 		}(g)
@@ -432,7 +450,7 @@ func TestNoOpBudgetMoveTakesNoLocks(t *testing.T) {
 // traces on a fixed mixed workload.
 func TestLearningTraceDeterministic(t *testing.T) {
 	trace := func() []Params {
-		a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true, RecordTrace: true})
+		a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +469,7 @@ func TestLearningTraceDeterministic(t *testing.T) {
 			}
 		}
 		var params []Params
-		for _, w := range a.Trace() {
+		for _, w := range a.Journal(0) {
 			params = append(params, w.Params)
 		}
 		return params
@@ -470,7 +488,7 @@ func TestLearningTraceDeterministic(t *testing.T) {
 // α·h + (1−α)·h_est of the estimated hit rate alone, with nothing priced
 // for writes.
 func TestRewardIsTheHitRateEstimate(t *testing.T) {
-	a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true, RecordTrace: true})
+	a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +509,12 @@ func TestRewardIsTheHitRateEstimate(t *testing.T) {
 	if db.Metrics().Flushes == 0 {
 		t.Fatal("the mix never flushed")
 	}
-	trace := a.Trace()
+	var trace []TuningState
+	for _, w := range a.Journal(0) {
+		if w.Trained {
+			trace = append(trace, w)
+		}
+	}
 	if len(trace) < 2 {
 		t.Fatalf("%d trained windows, want at least 2", len(trace))
 	}

@@ -163,26 +163,6 @@ func (r *RangeOnly) RegisterMetrics(reg *metrics.Registry) {
 	})
 }
 
-// TuningState is the controller's view of the most recently closed window:
-// the learning signal (reward, losses, adaptive learning rate) next to the
-// parameters it produced and where they came from — the calibrated Prior
-// for the window's mix and cache share, and the agent's Residual around it
-// (chosen minus prior, before hysteresis; zero for a fresh or frozen agent).
-// Served under /stats and as adcache_* gauges.
-type TuningState struct {
-	Windows    int64   `json:"windows"`
-	AgentSteps int64   `json:"agent_steps"`
-	HEstimate  float64 `json:"h_estimate"`
-	HSmoothed  float64 `json:"h_smoothed"`
-	Reward     float64 `json:"reward"`
-	ActorLR    float64 `json:"actor_lr"`
-	ActorLoss  float64 `json:"actor_loss"`
-	CriticLoss float64 `json:"critic_loss"`
-	Params     Params  `json:"params"`
-	Prior      Params  `json:"prior"`
-	Residual   Params  `json:"residual"`
-}
-
 // paramSeries names each controller parameter for the labelled
 // adcache_prior / adcache_residual series.
 var paramSeries = []struct {
@@ -219,20 +199,12 @@ func (a *AdCache) budgets(bs lru.Stats, rs rangecache.Stats) []Budget {
 	}
 }
 
-// TuningState returns the controller state of the last closed window. Before
-// the first window closes it is the zero value.
-func (a *AdCache) TuningState() TuningState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tuning
-}
-
 // RegisterMetrics registers AdCache's one collector: per scrape it visits
 // each component cache's shards once and emits their series, the budget
 // ledger built from the same stats, and the controller gauges. A scrape
 // never touches the tuner-owned agent: every adcache_* value reads either
-// the atomic params or the mu-guarded TuningState copy that tuneOnce writes
-// at each window boundary.
+// the atomic params or the newest mu-guarded journal record, which tuneOnce
+// writes at each window boundary.
 func (a *AdCache) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(s *metrics.Sink) {
 		blockShards, rangeShards := a.block.ShardStats(), a.rng.ShardStats()
@@ -258,7 +230,7 @@ func (a *AdCache) RegisterMetrics(reg *metrics.Registry) {
 				"Last window's learned residual around the prior (chosen minus prior, before hysteresis).", ps.get(t.Residual))
 		}
 
-		s.Counter("adcache_windows_total", "Control windows processed by the tuner.", a.Windows())
+		s.Counter("adcache_windows_total", "Control windows processed by the tuner.", t.Windows)
 		s.Counter("adcache_agent_steps_total", "Actor-critic updates performed.", t.AgentSteps)
 		s.Gauge("adcache_reward", "Last window's learning-rate signal Δh/h.", t.Reward)
 		s.Gauge("adcache_h_estimate", "Last window's I/O-model hit-rate estimate.", t.HEstimate)

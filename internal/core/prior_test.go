@@ -95,7 +95,7 @@ func boundTestAdCache(t *testing.T, a *AdCache) *lsm.DB {
 // share — residual zero — and what is applied is that decision after
 // hysteresis.
 func TestFrozenTrajectoryIsThePrior(t *testing.T) {
-	cfg := Config{Capacity: 256 << 10, WindowSize: 200, SyncTuning: true, RecordTrace: true}
+	cfg := Config{Capacity: 256 << 10, WindowSize: 200, SyncTuning: true}
 	cfg.RL.Frozen = true
 	a, err := New(cfg)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestFrozenTrajectoryIsThePrior(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	loaded := len(a.Trace())
+	loaded := a.Windows()
 	prev := a.CurrentParams()
 	// Read-only from here, so the live size — and the cache share — hold
 	// still while the mix shifts from points to scans.
@@ -132,16 +132,16 @@ func TestFrozenTrajectoryIsThePrior(t *testing.T) {
 		}
 	}
 
-	trace := a.Trace()
-	if len(trace)-loaded < 30 {
-		t.Fatalf("%d windows closed after the load", len(trace)-loaded)
+	trace := a.Journal(0)
+	if int64(len(trace))-loaded < 30 {
+		t.Fatalf("%d windows closed after the load", int64(len(trace))-loaded)
 	}
 	_, share := a.shape()
 	for i, w := range trace {
 		if w.Residual != (Params{}) {
 			t.Fatalf("window %d: frozen agent's residual %+v", i, w.Residual)
 		}
-		if i < loaded {
+		if int64(i) < loaded {
 			continue
 		}
 		point, short, long, write := windowMix(w.Window)

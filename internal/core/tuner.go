@@ -32,13 +32,15 @@ func (a *AdCache) tuneOnce() {
 	// A read-free window has nothing to learn from: the hit-rate estimate
 	// is 0 by construction (no lookups to hit), so training on it would
 	// only teach the agent that a write burst is a bad state. The window
-	// is counted and the block-cache baseline advances; the agent, the
-	// parameters and the smoothed reward stay where they are.
+	// is counted, journalled untrained, and the block-cache baseline
+	// advances; the agent, the parameters and the smoothed reward stay
+	// where they are.
 	if w.Points+w.Scans == 0 {
 		a.lastBlockStats = a.block.Stats()
-		windows := a.windowsClosed.Add(1)
 		a.mu.Lock()
-		a.tuning.Windows = windows
+		rec := a.journal.last()
+		rec.Window, rec.Trained = w, false
+		a.journal.add(rec)
 		a.mu.Unlock()
 		return
 	}
@@ -75,15 +77,12 @@ func (a *AdCache) tuneOnce() {
 		params = a.applyParams(chosen)
 	}
 
-	windows := a.windowsClosed.Add(1)
-
-	// Publish the controller view for metrics scrapes. The agent is owned by
-	// this goroutine, so its accessors are read here and copied under the
-	// lock — the collector reads the copy, never the agent.
+	// Journal the window. The agent is owned by this goroutine, so its
+	// accessors are read here and copied under the lock — scrapes read the
+	// record, never the agent.
 	actorLoss, criticLoss := a.agent.Losses()
 	a.mu.Lock()
-	a.tuning = TuningState{
-		Windows:    windows,
+	a.journal.add(TuningState{
 		AgentSteps: a.agent.Steps(),
 		HEstimate:  hEst,
 		HSmoothed:  smoothed,
@@ -94,19 +93,9 @@ func (a *AdCache) tuneOnce() {
 		Params:     params,
 		Prior:      prior,
 		Residual:   chosen.sub(prior),
-	}
-	if a.cfg.RecordTrace {
-		a.trace = append(a.trace, WindowTrace{
-			Window:    w,
-			HEstimate: hEst,
-			HSmoothed: smoothed,
-			Reward:    lrDelta,
-			Params:    params,
-			Prior:     prior,
-			Residual:  chosen.sub(prior),
-			ActorLR:   a.agent.ActorLR(),
-		})
-	}
+		Window:     w,
+		Trained:    !a.pinned,
+	})
 	a.mu.Unlock()
 }
 
@@ -119,7 +108,7 @@ func (a *AdCache) decodeAction(act rl.Action) Params {
 		ScanB:          act.ScanB,
 	}
 	if a.cfg.DisablePartitioning {
-		p.RangeRatio = a.cfg.InitialRangeRatio
+		p.RangeRatio = fixedRangeRatio
 	}
 	if a.cfg.DisableAdmission {
 		p.PointThreshold = 0
@@ -134,7 +123,7 @@ func (a *AdCache) decodeAction(act rl.Action) Params {
 // applied: every downward cache resize evicts entries, and §3.5 warns that
 // frequent boundary adjustments degrade performance — so the range ratio
 // carries a ±0.02 hysteresis deadband, and the POST-hysteresis value is
-// what gets stored (dashboards and the trace never see a pre-clamp
+// what gets stored (dashboards and the journal never see a pre-clamp
 // target). Admission parameters always apply.
 func (a *AdCache) applyParams(p Params) Params {
 	prev := a.CurrentParams()

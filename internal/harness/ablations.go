@@ -42,17 +42,10 @@ func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 			CacheFrac: 0.10, Strategy: adcache.StrategyAdCache, Seed: sc.Seed,
 		}
 		cfg.AdCache.DisableHysteresis = disabled
-		r, err := NewRunner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Warm(workload.MixBalanced, sc.WarmOps); err != nil {
-			r.Close()
-			return nil, err
-		}
-		res, err := r.Run(workload.MixBalanced, sc.MeasureOps)
-		evics := r.DB.CacheCounters().RangeEvictions + r.DB.CacheCounters().BlockEvictions
-		r.Close()
+		var evics int64
+		res, err := measure(cfg, sc, workload.MixBalanced, func(r *Runner) {
+			evics = r.DB.CacheCounters().RangeEvictions + r.DB.CacheCounters().BlockEvictions
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -73,20 +66,10 @@ func RunAblations(sc Scale, report func(AblationRow)) ([]AblationRow, error) {
 			CacheFrac: 0.10, Strategy: adcache.StrategyAdCache, Seed: sc.Seed,
 		}
 		cfg.AdCache.RL.Frozen = frozen
-		r, err := NewRunner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Warm(workload.MixPointLookup, sc.WarmOps); err != nil {
-			r.Close()
-			return nil, err
-		}
-		res, err := r.Run(workload.MixPointLookup, sc.MeasureOps)
 		var ratio float64
-		if ad := r.DB.AdCache(); ad != nil {
-			ratio = ad.CurrentParams().RangeRatio
-		}
-		r.Close()
+		res, err := measure(cfg, sc, workload.MixPointLookup, func(r *Runner) {
+			ratio = r.DB.AdCache().CurrentParams().RangeRatio
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -33,8 +33,8 @@ func (r *Runner) RunConcurrent(mix workload.Mix, opsPerClient, clients int) (Res
 			gen := workload.NewGenerator(workload.Config{
 				NumKeys:   r.Cfg.NumKeys,
 				ValueSize: r.Cfg.ValueSize,
-				PointSkew: r.Cfg.PointSkew,
-				ScanSkew:  r.Cfg.ScanSkew,
+				PointSkew: r.Cfg.Skew,
+				ScanSkew:  r.Cfg.Skew,
 				Seed:      r.Cfg.Seed + int64(c)*7919,
 			})
 			counts[c], errs[c] = driveWith(r.DB, gen, mix, opsPerClient)

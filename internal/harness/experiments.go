@@ -69,19 +69,10 @@ func RunFig7(sc Scale, report func(Cell)) ([]Cell, error) {
 	for _, w := range StaticWorkloads() {
 		for _, frac := range CacheFracs() {
 			for _, s := range adcache.Strategies() {
-				r, err := NewRunner(Config{
+				res, err := measure(Config{
 					NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
 					CacheFrac: frac, Strategy: s, Seed: sc.Seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := r.Warm(w.Mix, sc.WarmOps); err != nil {
-					r.Close()
-					return nil, err
-				}
-				res, err := r.Run(w.Mix, sc.MeasureOps)
-				r.Close()
+				}, sc, w.Mix, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -280,21 +271,11 @@ func RunFig9(sc Scale, report func(Cell)) ([]Cell, error) {
 	var cells []Cell
 	for _, skew := range Fig9Skews() {
 		for _, s := range adcache.Strategies() {
-			r, err := NewRunner(Config{
+			res, err := measure(Config{
 				NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
 				CacheFrac: 0.10, Strategy: s, Seed: sc.Seed,
-				PointSkew: skew, ScanSkew: skew,
-			})
-			if err != nil {
-				return nil, err
-			}
-			mix := Fig9Mix()
-			if err := r.Warm(mix, sc.WarmOps); err != nil {
-				r.Close()
-				return nil, err
-			}
-			res, err := r.Run(mix, sc.MeasureOps)
-			r.Close()
+				Skew: skew,
+			}, sc, Fig9Mix(), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -331,11 +312,11 @@ func FormatFig9(cells []Cell) string {
 	return b.String()
 }
 
-// Fig10Series is one convergence curve: per-window estimated hit rate
-// around a workload shift, plus the evolving control parameters.
+// Fig10Series is one convergence curve: the journal record of every control
+// window around a workload shift.
 type Fig10Series struct {
 	Label  string
-	Traces []core.WindowTrace
+	Traces []core.TuningState
 }
 
 // RunFig10 regenerates Figure 10: the system is warmed on a read-heavy
@@ -351,20 +332,17 @@ func RunFig10(sc Scale) (windowPanel, alphaPanel []Fig10Series, paramPanel Fig10
 		}
 		cfg.AdCache.WindowSize = windowSize
 		cfg.AdCache.Alpha = alpha
-		cfg.AdCache.RecordTrace = true
 		cfg.AdCache.RL.Frozen = frozen
 		r, err := NewRunner(cfg)
 		if err != nil {
 			return Fig10Series{}, err
 		}
 		defer r.Close()
-		if err := r.Warm(workload.MixPointLookup, sc.WarmOps); err != nil {
-			return Fig10Series{}, err
+		recs, err := r.warmJournal(workload.MixPointLookup, sc.WarmOps, nil)
+		if err == nil {
+			recs, err = r.warmJournal(workload.MixShortScan, sc.MeasureOps, recs)
 		}
-		if err := r.Warm(workload.MixShortScan, sc.MeasureOps); err != nil {
-			return Fig10Series{}, err
-		}
-		return Fig10Series{Label: label, Traces: r.DB.AdCache().Trace()}, nil
+		return Fig10Series{Label: label, Traces: recs}, err
 	}
 
 	for _, ws := range []int{100, 1000, 10000} {
@@ -511,11 +489,6 @@ func RunFig11b(sc Scale, report func(AblationSeries)) ([]AblationSeries, error) 
 		}
 		cfg.AdCache.DisableAdmission = v.disableAdmission
 		cfg.AdCache.DisablePartitioning = v.disablePartitioning
-		if v.disablePartitioning {
-			// The admission-only ablation keeps the whole budget in the
-			// range cache, like the baseline it modifies.
-			cfg.AdCache.InitialRangeRatio = 0.99
-		}
 		r, err := NewRunner(cfg)
 		if err != nil {
 			return nil, err

@@ -24,19 +24,10 @@ func RunFig1(sc Scale) ([]Cell, error) {
 	var cells []Cell
 	for _, m := range mixes {
 		for _, s := range []adcache.Strategy{adcache.StrategyBlock, adcache.StrategyRange} {
-			r, err := NewRunner(Config{
+			res, err := measure(Config{
 				NumKeys: sc.NumKeys, ValueSize: sc.ValueSize,
 				CacheFrac: 0.10, Strategy: s, Seed: sc.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.Warm(m.Mix, sc.WarmOps); err != nil {
-				r.Close()
-				return nil, err
-			}
-			res, err := r.Run(m.Mix, sc.MeasureOps)
-			r.Close()
+			}, sc, m.Mix, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -166,7 +167,7 @@ func TestCSVExport(t *testing.T) {
 	}
 
 	buf.Reset()
-	series := []Fig10Series{{Label: "w=1000", Traces: []core.WindowTrace{{HEstimate: 0.7}}}}
+	series := []Fig10Series{{Label: "w=1000", Traces: []core.TuningState{{HEstimate: 0.7}}}}
 	if err := WriteTraceCSV(&buf, series); err != nil {
 		t.Fatal(err)
 	}
@@ -250,5 +251,45 @@ func TestFig11aTunesAsynchronously(t *testing.T) {
 	}
 	if r.DB.LSM().Options().InlineCompaction {
 		t.Error("engine flushes and compacts inline")
+	}
+}
+
+// TestFig10ReadsEveryWindowFromJournal: a Figure 10 run longer than the
+// journal's ring gets one record per closed window, in window order, and
+// draining the journal does not change the op stream — a run drained every
+// 100 operations journals the same records.
+func TestFig10ReadsEveryWindowFromJournal(t *testing.T) {
+	const ops = 2*core.JournalCap + 100
+	cfg := smallConfig(adcache.StrategyAdCache)
+	cfg.AdCache.WindowSize = 1
+	cfg.AdCache.RL.Frozen = true
+	journalled := func(drainEvery int) []core.TuningState {
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var recs []core.TuningState
+		for done := 0; done < ops; done += drainEvery {
+			if recs, err = r.warmJournal(workload.MixShortScan, min(drainEvery, ops-done), recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := int64(len(recs)); got != r.DB.AdCache().Windows() {
+			t.Fatalf("%d records for %d windows", got, r.DB.AdCache().Windows())
+		}
+		return recs
+	}
+	recs := journalled(ops)
+	for i, rec := range recs {
+		if rec.Windows != int64(i+1) {
+			t.Fatalf("record %d is window %d", i, rec.Windows)
+		}
+	}
+	if len(recs) <= core.JournalCap {
+		t.Fatalf("%d windows do not wrap the journal", len(recs))
+	}
+	if short := journalled(100); !reflect.DeepEqual(recs, short) {
+		t.Fatal("draining the journal more often changed the records")
 	}
 }

@@ -23,10 +23,9 @@ type Config struct {
 	// NumKeys and ValueSize define the database (defaults 50_000 × 100 B).
 	NumKeys   int
 	ValueSize int
-	// PointSkew and ScanSkew are Zipfian thetas (default 0.9, the paper's
-	// default).
-	PointSkew float64
-	ScanSkew  float64
+	// Skew is the Zipfian theta of point lookups, writes and scan start
+	// keys (default 0.9, the paper's default).
+	Skew float64
 	// Seed drives workload determinism; all strategies see the same ops.
 	Seed int64
 	// CacheFrac is the cache budget as a fraction of the loaded database
@@ -50,11 +49,8 @@ func (c Config) withDefaults() Config {
 	if c.ValueSize <= 0 {
 		c.ValueSize = 100
 	}
-	if c.PointSkew == 0 {
-		c.PointSkew = 0.9
-	}
-	if c.ScanSkew == 0 {
-		c.ScanSkew = 0.9
+	if c.Skew == 0 {
+		c.Skew = 0.9
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -108,8 +104,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 	gen := workload.NewGenerator(workload.Config{
 		NumKeys:   cfg.NumKeys,
 		ValueSize: cfg.ValueSize,
-		PointSkew: cfg.PointSkew,
-		ScanSkew:  cfg.ScanSkew,
+		PointSkew: cfg.Skew,
+		ScanSkew:  cfg.Skew,
 		Seed:      cfg.Seed,
 	})
 
@@ -183,6 +179,44 @@ func (r *Runner) Shape() stats.Shape {
 func (r *Runner) Warm(mix workload.Mix, ops int) error {
 	_, err := r.drive(mix, ops)
 	return err
+}
+
+// warmJournal warms like Warm and appends the journal records of the
+// windows it closes to recs. A window closes at most once per operation, so
+// draining the journal every core.JournalCap operations reads every record
+// before the ring overwrites it; the op stream is the one a single Warm
+// drives.
+func (r *Runner) warmJournal(mix workload.Mix, ops int, recs []core.TuningState) ([]core.TuningState, error) {
+	ad := r.DB.AdCache()
+	since := ad.Windows()
+	for left := ops; left > 0; left -= core.JournalCap {
+		if err := r.Warm(mix, min(left, core.JournalCap)); err != nil {
+			return recs, err
+		}
+		got := ad.Journal(since)
+		recs = append(recs, got...)
+		since += int64(len(got))
+	}
+	return recs, nil
+}
+
+// measure builds a runner under cfg, warms it with sc.WarmOps operations of
+// mix and measures sc.MeasureOps more. inspect, when not nil, reads the
+// runner before it closes.
+func measure(cfg Config, sc Scale, mix workload.Mix, inspect func(*Runner)) (Result, error) {
+	r, err := NewRunner(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	defer r.Close()
+	if err := r.Warm(mix, sc.WarmOps); err != nil {
+		return Result{}, err
+	}
+	res, err := r.Run(mix, sc.MeasureOps)
+	if err == nil && inspect != nil {
+		inspect(r)
+	}
+	return res, err
 }
 
 // Run drives ops operations and returns measurements.

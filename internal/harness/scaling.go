@@ -37,59 +37,12 @@ func RunScaling(sizes []int, report func(ScalingRow)) ([]ScalingRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{10_000, 50_000, 150_000}
 	}
-	// Points only: IO_point = 1+FPR is invariant to the tree's run count,
-	// so the before/after hit rates compare cleanly (scan estimates shift
-	// with the post-churn run count and would contaminate the delta).
-	readMix := workload.Mix{GetPct: 100}
 	var rows []ScalingRow
 	for _, numKeys := range sizes {
 		for _, s := range []adcache.Strategy{adcache.StrategyBlock, adcache.StrategyRange} {
-			r, err := NewRunner(Config{
-				NumKeys: numKeys, ValueSize: 100, CacheFrac: 0.10,
-				Strategy: s, Seed: 3,
-			})
+			row, err := scalingCell(numKeys, s)
 			if err != nil {
 				return nil, err
-			}
-			warm := numKeys
-			if warm < 20_000 {
-				warm = 20_000
-			}
-			if err := r.Warm(readMix, warm); err != nil {
-				r.Close()
-				return nil, err
-			}
-			// Short fixed measurement windows: the invalidation penalty is a
-			// refill transient, and the point is how long it lasts relative
-			// to the traffic — a long window would amortise it away.
-			const measureOps = 3000
-			before, err := r.Run(readMix, measureOps)
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			// Write churn proportional to the database: rewrite ~40% of it,
-			// then flush so the second measurement reads from SSTables like
-			// the first (a memtable full of freshly-written hot keys would
-			// serve reads for free and mask the effect under test).
-			if err := r.Warm(workload.Mix{WritePct: 100}, numKeys*2/5); err != nil {
-				r.Close()
-				return nil, err
-			}
-			if err := r.DB.Flush(); err != nil {
-				r.Close()
-				return nil, err
-			}
-			after, err := r.Run(readMix, measureOps)
-			r.Close()
-			if err != nil {
-				return nil, err
-			}
-			row := ScalingRow{
-				NumKeys:   numKeys,
-				Strategy:  s.String(),
-				HitBefore: before.HitRate,
-				HitAfter:  after.HitRate,
 			}
 			rows = append(rows, row)
 			if report != nil {
@@ -98,6 +51,45 @@ func RunScaling(sizes []int, report func(ScalingRow)) ([]ScalingRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// scalingCell measures one (database size, strategy) cell of the study.
+func scalingCell(numKeys int, s adcache.Strategy) (ScalingRow, error) {
+	// Points only: IO_point = 1+FPR is invariant to the tree's run count,
+	// so the before/after hit rates compare cleanly (scan estimates shift
+	// with the post-churn run count and would contaminate the delta).
+	readMix := workload.Mix{GetPct: 100}
+	r, err := NewRunner(Config{
+		NumKeys: numKeys, ValueSize: 100, CacheFrac: 0.10,
+		Strategy: s, Seed: 3,
+	})
+	if err != nil {
+		return ScalingRow{}, err
+	}
+	defer r.Close()
+	if err := r.Warm(readMix, max(numKeys, 20_000)); err != nil {
+		return ScalingRow{}, err
+	}
+	// Short fixed measurement windows: the invalidation penalty is a
+	// refill transient, and the point is how long it lasts relative to the
+	// traffic — a long window would amortise it away.
+	const measureOps = 3000
+	before, err := r.Run(readMix, measureOps)
+	if err != nil {
+		return ScalingRow{}, err
+	}
+	// Write churn proportional to the database: rewrite ~40% of it, then
+	// flush so the second measurement reads from SSTables like the first
+	// (a memtable full of freshly-written hot keys would serve reads for
+	// free and mask the effect under test).
+	if err := r.Warm(workload.Mix{WritePct: 100}, numKeys*2/5); err != nil {
+		return ScalingRow{}, err
+	}
+	if err := r.DB.Flush(); err != nil {
+		return ScalingRow{}, err
+	}
+	after, err := r.Run(readMix, measureOps)
+	return ScalingRow{NumKeys: numKeys, Strategy: s.String(), HitBefore: before.HitRate, HitAfter: after.HitRate}, err
 }
 
 // FormatScaling renders the study.

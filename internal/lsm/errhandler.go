@@ -114,6 +114,12 @@ func (d *DB) logf(format string, args ...any) {
 	}
 }
 
+// defaultBgMaxRetries bounds a background failure's retries. Under the
+// default 5 ms → 1 s backoff the 63 retries before the DB parks read-only
+// wait 56 s in all (5 ms doubling eight times, then 55 s at the cap), so a
+// device that never recovers stops being retried after about a minute.
+const defaultBgMaxRetries = 64
+
 // backoffDelay computes the capped exponential delay before retry attempt
 // (1-based).
 func backoffDelay(base, cap time.Duration, attempt int) time.Duration {
@@ -149,7 +155,7 @@ func (d *DB) noteBgError(err error) (retry bool, delay time.Duration) {
 	}
 	d.bgAttempt++
 	d.metrics.bgRetries.Inc()
-	if d.opts.bgMaxRetries > 0 && d.bgAttempt >= d.opts.bgMaxRetries {
+	if d.bgAttempt >= d.opts.bgMaxRetries {
 		d.bgState = bgReadOnly
 		d.bgCond.Broadcast()
 		d.logf("lsm: background error persisted through %d retries, entering read-only mode: %v", d.bgAttempt, err)

@@ -163,6 +163,41 @@ func TestBgMaxRetriesEscalatesToReadOnly(t *testing.T) {
 	}
 }
 
+// TestBgRetriesBoundedByDefault: with no bound set, a device that never
+// recovers is retried defaultBgMaxRetries times, then the DB parks
+// read-only instead of retrying forever; Resume recovers once the faults
+// stop.
+func TestBgRetriesBoundedByDefault(t *testing.T) {
+	fault := vfs.NewFault(vfs.NewMem())
+	db := mustOpen(t, fastRetryOpts(fault))
+	defer db.Close()
+
+	fault.Target(".sst")
+	fault.FailProbability(1, 1) // every table operation fails
+	fillMemTable(t, db, 0)
+
+	m := waitForMetrics(t, db, "read-only after the default bound", func(m Metrics) bool {
+		return m.BgState == "read-only"
+	})
+	if m.BgRetries != defaultBgMaxRetries {
+		t.Fatalf("BgRetries = %d, want the default bound %d", m.BgRetries, defaultBgMaxRetries)
+	}
+	if err := db.Put(key(99999), val(1)); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Put in read-only mode: %v, want ErrReadOnly", err)
+	}
+
+	fault.Reset()
+	if err := db.Resume(); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	waitForMetrics(t, db, "health after Resume", func(m Metrics) bool {
+		return m.BgState == "healthy" && m.Flushes >= 1 && m.ImmMemTables == 0
+	})
+	if err := db.Put(key(99999), val(1)); err != nil {
+		t.Fatalf("Put after Resume: %v", err)
+	}
+}
+
 // corruptSSTInPlace flips one byte in the middle of the given file and
 // returns a function that restores it. MemFS hands out shared file objects,
 // so the change is visible to already-open readers.

@@ -90,9 +90,10 @@ type Options struct {
 	// retried at a falling rate, not in a hot loop.
 	bgRetryBase     time.Duration
 	bgRetryMaxDelay time.Duration
-	// bgMaxRetries caps consecutive transient-failure retries; when
-	// exceeded the DB degrades to read-only (Resume exits). The default 0
-	// retries forever, matching RocksDB's auto-resume.
+	// bgMaxRetries caps consecutive background failures; the one that
+	// reaches it parks the DB read-only (Resume exits). Default
+	// defaultBgMaxRetries, about a minute of retries under the default
+	// backoff.
 	bgMaxRetries int
 	// disableAutoCompaction turns off flush-triggered compaction, so a
 	// test can stage L0 by hand.
@@ -176,6 +177,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.bgRetryMaxDelay <= 0 {
 		o.bgRetryMaxDelay = time.Second
+	}
+	if o.bgMaxRetries <= 0 {
+		o.bgMaxRetries = defaultBgMaxRetries
 	}
 	if o.seed == 0 {
 		o.seed = 1

@@ -26,14 +26,14 @@ type Collector struct {
 
 // Window is an immutable snapshot of one window's counters.
 type Window struct {
-	Points     int64
-	Scans      int64
-	Writes     int64
-	ScanLenSum int64
-	BlockReads int64
+	Points     int64 `json:"points"`
+	Scans      int64 `json:"scans"`
+	Writes     int64 `json:"writes"`
+	ScanLenSum int64 `json:"scan_len_sum"`
+	BlockReads int64 `json:"block_reads"`
 
-	RangeGetHits  int64
-	RangeScanHits int64
+	RangeGetHits  int64 `json:"range_get_hits"`
+	RangeScanHits int64 `json:"range_scan_hits"`
 }
 
 // Ops returns the total operation count in the window.

@@ -8,10 +8,11 @@ import (
 // LatencyFS wraps an FS and charges every data operation a simulated device
 // cost: a fixed per-operation access latency plus transfer time at a fixed
 // bandwidth. Layered over MemFS it turns the in-memory store into a
-// machine-independent model of a real drive, which the compaction benchmark
-// uses to measure I/O-overlap effects (parallel subcompactions hide device
-// waits behind merge compute even on a single core). Metadata operations are
-// free: the LSM's data path dominates on real devices too.
+// machine-independent model of a real drive. Its users are the lsm pipeline
+// tests (concurrent writers whose WAL syncs overlap, the multi-writer crash
+// stress) and the lsm coherence stress test (reads held in I/O while writes
+// overtake them). Metadata operations are free: the LSM's data path
+// dominates on real devices too.
 //
 // Charges accumulate as per-file debt and are slept off in chunks of at
 // least minSleep: the OS timer cannot deliver microsecond sleeps, so paying
