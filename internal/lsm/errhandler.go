@@ -114,10 +114,10 @@ func (d *DB) logf(format string, args ...any) {
 	}
 }
 
-// defaultBgMaxRetries bounds a background failure's retries. Under the
+// defaultBgMaxRetries bounds consecutive background failures. Under the
 // default 5 ms → 1 s backoff the 63 retries before the DB parks read-only
-// wait 56 s in all (5 ms doubling eight times, then 55 s at the cap), so a
-// device that never recovers stops being retried after about a minute.
+// wait 56 s in all (eight waits doubling from 5 ms to 640 ms, then 55 at
+// the cap): a device that never recovers is given about a minute.
 const defaultBgMaxRetries = 64
 
 // backoffDelay computes the capped exponential delay before retry attempt

@@ -164,7 +164,7 @@ func TestBgMaxRetriesEscalatesToReadOnly(t *testing.T) {
 }
 
 // TestBgRetriesBoundedByDefault: with no bound set, a device that never
-// recovers is retried defaultBgMaxRetries times, then the DB parks
+// recovers fails defaultBgMaxRetries times in a row, then the DB parks
 // read-only instead of retrying forever; Resume recovers once the faults
 // stop.
 func TestBgRetriesBoundedByDefault(t *testing.T) {
