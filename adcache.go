@@ -96,9 +96,8 @@ type Options struct {
 	// AdCache optionally overrides the AdCache configuration; Capacity is
 	// filled from CacheBytes.
 	AdCache core.Config
-	// LSM optionally overrides engine options — block compression,
-	// background I/O rate limit, tree shape; FS/Dir/Strategy fields are
-	// managed by Open.
+	// LSM optionally overrides engine options — block compression, tree
+	// shape; FS/Dir/Strategy fields are managed by Open.
 	LSM *lsm.Options
 }
 

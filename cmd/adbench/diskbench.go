@@ -26,14 +26,13 @@ type diskBenchRow struct {
 
 	// Read experiment: uniform random gets against a cache smaller than the
 	// working set.
-	ReadOps        int     `json:"read_ops"`
-	ReadNsPerOp    float64 `json:"read_ns_per_op"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	SSTReads       int64   `json:"sst_reads"`
-	CacheCapacity  int64   `json:"cache_capacity_bytes"`
-	CachePhysical  int64   `json:"cache_physical_bytes"`
-	CacheLogical   int64   `json:"cache_logical_bytes"`
-	BgIOStallNanos int64   `json:"bg_io_stall_nanos"`
+	ReadOps       int     `json:"read_ops"`
+	ReadNsPerOp   float64 `json:"read_ns_per_op"`
+	CacheHitRate  float64 `json:"cache_hit_rate"`
+	SSTReads      int64   `json:"sst_reads"`
+	CacheCapacity int64   `json:"cache_capacity_bytes"`
+	CachePhysical int64   `json:"cache_physical_bytes"`
+	CacheLogical  int64   `json:"cache_logical_bytes"`
 }
 
 // diskBenchReport is the BENCH_DISK.json schema: the same workload on a real
@@ -106,7 +105,6 @@ func runDiskCase(n int, compression lsm.Compression) (diskBenchRow, error) {
 	opts.MemTableSize = 4 << 20
 	opts.TargetFileSize = 2 << 20
 	opts.InlineCompaction = true
-	opts.BgIOBytesPerSec = 256 << 20 // generous: observable stall counter, negligible slowdown
 	db, err := lsm.Open(opts)
 	if err != nil {
 		return row, err
@@ -129,7 +127,6 @@ func runDiskCase(n int, compression lsm.Compression) (diskBenchRow, error) {
 	m := db.Metrics()
 	row.SSTBytes = int64(m.TotalBytes)
 	row.SSTableCount = m.SortedRuns
-	row.BgIOStallNanos = m.BgIOStallNanos
 	if row.OnDiskBytes, err = dirBytes(dbDir); err != nil {
 		return row, err
 	}

@@ -120,7 +120,11 @@ func experiments() []experiment {
 		exps = append(exps, experiment{name: e.Name, all: e.All, run: func(o options, _ string) error {
 			sc := o.harnessScale()
 			start := time.Now()
-			fmt.Printf("== %s (keys=%d values=%dB ops=%d) ==\n", e.Name, sc.NumKeys, sc.ValueSize, sc.MeasureOps)
+			if e.Scaled {
+				fmt.Printf("== %s (keys=%d values=%dB ops=%d) ==\n", e.Name, sc.NumKeys, sc.ValueSize, sc.MeasureOps)
+			} else {
+				fmt.Printf("== %s ==\n", e.Name)
+			}
 			if err := e.Run(sc, o.csvDir); err != nil {
 				return err
 			}

@@ -75,8 +75,9 @@ func TestOptionsSurface(t *testing.T) {
 	}
 }
 
-// TestExperimentNames checks that every -exp name is unique and that all
-// covers the paper's figures.
+// TestExperimentNames checks that every -exp name is unique, that all
+// covers the paper's figures, and which experiments run at the given scale
+// (only those print it in their header).
 func TestExperimentNames(t *testing.T) {
 	seen := map[string]bool{}
 	var all []string
@@ -91,6 +92,15 @@ func TestExperimentNames(t *testing.T) {
 	}
 	if got, want := strings.Join(all, " "), "table2 fig1 fig6 fig7 fig8 fig9 fig10 fig11a fig11b ablations"; got != want {
 		t.Errorf("-exp all runs %q, want %q", got, want)
+	}
+	var scaled []string
+	for _, e := range harness.Experiments {
+		if e.Scaled {
+			scaled = append(scaled, e.Name)
+		}
+	}
+	if got, want := strings.Join(scaled, " "), "fig1 fig6 fig7 fig8 fig9 fig10 fig11a fig11b ablations calibrate"; got != want {
+		t.Errorf("scaled experiments are %q, want %q", got, want)
 	}
 }
 

@@ -230,6 +230,7 @@ func FormatFig8(results []PhaseResult) string {
 
 	rk := RankFig8(results)
 	b.WriteString("\nTable 4 — rankings (throughput/hit rate), lower is better\n")
+	b.WriteString("(throughput ranks come from one wall-clock run per strategy and move between runs; hit-rate ranks do not)\n")
 	fmt.Fprintf(&b, "%-8s", "phase")
 	for _, s := range Fig8Strategies() {
 		fmt.Fprintf(&b, "%24s", s.String())

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"adcache/internal/cache/lru"
-	"adcache/internal/metrics"
 	"adcache/internal/vfs"
 )
 
@@ -137,51 +135,5 @@ func TestDBCompressionWithBlockCache(t *testing.T) {
 	if physical >= logical {
 		t.Fatalf("physical bytes %d not below logical %d for compressed blocks",
 			physical, logical)
-	}
-}
-
-func TestIOLimiterAccumulatesStall(t *testing.T) {
-	var nilLimiter *ioLimiter
-	nilLimiter.wait(1 << 30) // must be a no-op, not a panic
-
-	var stallNanos metrics.Counter
-	l := newIOLimiter(1<<20, &stallNanos) // 1 MiB/s
-	start := time.Now()
-	l.wait(1 << 20) // drains the initial second of budget
-	l.wait(512 << 10)
-	elapsed := time.Since(start)
-	if stall := stallNanos.Value(); stall == 0 {
-		t.Fatal("overdraft did not accumulate stall time")
-	} else if elapsed < time.Duration(stall)/2 {
-		t.Fatalf("reported %v stall but only %v elapsed", time.Duration(stall), elapsed)
-	}
-}
-
-// TestBgIORateLimitThrottlesFlush opens a store with a tight background
-// budget and checks that flushing reports stall time in Metrics.
-func TestBgIORateLimitThrottlesFlush(t *testing.T) {
-	opts := DefaultOptions("db")
-	opts.FS = vfs.NewMem()
-	opts.MemTableSize = 8 << 20 // no incidental flushes: Flush below is the write
-	opts.InlineCompaction = true
-	// The bucket holds a one-second burst (2 MiB); flushing ~2.8 MiB must
-	// overdraft it and sleep the difference off.
-	opts.BgIOBytesPerSec = 2 << 20
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	value := bytes.Repeat([]byte("x"), 2048)
-	for i := 0; i < 1400; i++ {
-		if err := db.Put(key(i), value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if stall := db.Metrics().BgIOStallNanos; stall == 0 {
-		t.Fatal("background writes were never throttled")
 	}
 }

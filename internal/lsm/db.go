@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +63,6 @@ type DB struct {
 	strategy CacheStrategy
 	store    *manifest.Store
 	tc       *tableCache
-
-	// ioLimit paces background flush/compaction writes
-	// (Options.BgIOBytesPerSec); nil when unlimited.
-	ioLimit *ioLimiter
 
 	// metrics are the engine's registry cells — histograms and every
 	// cumulative counter (see metrics.go). snapshots counts Metrics() calls;
@@ -163,13 +158,6 @@ type DB struct {
 // Open opens (creating if necessary) the database described by opts.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	if opts.compactionParallelism <= 0 {
-		// Deterministic experiments need a machine-independent file layout.
-		opts.compactionParallelism = 1
-		if !opts.InlineCompaction {
-			opts.compactionParallelism = min(runtime.GOMAXPROCS(0), 4)
-		}
-	}
 	fs := vfs.NewCounting(opts.FS)
 	if err := fs.MkdirAll(opts.Dir); err != nil {
 		return nil, err
@@ -195,7 +183,6 @@ func Open(opts Options) (*DB, error) {
 		memSeed:    opts.seed,
 	}
 	db.registerMetrics(reg)
-	db.ioLimit = newIOLimiter(opts.BgIOBytesPerSec, db.metrics.bgIOStallNanos)
 	db.readPool.New = func() any { return new(readState) }
 	db.bgCond = sync.NewCond(&db.mu)
 	db.tc = newTableCache(fs, opts.Dir, strategy.BlockCache(), db.metrics.tableOpens)
@@ -811,8 +798,8 @@ type Metrics struct {
 	ImmMemTableBytes int64
 	Flushes          int64
 	Compactions      int64
-	// Subcompactions counts shard merges: equal to Compactions when every
-	// compaction ran serially, larger when range-partitioned shards ran.
+	// Subcompactions equals Compactions: every compaction is one merge. It
+	// is kept only for the repo benchmark, which reports it.
 	Subcompactions int64
 	// Moves counts compactions executed as moves: files sent down a level
 	// unchanged, MovedBytes in all. Neither Compactions nor CompactedBytes
@@ -853,9 +840,6 @@ type Metrics struct {
 	// compaction writes, plus the first read of each table recovered at
 	// Open. Reads of tables this process wrote open none.
 	TableOpens int64
-	// BgIOStallNanos is cumulative time background flush/compaction writers
-	// spent throttled by the Options.BgIOBytesPerSec token bucket.
-	BgIOStallNanos int64
 	// SSTReadCalls and SSTReadBytes count the device reads issued by table
 	// readers (queries, compaction, table opens, integrity checks): one
 	// call may carry several coalesced blocks. ScanLazySkippedRuns counts
@@ -915,6 +899,7 @@ func (d *DB) Metrics() Metrics {
 			*s.field(&m) = (*s.cell(&d.metrics)).Value()
 		}
 	}
+	m.Subcompactions = m.Compactions
 	for l := range d.metrics.levelCompactIn {
 		m.LevelCompactionInBytes = append(m.LevelCompactionInBytes, d.metrics.levelCompactIn[l].Value())
 		m.LevelCompactionOutBytes = append(m.LevelCompactionOutBytes, d.metrics.levelCompactOut[l].Value())

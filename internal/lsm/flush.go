@@ -195,8 +195,6 @@ func (d *DB) writeMemTable(mem *memtable.MemTable) (*manifest.FileMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Flush output pays the background I/O budget (no-op when unlimited).
-	f = limitFile(f, d.ioLimit)
 	w := sstable.NewWriter(f, sstable.WriterOptions{
 		BlockSize:   d.opts.blockSize,
 		BitsPerKey:  bitsPerKey,

@@ -13,26 +13,24 @@ import (
 // `_nanos` suffix drives duration formatting in summary tables);
 // write-group size is a plain magnitude.
 type dbMetrics struct {
-	getNanos        *metrics.Histogram
-	scanNanos       *metrics.Histogram
-	commitNanos     *metrics.Histogram
-	commitWait      *metrics.Histogram
-	stallNanos      *metrics.Histogram
-	flushNanos      *metrics.Histogram
-	compactNanos    *metrics.Histogram
-	subcompactNanos *metrics.Histogram
-	writeGroupOps   *metrics.Histogram
+	getNanos      *metrics.Histogram
+	scanNanos     *metrics.Histogram
+	commitNanos   *metrics.Histogram
+	commitWait    *metrics.Histogram
+	stallNanos    *metrics.Histogram
+	flushNanos    *metrics.Histogram
+	compactNanos  *metrics.Histogram
+	writeGroupOps *metrics.Histogram
 
-	flushes, compactions, subcompactions *metrics.Counter
-	stallSlowdowns, stallStops           *metrics.Counter
-	writeGroups                          *metrics.Counter
-	flushedBytes, userBytes              *metrics.Counter
-	compactedBytes, compactionOut        *metrics.Counter // compaction input / output bytes
-	moves, movedBytes                    *metrics.Counter // compactions executed as moves, and their bytes
-	bgRetries, resumes, walRemoveErrors  *metrics.Counter
-	sealFallbacks                        *metrics.Counter // seals whose prepared log had failed
-	tableOpens                           *metrics.Counter // table readers opened
-	bgIOStallNanos                       *metrics.Counter
+	flushes, compactions                *metrics.Counter
+	stallSlowdowns, stallStops          *metrics.Counter
+	writeGroups                         *metrics.Counter
+	flushedBytes, userBytes             *metrics.Counter
+	compactedBytes, compactionOut       *metrics.Counter // compaction input / output bytes
+	moves, movedBytes                   *metrics.Counter // compactions executed as moves, and their bytes
+	bgRetries, resumes, walRemoveErrors *metrics.Counter
+	sealFallbacks                       *metrics.Counter // seals whose prepared log had failed
+	tableOpens                          *metrics.Counter // table readers opened
 	// queryBlockReads/Hits count block reads and block-cache hits
 	// attributable to Get/Scan only, excluding flush/compaction/recovery
 	// I/O — the paper's "SST reads" metric.
@@ -61,7 +59,6 @@ var counterSeries = []struct {
 }{
 	{"lsm_flushes_total", "memtable flushes", func(c *dbMetrics) **metrics.Counter { return &c.flushes }, func(m *Metrics) *int64 { return &m.Flushes }},
 	{"lsm_compactions_total", "compactions run", func(c *dbMetrics) **metrics.Counter { return &c.compactions }, func(m *Metrics) *int64 { return &m.Compactions }},
-	{"lsm_subcompactions_total", "subcompaction shard merges executed", func(c *dbMetrics) **metrics.Counter { return &c.subcompactions }, func(m *Metrics) *int64 { return &m.Subcompactions }},
 	{"lsm_stall_slowdowns_total", "write slowdown stalls", func(c *dbMetrics) **metrics.Counter { return &c.stallSlowdowns }, func(m *Metrics) *int64 { return &m.StallSlowdowns }},
 	{"lsm_stall_stops_total", "write stop stalls", func(c *dbMetrics) **metrics.Counter { return &c.stallStops }, func(m *Metrics) *int64 { return &m.StallStops }},
 	{"lsm_write_groups_total", "write groups committed", func(c *dbMetrics) **metrics.Counter { return &c.writeGroups }, func(m *Metrics) *int64 { return &m.WriteGroups }},
@@ -76,7 +73,6 @@ var counterSeries = []struct {
 	{"lsm_wal_remove_errors_total", "non-fatal failures deleting retired WAL files", func(c *dbMetrics) **metrics.Counter { return &c.walRemoveErrors }, func(m *Metrics) *int64 { return &m.WALRemoveErrors }},
 	{"lsm_seal_fallbacks_total", "seals that could not use a prepared log and created one on the commit path", func(c *dbMetrics) **metrics.Counter { return &c.sealFallbacks }, func(m *Metrics) *int64 { return &m.SealFallbacks }},
 	{"lsm_table_opens_total", "table readers opened: by the flush or compaction that wrote the table, or by the first read of a table recovered at open", func(c *dbMetrics) **metrics.Counter { return &c.tableOpens }, func(m *Metrics) *int64 { return &m.TableOpens }},
-	{"lsm_bg_io_stall_nanos_total", "time background writers spent throttled by the I/O rate limit", func(c *dbMetrics) **metrics.Counter { return &c.bgIOStallNanos }, func(m *Metrics) *int64 { return &m.BgIOStallNanos }},
 	{"lsm_scan_lazy_skipped_runs_total", "sorted runs scans positioned but never had to open", func(c *dbMetrics) **metrics.Counter { return &c.lazySkippedRuns }, func(m *Metrics) *int64 { return &m.ScanLazySkippedRuns }},
 	{`lsm_admissions_skipped_stale_total{op="point"}`, staleHelp, func(c *dbMetrics) **metrics.Counter { return &c.staleSkippedPoints }, func(m *Metrics) *int64 { return &m.AdmissionsSkippedStalePoint }},
 	{`lsm_admissions_skipped_stale_total{op="scan"}`, staleHelp, func(c *dbMetrics) **metrics.Counter { return &c.staleSkippedScans }, func(m *Metrics) *int64 { return &m.AdmissionsSkippedStaleScan }},
@@ -110,15 +106,14 @@ var sampledSeries = []struct {
 // scrape or a tool dump, which is the only way the registry is exposed.
 func (d *DB) registerMetrics(reg *metrics.Registry) {
 	d.metrics = dbMetrics{
-		getNanos:        reg.Histogram("lsm_get_nanos", "point-lookup latency"),
-		scanNanos:       reg.Histogram("lsm_scan_nanos", "range-scan latency"),
-		commitNanos:     reg.Histogram("lsm_commit_nanos", "write commit latency including group wait"),
-		commitWait:      reg.Histogram("lsm_commit_wait_nanos", "time spent waiting to join or lead a write group"),
-		stallNanos:      reg.Histogram("lsm_stall_nanos", "write-stall time per stalled commit (backpressure)"),
-		flushNanos:      reg.Histogram("lsm_flush_nanos", "memtable flush duration"),
-		compactNanos:    reg.Histogram("lsm_compact_nanos", "compaction duration"),
-		subcompactNanos: reg.Histogram("lsm_subcompact_nanos", "per-subcompaction shard merge duration"),
-		writeGroupOps:   reg.Histogram("lsm_write_group_ops", "operations coalesced per write group"),
+		getNanos:      reg.Histogram("lsm_get_nanos", "point-lookup latency"),
+		scanNanos:     reg.Histogram("lsm_scan_nanos", "range-scan latency"),
+		commitNanos:   reg.Histogram("lsm_commit_nanos", "write commit latency including group wait"),
+		commitWait:    reg.Histogram("lsm_commit_wait_nanos", "time spent waiting to join or lead a write group"),
+		stallNanos:    reg.Histogram("lsm_stall_nanos", "write-stall time per stalled commit (backpressure)"),
+		flushNanos:    reg.Histogram("lsm_flush_nanos", "memtable flush duration"),
+		compactNanos:  reg.Histogram("lsm_compact_nanos", "compaction duration"),
+		writeGroupOps: reg.Histogram("lsm_write_group_ops", "operations coalesced per write group"),
 	}
 	for _, s := range counterSeries {
 		*s.cell(&d.metrics) = reg.Counter(s.name, s.help)

@@ -128,17 +128,17 @@ func checkAgreement(t *testing.T, reg *metrics.Registry, db *DB) Metrics {
 	return m
 }
 
-// TestMetricsSubcompactionSeries checks the parallel-compaction series: the
-// shard counter and duration histogram, and the per-level write-amplification
-// counters, which must reconcile with the engine's aggregate byte counters.
-func TestMetricsSubcompactionSeries(t *testing.T) {
+// TestMetricsLevelCompactionBytes checks the compaction series: one
+// duration sample per compaction, and per-level write-amplification
+// counters that reconcile with the engine's aggregate byte counters.
+func TestMetricsLevelCompactionBytes(t *testing.T) {
 	reg := metrics.NewRegistry()
-	opts := subcompactOptions(vfs.NewMem(), 2)
+	opts := compactOptions(vfs.NewMem())
 	opts.MetricsRegistry = reg
 	db := mustOpen(t, opts)
 	defer db.Close()
 
-	applySubcompactWorkload(t, db)
+	applyCompactWorkload(t, db, 0)
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,19 +146,14 @@ func TestMetricsSubcompactionSeries(t *testing.T) {
 	snap := reg.Snapshot()
 	m := checkAgreement(t, reg, db)
 	compactions := snap["lsm_compactions_total"].(int64)
-	shards := snap["lsm_subcompactions_total"].(int64)
 	if compactions == 0 {
 		t.Fatal("workload did not trigger any compaction")
-	}
-	if shards <= compactions {
-		t.Errorf("lsm_subcompactions_total = %d for %d compactions, want more (splits engaged)",
-			shards, compactions)
 	}
 
 	hists := make(map[string]metrics.HistogramSnapshot)
 	reg.EachHistogram(func(name string, s metrics.HistogramSnapshot) { hists[name] = s })
-	if s := hists["lsm_subcompact_nanos"]; s.Count != shards || s.Sum <= 0 {
-		t.Errorf("lsm_subcompact_nanos = %+v, want count=%d with positive sum", s, shards)
+	if s := hists["lsm_compact_nanos"]; s.Count != compactions || s.Sum <= 0 {
+		t.Errorf("lsm_compact_nanos = %+v, want count=%d with positive sum", s, compactions)
 	}
 
 	var inSum, outSum int64

@@ -35,10 +35,6 @@ type Options struct {
 	// existed. With flate, the block cache holds compressed images and its
 	// budget charges physical bytes.
 	Compression sstable.Compression
-	// BgIOBytesPerSec rate-limits flush and compaction writes with a token
-	// bucket so background work cannot starve foreground reads on a real
-	// disk (RocksDB's rate_limiter analogue). 0 disables the limit.
-	BgIOBytesPerSec int64
 	// TargetFileSize is the SSTable size compactions aim for
 	// (paper: 4 MiB; scaled down by default here).
 	TargetFileSize int64
@@ -100,15 +96,6 @@ type Options struct {
 	disableAutoCompaction bool
 	// seed makes memtable skiplists deterministic. Default 1.
 	seed int64
-	// compactionParallelism bounds the worker pool that executes one
-	// compaction as range-partitioned subcompactions (RocksDB's
-	// max_subcompactions analogue): the plan's keyspace is cut into at most
-	// this many byte-balanced shards which merge and write outputs
-	// concurrently, and the results install as one atomic version edit.
-	// 1 runs the serial path unchanged. 0 (the default) resolves to
-	// min(GOMAXPROCS, 4) — or to 1 under InlineCompaction, where
-	// deterministic experiments need a machine-independent file layout.
-	compactionParallelism int
 }
 
 // The tree shape and write throttle of the paper's RocksDB configuration.
@@ -147,9 +134,7 @@ func DefaultOptions(dir string) Options {
 
 // withDefaults fills every unset field from the one defaults table. It is
 // idempotent, so DefaultOptions and Open agree whatever a caller sets in
-// between. compactionParallelism stays 0 here: its default depends on
-// InlineCompaction, which callers set after DefaultOptions, so Open
-// resolves it.
+// between.
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = vfs.NewMem()

@@ -61,9 +61,6 @@ type CacheCounters struct {
 //     simultaneously on different goroutines.
 //   - OnWrite runs under the DB's exclusive lock (inside a write group's
 //     apply), mutually excluding the two admission callbacks above.
-//   - Block-cache fills driven by compaction prefetch run on the
-//     background flush/compaction goroutine with no DB lock held,
-//     concurrently with all of the above.
 //
 // Coherence rests on the order OnWrite and the admission callbacks see, not
 // on how long a lock is held. A result handed to OnPointResult/OnScanResult

@@ -104,8 +104,8 @@ func (i *Iter) SetShare(share float64) { i.share = share }
 // SetUpperBound restricts subsequent positioning to entries whose user key
 // is strictly below upper; nil removes the bound. Once the iterator steps to
 // or past the bound it reports exhaustion and loads no further blocks, so a
-// bounded reader touches only the blocks its range needs. Subcompaction
-// shards use this so sibling shards never re-read each other's key ranges.
+// bounded reader touches only the blocks its range needs. A bounded scan
+// (the engine's ScanRange) uses this so it loads no block past its end.
 func (i *Iter) SetUpperBound(upper []byte) { i.upper = upper }
 
 // Close drops references to the Reader and stats so a pooled Iter never
