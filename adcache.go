@@ -23,7 +23,6 @@ import (
 
 	"adcache/internal/core"
 	"adcache/internal/lsm"
-	"adcache/internal/metrics"
 	"adcache/internal/vfs"
 )
 
@@ -107,7 +106,6 @@ type DB struct {
 	strategy lsm.CacheStrategy
 	ad       *core.AdCache // non-nil only for StrategyAdCache
 	kind     Strategy
-	reg      *metrics.Registry
 }
 
 // Open creates or opens a database.
@@ -137,11 +135,7 @@ func Open(opts Options) (*DB, error) {
 	case StrategyAdCache:
 		cfg := opts.AdCache
 		cfg.Capacity = opts.CacheBytes
-		var err error
-		ad, err = core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
+		ad = core.New(cfg)
 		strategy = ad
 	default:
 		return nil, fmt.Errorf("adcache: unknown strategy %v", opts.Strategy)
@@ -155,15 +149,6 @@ func Open(opts Options) (*DB, error) {
 	lsmOpts.FS = opts.FS
 	lsmOpts.Strategy = strategy
 
-	// One registry per DB: the engine, the cache strategy, and the public
-	// layer all export onto it (per-DB rather than global because one
-	// process routinely opens many stores — the experiment harness does).
-	reg := lsmOpts.MetricsRegistry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-		lsmOpts.MetricsRegistry = reg
-	}
-
 	inner, err := lsm.Open(lsmOpts)
 	if err != nil {
 		if ad != nil {
@@ -174,8 +159,11 @@ func Open(opts Options) (*DB, error) {
 	if ad != nil {
 		ad.Bind(inner)
 	}
-	d := &DB{inner: inner, strategy: strategy, ad: ad, kind: opts.Strategy, reg: reg}
-	d.registerMetrics(reg)
+	d := &DB{inner: inner, strategy: strategy, ad: ad, kind: opts.Strategy}
+	// One registry per DB, the engine's: the cache strategy and the public
+	// layer export onto it too (per-DB rather than global because one
+	// process routinely opens many stores — the experiment harness does).
+	d.registerMetrics(inner.Registry())
 	return d, nil
 }
 

@@ -107,6 +107,50 @@ func TestAPIDefaultStrategyIsAdCache(t *testing.T) {
 	}
 }
 
+// TestInlineEngineTunesInline: with no controller setting, AdCache on an
+// engine that flushes and compacts inline tunes on the operation that
+// closes each window, so the window's journal record is there when that
+// operation returns.
+func TestInlineEngineTunesInline(t *testing.T) {
+	const window, windows = 1000, 12 // window: core.Config's default WindowSize
+	lsmOpts := lsm.DefaultOptions("db")
+	lsmOpts.InlineCompaction = true
+	db, err := adcache.Open(adcache.Options{
+		CacheBytes: 1 << 20,
+		Strategy:   adcache.StrategyAdCache,
+		LSM:        &lsmOpts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ad := db.AdCache()
+	val := bytes.Repeat([]byte{'v'}, 100)
+	for i := 1; i <= windows*window; i++ {
+		key := []byte(fmt.Sprintf("key%05d", i%2000))
+		if i%2 == 0 {
+			err = db.Put(key, val)
+		} else {
+			_, _, err = db.Get(key)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ad.Windows(), int64(i/window); got != want {
+			t.Fatalf("after op %d: %d windows journalled, want %d", i, got, want)
+		}
+	}
+	recs := ad.Journal(0)
+	if len(recs) != windows {
+		t.Fatalf("journal holds %d records, want %d", len(recs), windows)
+	}
+	for i, r := range recs {
+		if r.Windows != int64(i+1) {
+			t.Fatalf("record %d is window %d", i, r.Windows)
+		}
+	}
+}
+
 func TestAPICacheCounters(t *testing.T) {
 	db := openAPI(t, adcache.StrategyRange)
 	for i := 0; i < 200; i++ {

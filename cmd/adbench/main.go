@@ -15,12 +15,6 @@
 //
 //	adbench -exp calibrate > calibration.txt
 //
-// -exp latency runs a single latency benchmark against the -strategy cache
-// and prints the engine's latency histogram summary (Get/Scan/commit/
-// flush/compaction percentiles from the metrics registry):
-//
-//	adbench -exp latency -strategy adcache -scale quick
-//
 // The system benchmarks write their results as JSON to -out (default
 // BENCH_<NAME>.json) with -json, and exit non-zero when their gate fails:
 //
@@ -45,17 +39,15 @@ import (
 	"os"
 	"time"
 
-	"adcache"
 	"adcache/internal/harness"
-	"adcache/internal/workload"
 )
 
 // options are adbench's flags.
 type options struct {
-	exp, scale, csvDir, strategy, out string
-	keys, values, ops                 int
-	seed                              int64
-	json                              bool
+	exp, scale, csvDir, out string
+	keys, values, ops       int
+	seed                    int64
+	json                    bool
 }
 
 // register declares adbench's flags on fs.
@@ -67,7 +59,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.ops, "ops", 0, "override measured ops (and warm-up ops)")
 	fs.Int64Var(&o.seed, "seed", 0, "override workload seed")
 	fs.StringVar(&o.csvDir, "csv", "", "also write raw results as CSV into this directory")
-	fs.StringVar(&o.strategy, "strategy", "adcache", "cache strategy of -exp latency: adcache|block|kv|range|lecar|cacheus|none")
 	fs.BoolVar(&o.json, "json", false, "write a system benchmark's results as JSON to -out")
 	fs.StringVar(&o.out, "out", "", "JSON output file of a system benchmark (default BENCH_<NAME>.json)")
 }
@@ -113,7 +104,7 @@ type experiment struct {
 }
 
 // experiments is every -exp name: the paper's evaluation, then the system
-// benchmarks, then latency.
+// benchmarks.
 func experiments() []experiment {
 	var exps []experiment
 	for _, e := range harness.Experiments {
@@ -141,9 +132,6 @@ func experiments() []experiment {
 		}},
 		{name: "chaos", out: "BENCH_CHAOS.json", run: func(o options, out string) error {
 			return runChaosBench(o.seed, o.json, out)
-		}},
-		{name: "latency", run: func(o options, _ string) error {
-			return runLatency(o.strategy, o.harnessScale())
 		}},
 	}...)
 }
@@ -173,61 +161,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// runLatency loads a store, drives a balanced mixed workload against the
-// chosen strategy, and prints the latency histogram summary table — the
-// smoke-test face of the metrics subsystem (CI greps its p99 column).
-func runLatency(name string, sc harness.Scale) error {
-	strat, err := adcache.ParseStrategy(name)
-	if err != nil {
-		return err
-	}
-	cacheBytes := int64(sc.NumKeys*sc.ValueSize) / 10
-	db, err := adcache.Open(adcache.Options{CacheBytes: cacheBytes, Strategy: strat})
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-
-	start := time.Now()
-	gen := workload.NewGenerator(workload.Config{
-		NumKeys: sc.NumKeys, ValueSize: sc.ValueSize, Seed: sc.Seed,
-	})
-	for i := 0; i < sc.NumKeys; i++ {
-		if err := db.Put(workload.Key(i), gen.InitialValue(i)); err != nil {
-			return err
-		}
-	}
-	if err := db.Flush(); err != nil {
-		return err
-	}
-	for i := 0; i < sc.MeasureOps; i++ {
-		op := gen.Next(workload.MixBalanced)
-		switch op.Kind {
-		case workload.OpGet:
-			_, _, err = db.Get(op.Key)
-		case workload.OpScan:
-			_, err = db.Scan(op.Key, op.ScanLen)
-		default:
-			err = db.Put(op.Key, op.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-
-	m := db.Metrics()
-	fmt.Printf("== latency %s (keys=%d values=%dB ops=%d cache=%dB) ==\n",
-		m.Strategy, sc.NumKeys, sc.ValueSize, sc.MeasureOps, cacheBytes)
-	db.Registry().WriteHistogramTable(os.Stdout)
-	fmt.Printf("sst_reads=%d block_cache_hits=%d compactions=%d write_amp=%.2f\n",
-		m.SSTReads, m.BlockCacheHits, m.Engine.Compactions, m.Engine.WriteAmplification())
-	if m.AdCache != nil {
-		t := m.AdCache.Tuning
-		fmt.Printf("adcache windows=%d range_ratio=%.3f actor_lr=%.2g reward=%.4f\n",
-			t.Windows, m.AdCache.Params.RangeRatio, t.ActorLR, t.Reward)
-	}
-	fmt.Printf("(latency run took %s)\n", time.Since(start).Round(time.Millisecond))
-	return nil
 }

@@ -247,16 +247,6 @@ func testFuncNames(root string) ([]string, error) {
 	return names, err
 }
 
-// noCallerNeeded lists the settings exempt from TestEverySettingHasACaller,
-// with the reason.
-var noCallerNeeded = map[string]string{
-	// A deployment path: an agent trained elsewhere and saved with
-	// rl.Agent.Save is loaded from it. No program in the module ships a
-	// model, so only tests set it.
-	"core.Config.ModelFS":   "deployment path for a saved agent",
-	"core.Config.ModelPath": "deployment path for a saved agent",
-}
-
 // TestEverySettingHasACaller checks that every settable value — each field
 // of the surface structs and each server.With*/client.With* option — is set
 // by a program in the module, not only by tests: a field as a
@@ -386,7 +376,7 @@ func TestEverySettingHasACaller(t *testing.T) {
 
 	var missing []string
 	for obj, name := range settings {
-		if !set[obj] && noCallerNeeded[name] == "" {
+		if !set[obj] {
 			missing = append(missing, name)
 		}
 	}

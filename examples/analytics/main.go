@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"adcache"
-	"adcache/internal/core"
 	"adcache/internal/lsm"
 	"adcache/internal/workload"
 )
@@ -39,10 +38,10 @@ func main() {
 
 func run(strategy adcache.Strategy, mix workload.Mix) (reads, hits int64) {
 	lsmOpts := lsm.DefaultOptions("db")
+	lsmOpts.InlineCompaction = true // AdCache tunes inline: deterministic output
 	db, err := adcache.Open(adcache.Options{
 		CacheBytes: 1 << 20,
 		Strategy:   strategy,
-		AdCache:    core.Config{SyncTuning: true},
 		LSM:        &lsmOpts,
 	})
 	if err != nil {

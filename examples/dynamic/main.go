@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"adcache"
-	"adcache/internal/core"
 	"adcache/internal/lsm"
 	"adcache/internal/workload"
 )
@@ -19,14 +18,11 @@ func main() {
 	const numKeys = 30_000
 
 	lsmOpts := lsm.DefaultOptions("db")
-	lsmOpts.InlineCompaction = true // with SyncTuning: deterministic demo output
+	lsmOpts.InlineCompaction = true // AdCache tunes inline: deterministic demo output
 	db, err := adcache.Open(adcache.Options{
 		CacheBytes: 2 << 20,
 		Strategy:   adcache.StrategyAdCache,
-		AdCache: core.Config{
-			SyncTuning: true,
-		},
-		LSM: &lsmOpts,
+		LSM:        &lsmOpts,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,10 +16,8 @@
 package block
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // DefaultRestartInterval is how many entries share one restart point.
@@ -352,20 +350,4 @@ func NumEntries(data []byte, cmp Compare) (int, error) {
 		return n, it.Err()
 	}
 	return n, nil
-}
-
-// BytesCompare adapts bytes.Compare to the Compare type.
-func BytesCompare(a, b []byte) int { return bytes.Compare(a, b) }
-
-// DebugString renders a block's entries for tooling.
-func DebugString(data []byte, cmp Compare) string {
-	it, err := NewIter(data, cmp)
-	if err != nil {
-		return fmt.Sprintf("corrupt block: %v", err)
-	}
-	var buf bytes.Buffer
-	for ok := it.First(); ok; ok = it.Next() {
-		fmt.Fprintf(&buf, "%q=%q\n", it.Key(), it.Value())
-	}
-	return buf.String()
 }

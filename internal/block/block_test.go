@@ -19,7 +19,7 @@ func buildBlock(t *testing.T, n int) []byte {
 
 func TestBuildAndIterate(t *testing.T) {
 	data := buildBlock(t, 100)
-	it, err := NewIter(data, BytesCompare)
+	it, err := NewIter(data, bytes.Compare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestBuildAndIterate(t *testing.T) {
 
 func TestSeek(t *testing.T) {
 	data := buildBlock(t, 100)
-	it, _ := NewIter(data, BytesCompare)
+	it, _ := NewIter(data, bytes.Compare)
 	for _, i := range []int{0, 1, 15, 16, 17, 50, 99} {
 		target := []byte(fmt.Sprintf("key%06d", i))
 		if !it.Seek(target) {
@@ -85,7 +85,7 @@ func TestEmptyValuesAndSingleEntry(t *testing.T) {
 	b := NewBuilder(0)
 	b.Add([]byte("k"), nil)
 	data := b.Finish()
-	it, err := NewIter(data, BytesCompare)
+	it, err := NewIter(data, bytes.Compare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +98,22 @@ func TestEmptyValuesAndSingleEntry(t *testing.T) {
 }
 
 func TestCorruptBlocks(t *testing.T) {
-	if _, err := NewIter(nil, BytesCompare); err == nil {
+	if _, err := NewIter(nil, bytes.Compare); err == nil {
 		t.Fatal("nil block accepted")
 	}
-	if _, err := NewIter([]byte{1, 2, 3}, BytesCompare); err == nil {
+	if _, err := NewIter([]byte{1, 2, 3}, bytes.Compare); err == nil {
 		t.Fatal("tiny block accepted")
 	}
 	// A restart count larger than the block must be rejected.
 	bad := []byte{0, 0, 0, 0, 255, 255, 0, 0}
-	if _, err := NewIter(bad, BytesCompare); err == nil {
+	if _, err := NewIter(bad, bytes.Compare); err == nil {
 		t.Fatal("bogus restart count accepted")
 	}
 }
 
 func TestNumEntries(t *testing.T) {
 	data := buildBlock(t, 37)
-	n, err := NumEntries(data, BytesCompare)
+	n, err := NumEntries(data, bytes.Compare)
 	if err != nil || n != 37 {
 		t.Fatalf("NumEntries = %d, %v", n, err)
 	}
@@ -128,7 +128,7 @@ func TestBuilderReset(t *testing.T) {
 		t.Fatal("Reset did not clear the builder")
 	}
 	b.Add([]byte("b"), []byte("2"))
-	it, err := NewIter(b.Finish(), BytesCompare)
+	it, err := NewIter(b.Finish(), bytes.Compare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for _, k := range keys {
 			b.Add([]byte(k), []byte(raw[k]))
 		}
-		it, err := NewIter(b.Finish(), BytesCompare)
+		it, err := NewIter(b.Finish(), bytes.Compare)
 		if err != nil {
 			return false
 		}
@@ -180,7 +180,7 @@ func TestIterInitReuse(t *testing.T) {
 	}()
 
 	var it Iter
-	if err := it.Init(a, BytesCompare); err != nil {
+	if err := it.Init(a, bytes.Compare); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -192,7 +192,7 @@ func TestIterInitReuse(t *testing.T) {
 	}
 
 	// Re-Init over a different block must fully replace the state.
-	if err := it.Init(b, BytesCompare); err != nil {
+	if err := it.Init(b, bytes.Compare); err != nil {
 		t.Fatal(err)
 	}
 	if it.Valid() {
@@ -212,14 +212,14 @@ func TestIterInitReuse(t *testing.T) {
 
 func TestIterInitRejectsCorrupt(t *testing.T) {
 	var it Iter
-	if err := it.Init(nil, BytesCompare); err == nil {
+	if err := it.Init(nil, bytes.Compare); err == nil {
 		t.Fatal("nil block accepted")
 	}
-	if err := it.Init([]byte{1, 2, 3}, BytesCompare); err == nil {
+	if err := it.Init([]byte{1, 2, 3}, bytes.Compare); err == nil {
 		t.Fatal("tiny block accepted")
 	}
 	bad := []byte{0, 0, 0, 0, 255, 255, 0, 0}
-	if err := it.Init(bad, BytesCompare); err == nil {
+	if err := it.Init(bad, bytes.Compare); err == nil {
 		t.Fatal("bogus restart count accepted")
 	}
 }
@@ -227,7 +227,7 @@ func TestIterInitRejectsCorrupt(t *testing.T) {
 func TestIterReset(t *testing.T) {
 	data := buildBlock(t, 10)
 	var it Iter
-	if err := it.Init(data, BytesCompare); err != nil {
+	if err := it.Init(data, bytes.Compare); err != nil {
 		t.Fatal(err)
 	}
 	it.First()
@@ -235,7 +235,7 @@ func TestIterReset(t *testing.T) {
 	if it.Valid() || it.Err() != nil {
 		t.Fatal("Reset did not clear state")
 	}
-	if err := it.Init(data, BytesCompare); err != nil {
+	if err := it.Init(data, bytes.Compare); err != nil {
 		t.Fatal(err)
 	}
 	if !it.First() {
@@ -254,7 +254,7 @@ func TestSeekMatchesLinearScan(t *testing.T) {
 			bld.Add([]byte(fmt.Sprintf("key%06d", i)), []byte(fmt.Sprintf("val%06d", i)))
 		}
 		data := bld.Finish()
-		it, err := NewIter(data, BytesCompare)
+		it, err := NewIter(data, bytes.Compare)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,13 +289,13 @@ func TestSeekMatchesLinearScan(t *testing.T) {
 func TestIterSeekWarmAllocs(t *testing.T) {
 	data := buildBlock(t, 200)
 	var it Iter
-	if err := it.Init(data, BytesCompare); err != nil {
+	if err := it.Init(data, bytes.Compare); err != nil {
 		t.Fatal(err)
 	}
 	target := []byte("key000150")
 	it.Seek(target) // grow the key buffer
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := it.Init(data, BytesCompare); err != nil {
+		if err := it.Init(data, bytes.Compare); err != nil {
 			t.Fatal(err)
 		}
 		if !it.Seek(target) {

@@ -123,13 +123,6 @@ func (t *Table) SetPair(src, dst string, r Rule) {
 	}
 }
 
-// Partition installs a full bidirectional partition between a and b (as
-// seen by Transports with matching Source names).
-func (t *Table) Partition(a, b string) {
-	t.SetPair(a, b, Rule{Partition: true})
-	t.SetPair(b, a, Rule{Partition: true})
-}
-
 // Heal removes every rule — the network is whole again.
 func (t *Table) Heal() {
 	t.mu.Lock()
@@ -287,13 +280,6 @@ func (l *Listener) Restart() {
 	l.mu.Lock()
 	l.killed = false
 	l.mu.Unlock()
-}
-
-// Killed reports the node's current state.
-func (l *Listener) Killed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.killed
 }
 
 // Accept closes incoming connections while killed (callers see an

@@ -11,7 +11,6 @@ import (
 	"adcache/internal/sketch"
 	"adcache/internal/sstable"
 	"adcache/internal/stats"
-	"adcache/internal/vfs"
 )
 
 // Params are the applied cache-control parameters for the current window:
@@ -61,22 +60,11 @@ type Config struct {
 
 	// RL configures the agent; the zero value is the paper's settings.
 	RL rl.Config
-	// ModelFS/ModelPath optionally load an agent saved with rl.Agent.Save —
-	// one that has already learned its residual online elsewhere.
-	ModelFS   vfs.FS
-	ModelPath string
 
 	// DisableHysteresis applies every ratio action to the boundary verbatim,
 	// including exploration jitter (ablation: quantifies the eviction churn
 	// §3.5 warns about).
 	DisableHysteresis bool
-
-	// SyncTuning runs the control step inline on the operation that closes
-	// each window instead of on the background goroutine. Production mode
-	// is asynchronous (§4.2: learning never blocks serving, late windows
-	// are skipped); experiments use synchronous tuning so every window is
-	// processed and runs are machine-speed independent.
-	SyncTuning bool
 }
 
 // Fixed scales of the action decoding; no caller tunes them.
@@ -105,7 +93,8 @@ func (c Config) withDefaults() Config {
 // AdCache is the paper's contribution: block and range caches under one
 // budget with an RL-driven boundary and admission control. It implements
 // lsm.CacheStrategy and is safe for concurrent use; learning runs on a
-// background goroutine decoupled from the serving path (§4.2).
+// background goroutine decoupled from the serving path (§4.2), unless Bind
+// attaches an engine that runs InlineCompaction.
 type AdCache struct {
 	cfg Config
 
@@ -118,6 +107,13 @@ type AdCache struct {
 	params atomic.Value // Params
 
 	opCount atomic.Int64
+	// inline runs the control step on the operation that closes each
+	// window instead of on the background tuner. Bind sets it when the
+	// engine runs lsm.Options.InlineCompaction: production mode is
+	// asynchronous (§4.2: learning never blocks serving, late windows are
+	// skipped); a deterministic engine tunes inline so every window is
+	// processed and runs are machine-speed independent.
+	inline  atomic.Bool
 	tuneCh  chan struct{}
 	done    chan struct{}
 	stopped sync.Once
@@ -139,8 +135,10 @@ type AdCache struct {
 	lastBlockStats lru.Stats
 }
 
-// New returns a started AdCache. Call Close to stop its tuning goroutine.
-func New(cfg Config) (*AdCache, error) {
+// New returns a started AdCache: it tunes on a background goroutine until
+// Bind attaches an engine that runs InlineCompaction. Call Close to stop
+// the goroutine.
+func New(cfg Config) *AdCache {
 	cfg = cfg.withDefaults()
 	a := &AdCache{
 		cfg:       cfg,
@@ -149,11 +147,6 @@ func New(cfg Config) (*AdCache, error) {
 		agent:     rl.New(cfg.RL),
 		tuneCh:    make(chan struct{}, 1),
 		done:      make(chan struct{}),
-	}
-	if cfg.ModelFS != nil && cfg.ModelPath != "" {
-		if err := a.agent.Load(cfg.ModelFS, cfg.ModelPath); err != nil {
-			return nil, err
-		}
 	}
 	ratio := initialRangeRatio
 	if cfg.DisablePartitioning {
@@ -173,18 +166,33 @@ func New(cfg Config) (*AdCache, error) {
 		ScanA:          16, // paper: initialised to the short-scan length
 		ScanB:          0.5,
 	})
-	if !cfg.SyncTuning {
-		go a.tuneLoop()
-	}
-	return a, nil
+	go a.tuneLoop()
+	return a
 }
 
 // Bind attaches the DB so the tuner can read live LSM shape (levels, runs,
-// entries per block) for the I/O-estimate reward. Optional but recommended.
+// entries per block) for the I/O-estimate reward. Bound to a DB that runs
+// InlineCompaction it tunes inline from then on and stops its background
+// tuner. Optional but recommended; bind before serving traffic.
 func (a *AdCache) Bind(db *lsm.DB) {
 	a.mu.Lock()
 	a.db = db
 	a.mu.Unlock()
+	if db.Options().InlineCompaction {
+		a.tuneInline()
+	}
+}
+
+// tuneInline moves the control step onto the operation that closes each
+// window and stops the background tuner.
+func (a *AdCache) tuneInline() {
+	if a.inline.Swap(true) {
+		return
+	}
+	select {
+	case a.tuneCh <- struct{}{}: // wakes tuneLoop to exit
+	default: // a pending wake-up does the same
+	}
 }
 
 // Close stops the background tuner.
@@ -194,9 +202,6 @@ func (a *AdCache) Close() {
 
 // CurrentParams returns the parameters in force for the current window.
 func (a *AdCache) CurrentParams() Params { return a.params.Load().(Params) }
-
-// Agent exposes the RL agent (to save what it has learned).
-func (a *AdCache) Agent() *rl.Agent { return a.agent }
 
 // Pin applies the decoded action act verbatim (no hysteresis) and holds it:
 // windows keep closing and statistics keep flowing, but the agent neither
@@ -220,18 +225,18 @@ func (a *AdCache) Range() *rangecache.Cache { return a.rng }
 //
 // Under concurrent traffic the callbacks invoking this run simultaneously
 // (reads share the engine's read lock), so the window counter is atomic and
-// exactly one goroutine observes each boundary. In SyncTuning mode that
+// exactly one goroutine observes each boundary. In inline mode that
 // goroutine runs the control step inline under tuneMu while its peers keep
 // serving — resizes are safe mid-flight because both component caches are
 // sharded and internally synchronised. Deterministic windows additionally
-// require a single-threaded op stream (and lsm.Options.InlineCompaction),
-// which is how the experiment harness runs.
+// require a single-threaded op stream, which is how the experiment harness
+// runs.
 func (a *AdCache) countOp() {
 	n := a.opCount.Add(1)
 	if n%int64(a.cfg.WindowSize) != 0 {
 		return
 	}
-	if a.cfg.SyncTuning {
+	if a.inline.Load() {
 		a.tuneMu.Lock()
 		a.tuneOnce()
 		a.tuneMu.Unlock()

@@ -1,18 +1,14 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"adcache/internal/lsm"
-	"adcache/internal/nn"
 	"adcache/internal/rl"
-	"adcache/internal/vfs"
 )
 
 func newTestAdCache(t *testing.T, cfg Config) *AdCache {
@@ -20,11 +16,8 @@ func newTestAdCache(t *testing.T, cfg Config) *AdCache {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 1 << 20
 	}
-	cfg.SyncTuning = true
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := New(cfg)
+	a.tuneInline() // what Bind does for an InlineCompaction engine
 	t.Cleanup(a.Close)
 	return a
 }
@@ -253,11 +246,9 @@ func TestTinyRangeCapacitySkipsInserts(t *testing.T) {
 }
 
 func TestAsyncTuningMode(t *testing.T) {
-	// Production mode: the tuner runs on its own goroutine; Close stops it.
-	a, err := New(Config{Capacity: 1 << 20}) // SyncTuning off
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Production mode: an unbound AdCache tunes on its own goroutine; Close
+	// stops it.
+	a := New(Config{Capacity: 1 << 20})
 	for i := 0; i < 5000; i++ {
 		a.GetCached([]byte(fmt.Sprintf("k%d", i%50)))
 		a.OnPointResult([]byte(fmt.Sprintf("k%d", i%50)), []byte("v"), 1)
@@ -353,44 +344,6 @@ func TestReadFreeWindowLeavesController(t *testing.T) {
 	}
 }
 
-// TestOldDimModelRejected: a model saved with memtable arbitration's
-// widths (18 state features, 5 actions) is rejected with
-// nn.ErrArchitectureMismatch, never misindexed into the paper's 13/4
-// networks. TestCurrentDimModelRoundTrips loads the same format at the
-// current widths, so the rejection is about the widths alone.
-func TestOldDimModelRejected(t *testing.T) {
-	fs := vfs.NewMem()
-	rng := rand.New(rand.NewSource(1))
-	actor := nn.NewMLP([]int{18, rl.HiddenDim, rl.HiddenDim, 5}, nn.ReLU, nn.Tanh, rng)
-	critic := nn.NewMLP([]int{18, rl.HiddenDim, rl.HiddenDim, 1}, nn.ReLU, nn.Linear, rng)
-	if err := actor.Save(fs, "old.actor", "residual-tanh/v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := critic.Save(fs, "old.critic", "residual-tanh/v1"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "old"})
-	if !errors.Is(err, nn.ErrArchitectureMismatch) {
-		t.Fatalf("loading an 18/5 model into a %d/%d agent: err = %v, want nn.ErrArchitectureMismatch",
-			rl.StateDim, rl.ActionDim, err)
-	}
-}
-
-// TestCurrentDimModelRoundTrips: an agent serialized at the current dims
-// loads back cleanly (the rejection above is about dims, not loading).
-func TestCurrentDimModelRoundTrips(t *testing.T) {
-	fs := vfs.NewMem()
-	agent := rl.New(rl.Config{})
-	if err := agent.Save(fs, "model"); err != nil {
-		t.Fatal(err)
-	}
-	a, err := New(Config{Capacity: 1 << 20, ModelFS: fs, ModelPath: "model"})
-	if err != nil {
-		t.Fatalf("round trip failed: %v", err)
-	}
-	a.Close()
-}
-
 // TestBudgetsPartitionCapacity: the ledger has two components, the block
 // and range caches; their targets are the caches' capacities and partition
 // the configured capacity, at the initial split and after a move, up to the
@@ -445,18 +398,16 @@ func TestNoOpBudgetMoveTakesNoLocks(t *testing.T) {
 	}
 }
 
-// TestLearningTraceDeterministic: under InlineCompaction + SyncTuning two
+// TestLearningTraceDeterministic: bound to an InlineCompaction engine, two
 // identically-seeded learning stacks produce identical per-window Params
 // traces on a fixed mixed workload.
 func TestLearningTraceDeterministic(t *testing.T) {
 	trace := func() []Params {
-		a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := New(Config{Capacity: 1 << 20, WindowSize: 200})
 		t.Cleanup(a.Close)
 		db := boundTestAdCache(t, a)
 		val := make([]byte, 256)
+		var err error
 		for i := 0; i < 3000; i++ {
 			key := []byte(fmt.Sprintf("key%06d", i%500))
 			if i%3 == 0 {
@@ -488,13 +439,11 @@ func TestLearningTraceDeterministic(t *testing.T) {
 // α·h + (1−α)·h_est of the estimated hit rate alone, with nothing priced
 // for writes.
 func TestRewardIsTheHitRateEstimate(t *testing.T) {
-	a, err := New(Config{Capacity: 1 << 20, WindowSize: 200, SyncTuning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := New(Config{Capacity: 1 << 20, WindowSize: 200})
 	t.Cleanup(a.Close)
 	db := boundTestAdCache(t, a)
 	val := make([]byte, 256)
+	var err error
 	for i := 0; i < 4000; i++ {
 		key := []byte(fmt.Sprintf("key%06d", (i*7919)%1000))
 		if i%4 == 0 {

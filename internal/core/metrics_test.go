@@ -12,7 +12,7 @@ import (
 )
 
 // driveWindows pushes enough point traffic through the strategy callbacks
-// to close n control windows (SyncTuning runs the controller inline).
+// to close n control windows (newTestAdCache runs the controller inline).
 func driveWindows(a *AdCache, n int) {
 	ops := n * a.cfg.WindowSize
 	for i := 0; i < ops; i++ {
@@ -201,17 +201,16 @@ func TestStatsMetricsAgreement(t *testing.T) {
 		"AdCache":            ad,
 	} {
 		t.Run(name, func(t *testing.T) {
-			reg := metrics.NewRegistry()
 			opts := lsm.DefaultOptions("db")
 			opts.FS = vfs.NewMem()
 			opts.Strategy = strategy
-			opts.MetricsRegistry = reg
 			opts.InlineCompaction = true
 			db, err := lsm.Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			reg := db.Registry()
 			if rm, ok := strategy.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
 				rm.RegisterMetrics(reg)
 			}

@@ -95,12 +95,9 @@ func boundTestAdCache(t *testing.T, a *AdCache) *lsm.DB {
 // share — residual zero — and what is applied is that decision after
 // hysteresis.
 func TestFrozenTrajectoryIsThePrior(t *testing.T) {
-	cfg := Config{Capacity: 256 << 10, WindowSize: 200, SyncTuning: true}
+	cfg := Config{Capacity: 256 << 10, WindowSize: 200}
 	cfg.RL.Frozen = true
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := New(cfg)
 	t.Cleanup(a.Close)
 	db := boundTestAdCache(t, a)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", (i*7919)%4000)) }

@@ -16,6 +16,9 @@ func (a *AdCache) tuneLoop() {
 		case <-a.done:
 			return
 		case <-a.tuneCh:
+			if a.inline.Load() {
+				return // Bind moved tuning onto the op stream
+			}
 			a.tuneMu.Lock()
 			a.tuneOnce()
 			a.tuneMu.Unlock()

@@ -37,8 +37,10 @@ type Config struct {
 	// AdCache overrides controller settings (window size, alpha,
 	// ablations, a frozen agent...).
 	AdCache core.Config
-	// AsyncTuning uses the production background tuner instead of the
-	// experiments' synchronous mode.
+	// AsyncTuning runs the production engine: background flushes and
+	// compactions, and with them the asynchronous tuner. Off, the engine
+	// runs lsm.Options.InlineCompaction and AdCache tunes inline, so every
+	// window is processed and runs are machine-speed independent.
 	AsyncTuning bool
 }
 
@@ -120,8 +122,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 	lsmOpts.MemTableSize = 256 << 10
 	lsmOpts.L1TargetSize = 512 << 10
 	// Deterministic experiments flush and compact inline on the writer's
-	// goroutine, so every flush point is a pure function of the op stream;
-	// AsyncTuning runs opt into the production background write path.
+	// goroutine, so every flush point is a pure function of the op stream
+	// and AdCache tunes inline; AsyncTuning runs opt into the production
+	// background write path and tuner.
 	lsmOpts.InlineCompaction = !cfg.AsyncTuning
 	loadDB, err := adcache.Open(adcache.Options{
 		FS: fs, Strategy: adcache.StrategyNone, LSM: &lsmOpts,
@@ -149,10 +152,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cacheBytes <= 0 {
 		cacheBytes = dbBytes / 4
 	}
-	// Experiments tune synchronously: every window is processed and runs
-	// are machine-speed independent (see core.Config.SyncTuning).
-	cfg.AdCache.SyncTuning = !cfg.AsyncTuning
-
 	db, err := adcache.Open(adcache.Options{
 		FS:         fs,
 		CacheBytes: cacheBytes,

@@ -29,10 +29,7 @@ func rangeOnly(policy string) func(*testing.T, int64) lsm.CacheStrategy {
 
 var strategyCases = []strategyCase{
 	{"AdCache", func(t *testing.T, capacity int64) lsm.CacheStrategy {
-		a, err := core.New(core.Config{Capacity: capacity})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := core.New(core.Config{Capacity: capacity})
 		t.Cleanup(a.Close)
 		return a
 	}, true, true},

@@ -64,9 +64,11 @@ type DB struct {
 	store    *manifest.Store
 	tc       *tableCache
 
-	// metrics are the engine's registry cells — histograms and every
-	// cumulative counter (see metrics.go). snapshots counts Metrics() calls;
-	// tests pin the one-snapshot-per-scrape rule with it.
+	// reg is the DB's own metrics registry and metrics are the engine's
+	// cells on it — histograms and every cumulative counter (see
+	// metrics.go). snapshots counts Metrics() calls; tests pin the
+	// one-snapshot-per-scrape rule with it.
+	reg       *metrics.Registry
 	metrics   dbMetrics
 	snapshots atomic.Int64
 
@@ -166,10 +168,6 @@ func Open(opts Options) (*DB, error) {
 	if strategy == nil {
 		strategy = NoCache{}
 	}
-	reg := opts.MetricsRegistry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	store, st, err := manifest.Open(fs, opts.Dir, numLevels)
 	if err != nil {
 		return nil, err
@@ -181,8 +179,9 @@ func Open(opts Options) (*DB, error) {
 		store:      store,
 		roundRobin: make(map[int][]byte),
 		memSeed:    opts.seed,
+		reg:        metrics.NewRegistry(),
 	}
-	db.registerMetrics(reg)
+	db.registerMetrics(db.reg)
 	db.readPool.New = func() any { return new(readState) }
 	db.bgCond = sync.NewCond(&db.mu)
 	db.tc = newTableCache(fs, opts.Dir, strategy.BlockCache(), db.metrics.tableOpens)
@@ -942,6 +941,13 @@ func (d *DB) BgState() string {
 
 // Options returns the effective options the DB runs with.
 func (d *DB) Options() Options { return d.opts }
+
+// Registry returns the DB's metrics registry: the engine's latency
+// histograms, counters and tree-shape gauges. Each DB has its own, so
+// metrics collection is always on (it costs two clock reads per operation)
+// and multiple DBs in one process never collide; the cache strategy and
+// the layers above register their series on it.
+func (d *DB) Registry() *metrics.Registry { return d.reg }
 
 func (d *DB) String() string {
 	m := d.Metrics()

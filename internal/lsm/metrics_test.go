@@ -11,11 +11,9 @@ import (
 // TestMetricsEnginePopulated drives enough traffic to flush and asserts the
 // engine's latency histograms and shape gauges carry real observations.
 func TestMetricsEnginePopulated(t *testing.T) {
-	reg := metrics.NewRegistry()
-	opts := testOptions(vfs.NewMem())
-	opts.MetricsRegistry = reg
-	db := mustOpen(t, opts)
+	db := mustOpen(t, testOptions(vfs.NewMem()))
 	defer db.Close()
+	reg := db.Registry()
 
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -132,11 +130,9 @@ func checkAgreement(t *testing.T, reg *metrics.Registry, db *DB) Metrics {
 // duration sample per compaction, and per-level write-amplification
 // counters that reconcile with the engine's aggregate byte counters.
 func TestMetricsLevelCompactionBytes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	opts := compactOptions(vfs.NewMem())
-	opts.MetricsRegistry = reg
-	db := mustOpen(t, opts)
+	db := mustOpen(t, compactOptions(vfs.NewMem()))
 	defer db.Close()
+	reg := db.Registry()
 
 	applyCompactWorkload(t, db, 0)
 	if err := db.Compact(); err != nil {

@@ -3,7 +3,6 @@ package lsm
 import (
 	"time"
 
-	"adcache/internal/metrics"
 	"adcache/internal/sstable"
 	"adcache/internal/vfs"
 )
@@ -49,18 +48,14 @@ type Options struct {
 	// Strategy receives cache callbacks; nil disables all caching.
 	Strategy CacheStrategy
 
-	// MetricsRegistry receives the engine's latency histograms, counters
-	// and tree-shape gauges. Nil creates a private registry, so metrics
-	// collection is always on (it costs two clock reads per operation) and
-	// multiple DBs in one process never collide.
-	MetricsRegistry *metrics.Registry
-
 	// InlineCompaction runs flushes and compactions synchronously on the
 	// writer's goroutine, the pre-concurrency behaviour: every flush point
 	// and compaction is a deterministic function of the operation stream.
-	// Experiments use it (with core.Config.SyncTuning) so runs are
-	// machine-speed independent; production leaves it off and gets a
-	// background flush/compaction worker with real write backpressure.
+	// An AdCache bound to such a DB tunes inline on the operation that
+	// closes each window, so experiments that set it are machine-speed
+	// independent; production leaves it off and gets a background
+	// flush/compaction worker with real write backpressure and the
+	// asynchronous tuner.
 	InlineCompaction bool
 
 	// The fields below are not settable outside the package: every caller

@@ -9,24 +9,11 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"slices"
-
-	"adcache/internal/vfs"
 )
-
-// ErrArchitectureMismatch is returned (wrapped) by Load when the saved
-// snapshot's layer sizes or parametrization tag differ from the receiver's —
-// e.g. an agent serialized before the state/action space grew, or one whose
-// outputs meant something else. Callers reject such models cleanly instead
-// of silently misreading them.
-var ErrArchitectureMismatch = errors.New("nn: architecture mismatch")
 
 // Act selects a layer activation.
 type Act int
@@ -283,67 +270,3 @@ func (m *MLP) MemoryBytes() int { return 4 * m.NumParams() }
 // + first/second moments). Train keeps no gradient buffers, so this is one
 // parameter copy less than the paper's "~4× parameters" accounting.
 func (m *MLP) TrainingMemoryBytes() int { return 3 * m.MemoryBytes() }
-
-// snapshot is the gob-serialisable form of an MLP. Tag names what the
-// outputs mean to the owner; snapshots written before it existed decode with
-// an empty tag.
-type snapshot struct {
-	Sizes []int
-	Acts  []Act
-	W     [][]float32
-	B     [][]float32
-	Tag   string
-}
-
-// Save writes the network weights to path on fs, tagged with the owner's
-// parametrization, and syncs path's directory so the new file survives a
-// crash.
-func (m *MLP) Save(fs vfs.FS, path, tag string) error {
-	f, err := fs.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(snapshot{Sizes: m.sizes, Acts: m.acts, W: m.w, B: m.b, Tag: tag}); err != nil {
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
-}
-
-// Load reads network weights from path on fs. The layer sizes and the
-// parametrization tag must match.
-func (m *MLP) Load(fs vfs.FS, path, tag string) error {
-	f, err := fs.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return err
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return err
-	}
-	if snap.Tag != tag {
-		return fmt.Errorf("%w: parametrization %q, want %q", ErrArchitectureMismatch, snap.Tag, tag)
-	}
-	if len(snap.Sizes) != len(m.sizes) {
-		return fmt.Errorf("%w: %v vs %v", ErrArchitectureMismatch, snap.Sizes, m.sizes)
-	}
-	for i := range snap.Sizes {
-		if snap.Sizes[i] != m.sizes[i] {
-			return fmt.Errorf("%w: %v vs %v", ErrArchitectureMismatch, snap.Sizes, m.sizes)
-		}
-	}
-	m.acts = snap.Acts
-	m.w = snap.W
-	m.b = snap.B
-	return nil
-}

@@ -1,13 +1,10 @@
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-
-	"adcache/internal/vfs"
 )
 
 func TestForwardShapes(t *testing.T) {
@@ -135,36 +132,6 @@ func TestParamAccountingMatchesPaper(t *testing.T) {
 	// Weights and Adam's two moments; Train keeps no gradient buffers.
 	if training := actor.TrainingMemoryBytes() + critic.TrainingMemoryBytes(); training != 3*bytes {
 		t.Fatalf("training bytes = %d, want 3× weights (%d)", training, 3*bytes)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	fs := vfs.NewMem()
-	rng := rand.New(rand.NewSource(5))
-	m := NewMLP([]int{4, 8, 2}, ReLU, Sigmoid, rng)
-	x := []float32{0.1, 0.2, 0.3, 0.4}
-	want := append([]float32(nil), m.Forward(x)...)
-	if err := m.Save(fs, "model.gob", "t1"); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	m2 := NewMLP([]int{4, 8, 2}, ReLU, Sigmoid, rand.New(rand.NewSource(99)))
-	if err := m2.Load(fs, "model.gob", "t1"); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	got := m2.Forward(x)
-	for i := range want {
-		if math.Abs(float64(want[i]-got[i])) > 1e-6 {
-			t.Fatalf("output %d: %f vs %f after round trip", i, want[i], got[i])
-		}
-	}
-	// Architecture mismatch must fail.
-	m3 := NewMLP([]int{4, 9, 2}, ReLU, Sigmoid, rng)
-	if err := m3.Load(fs, "model.gob", "t1"); !errors.Is(err, ErrArchitectureMismatch) {
-		t.Fatalf("Load with mismatched architecture: %v", err)
-	}
-	// So must a parametrization mismatch, with identical layer sizes.
-	if err := m2.Load(fs, "model.gob", "t2"); !errors.Is(err, ErrArchitectureMismatch) {
-		t.Fatalf("Load with mismatched tag: %v", err)
 	}
 }
 

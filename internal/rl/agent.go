@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"adcache/internal/nn"
-	"adcache/internal/vfs"
 )
 
 // ResidualSpan bounds the actor's correction: every action, exploration
@@ -35,11 +34,6 @@ const ResidualSpan = 0.15
 // reward slope of one per unit action still carries the residual to a peak
 // two thirds of the span out (TestConvergesToRewardPeak).
 const residualPull = 0.2
-
-// parametrization tags saved snapshots with what the actor's outputs mean,
-// so a model saved by a direct-output actor (same layer sizes, untagged) is
-// rejected instead of being read as a residual.
-const parametrization = "residual-tanh/v1"
 
 // Dimensions of the control problem.
 const (
@@ -317,26 +311,6 @@ func (a *Agent) MemoryBytes() int { return a.actor.MemoryBytes() + a.critic.Memo
 // keeps no gradient buffers).
 func (a *Agent) TrainingMemoryBytes() int {
 	return a.actor.TrainingMemoryBytes() + a.critic.TrainingMemoryBytes()
-}
-
-// Save persists the actor and critic weights, so an agent that has learned
-// online can be deployed elsewhere.
-func (a *Agent) Save(fs vfs.FS, prefix string) error {
-	if err := a.actor.Save(fs, prefix+".actor", parametrization); err != nil {
-		return err
-	}
-	return a.critic.Save(fs, prefix+".critic", parametrization)
-}
-
-// Load restores previously saved weights. A snapshot of another
-// parametrization — including the untagged direct-output actor, whose layer
-// sizes match — fails with nn.ErrArchitectureMismatch.
-func (a *Agent) Load(fs vfs.FS, prefix string) error {
-	a.actorOut = nil
-	if err := a.actor.Load(fs, prefix+".actor", parametrization); err != nil {
-		return err
-	}
-	return a.critic.Load(fs, prefix+".critic", parametrization)
 }
 
 func clampF(v, lo, hi float64) float64 {

@@ -1,15 +1,10 @@
 package rl
 
 import (
-	"encoding/gob"
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"adcache/internal/nn"
-	"adcache/internal/vfs"
 )
 
 func constState() []float32 { return make([]float32, StateDim) }
@@ -278,77 +273,6 @@ func TestMemoryAccountingTable2(t *testing.T) {
 		t.Fatalf("TrainingMemoryBytes = %d, want 3× weights", tb)
 	}
 }
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	fs := vfs.NewMem()
-	a := New(Config{})
-	s := constState()
-	// Move the residual off zero so the round trip has something to carry.
-	for i := 0; i < 20; i++ {
-		a.Act(s, midPrior)
-		a.Update(1, 0, s)
-	}
-	want := a.greedy(s, midPrior)
-	if want == midPrior {
-		t.Fatal("updates left the residual at zero")
-	}
-	if err := a.Save(fs, "models/agent"); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	b := New(Config{seed: 999})
-	if err := b.Load(fs, "models/agent"); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got := b.greedy(s, midPrior); got != want {
-		t.Fatalf("loaded agent differs: %+v vs %+v", got, want)
-	}
-}
-
-// parentSnapshot is the nn snapshot layout before parametrization tags:
-// what the direct-output (sigmoid) actor and its critic were saved as.
-type parentSnapshot struct {
-	Sizes []int
-	Acts  []nn.Act
-	W     [][]float32
-	B     [][]float32
-}
-
-// TestParentModelRejected: a model saved by the direct-output actor has
-// exactly the current layer sizes, so only its (missing) parametrization
-// tag tells it apart. Load must refuse it rather than read its sigmoid
-// outputs as residuals.
-func TestParentModelRejected(t *testing.T) {
-	fs := vfs.NewMem()
-	write := func(path string, sizes []int, out nn.Act) {
-		snap := parentSnapshot{Sizes: sizes, Acts: []nn.Act{nn.ReLU, nn.ReLU, out}}
-		for l := 0; l+1 < len(sizes); l++ {
-			snap.W = append(snap.W, make([]float32, sizes[l]*sizes[l+1]))
-			snap.B = append(snap.B, make([]float32, sizes[l+1]))
-		}
-		f, err := fs.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := gob.NewEncoder(fileWriter{f}).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("parent.actor", []int{StateDim, HiddenDim, HiddenDim, ActionDim}, nn.Sigmoid)
-	write("parent.critic", []int{StateDim, HiddenDim, HiddenDim, 1}, nn.Linear)
-
-	a := New(Config{})
-	if err := a.Load(fs, "parent"); !errors.Is(err, nn.ErrArchitectureMismatch) {
-		t.Fatalf("Load(parent model) = %v, want nn.ErrArchitectureMismatch", err)
-	}
-	if got := a.greedy(constState(), midPrior); got != midPrior {
-		t.Fatalf("rejected load changed the agent: %+v", got)
-	}
-}
-
-type fileWriter struct{ f vfs.File }
-
-func (w fileWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
 
 // TestUpdateReusesActActivations pins the flag behind Update's reuse of
 // Act's forward pass: an agent whose actor ran on another state between

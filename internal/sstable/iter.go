@@ -122,11 +122,6 @@ func (i *Iter) Close() {
 	i.spanLo, i.spanHi = 0, 0
 }
 
-// Closed reports whether the iterator has been released with Close and not
-// re-initialised since. Lifecycle tests use it to assert iterators are not
-// leaked by background paths.
-func (i *Iter) Closed() bool { return i.r == nil }
-
 // checkUpper invalidates the iterator once the current entry reaches the
 // upper bound. Returns true while still inside the bound.
 func (i *Iter) checkUpper() bool {

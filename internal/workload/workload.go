@@ -144,9 +144,6 @@ func Key(i int) []byte {
 	return k
 }
 
-// KeyIndexUpper returns the exclusive upper key for index i (sharding).
-func KeyIndexUpper(i int) string { return string(Key(i)) }
-
 // scramble spreads Zipfian ranks across the key space so hot keys are not
 // physically adjacent (YCSB's scrambled Zipfian), while scans still cover
 // contiguous runs of the key space from their start key.
@@ -197,9 +194,3 @@ func (g *Generator) Next(mix Mix) Op {
 		return Op{Kind: OpPut, Key: Key(idx), Value: g.Value(idx)}
 	}
 }
-
-// NumKeys reports the configured key-space size.
-func (g *Generator) NumKeys() int { return g.cfg.NumKeys }
-
-// ValueSize reports the configured value size.
-func (g *Generator) ValueSize() int { return g.cfg.ValueSize }

@@ -55,7 +55,7 @@ func (d *DB) Metrics() MetricsSnapshot {
 // Registry returns the DB's metrics registry — engine, cache, and strategy
 // series all live here. Servers expose it as /metrics (Prometheus text)
 // and /debug/vars; callers may register their own series alongside.
-func (d *DB) Registry() *metrics.Registry { return d.reg }
+func (d *DB) Registry() *metrics.Registry { return d.inner.Registry() }
 
 // registerMetrics registers the public layer's collector (strategy
 // identity) and lets the strategy register its own through the optional
