@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"adcache/internal/lsm"
 	"adcache/internal/rl"
+	"adcache/internal/vfs"
 )
 
 func newTestAdCache(t *testing.T, cfg Config) *AdCache {
@@ -265,6 +268,78 @@ func TestAsyncTuningMode(t *testing.T) {
 	}
 	a.Close()
 	a.Close() // idempotent
+}
+
+// waitTuner waits up to five seconds for a's background tuner goroutine to
+// be running (want) or gone (!want): the goroutine dump names tuneLoop
+// with its receiver once the goroutine has started.
+func waitTuner(t *testing.T, a *AdCache, want bool) {
+	t.Helper()
+	frame := []byte(fmt.Sprintf("(*AdCache).tuneLoop(%p", a))
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		n := runtime.Stack(buf, true)
+		if bytes.Contains(buf[:n], frame) == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background tuner running = %v, want %v", !want, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// bindEngine opens an engine on a, flushing and compacting inline or in
+// the background, and binds a to it.
+func bindEngine(t *testing.T, a *AdCache, inline bool) {
+	t.Helper()
+	opts := lsm.DefaultOptions("db")
+	opts.FS = vfs.NewMem()
+	opts.InlineCompaction = inline
+	opts.Strategy = a
+	db, err := lsm.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	a.Bind(db)
+}
+
+// TestBindInlineEngineStopsBackgroundTuner: binding to an engine that runs
+// InlineCompaction ends the background tuner, and the operation that
+// closes a window then runs the control step itself.
+func TestBindInlineEngineStopsBackgroundTuner(t *testing.T) {
+	a := New(Config{Capacity: 1 << 20, WindowSize: 100})
+	defer a.Close()
+	waitTuner(t, a, true)
+	bindEngine(t, a, true)
+	waitTuner(t, a, false)
+	for w := int64(1); w <= 3; w++ {
+		driveWindows(a, 1)
+		if got := a.Windows(); got != w {
+			t.Fatalf("%d windows journalled when window %d closed", got, w)
+		}
+	}
+}
+
+// TestBindBackgroundEngineKeepsAsyncTuning: binding to an engine that
+// flushes and compacts in the background keeps the background tuner, and
+// windows are still tuned off the serving path.
+func TestBindBackgroundEngineKeepsAsyncTuning(t *testing.T) {
+	a := New(Config{Capacity: 1 << 20, WindowSize: 100})
+	defer a.Close()
+	bindEngine(t, a, false)
+	if a.inline.Load() {
+		t.Fatal("Bind to a background engine switched to inline tuning")
+	}
+	waitTuner(t, a, true)
+	driveWindows(a, 1)
+	for deadline := time.Now().Add(5 * time.Second); a.Windows() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("background tuner processed no windows")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestConcurrentStrategyUse(t *testing.T) {

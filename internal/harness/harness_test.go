@@ -254,6 +254,40 @@ func TestFig11aTunesAsynchronously(t *testing.T) {
 	}
 }
 
+// TestDeterministicRunnerTunesInline is Figure 11a's counterpart: a runner
+// without AsyncTuning flushes and compacts inline, runs no background
+// tuner, and journals each window by the time the operation that closes it
+// returns.
+func TestDeterministicRunnerTunesInline(t *testing.T) {
+	const window = 100
+	cfg := smallConfig(adcache.StrategyAdCache)
+	cfg.AdCache.WindowSize = window
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !r.DB.LSM().Options().InlineCompaction {
+		t.Fatal("engine flushes and compacts in the background")
+	}
+	for deadline := time.Now().Add(5 * time.Second); backgroundTuners() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d background tuners still running", backgroundTuners())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ad := r.DB.AdCache()
+	since := ad.Windows()
+	for w := int64(1); w <= 5; w++ {
+		if err := r.Warm(workload.MixBalanced, window); err != nil {
+			t.Fatal(err)
+		}
+		if got := ad.Windows() - since; got != w {
+			t.Fatalf("%d windows journalled after %d windows of operations", got, w)
+		}
+	}
+}
+
 // TestFig10ReadsEveryWindowFromJournal: a Figure 10 run longer than the
 // journal's ring gets one record per closed window, in window order, and
 // draining the journal does not change the op stream — a run drained every

@@ -199,3 +199,41 @@ func TestMetricsPrivateRegistry(t *testing.T) {
 		t.Fatal("db1 traffic observed in db2's cells")
 	}
 }
+
+// TestRegistryIsPerDB: every DB owns one registry, Registry returns that
+// same registry on every call, and two DBs in one process count apart.
+func TestRegistryIsPerDB(t *testing.T) {
+	a := mustOpen(t, testOptions(vfs.NewMem()))
+	defer a.Close()
+	b := mustOpen(t, testOptions(vfs.NewMem()))
+	defer b.Close()
+	if a.Registry() == nil || a.Registry() != a.Registry() {
+		t.Fatal("Registry is not one stable registry per DB")
+	}
+	if a.Registry() == b.Registry() {
+		t.Fatal("two DBs share a registry")
+	}
+
+	const n = 100
+	for i := 0; i < n; i++ {
+		if err := a.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.Get(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapA, snapB := a.Registry().Snapshot(), b.Registry().Snapshot()
+	if got := snapA["lsm_get_nanos"].(metrics.HistogramSummary).Count; got != n {
+		t.Errorf("a: lsm_get_nanos count = %d, want %d", got, n)
+	}
+	if got := snapA["lsm_user_bytes_total"].(int64); got == 0 {
+		t.Error("a: lsm_user_bytes_total = 0 after writes")
+	}
+	if got := snapB["lsm_get_nanos"].(metrics.HistogramSummary).Count; got != 0 {
+		t.Errorf("b: lsm_get_nanos count = %d, want 0 (a's reads)", got)
+	}
+	if got := snapB["lsm_user_bytes_total"].(int64); got != 0 {
+		t.Errorf("b: lsm_user_bytes_total = %d, want 0 (a's writes)", got)
+	}
+}
