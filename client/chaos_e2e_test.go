@@ -154,8 +154,10 @@ func TestE2EChaosCluster(t *testing.T) {
 	}
 
 	mgr, err := cluster.NewManager(initial, cluster.ManagerOptions{
+		// Only MoveShard is called, so Interval sets just the probe
+		// timeout, min(Interval, 2s).
+		Interval:      500 * time.Millisecond,
 		InternalToken: chaosToke,
-		ProbeTimeout:  500 * time.Millisecond,
 		Logf:          t.Logf,
 	})
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"adcache"
+	"adcache/internal/cluster"
 	"adcache/internal/core"
 	"adcache/internal/harness"
 	"adcache/internal/lsm"
@@ -30,15 +31,16 @@ var update = flag.Bool("update", false, "rewrite testdata/options_surface.golden
 
 // surfaceStructs are the config structs whose exported fields are settable
 // values.
-var surfaceStructs = []any{adcache.Options{}, core.Config{}, lsm.Options{}, rl.Config{}, harness.Config{}}
+var surfaceStructs = []any{adcache.Options{}, core.Config{}, lsm.Options{}, rl.Config{}, harness.Config{}, cluster.ManagerOptions{}}
 
 // optionPackages are the packages whose exported With* functions are
 // settable values (functional options).
 var optionPackages = []string{"adcache/internal/server", "adcache/client"}
 
-// optionsSurface lists every settable value: the exported fields of the
-// config structs, one per line in declaration order, then adbench's flags.
-func optionsSurface() string {
+// optionsSurface lists every settable value, one per line: the exported
+// fields of the config structs in declaration order, the With* options of
+// the option packages in name order, then adbench's flags.
+func optionsSurface() (string, error) {
 	var b strings.Builder
 	for _, v := range surfaceStructs {
 		typ := reflect.TypeOf(v)
@@ -48,10 +50,33 @@ func optionsSurface() string {
 			}
 		}
 	}
+	for _, path := range optionPackages {
+		dir := filepath.Join("..", "..", strings.TrimPrefix(path, "adcache/"))
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return "", err
+		}
+		var names []string
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return "", err
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && strings.HasPrefix(fd.Name.Name, "With") {
+					names = append(names, fd.Name.Name)
+				}
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s.%s\n", bp.Name, name)
+		}
+	}
 	fs := flag.NewFlagSet("adbench", flag.ContinueOnError)
 	new(options).register(fs)
 	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&b, "adbench -%s\n", f.Name) })
-	return b.String()
+	return b.String(), nil
 }
 
 // TestOptionsSurface pins the settable values so that a knob is added only
@@ -59,7 +84,10 @@ func optionsSurface() string {
 // what sets it.
 func TestOptionsSurface(t *testing.T) {
 	path := filepath.Join("testdata", "options_surface.golden")
-	got := optionsSurface()
+	got, err := optionsSurface()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

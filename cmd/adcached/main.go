@@ -72,7 +72,7 @@ func main() {
 		shards   = flag.Int("shards", cluster.DefaultShards, "cluster hash-slot count (fixed for the cluster's lifetime)")
 		token    = flag.String("cluster-token", "", "shared secret authenticating shard-migration traffic; must match on every node (required in cluster mode)")
 		manage   = flag.Bool("manage", false, "run the shard manager in this process")
-		interval = flag.Duration("manage-interval", 2*time.Second, "shard-manager poll period")
+		interval = flag.Duration("manage-interval", 2*time.Second, "shard-manager poll period; moves are at least 2×interval apart and node probes time out after min(interval, 2s)")
 	)
 	flag.Parse()
 

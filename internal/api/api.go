@@ -106,15 +106,6 @@ type ShardStat struct {
 	Writes metrics.HistogramSnapshot `json:"writes"`
 }
 
-// BudgetStat is one component of the node's cache budget as reported by
-// /v1/shardstats: the controller's byte target for the component and the
-// bytes it actually holds. Components are "blockcache" and "rangecache".
-type BudgetStat struct {
-	Component   string `json:"component"`
-	TargetBytes int64  `json:"target_bytes"`
-	ActualBytes int64  `json:"actual_bytes"`
-}
-
 // Health is the /v1/health response. Liveness (the process answers at
 // all) is the 200 on `?probe=live`; readiness is the HTTP status of the
 // plain GET — 200 when the node should receive traffic, 503 when it is
@@ -138,8 +129,4 @@ type ShardStats struct {
 	Node   string      `json:"node"`
 	Epoch  uint64      `json:"epoch"`
 	Shards []ShardStat `json:"shards"`
-	// Budgets is the node's cache-budget ledger (present when the node
-	// runs the adaptive strategy), so the shard manager and operators can
-	// watch the controller move bytes between the block and range caches.
-	Budgets []BudgetStat `json:"budgets,omitempty"`
 }

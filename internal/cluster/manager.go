@@ -16,40 +16,15 @@ import (
 	"adcache/internal/metrics"
 )
 
-// ManagerOptions tunes the shard manager's control loop.
+// ManagerOptions configures the shard manager's control loop. Its timing
+// all derives from Interval; the decision thresholds are constants.
 type ManagerOptions struct {
-	// Interval is the poll period (default 2s).
+	// Interval is the poll period (default 2s). The minimum gap between
+	// moves is 2×Interval, so the next window reflects the previous move
+	// before another is made, and a node health probe times out after
+	// min(Interval, 2s): a node that cannot answer within one poll period
+	// counts as dead for this cycle.
 	Interval time.Duration
-	// ImbalanceRatio triggers a move when the busiest node's window load
-	// exceeds this multiple of the least busy node's (default 1.5).
-	ImbalanceRatio float64
-	// OpsImbalanceRatio is the op-count imbalance that must corroborate
-	// the latency imbalance before a move (default 1.3). Sojourn-time
-	// sums are queue-amplified — near saturation a small load asymmetry
-	// reads as a large busy asymmetry, and a draining backlog keeps a
-	// node reading hot after the cause is gone — while raw op counts are
-	// low-variance. Requiring both keeps queue noise from causing churn.
-	OpsImbalanceRatio float64
-	// MinWindowOps is the fleet-wide op count a poll window must contain
-	// before the manager acts — avoids rebalancing on noise (default 200).
-	MinWindowOps int64
-	// Cooldown is the minimum gap between moves (default 2×Interval), so
-	// the next window reflects the previous move before another is made.
-	Cooldown time.Duration
-	// HTTPTimeout bounds each control RPC (default 10s).
-	HTTPTimeout time.Duration
-	// ProbeTimeout bounds a node health probe (default 2s — probes must
-	// answer fast or the node counts as dead for this cycle).
-	ProbeTimeout time.Duration
-	// CopyDeadline bounds a move's whole copy phase (export stream, chunk
-	// loads, destination publish; default 60s). A copy stalled past it — a
-	// browning-out source trickling data, a destination hanging — aborts
-	// the move and reverts, instead of fencing the slot indefinitely.
-	CopyDeadline time.Duration
-	// MigrateChunk is the number of entries per bulk-load request during a
-	// shard copy (default 1024) — and the most the manager ever holds: the
-	// export is forwarded chunk by chunk as it streams in.
-	MigrateChunk int
 	// InternalToken is the shared secret sent in api.HeaderInternal on
 	// migration requests; it must match the token every node was started
 	// with (adcached -cluster-token). Without it nodes reject the
@@ -59,35 +34,35 @@ type ManagerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-func (o *ManagerOptions) defaults() {
-	if o.Interval <= 0 {
-		o.Interval = 2 * time.Second
-	}
-	if o.ImbalanceRatio <= 1 {
-		o.ImbalanceRatio = 1.5
-	}
-	if o.OpsImbalanceRatio <= 1 {
-		o.OpsImbalanceRatio = 1.3
-	}
-	if o.MinWindowOps <= 0 {
-		o.MinWindowOps = 200
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 2 * o.Interval
-	}
-	if o.HTTPTimeout <= 0 {
-		o.HTTPTimeout = 10 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.CopyDeadline <= 0 {
-		o.CopyDeadline = 60 * time.Second
-	}
-	if o.MigrateChunk <= 0 {
-		o.MigrateChunk = 1024
-	}
-}
+const (
+	// imbalanceRatio triggers a move when the busiest node's window load
+	// exceeds this multiple of the least busy node's.
+	imbalanceRatio = 1.5
+	// opsImbalanceRatio is the op-count imbalance that must corroborate
+	// the latency imbalance before a move. Sojourn-time sums are
+	// queue-amplified — near saturation a small load asymmetry reads as a
+	// large busy asymmetry, and a draining backlog keeps a node reading hot
+	// after the cause is gone — while raw op counts are low-variance.
+	// Requiring both keeps queue noise from causing churn.
+	opsImbalanceRatio = 1.3
+	// minWindowOps is the fleet-wide op count a poll window must contain
+	// before the manager acts — avoids rebalancing on noise.
+	minWindowOps = 200
+	// httpTimeout bounds each control RPC.
+	httpTimeout = 10 * time.Second
+	// maxProbeTimeout caps a node health probe's timeout; a shorter poll
+	// period shortens it.
+	maxProbeTimeout = 2 * time.Second
+	// copyDeadline bounds a move's whole copy phase (export stream, chunk
+	// loads, destination publish). A copy stalled past it — a browning-out
+	// source trickling data, a destination hanging — aborts the move and
+	// reverts, instead of fencing the slot indefinitely.
+	copyDeadline = 60 * time.Second
+	// migrateChunk is the number of entries per bulk-load request during a
+	// shard copy — and the most the manager ever holds: the export is
+	// forwarded chunk by chunk as it streams in.
+	migrateChunk = 1024
+)
 
 // Manager is the latency-driven rebalancer: it polls every node's
 // per-shard read/write histograms, diffs successive polls into load
@@ -102,6 +77,11 @@ type Manager struct {
 	opts  ManagerOptions
 	httpc *http.Client
 
+	// Set from the constants above; this package's tests vary them.
+	minWindowOps int64
+	copyDeadline time.Duration
+	migrateChunk int
+
 	mu       sync.Mutex
 	cur      *ShardMap
 	prev     map[string][]api.ShardStat // node ID → last cumulative poll
@@ -115,12 +95,17 @@ func NewManager(m *ShardMap, opts ManagerOptions) (*Manager, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	opts.defaults()
+	if opts.Interval <= 0 {
+		opts.Interval = 2 * time.Second
+	}
 	return &Manager{
-		opts:  opts,
-		httpc: &http.Client{Timeout: opts.HTTPTimeout},
-		cur:   m,
-		prev:  make(map[string][]api.ShardStat),
+		opts:         opts,
+		httpc:        &http.Client{Timeout: httpTimeout},
+		minWindowOps: minWindowOps,
+		copyDeadline: copyDeadline,
+		migrateChunk: migrateChunk,
+		cur:          m,
+		prev:         make(map[string][]api.ShardStat),
 	}, nil
 }
 
@@ -279,10 +264,10 @@ func (mg *Manager) RebalanceOnce(ctx context.Context) (bool, error) {
 	if baseline || len(windows) < 2 {
 		return false, nil
 	}
-	if fleetOps < mg.opts.MinWindowOps {
+	if fleetOps < mg.minWindowOps {
 		return false, nil
 	}
-	if !lastMove.IsZero() && time.Since(lastMove) < mg.opts.Cooldown {
+	if !lastMove.IsZero() && time.Since(lastMove) < 2*mg.opts.Interval {
 		return false, nil
 	}
 
@@ -291,10 +276,10 @@ func (mg *Manager) RebalanceOnce(ctx context.Context) (bool, error) {
 	if hot.busy == 0 {
 		return false, nil
 	}
-	if cold.busy > 0 && float64(hot.busy) < mg.opts.ImbalanceRatio*float64(cold.busy) {
+	if cold.busy > 0 && float64(hot.busy) < imbalanceRatio*float64(cold.busy) {
 		return false, nil
 	}
-	if cold.ops > 0 && float64(hot.ops) < mg.opts.OpsImbalanceRatio*float64(cold.ops) {
+	if cold.ops > 0 && float64(hot.ops) < opsImbalanceRatio*float64(cold.ops) {
 		return false, nil
 	}
 
@@ -327,9 +312,10 @@ func (mg *Manager) RebalanceOnce(ctx context.Context) (bool, error) {
 }
 
 // probeReady reports whether the node at addr answers /v1/health with
-// 200 within ProbeTimeout — alive, not draining, not degraded.
+// 200 within min(Interval, maxProbeTimeout) — alive, not draining, not
+// degraded.
 func (mg *Manager) probeReady(ctx context.Context, addr string) error {
-	pctx, cancel := context.WithTimeout(ctx, mg.opts.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, min(mg.opts.Interval, maxProbeTimeout))
 	defer cancel()
 	return mg.call(pctx, http.MethodGet, addr, "/v1/health", "", nil)
 }
@@ -343,7 +329,7 @@ func (mg *Manager) probeReady(ctx context.Context, addr string) error {
 //     slot it does not own starting from empty, so leftovers of an earlier
 //     reverted move cannot resurrect keys deleted since), then the slot's
 //     entries stream from the old owner into the new owner over the
-//     binary migration endpoints, one MigrateChunk at a time;
+//     binary migration endpoints, one migrateChunk at a time;
 //  3. publish — every other node (the new owner first) accepts the map;
 //  4. purge — the old owner deletes its now-foreign copy of the slot.
 //
@@ -405,11 +391,11 @@ func (mg *Manager) MoveShard(ctx context.Context, shard int, to string) error {
 		return cause
 	}
 	// 2. Copy the slot, the whole phase (purge of the destination, export
-	// stream, chunk loads, destination publish) bounded by CopyDeadline: a
+	// stream, chunk loads, destination publish) bounded by copyDeadline: a
 	// copy that stalls past it — the source browning out mid-stream, the
 	// destination hanging on a load — aborts and reverts instead of
 	// holding the slot fenced indefinitely.
-	cctx, cancelCopy := context.WithTimeout(ctx, mg.opts.CopyDeadline)
+	cctx, cancelCopy := context.WithTimeout(ctx, mg.copyDeadline)
 	defer cancelCopy()
 	if err := mg.purgeShard(cctx, dest.Addr, shard); err != nil {
 		return fail(fmt.Errorf("clear shard %d on %s: %w", shard, dest.ID, err))
@@ -486,10 +472,10 @@ func (mg *Manager) revertMove(ctx context.Context, failed *ShardMap, shard int, 
 }
 
 // copyShard streams shard from its old owner into dest: the export is
-// decoded as it arrives and forwarded as one binary batch per MigrateChunk
+// decoded as it arrives and forwarded as one binary batch per migrateChunk
 // entries, so the manager holds one chunk however large the slot is. The
 // export request is bounded by ctx (the copy deadline) rather than
-// HTTPTimeout, which it can outlive while chunks are loading. An export
+// httpTimeout, which it can outlive while chunks are loading. An export
 // that ends before its end frame — the source hit an engine error or the
 // connection dropped mid-stream — is an error like any other: the caller
 // reverts, and nothing loaded so far is ever published. It returns the
@@ -524,7 +510,7 @@ func (mg *Manager) copyShard(ctx context.Context, from, dest Node, shard int) (i
 			return total, fmt.Errorf("fetch shard %d from %s: %w", shard, from.ID, err)
 		}
 		ops = wire.AppendPut(ops, key, value)
-		if n++; n == mg.opts.MigrateChunk {
+		if n++; n == mg.migrateChunk {
 			if err := load(); err != nil {
 				return total, err
 			}

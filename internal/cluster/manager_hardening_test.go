@@ -55,7 +55,43 @@ func TestMoveShardAbortsOnDeadDestination(t *testing.T) {
 	}
 }
 
-// TestMoveShardCopyDeadlineReverts: a copy stalled past CopyDeadline must
+// TestMoveShardProbeTimesOutWithinInterval: the health probe is bounded by
+// the poll period, so a destination that never answers aborts the move
+// after about one Interval, not after the 2 s cap.
+func TestMoveShardProbeTimesOutWithinInterval(t *testing.T) {
+	log := &callLog{}
+	a := newFakeNode(t, "a", log)
+	b := newFakeNode(t, "b", log)
+	b.hangHealth = true
+
+	m := &ShardMap{
+		Epoch:  1,
+		Shards: 4,
+		Nodes:  []Node{{ID: "a", Addr: a.addr()}, {ID: "b", Addr: b.addr()}},
+		Owner:  []string{"a", "a", "a", "b"},
+	}
+	mgr, err := NewManager(m, ManagerOptions{Interval: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = mgr.MoveShard(context.Background(), 0, "b")
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "not ready") {
+		t.Fatalf("move to hung destination = %v, want 'not ready' abort", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("move gave up after %s, want about one 200ms interval", elapsed)
+	}
+	if got := mgr.Current().Epoch; got != 1 {
+		t.Fatalf("aborted move consumed an epoch: %d, want 1", got)
+	}
+	if calls := log.all(); len(calls) != 0 {
+		t.Fatalf("aborted move made control calls: %v", calls)
+	}
+}
+
+// TestMoveShardCopyDeadlineReverts: a copy stalled past copyDeadline must
 // abort the move and publish a revert map instead of holding the slot
 // fenced for as long as the source cares to stall.
 func TestMoveShardCopyDeadlineReverts(t *testing.T) {
@@ -72,10 +108,11 @@ func TestMoveShardCopyDeadlineReverts(t *testing.T) {
 		Owner:  []string{"a", "a", "a", "b"},
 	}
 	a.view, b.view = m, m
-	mgr, err := NewManager(m, ManagerOptions{CopyDeadline: 100 * time.Millisecond})
+	mgr, err := NewManager(m, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.copyDeadline = 100 * time.Millisecond
 	start := time.Now()
 	err = mgr.MoveShard(context.Background(), 0, "b")
 	if err == nil || !strings.Contains(err.Error(), "fetch shard") {
@@ -123,13 +160,13 @@ func TestRevertTicksCooldownOnce(t *testing.T) {
 		Owner:  []string{"a", "a", "a", "b"},
 	}
 	a.view, b.view = m, m
-	mgr, err := NewManager(m, ManagerOptions{
-		MinWindowOps: 10,
-		Cooldown:     time.Hour, // any second move within this test is a bug
-	})
+	// The cooldown is 2×Interval: an hour, so any second move within this
+	// test is a bug.
+	mgr, err := NewManager(m, ManagerOptions{Interval: 30 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.minWindowOps = 10
 	ctx := context.Background()
 
 	if err := mgr.MoveShard(ctx, 0, "b"); err == nil {
@@ -179,13 +216,11 @@ func TestRebalanceSkipsDeadNode(t *testing.T) {
 		Owner:  []string{"a", "a", "a", "b", "b", "c"},
 	}
 	a.view, b.view = m, m
-	mgr, err := NewManager(m, ManagerOptions{
-		MinWindowOps:   10,
-		ImbalanceRatio: 1.5,
-	})
+	mgr, err := NewManager(m, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.minWindowOps = 10
 	ctx := context.Background()
 
 	c.srv.Close() // node c is down for the whole test

@@ -31,6 +31,7 @@ type fakeNode struct {
 	data        []kv
 	failExport  bool
 	notReady    bool          // answer /v1/health with 503, like a draining node
+	hangHealth  bool          // never answer /v1/health, like a wedged node
 	exportDelay time.Duration // stall /v1/migrate exports, like a browning-out source
 	// export, when set, answers /v1/migrate exports in place of the canned
 	// stream of data (called without mu: it may block on another node).
@@ -61,6 +62,15 @@ func (l *callLog) all() []string {
 func newFakeNode(t *testing.T, id string, log *callLog) *fakeNode {
 	f := &fakeNode{id: id, log: log}
 	f.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/health" {
+			f.mu.Lock()
+			hang := f.hangHealth
+			f.mu.Unlock()
+			if hang {
+				<-r.Context().Done() // the caller gave up (probe timeout)
+				return
+			}
+		}
 		if r.URL.Path == "/v1/migrate" && r.Method == http.MethodGet {
 			f.mu.Lock()
 			d, export := f.exportDelay, f.export
@@ -196,13 +206,11 @@ func TestManagerMovesHottestShard(t *testing.T) {
 	}
 	a.view, b.view = m, m
 
-	mgr, err := NewManager(m, ManagerOptions{
-		MinWindowOps:   10,
-		ImbalanceRatio: 1.5,
-	})
+	mgr, err := NewManager(m, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.minWindowOps = 10
 	ctx := context.Background()
 
 	// Poll 1: all zeros — establishes baselines, no move.
@@ -334,10 +342,11 @@ func TestManagerBalancedNoMove(t *testing.T) {
 		Nodes:  []Node{{ID: "a", Addr: a.addr()}, {ID: "b", Addr: b.addr()}},
 		Owner:  []string{"a", "a", "b", "b"},
 	}
-	mgr, err := NewManager(m, ManagerOptions{MinWindowOps: 10})
+	mgr, err := NewManager(m, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.minWindowOps = 10
 	ctx := context.Background()
 	a.setStats(1, 4, nil)
 	b.setStats(1, 4, nil)
@@ -394,10 +403,11 @@ func TestManagerMinWindowOps(t *testing.T) {
 		Nodes:  []Node{{ID: "a", Addr: a.addr()}, {ID: "b", Addr: b.addr()}},
 		Owner:  []string{"a", "b"},
 	}
-	mgr, err := NewManager(m, ManagerOptions{MinWindowOps: 1000})
+	mgr, err := NewManager(m, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.minWindowOps = 1000
 	ctx := context.Background()
 	a.setStats(1, 2, nil)
 	b.setStats(1, 2, nil)

@@ -26,10 +26,11 @@ func streamFleet(t *testing.T) (a, b *fakeNode, log *callLog, mgr *Manager) {
 		Owner:  []string{"a", "a", "a", "b"},
 	}
 	a.view, b.view = m, m
-	mgr, err := NewManager(m, ManagerOptions{MigrateChunk: 2, CopyDeadline: 5 * time.Second})
+	mgr, err := NewManager(m, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.migrateChunk, mgr.copyDeadline = 2, 5*time.Second
 	return a, b, log, mgr
 }
 

@@ -59,7 +59,7 @@ type immTable struct {
 // of every lock it already holds.
 type DB struct {
 	opts     Options
-	fs       *vfs.CountingFS
+	fs       vfs.FS
 	strategy CacheStrategy
 	store    *manifest.Store
 	tc       *tableCache
@@ -160,7 +160,7 @@ type DB struct {
 // Open opens (creating if necessary) the database described by opts.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	fs := vfs.NewCounting(opts.FS)
+	fs := opts.FS
 	if err := fs.MkdirAll(opts.Dir); err != nil {
 		return nil, err
 	}
@@ -775,11 +775,6 @@ func (d *DB) Close() error {
 	d.compactMu.Unlock()
 	return err
 }
-
-// IOStats returns cumulative file I/O counters. ReadOps counts device read
-// calls, each of which may carry several coalesced blocks; the paper's "SST
-// reads" — blocks — is QueryBlockReads.
-func (d *DB) IOStats() vfs.StatsSnapshot { return d.fs.Stats.Snapshot() }
 
 // Metrics summarises engine state for stats collection and tools.
 type Metrics struct {

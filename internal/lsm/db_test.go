@@ -293,7 +293,7 @@ func TestRecoverySurvivesSecondCrash(t *testing.T) {
 	}
 }
 
-func TestIOStatsCountBlockReads(t *testing.T) {
+func TestSSTReadCallsCountBlockReads(t *testing.T) {
 	db := mustOpen(t, testOptions(vfs.NewMem()))
 	defer db.Close()
 	for i := 0; i < 5000; i++ {
@@ -304,12 +304,11 @@ func TestIOStatsCountBlockReads(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := db.IOStats()
+	before := db.Metrics().SSTReadCalls
 	if _, ok, _ := db.Get(key(123)); !ok {
 		t.Fatal("Get failed")
 	}
-	after := db.IOStats()
-	if delta := after.Sub(before); delta.ReadOps == 0 {
+	if db.Metrics().SSTReadCalls == before {
 		t.Fatal("Get from disk did not register block reads")
 	}
 }

@@ -33,21 +33,20 @@ func TestMetricsEnginePopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hists := make(map[string]metrics.HistogramSnapshot)
-	reg.EachHistogram(func(name string, s metrics.HistogramSnapshot) { hists[name] = s })
-	if s := hists["lsm_get_nanos"]; s.Count != 200 {
+	hist := func(name string) metrics.HistogramSnapshot { return reg.Histogram(name, "").Snapshot() }
+	if s := hist("lsm_get_nanos"); s.Count != 200 {
 		t.Errorf("lsm_get_nanos count = %d, want 200", s.Count)
 	}
-	if s := hists["lsm_scan_nanos"]; s.Count != 1 {
+	if s := hist("lsm_scan_nanos"); s.Count != 1 {
 		t.Errorf("lsm_scan_nanos count = %d, want 1", s.Count)
 	}
-	if s := hists["lsm_commit_nanos"]; s.Count != n {
+	if s := hist("lsm_commit_nanos"); s.Count != n {
 		t.Errorf("lsm_commit_nanos count = %d, want %d", s.Count, n)
 	}
-	if s := hists["lsm_flush_nanos"]; s.Count == 0 || s.Sum <= 0 {
+	if s := hist("lsm_flush_nanos"); s.Count == 0 || s.Sum <= 0 {
 		t.Errorf("lsm_flush_nanos = %+v, want observations", s)
 	}
-	if s := hists["lsm_write_group_ops"]; s.Count != n || s.Sum != n {
+	if s := hist("lsm_write_group_ops"); s.Count != n || s.Sum != n {
 		t.Errorf("lsm_write_group_ops = %+v, want count=sum=%d", s, n)
 	}
 
@@ -146,9 +145,7 @@ func TestMetricsLevelCompactionBytes(t *testing.T) {
 		t.Fatal("workload did not trigger any compaction")
 	}
 
-	hists := make(map[string]metrics.HistogramSnapshot)
-	reg.EachHistogram(func(name string, s metrics.HistogramSnapshot) { hists[name] = s })
-	if s := hists["lsm_compact_nanos"]; s.Count != compactions || s.Sum <= 0 {
+	if s := reg.Histogram("lsm_compact_nanos", "").Snapshot(); s.Count != compactions || s.Sum <= 0 {
 		t.Errorf("lsm_compact_nanos = %+v, want count=%d with positive sum", s, compactions)
 	}
 

@@ -192,12 +192,3 @@ func (r *Registry) Snapshot() map[string]interface{} {
 	}
 	return out
 }
-
-// EachHistogram calls fn for every registered histogram in name order.
-func (r *Registry) EachHistogram(fn func(name string, s HistogramSnapshot)) {
-	for _, s := range r.gather() {
-		if s.hist != nil {
-			fn(s.name, *s.hist)
-		}
-	}
-}

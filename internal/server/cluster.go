@@ -73,19 +73,6 @@ func (s *server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 			Writes: s.writeHist[i].Snapshot(),
 		}
 	}
-	// Cache-budget ledger (adaptive strategy only): lets the manager and
-	// operators watch bytes shift between the block and range caches.
-	if ad := s.db.AdCache(); ad != nil {
-		budgets := ad.Budgets()
-		st.Budgets = make([]api.BudgetStat, 0, len(budgets))
-		for _, b := range budgets {
-			st.Budgets = append(st.Budgets, api.BudgetStat{
-				Component:   b.Component,
-				TargetBytes: b.TargetBytes,
-				ActualBytes: b.ActualBytes,
-			})
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }

@@ -25,8 +25,14 @@ type migNode struct {
 	url  string
 }
 
+// migrateChunk is the shard manager's copy chunk: the entries it forwards
+// per bulk-load request. A test that needs a copy of several chunks writes
+// more entries than this into the slot; if the manager's chunk grows past
+// it, those tests fail rather than pass on a one-chunk copy.
+const migrateChunk = 1024
+
 // migFleet starts nodes a and b over 4 slots (a owns 0 and 1) and a
-// manager moving one entry per chunk. wrap, where non-nil for a node ID,
+// shard manager. wrap, where non-nil for a node ID,
 // wraps that node's handler — the tests' fault-injection point; fsA, when
 // non-nil, backs node a's engine.
 func migFleet(t *testing.T, fsA vfs.FS, wrap map[string]func(http.Handler) http.Handler) (a, b *migNode, mgr *cluster.Manager) {
@@ -66,7 +72,7 @@ func migFleet(t *testing.T, fsA vfs.FS, wrap map[string]func(http.Handler) http.
 		})
 		out[i] = &migNode{db: db, view: view, url: srv.URL}
 	}
-	mgr, err := cluster.NewManager(m, cluster.ManagerOptions{InternalToken: testToken, MigrateChunk: 1})
+	mgr, err := cluster.NewManager(m, cluster.ManagerOptions{InternalToken: testToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +109,15 @@ func TestMigrateRevertedMoveDoesNotResurrect(t *testing.T) {
 			})
 		},
 	})
-	keys := slotKeys(0, 2)
+	// One entry more than a chunk: keys[0] travels in the first load, the
+	// last key in the second, which fails.
+	keys := slotKeys(0, migrateChunk+1)
+	batch := a.db.NewBatch()
 	for _, k := range keys {
-		if resp, body := do(t, "PUT", a.url+"/v1/kv/"+k, "v"); resp.StatusCode != 204 {
-			t.Fatalf("PUT %s = %d %q", k, resp.StatusCode, body)
-		}
+		batch.Put([]byte(k), []byte("v"))
+	}
+	if err := a.db.Apply(batch); err != nil {
+		t.Fatal(err)
 	}
 
 	ctx := context.Background()
@@ -134,42 +144,58 @@ func TestMigrateRevertedMoveDoesNotResurrect(t *testing.T) {
 	}
 }
 
-// tripWriter runs trip before the first Write of a response.
+// tripWriter runs trip before the first Write made once at least after
+// bytes of the response have been written.
 type tripWriter struct {
 	http.ResponseWriter
-	trip func()
+	after   int
+	written int
+	trip    func()
 }
 
 func (t *tripWriter) Write(p []byte) (int, error) {
-	if t.trip != nil {
+	if t.trip != nil && t.written >= t.after {
 		t.trip()
 		t.trip = nil
 	}
+	t.written += len(p)
 	return t.ResponseWriter.Write(p)
 }
 
 func (t *tripWriter) Flush() { t.ResponseWriter.(http.Flusher).Flush() }
 
 // TestMigrateExportCutByEngineError: the source's engine starts failing
-// reads once the export's first chunk has been flushed. The response must
+// reads once more than a chunk of the export has been sent. The response must
 // end without its end frame, and the manager must treat the slot as not
 // copied: revert, publish nothing, and leave no partial copy behind.
 func TestMigrateExportCutByEngineError(t *testing.T) {
 	ffs := vfs.NewFault(vfs.NewMem())
+	// About 1.4 MiB in slot 0, on disk: over a chunk and a half of export,
+	// none of it in the 64 KiB cache.
+	value := make([]byte, 1024)
+	keys := slotKeys(0, migrateChunk+400)
+	entry := len(wire.AppendEntry(nil, []byte(keys[0]), value)) // every key is as long
+	var loads atomic.Int32
 	a, b, mgr := migFleet(t, ffs, map[string]func(http.Handler) http.Handler{
 		"a": func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/migrate" && r.Method == http.MethodGet {
-					w = &tripWriter{ResponseWriter: w, trip: func() { ffs.SetFailReads(true) }}
+					// The bytes sent before the trip hold more than a chunk.
+					w = &tripWriter{ResponseWriter: w, after: (migrateChunk + 1) * entry,
+						trip: func() { ffs.SetFailReads(true) }}
+				}
+				next.ServeHTTP(w, r)
+			})
+		},
+		"b": func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/migrate" && r.Method == http.MethodPost {
+					loads.Add(1)
 				}
 				next.ServeHTTP(w, r)
 			})
 		},
 	})
-	// 400 KiB in slot 0, on disk: a dozen flushes' worth of export, none
-	// of it in the 64 KiB cache.
-	value := make([]byte, 1024)
-	keys := slotKeys(0, 400)
 	batch := a.db.NewBatch()
 	for _, k := range keys {
 		batch.Put([]byte(k), value)
@@ -195,7 +221,10 @@ func TestMigrateExportCutByEngineError(t *testing.T) {
 				id, n.view.Epoch(), n.view.Current().Owner[0])
 		}
 	}
-	// Some chunks did reach b before the cut; the revert purged them.
+	// A chunk did reach b before the cut; the revert purged it.
+	if loads.Load() == 0 {
+		t.Fatal("no chunk was loaded into the destination before the cut")
+	}
 	if got := contents(t, b.db); len(got) != 0 {
 		t.Fatalf("destination kept %d entries of the failed copy", len(got))
 	}

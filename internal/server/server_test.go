@@ -15,6 +15,7 @@ import (
 	"adcache/internal/api"
 	"adcache/internal/api/wire"
 	"adcache/internal/cluster"
+	"adcache/internal/core"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *adcache.DB) {
@@ -514,36 +515,45 @@ func TestShardStats(t *testing.T) {
 	}
 }
 
-// TestShardStatsBudgets: adaptive-strategy nodes report the cache-budget
-// ledger (blockcache, rangecache) on /v1/shardstats, so the shard manager
-// and operators can see bytes moving between the caches.
-func TestShardStatsBudgets(t *testing.T) {
+// TestStatsBudgets: adaptive-strategy nodes report the cache-budget ledger
+// (blockcache, rangecache) once, as adcache.budgets on /v1/stats, so
+// operators can see bytes moving between the caches; /v1/shardstats
+// carries only what the shard manager reads.
+func TestStatsBudgets(t *testing.T) {
 	view, _, _ := twoNodeView(t)
 	srv := clusterServer(t, view)
 
-	resp, body := do(t, "GET", srv.URL+"/v1/shardstats", "")
+	resp, body := do(t, "GET", srv.URL+"/v1/stats", "")
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var st api.ShardStats
+	var st adcache.MetricsSnapshot
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]api.BudgetStat{}
-	for _, b := range st.Budgets {
+	if st.AdCache == nil {
+		t.Fatalf("stats carry no adcache section: %s", body)
+	}
+	budgets := st.AdCache.Budgets
+	seen := map[string]core.Budget{}
+	for _, b := range budgets {
 		seen[b.Component] = b
 	}
-	if len(st.Budgets) != 2 {
-		t.Fatalf("budgets %+v, want blockcache and rangecache", st.Budgets)
+	if len(budgets) != 2 {
+		t.Fatalf("budgets %+v, want blockcache and rangecache", budgets)
 	}
 	for _, want := range []string{"blockcache", "rangecache"} {
 		if _, ok := seen[want]; !ok {
-			t.Fatalf("budgets missing %q: %+v", want, st.Budgets)
+			t.Fatalf("budgets missing %q: %+v", want, budgets)
 		}
 	}
 	// The caches split the whole budget.
 	if sum := seen["blockcache"].TargetBytes + seen["rangecache"].TargetBytes; sum != 1<<20 {
 		t.Fatalf("cache targets sum to %d, want %d", sum, 1<<20)
+	}
+	// The ledger is served once: /v1/shardstats does not repeat it.
+	if _, body := do(t, "GET", srv.URL+"/v1/shardstats", ""); strings.Contains(body, "budgets") {
+		t.Fatalf("shardstats repeats the budget ledger: %s", body)
 	}
 }
 

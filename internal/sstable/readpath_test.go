@@ -111,7 +111,7 @@ func TestParsedIndexGetEquivalence(t *testing.T) {
 			fs := vfs.NewMem()
 			const n = 700
 			buildTable(t, fs, "t.sst", n, WriterOptions{
-				RestartInterval: tc.restart, BlockSize: tc.blockSize, BitsPerKey: 10,
+				restartInterval: tc.restart, BlockSize: tc.blockSize, BitsPerKey: 10,
 			})
 			r := openTable(t, fs, "t.sst", ReaderOptions{})
 			old := newOldIndexPath(t, fs, "t.sst")
@@ -160,7 +160,7 @@ func TestParsedIndexIterEquivalence(t *testing.T) {
 			fs := vfs.NewMem()
 			const n = 400
 			buildTable(t, fs, "t.sst", n, WriterOptions{
-				RestartInterval: tc.restart, BlockSize: tc.blockSize,
+				restartInterval: tc.restart, BlockSize: tc.blockSize,
 			})
 			r := openTable(t, fs, "t.sst", ReaderOptions{})
 

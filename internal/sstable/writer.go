@@ -84,20 +84,22 @@ type WriterOptions struct {
 	BlockSize int
 	// BitsPerKey sizes the Bloom filter; 0 disables the filter.
 	BitsPerKey int
-	// RestartInterval for prefix compression.
-	RestartInterval int
 	// Compression selects per-block compression for data and index blocks
 	// (the filter block is random bits and is always stored raw). The
 	// default, CompressionNone, preserves the uncompressed layout.
 	Compression Compression
+
+	// restartInterval is the entries per prefix-compression restart point
+	// (block.DefaultRestartInterval); this package's tests vary it.
+	restartInterval int
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
 	if o.BlockSize <= 0 {
 		o.BlockSize = DefaultBlockSize
 	}
-	if o.RestartInterval <= 0 {
-		o.RestartInterval = block.DefaultRestartInterval
+	if o.restartInterval <= 0 {
+		o.restartInterval = block.DefaultRestartInterval
 	}
 	return o
 }
@@ -144,7 +146,7 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	return &Writer{
 		f:     f,
 		opts:  opts,
-		buf:   block.NewBuilder(opts.RestartInterval),
+		buf:   block.NewBuilder(opts.restartInterval),
 		index: block.NewBuilder(1),
 		out:   outPool.Get().([]byte)[:0],
 	}

@@ -76,8 +76,8 @@ func (c *CountingFS) Open(name string) (File, error) {
 
 // wrapCounting picks the wrapper type by capability: a file that can serve
 // pinned no-copy views keeps that capability through the counting layer
-// (the engine wraps every FS in CountingFS, so dropping it here would make
-// OSFS memory maps unreachable). Files without it get the plain wrapper, so
+// (the engine's table cache opens every table through CountingFS, so
+// dropping it here would make OSFS memory maps unreachable). Files without it get the plain wrapper, so
 // a type assertion on the wrapped file still reports the truth.
 func wrapCounting(f File, stats *Stats) File {
 	cf := countingFile{File: f, stats: stats}
